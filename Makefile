@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-all bench-locserv clean
+.PHONY: check vet staticcheck build test race bench-check bench bench-all bench-locserv clean
 
 # BENCH_JSON is where `make bench` writes the machine-readable gate
 # numbers; bump the index with the PR that changes the tracked set.
@@ -31,7 +31,7 @@ BENCH_MAXREGRESS ?= 0.30
 BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|WithinChurn|NearestChurn|ObsRecordUntraced
 BENCH_PKGS = ./internal/core ./internal/locserv ./internal/sim ./internal/cluster ./internal/obs
 
-check: vet staticcheck build race
+check: vet staticcheck build race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -54,6 +54,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module (the repo's benchmark, BENCHMARK.json), so
+# `./...` above never compiles it: vet and test it here, where a
+# narrowed internal/ API would break it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Gate benchmarks with allocation tracking, emitted as $(BENCH_JSON)
 # (ns/op, ns/sample, B/op, allocs/op per benchmark) so the perf

@@ -30,32 +30,30 @@ type Member struct {
 	Addr   string
 }
 
+// nodeLoopback returns the in-process update transport into node's
+// batched delivery path. Its sink propagates per-record errors, so a
+// clean send means every record landed.
+func nodeLoopback(node *locserv.NodeService) wire.Transport {
+	return wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
+		_, err := node.Deliver(batch)
+		return err
+	}))
+}
+
 // NewLocalMember returns a member over an in-process node: queries are
 // direct method calls, ingest is the loopback transport into the
 // node's batched delivery path.
 func NewLocalMember(name string, node *locserv.NodeService) *Member {
-	return &Member{
-		Name: name,
-		Node: node,
-		Ingest: wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
-			_, err := node.Deliver(batch)
-			return err
-		})),
-	}
+	return &Member{Name: name, Node: node, Ingest: nodeLoopback(node)}
 }
 
 // NewLoopbackMember returns a member whose queries and admin calls
 // round-trip through the full wire query codec in-process — the
 // configuration the cluster-vs-single-process equivalence proof runs
 // on: wire-level behaviour, deterministic delivery. The node's Deliver
-// (handoff imports) shares the loopback ingest transport; its sink
-// propagates per-record errors, so a clean send means every record
-// landed.
+// (handoff imports) shares the loopback ingest transport.
 func NewLoopbackMember(name string, node *locserv.NodeService) *Member {
-	ingest := wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
-		_, err := node.Deliver(batch)
-		return err
-	}))
+	ingest := nodeLoopback(node)
 	return &Member{
 		Name:   name,
 		Node:   NewRemoteNode(wire.NewQueryLoopback(node.QueryServer()), ingest),
@@ -427,8 +425,9 @@ func (c *Coordinator) Deregister(id locserv.ObjectID) {
 // per-member record slices and the owners scratch keep their backing
 // arrays between batches, so steady-state routing allocates nothing.
 type routeScratch struct {
-	parts  map[string][]wire.Record
-	owners []string
+	parts   map[string][]wire.Record
+	owners  []string
+	targets []string // members with a non-empty partition, in scatter order
 }
 
 var routePool = sync.Pool{
@@ -475,13 +474,18 @@ func (c *Coordinator) route(scr *routeScratch, batch []wire.Record) (map[string]
 
 // lostRecords counts the batch records none of whose owners accepted
 // delivery (failed names the members that did not take their
-// partition); callers hold a lock. Those records exist only as hints
-// until a replica recovers.
+// partition); callers hold a lock. The owner set is the one route()
+// partitioned by — ring owners plus in-migration dual adds — so a record
+// its joining owner accepted is not lost. Those records exist only as
+// hints until a replica recovers.
 func (c *Coordinator) lostRecords(batch []wire.Record, failed map[string]bool) int {
+	if len(failed) == 0 {
+		return 0
+	}
 	lost := 0
 	owners := make([]string, 0, c.rf)
 	for i := range batch {
-		owners = c.ring.OwnersAppend(owners, batch[i].ID, c.rf)
+		owners = c.ownersFor(owners[:0], batch[i].ID)
 		alive := false
 		for _, name := range owners {
 			if !failed[name] {
@@ -496,15 +500,89 @@ func (c *Coordinator) lostRecords(batch []wire.Record, failed map[string]bool) i
 	return lost
 }
 
-// Send implements wire.Transport: the batch is partitioned per
-// preference list and shipped in parallel over each owner's update
-// transport. Partitions for down members park in their hint buffers; a
-// member failing its delivery is counted against its breaker and its
-// partition is hinted too. Send fails only when some record reached no
-// live replica at all.
-func (c *Coordinator) Send(now float64, batch []wire.Record) error {
+// errMemberDown fills the fan-out error slot of a member that was not
+// called because its breaker is open.
+var errMemberDown = errors.New("cluster: member down")
+
+// fanOut is the coordinator's one way to call several members at once:
+// call runs concurrently against every named member whose breaker is
+// closed, and the results and errors come back indexed like names. A
+// down member is not called and its error slot holds errMemberDown; a
+// failed call's slot holds the error with the member named. note feeds
+// each call's outcome to the member's health bookkeeping (noteQuery,
+// noteCall or noteBeat). With a non-nil tr the call is traced: the
+// member's node is bound to the trace where it can be, and the hop is
+// recorded on the query clock. Callers hold at least the read lock.
+func fanOut[T any](c *Coordinator, names []string, tr *queryTrace,
+	note func(*Coordinator, *memberState, error),
+	call func(*memberState, locserv.Node) (T, error)) ([]T, []error) {
+	out := make([]T, len(names))
+	errs := make([]error, len(names))
+	if tr != nil {
+		tr.hops = make([]hop, len(names))
+	}
+	var wg sync.WaitGroup
+	for i, name := range names {
+		m, ok := c.members[name]
+		if !ok {
+			errs[i] = fmt.Errorf("cluster: unknown member %q", name)
+			continue
+		}
+		if m.down.Load() {
+			errs[i] = errMemberDown
+			continue
+		}
+		wg.Add(1)
+		go func(i int, m *memberState) {
+			defer wg.Done()
+			node := m.Node
+			if tr != nil {
+				node = tr.begin(i, m)
+			}
+			res, err := call(m, node)
+			if tr != nil {
+				tr.hops[i].end = time.Since(tr.start)
+			}
+			note(c, m, err)
+			if err != nil {
+				errs[i] = fmt.Errorf("cluster: member %s: %w", m.Name, err)
+				return
+			}
+			out[i] = res
+		}(i, m)
+	}
+	wg.Wait()
+	return out, errs
+}
+
+// foldErrs reduces a fan-out's error slots to whether any member was
+// skipped as down and the joined errors of the calls that failed.
+func foldErrs(errs []error) (skipped bool, err error) {
+	var failed []error
+	for _, e := range errs {
+		if e == errMemberDown {
+			skipped = true
+		} else if e != nil {
+			failed = append(failed, e)
+		}
+	}
+	return skipped, errors.Join(failed...)
+}
+
+// deliver is the one routed-delivery body behind Send and
+// DeliverRecords: the batch is partitioned per preference list and
+// every owner's partition shipped in parallel by send, which reports
+// how many records the member accounted for. Partitions for down
+// members park in their hint buffers; a member failing its delivery is
+// counted against its breaker and its partition is hinted too. applied
+// is transport-level durability — records that reached at least one
+// live replica — except that exact selects the members' own counts
+// while partitions are disjoint. err joins the member failures and, if
+// any record reached no live replica at all, says how many.
+func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
+	send func(m *memberState, part []wire.Record) (int, error)) (applied int, err error) {
 	if len(batch) == 0 {
-		return nil
+		return 0, nil
 	}
 	c.advanceClock(now)
 	c.mu.RLock()
@@ -513,64 +591,68 @@ func (c *Coordinator) Send(now float64, batch []wire.Record) error {
 	defer releaseRouteScratch(scr)
 	parts, err := c.route(scr, batch)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	errs := make([]error, len(c.order))
-	failed := make(map[string]bool)
-	var failedMu sync.Mutex
-	noteFailed := func(name string) {
-		failedMu.Lock()
+	targets := scr.targets[:0]
+	for _, name := range c.order {
+		if len(parts[name]) > 0 {
+			targets = append(targets, name)
+		}
+	}
+	scr.targets = targets
+	counts, errs := fanOut(c, targets, nil, (*Coordinator).noteCall,
+		func(m *memberState, _ locserv.Node) (int, error) {
+			part := parts[m.Name]
+			m.records.Add(int64(len(part)))
+			m.batches.Add(1)
+			return send(m, part)
+		})
+	failed := make(map[string]bool) // members that did not take their partition
+	for i, name := range targets {
+		if errs[i] == nil {
+			applied += counts[i]
+			continue
+		}
+		c.members[name].hints.AddAt(now, parts[name])
 		failed[name] = true
-		failedMu.Unlock()
 	}
-	var wg sync.WaitGroup
-	for i, name := range c.order {
-		part := parts[name]
-		if len(part) == 0 {
-			continue
-		}
-		m := c.members[name]
-		if m.down.Load() {
-			m.hints.AddAt(now, part)
-			// Delivery goroutines of earlier members may already be
-			// writing failed; take the lock here too.
-			noteFailed(name)
-			continue
-		}
-		m.records.Add(int64(len(part)))
-		m.batches.Add(1)
-		wg.Add(1)
-		go func(i int, name string, m *memberState, part []wire.Record) {
-			defer wg.Done()
-			var err error
-			if m.Ingest != nil {
-				err = m.Ingest.Send(now, part)
-			} else {
-				_, err = m.Node.Deliver(part)
-			}
-			if err != nil {
-				c.noteFail(m)
-				m.hints.AddAt(now, part)
-				noteFailed(name)
-				errs[i] = fmt.Errorf("cluster: send to %s: %w", m.Name, err)
-				return
-			}
-			m.noteOK()
-		}(i, name, m, part)
-	}
-	wg.Wait()
 	c.maybeProbe()
-	if len(failed) == 0 {
+	_, err = foldErrs(errs)
+	if exact && c.rf == 1 && len(c.duals) == 0 {
+		// Unreplicated partitions are disjoint (no migration in flight, so
+		// no dual-written overlap): the per-member counts sum to the exact
+		// record-level accounting (records belonging to a registered or
+		// registrable object; Seq gating is the replica's decision either
+		// way — see locserv.Service.DeliverRecords).
+		return applied, err
+	}
+	// Replicated partitions overlap, so per-member counts cannot be
+	// summed per record. The strict seq-gated number stays on the nodes'
+	// updates_applied counters (GET /stats, /cluster).
+	applied = len(batch)
+	if lost := c.lostRecords(batch, failed); lost > 0 {
+		applied -= lost
+		err = errors.Join(err, fmt.Errorf(
+			"cluster: %d of %d records reached no live replica (hinted for recovery)", lost, len(batch)))
+	}
+	return applied, err
+}
+
+// Send implements wire.Transport: the batch is routed to every owner
+// over the members' update transports (see deliver). Send fails only
+// when some record reached no live replica at all; otherwise the failed
+// members' copies are hinted and converge on recovery.
+func (c *Coordinator) Send(now float64, batch []wire.Record) error {
+	applied, err := c.deliver(now, batch, false, func(m *memberState, part []wire.Record) (int, error) {
+		if m.Ingest != nil {
+			return len(part), m.Ingest.Send(now, part)
+		}
+		return m.Node.Deliver(part)
+	})
+	if applied == len(batch) {
 		return nil
 	}
-	if lost := c.lostRecords(batch, failed); lost > 0 {
-		errs = append(errs, fmt.Errorf(
-			"cluster: %d of %d records reached no live replica (hinted for recovery)", lost, len(batch)))
-		return errors.Join(errs...)
-	}
-	// Every record landed on at least one replica; the failed members'
-	// copies are hinted and will converge on recovery.
-	return nil
+	return err
 }
 
 // Flush implements wire.Transport: every live member transport delivers
@@ -635,205 +717,91 @@ func (c *Coordinator) Stats() wire.Stats {
 // (not the update transports), returning how many were accepted — the
 // coordinator-side RecordSink for a cluster's HTTP ingest front door.
 // Like Send, partitions for down or failing members are hinted, and
-// only records with no live replica fail.
+// only records with no live replica count as not applied.
 func (c *Coordinator) DeliverRecords(recs []wire.Record) (applied int, err error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	scr := routePool.Get().(*routeScratch)
-	defer releaseRouteScratch(scr)
-	parts, err := c.route(scr, recs)
-	if err != nil {
-		return 0, err
-	}
-	appliedBy := make([]int, len(c.order))
-	errs := make([]error, len(c.order))
-	failed := make(map[string]bool)
-	var failedMu sync.Mutex
-	noteFailed := func(name string) {
-		failedMu.Lock()
-		failed[name] = true
-		failedMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for i, name := range c.order {
-		part := parts[name]
-		if len(part) == 0 {
-			continue
-		}
-		m := c.members[name]
-		if m.down.Load() {
-			m.hints.AddAt(c.now(), part)
-			noteFailed(name)
-			continue
-		}
-		m.records.Add(int64(len(part)))
-		m.batches.Add(1)
-		wg.Add(1)
-		go func(i int, name string, m *memberState, part []wire.Record) {
-			defer wg.Done()
-			n, err := m.Node.Deliver(part)
-			if err != nil {
-				c.noteFail(m)
-				m.hints.AddAt(c.now(), part)
-				noteFailed(name)
-				errs[i] = err
-				return
-			}
-			m.noteOK()
-			appliedBy[i] = n
-		}(i, name, m, part)
-	}
-	wg.Wait()
-	c.maybeProbe()
-	if c.rf == 1 && len(c.duals) == 0 {
-		// Unreplicated partitions are disjoint (no migration in flight, so
-		// no dual-written overlap): the per-member counts sum to the exact
-		// record-level accounting (records belonging to a registered or
-		// registrable object; Seq gating is the replica's decision either
-		// way — see locserv.Service.DeliverRecords).
-		for _, n := range appliedBy {
-			applied += n
-		}
-		return applied, errors.Join(errs...)
-	}
-	// Replicated partitions overlap, so per-member counts cannot be
-	// summed per record; the count reported is transport-level
-	// durability — records that reached at least one live replica. The
-	// strict seq-gated number stays on the nodes' updates_applied
-	// counters (GET /stats, /cluster).
-	applied = len(recs)
-	if len(failed) > 0 {
-		lost := c.lostRecords(recs, failed)
-		applied -= lost
-		if lost > 0 {
-			errs = append(errs, fmt.Errorf(
-				"cluster: %d of %d records reached no live replica (hinted for recovery)", lost, len(recs)))
-		}
-	}
-	return applied, errors.Join(errs...)
+	return c.deliver(c.now(), recs, true, func(m *memberState, part []wire.Record) (int, error) {
+		return m.Node.Deliver(part)
+	})
 }
 
-// scatter runs fn against every live member concurrently and returns
-// the per-member results in scatter order. Down members are skipped —
-// their partitions answer from the surviving replicas — and failing
-// members yield nil parts, count toward their breaker and surface in
-// the joined error.
-func (c *Coordinator) scatter(fn func(n locserv.Node) ([]locserv.ObjectPos, error)) ([][]locserv.ObjectPos, error) {
-	parts := make([][]locserv.ObjectPos, len(c.order))
-	errs := make([]error, len(c.order))
-	skipped := false
-	var wg sync.WaitGroup
-	for i, name := range c.order {
-		m := c.members[name]
-		if m.down.Load() {
-			skipped = true
-			continue
-		}
-		m.queries.Add(1)
-		wg.Add(1)
-		go func(i int, m *memberState) {
-			defer wg.Done()
-			part, err := fn(m.Node)
-			if err != nil {
-				c.noteFail(m)
-				errs[i] = fmt.Errorf("cluster: query %s: %w", m.Name, err)
-				return
-			}
-			m.noteOK()
-			parts[i] = part
-		}(i, m)
-	}
-	wg.Wait()
+// queryErr folds a query fan-out's error slots: a skipped down member
+// marks the query degraded — its partitions answer from the surviving
+// replicas — and failed members surface in the joined error.
+func (c *Coordinator) queryErr(errs []error) error {
+	skipped, err := foldErrs(errs)
 	if skipped {
 		c.degraded.Add(1)
 	}
-	return parts, errors.Join(errs...)
+	return err
+}
+
+// scatter runs query against every live member concurrently and
+// returns the per-member results in scatter order. Failing members
+// yield nil parts, count toward their breaker and surface in the
+// joined error. A sampled query (tr non-nil) takes this same path.
+func (c *Coordinator) scatter(tr *queryTrace, query func(*memberState, locserv.Node) ([]locserv.ObjectPos, error)) ([][]locserv.ObjectPos, error) {
+	parts, errs := fanOut(c, c.order, tr, (*Coordinator).noteQuery, query)
+	return parts, c.queryErr(errs)
+}
+
+// gather is the scatter-gather query body: scatter query, merge the
+// parts, histogram and read-repair the divergences the merge exposed,
+// and record the latency under hist (and the trace, when sampled).
+// When members fail, the surviving members' merged answer is still
+// returned alongside the error, so callers choose between strictness
+// and degraded availability.
+func (c *Coordinator) gather(op string, hist *obs.Histogram, t float64,
+	query func(*memberState, locserv.Node) ([]locserv.ObjectPos, error),
+	merge func([][]locserv.ObjectPos) ([]locserv.ObjectPos, []locserv.Divergence)) ([]locserv.ObjectPos, error) {
+	start := time.Now()
+	tr := c.sampleTrace(start)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	c.queries.Add(1)
+	parts, err := c.scatter(tr, query)
+	if err != nil {
+		c.queryErrors.Add(1)
+	}
+	mergeStart := time.Since(start)
+	hits, stale := merge(parts)
+	for _, d := range stale {
+		c.divergenceH.Record(float64(d.FreshSeq - d.MinStaleSeq))
+	}
+	c.scheduleRepairs(stale)
+	dur := time.Since(start)
+	hist.RecordDur(dur)
+	tr.finish(c.traceRing, op, t, mergeStart, dur)
+	return hits, err
 }
 
 // NearestE scatters a k-nearest query to every live member and merges:
 // freshest Seq per object first (replicas can answer in duplicate),
-// then the same (Dist, ID) order the in-process shard merge uses.
-// When members fail, the surviving members' merged answer is still
-// returned alongside the error, so callers choose between strictness
-// and degraded availability. Stale replicas observed in the merge are
-// read-repaired in the background.
+// then the same (Dist, ID) order the in-process shard merge uses. See
+// gather for the failure contract.
 func (c *Coordinator) NearestE(p geo.Point, k int, t float64) ([]locserv.ObjectPos, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	start := time.Now()
-	trace := c.traceID()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	c.queries.Add(1)
-	var (
-		parts [][]locserv.ObjectPos
-		spans []obs.Span
-		err   error
-	)
-	if trace != 0 {
-		parts, spans, err = c.scatterTraced(start, func(n locserv.Node) ([]locserv.ObjectPos, []wire.Span, error) {
-			if tr, ok := n.(locserv.NodeTracer); ok {
-				return tr.TraceNearest(p, k, t, trace)
-			}
-			hits, err := n.Nearest(p, k, t)
-			return hits, nil, err
+	return c.gather("nearest", c.qNearestH, t,
+		func(_ *memberState, n locserv.Node) ([]locserv.ObjectPos, error) { return n.Nearest(p, k, t) },
+		func(parts [][]locserv.ObjectPos) ([]locserv.ObjectPos, []locserv.Divergence) {
+			return locserv.MergeNearest(parts, k)
 		})
-	} else {
-		parts, err = c.scatter(func(n locserv.Node) ([]locserv.ObjectPos, error) {
-			return n.Nearest(p, k, t)
-		})
-	}
-	if err != nil {
-		c.queryErrors.Add(1)
-	}
-	mergeStart := time.Since(start)
-	hits, stale := locserv.MergeNearest(parts, k)
-	c.noteDivergence(stale)
-	c.scheduleRepairs(stale)
-	c.finishQuery(c.qNearestH, "nearest", t, start, trace, mergeStart, spans)
-	return hits, err
 }
 
 // WithinE scatters a range query to every live member and merges by
-// freshest Seq, then id. Like NearestE, member failures yield the
-// surviving partial answer plus the error.
+// freshest Seq, then id. See gather for the failure contract.
 func (c *Coordinator) WithinE(r geo.Rect, t float64) ([]locserv.ObjectPos, error) {
-	start := time.Now()
-	trace := c.traceID()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	c.queries.Add(1)
-	var (
-		parts [][]locserv.ObjectPos
-		spans []obs.Span
-		err   error
-	)
-	if trace != 0 {
-		parts, spans, err = c.scatterTraced(start, func(n locserv.Node) ([]locserv.ObjectPos, []wire.Span, error) {
-			if tr, ok := n.(locserv.NodeTracer); ok {
-				return tr.TraceWithin(r, t, trace)
-			}
-			hits, err := n.Within(r, t)
-			return hits, nil, err
-		})
-	} else {
-		parts, err = c.scatter(func(n locserv.Node) ([]locserv.ObjectPos, error) {
-			return n.Within(r, t)
-		})
-	}
-	if err != nil {
-		c.queryErrors.Add(1)
-	}
-	mergeStart := time.Since(start)
-	hits, stale := locserv.MergeWithin(parts)
-	c.noteDivergence(stale)
-	c.scheduleRepairs(stale)
-	c.finishQuery(c.qWithinH, "within", t, start, trace, mergeStart, spans)
-	return hits, err
+	return c.gather("within", c.qWithinH, t,
+		func(_ *memberState, n locserv.Node) ([]locserv.ObjectPos, error) { return n.Within(r, t) },
+		locserv.MergeWithin)
+}
+
+// posAnswer is one owner's reply to a position query.
+type posAnswer struct {
+	pos geo.Point
+	seq uint32
+	ok  bool // object known and reported
 }
 
 // PositionE asks id's owners concurrently and answers with the
@@ -845,83 +813,29 @@ func (c *Coordinator) WithinE(r geo.Rect, t float64) ([]locserv.ObjectPos, error
 // unreachable.
 func (c *Coordinator) PositionE(id locserv.ObjectID, t float64) (geo.Point, bool, error) {
 	start := time.Now()
-	trace := c.traceID()
+	tr := c.sampleTrace(start)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.queries.Add(1)
-	owners := c.ownersFor(nil, string(id))
+	var buf [4]string // R owners plus a dual add fit without allocating
+	owners := c.ownersFor(buf[:0], string(id))
 	if len(owners) == 0 {
 		c.queryErrors.Add(1)
 		return geo.Point{}, false, fmt.Errorf("cluster: no member owns %q", id)
 	}
-	type answer struct {
-		m    *memberState
-		pos  geo.Point
-		seq  uint32
-		ok   bool // object known and reported
-		live bool // the call succeeded
-	}
-	answers := make([]answer, len(owners))
-	errs := make([]error, len(owners))
-	var ownerSpans [][]obs.Span
-	if trace != 0 {
-		ownerSpans = make([][]obs.Span, len(owners))
-	}
-	skipped := false
-	var wg sync.WaitGroup
-	for oi, name := range owners {
-		m, ok := c.members[name]
-		if !ok {
-			c.queryErrors.Add(1)
-			return geo.Point{}, false, fmt.Errorf("cluster: no member owns %q", id)
-		}
-		if m.down.Load() {
-			skipped = true
-			continue
-		}
-		m.queries.Add(1)
-		wg.Add(1)
-		go func(oi int, name string, m *memberState) {
-			defer wg.Done()
-			var (
-				p     geo.Point
-				seq   uint32
-				found bool
-				ws    []wire.Span
-				err   error
-			)
-			if tr, ok := m.Node.(locserv.NodeTracer); trace != 0 && ok {
-				callStart := time.Since(start)
-				p, seq, found, ws, err = tr.TracePosition(id, t, trace)
-				ownerSpans[oi] = memberSpans(name, callStart, time.Since(start)-callStart, ws)
-			} else {
-				p, seq, found, err = m.Node.Position(id, t)
-			}
-			if err != nil {
-				c.noteFail(m)
-				errs[oi] = fmt.Errorf("cluster: query %s: %w", name, err)
-				return
-			}
-			m.noteOK()
-			answers[oi] = answer{m: m, pos: p, seq: seq, ok: found, live: true}
-		}(oi, name, m)
-	}
-	wg.Wait()
-	if skipped {
-		c.degraded.Add(1)
-	}
-	if trace != 0 {
-		var spans []obs.Span
-		for _, ms := range ownerSpans {
-			spans = append(spans, ms...)
-		}
-		c.finishQuery(nil, "position", t, start, trace, time.Since(start), spans)
-	}
-	c.qPositionH.RecordDur(time.Since(start))
+	answers, errs := fanOut(c, owners, tr, (*Coordinator).noteQuery,
+		func(_ *memberState, n locserv.Node) (posAnswer, error) {
+			p, seq, ok, err := n.Position(id, t)
+			return posAnswer{p, seq, ok}, err
+		})
+	err := c.queryErr(errs)
+	dur := time.Since(start)
+	c.qPositionH.RecordDur(dur)
+	tr.finish(c.traceRing, "position", t, dur, dur)
 	best := -1
 	anyLive := false
 	for i, a := range answers {
-		if !a.live {
+		if errs[i] != nil {
 			continue
 		}
 		anyLive = true
@@ -931,7 +845,7 @@ func (c *Coordinator) PositionE(id locserv.ObjectID, t float64) (geo.Point, bool
 	}
 	if !anyLive {
 		c.queryErrors.Add(1)
-		if err := errors.Join(errs...); err != nil {
+		if err != nil {
 			return geo.Point{}, false, err
 		}
 		return geo.Point{}, false, fmt.Errorf("cluster: no live replica for %q", id)
@@ -941,18 +855,18 @@ func (c *Coordinator) PositionE(id locserv.ObjectID, t float64) (geo.Point, bool
 	}
 	var staleMembers []*memberState
 	for i, a := range answers {
-		if i == best || !a.live {
+		if i == best || errs[i] != nil {
 			continue
 		}
 		if !a.ok || a.seq < answers[best].seq {
-			staleMembers = append(staleMembers, a.m)
+			staleMembers = append(staleMembers, c.members[owners[i]])
 			if a.ok {
 				c.divergenceH.Record(float64(answers[best].seq - a.seq))
 			}
 		}
 	}
 	if len(staleMembers) > 0 {
-		c.spawnRepair(id, answers[best].m, staleMembers)
+		c.spawnRepair(id, c.members[owners[best]], staleMembers)
 	}
 	return answers[best].pos, true, nil
 }
@@ -995,19 +909,9 @@ func (c *Coordinator) Repairs() int64 { return c.repairs.Load() }
 // unreachable members contribute nothing (the latter advance their
 // error counters).
 func (c *Coordinator) NodeStats() locserv.NodeStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var total locserv.NodeStats
-	for _, name := range c.order {
-		m := c.members[name]
-		if m.down.Load() {
-			continue
-		}
-		st, err := m.Node.NodeStats()
-		if err != nil {
-			m.errors.Add(1)
-			continue
-		}
+	for _, ms := range c.MemberStats() {
+		st := ms.Node
 		total.Objects += st.Objects
 		total.Shards += st.Shards
 		total.UpdatesApplied += st.UpdatesApplied

@@ -321,11 +321,10 @@ func (c *Coordinator) acceptPeerHints(name string, recs []wire.Record) (int, err
 		return 0, nil
 	}
 	n, err := m.Node.Deliver(recs)
+	c.noteCall(m, err)
 	if err != nil {
-		c.noteFail(m)
 		return 0, err
 	}
-	m.noteOK()
 	m.records.Add(int64(len(recs)))
 	return n, nil
 }

@@ -19,6 +19,7 @@ import (
 
 	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
+	"mapdr/internal/obs"
 	"mapdr/internal/wire"
 )
 
@@ -166,21 +167,42 @@ func (p *ChaosPlan) Remaining() int {
 // inj is failed, its queries, admin calls and ingest sends all error.
 func NewFaultyMember(name string, node *locserv.NodeService) (*Member, *FaultInjector) {
 	inj := &FaultInjector{}
-	ingest := wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
-		_, err := node.Deliver(batch)
-		return err
-	}))
 	return &Member{
 		Name:   name,
 		Node:   faultyNode{n: node, inj: inj},
-		Ingest: faultyTransport{tr: ingest, inj: inj},
+		Ingest: faultyTransport{tr: nodeLoopback(node), inj: inj},
 	}, inj
 }
 
-// faultyNode fails every Node call while the injector is down.
+// faultyNode fails every Node call while the injector is down. The
+// optional Node capabilities a coordinator probes for (metrics
+// snapshots, trace binding) are forwarded, so a fault-injected cluster
+// is observed like any other.
 type faultyNode struct {
 	n   locserv.Node
 	inj *FaultInjector
+}
+
+// ObsSnapshot implements locserv.ObsSnapshotter by forwarding.
+func (x faultyNode) ObsSnapshot() (obs.Snapshot, error) {
+	x.inj.delay()
+	if x.inj.Down() {
+		return obs.Snapshot{}, ErrInjectedFault
+	}
+	os, ok := x.n.(locserv.ObsSnapshotter)
+	if !ok {
+		return obs.Snapshot{}, errors.New("cluster: wrapped node does not export metrics")
+	}
+	return os.ObsSnapshot()
+}
+
+// BindTrace implements locserv.TraceBinder by forwarding: the wrapped
+// node's bound view stays behind the same injector.
+func (x faultyNode) BindTrace(trace uint64, spans *[]wire.Span) locserv.Node {
+	if tb, ok := x.n.(locserv.TraceBinder); ok {
+		x.n = tb.BindTrace(trace, spans)
+	}
+	return x
 }
 
 func (x faultyNode) Register(id locserv.ObjectID) error {

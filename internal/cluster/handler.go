@@ -396,9 +396,7 @@ func (c *Coordinator) ClusterView() clusterJSON {
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	locserv.RouteQueryAPI(mux, c)
-	mux.HandleFunc("POST /updates", locserv.IngestHandler(func(recs []wire.Record) (int, error) {
-		return c.DeliverRecords(recs)
-	}))
+	mux.HandleFunc("POST /updates", locserv.IngestHandler(c.DeliverRecords))
 	mux.Handle("POST /peer", wire.PeerHTTPHandler(c))
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, _ *http.Request) {
 		locserv.WriteJSON(w, c.ClusterView())

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mapdr/internal/locserv"
 	"mapdr/internal/wire"
 )
 
@@ -240,41 +241,34 @@ func (h *selfHeal) beatDue(now float64) bool {
 }
 
 // heartbeat probes every up member with a cheap NodeStats call,
-// concurrently. A failure moves the member toward Suspect and, at
-// SuspectAfter consecutive misses, trips its breaker; a success clears
-// only the suspicion — not the breaker's consecutive-delivery-failure
-// count, which a member faulty on Deliver but healthy on stats must
-// not be able to reset.
+// concurrently; noteBeat judges the outcomes.
 func (c *Coordinator) heartbeat(heal *selfHeal) {
 	heal.heartbeats.Add(1)
 	c.mu.RLock()
-	up := make([]*memberState, 0, len(c.order))
-	for _, name := range c.order {
-		m := c.members[name]
-		if !m.down.Load() {
-			up = append(up, m)
-		}
+	defer c.mu.RUnlock()
+	fanOut(c, c.order, nil, (*Coordinator).noteBeat,
+		func(_ *memberState, n locserv.Node) (locserv.NodeStats, error) { return n.NodeStats() })
+}
+
+// noteBeat feeds one heartbeat's outcome to the liveness detector. A
+// failure moves the member toward Suspect and, at SuspectAfter
+// consecutive misses, trips its breaker; a success clears only the
+// suspicion — not the breaker's consecutive-delivery-failure count,
+// which a member faulty on Deliver but healthy on stats must not be
+// able to reset.
+func (c *Coordinator) noteBeat(m *memberState, err error) {
+	if err == nil {
+		m.suspectFails.Store(0)
+		return
 	}
-	c.mu.RUnlock()
-	var wg sync.WaitGroup
-	for _, m := range up {
-		wg.Add(1)
-		go func(m *memberState) {
-			defer wg.Done()
-			if _, err := m.Node.NodeStats(); err != nil {
-				m.errors.Add(1)
-				if m.suspectFails.Add(1) == 1 {
-					heal.suspects.Add(1)
-				}
-				if int(m.suspectFails.Load()) >= heal.cfg.SuspectAfter {
-					c.markTripped(m)
-				}
-				return
-			}
-			m.suspectFails.Store(0)
-		}(m)
+	heal := c.heal.Load()
+	m.errors.Add(1)
+	if m.suspectFails.Add(1) == 1 {
+		heal.suspects.Add(1)
 	}
-	wg.Wait()
+	if int(m.suspectFails.Load()) >= heal.cfg.SuspectAfter {
+		c.markTripped(m)
+	}
 }
 
 // checkDemotions removes members down past their hint deadline.

@@ -10,6 +10,7 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
+	"mapdr/internal/wire"
 )
 
 // TestMigrationCrashResumeSourceDeath is the coordinator-crash drill:
@@ -169,4 +170,73 @@ func TestMigrationAbortRollsBackImportFailure(t *testing.T) {
 		t.Fatal("recovered rejoin moved nothing")
 	}
 	assertSnapshotEqual(t, "after recovered rejoin", before, snapshot(f.coord, n, 4))
+}
+
+// TestDeliveryCountsDualRangeOwners: mid-migration a record is routed
+// to its ring owners plus the dual-range adds, and delivery must judge
+// "reached no live replica" over that same owner set. With a dual range
+// published, both of its ring owners failing and the joining member
+// healthy, the records landed — on the join — so Send must not fail and
+// DeliverRecords must count them applied.
+func TestDeliveryCountsDualRangeOwners(t *testing.T) {
+	f := newReplicatedFixture(t, 3, 2)
+	seedReplicated(t, f, 30)
+
+	// Halt the join right after its first range goes dual.
+	errHalt := errors.New("halt after the first dual range")
+	var duals atomic.Int32
+	f.coord.migHook = func(kind string, lo, hi uint64, phase MigrationPhase) error {
+		if phase == MigDual && duals.Add(1) == 1 {
+			return errHalt
+		}
+		return nil
+	}
+	node4 := locserv.NewNodeService(locserv.NewSharded(4),
+		func(locserv.ObjectID) core.Predictor { return core.LinearPredictor{} })
+	m4, _ := NewFaultyMember("n4", node4)
+	mig, err := f.coord.BeginAddNode(m4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Wait(); !errors.Is(err, errHalt) {
+		t.Fatalf("Wait() = %v, want the injected halt", err)
+	}
+	f.coord.mu.RLock()
+	if len(f.coord.duals) != 1 || !containsName(f.coord.duals[0].adds, "n4") {
+		f.coord.mu.RUnlock()
+		t.Fatalf("want one published dual range adding n4, have %+v", f.coord.duals)
+	}
+	dual := f.coord.duals[0]
+	f.coord.mu.RUnlock()
+
+	// Fresh ids inside the dual range (one elementary arc, so they share
+	// their ring owners), in two batches: one per delivery entry point.
+	var recs []wire.Record
+	for i := 0; len(recs) < 6; i++ {
+		if i == 1<<20 {
+			t.Fatal("no id hashes into the dual range")
+		}
+		id := fmt.Sprintf("dual-%d", i)
+		if wire.InKeyRange(wire.KeyHash(id), dual.lo, dual.hi) {
+			rec := repRecord(0, 1)
+			rec.ID = id
+			recs = append(recs, rec)
+		}
+	}
+	for _, owner := range f.coord.Owners(locserv.ObjectID(recs[0].ID)) {
+		f.injectors[owner].Fail()
+	}
+
+	if err := f.coord.Send(1, recs[:3]); err != nil {
+		t.Fatalf("Send with the dual-add owner healthy: %v", err)
+	}
+	applied, _ := f.coord.DeliverRecords(recs[3:])
+	if applied != 3 {
+		t.Fatalf("DeliverRecords applied %d of 3 records the joining member accepted", applied)
+	}
+	for _, rec := range recs {
+		if !node4.Service().Contains(locserv.ObjectID(rec.ID)) {
+			t.Fatalf("%s did not land on the joining member", rec.ID)
+		}
+	}
 }

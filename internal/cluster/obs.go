@@ -1,17 +1,14 @@
 // Coordinator observability: the registry bridging the coordinator's
-// routing counters onto /metrics, the traced scatter that decomposes a
-// query into per-member fan-out spans, and the cluster-wide snapshot a
-// scrape assembles — the coordinator's own metrics plus every live
-// member's OpMetrics snapshot merged in (counters sum, histograms add
-// bucket-wise), plus per-member routing/health gauges the coordinator
-// alone can know.
+// routing counters onto /metrics, the span bookkeeping that decomposes
+// a sampled query into per-member fan-out hops, and the cluster-wide
+// snapshot a scrape assembles — the coordinator's own metrics plus
+// every live member's OpMetrics snapshot merged in (counters sum,
+// histograms add bucket-wise), plus per-member routing/health gauges
+// the coordinator alone can know.
 
 package cluster
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"mapdr/internal/locserv"
@@ -78,95 +75,71 @@ func (c *Coordinator) TraceRing() *obs.TraceRing { return c.traceRing }
 // Obs returns the coordinator's own metrics registry.
 func (c *Coordinator) Obs() *obs.Registry { return c.obsReg }
 
-// traceID returns a fresh trace id when this query is sampled for
-// tracing, 0 otherwise.
-func (c *Coordinator) traceID() uint64 {
+// queryTrace is the span bookkeeping of one sampled query. Unsampled
+// queries carry a nil *queryTrace through the same code and skip all of
+// it.
+type queryTrace struct {
+	id    uint64
+	start time.Time
+	hops  []hop // one per fan-out slot; fanOut sizes it
+}
+
+// hop is one member call of a traced fan-out, from start to end on the
+// query clock, plus the spans the member's transport returned (relative
+// to the call).
+type hop struct {
+	member     string
+	start, end time.Duration
+	wire       []wire.Span
+}
+
+// sampleTrace returns the bookkeeping for a query starting at start
+// when it is sampled for tracing, nil otherwise.
+func (c *Coordinator) sampleTrace(start time.Time) *queryTrace {
 	if !c.sampler.Sample() {
-		return 0
+		return nil
 	}
-	return c.traceRing.NextID()
+	return &queryTrace{id: c.traceRing.NextID(), start: start}
 }
 
-// noteDivergence histograms the seq gap of every object whose replicas
-// disagreed in a merge.
-func (c *Coordinator) noteDivergence(stale []locserv.Divergence) {
-	for _, d := range stale {
-		c.divergenceH.Record(float64(d.FreshSeq - d.MinStaleSeq))
+// begin opens fan-out slot i's hop (fanOut closes it) and returns the
+// node to call: the member's node bound to the trace where it can
+// carry one (a remote node returns its transport and node-side spans
+// into the hop), the plain node otherwise — for a direct call the hop
+// itself is the node's query time.
+func (tr *queryTrace) begin(i int, m *memberState) locserv.Node {
+	h := &tr.hops[i]
+	h.member, h.start = m.Name, time.Since(tr.start)
+	if tb, ok := m.Node.(locserv.TraceBinder); ok {
+		return tb.BindTrace(tr.id, &h.wire)
 	}
+	return m.Node
 }
 
-// memberSpans assembles one member's fan-out span plus the hop spans
-// the member call returned, re-based onto the query's clock (callStart
-// is the offset of the member call from the query start).
-func memberSpans(name string, callStart, dur time.Duration, ws []wire.Span) []obs.Span {
-	out := make([]obs.Span, 0, 1+len(ws))
-	out = append(out, obs.Span{
-		Stage: wire.StageFanout.String(), Member: name,
-		Start: int64(callStart), Dur: int64(dur),
-	})
-	for _, s := range ws {
-		out = append(out, obs.Span{
-			Stage: s.Stage.String(), Member: name,
-			Start: int64(callStart) + int64(s.Start), Dur: int64(s.Dur),
-		})
-	}
-	return out
-}
-
-// scatterTraced is scatter with span collection: fn additionally
-// returns the wire spans its member call observed, and the result
-// includes every member's fan-out span re-based onto the query clock.
-// Only sampled queries run it; the common path stays on scatter.
-func (c *Coordinator) scatterTraced(start time.Time, fn func(n locserv.Node) ([]locserv.ObjectPos, []wire.Span, error)) ([][]locserv.ObjectPos, []obs.Span, error) {
-	parts := make([][]locserv.ObjectPos, len(c.order))
-	spans := make([][]obs.Span, len(c.order))
-	errs := make([]error, len(c.order))
-	skipped := false
-	var wg sync.WaitGroup
-	for i, name := range c.order {
-		m := c.members[name]
-		if m.down.Load() {
-			skipped = true
-			continue
-		}
-		m.queries.Add(1)
-		wg.Add(1)
-		go func(i int, name string, m *memberState) {
-			defer wg.Done()
-			callStart := time.Since(start)
-			part, ws, err := fn(m.Node)
-			spans[i] = memberSpans(name, callStart, time.Since(start)-callStart, ws)
-			if err != nil {
-				c.noteFail(m)
-				errs[i] = fmt.Errorf("cluster: query %s: %w", m.Name, err)
-				return
-			}
-			m.noteOK()
-			parts[i] = part
-		}(i, name, m)
-	}
-	wg.Wait()
-	if skipped {
-		c.degraded.Add(1)
-	}
-	var flat []obs.Span
-	for _, ms := range spans {
-		flat = append(flat, ms...)
-	}
-	return parts, flat, errors.Join(errs...)
-}
-
-// finishQuery records a query's latency and, when traced, closes out
-// the trace: a merge span from mergeStart to now on top of the fan-out
-// spans, recorded into the ring. hist may be nil when the caller
-// records latency itself.
-func (c *Coordinator) finishQuery(hist *obs.Histogram, op string, t float64, start time.Time, trace uint64, mergeStart time.Duration, spans []obs.Span) {
-	dur := time.Since(start)
-	if hist != nil {
-		hist.RecordDur(dur)
-	}
-	if trace == 0 {
+// finish closes out a sampled query into ring: every hop becomes a
+// fan-out span followed by the member's own spans re-based onto the
+// query clock, then a merge span from mergeStart to dur when the query
+// spent time merging. A nil trace (the query was not sampled) is a
+// no-op.
+func (tr *queryTrace) finish(ring *obs.TraceRing, op string, t float64, mergeStart, dur time.Duration) {
+	if tr == nil {
 		return
+	}
+	var spans []obs.Span
+	for _, h := range tr.hops {
+		if h.member == "" {
+			continue // slot skipped: member down
+		}
+		spans = append(spans, obs.Span{
+			Stage: wire.StageFanout.String(), Member: h.member,
+			Start: int64(h.start), Dur: int64(h.end - h.start),
+		})
+		for _, s := range h.wire {
+			spans = append(spans, obs.Span{
+				Stage: s.Stage.String(), Member: h.member,
+				Start: int64(h.start) + int64(s.Start), Dur: int64(s.Dur),
+			})
+		}
 	}
 	if dur > mergeStart {
 		spans = append(spans, obs.Span{
@@ -174,7 +147,7 @@ func (c *Coordinator) finishQuery(hist *obs.Histogram, op string, t float64, sta
 			Start: int64(mergeStart), Dur: int64(dur - mergeStart),
 		})
 	}
-	c.traceRing.Add(obs.Trace{ID: trace, Op: op, T: t, Dur: int64(dur), Spans: spans})
+	ring.Add(obs.Trace{ID: tr.id, Op: op, T: t, Dur: int64(dur), Spans: spans})
 }
 
 // ObsSnapshot implements locserv.ObsSnapshotter for the coordinator: a
@@ -188,40 +161,36 @@ func (c *Coordinator) finishQuery(hist *obs.Histogram, op string, t float64, sta
 // nothing; the scrape itself never fails.
 func (c *Coordinator) ObsSnapshot() (obs.Snapshot, error) {
 	snap := c.obsReg.Snapshot()
-	type memberRef struct {
-		name string
-		m    *memberState
-	}
 	c.mu.RLock()
-	refs := make([]memberRef, 0, len(c.order))
+	members := make([]*memberState, 0, len(c.order))
 	for _, name := range c.order {
-		refs = append(refs, memberRef{name, c.members[name]})
+		members = append(members, c.members[name])
 	}
 	c.mu.RUnlock()
 	now := c.now()
-	for _, ref := range refs {
-		labels := `member="` + ref.name + `"`
+	for _, m := range members {
+		labels := `member="` + m.Name + `"`
 		up := 1.0
-		if ref.m.down.Load() {
+		if m.down.Load() {
 			up = 0
 		}
 		snap.AddGauge("mapdr_member_up",
 			"Member circuit-breaker state: 1 routable, 0 down.", labels, up)
 		snap.AddCounter("mapdr_member_records_routed_total",
-			"Update records routed to the member (all replicas counted).", labels, ref.m.records.Load())
+			"Update records routed to the member (all replicas counted).", labels, m.records.Load())
 		snap.AddCounter("mapdr_member_query_errors_total",
-			"Failed node calls against the member.", labels, ref.m.errors.Load())
-		hs := ref.m.hints.Stats()
+			"Failed node calls against the member.", labels, m.errors.Load())
+		hs := m.hints.Stats()
 		snap.AddGauge("mapdr_member_hint_buffer_objects",
 			"Distinct objects parked in the member's hinted-handoff buffer.", labels, float64(hs.Buffered))
 		if hs.HasSince && now > hs.Since {
 			snap.AddGauge("mapdr_member_hint_age_seconds",
 				"Age (transport clock) of the oldest buffered hint for the member.", labels, now-hs.Since)
 		}
-		if ref.m.down.Load() {
+		if m.down.Load() {
 			continue
 		}
-		if os, ok := ref.m.Node.(locserv.ObsSnapshotter); ok {
+		if os, ok := m.Node.(locserv.ObsSnapshotter); ok {
 			if ms, err := os.ObsSnapshot(); err == nil {
 				snap.Merge(ms)
 			}

@@ -2,15 +2,20 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mapdr/internal/core"
+	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
 	"mapdr/internal/obs"
+	"mapdr/internal/wire"
 )
 
 // loopbackPair builds a 2-node replicated cluster whose members
@@ -157,33 +162,110 @@ func TestMetricsEndpointsSmoke(t *testing.T) {
 	}
 }
 
-// TestQueryTracingEndToEnd samples every query, checks the coordinator
-// ring holds per-hop spans (fan-out per member plus the node-side query
-// span that traveled back through the wire), and reads GET /trace on
-// both roles.
+// pagingFleet delivers enough long-id objects, parked far from the
+// seeded ones, that a Within over them overflows one response frame on
+// every member holding them all, and returns a rect covering them.
+func pagingFleet(t *testing.T, c *Coordinator) geo.Rect {
+	t.Helper()
+	pad := strings.Repeat("x", 990)
+	recs := make([]wire.Record, 4500)
+	for i := range recs {
+		recs[i] = wire.Record{ID: fmt.Sprintf("big-%s-%05d", pad, i), Update: core.Update{
+			Reason: core.ReasonInit,
+			Report: core.Report{Seq: 1, Pos: geo.Pt(5e5+float64(i%100), 5e5+float64(i/100))},
+		}}
+	}
+	if err := c.Send(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	return geo.Rect{Min: geo.Pt(4e5, 4e5), Max: geo.Pt(6e5, 6e5)}
+}
+
+// withinPages counts the response frames a remote Within over r takes
+// against node, by following the server's paging cursor directly.
+func withinPages(t *testing.T, node *locserv.NodeService, r geo.Rect, at float64) int {
+	t.Helper()
+	pages, after := 0, ""
+	for {
+		resp := locserv.ServeQuery(node, wire.QueryRequest{
+			Op:   wire.OpWithin,
+			MinX: r.Min.X, MinY: r.Min.Y, MaxX: r.Max.X, MaxY: r.Max.Y,
+			T: at, After: after,
+		})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		pages++
+		if resp.Next == "" {
+			return pages
+		}
+		after = resp.Next
+	}
+}
+
+// TestQueryTracingEndToEnd samples every query, checks tracing does not
+// change a single answer bit (it is a property of the one query path,
+// not a second path), checks the coordinator ring holds per-hop spans
+// (fan-out per member plus the node-side query span that traveled back
+// through the wire — one per page of a paged Within), and reads GET
+// /trace on both roles.
 func TestQueryTracingEndToEnd(t *testing.T) {
 	c, n1, _ := loopbackPair(t)
 	seedCluster(t, c, 20)
+	big := pagingFleet(t, c)
+	pages := withinPages(t, n1, big, 5)
+	if pages < 2 {
+		t.Fatalf("fixture too small: the big Within fits %d frame", pages)
+	}
+	sweep := func() (*querySnapshot, []locserv.ObjectPos) {
+		snap := snapshot(c, 20, 5)
+		hits, err := c.WithinE(big, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, hits
+	}
+	untraced, untracedBig := sweep()
 	c.SetTraceSampling(1)
-	_ = snapshot(c, 20, 5)
+	traced, tracedBig := sweep()
 	c.SetTraceSampling(0)
+	assertSnapshotEqual(t, "sampling 1 vs sampling 0", untraced, traced)
+	if len(tracedBig) != 4500 || !reflect.DeepEqual(untracedBig, tracedBig) {
+		t.Fatalf("paged Within changed under tracing (%d vs %d hits)", len(tracedBig), len(untracedBig))
+	}
 
 	traces := c.TraceRing().Traces(0)
 	if len(traces) == 0 {
 		t.Fatal("no traces retained")
 	}
+	// Newest first: the paged Within ran last. Every page of every
+	// member's answer must have brought its node_query span home.
+	nodeQueries := make(map[string]int)
+	for _, s := range traces[0].Spans {
+		if s.Stage == "node_query" {
+			nodeQueries[s.Member]++
+		}
+	}
+	if traces[0].Op != "within" || nodeQueries["a"] != pages || nodeQueries["b"] != pages {
+		t.Fatalf("paged within trace %q: node_query spans %v, want %d per member", traces[0].Op, nodeQueries, pages)
+	}
 	stages := make(map[string]bool)
 	members := make(map[string]bool)
+	ops := make(map[string]bool)
 	for _, tr := range traces {
 		if tr.ID == 0 || tr.Dur <= 0 {
 			t.Fatalf("malformed trace %+v", tr)
 		}
+		ops[tr.Op] = true
 		for _, s := range tr.Spans {
 			stages[s.Stage] = true
 			if s.Member != "" {
 				members[s.Member] = true
 			}
 		}
+	}
+	if !ops["position"] || !ops["nearest"] || !ops["within"] {
+		t.Fatalf("traced ops %v, want all three query families", ops)
 	}
 	for _, want := range []string{"fanout", "node_query", "merge"} {
 		if !stages[want] {
@@ -237,5 +319,62 @@ func TestCoordinatorScrapeSkipsDownMember(t *testing.T) {
 	}
 	if up != 0 {
 		t.Fatalf(`mapdr_member_up{member="b"} = %v, want 0`, up)
+	}
+}
+
+// TestFaultyMemberKeepsTelemetry: a fault-injecting wrapper must not
+// drop the optional capabilities a coordinator probes its members for.
+// A coordinator over NewFaultyMembers still merges the nodes' own
+// metrics into its scrape and attributes every query family's fan-out
+// hops to members; and a wrapper around a wire-reached node forwards
+// the trace binding, so the node-side spans still come home.
+func TestFaultyMemberKeepsTelemetry(t *testing.T) {
+	f := newReplicatedFixture(t, 3, 2)
+	seedReplicated(t, f, 30)
+	snap, err := f.coord.ObsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied float64
+	for _, ms := range snap.Metrics {
+		if ms.Name == "mapdr_node_updates_applied_total" {
+			applied += ms.Value
+		}
+	}
+	if applied <= 0 {
+		t.Fatalf("merged mapdr_node_updates_applied_total = %v: member snapshots were dropped", applied)
+	}
+
+	f.coord.SetTraceSampling(1)
+	_ = snapshot(f.coord, 30, 2)
+	f.coord.SetTraceSampling(0)
+	attributed := make(map[string]bool)
+	for _, tr := range f.coord.TraceRing().Traces(0) {
+		for _, s := range tr.Spans {
+			if s.Stage == "fanout" && s.Member != "" {
+				attributed[tr.Op] = true
+			}
+		}
+	}
+	if !attributed["position"] || !attributed["nearest"] || !attributed["within"] {
+		t.Fatalf("ops with member-attributed fan-out spans: %v, want all three", attributed)
+	}
+
+	_, node := linearNode("w", 4)
+	wired := NewLoopbackMember("w", node)
+	wired.Node = faultyNode{n: wired.Node, inj: &FaultInjector{}}
+	c, err := New(0, wired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCluster(t, c, 5)
+	c.SetTraceSampling(1)
+	c.Nearest(geo.Pt(0, 0), 3, 1)
+	nodeSide := false
+	for _, s := range c.TraceRing().Traces(1)[0].Spans {
+		nodeSide = nodeSide || (s.Stage == "node_query" && s.Member == "w")
+	}
+	if !nodeSide {
+		t.Fatal("trace binding not forwarded through the wrapper: no node_query span")
 	}
 }

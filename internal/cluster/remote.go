@@ -18,6 +18,11 @@ import (
 type RemoteNode struct {
 	q      wire.QueryTransport
 	ingest wire.Transport
+	// trace and spans are zero except on the per-call view BindTrace
+	// returns: call stamps the id on every request and appends every
+	// response's spans.
+	trace uint64
+	spans *[]wire.Span
 }
 
 // NewRemoteNode returns a node speaking the query protocol over q.
@@ -27,12 +32,25 @@ func NewRemoteNode(q wire.QueryTransport, ingest wire.Transport) *RemoteNode {
 	return &RemoteNode{q: q, ingest: ingest}
 }
 
+// BindTrace implements locserv.TraceBinder: a shallow copy of the node
+// whose exchanges carry the trace id. Every exchange of a bound call
+// contributes its spans, so a paged Within returns one set per page.
+func (r *RemoteNode) BindTrace(trace uint64, spans *[]wire.Span) locserv.Node {
+	bound := *r
+	bound.trace, bound.spans = trace, spans
+	return &bound
+}
+
 // call runs one request/response exchange, converting in-band error
 // responses to errors.
 func (r *RemoteNode) call(req wire.QueryRequest) (wire.QueryResponse, error) {
+	req.Trace = r.trace
 	resp, err := r.q.Query(req)
 	if err != nil {
 		return wire.QueryResponse{}, err
+	}
+	if r.spans != nil {
+		*r.spans = append(*r.spans, resp.Spans...)
 	}
 	if resp.Err != "" {
 		return wire.QueryResponse{}, errors.New(resp.Err)
@@ -155,63 +173,12 @@ func (r *RemoteNode) NodeStats() (locserv.NodeStats, error) {
 
 // ObsSnapshot implements locserv.ObsSnapshotter over the wire: one
 // OpMetrics exchange whose response payload is the node's binary
-// metrics snapshot. Nodes predating the op answer with an in-band
-// error, which surfaces here — a scraping coordinator skips them.
+// metrics snapshot. A node that exports no metrics answers with an
+// in-band error, which surfaces here — a scraping coordinator skips it.
 func (r *RemoteNode) ObsSnapshot() (obs.Snapshot, error) {
 	resp, err := r.call(wire.QueryRequest{Op: wire.OpMetrics})
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
 	return obs.DecodeSnapshot(resp.Metrics)
-}
-
-// TracePosition implements locserv.NodeTracer: the trace id rides the
-// request and the response returns the transport's spans.
-func (r *RemoteNode) TracePosition(id locserv.ObjectID, t float64, trace uint64) (geo.Point, uint32, bool, []wire.Span, error) {
-	resp, err := r.call(wire.QueryRequest{Op: wire.OpPosition, ID: string(id), T: t, Trace: trace})
-	if err != nil {
-		return geo.Point{}, 0, false, nil, err
-	}
-	if !resp.Found || len(resp.Hits) != 1 {
-		return geo.Point{}, 0, false, resp.Spans, nil
-	}
-	return geo.Pt(resp.Hits[0].X, resp.Hits[0].Y), uint32(resp.Hits[0].Seq), true, resp.Spans, nil
-}
-
-// TraceNearest implements locserv.NodeTracer.
-func (r *RemoteNode) TraceNearest(p geo.Point, k int, t float64, trace uint64) ([]locserv.ObjectPos, []wire.Span, error) {
-	resp, err := r.call(wire.QueryRequest{Op: wire.OpNearest, X: p.X, Y: p.Y, K: k, T: t, Trace: trace})
-	if err != nil {
-		return nil, nil, err
-	}
-	return locserv.FromWireHits(resp.Hits), resp.Spans, nil
-}
-
-// TraceWithin implements locserv.NodeTracer, following the paging
-// cursor like Within; every page carries the trace id and contributes
-// its spans.
-func (r *RemoteNode) TraceWithin(rect geo.Rect, t float64, trace uint64) ([]locserv.ObjectPos, []wire.Span, error) {
-	var out []locserv.ObjectPos
-	var spans []wire.Span
-	after := ""
-	for {
-		resp, err := r.call(wire.QueryRequest{
-			Op:   wire.OpWithin,
-			MinX: rect.Min.X, MinY: rect.Min.Y,
-			MaxX: rect.Max.X, MaxY: rect.Max.Y,
-			T: t, After: after, Trace: trace,
-		})
-		if err != nil {
-			return nil, spans, err
-		}
-		out = append(out, locserv.FromWireHits(resp.Hits)...)
-		spans = append(spans, resp.Spans...)
-		if resp.Next == "" {
-			return out, spans, nil
-		}
-		if resp.Next <= after {
-			return nil, spans, fmt.Errorf("cluster: within page cursor did not advance (%q -> %q)", after, resp.Next)
-		}
-		after = resp.Next
-	}
 }

@@ -35,21 +35,29 @@ const (
 	probeEveryFlushes = 8
 )
 
-// noteOK resets the member's consecutive-failure count — and its
-// heartbeat suspicion: a successful real call is at least as strong a
-// liveness signal as a heartbeat.
-func (m *memberState) noteOK() {
-	m.consecFails.Store(0)
-	m.suspectFails.Store(0)
-}
-
-// noteFail counts a transport failure against the member and trips the
-// breaker once it has failed breakerThreshold calls in a row.
-func (c *Coordinator) noteFail(m *memberState) {
+// noteCall feeds one member call's outcome to the traffic breaker. A
+// success resets the consecutive-failure count — and the heartbeat
+// suspicion: a successful real call is at least as strong a liveness
+// signal as a heartbeat. A transport failure counts against the member
+// and trips the breaker once it has failed breakerThreshold calls in a
+// row.
+func (c *Coordinator) noteCall(m *memberState, err error) {
+	if err == nil {
+		m.consecFails.Store(0)
+		m.suspectFails.Store(0)
+		return
+	}
 	m.errors.Add(1)
 	if m.consecFails.Add(1) >= breakerThreshold {
 		c.markTripped(m)
 	}
+}
+
+// noteQuery is noteCall for a scatter/route query call, which also
+// advances the member's query counter.
+func (c *Coordinator) noteQuery(m *memberState, err error) {
+	m.queries.Add(1)
+	c.noteCall(m, err)
 }
 
 // markTripped opens the member's breaker, recording the trip time and
@@ -92,11 +100,7 @@ func (c *Coordinator) MarkDown(name string, down bool) error {
 		return fmt.Errorf("cluster: unknown member %q", name)
 	}
 	if down {
-		if m.down.CompareAndSwap(false, true) {
-			m.downSince.Store(math.Float64bits(c.now()))
-			m.hintedAtDown.Store(m.hints.Stats().Hinted)
-			m.recoverOKs.Store(0)
-		}
+		c.markTripped(m)
 	} else {
 		m.down.Store(false)
 		m.consecFails.Store(0)
@@ -130,20 +134,15 @@ func (c *Coordinator) ProbeDown() int {
 	recovered := 0
 	k := c.recoverK()
 	for _, m := range probe {
-		if !m.down.Load() {
+		switch {
+		case !m.down.Load():
 			// Up, but with stranded hints: a Send hinted at the member
 			// in the window between its recovery drain and the breaker
 			// closing. Sweep them in.
 			c.drainHints(m)
-			m.probing.Store(false)
-			continue
-		}
-		if !c.probeMember(m) {
+		case !c.probeMember(m):
 			m.recoverOKs.Store(0)
-			m.probing.Store(false)
-			continue
-		}
-		if m.recoverOKs.Add(1) >= k {
+		case m.recoverOKs.Add(1) >= k:
 			m.consecFails.Store(0)
 			m.suspectFails.Store(0)
 			m.recoverOKs.Store(0)
@@ -176,37 +175,30 @@ func (c *Coordinator) probeMember(m *memberState) bool {
 		m.errors.Add(1)
 		return false
 	}
+	return c.drainHints(m)
+}
+
+// drainHints replays a member's buffered updates and reports whether
+// they landed (trivially so when there were none). The buffer holds one
+// freshest record per object, so the replay is one bounded delivery;
+// anything the member learned in the meantime wins its per-Seq gate. A
+// failed replay counts against the breaker and re-buffers the records
+// through Readd — capacity-exempt, because a drained record may be the
+// only surviving copy of its object and must never be dropped by a
+// buffer that refilled mid-drain — for the next probe.
+func (c *Coordinator) drainHints(m *memberState) bool {
 	recs := m.hints.Drain()
 	if len(recs) == 0 {
 		return true
 	}
-	if _, err := m.Node.Deliver(recs); err != nil {
-		m.errors.Add(1)
+	_, err := m.Node.Deliver(recs)
+	c.noteCall(m, err)
+	if err != nil {
 		m.hints.Readd(recs)
 		return false
 	}
 	m.records.Add(int64(len(recs)))
 	return true
-}
-
-// drainHints replays a member's buffered updates. The buffer holds one
-// freshest record per object, so the replay is one bounded delivery;
-// anything the member learned in the meantime wins its per-Seq gate. A
-// failed replay re-buffers the records through Readd — capacity-exempt,
-// because a drained record may be the only surviving copy of its
-// object and must never be dropped by a buffer that refilled mid-
-// drain — for the next probe.
-func (c *Coordinator) drainHints(m *memberState) {
-	recs := m.hints.Drain()
-	if len(recs) == 0 {
-		return
-	}
-	if _, err := m.Node.Deliver(recs); err != nil {
-		c.noteFail(m)
-		m.hints.Readd(recs)
-		return
-	}
-	m.records.Add(int64(len(recs)))
 }
 
 // scheduleRepairs starts background read repair for every divergence a
@@ -266,12 +258,11 @@ func (c *Coordinator) spawnRepair(id locserv.ObjectID, fresh *memberState, targe
 			if m.down.Load() {
 				continue
 			}
-			if _, err := m.Node.Deliver(recs); err != nil {
-				c.noteFail(m)
-				continue
+			_, err := m.Node.Deliver(recs)
+			c.noteCall(m, err)
+			if err == nil {
+				c.repairs.Add(1)
 			}
-			m.noteOK()
-			c.repairs.Add(1)
 		}
 	}()
 }

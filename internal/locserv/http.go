@@ -68,9 +68,7 @@ func (s *Service) HandlerWithIngest(auto AutoRegister) http.Handler {
 func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)
-	mux.HandleFunc("POST /updates", IngestHandler(func(recs []wire.Record) (int, error) {
-		return n.Deliver(recs)
-	}))
+	mux.HandleFunc("POST /updates", IngestHandler(n.Deliver))
 	mux.HandleFunc("POST /query", QueryProtocolHandler(n))
 	return mux
 }
@@ -292,7 +290,12 @@ func handleNearest(w http.ResponseWriter, r *http.Request, q Querier) {
 		http.Error(w, "need x, y, t and positive k", http.StatusBadRequest)
 		return
 	}
-	hits := q.Nearest(geo.Pt(x, y), k, t)
+	writeHits(w, q.Nearest(geo.Pt(x, y), k, t))
+}
+
+// writeHits writes a hit list as JSON. Dist rides only where it is
+// nonzero: a Within hit's is zero by construction.
+func writeHits(w http.ResponseWriter, hits []ObjectPos) {
 	out := make([]posJSON, 0, len(hits))
 	for _, h := range hits {
 		out = append(out, posJSON{ID: h.ID, X: h.Pos.X, Y: h.Pos.Y, Dist: h.Dist})
@@ -310,10 +313,5 @@ func handleWithin(w http.ResponseWriter, r *http.Request, q Querier) {
 		http.Error(w, "need minx, miny, maxx, maxy, t", http.StatusBadRequest)
 		return
 	}
-	hits := q.Within(geo.Rect{Min: geo.Pt(minx, miny), Max: geo.Pt(maxx, maxy)}, t)
-	out := make([]posJSON, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, posJSON{ID: h.ID, X: h.Pos.X, Y: h.Pos.Y})
-	}
-	WriteJSON(w, out)
+	writeHits(w, q.Within(geo.Rect{Min: geo.Pt(minx, miny), Max: geo.Pt(maxx, maxy)}, t))
 }

@@ -253,38 +253,16 @@ type traceRinger interface {
 	TraceRing() *obs.TraceRing
 }
 
-// NodeTracer is the optional Node extension for traced queries: the
-// three query families with the trace id threaded through, returning
-// the per-hop spans the call accumulated. A remote implementation
-// carries the id on the wire and returns the transport's spans
-// (encode, rtt, decode, node query); an in-process one times the local
-// call. Coordinators fall back to the untraced methods (and synthesize
-// no member spans) for nodes without it.
-type NodeTracer interface {
-	TracePosition(id ObjectID, t float64, trace uint64) (pos geo.Point, seq uint32, ok bool, spans []wire.Span, err error)
-	TraceNearest(p geo.Point, k int, t float64, trace uint64) ([]ObjectPos, []wire.Span, error)
-	TraceWithin(r geo.Rect, t float64, trace uint64) ([]ObjectPos, []wire.Span, error)
-}
-
-// TracePosition implements NodeTracer by timing the local call.
-func (n *NodeService) TracePosition(id ObjectID, t float64, trace uint64) (geo.Point, uint32, bool, []wire.Span, error) {
-	start := time.Now()
-	p, seq, ok := n.s.PositionSeq(id, t)
-	return p, seq, ok, []wire.Span{{Stage: wire.StageNodeQuery, Dur: uint64(time.Since(start))}}, nil
-}
-
-// TraceNearest implements NodeTracer by timing the local call.
-func (n *NodeService) TraceNearest(p geo.Point, k int, t float64, trace uint64) ([]ObjectPos, []wire.Span, error) {
-	start := time.Now()
-	hits := n.s.Nearest(p, k, t)
-	return hits, []wire.Span{{Stage: wire.StageNodeQuery, Dur: uint64(time.Since(start))}}, nil
-}
-
-// TraceWithin implements NodeTracer by timing the local call.
-func (n *NodeService) TraceWithin(r geo.Rect, t float64, trace uint64) ([]ObjectPos, []wire.Span, error) {
-	start := time.Now()
-	hits := n.s.Within(r, t)
-	return hits, []wire.Span{{Stage: wire.StageNodeQuery, Dur: uint64(time.Since(start))}}, nil
+// TraceBinder is the optional Node extension that makes tracing a
+// property of the ordinary query methods instead of a second set of
+// them: BindTrace returns a view of the node whose calls carry the trace
+// id and append the hop spans they observe (encode, rtt, decode, node
+// query) to *spans. The view serves one traced member call on one
+// goroutine. A node reached over a transport implements it, and so must
+// every wrapper around such a node, by forwarding; an in-process node
+// needs none — its query time is the span of the caller's own call.
+type TraceBinder interface {
+	BindTrace(trace uint64, spans *[]wire.Span) Node
 }
 
 // ServeQuery answers one wire query request against a node — the

@@ -91,30 +91,9 @@ func (b *Builder) AddLink(spec LinkSpec) LinkID {
 	return id
 }
 
-// IndexKind selects the spatial index implementation used by the graph.
-type IndexKind uint8
-
-// Available index kinds.
-const (
-	IndexGrid IndexKind = iota
-	IndexRTree
-	IndexQuadTree
-)
-
-// BuildOptions configures Build.
-type BuildOptions struct {
-	Index        IndexKind
-	GridCellSize float64 // 0 means automatic (median segment length based)
-}
-
 // Build validates the network, constructs adjacency and the spatial index,
 // and returns the immutable Graph.
 func (b *Builder) Build() (*Graph, error) {
-	return b.BuildWith(BuildOptions{})
-}
-
-// BuildWith is Build with explicit options.
-func (b *Builder) BuildWith(opts BuildOptions) (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -135,31 +114,18 @@ func (b *Builder) BuildWith(opts BuildOptions) (*Graph, error) {
 			g.nodes[l.To].out = append(g.nodes[l.To].out, Dir{Link: l.ID, Forward: false})
 		}
 	}
-	g.index = b.buildIndex(opts, g)
+	g.index = b.buildIndex(g)
 	return g, nil
 }
 
-func (b *Builder) buildIndex(opts BuildOptions, g *Graph) spatial.Index {
-	var idx spatial.Index
-	switch opts.Index {
-	case IndexRTree:
-		idx = spatial.NewRTree()
-	case IndexQuadTree:
-		bounds := geo.EmptyRect()
-		for i := range g.links {
-			bounds = bounds.Union(g.links[i].Shape.Bounds())
-		}
-		idx = spatial.NewQuadTree(bounds.Expand(10))
-	default:
-		cell := opts.GridCellSize
-		if cell <= 0 {
-			cell = b.medianSegmentLength() * 4
-			if cell < 50 {
-				cell = 50
-			}
-		}
-		idx = spatial.NewGrid(cell)
+// buildIndex bulk-loads every link segment into a uniform grid whose
+// cell size follows the network's segment lengths.
+func (b *Builder) buildIndex(g *Graph) spatial.Index {
+	cell := b.medianSegmentLength() * 4
+	if cell < 50 {
+		cell = 50
 	}
+	idx := spatial.NewGrid(cell)
 	for i := range g.links {
 		l := &g.links[i]
 		for s := 0; s < l.Shape.NumSegments(); s++ {

@@ -218,19 +218,17 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-func TestBuildWithAllIndexKinds(t *testing.T) {
-	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexQuadTree} {
-		b := NewBuilder()
-		n0 := b.AddNode(geo.Pt(0, 0))
-		n1 := b.AddNode(geo.Pt(100, 0))
-		l := b.AddLink(LinkSpec{From: n0, To: n1})
-		g, err := b.BuildWith(BuildOptions{Index: kind})
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		if m, ok := g.NearestLink(geo.Pt(50, 3), 10); !ok || m.Link != l {
-			t.Errorf("kind %d: NearestLink failed", kind)
-		}
+func TestBuildIndexesEveryLink(t *testing.T) {
+	b := NewBuilder()
+	n0 := b.AddNode(geo.Pt(0, 0))
+	n1 := b.AddNode(geo.Pt(100, 0))
+	l := b.AddLink(LinkSpec{From: n0, To: n1})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := g.NearestLink(geo.Pt(50, 3), 10); !ok || m.Link != l {
+		t.Error("NearestLink failed")
 	}
 }
 

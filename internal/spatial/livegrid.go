@@ -37,7 +37,7 @@ type Member interface {
 }
 
 // LiveGrid is a point index maintained in place by its caller's write
-// path, unlike Grid/RTree/Quadtree which are bulk-built snapshots. Each
+// path, unlike Grid, which is a bulk-built snapshot. Each
 // member occupies exactly one cell — the one containing its position —
 // and an update only touches the index when the position crosses a
 // cell boundary, so a fleet of mostly-quiet or smoothly moving objects

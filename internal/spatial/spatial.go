@@ -1,6 +1,7 @@
 // Package spatial provides spatial indexes over line segments: a uniform
-// grid, an STR bulk-loaded R-tree and a quadtree, all behind a common
-// Index interface.
+// grid and the brute-force scan tests compare it against, behind a common
+// Index interface, plus the live point grid the location service
+// maintains in place.
 //
 // The map-based dead-reckoning protocol queries such an index to find
 // candidate road links for map matching ("on initialization, potential
@@ -23,13 +24,6 @@ type Entry struct {
 
 // Bounds returns the bounding rectangle of the entry's segment.
 func (e Entry) Bounds() geo.Rect { return e.Seg.Bounds() }
-
-// PointEntry returns an entry for a point location, encoded as a
-// degenerate segment. The location service indexes object positions this
-// way to reuse the segment indexes unchanged.
-func PointEntry(id int64, p geo.Point) Entry {
-	return Entry{ID: id, Seg: geo.Seg(p, p)}
-}
 
 // Hit is a query result: an entry and its distance to the query point.
 type Hit struct {

@@ -24,12 +24,12 @@ func randomEntries(n int, size float64, seed int64) []Entry {
 	return entries
 }
 
-func allIndexes(bounds geo.Rect) map[string]Index {
+// allIndexes returns the index under test beside its reference scan.
+// The rect is the callers' data bounds, which neither needs up front.
+func allIndexes(geo.Rect) map[string]Index {
 	return map[string]Index{
-		"scan":     NewScan(),
-		"grid":     NewGrid(250),
-		"rtree":    NewRTree(),
-		"quadtree": NewQuadTree(bounds),
+		"scan": NewScan(),
+		"grid": NewGrid(250),
 	}
 }
 
@@ -189,29 +189,6 @@ func TestNearestKSortedAscendingProperty(t *testing.T) {
 	}
 }
 
-func TestRTreeIncrementalInsertAfterBuild(t *testing.T) {
-	entries := randomEntries(200, 4000, 10)
-	tr := NewRTree()
-	buildWith(tr, entries[:100])
-	for _, e := range entries[100:] {
-		tr.Insert(e)
-	}
-	if tr.Len() != 200 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	ref := NewScan()
-	buildWith(ref, entries)
-	rng := rand.New(rand.NewSource(11))
-	for q := 0; q < 100; q++ {
-		p := geo.Pt(rng.Float64()*4000, rng.Float64()*4000)
-		want, wok := ref.Nearest(p, math.Inf(1))
-		got, gok := tr.Nearest(p, math.Inf(1))
-		if wok != gok || math.Abs(want.Dist-got.Dist) > 1e-9 {
-			t.Fatalf("after incremental insert: Nearest(%v) = %v,%v want %v,%v", p, got.Dist, gok, want.Dist, wok)
-		}
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
 	entries := randomEntries(200, 1000, 12)
 	bounds := geo.Rect{Min: geo.Pt(-100, -100), Max: geo.Pt(1300, 1300)}
@@ -255,12 +232,9 @@ func TestInsertHitKeepsK(t *testing.T) {
 func BenchmarkSpatialIndexes(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		entries := randomEntries(n, 20000, 42)
-		bounds := geo.Rect{Min: geo.Pt(-500, -500), Max: geo.Pt(20500, 20500)}
 		idxs := map[string]Index{
-			"scan":     NewScan(),
-			"grid":     NewGrid(500),
-			"rtree":    NewRTree(),
-			"quadtree": NewQuadTree(bounds),
+			"scan": NewScan(),
+			"grid": NewGrid(500),
 		}
 		for name, idx := range idxs {
 			buildWith(idx, entries)

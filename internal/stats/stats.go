@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
-// simulation harness: streaming moments, histograms, quantiles and simple
-// tabular output.
+// simulation harness: streaming moments, quantiles and simple tabular
+// output.
 package stats
 
 import (

@@ -121,86 +121,6 @@ func TestSampleQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(99)
-	if h.Count() != 13 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Errorf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Errorf("bin %d = %d", i, h.Bin(i))
-		}
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("BinCenter(0) = %v", c)
-	}
-	if got := h.CDFAt(5); math.Abs(got-6.0/13) > 1e-9 {
-		t.Errorf("CDFAt(5) = %v", got)
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Error("String should draw bars")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 10)
-	b := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		a.Add(float64(i) + 0.5)
-		b.Add(float64(i) + 0.5)
-		b.Add(float64(i) + 0.5)
-	}
-	a.Add(-1)
-	b.Add(10)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 11+21 {
-		t.Errorf("merged Count = %d, want 32", a.Count())
-	}
-	if a.Underflow() != 1 || a.Overflow() != 1 {
-		t.Errorf("merged under/over = %d/%d, want 1/1", a.Underflow(), a.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if a.Bin(i) != 3 {
-			t.Errorf("merged bin %d = %d, want 3", i, a.Bin(i))
-		}
-	}
-}
-
-func TestHistogramMergeShapeMismatch(t *testing.T) {
-	a := NewHistogram(0, 10, 10)
-	for _, o := range []*Histogram{
-		NewHistogram(0, 20, 10), // different range
-		NewHistogram(0, 10, 5),  // different bin count
-	} {
-		if err := a.Merge(o); err == nil {
-			t.Errorf("Merge accepted mismatched histogram [%g,%g)/%d", o.Min, o.Max, o.NumBins())
-		}
-	}
-	if a.Count() != 0 {
-		t.Errorf("failed merges mutated the receiver: Count = %d", a.Count())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("alpha", 1.5)

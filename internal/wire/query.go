@@ -42,13 +42,10 @@ import (
 // indexed queries, scan fallbacks). Version 4 added the telemetry
 // surface: a trace id trailing every request, per-hop timing spans
 // trailing every success response, and the OpMetrics operation
-// carrying a node's binary metrics snapshot. Encoders emit version 4;
-// decoders still accept version 3 frames (which simply carry no trace
-// fields), so mixed-version clusters keep interoperating.
-const (
-	QueryVersion    = 4
-	queryVersionMin = 3
-)
+// carrying a node's binary metrics snapshot. There is one version on
+// the wire: decoders reject every version byte other than QueryVersion,
+// so a cluster upgrades its coordinators and nodes together.
+const QueryVersion = 4
 
 // QueryContentType is the media type of binary query frames on HTTP.
 const QueryContentType = "application/x-mapdr-query"
@@ -342,9 +339,8 @@ func DecodeQueryRequest(data []byte) (req QueryRequest, n int, err error) {
 	if len(body) < 2 {
 		return QueryRequest{}, 0, fmt.Errorf("wire: truncated query body")
 	}
-	version := body[0]
-	if version < queryVersionMin || version > QueryVersion {
-		return QueryRequest{}, 0, fmt.Errorf("wire: unsupported query version %d", version)
+	if body[0] != QueryVersion {
+		return QueryRequest{}, 0, fmt.Errorf("wire: unsupported query version %d", body[0])
 	}
 	req.Op = QueryOp(body[1])
 	if !req.Op.Valid() {
@@ -406,14 +402,12 @@ func DecodeQueryRequest(data []byte) (req QueryRequest, n int, err error) {
 	if err != nil {
 		return QueryRequest{}, 0, err
 	}
-	if version >= 4 {
-		tr, tn := binary.Uvarint(body[k:])
-		if tn <= 0 {
-			return QueryRequest{}, 0, fmt.Errorf("wire: bad trace id")
-		}
-		req.Trace = tr
-		k += tn
+	tr, tn := binary.Uvarint(body[k:])
+	if tn <= 0 {
+		return QueryRequest{}, 0, fmt.Errorf("wire: bad trace id")
 	}
+	req.Trace = tr
+	k += tn
 	if k != len(body) {
 		return QueryRequest{}, 0, fmt.Errorf("wire: %d trailing bytes in query body", len(body)-k)
 	}
@@ -532,9 +526,8 @@ func DecodeQueryResponse(data []byte) (resp QueryResponse, n int, err error) {
 	if len(body) < 3 {
 		return QueryResponse{}, 0, fmt.Errorf("wire: truncated response body")
 	}
-	version := body[0]
-	if version < queryVersionMin || version > QueryVersion {
-		return QueryResponse{}, 0, fmt.Errorf("wire: unsupported query version %d", version)
+	if body[0] != QueryVersion {
+		return QueryResponse{}, 0, fmt.Errorf("wire: unsupported query version %d", body[0])
 	}
 	resp.Op = QueryOp(body[1])
 	if !resp.Op.Valid() {
@@ -672,36 +665,34 @@ func DecodeQueryResponse(data []byte) (resp QueryResponse, n int, err error) {
 			k += int(blobLen)
 		}
 	}
-	if version >= 4 {
-		spanCount, kn := binary.Uvarint(body[k:])
-		if kn <= 0 || spanCount > maxSpans || spanCount > uint64(len(body)-k-kn)/3 {
-			return QueryResponse{}, 0, fmt.Errorf("wire: bad span count")
+	spanCount, kn := binary.Uvarint(body[k:])
+	if kn <= 0 || spanCount > maxSpans || spanCount > uint64(len(body)-k-kn)/3 {
+		return QueryResponse{}, 0, fmt.Errorf("wire: bad span count")
+	}
+	k += kn
+	if spanCount > 0 {
+		resp.Spans = make([]Span, 0, spanCount)
+	}
+	for i := uint64(0); i < spanCount; i++ {
+		if len(body) <= k {
+			return QueryResponse{}, 0, fmt.Errorf("wire: truncated span")
 		}
-		k += kn
-		if spanCount > 0 {
-			resp.Spans = make([]Span, 0, spanCount)
+		var sp Span
+		sp.Stage = SpanStage(body[k])
+		k++
+		st, sn := binary.Uvarint(body[k:])
+		if sn <= 0 {
+			return QueryResponse{}, 0, fmt.Errorf("wire: bad span start")
 		}
-		for i := uint64(0); i < spanCount; i++ {
-			if len(body) <= k {
-				return QueryResponse{}, 0, fmt.Errorf("wire: truncated span")
-			}
-			var sp Span
-			sp.Stage = SpanStage(body[k])
-			k++
-			st, sn := binary.Uvarint(body[k:])
-			if sn <= 0 {
-				return QueryResponse{}, 0, fmt.Errorf("wire: bad span start")
-			}
-			sp.Start = st
-			k += sn
-			d, dn := binary.Uvarint(body[k:])
-			if dn <= 0 {
-				return QueryResponse{}, 0, fmt.Errorf("wire: bad span duration")
-			}
-			sp.Dur = d
-			k += dn
-			resp.Spans = append(resp.Spans, sp)
+		sp.Start = st
+		k += sn
+		d, dn := binary.Uvarint(body[k:])
+		if dn <= 0 {
+			return QueryResponse{}, 0, fmt.Errorf("wire: bad span duration")
 		}
+		sp.Dur = d
+		k += dn
+		resp.Spans = append(resp.Spans, sp)
 	}
 	if k != len(body) {
 		return QueryResponse{}, 0, fmt.Errorf("wire: %d trailing bytes in response body", len(body)-k)

@@ -126,6 +126,7 @@ func TestQueryDecodeErrors(t *testing.T) {
 		{"short header", []byte{1, 0}},
 		{"truncated body", valid[:len(valid)-3]},
 		{"bad version", append([]byte{2, 0, 0, 0}, 99, byte(OpStats))},
+		{"retired version", append([]byte{2, 0, 0, 0}, QueryVersion-1, byte(OpStats))},
 		{"bad op", append([]byte{2, 0, 0, 0}, QueryVersion, 200)},
 		{"trailing bytes", append(append([]byte{}, valid...), 0)[4:]},
 		{"oversized claim", []byte{255, 255, 255, 255}},
@@ -331,51 +332,6 @@ func FuzzQueryFrameDecode(f *testing.F) {
 		}
 		_, _, _ = DecodeQueryResponse(data)
 	})
-}
-
-// encodeV3Request hand-builds a version-3 frame (no trailing trace id)
-// for the ops whose payloads are version-independent.
-func encodeV3Request(req QueryRequest) []byte {
-	frame := AppendQueryRequest(nil, req)
-	// Strip the trailing trace uvarint (one byte for Trace == 0) and
-	// rewrite the version byte and length prefix.
-	body := frame[4 : len(frame)-1]
-	body[0] = 3
-	out := []byte{byte(len(body)), 0, 0, 0}
-	return append(out, body...)
-}
-
-// TestQueryV3BackwardCompatible pins the mixed-version contract: a
-// version-3 peer's frames (no trace id, no spans) still decode, and a
-// version-4 response round-trips its spans.
-func TestQueryV3BackwardCompatible(t *testing.T) {
-	for _, req := range sampleRequests() {
-		if req.Trace != 0 {
-			continue
-		}
-		frame := encodeV3Request(req)
-		got, n, err := DecodeQueryRequest(frame)
-		if err != nil {
-			t.Fatalf("v3 %s request: %v", req.Op, err)
-		}
-		if n != len(frame) {
-			t.Fatalf("v3 %s: consumed %d of %d", req.Op, n, len(frame))
-		}
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("v3 round trip:\nin  %+v\nout %+v", req, got)
-		}
-	}
-	// v3 response: strip the span-count byte from a span-free v4 frame.
-	frame, err := EncodeQueryResponse(QueryResponse{Op: OpRegister})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := frame[4 : len(frame)-1]
-	body[0] = 3
-	v3 := append([]byte{byte(len(body)), 0, 0, 0}, body...)
-	if _, _, err := DecodeQueryResponse(v3); err != nil {
-		t.Fatalf("v3 response: %v", err)
-	}
 }
 
 // TestQueryTraceSpanRoundTrip: a traced request carries its id, and a
