@@ -1,7 +1,8 @@
 package mapdr
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §4 and EXPERIMENTS.md). Each benchmark runs
+// evaluation (indexed by the README's "Reproduce the paper" section and
+// cmd/drsim's package comment). Each benchmark runs
 // the corresponding experiment end to end and reports the paper's metric
 // (updates per hour per protocol) via b.ReportMetric, so
 //

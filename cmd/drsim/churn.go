@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +26,8 @@ import (
 // to the brute-force scan reference. Sized at 10k and 100k objects at
 // scale 1; -scale shrinks both.
 func runChurn(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
+	if err := cfg.normalize(); err != nil {
+		return err
 	}
 	tb := stats.NewTable("objects", "shards", "workers", "updates", "updates/s",
 		"queries", "q p50 [us]", "p95 [us]", "p99 [us]",

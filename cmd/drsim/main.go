@@ -1,5 +1,6 @@
 // Command drsim regenerates the paper's tables and figures from the
-// simulation (see DESIGN.md for the experiment index).
+// simulation (the README's "Reproduce the paper" section indexes the
+// experiments) and runs the fleet-scale and cluster experiments.
 //
 // Usage:
 //
@@ -13,56 +14,21 @@
 //	drsim -exp disconnect           # Wolfson dtdr across a link outage
 //	drsim -exp bandwidth            # bytes/h vs naive 1 Hz reporting
 //	drsim -exp fleet -fleet 100 -shards 16 -workers 8
-//	                                # parallel fleet vs sharded location store
+//	                                # parallel fleet vs sharded location store (runFleet)
 //	drsim -exp fleet -transport http
 //	                                # end-to-end: wire frames over loopback TCP
 //	drsim -exp fleet -transport lossy -loss 0.2 -latency 3
 //	                                # updates through the netsim lossy link
-//	drsim -exp cluster -nodes 4 -fleet 200
-//	                                # partition-aware cluster: consistent-hash
-//	                                # routed ingest + scatter-gather queries,
-//	                                # per-node throughput and query tail latency
-//	drsim -exp cluster -nodes 4 -replicas 2
-//	                                # same, with every key range on R=2 members
-//	drsim -exp failover -nodes 4 -replicas 2 -fleet 100
-//	                                # kill a node mid-fleet: answer availability
-//	                                # and staleness vs a no-failure reference,
-//	                                # hinted-handoff and read-repair accounting
-//	drsim -exp selfheal -nodes 4 -replicas 2 -fleet 100
-//	                                # kill a node and never call an operator:
-//	                                # the self-healing membership detects,
-//	                                # demotes and rebalances on its own; the
-//	                                # run asserts zero query errors and a
-//	                                # converged store vs the reference
-//	drsim -exp chaos -nodes 4 -replicas 2 -fleet 100
-//	                                # everything at once under full load: a
-//	                                # scripted plan joins a member, fires a
-//	                                # loss burst, removes a member live,
-//	                                # kills another (self-heal demotes it),
-//	                                # spikes latency and reweights — all on
-//	                                # the incremental migration engine; the
-//	                                # run asserts zero query errors, bounded
-//	                                # staleness and O(1) routing-lock holds,
-//	                                # and bit-identical convergence
-//	drsim -exp churn [-scale 0.01]
-//	                                # live-index hot path: 10k and 100k
-//	                                # objects reporting at full rate while
-//	                                # readers run a mixed 10-NN / range
-//	                                # load; reports query p50/p95/p99 and
-//	                                # the index maintenance counters, then
-//	                                # hard-asserts zero scan fallbacks and
-//	                                # bit-identical answers vs. the scan
-//	                                # reference
-//	drsim -exp fanin -nodes 4 -replicas 2 -fleet 100
-//	                                # two fan-in coordinators front one
-//	                                # cluster, splitting ingest and queries;
-//	                                # the one driving a live join is killed
-//	                                # mid-copy; its peer steals the fenced
-//	                                # lease after expiry, resumes the run
-//	                                # from the replicated membership log and
-//	                                # commits it; the run asserts the steal,
-//	                                # the resume, zero query errors and
-//	                                # bit-identical convergence
+//	drsim -exp churn [-scale 0.01]  # live-index hot path under full-rate ingest (runChurn)
+//
+// The cluster drills share one lab (lab.go) and are declared in
+// drills.go; each takes -nodes, -replicas and -fleet:
+//
+//	drsim -exp cluster              # routed ingest + scatter-gather queries (clusterDrill)
+//	drsim -exp failover             # kill and revive a node mid-fleet (failoverDrill)
+//	drsim -exp selfheal             # kill a node, no operator (selfhealDrill)
+//	drsim -exp chaos                # join, loss, leave, kill, spike, reweight at once (chaosDrill)
+//	drsim -exp fanin                # two fronts, the migrating one dies (faninDrill)
 //
 // -scale 0.1 shrinks the scenarios for quick runs; the defaults reproduce
 // the paper's full trace lengths. The fleet experiment drives -fleet
@@ -76,27 +42,22 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"mapdr/internal/cluster"
 	"mapdr/internal/core"
 	"mapdr/internal/experiments"
-	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
 	"mapdr/internal/mapgen"
 	"mapdr/internal/netsim"
-	"mapdr/internal/obs"
 	"mapdr/internal/sim"
 	"mapdr/internal/stats"
 	"mapdr/internal/tracegen"
@@ -104,9 +65,32 @@ import (
 	"mapdr/internal/wire"
 )
 
+// expHelp is the -exp flag's usage text. The CI smoke step reads the
+// parenthesised drill list out of `drsim -h`, so the dispatch table stays
+// the only place the drills are enumerated.
+func expHelp() string {
+	names := make([]string, len(drills))
+	for i, d := range drills {
+		names[i] = d.name
+	}
+	return "experiment id: table1, fig3, fig6, fig7-fig10, headline, ablate-*, history, disconnect, bandwidth, fleet, churn, " +
+		"or a cluster drill (" + strings.Join(names, " ") + ")"
+}
+
+// fleetExperiments is the -exp dispatch table of the experiments that
+// take a fleetConfig: the single-store runs and every cluster drill. Ids
+// not in it are run's paper experiments.
+func fleetExperiments() map[string]func(cfg fleetConfig, csv bool) error {
+	table := map[string]func(fleetConfig, bool) error{"fleet": runFleet, "churn": runChurn}
+	for _, d := range drills {
+		table[d.name] = func(cfg fleetConfig, csv bool) error { return runDrill(d, cfg, os.Stdout, csv) }
+	}
+	return table
+}
+
 func main() {
 	var (
-		exp       = flag.String("exp", "table1", "experiment id (table1, fig3, fig6, fig7-fig10, headline, fleet, cluster, failover, selfheal, chaos, fanin, churn, ablate-*)")
+		exp       = flag.String("exp", "table1", expHelp())
 		seed      = flag.Int64("seed", 42, "deterministic scenario seed")
 		scale     = flag.Float64("scale", 1.0, "scenario scale in (0,1]; 1 = paper scale")
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -129,43 +113,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drsim:", err)
 		os.Exit(1)
 	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale}
-	if *exp == "fleet" {
-		err = runFleet(fleetConfig{
-			n: *fleetN, shards: *shards, workers: *workers, seed: *seed, scale: *scale,
+	if fleetExp, ok := fleetExperiments()[*exp]; ok {
+		err = fleetExp(fleetConfig{
+			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
+			seed: *seed, scale: *scale,
 			transport: *transport, loss: *loss, latency: *latency, jitter: *jitter,
 		}, *csv)
-	} else if *exp == "cluster" {
-		err = runCluster(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "failover" {
-		err = runFailover(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "selfheal" {
-		err = runSelfheal(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "chaos" {
-		err = runChaos(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "churn" {
-		err = runChurn(fleetConfig{
-			n: *fleetN, shards: *shards, workers: *workers, seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "fanin" {
-		err = runFanin(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
 	} else {
-		err = run(*exp, opts, *csv, *svg)
+		err = run(*exp, experiments.Options{Seed: *seed, Scale: *scale}, *csv, *svg)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -215,8 +170,8 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// fleetConfig parameterises the fleet, cluster and failover
-// experiments.
+// fleetConfig parameterises the fleet-scale experiments: fleet, churn
+// and the cluster drills.
 type fleetConfig struct {
 	n, shards, workers    int
 	nodes, replicas       int
@@ -226,6 +181,34 @@ type fleetConfig struct {
 	loss, latency, jitter float64
 }
 
+// normalize rejects a scale outside (0,1] and resolves -workers 0 to all
+// CPUs.
+func (cfg *fleetConfig) normalize() error {
+	if cfg.scale <= 0 || cfg.scale > 1 {
+		return fmt.Errorf("scale must be in (0,1]")
+	}
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
+	return nil
+}
+
+// fleetSpec is the city fleet every fleet-scale experiment drives: cars
+// on wander routes of 15 km at paper scale, reporting map-based DR at
+// u_s = 100 m — the one statement of that bound; assertions about served
+// accuracy read it back from here.
+func fleetSpec(cfg fleetConfig) sim.FleetSpec {
+	return sim.FleetSpec{
+		N:        cfg.n,
+		Seed:     cfg.seed,
+		RouteLen: 15000 * cfg.scale,
+		Workers:  cfg.workers,
+		IDFormat: "car-%03d",
+		Params:   tracegen.CityCarParams(),
+		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
+	}
+}
+
 // runFleet drives a simulated city fleet against a sharded location
 // store and reports scale metrics: protocol traffic, server accuracy
 // and wall-clock throughput. The update path is selectable: in-process
@@ -233,11 +216,8 @@ type fleetConfig struct {
 // frames POSTed over loopback TCP into the store's HTTP ingest
 // endpoint.
 func runFleet(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
+	if err := cfg.normalize(); err != nil {
+		return err
 	}
 	// Set up the transport before the expensive map/fleet generation so
 	// a bad -transport flag fails instantly.
@@ -265,15 +245,7 @@ func runFleet(cfg fleetConfig, csv bool) error {
 	if err != nil {
 		return err
 	}
-	objs, err := sim.GenerateFleet(cor.Graph, svc, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
+	objs, err := sim.GenerateFleet(cor.Graph, svc, fleetSpec(cfg))
 	if err != nil {
 		return err
 	}
@@ -302,1283 +274,6 @@ func runFleet(cfg fleetConfig, csv bool) error {
 		res.Wire.Dropped, res.Wire.BytesSent, res.MeanErr,
 		wall.Milliseconds(), float64(res.Samples)/wall.Seconds())
 	return emit(tb, csv)
-}
-
-// runCluster drives the fleet against a partition-aware cluster: N
-// in-process location-service nodes behind a consistent-hash
-// coordinator that routes each ingest batch per partition and
-// scatter-gathers the queries. While the fleet runs, every simulated
-// second issues a 10-NN scatter-gather query whose wall-clock latency
-// feeds the tail-latency report; per-node routed records and applied
-// updates show the partition balance.
-func runCluster(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 1 {
-		return fmt.Errorf("need at least one cluster node")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 1
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
-	if err != nil {
-		return err
-	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i] = cluster.NewLocalMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
-	if err != nil {
-		return err
-	}
-
-	objs, err := sim.GenerateFleet(g, coord, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
-		return err
-	}
-
-	// Query mix riding along: one 10-NN scatter-gather per simulated
-	// second, cycling over deterministic city points. Every query's
-	// wall-clock cost is recorded — an empty answer still paid for the
-	// scatter and the merge. The latencies land in the same log-bucketed
-	// histogram the servers expose on /metrics, so the reported
-	// percentiles use one quantile implementation across the repo.
-	qLat := obs.NewHistogram("drsim_10nn_seconds", "", obs.TicksSeconds)
-	qPoints := []geo.Point{geo.Pt(2500, 2500), geo.Pt(5000, 5000), geo.Pt(7500, 2500), geo.Pt(2500, 7500)}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: coord,
-		Query:     coord,
-		Tick: func(t float64) {
-			p := qPoints[int(t)%len(qPoints)]
-			q0 := time.Now()
-			coord.Nearest(p, 10, t)
-			qLat.RecordDur(time.Since(q0))
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-
-	qs := qLat.Snapshot()
-	tb := stats.NewTable("nodes", "R", "vehicles", "shards/node", "workers", "samples", "updates",
-		"mean err [m]", "wall [ms]", "samples/s", "10NN p50 [us]", "p95 [us]", "p99 [us]")
-	tb.AddRow(cfg.nodes, cfg.replicas, cfg.n, cfg.shards, fl.Workers, res.Samples, updates,
-		res.MeanErr, wall.Milliseconds(), float64(res.Samples)/wall.Seconds(),
-		qs.Quantile(0.50)*1e6, qs.Quantile(0.95)*1e6, qs.Quantile(0.99)*1e6)
-	if err := emit(tb, csv); err != nil {
-		return err
-	}
-
-	// Partition balance: records the coordinator routed to each node and
-	// what the node's store actually applied.
-	nt := stats.NewTable("node", "objects", "routed records", "batches", "applied", "errors")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Batches, ms.Node.UpdatesApplied, ms.Errors)
-	}
-	return emit(nt, csv)
-}
-
-// multiRegistry registers fleet objects with both the cluster under
-// test and the no-failure reference store.
-type multiRegistry struct{ regs []locserv.Registry }
-
-func (m multiRegistry) Register(id locserv.ObjectID, pred core.Predictor) error {
-	for _, r := range m.regs {
-		if err := r.Register(id, pred); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m multiRegistry) Deregister(id locserv.ObjectID) {
-	for _, r := range m.regs {
-		r.Deregister(id)
-	}
-}
-
-// teeTransport delivers every update batch to the cluster under test
-// and to the no-failure reference store, so the reference always holds
-// what a healthy cluster would.
-type teeTransport struct{ main, ref wire.Transport }
-
-func (t teeTransport) Send(now float64, batch []wire.Record) error {
-	if err := t.ref.Send(now, batch); err != nil {
-		return err
-	}
-	return t.main.Send(now, batch)
-}
-
-func (t teeTransport) Flush(now float64) error {
-	if err := t.ref.Flush(now); err != nil {
-		return err
-	}
-	return t.main.Flush(now)
-}
-
-func (t teeTransport) Stats() wire.Stats { return t.main.Stats() }
-
-// timedTransport records the longest wall-clock Send through the
-// cluster — the chaos experiment's proxy for an ingest blocking window:
-// if a membership change ever held the routing lock across a data copy,
-// one Send would stall for the whole copy and this maximum would show
-// it.
-type timedTransport struct {
-	tr    wire.Transport
-	maxNs *atomic.Int64
-}
-
-func (t timedTransport) Send(now float64, batch []wire.Record) error {
-	t0 := time.Now()
-	err := t.tr.Send(now, batch)
-	ns := time.Since(t0).Nanoseconds()
-	for {
-		cur := t.maxNs.Load()
-		if ns <= cur || t.maxNs.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	return err
-}
-
-func (t timedTransport) Flush(now float64) error { return t.tr.Flush(now) }
-func (t timedTransport) Stats() wire.Stats       { return t.tr.Stats() }
-
-// failoverPhases labels the three measurement windows of the failover
-// experiment.
-var failoverPhases = [3]string{"healthy", "node down", "recovered"}
-
-// runFailover measures what a node crash costs an R-replicated cluster:
-// a fleet streams updates into faulty in-process members while every
-// simulated second issues a probe mix (sampled Position queries, one
-// 10-NN, one Within). At 40% of the run one member is killed; at 75%
-// it recovers and is probed back up, draining its hinted updates. Every
-// query answer is compared against a no-failure reference store fed by
-// the identical update stream (a tee transport), so the report gives
-// answer availability and staleness-in-metres per phase, plus the
-// hinted-handoff and read-repair accounting.
-func runFailover(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 2 {
-		return fmt.Errorf("failover needs at least two cluster nodes")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("failover needs -replicas >= 2 (a lost R=1 partition cannot answer)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
-	if err != nil {
-		return err
-	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
-	if err != nil {
-		return err
-	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
-		return err
-	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
-	killT, reviveT := 0.4*tEnd, 0.75*tEnd
-	victim := injectors[cfg.nodes-1]
-	victimName := members[cfg.nodes-1].Name
-
-	// Per-phase probe-query accounting.
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: coord, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     coord,
-		Tick: func(t float64) {
-			if phase == 0 && t >= killT {
-				victim.Fail()
-				phase = 1
-			}
-			if phase == 1 && t >= reviveT {
-				victim.Recover()
-				coord.ProbeDown() // verified recovery + hint drain
-				phase = 2
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
-	coord.ProbeDown()
-	coord.WaitRepairs()
-
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-	fmt.Printf("# failover: %d nodes, R=%d, victim %s down over t=[%.0f,%.0f) of %.0f s\n",
-		cfg.nodes, cfg.replicas, victimName, killT, reviveT, tEnd)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range failoverPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
-		return err
-	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
-		return err
-	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "down",
-		"hinted", "drained", "hints pending")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Errors, ms.Down,
-			ms.Hints.Hinted, ms.Hints.Drained, ms.Hints.Buffered)
-	}
-	return emit(nt, csv)
-}
-
-// selfhealPhases labels the measurement windows of the selfheal
-// experiment: before the kill, the detection/hinting window, and after
-// the auto-demotion.
-var selfhealPhases = [3]string{"healthy", "down (detecting)", "demoted"}
-
-// runSelfheal is the no-operator failover run: one member is killed at
-// 40% of the trace and nobody calls MarkDown, ProbeDown or RemoveNode —
-// the self-healing membership has to notice (heartbeat detector), route
-// around (breaker + hints) and amputate (auto-demotion past the hint
-// deadline) on its own, with the reweight controller armed throughout.
-// The run fails unless the victim ends demoted, every query answered
-// without error, and the surviving cluster's answers are bit-identical
-// to a no-failure reference store fed the same update stream.
-func runSelfheal(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 3 {
-		return fmt.Errorf("selfheal needs at least three cluster nodes (the demotion must leave a replicated cluster)")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("selfheal needs -replicas >= 2 (a lost R=1 partition cannot be demoted without data loss)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
-	if err != nil {
-		return err
-	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
-	if err != nil {
-		return err
-	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
-		return err
-	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
-	killT := 0.4 * tEnd
-	victim := injectors[cfg.nodes-1]
-	victimName := members[cfg.nodes-1].Name
-
-	// Sim-clock self-healing: heartbeats every simulated second, a
-	// single missed beat trips (the fleet ticks in lockstep, so the
-	// detector fires before the same tick's probe queries), and the
-	// hint deadline is 15% of the trace — the demotion lands mid-run
-	// with plenty of trace left to measure the amputated cluster.
-	demoteAfter := 0.15 * tEnd
-	coord.EnableSelfHeal(cluster.SelfHealConfig{
-		HeartbeatEvery: 1,
-		SuspectAfter:   1,
-		RecoverAfter:   2,
-		DemoteAfter:    demoteAfter,
-		ReweightEvery:  0.25 * tEnd,
-		ReweightRatio:  4,
-		ReweightAfter:  2,
-	})
-
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
-	demotedAt := -1.0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: coord, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     coord,
-		Tick: func(t float64) {
-			if phase == 0 && t >= killT {
-				victim.Fail() // the only intervention: the crash itself
-				phase = 1
-			}
-			coord.Tick(t) // the self-healing loops run on the sim clock
-			if phase == 1 && coord.SelfHealStats().Demotions > 0 {
-				phase = 2
-				demotedAt = t
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
-	coord.ProbeDown() // final hint sweep (a drain, not a recovery — the victim is gone)
-	coord.WaitRepairs()
-
-	// The acceptance assertions: demoted, zero query errors, converged.
-	heal := coord.SelfHealStats()
-	demoted := false
-	for _, name := range heal.Demoted {
-		if name == victimName {
-			demoted = true
-		}
-	}
-	if !demoted || len(coord.Nodes()) != cfg.nodes-1 {
-		return fmt.Errorf("selfheal: victim %s was not auto-demoted (members %v, demoted %v)",
-			victimName, coord.Nodes(), heal.Demoted)
-	}
-	if qe := coord.QueryErrors(); qe != 0 {
-		return fmt.Errorf("selfheal: %d query errors; the detector let queries hit the dead member", qe)
-	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := coord.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("selfheal: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := coord.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("selfheal: Nearest diverged from the no-failure reference after drain")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := coord.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("selfheal: Within diverged from the no-failure reference after drain")
-	}
-
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-	fmt.Printf("# selfheal: %d nodes, R=%d, victim %s killed at t=%.0f s, auto-demoted at t=%.0f s (deadline %.0f s), %.0f s trace\n",
-		cfg.nodes, cfg.replicas, victimName, killT, demotedAt, demoteAfter, tEnd)
-	fmt.Printf("# converged bit-identical to the no-failure reference; zero query errors\n")
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range selfhealPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
-		return err
-	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"heartbeats", "trips", "demotions", "reweights", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		heal.Heartbeats, heal.Trips, heal.Demotions, heal.Reweights,
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
-		return err
-	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Errors, ms.Health.String(),
-			ms.Hints.Hinted, ms.Hints.Drained, ms.Hints.Requeued, ms.Hints.Buffered)
-	}
-	return emit(nt, csv)
-}
-
-// fanInPhases labels the measurement windows of the fan-in experiment.
-var fanInPhases = [3]string{"steady two-front", "driver down (orphaned join)", "stolen + resumed"}
-
-// twoFront is the ingest/query surface of the fan-in drill: update
-// batches and queries alternate across two coordinators while both are
-// live, and fail over to co-b alone once co-a is declared dead. Both
-// fronts fold the same replicated membership log, so the split stays
-// consistent even mid-migration.
-type twoFront struct {
-	a, b  *cluster.Coordinator
-	aLive atomic.Bool
-	sends atomic.Int64
-	reads atomic.Int64
-}
-
-func (f *twoFront) front(n *atomic.Int64) *cluster.Coordinator {
-	if f.aLive.Load() && n.Add(1)%2 == 0 {
-		return f.a
-	}
-	return f.b
-}
-
-func (f *twoFront) Send(now float64, batch []wire.Record) error {
-	return f.front(&f.sends).Send(now, batch)
-}
-
-func (f *twoFront) Flush(now float64) error {
-	if f.aLive.Load() {
-		if err := f.a.Flush(now); err != nil {
-			return err
-		}
-	}
-	return f.b.Flush(now)
-}
-
-func (f *twoFront) Stats() wire.Stats {
-	sa, sb := f.a.Stats(), f.b.Stats()
-	return wire.Stats{
-		Sent: sa.Sent + sb.Sent, Delivered: sa.Delivered + sb.Delivered, Dropped: sa.Dropped + sb.Dropped,
-		BytesSent: sa.BytesSent + sb.BytesSent, BytesDelivered: sa.BytesDelivered + sb.BytesDelivered,
-		Frames: sa.Frames + sb.Frames, FrameBytes: sa.FrameBytes + sb.FrameBytes,
-		Errors: sa.Errors + sb.Errors, Retries: sa.Retries + sb.Retries,
-	}
-}
-
-func (f *twoFront) Position(id locserv.ObjectID, t float64) (geo.Point, bool) {
-	return f.front(&f.reads).Position(id, t)
-}
-
-func (f *twoFront) Nearest(p geo.Point, k int, t float64) []locserv.ObjectPos {
-	return f.front(&f.reads).Nearest(p, k, t)
-}
-
-func (f *twoFront) Within(r geo.Rect, t float64) []locserv.ObjectPos {
-	return f.front(&f.reads).Within(r, t)
-}
-
-// runFanin is the multi-coordinator recovery drill: two fan-in
-// coordinators front the same cluster, splitting the fleet's ingest and
-// queries between them while gossiping the replicated membership log.
-// At 35% of the trace co-a acquires the fenced lease and begins a live
-// join; an injected crash kills its driver at the second range copy and
-// co-a goes dark — no ticks, no abort, no operator. Its Begin record is
-// already on the log, so co-b keeps dual routing the orphaned run; once
-// the dead leader's lease expires co-b steals it, rebuilds the run from
-// the log and drives it to commit. The run asserts the steal and the
-// resume happened, the joined member serves its ranges, zero query
-// errors on both fronts, identical membership logs, and a post-quiesce
-// store bit-identical to a no-failure reference.
-func runFanin(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 2 {
-		return fmt.Errorf("fanin needs at least two cluster nodes")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
-	if err != nil {
-		return err
-	}
-	g := cor.Graph
-
-	// The two fronts share the node processes but hold separate Member
-	// handles, like two coordinator processes fronting one cluster.
-	nodes := make([]*locserv.NodeService, cfg.nodes)
-	for i := range nodes {
-		nodes[i] = locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-	}
-	joinName := fmt.Sprintf("node-%02d", cfg.nodes)
-	joinNode := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-		func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-	factory := func(name, addr string) (*cluster.Member, error) {
-		if name != joinName {
-			return nil, fmt.Errorf("fanin: no local handle for joining member %q", name)
-		}
-		return cluster.NewLocalMember(name, joinNode), nil
-	}
-	mk := func() (*cluster.Coordinator, error) {
-		members := make([]*cluster.Member, len(nodes))
-		for i, node := range nodes {
-			members[i] = cluster.NewLocalMember(fmt.Sprintf("node-%02d", i), node)
-		}
-		return cluster.NewReplicated(0, cfg.replicas, members...)
-	}
-	ca, err := mk()
-	if err != nil {
-		return err
-	}
-	cb, err := mk()
-	if err != nil {
-		return err
-	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{ca, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
-		return err
-	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
-	migT := 0.35 * tEnd
-	leaseFor := 0.08 * tEnd
-
-	// Sim-clock fan-in and self-healing on both fronts. The reweight
-	// controller is parked past the trace end so the scripted join is
-	// the only membership change; the lease is a twelfth of the trace,
-	// leaving plenty of tail to measure the recovered cluster.
-	for _, co := range []*cluster.Coordinator{ca, cb} {
-		co.EnableSelfHeal(cluster.SelfHealConfig{
-			HeartbeatEvery: 1,
-			SuspectAfter:   1,
-			RecoverAfter:   2,
-			DemoteAfter:    0.15 * tEnd,
-			ReweightEvery:  10 * tEnd,
-			ReweightRatio:  4,
-			ReweightAfter:  2,
-		})
-	}
-	ca.EnableFanIn("co-a", cluster.FanInConfig{LeaseFor: leaseFor, GossipEvery: 1, MemberFactory: factory})
-	cb.EnableFanIn("co-b", cluster.FanInConfig{LeaseFor: leaseFor, GossipEvery: 1, MemberFactory: factory})
-	if err := ca.AddPeerCoordinator("co-b", wire.NewPeerLoopback(cb)); err != nil {
-		return err
-	}
-	if err := cb.AddPeerCoordinator("co-a", wire.NewPeerLoopback(ca)); err != nil {
-		return err
-	}
-
-	tf := &twoFront{a: ca, b: cb}
-	tf.aLive.Store(true)
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
-	killedAt, stolenAt := -1.0, -1.0
-	var migErr error
-	probe := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: tf, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     tf,
-		Tick: func(t float64) {
-			if phase == 0 && t >= migT && migErr == nil {
-				// The scripted crash: co-a begins the join, its driver is
-				// killed at the second range copy, and from this tick on
-				// co-a is dead — no ticks, no sends, no queries, no abort.
-				ca.CrashMigrationAfterCopies(2)
-				mig, err := ca.BeginAddNode(cluster.NewLocalMember(joinName, joinNode))
-				if err != nil {
-					migErr = fmt.Errorf("fanin: begin join on co-a: %w", err)
-				} else if werr := mig.Wait(); werr == nil {
-					migErr = fmt.Errorf("fanin: the injected driver crash never fired")
-				}
-				tf.aLive.Store(false)
-				killedAt = t
-				phase = 1
-			}
-			if tf.aLive.Load() {
-				ca.Tick(t)
-			}
-			cb.Tick(t)
-			if phase == 1 && cb.FanInStats().Resumes > 0 {
-				stolenAt = t
-				phase = 2
-			}
-			co := cb
-			if tf.aLive.Load() {
-				if probe++; probe%2 == 0 {
-					co = ca
-				}
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := co.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := co.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = co.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
-	// The stolen run re-copies and commits in a background goroutine
-	// (Tick never blocks on a copy), so give the drive a bounded window
-	// to land — ticking the sim clock forward so lease renewals and the
-	// commit gossip keep flowing — before asserting converged state.
-	if cb.FanInStats().Resumes > 0 {
-		deadline := time.Now().Add(30 * time.Second)
-		for t := tEnd; time.Now().Before(deadline); t++ {
-			ms := cb.MigrationStats()
-			if !ms.Active && ms.Migrations >= 1 && cb.FanInStats().OpenRuns == 0 {
-				break
-			}
-			cb.Tick(t)
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	cb.ProbeDown()
-	cb.WaitRepairs()
-
-	// The acceptance assertions: the crash fired, the surviving front
-	// stole the lease and committed the orphaned join, zero query
-	// errors, identical logs, converged stores.
-	if migErr != nil {
-		return migErr
-	}
-	if killedAt < 0 {
-		return fmt.Errorf("fanin: the trace ended before the scripted join at t=%.0f s", migT)
-	}
-	fst := cb.FanInStats()
-	if fst.Steals < 1 || fst.Resumes < 1 || fst.OpenRuns != 0 {
-		return fmt.Errorf("fanin: co-b never recovered the orphaned run (steals %d, resumes %d, open runs %d)",
-			fst.Steals, fst.Resumes, fst.OpenRuns)
-	}
-	ms := cb.MigrationStats()
-	if ms.Active || ms.Migrations != 1 {
-		return fmt.Errorf("fanin: resumed join not committed on co-b (active %v, committed %d)", ms.Active, ms.Migrations)
-	}
-	if got := len(cb.Nodes()); got != cfg.nodes+1 {
-		return fmt.Errorf("fanin: co-b serves %d members after the resumed join, want %d", got, cfg.nodes+1)
-	}
-	if qe := ca.QueryErrors() + cb.QueryErrors(); qe != 0 {
-		return fmt.Errorf("fanin: %d query errors across the two fronts, want zero", qe)
-	}
-	if !wire.EqualLogs(ca.MembershipLog(), cb.MembershipLog()) {
-		return fmt.Errorf("fanin: the membership logs diverged between the fronts")
-	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := cb.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("fanin: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := cb.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("fanin: Nearest diverged from the no-failure reference after drain")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := cb.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("fanin: Within diverged from the no-failure reference after drain")
-	}
-	onJoin := 0
-	for i := range objs {
-		for _, name := range cb.Owners(objs[i].ID) {
-			if name != joinName {
-				continue
-			}
-			onJoin++
-			if !joinNode.Service().Contains(objs[i].ID) {
-				return fmt.Errorf("fanin: %s routed to %s but the joined node does not hold it", objs[i].ID, joinName)
-			}
-		}
-	}
-	if onJoin == 0 {
-		return fmt.Errorf("fanin: the resumed join moved no fleet objects onto %s", joinName)
-	}
-
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-	fmt.Printf("# fanin: %d nodes, R=%d, fronts co-a+co-b; join %s begun on co-a at t=%.0f s and its driver killed mid-copy; co-b stole the lease (%.0f s tenure) and resumed at t=%.0f s, %.0f s trace\n",
-		cfg.nodes, cfg.replicas, joinName, killedAt, leaseFor, stolenAt, tEnd)
-	fmt.Printf("# %d objects now route to %s; converged bit-identical to the no-failure reference; zero query errors on both fronts\n",
-		onJoin, joinName)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range fanInPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
-		return err
-	}
-
-	ft := stats.NewTable("front", "log", "epoch", "appends", "applies", "rejects", "gossips",
-		"acquired", "denied", "steals", "resumes", "hints fwd")
-	for _, co := range []*cluster.Coordinator{ca, cb} {
-		st := co.FanInStats()
-		ft.AddRow(st.ID, st.LogLen, st.MaxEpoch, st.Appends, st.Applies, st.Rejects, st.Gossips,
-			st.Acquired, st.Denied, st.Steals, st.Resumes, st.HintsForwarded)
-	}
-	if err := emit(ft, csv); err != nil {
-		return err
-	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"migrations", "resumes", "records moved", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		ms.Migrations, ms.Resumes, ms.TotalRecordsMoved, cb.DegradedQueries(), cb.Repairs())
-	if err := emit(st, csv); err != nil {
-		return err
-	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, msr := range cb.MemberStats() {
-		nt.AddRow(msr.Name, msr.Node.Objects, msr.Records, msr.Errors, msr.Health.String(),
-			msr.Hints.Hinted, msr.Hints.Drained, msr.Hints.Requeued, msr.Hints.Buffered)
-	}
-	return emit(nt, csv)
-}
-
-// chaosPhases labels the measurement windows of the chaos experiment.
-var chaosPhases = [4]string{"steady", "join + loss burst", "churn (leave, kill, spike)", "reweighted tail"}
-
-// runChaos is the everything-at-once elasticity drill: under full
-// ingest and query load a scripted ChaosPlan joins a new member, fires
-// a 50% loss burst at one node, removes another through a live leave
-// migration, kills a third (the self-healing membership must detect and
-// demote it with no operator), spikes a fourth's latency, and finally
-// reweights the survivors. Every membership change rides the
-// incremental migration engine, so the run hard-asserts the
-// zero-downtime contract: zero query errors, per-phase staleness within
-// the u_s bound, routing-lock holds and Send stalls bounded, and a
-// post-quiesce store bit-identical to a no-failure reference fed the
-// same update stream.
-func runChaos(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 4 {
-		return fmt.Errorf("chaos needs at least four cluster nodes (it removes two mid-run)")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("chaos needs -replicas >= 2 (a lost R=1 partition cannot survive the kill)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
-	if err != nil {
-		return err
-	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
-	if err != nil {
-		return err
-	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
-		return err
-	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
-
-	// Same sim-clock self-healing as the selfheal run; the deadline
-	// outlasts the loss burst (a breaker flap must not demote the lossy
-	// member) but lands the killed member's demotion well before the
-	// final reweight.
-	coord.EnableSelfHeal(cluster.SelfHealConfig{
-		HeartbeatEvery: 1,
-		SuspectAfter:   1,
-		RecoverAfter:   2,
-		DemoteAfter:    0.15 * tEnd,
-	})
-
-	// The member that joins mid-run.
-	joinName := fmt.Sprintf("node-%02d", cfg.nodes)
-	joinNode := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-		func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-	joinMember, joinInj := cluster.NewFaultyMember(joinName, joinNode)
-	_ = joinInj
-
-	// Membership actions begun by chaos events. The engine accepts one
-	// run at a time, so each action retries on ErrMigrationBusy every
-	// tick until its turn (exactly how the self-heal loops behave); the
-	// handles are verified after quiesce.
-	type action struct {
-		name  string
-		begin func() (*cluster.Migration, error)
-	}
-	type handle struct {
-		name string
-		mig  *cluster.Migration
-	}
-	var todo []action
-	var migs []handle
-	var actionErrs []error
-	enqueue := func(name string, begin func() (*cluster.Migration, error)) {
-		todo = append(todo, action{name: name, begin: begin})
-	}
-	pump := func() {
-		for len(todo) > 0 {
-			mig, err := todo[0].begin()
-			if errors.Is(err, cluster.ErrMigrationBusy) || errors.Is(err, cluster.ErrMigrationHalted) {
-				return // engine occupied; retry next tick
-			}
-			if err != nil {
-				actionErrs = append(actionErrs, fmt.Errorf("%s: %w", todo[0].name, err))
-			} else {
-				migs = append(migs, handle{name: todo[0].name, mig: mig})
-			}
-			todo = todo[1:]
-		}
-	}
-
-	plan := cluster.NewChaosPlan(
-		cluster.ChaosEvent{At: 0.15 * tEnd, Name: "join " + joinName, Do: func() {
-			enqueue("join "+joinName, func() (*cluster.Migration, error) {
-				return coord.BeginAddNode(joinMember)
-			})
-		}},
-		cluster.ChaosEvent{At: 0.30 * tEnd, Name: "loss burst " + members[2].Name, Do: func() {
-			injectors[2].SetLossRate(0.5, cfg.seed)
-		}},
-		cluster.ChaosEvent{At: 0.38 * tEnd, Name: "loss burst ends", Do: func() {
-			injectors[2].SetLossRate(0, 0)
-		}},
-		cluster.ChaosEvent{At: 0.45 * tEnd, Name: "leave " + members[0].Name, Do: func() {
-			enqueue("leave "+members[0].Name, func() (*cluster.Migration, error) {
-				return coord.BeginRemoveNode(members[0].Name)
-			})
-		}},
-		cluster.ChaosEvent{At: 0.55 * tEnd, Name: "kill " + members[1].Name, Do: func() {
-			injectors[1].Fail() // no operator call: self-heal must demote it
-		}},
-		cluster.ChaosEvent{At: 0.70 * tEnd, Name: "latency spike " + members[3].Name, Do: func() {
-			injectors[3].SetLatency(50 * time.Microsecond)
-		}},
-		cluster.ChaosEvent{At: 0.80 * tEnd, Name: "latency spike ends", Do: func() {
-			injectors[3].SetLatency(0)
-		}},
-		cluster.ChaosEvent{At: 0.82 * tEnd, Name: "reweight survivors", Do: func() {
-			enqueue("reweight", func() (*cluster.Migration, error) {
-				return coord.BeginReweight(cluster.BalancedWeights(cluster.DefaultVnodes, coord.MemberStats()))
-			})
-		}},
-	)
-
-	var queries, answered [4]int
-	var staleSum, staleMax [4]float64
-	var staleN [4]int
-	phase := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
-	var maxSendNs atomic.Int64
-	fl := sim.Fleet{
-		Objects: objs,
-		Workers: cfg.workers,
-		Transport: teeTransport{
-			main: timedTransport{tr: coord, maxNs: &maxSendNs},
-			ref:  wire.NewLoopback(ref.Sink(nil)),
-		},
-		Query: coord,
-		Tick: func(t float64) {
-			plan.Advance(t) // faults first, so the same tick's detector sees them
-			pump()
-			coord.Tick(t)
-			switch {
-			case t >= 0.82*tEnd:
-				phase = 3
-			case t >= 0.45*tEnd:
-				phase = 2
-			case t >= 0.15*tEnd:
-				phase = 1
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
-
-	// Quiesce: stop all injection (the demoted victim stays demoted —
-	// this only silences the faults), let late-begun migrations finish,
-	// drain hints, wait out repairs.
-	for _, inj := range injectors {
-		inj.Recover()
-		inj.SetLossRate(0, 0)
-		inj.SetLatency(0)
-	}
-	for i := 0; i < 1000 && len(todo) > 0; i++ {
-		pump()
-		time.Sleep(time.Millisecond)
-	}
-	if len(todo) > 0 {
-		return fmt.Errorf("chaos: %d membership actions never started (engine busy to the end)", len(todo))
-	}
-	if len(actionErrs) > 0 {
-		return errors.Join(actionErrs...)
-	}
-	for _, h := range migs {
-		if err := h.mig.Wait(); err != nil {
-			return fmt.Errorf("chaos: %s halted: %w", h.name, err)
-		}
-	}
-	coord.ProbeDown()
-	coord.WaitRepairs()
-
-	// The acceptance assertions.
-	if rem := plan.Remaining(); rem != 0 {
-		return fmt.Errorf("chaos: %d scheduled events never fired", rem)
-	}
-	mig := coord.MigrationStats()
-	if mig.Active {
-		return fmt.Errorf("chaos: a migration is still active after quiesce (%s %s)", mig.Kind, mig.Target)
-	}
-	if qe := coord.QueryErrors(); qe != 0 {
-		return fmt.Errorf("chaos: %d query errors under churn, want zero", qe)
-	}
-	heal := coord.SelfHealStats()
-	demoted := false
-	for _, name := range heal.Demoted {
-		if name == members[1].Name {
-			demoted = true
-		}
-	}
-	if !demoted {
-		return fmt.Errorf("chaos: killed member %s was not auto-demoted (demoted %v)", members[1].Name, heal.Demoted)
-	}
-	names := coord.Nodes()
-	if len(names) != cfg.nodes-1 {
-		return fmt.Errorf("chaos: membership %v, want %d members after join %s, leave %s, demote %s",
-			names, cfg.nodes-1, joinName, members[0].Name, members[1].Name)
-	}
-	for _, name := range names {
-		if name == members[0].Name || name == members[1].Name {
-			return fmt.Errorf("chaos: departed member %s still in the cluster %v", name, names)
-		}
-	}
-	if joinNode.Service().Len() == 0 {
-		return fmt.Errorf("chaos: joined member %s holds no replicas", joinName)
-	}
-	if mig.Migrations < 4 {
-		return fmt.Errorf("chaos: %d committed migrations, want >= 4 (join, leave, demotion, reweight)", mig.Migrations)
-	}
-	if maxSwap := time.Duration(mig.MaxSwapNanos); maxSwap > 50*time.Millisecond {
-		return fmt.Errorf("chaos: routing lock held %v during a migration swap; swaps must be O(1)", maxSwap)
-	}
-	if maxSend := time.Duration(maxSendNs.Load()); maxSend > 2*time.Second {
-		return fmt.Errorf("chaos: slowest Send stalled %v; membership changes must not block ingest", maxSend)
-	}
-	for ph, name := range chaosPhases {
-		if staleMax[ph] > 100 {
-			return fmt.Errorf("chaos: phase %q max staleness %.1f m exceeds the u_s=100 m bound", name, staleMax[ph])
-		}
-	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := coord.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("chaos: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := coord.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("chaos: Nearest diverged from the no-failure reference after quiesce")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := coord.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("chaos: Within diverged from the no-failure reference after quiesce")
-	}
-
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-	fmt.Printf("# chaos: %d nodes -> %v, R=%d over %.0f s trace\n", cfg.nodes, names, cfg.replicas, tEnd)
-	fmt.Printf("# events: %s\n", strings.Join(plan.Fired(), "; "))
-	fmt.Printf("# zero query errors; converged bit-identical to the no-failure reference\n")
-	fmt.Printf("# max routing-lock hold %.3f ms; slowest Send %.3f ms\n",
-		float64(mig.MaxSwapNanos)/1e6, float64(maxSendNs.Load())/1e6)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range chaosPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
-		return err
-	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"migrations", "records moved", "demotions", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		mig.Migrations, mig.TotalRecordsMoved, heal.Demotions,
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
-		return err
-	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Errors, ms.Health.String(),
-			ms.Hints.Hinted, ms.Hints.Drained, ms.Hints.Requeued, ms.Hints.Buffered)
-	}
-	return emit(nt, csv)
 }
 
 func run(exp string, opts experiments.Options, csv bool, svgPath string) error {
@@ -1775,10 +470,12 @@ func writeFigureChart(fr *experiments.FigureResult, exp, path string) error {
 	return chart.WriteSVG(f)
 }
 
-func emit(tb *stats.Table, csv bool) error {
+func emit(tb *stats.Table, csv bool) error { return write(os.Stdout, tb, csv) }
+
+func write(w io.Writer, tb *stats.Table, csv bool) error {
 	if csv {
-		return tb.WriteCSV(os.Stdout)
+		return tb.WriteCSV(w)
 	}
-	_, err := tb.WriteTo(os.Stdout)
+	_, err := tb.WriteTo(w)
 	return err
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mapdr/internal/experiments"
+	"mapdr/internal/locserv"
 )
 
 var tinyOpts = experiments.Options{Seed: 42, Scale: 0.05}
@@ -102,5 +105,70 @@ func TestRunChurn(t *testing.T) {
 	cfg := fleetConfig{shards: 8, workers: 2, seed: 42, scale: 0.01}
 	if err := runChurn(cfg, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunClusterDrills plays every drill of the dispatch table main
+// uses at the CI smoke size — each drill's own assertions (demotion,
+// steal + resume, bounded staleness, bit-identical convergence) run for
+// real — and reads the report back: every phase of every fault drill
+// must have answered all of its probe queries. Each drill's config
+// validation is then exercised from below.
+func TestRunClusterDrills(t *testing.T) {
+	base := fleetConfig{n: 30, nodes: 4, replicas: 2, shards: locserv.DefaultShards, seed: 42, scale: 0.1}
+	var names []string
+	for _, d := range drills {
+		names = append(names, d.name)
+		t.Run(d.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := runDrill(d, base, &out, true); err != nil {
+				t.Fatal(err)
+			}
+			r := csv.NewReader(&out)
+			r.Comment = '#'
+			r.FieldsPerRecord = -1 // one stream, several tables
+			recs, err := r.ReadAll()
+			if err != nil {
+				t.Fatalf("report is not CSV: %v\n%s", err, out.String())
+			}
+			phases := 0
+			for i, rec := range recs {
+				if rec[0] != "phase" {
+					continue
+				}
+				for _, row := range recs[i+1 : i+1+len(d.phases)] {
+					if row[0] != d.phases[phases] {
+						t.Errorf("phase row %d is %q, want %q", phases, row[0], d.phases[phases])
+					}
+					if row[1] == "0" || row[1] != row[2] {
+						t.Errorf("phase %q: %s queries, %s answered", row[0], row[1], row[2])
+					}
+					phases++
+				}
+			}
+			if phases != len(d.phases) {
+				t.Errorf("report has %d phase rows, want %d", phases, len(d.phases))
+			}
+
+			for name, bad := range map[string]func(*fleetConfig){
+				"too few nodes": func(c *fleetConfig) { c.nodes = d.minNodes - 1 },
+				"R below min":   func(c *fleetConfig) { c.replicas = d.minReplicas - 1 },
+				"scale 0":       func(c *fleetConfig) { c.scale = 0 },
+			} {
+				cfg := base
+				bad(&cfg)
+				if cfg.replicas == 0 {
+					continue // 0 selects the drill's default R, which is valid
+				}
+				out.Reset()
+				if err := runDrill(d, cfg, &out, true); err == nil || out.Len() != 0 {
+					t.Errorf("%s: err = %v with %d bytes reported, want a rejection and no output", name, err, out.Len())
+				}
+			}
+		})
+	}
+	// The CI smoke step cuts the drill ids out of this exact shape.
+	if want := "cluster drill (" + strings.Join(names, " ") + ")"; !strings.Contains(expHelp(), want) {
+		t.Errorf("-exp help %q does not list %q", expHelp(), want)
 	}
 }

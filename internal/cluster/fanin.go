@@ -247,9 +247,6 @@ func (c *Coordinator) EnableFanIn(id string, cfg FanInConfig) {
 	})
 }
 
-// FanInEnabled reports whether fan-in replication is on.
-func (c *Coordinator) FanInEnabled() bool { return c.fanin.Load() != nil }
-
 // AddPeerCoordinator registers a peer coordinator reachable over pt.
 // Gossip and lease traffic flow to every registered peer.
 func (c *Coordinator) AddPeerCoordinator(name string, pt wire.PeerTransport) error {
@@ -1279,42 +1276,47 @@ func (f *fanIn) closeRun(run *migrationRun, kind wire.LogKind) error {
 type FanInStats struct {
 	// Enabled reports whether EnableFanIn has been called; ID is this
 	// coordinator's name on the log, Peers its registered peers.
-	Enabled bool
-	ID      string
-	Peers   []string
+	Enabled bool     `json:"enabled"`
+	ID      string   `json:"id,omitempty"`
+	Peers   []string `json:"peers,omitempty"`
 	// LogLen, MaxEpoch and Floor describe the membership log (Floor is
 	// the compacted-through epoch).
-	LogLen   int
-	MaxEpoch uint64
-	Floor    uint64
+	LogLen   int    `json:"log_len"`
+	MaxEpoch uint64 `json:"max_epoch"`
+	Floor    uint64 `json:"floor"`
 	// LeaseHolder/LeaseUntil are the current lease fold ("" when free);
 	// Holding reports whether this coordinator is the holder.
-	LeaseHolder string
-	LeaseUntil  float64
-	Holding     bool
+	LeaseHolder string  `json:"lease_holder,omitempty"`
+	LeaseUntil  float64 `json:"lease_until,omitempty"`
+	Holding     bool    `json:"holding_lease"`
 	// OpenRuns counts migration runs begun on the log and not closed.
-	OpenRuns int
+	OpenRuns int `json:"open_runs"`
 	// PeerCover maps each peer to its cover watermark: the highest epoch
 	// through which its log is confirmed to agree with ours. The gap
 	// MaxEpoch − min(PeerCover) is the tier's membership-log lag, the
 	// telemetry gauge for how far behind the slowest front is.
-	PeerCover map[string]uint64
+	PeerCover map[string]uint64 `json:"-"`
 	// LastGossipErr is the most recent gossip round's first failure
 	// ("" when the round reached every peer) — persistent non-"" means
 	// replication, and with it lease safety, is impaired.
-	LastGossipErr string
+	LastGossipErr string `json:"last_gossip_error,omitempty"`
 	// Counters: records appended locally, peer records applied, fenced
 	// or failed records rejected, gossip exchanges and their transport
 	// failures, lease acquisitions/denials/steals, resumed runs,
 	// repaired own-origin fenced records, log compactions, hint records
 	// forwarded to peers.
-	Appends, Applies, Rejects int64
-	Gossips, GossipErrs       int64
-	Acquired, Denied, Steals  int64
-	Resumes                   int64
-	Repairs                   int64
-	Compactions               int64
-	HintsForwarded            int64
+	Appends        int64 `json:"appends"`
+	Applies        int64 `json:"applies"`
+	Rejects        int64 `json:"rejects"`
+	Gossips        int64 `json:"gossips"`
+	GossipErrs     int64 `json:"gossip_errors"`
+	Acquired       int64 `json:"lease_acquired"`
+	Denied         int64 `json:"lease_denied"`
+	Steals         int64 `json:"lease_steals"`
+	Resumes        int64 `json:"resumes"`
+	Repairs        int64 `json:"fence_repairs"`
+	Compactions    int64 `json:"log_compactions"`
+	HintsForwarded int64 `json:"hints_forwarded"`
 }
 
 // FanInStats snapshots the fan-in layer (zero value when disabled).

@@ -40,63 +40,6 @@ type memberJSON struct {
 	ScanFallbacks   int64 `json:"index_scan_fallbacks"`
 }
 
-type migrationJSON struct {
-	Active          bool   `json:"active"`
-	Kind            string `json:"kind,omitempty"`
-	Target          string `json:"target,omitempty"`
-	Halted          bool   `json:"halted,omitempty"`
-	HaltCause       string `json:"halt_cause,omitempty"`
-	Ranges          int    `json:"ranges,omitempty"`
-	RangesPending   int    `json:"ranges_pending,omitempty"`
-	RangesCopying   int    `json:"ranges_copying,omitempty"`
-	RangesDual      int    `json:"ranges_dual,omitempty"`
-	RangesCommitted int    `json:"ranges_committed,omitempty"`
-	RecordsMoved    int64  `json:"records_moved,omitempty"`
-	Migrations      int64  `json:"migrations"`
-	Aborts          int64  `json:"aborts"`
-	Resumes         int64  `json:"resumes"`
-	TotalMoved      int64  `json:"total_records_moved"`
-	MaxSwapNanos    int64  `json:"max_swap_ns"`
-	LastOutcome     string `json:"last_outcome,omitempty"`
-}
-
-type selfHealJSON struct {
-	Enabled          bool     `json:"enabled"`
-	Heartbeats       int64    `json:"heartbeats"`
-	Suspects         int64    `json:"suspects"`
-	Trips            int64    `json:"trips"`
-	Demotions        int64    `json:"demotions"`
-	DemotionFailures int64    `json:"demotion_failures"`
-	Reweights        int64    `json:"reweights"`
-	Demoted          []string `json:"demoted,omitempty"`
-}
-
-type fanInJSON struct {
-	Enabled        bool     `json:"enabled"`
-	ID             string   `json:"id,omitempty"`
-	Peers          []string `json:"peers,omitempty"`
-	LogLen         int      `json:"log_len"`
-	MaxEpoch       uint64   `json:"max_epoch"`
-	Floor          uint64   `json:"floor"`
-	LeaseHolder    string   `json:"lease_holder,omitempty"`
-	LeaseUntil     float64  `json:"lease_until,omitempty"`
-	Holding        bool     `json:"holding_lease"`
-	OpenRuns       int      `json:"open_runs"`
-	LastGossipErr  string   `json:"last_gossip_error,omitempty"`
-	Appends        int64    `json:"appends"`
-	Applies        int64    `json:"applies"`
-	Rejects        int64    `json:"rejects"`
-	Gossips        int64    `json:"gossips"`
-	GossipErrs     int64    `json:"gossip_errors"`
-	Acquired       int64    `json:"lease_acquired"`
-	Denied         int64    `json:"lease_denied"`
-	Steals         int64    `json:"lease_steals"`
-	Resumes        int64    `json:"resumes"`
-	Repairs        int64    `json:"fence_repairs"`
-	Compactions    int64    `json:"log_compactions"`
-	HintsForwarded int64    `json:"hints_forwarded"`
-}
-
 // coordJSON summarizes one coordinator of a fan-in tier in the merged
 // /cluster report.
 type coordJSON struct {
@@ -120,63 +63,33 @@ type coordJSON struct {
 // migration is whichever coordinator is driving one, and coordinators
 // lists every front with its reachability — so any front answers for
 // the whole tier. fanin itself stays this coordinator's own view (its
-// log, its lease fold).
+// log, its lease fold). The migration, selfheal and fanin blocks are
+// the stats snapshots themselves; their JSON tags are the schema.
 type clusterJSON struct {
-	Replicas     int           `json:"replicas"`
-	Coordinator  string        `json:"coordinator,omitempty"`
-	Nodes        []memberJSON  `json:"nodes"`
-	Queries      int64         `json:"queries"`
-	QueryErrors  int64         `json:"query_errors"`
-	Degraded     int64         `json:"degraded_queries"`
-	Repairs      int64         `json:"read_repairs"`
-	TotalObjects int           `json:"total_objects"`
-	Migration    migrationJSON `json:"migration"`
-	SelfHeal     selfHealJSON  `json:"selfheal"`
-	FanIn        *fanInJSON    `json:"fanin,omitempty"`
-	Coordinators []coordJSON   `json:"coordinators,omitempty"`
+	Replicas     int            `json:"replicas"`
+	Coordinator  string         `json:"coordinator,omitempty"`
+	Nodes        []memberJSON   `json:"nodes"`
+	Queries      int64          `json:"queries"`
+	QueryErrors  int64          `json:"query_errors"`
+	Degraded     int64          `json:"degraded_queries"`
+	Repairs      int64          `json:"read_repairs"`
+	TotalObjects int            `json:"total_objects"`
+	Migration    MigrationStats `json:"migration"`
+	SelfHeal     SelfHealStats  `json:"selfheal"`
+	FanIn        *FanInStats    `json:"fanin,omitempty"`
+	Coordinators []coordJSON    `json:"coordinators,omitempty"`
 }
 
 // localClusterView builds this coordinator's own /cluster report — the
 // view PeerOpStats serves to peers (never merged, so stats exchanges
 // cannot recurse).
 func localClusterView(c *Coordinator) clusterJSON {
-	stats := c.MemberStats()
-	heal := c.SelfHealStats()
-	mig := c.MigrationStats()
 	out := clusterJSON{
 		Replicas: c.Replicas(), Queries: c.Queries(), QueryErrors: c.QueryErrors(),
 		Degraded: c.DegradedQueries(), Repairs: c.Repairs(),
-		Migration: migrationJSON{
-			Active:          mig.Active,
-			Kind:            mig.Kind,
-			Target:          mig.Target,
-			Halted:          mig.Halted,
-			HaltCause:       mig.HaltCause,
-			Ranges:          mig.Ranges,
-			RangesPending:   mig.RangesPending,
-			RangesCopying:   mig.RangesCopying,
-			RangesDual:      mig.RangesDual,
-			RangesCommitted: mig.RangesCommitted,
-			RecordsMoved:    mig.RecordsMoved,
-			Migrations:      mig.Migrations,
-			Aborts:          mig.Aborts,
-			Resumes:         mig.Resumes,
-			TotalMoved:      mig.TotalRecordsMoved,
-			MaxSwapNanos:    mig.MaxSwapNanos,
-			LastOutcome:     mig.LastOutcome,
-		},
-		SelfHeal: selfHealJSON{
-			Enabled:          heal.Enabled,
-			Heartbeats:       heal.Heartbeats,
-			Suspects:         heal.Suspects,
-			Trips:            heal.Trips,
-			Demotions:        heal.Demotions,
-			DemotionFailures: heal.DemotionFailures,
-			Reweights:        heal.Reweights,
-			Demoted:          heal.Demoted,
-		},
+		Migration: c.MigrationStats(), SelfHeal: c.SelfHealStats(),
 	}
-	for _, ms := range stats {
+	for _, ms := range c.MemberStats() {
 		out.Nodes = append(out.Nodes, memberJSON{
 			Name:     ms.Name,
 			Records:  ms.Records,
@@ -205,17 +118,7 @@ func localClusterView(c *Coordinator) clusterJSON {
 	}
 	if fi := c.FanInStats(); fi.Enabled {
 		out.Coordinator = fi.ID
-		out.FanIn = &fanInJSON{
-			Enabled: true, ID: fi.ID, Peers: fi.Peers,
-			LogLen: fi.LogLen, MaxEpoch: fi.MaxEpoch, Floor: fi.Floor,
-			LeaseHolder: fi.LeaseHolder, LeaseUntil: fi.LeaseUntil, Holding: fi.Holding,
-			OpenRuns: fi.OpenRuns, LastGossipErr: fi.LastGossipErr,
-			Appends: fi.Appends, Applies: fi.Applies, Rejects: fi.Rejects,
-			Gossips: fi.Gossips, GossipErrs: fi.GossipErrs,
-			Acquired: fi.Acquired, Denied: fi.Denied, Steals: fi.Steals,
-			Resumes: fi.Resumes, Repairs: fi.Repairs, Compactions: fi.Compactions,
-			HintsForwarded: fi.HintsForwarded,
-		}
+		out.FanIn = &fi
 	}
 	return out
 }
@@ -306,7 +209,7 @@ func mergeClusterView(out *clusterJSON, pv clusterJSON) {
 	m.Migrations += pm.Migrations
 	m.Aborts += pm.Aborts
 	m.Resumes += pm.Resumes
-	m.TotalMoved += pm.TotalMoved
+	m.TotalRecordsMoved += pm.TotalRecordsMoved
 	if pm.MaxSwapNanos > m.MaxSwapNanos {
 		m.MaxSwapNanos = pm.MaxSwapNanos
 	}
@@ -315,7 +218,7 @@ func mergeClusterView(out *clusterJSON, pv clusterJSON) {
 		// per-range machine is the authoritative progress.
 		active := *pm
 		active.Migrations, active.Aborts, active.Resumes = m.Migrations, m.Aborts, m.Resumes
-		active.TotalMoved, active.MaxSwapNanos = m.TotalMoved, m.MaxSwapNanos
+		active.TotalRecordsMoved, active.MaxSwapNanos = m.TotalRecordsMoved, m.MaxSwapNanos
 		if active.LastOutcome == "" {
 			active.LastOutcome = m.LastOutcome
 		}

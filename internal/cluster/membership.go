@@ -150,18 +150,21 @@ func (h *selfHeal) unpark(name string) {
 // SelfHealStats is a snapshot of the self-healing loops' counters.
 type SelfHealStats struct {
 	// Enabled reports whether EnableSelfHeal has been called.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Heartbeats counts detector sweeps, Suspects the up→suspect
 	// transitions, Trips the breaker openings (any cause).
-	Heartbeats, Suspects, Trips int64
+	Heartbeats int64 `json:"heartbeats"`
+	Suspects   int64 `json:"suspects"`
+	Trips      int64 `json:"trips"`
 	// Demotions counts members auto-removed past their hint deadline;
 	// DemotionFailures the RemoveNode attempts that failed (retried on
 	// the next tick).
-	Demotions, DemotionFailures int64
+	Demotions        int64 `json:"demotions"`
+	DemotionFailures int64 `json:"demotion_failures"`
 	// Reweights counts applied BalancedWeights migrations.
-	Reweights int64
+	Reweights int64 `json:"reweights"`
 	// Demoted lists the parked identities, sorted.
-	Demoted []string
+	Demoted []string `json:"demoted,omitempty"`
 }
 
 // EnableSelfHeal turns on the self-healing membership loops with the
@@ -194,9 +197,6 @@ func (c *Coordinator) EnableSelfHeal(cfg SelfHealConfig) {
 		parked:      make(map[string]bool),
 	})
 }
-
-// SelfHealEnabled reports whether the self-healing loops are on.
-func (c *Coordinator) SelfHealEnabled() bool { return c.heal.Load() != nil }
 
 // Tick drives the self-healing loops at clock now — a heartbeat sweep
 // plus recovery probes when one is due, then the demotion deadline

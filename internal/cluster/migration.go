@@ -769,32 +769,32 @@ func (c *Coordinator) setMigOutcome(s string) { c.migLast.Store(&s) }
 type MigrationStats struct {
 	// Active reports a run in flight or halted; Kind is join, leave or
 	// reweight, Target the member joining/leaving ("" for reweight).
-	Active bool
-	Kind   string
-	Target string
+	Active bool   `json:"active"`
+	Kind   string `json:"kind,omitempty"`
+	Target string `json:"target,omitempty"`
 	// Halted reports a run stopped mid-flight awaiting Resume or Abort;
 	// HaltCause is why.
-	Halted    bool
-	HaltCause string
+	Halted    bool   `json:"halted,omitempty"`
+	HaltCause string `json:"halt_cause,omitempty"`
 	// Per-range state machine counts for the active run.
-	Ranges          int
-	RangesPending   int
-	RangesCopying   int
-	RangesDual      int
-	RangesCommitted int
+	Ranges          int `json:"ranges,omitempty"`
+	RangesPending   int `json:"ranges_pending,omitempty"`
+	RangesCopying   int `json:"ranges_copying,omitempty"`
+	RangesDual      int `json:"ranges_dual,omitempty"`
+	RangesCommitted int `json:"ranges_committed,omitempty"`
 	// RecordsMoved counts the records copied by the active run so far.
-	RecordsMoved int64
+	RecordsMoved int64 `json:"records_moved,omitempty"`
 
 	// Lifetime counters: committed runs, aborted runs, resumes, total
 	// records moved, and the longest routing-lock hold the engine ever
 	// took (nanoseconds) — the O(1)-swap proof.
-	Migrations        int64
-	Aborts            int64
-	Resumes           int64
-	TotalRecordsMoved int64
-	MaxSwapNanos      int64
+	Migrations        int64 `json:"migrations"`
+	Aborts            int64 `json:"aborts"`
+	Resumes           int64 `json:"resumes"`
+	TotalRecordsMoved int64 `json:"total_records_moved"`
+	MaxSwapNanos      int64 `json:"max_swap_ns"`
 	// LastOutcome describes the most recently finished run.
-	LastOutcome string
+	LastOutcome string `json:"last_outcome,omitempty"`
 }
 
 // MigrationStats snapshots the migration engine without blocking behind

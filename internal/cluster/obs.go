@@ -66,9 +66,6 @@ func (c *Coordinator) initObs() {
 // bookkeeping.
 func (c *Coordinator) SetTraceSampling(n int) { c.sampler.SetEvery(int64(n)) }
 
-// TraceSampling returns the current sampling period.
-func (c *Coordinator) TraceSampling() int { return int(c.sampler.Every()) }
-
 // TraceRing exposes the coordinator's trace ring (GET /trace).
 func (c *Coordinator) TraceRing() *obs.TraceRing { return c.traceRing }
 

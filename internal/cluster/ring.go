@@ -152,9 +152,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Has reports whether name is a member.
-func (r *Ring) Has(name string) bool { return r.names[name] }
-
 // Owner returns the member owning id, or "" on an empty ring.
 func (r *Ring) Owner(id string) string { return r.ownerAt(wire.KeyHash(id)) }
 

@@ -1,6 +1,6 @@
 // Package experiments defines the paper's evaluation scenarios and the
-// runners that regenerate each table and figure (see DESIGN.md §4 for the
-// experiment index).
+// runners that regenerate each table and figure (the README's "Reproduce
+// the paper" section and cmd/drsim's package comment index them).
 package experiments
 
 import (

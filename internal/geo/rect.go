@@ -118,6 +118,3 @@ func (r Rect) DistanceTo(p Point) float64 {
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
 }
-
-// CenterDist returns the distance between the centers of r and s.
-func (r Rect) CenterDist(s Rect) float64 { return r.Center().Dist(s.Center()) }

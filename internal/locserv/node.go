@@ -176,9 +176,6 @@ func NewNodeService(svc *Service, factory AutoRegister) *NodeService {
 // Service returns the underlying store.
 func (n *NodeService) Service() *Service { return n.s }
 
-// Factory returns the node's predictor factory.
-func (n *NodeService) Factory() AutoRegister { return n.new }
-
 // Register implements Node.
 func (n *NodeService) Register(id ObjectID) error {
 	if n.new == nil {

@@ -1,7 +1,8 @@
 // Package mapgen generates synthetic road networks with controlled
 // movement-relevant properties (curvature, intersection density, traffic
 // signals, road classes). It substitutes for the proprietary car-navigation
-// map used in the paper; see DESIGN.md §2 for the substitution argument.
+// map used in the paper (the generators row of the README's "Architecture:
+// paper → packages" table).
 //
 // All generators are deterministic functions of their seed.
 package mapgen

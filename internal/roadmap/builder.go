@@ -37,9 +37,6 @@ func (b *Builder) AddSignalNode(pt geo.Point) NodeID {
 	return id
 }
 
-// NodePoint returns the location of a previously added node.
-func (b *Builder) NodePoint(id NodeID) geo.Point { return b.nodes[id].Pt }
-
 // LinkSpec describes a link to add.
 type LinkSpec struct {
 	From, To   NodeID

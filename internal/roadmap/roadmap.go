@@ -112,9 +112,6 @@ func (l *Link) Speed() float64 {
 	return l.Class.DefaultSpeed()
 }
 
-// Cum returns the cached cumulative arc lengths of the shape vertices.
-func (l *Link) Cum() []float64 { return l.cum }
-
 // PointAt returns the point and heading at arc length offset from the From
 // node, independent of travel direction. offset is clamped.
 func (l *Link) PointAt(offset float64) (geo.Point, float64) {

@@ -269,17 +269,6 @@ func (g *LiveGrid[M]) Extent() geo.Rect {
 	return b
 }
 
-// VisitCell calls fn for every member in cell c until fn returns false.
-// It reports whether the visit ran to completion.
-func (g *LiveGrid[M]) VisitCell(c Cell, fn func(M) bool) bool {
-	for _, m := range g.cells[c] {
-		if !fn(m) {
-			return false
-		}
-	}
-	return true
-}
-
 // VisitCells calls fn for every occupied cell until fn returns false.
 // The member slice is the grid's own storage: callers must not retain or
 // mutate it. Iteration order is unspecified (map order).

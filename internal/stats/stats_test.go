@@ -133,6 +133,13 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("expected 4 lines, got %d", len(lines))
 	}
+	// The last column is padded like the others ("1.5" under "value"),
+	// but no line may carry that padding to its end.
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " ") {
+			t.Errorf("line %q ends in padding", line)
+		}
+	}
 }
 
 func TestTableCSV(t *testing.T) {

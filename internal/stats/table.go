@@ -64,8 +64,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 			}
 			fmt.Fprintf(&sb, "%-*s", widths[i], cell)
 		}
-		sb.WriteString("\n")
-		n, err := io.WriteString(w, strings.TrimRight(sb.String(), " ")+"")
+		n, err := io.WriteString(w, strings.TrimRight(sb.String(), " ")+"\n")
 		total += int64(n)
 		return err
 	}

@@ -1,7 +1,8 @@
 // Package tracegen simulates the movement of mobile objects over a road
 // network and produces ground-truth GPS traces at a fixed sampling rate.
 // It replaces the real DGPS recordings used in the paper (Table 1) with
-// kinematically plausible synthetic equivalents; see DESIGN.md §2.
+// kinematically plausible synthetic equivalents (the generators row of
+// the README's "Architecture: paper → packages" table).
 //
 // The generator is split into route selection (Wander, or a pre-computed
 // Route for through-corridors) and longitudinal dynamics (DriveRoute):
