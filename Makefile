@@ -9,8 +9,8 @@ GO ?= go
 # BENCH_BASELINE is the previous committed gate file the fresh numbers
 # are compared against: any gate metric regressing by more than
 # BENCH_MAXREGRESS (relative) fails the target.
-BENCH_JSON ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
+BENCH_JSON ?= BENCH_11.json
+BENCH_BASELINE ?= BENCH_10.json
 BENCH_MAXREGRESS ?= 0.30
 # The gate benchmarks: the prediction-walk/cursor pair, the end-to-end
 # source+server quiet-period pair, the 10k-object fleet step, the
@@ -24,11 +24,14 @@ BENCH_MAXREGRESS ?= 0.30
 # across two membership-replicating fronts; gate: beat the
 # single-front replicated number), and the live-index churn pair
 # (range and 10-NN queries interleaved with full-rate ingest at 10k
-# objects; gate: live >= 3x the scan baseline's queries/s), and the
+# objects; gate: live >= 3x the scan baseline's queries/s), the
+# long-quiet pair (the same queries over 10k objects whose report ages
+# follow the city stream's shape, live vs forced scan; gate: the live
+# 10-NN allocates <= 32 times), and the
 # untraced metrics record path (sampler check + histogram record;
 # gate: zero allocations — instrumentation must stay free on the hot
 # path).
-BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|WithinChurn|NearestChurn|ObsRecordUntraced
+BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
 BENCH_PKGS = ./internal/core ./internal/locserv ./internal/sim ./internal/cluster ./internal/obs
 
 check: vet staticcheck build race bench-check

@@ -31,7 +31,7 @@ func runChurn(cfg fleetConfig, csv bool) error {
 	}
 	tb := stats.NewTable("objects", "shards", "workers", "updates", "updates/s",
 		"queries", "q p50 [us]", "p95 [us]", "p99 [us]",
-		"cell moves", "bound recomps", "cells/query", "ring exps", "fallbacks")
+		"cell moves", "bound recomps", "cells/query", "k-NN frontier cells", "fallbacks")
 	for _, base := range []int{10_000, 100_000} {
 		n := int(float64(base) * cfg.scale)
 		if n < 64 {

@@ -17,6 +17,9 @@ package locserv
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -427,6 +430,100 @@ func BenchmarkNearestChurn(b *testing.B) {
 	}
 	b.Run("live", func(b *testing.B) { benchChurn(b, false, nearest) })
 	b.Run("scan", func(b *testing.B) { benchChurn(b, true, nearest) })
+}
+
+// --- quiet benchmarks: queries over long-quiet objects ------------------
+//
+// The churn gates above use one speed and fresh reports, where every
+// displacement fold is tight. BenchmarkNearestQuiet and
+// BenchmarkWithinQuiet are the gates for what the protocol is for —
+// objects that have gone quiet: 10k objects on 16 shards at 0–22 m/s
+// whose report ages follow the city stream's shape (p50 ≈ 14 s,
+// p90 ≈ 46 s, max 180 s), so fast-stale and slow-fresh objects share
+// cells and the index has to find objects that have really drifted
+// v·age from their reports. "scan" pins every shard to the brute-force
+// path.
+//
+//	go test -bench=Quiet -benchtime=1s -benchmem ./internal/locserv
+
+// quietNow is the query time of the quiet benchmarks.
+const quietNow = 200.0
+
+// quietService returns benchObjects linear movers spread uniformly over
+// a 10x10 km area with log-normal report ages before quietNow.
+func quietService(b *testing.B, forceScan bool) *Service {
+	b.Helper()
+	rng := rand.New(rand.NewSource(15))
+	s := NewSharded(16)
+	batch := make([]Update, benchObjects)
+	for i := range batch {
+		id := ObjectID(fmt.Sprintf("veh-%05d", i))
+		if err := s.Register(id, core.LinearPredictor{}); err != nil {
+			b.Fatal(err)
+		}
+		age := math.Min(14*math.Exp(0.93*rng.NormFloat64()), 180)
+		batch[i] = Update{ID: id, Update: core.Update{Report: core.Report{
+			Seq: 1, T: quietNow - age,
+			Pos:     geo.Pt(rng.Float64()*10000, rng.Float64()*10000),
+			V:       rng.Float64() * 22,
+			Heading: rng.Float64() * 2 * math.Pi,
+		}}}
+	}
+	if err := s.ApplyBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	if forceScan {
+		forceScanPath(s)
+	}
+	return s
+}
+
+// quietPoint walks the query location over the area.
+func quietPoint(n int) geo.Point {
+	return geo.Pt(float64(n*37%100)*100+50, float64(n*61%100)*100+50)
+}
+
+// BenchmarkNearestQuiet: 10-NN over long-quiet objects. The live side
+// also pins the query's allocation count: one heap and one frontier per
+// fan-out worker, not per shard.
+func BenchmarkNearestQuiet(b *testing.B) {
+	run := func(b *testing.B, forceScan bool) float64 {
+		s := quietService(b, forceScan)
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if hits := s.Nearest(quietPoint(n), 10, quietNow); len(hits) != 10 {
+				b.Fatalf("hits = %d", len(hits))
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(b.N)
+	}
+	b.Run("live", func(b *testing.B) {
+		if allocs := run(b, false); allocs > 32 {
+			b.Fatalf("live 10-NN allocates %.1f times per query, want <= 32", allocs)
+		}
+	})
+	b.Run("scan", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkWithinQuiet: 1 km x 1 km range queries over long-quiet
+// objects.
+func BenchmarkWithinQuiet(b *testing.B) {
+	run := func(b *testing.B, forceScan bool) {
+		s := quietService(b, forceScan)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			p := quietPoint(n)
+			s.Within(geo.Rect{Min: geo.Pt(p.X-500, p.Y-500), Max: geo.Pt(p.X+500, p.Y+500)}, quietNow)
+		}
+	}
+	b.Run("live", func(b *testing.B) { run(b, false) })
+	b.Run("scan", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkStoreThroughputInterleaved fixes a blind spot in

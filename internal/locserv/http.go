@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"mapdr/internal/geo"
@@ -152,18 +153,30 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-func queryFloat(r *http.Request, key string) (float64, bool) {
-	v, err := strconv.ParseFloat(r.URL.Query().Get(key), 64)
-	return v, err == nil
+// queryFloats parses the named query parameters of a request — the
+// query string is decoded once, not once per parameter — and reports
+// whether every one is present and a number.
+func queryFloats(q url.Values, keys ...string) ([]float64, bool) {
+	vals := make([]float64, len(keys))
+	for i, key := range keys {
+		v, err := strconv.ParseFloat(q.Get(key), 64)
+		if err != nil {
+			return nil, false
+		}
+		vals[i] = v
+	}
+	return vals, true
 }
 
 // statsJSON is the GET /stats body. wire_bytes counts applied report
 // encodings only (Service.WireBytes) — record ids and frame headers are
 // transport overhead, visible in the client's wire.Stats instead. The
 // index_* counters expose the live spatial index's health: write-path
-// cell moves and bound recomputes, read-path pruning effort (cells
-// visited, k-NN rings expanded), and the indexed-vs-scan query mix
-// (scan fallbacks only happen for unbounded-predictor objects).
+// cell moves and fold recomputes, read-path pruning effort (cells
+// visited; index_ring_expansions counts the cells k-NN queries took off
+// their bound-ordered frontiers — the field name is kept for its
+// readers), and the indexed-vs-scan query mix (scan fallbacks only
+// happen for unbounded-predictor objects).
 type statsJSON struct {
 	Objects              int   `json:"objects"`
 	Shards               int   `json:"shards"`
@@ -267,13 +280,14 @@ type posJSON struct {
 }
 
 func handlePosition(w http.ResponseWriter, r *http.Request, q Querier) {
-	id := ObjectID(r.URL.Query().Get("id"))
-	t, okT := queryFloat(r, "t")
+	params := r.URL.Query()
+	id := ObjectID(params.Get("id"))
+	v, okT := queryFloats(params, "t")
 	if id == "" || !okT {
 		http.Error(w, "need id and t", http.StatusBadRequest)
 		return
 	}
-	pos, ok := q.Position(id, t)
+	pos, ok := q.Position(id, v[0])
 	if !ok {
 		http.Error(w, "unknown object or no report", http.StatusNotFound)
 		return
@@ -282,15 +296,14 @@ func handlePosition(w http.ResponseWriter, r *http.Request, q Querier) {
 }
 
 func handleNearest(w http.ResponseWriter, r *http.Request, q Querier) {
-	x, okX := queryFloat(r, "x")
-	y, okY := queryFloat(r, "y")
-	t, okT := queryFloat(r, "t")
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if !okX || !okY || !okT || err != nil || k <= 0 {
+	params := r.URL.Query()
+	v, ok := queryFloats(params, "x", "y", "t")
+	k, err := strconv.Atoi(params.Get("k"))
+	if !ok || err != nil || k <= 0 {
 		http.Error(w, "need x, y, t and positive k", http.StatusBadRequest)
 		return
 	}
-	writeHits(w, q.Nearest(geo.Pt(x, y), k, t))
+	writeHits(w, q.Nearest(geo.Pt(v[0], v[1]), k, v[2]))
 }
 
 // writeHits writes a hit list as JSON. Dist rides only where it is
@@ -304,14 +317,10 @@ func writeHits(w http.ResponseWriter, hits []ObjectPos) {
 }
 
 func handleWithin(w http.ResponseWriter, r *http.Request, q Querier) {
-	minx, ok1 := queryFloat(r, "minx")
-	miny, ok2 := queryFloat(r, "miny")
-	maxx, ok3 := queryFloat(r, "maxx")
-	maxy, ok4 := queryFloat(r, "maxy")
-	t, okT := queryFloat(r, "t")
-	if !ok1 || !ok2 || !ok3 || !ok4 || !okT {
+	v, ok := queryFloats(r.URL.Query(), "minx", "miny", "maxx", "maxy", "t")
+	if !ok {
 		http.Error(w, "need minx, miny, maxx, maxy, t", http.StatusBadRequest)
 		return
 	}
-	writeHits(w, q.Within(geo.Rect{Min: geo.Pt(minx, miny), Max: geo.Pt(maxx, maxy)}, t))
+	writeHits(w, q.Within(geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}, v[4]))
 }

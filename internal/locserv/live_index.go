@@ -1,36 +1,48 @@
 package locserv
 
 import (
-	"container/heap"
 	"math"
 
 	"mapdr/internal/geo"
 	"mapdr/internal/spatial"
 )
 
-// Live spatial index maintenance and the indexed query algorithms.
+// Live spatial index: write-path maintenance and the bound-ordered
+// search.
 //
-// Each shard keeps a spatial.LiveGrid over the last reported positions
-// of its bounded-predictor objects, maintained in place by the write
-// path: an accepted update moves an object between cells only when its
-// report crosses a cell boundary, so quiet or smoothly moving fleets
-// cost O(moved objects) per batch and the read side never rebuilds
-// anything. The grid stores the shard's own *objEntry records
-// (intrusively, via objEntry.slot), so neither the write path nor a
-// query's candidate walk hashes an object key. Per cell, the shard
-// folds a displacement bound (max bound speed, oldest/newest report
-// time) from which a query derives how far any resident can have
-// drifted from the cell rectangle by query time — the pruning radius
-// for range and ring k-NN queries. Folds are monotone (they only
-// loosen), so bounds are recomputed exactly when a resident leaves the
-// cell and whenever a cell has absorbed more folds than it has
-// residents; that keeps the amortised maintenance cost O(1) per update
-// while steadily reporting fleets keep tight bounds.
+// Each shard keeps a spatial.LiveGrid over the last reports of its
+// bounded-predictor objects, maintained in place by the write path: an
+// accepted update overwrites the object's report summary (position,
+// displacement-bound speed, report time) and moves it between cells
+// only when the report crosses a cell boundary. Cells are sized for
+// about liveCellResidents objects and sit in one dense table with their
+// rectangle, the fold (max bound speed, oldest/newest report time) of
+// their residents and the residents' summaries inline.
+//
+// The protocol lets objects go quiet, so an object can have drifted
+// v·|t−T| from its report by query time t — hundreds of metres for the
+// fast and stale, nothing for the slow and fresh. A query therefore
+// bounds twice before it pays for Position(t): a cell can matter only
+// if its rectangle, grown by the fold's reach, meets the query; a
+// resident of such a cell only if its own report, grown by its own
+// reach, does. A range query applies both tests in one pass over the
+// table. A k-nearest query turns them into lower bounds on distance
+// (lowerBound), visits cells in ascending bound order and stops when
+// the next bound strictly exceeds the current k-th best distance —
+// strictly, because PosLess breaks distance ties by id and an
+// equal-distance candidate can still win. Candidates that survive are
+// evaluated exactly like the scan path, and the retained set is the
+// top-k under the total order PosLess, which is insertion-order
+// independent: answers are bit-identical to the scan oracles.
+//
+// The pass over the cell summaries is O(cells per shard) per query —
+// the known scaling term; a pyramid of folds over the table is the
+// follow-up once a workload shows it.
 //
 // Objects whose predictor admits no displacement bound (tracked by
-// shard.unbounded) can be anywhere regardless of their reported cell,
-// so while any are present the shard answers from the scan path —
-// counted in IndexHealth.ScanFallbacks.
+// shard.unbounded) can be anywhere regardless of their report, so while
+// any are present the shard answers from the scan path — counted in
+// IndexHealth.ScanFallbacks.
 
 // liveCellInit is the cell size in metres a shard's grid starts with
 // before the first population-based resize.
@@ -40,44 +52,11 @@ const liveCellInit = 256.0
 // never revisited: tiny shards answer queries cheaply at any bucketing.
 const liveResizeMin = 32
 
-// liveShardFoldMin is the floor on how many monotone shard-bound folds
-// are absorbed before the shard-wide bound is recomputed from the cell
-// bounds.
-const liveShardFoldMin = 64
-
-// cellBound is the displacement bound folded over one cell's residents.
-// A resident reported at time T with bound speed v is within
-// v·|t−T| + 1 m of its reported position at query time t (the +1 m
-// absorbs map-matching rounding between a report's position and its
-// link offset point), so maxV together with the oldest and newest
-// resident report times bounds every resident's drift from the cell
-// rectangle.
-type cellBound struct {
-	maxV float64 // max displacement-bound speed across residents, m/s
-	minT float64 // oldest resident report time, s
-	maxT float64 // newest resident report time, s
-	// folds counts monotone folds since the last exact recompute; once
-	// it exceeds the cell population the bound is re-derived so that
-	// minT can advance past evicted reports.
-	folds int32
-}
-
-// reachAt returns how far a resident covered by the bound can be from
-// its reported position at query time t, in metres.
-func (cb *cellBound) reachAt(t float64) float64 {
-	return boundReach(cb.maxV, cb.minT, cb.maxT, t)
-}
-
-// boundReach is the drift radius for a (maxV, minT, maxT) bound at
-// query time t. Queries before the oldest report are covered too: a
-// predictor run backwards moves at most maxV·(maxT−t) from its report.
-func boundReach(maxV, minT, maxT, t float64) float64 {
-	dt := math.Max(t-minT, maxT-t)
-	if dt < 0 || math.IsNaN(dt) {
-		dt = 0
-	}
-	return maxV*dt + 1
-}
+// liveCellResidents is the cell population a resize aims for: enough
+// that the per-query pass over the cell summaries is short, few enough
+// that the per-resident tests inside a visited cell stay a cache line
+// or ten.
+const liveCellResidents = 16
 
 // noteAppliedLocked maintains the live index after e's server accepted
 // a new report. Caller holds the shard write lock.
@@ -89,108 +68,28 @@ func (sh *shard) noteAppliedLocked(e *objEntry) {
 	if !ok {
 		return
 	}
-	prev, cur, existed := sh.grid.Update(e, rep.Pos)
-	if existed && prev != cur {
-		sh.health.CellMoves.Add(1)
-		sh.recomputeCellBoundLocked(prev)
-	}
 	vb := e.db.DisplacementBound(rep)
-	if vb < 0 {
-		vb = 0
+	if !(vb > 0) {
+		vb = 0 // a negative (or NaN) bound speed drifts no further than the slack
 	}
-	cb := sh.bounds[cur]
-	if cb == nil {
-		sh.bounds[cur] = &cellBound{maxV: vb, minT: rep.T, maxT: rep.T}
-	} else {
-		if vb > cb.maxV {
-			cb.maxV = vb
-		}
-		if rep.T < cb.minT {
-			cb.minT = rep.T
-		}
-		if rep.T > cb.maxT {
-			cb.maxT = rep.T
-		}
-		cb.folds++
-		if int(cb.folds) > sh.grid.CellLen(cur) {
-			sh.recomputeCellBoundLocked(cur)
-		}
-	}
-	if vb > sh.maxV {
-		sh.maxV = vb
-	}
-	if rep.T < sh.minT {
-		sh.minT = rep.T
-	}
-	if rep.T > sh.maxT {
-		sh.maxT = rep.T
-	}
-	sh.shardFolds++
-	if sh.shardFolds > liveShardFoldMin && sh.shardFolds > len(sh.bounds) {
-		sh.recomputeShardBoundLocked()
-	}
+	sh.grid.Update(e, spatial.Report{Pos: rep.Pos, V: vb, T: rep.T})
 }
 
-// dropFromIndexLocked removes e from the grid (if present) and
-// restores the vacated cell's bound. Caller holds the write lock.
-func (sh *shard) dropFromIndexLocked(e *objEntry) {
-	if c, ok := sh.grid.Remove(e); ok {
-		sh.recomputeCellBoundLocked(c)
-	}
+// mutatedLocked closes a write-lock hold that changed the shard: it
+// advances the epoch readers assert index stability on, revisits the
+// cell size and publishes the grid's maintenance counts.
+func (sh *shard) mutatedLocked() {
+	sh.epoch++
+	sh.maybeResizeLocked()
+	moves, refolds := sh.grid.TakeCounts()
+	sh.health.CellMoves.Add(moves)
+	sh.health.BoundRecomputes.Add(refolds)
 }
 
-// recomputeCellBoundLocked re-derives cell c's bound exactly from its
-// current residents, deleting it when the cell is empty.
-func (sh *shard) recomputeCellBoundLocked(c spatial.Cell) {
-	members := sh.grid.CellMembers(c)
-	if len(members) == 0 {
-		delete(sh.bounds, c)
-		return
-	}
-	var maxV float64
-	minT, maxT := math.Inf(1), math.Inf(-1)
-	for _, e := range members {
-		rep, ok := e.srv.LastReport()
-		if !ok {
-			continue
-		}
-		if vb := e.db.DisplacementBound(rep); vb > maxV {
-			maxV = vb
-		}
-		if rep.T < minT {
-			minT = rep.T
-		}
-		if rep.T > maxT {
-			maxT = rep.T
-		}
-	}
-	cb := sh.bounds[c]
-	if cb == nil {
-		cb = &cellBound{}
-		sh.bounds[c] = cb
-	}
-	cb.maxV, cb.minT, cb.maxT, cb.folds = maxV, minT, maxT, 0
-	sh.health.BoundRecomputes.Add(1)
-}
-
-// recomputeShardBoundLocked re-derives the shard-wide bound fold from
-// the cell bounds (each of which is exact or conservatively monotone),
-// so the shard fold stays ≥ every cell bound.
-func (sh *shard) recomputeShardBoundLocked() {
-	sh.maxV = 0
-	sh.minT, sh.maxT = math.Inf(1), math.Inf(-1)
-	for _, cb := range sh.bounds {
-		if cb.maxV > sh.maxV {
-			sh.maxV = cb.maxV
-		}
-		if cb.minT < sh.minT {
-			sh.minT = cb.minT
-		}
-		if cb.maxT > sh.maxT {
-			sh.maxT = cb.maxT
-		}
-	}
-	sh.shardFolds = 0
+// liveCellSize is the cell size that puts about liveCellResidents of n
+// objects spread over a w-metre-wide extent in each cell.
+func liveCellSize(w float64, n int) float64 {
+	return w / math.Sqrt(float64(n)/liveCellResidents)
 }
 
 // maybeResizeLocked revisits the grid cell size after mutations. It is
@@ -215,27 +114,23 @@ func (sh *shard) maybeResizeLocked() {
 	if !ok {
 		return
 	}
-	span := int64(maxC.X) - int64(minC.X)
-	if dy := int64(maxC.Y) - int64(minC.Y); dy > span {
-		span = dy
-	}
-	w := float64(span+1) * sh.grid.CellSize()
-	want := w / math.Sqrt(float64(n))
-	if cur := sh.grid.CellSize(); want > 2*cur || want < cur/2 {
+	// Spans in int64: the bbox can straddle most of the int32 cell range.
+	span := max(int64(maxC.X)-int64(minC.X), int64(maxC.Y)-int64(minC.Y))
+	cur := sh.grid.CellSize()
+	if want := liveCellSize(float64(span+1)*cur, n); want > 2*cur || want < cur/2 {
 		sh.resizeLocked(true)
 	}
 }
 
-// resizeLocked rebuckets the grid to a cell size aimed at about one
-// object per cell over the exact occupied extent, then rebuilds the
-// cell bounds (Cell keys are invalidated by the rebucket). Unless
-// forced, a rebucket within 1.5× of the current size is skipped — the
-// bucketing is still fine and the O(n) rebuild is not free.
+// resizeLocked rebuckets the grid to liveCellSize over the exact
+// occupied extent. Unless forced, a rebucket within 1.5× of the current
+// size is skipped — the bucketing is still fine and the O(n) rebuild is
+// not free.
 func (sh *shard) resizeLocked(force bool) {
 	n := sh.grid.Len()
 	sh.sizedAt = n
 	b := sh.grid.Extent()
-	cell := math.Max(b.Width(), b.Height()) / math.Sqrt(float64(n))
+	cell := liveCellSize(math.Max(b.Width(), b.Height()), n)
 	if cell <= 0 || math.IsInf(cell, 0) || math.IsNaN(cell) {
 		cell = 1
 	}
@@ -243,248 +138,192 @@ func (sh *shard) resizeLocked(force bool) {
 		return
 	}
 	sh.grid.Rebucket(cell)
-	sh.rebuildBoundsLocked()
 }
 
-// rebuildBoundsLocked re-derives every cell bound and the shard fold
-// from scratch, after a rebucket invalidated the cell keys.
-func (sh *shard) rebuildBoundsLocked() {
-	sh.bounds = make(map[spatial.Cell]*cellBound, sh.grid.Cells())
-	sh.grid.VisitCells(func(c spatial.Cell, _ []*objEntry) bool {
-		sh.recomputeCellBoundLocked(c)
-		return true
-	})
-	sh.recomputeShardBoundLocked()
+// lowerBound returns a lower bound on the distance Service.Nearest will
+// compute for anything within reach of a point (or rectangle) at
+// computed distance d from the query point. Distances are compared as
+// computed, so the bound gives way by the rounding two hypot
+// evaluations can differ by — a few ulps of d, which outgrows the 1 m
+// slack in reach once coordinates pass 1e15 — and a bound that is not a
+// number (an infinite query coordinate against an edge cell) prunes
+// nothing.
+func lowerBound(d, reach float64) float64 {
+	b := d - reach - d*0x1p-48
+	if b != b {
+		return math.Inf(-1)
+	}
+	return b
 }
 
-// prunelessLocked reports whether the shard-wide displacement reach at
-// query time t is so large relative to the occupied extent that no
-// cell can be pruned: when the reach spans the whole occupied bbox,
-// every per-cell predicate passes and the indexed walk degenerates to
-// a full scan that still pays the ring/window machinery. Dispatch
-// takes the plain scan body instead — same candidates, same
-// evaluation, bit-identical answers — and the query is still counted
-// as indexed (the index made the decision; no fallback occurred).
-// Caller holds the read lock.
-func (sh *shard) prunelessLocked(t float64) bool {
-	if sh.grid.Saturated() > 0 {
-		// A member sits in an edge cell, where CellOf saturated its
-		// coordinate: cell indices no longer measure distance near it
-		// (ring lower bounds in particular are unsound), so answer by
-		// the scan body until it rebuckets or moves back into range.
-		return true
-	}
-	minC, maxC, ok := sh.grid.CellExtent()
-	if !ok {
-		return true
-	}
-	// Spans in int64: the monotone bbox can straddle most of the int32
-	// cell range after extreme positions have come and gone, where raw
-	// int32 subtraction would wrap.
-	span := int64(maxC.X) - int64(minC.X)
-	if dy := int64(maxC.Y) - int64(minC.Y); dy > span {
-		span = dy
-	}
-	return boundReach(sh.maxV, sh.minT, sh.maxT, t)*2 >= float64(span+1)*sh.grid.CellSize()
+// cellBound is one entry of a k-NN query's frontier: a cell of the
+// shard's table and the lower bound on its residents' distances.
+type cellBound struct {
+	bound float64
+	cell  int32
 }
 
-// withinIndexedLocked answers a range query through the live index.
-// Caller holds the read lock and has checked unbounded == 0.
-//
-// Soundness: every resident of cell c lies within cellBound.reachAt(t)
-// of its reported position, which is inside CellRect(c) — so a cell can
-// contribute a hit only if r expanded by the cell's reach intersects
-// the cell rectangle. Candidates from surviving cells are evaluated
-// exactly like the scan path (Position(t) + r.Contains), so the answer
-// set is identical to withinScanLocked by construction.
-func (sh *shard) withinIndexedLocked(r geo.Rect, t float64) []ObjectPos {
-	epoch := sh.epoch
-	var out []ObjectPos
-	var cellsVisited int64
-	visit := func(c spatial.Cell, members []*objEntry) {
-		cb := sh.bounds[c]
-		if cb == nil {
-			// No bound recorded (cannot happen: every grid insert folds
-			// one) — visit the cell rather than risk a miss.
-			cb = &cellBound{maxV: math.Inf(1)}
-		}
-		if !r.Expand(cb.reachAt(t)).Intersects(sh.grid.CellRect(c)) {
+func cellBoundLess(a, b cellBound) bool { return a.bound < b.bound }
+
+// posWorse orders a bounded result heap: the root is the worst retained
+// hit, so a better candidate replaces it in O(log k).
+func posWorse(a, b ObjectPos) bool { return PosLess(b, a) }
+
+// heapUp and heapDown restore the order of a binary heap whose root is
+// the least element under less, after h[i] moved toward the root or the
+// leaves. They are generic over the element so neither the result heap
+// nor the frontier boxes its entries the way container/heap does.
+func heapUp[T any](h []T, i int, less func(a, b T) bool) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(h[i], h[parent]) {
 			return
 		}
-		cellsVisited++
-		for _, e := range members {
-			pos, ok := e.srv.Position(t)
-			if ok && r.Contains(pos) {
-				out = append(out, ObjectPos{ID: e.id, Pos: pos, Seq: e.srv.Seq()})
-			}
-		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	// Two enumeration strategies: walk the cells of the query window
-	// expanded by the shard-wide reach (tight windows), or walk the
-	// occupied cells (huge windows) — whichever touches fewer cells.
-	// The shard fold dominates every cell bound, so the expanded window
-	// contains every cell the per-cell predicate could accept.
-	grown := r.Expand(boundReach(sh.maxV, sh.minT, sh.maxT, t))
-	lo, hi := sh.grid.CellOf(grown.Min), sh.grid.CellOf(grown.Max)
-	if minC, maxC, ok := sh.grid.CellExtent(); ok {
-		lo.X, lo.Y = maxI32(lo.X, minC.X), maxI32(lo.Y, minC.Y)
-		hi.X, hi.Y = minI32(hi.X, maxC.X), minI32(hi.Y, maxC.Y)
-	}
-	// Spans in int64: CellOf saturates instead of overflowing, but the
-	// extent clamp can still invert an axis when the grown window misses
-	// the occupied bbox entirely. A degenerate or oversized window walks
-	// the occupied cells instead, where the per-cell predicate decides —
-	// never a silent zero-iteration loop over a legal query. The span
-	// guards also keep the cell-count product from overflowing and the
-	// int64 loop variables keep cx/cy from wrapping at the int32 edge.
-	spanX := int64(hi.X) - int64(lo.X) + 1
-	spanY := int64(hi.Y) - int64(lo.Y) + 1
-	occupied := int64(sh.grid.Cells())
-	if spanX > 0 && spanY > 0 && spanX <= occupied && spanY <= occupied && spanX*spanY <= occupied {
-		for cx := int64(lo.X); cx <= int64(hi.X); cx++ {
-			for cy := int64(lo.Y); cy <= int64(hi.Y); cy++ {
-				c := spatial.Cell{X: int32(cx), Y: int32(cy)}
-				if members := sh.grid.CellMembers(c); len(members) > 0 {
-					visit(c, members)
-				}
-			}
-		}
-	} else {
-		sh.grid.VisitCells(func(c spatial.Cell, members []*objEntry) bool {
-			visit(c, members)
-			return true
-		})
-	}
-	sh.health.CellsVisited.Add(cellsVisited)
-	if sh.epoch != epoch {
-		panic("locserv: index mutated under read lock")
-	}
-	return out
 }
 
-// nearestIndexedLocked answers a k-NN query by ring expansion over the
-// live grid. Caller holds the read lock and has checked unbounded == 0
-// and a non-empty grid.
-//
-// Soundness: a candidate in cell c is at least
-// dist(p, CellRect(c)) − reach_c from p, and every cell on ring ρ is at
-// least (ρ−1)·cellSize from p — clamping the ring center into the
-// occupied bbox preserves this, because clamping each axis toward the
-// range that contains every occupied cell's coordinate can only shrink
-// |center−c| per axis, so ρ never exceeds the Chebyshev distance from
-// p's true (unclamped, float) cell to c, for which the bound is the
-// standard one. Cells and rings are skipped only when
-// that lower bound strictly exceeds the current k-th best distance;
-// PosLess breaks distance ties by id, so an equal-distance candidate
-// can still win and is never pruned. The retained set is the top-k
-// under the total order PosLess, which is insertion-order independent —
-// hence bit-identical to the heap-scan reference.
-func (sh *shard) nearestIndexedLocked(p geo.Point, k int, t float64) []ObjectPos {
-	epoch := sh.epoch
-	minC, maxC, ok := sh.grid.CellExtent()
+func heapDown[T any](h []T, i int, less func(a, b T) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// nearestQuery is what one fan-out worker carries through the shards it
+// takes for a k-nearest query: one heap of the best hits so far, so each
+// shard prunes against the k-th distance of every shard before it, and
+// the scratch and tallies that would otherwise be allocated and
+// published per shard.
+type nearestQuery struct {
+	p geo.Point
+	k int
+	t float64
+	// heap holds up to k hits, rooted at the worst (posWorse).
+	heap     []ObjectPos
+	frontier []cellBound
+	queryTally
+}
+
+// kth returns the distance a candidate must not exceed to enter the
+// answer: the k-th best so far, or +Inf while fewer than k are held.
+func (q *nearestQuery) kth() float64 {
+	if len(q.heap) < q.k {
+		return math.Inf(1)
+	}
+	return q.heap[0].Dist
+}
+
+// offer evaluates e at the query time and keeps it if it is among the k
+// best seen.
+func (q *nearestQuery) offer(e *objEntry) {
+	pos, ok := e.srv.Position(q.t)
 	if !ok {
-		return nil
+		return
 	}
-	// Clamp the center cell into the occupied bbox: CellOf saturates for
-	// far-away query points, and unclamped centers would need ring
-	// arithmetic past the int32 range. Clamping each axis moves the
-	// center toward every occupied cell, so a cell's ring index only
-	// shrinks — (ring−1)·cellSize stays a true lower bound on the cell's
-	// distance to p (see the soundness note above) and no cell is pruned
-	// early; the empty rings a far-away center would have skipped via a
-	// start ring are simply never generated now.
-	center := sh.grid.CellOf(p)
-	center.X = minI32(maxI32(center.X, minC.X), maxC.X)
-	center.Y = minI32(maxI32(center.Y, minC.Y), maxC.Y)
-	// Rings beyond the bbox's farthest cell are empty. int64: the bbox
-	// can straddle most of the int32 cell range.
-	maxRing := maxI64(
-		maxI64(int64(center.X)-int64(minC.X), int64(maxC.X)-int64(center.X)),
-		maxI64(int64(center.Y)-int64(minC.Y), int64(maxC.Y)-int64(center.Y)),
-	)
-	// Ring marching probes O(ring) candidate cells per ring whether or
-	// not they are occupied. A well-sized grid keeps the bbox span near
-	// √occupied, but the monotone bbox can be far larger — stale edge
-	// cells after an extreme position came and went, or a sparse
-	// unresized shard spread wide — and then marching rings over empty
-	// space costs more than evaluating every object. Take the scan body
-	// instead: same candidates, same evaluation, bit-identical answer.
-	if maxRing > 64+8*int64(math.Sqrt(float64(sh.grid.Cells()))) {
-		return sh.nearestScanLocked(p, k, t)
+	op := ObjectPos{ID: e.id, Pos: pos, Dist: q.p.Dist(pos), Seq: e.srv.Seq()}
+	if len(q.heap) < q.k {
+		q.heap = append(q.heap, op)
+		heapUp(q.heap, len(q.heap)-1, posWorse)
+	} else if PosLess(op, q.heap[0]) {
+		q.heap[0] = op
+		heapDown(q.heap, 0, posWorse)
 	}
-	cellSize := sh.grid.CellSize()
-	shardReach := boundReach(sh.maxV, sh.minT, sh.maxT, t)
-	occupied := sh.grid.Cells()
-	top := k
-	if n := sh.grid.Len(); n < top {
-		top = n
-	}
-	h := make(posHeap, 0, top)
-	var cellsVisited, rings int64
-	visited := 0
-	for ring := int64(0); ring <= maxRing; ring++ {
-		if len(h) == k && float64(ring-1)*cellSize-shardReach > h[0].Dist {
-			break
-		}
-		rings++
-		sh.grid.VisitRing(center, ring, func(c spatial.Cell, members []*objEntry) bool {
-			visited++
-			cb := sh.bounds[c]
-			if cb == nil {
-				cb = &cellBound{maxV: math.Inf(1)}
-			}
-			if len(h) == k && sh.grid.CellRect(c).DistanceTo(p)-cb.reachAt(t) > h[0].Dist {
-				return true
-			}
-			cellsVisited++
-			for _, e := range members {
-				pos, ok := e.srv.Position(t)
-				if !ok {
-					continue
-				}
-				op := ObjectPos{ID: e.id, Pos: pos, Dist: p.Dist(pos), Seq: e.srv.Seq()}
-				if len(h) < k {
-					heap.Push(&h, op)
-				} else if PosLess(op, h[0]) {
-					h[0] = op
-					heap.Fix(&h, 0)
-				}
-			}
-			return true
-		})
-		if visited == occupied {
-			break // every occupied cell seen; farther rings are empty
+}
+
+// nearestIndexedLocked feeds q from the shard's live index by
+// bound-ordered search (see the file comment). Caller holds the read
+// lock and has checked unbounded == 0.
+func (sh *shard) nearestIndexedLocked(q *nearestQuery) {
+	epoch := sh.epoch
+	cells := sh.grid.Cells()
+	fr := q.frontier[:0]
+	kth := q.kth()
+	for i := range cells {
+		c := &cells[i]
+		if b := lowerBound(c.Rect.DistanceTo(q.p), c.Reach(q.t)); !(b > kth) {
+			fr = append(fr, cellBound{b, int32(i)})
 		}
 	}
-	sh.health.CellsVisited.Add(cellsVisited)
-	sh.health.RingExpansions.Add(rings)
-	out := make([]ObjectPos, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ObjectPos)
+	for i := len(fr)/2 - 1; i >= 0; i-- {
+		heapDown(fr, i, cellBoundLess)
+	}
+	for len(fr) > 0 && !(fr[0].bound > q.kth()) {
+		c := &cells[fr[0].cell]
+		last := len(fr) - 1
+		fr[0], fr = fr[last], fr[:last]
+		heapDown(fr, 0, cellBoundLess)
+		q.cells++
+		for j := range c.Res {
+			r := &c.Res[j]
+			if lowerBound(q.p.Dist(r.Pos), r.Reach(q.t)) > q.kth() {
+				continue
+			}
+			q.evaluated++
+			q.offer(r.M)
+		}
+	}
+	q.frontier = fr
+	if sh.epoch != epoch {
+		panic("locserv: index mutated under read lock")
+	}
+}
+
+// withinQuery is what one fan-out worker carries through the shards it
+// takes for a range query: one output slice and the tallies.
+type withinQuery struct {
+	r   geo.Rect
+	t   float64
+	out []ObjectPos
+	queryTally
+}
+
+// offer evaluates e at the query time and keeps it if it is inside the
+// window.
+func (q *withinQuery) offer(e *objEntry) {
+	if pos, ok := e.srv.Position(q.t); ok && q.r.Contains(pos) {
+		q.out = append(q.out, ObjectPos{ID: e.id, Pos: pos, Seq: e.srv.Seq()})
+	}
+}
+
+// withinIndexedLocked feeds q from the shard's live index. Caller holds
+// the read lock and has checked unbounded == 0.
+//
+// Soundness: a resident is within Report.Reach(t) of its reported
+// position, which LiveCell.Reach(t) dominates and which lies inside the
+// cell rectangle — so it can be a hit only if the window grown by its
+// own reach contains its report, and its cell can hold a hit only if
+// the window grown by the cell's reach meets the cell rectangle.
+func (sh *shard) withinIndexedLocked(q *withinQuery) {
+	epoch := sh.epoch
+	cells := sh.grid.Cells()
+	for i := range cells {
+		c := &cells[i]
+		if !q.r.Expand(c.Reach(q.t)).Intersects(c.Rect) {
+			continue
+		}
+		q.cells++
+		for j := range c.Res {
+			r := &c.Res[j]
+			if !q.r.Expand(r.Reach(q.t)).Contains(r.Pos) {
+				continue
+			}
+			q.evaluated++
+			q.offer(r.M)
+		}
 	}
 	if sh.epoch != epoch {
 		panic("locserv: index mutated under read lock")
 	}
-	return out
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

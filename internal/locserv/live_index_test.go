@@ -424,3 +424,201 @@ func TestLiveIndexExtremeCoordinates(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveIndexLooseFolds is the seeded property test for what the
+// churn test above does not stress: folds that are loose. Fast objects
+// that just reported share cells and shards with slow ones that went
+// quiet minutes ago, so a cell's fold (fastest speed × oldest age)
+// describes no resident and only the per-object bounds prune well;
+// static objects sit at exactly equal distances from a query point so
+// the k-th distance is a tie; a few objects are parked at ±1e15 where
+// CellOf saturates. Every round applies its updates from concurrent
+// writers while readers query (the -race half), deregisters and
+// re-registers objects, and twice swings the population far enough to
+// force rebuckets. Once the round's writers have joined, Nearest and
+// Within must equal the scan references exactly — ids, order, float64
+// coordinates — at query times before, between and after the report
+// times, for k from 1 to beyond the population. A failure names its
+// seed.
+func TestLiveIndexLooseFolds(t *testing.T) {
+	seeds := 12
+	if testing.Short() || raceEnabled {
+		seeds = 4 // the race detector slows the sweep ~10x; CI runs both modes
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		if msg := looseFoldsRun(int64(seed)); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// looseFoldsRun plays one seeded schedule and returns a description of
+// the first divergence from the scan references, or "".
+func looseFoldsRun(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSharded([]int{1, 4, 16}[seed%3])
+	tieCenter := geo.Pt(-20000, 15000)
+	clusters := []geo.Point{{X: 0, Y: 0}, {X: 3000, Y: 500}, {X: -2500, Y: 4000}}
+
+	seqs := map[ObjectID]uint32{}
+	var live []ObjectID
+	register := func(id ObjectID, pred core.Predictor) {
+		if err := s.Register(id, pred); err != nil {
+			panic(err)
+		}
+		seqs[id] = 0
+		live = append(live, id)
+	}
+	// report draws an object's next report at stream time now: half the
+	// fleet fast and fresh, half slow and long quiet, in shared clusters.
+	report := func(id ObjectID, now float64) Update {
+		seqs[id]++
+		c := clusters[rng.Intn(len(clusters))]
+		rep := core.Report{
+			Seq:     seqs[id],
+			Pos:     geo.Pt(c.X+rng.NormFloat64()*400, c.Y+rng.NormFloat64()*400),
+			Heading: rng.Float64() * 2 * math.Pi,
+		}
+		if rng.Intn(2) == 0 {
+			rep.T, rep.V = now-rng.Float64()*3, 15+rng.Float64()*25
+		} else {
+			rep.T, rep.V = now-30-rng.Float64()*270, rng.Float64()*2
+		}
+		return Update{ID: id, Update: core.Update{Report: rep}}
+	}
+	// park pins a static object at an exact position.
+	park := func(id ObjectID, pos geo.Point, now float64) {
+		register(id, core.StaticPredictor{})
+		seqs[id]++
+		if err := s.Apply(id, core.Update{Report: core.Report{Seq: seqs[id], T: now, Pos: pos}}); err != nil {
+			panic(err)
+		}
+	}
+
+	// Eight static objects at exactly 50 m and four at exactly 120 m from
+	// tieCenter (axis-aligned and 3-4-5 offsets: hypot is exact), far from
+	// the clusters, so every k up to 12 there cuts through a tie.
+	for i, d := range []geo.Point{
+		{X: 50}, {X: -50}, {Y: 50}, {Y: -50}, {X: 30, Y: 40}, {X: -30, Y: 40}, {X: 40, Y: -30}, {X: -40, Y: -30},
+		{X: 120}, {Y: -120}, {X: 72, Y: 96}, {X: -96, Y: 72},
+	} {
+		park(ObjectID(fmt.Sprintf("tie-%02d", i)), tieCenter.Add(d), 0)
+	}
+	for i, pos := range []geo.Point{{X: 1e15, Y: 10}, {X: -1e15, Y: -1e15}, {X: 300, Y: 1e15}} {
+		park(ObjectID(fmt.Sprintf("edge-%d", i)), pos, 0)
+	}
+	nextID := 0
+	grow := func(n int, now float64) []Update {
+		batch := make([]Update, n)
+		for i := range batch {
+			id := ObjectID(fmt.Sprintf("obj-%04d", nextID))
+			nextID++
+			if rng.Intn(8) == 0 {
+				register(id, core.CTRVPredictor{})
+			} else {
+				register(id, core.LinearPredictor{})
+			}
+			batch[i] = report(id, now)
+		}
+		return batch
+	}
+
+	check := func(now float64) string {
+		pop := s.Len()
+		points := append([]geo.Point{tieCenter, {X: 1e15, Y: 0}, {X: rng.Float64()*8000 - 4000, Y: rng.Float64()*8000 - 4000}}, clusters...)
+		rects := []geo.Rect{
+			{Min: tieCenter.Add(geo.Pt(-50, -50)), Max: tieCenter.Add(geo.Pt(50, 50))}, // ties on the boundary
+			{Min: geo.Pt(-600, -600), Max: geo.Pt(600, 600)},
+			{Min: geo.Pt(2000, -1000), Max: geo.Pt(4500, 1500)},
+			{Min: geo.Pt(-2e15, -2e15), Max: geo.Pt(2e15, 2e15)}, // everything, edge cells included
+			{Min: geo.Pt(9e14, -100), Max: geo.Pt(2e15, 100)},    // one edge cell's resident
+		}
+		for _, qt := range []float64{now, now + 90, now - 150, -500} {
+			for _, r := range rects {
+				if got, want := s.Within(r, qt), s.ReferenceWithin(r, qt); !reflect.DeepEqual(got, want) {
+					return fmt.Sprintf("Within(%v, t=%v): %d hits, scan %d\n got %v\nwant %v", r, qt, len(got), len(want), got, want)
+				}
+			}
+			for _, p := range points {
+				for _, k := range []int{1, 3, 8, 12, pop + 9} {
+					if got, want := s.Nearest(p, k, qt), s.ReferenceNearest(p, k, qt); !reflect.DeepEqual(got, want) {
+						return fmt.Sprintf("Nearest(%v, k=%d, t=%v) != scan\n got %v\nwant %v", p, k, qt, got, want)
+					}
+				}
+			}
+		}
+		return ""
+	}
+
+	const writers = 3
+	for round := 0; round < 8; round++ {
+		now := float64(round) * 40
+		var batch []Update
+		switch round {
+		case 0:
+			batch = grow(150, now)
+		case 3:
+			batch = grow(700, now) // the population swings up…
+		case 6:
+			rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+			cut := len(live) * 3 / 4 // …and back down: both rebucket
+			for _, id := range live[cut:] {
+				s.Deregister(id)
+				delete(seqs, id)
+			}
+			live = live[:cut]
+		}
+		for _, id := range live {
+			if _, moving := seqs[id]; moving && id[0] == 'o' && rng.Intn(3) == 0 {
+				batch = append(batch, report(id, now))
+			}
+		}
+		// Concurrent writers on disjoint objects (striped by position in
+		// the batch, each object appears once) and readers alongside.
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			var part []Update
+			for i := w; i < len(batch); i += writers {
+				part = append(part, batch[i])
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.ApplyBatch(part); err != nil {
+					panic(err)
+				}
+			}()
+		}
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(p geo.Point) {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Nearest(p, 10, now)
+					s.Within(geo.Rect{Min: p.Add(geo.Pt(-500, -500)), Max: p.Add(geo.Pt(500, 500))}, now)
+				}
+			}(clusters[r])
+		}
+		wg.Wait()
+		close(stop)
+		readers.Wait()
+		if msg := check(now); msg != "" {
+			return fmt.Sprintf("round %d: %s", round, msg)
+		}
+	}
+	rebuckets := int64(0)
+	for _, sh := range s.shards {
+		rebuckets += sh.grid.Rebuckets()
+	}
+	if st := s.IndexStats(); st.ScanFallbacks != 0 || rebuckets < 2 {
+		return fmt.Sprintf("schedule did not exercise the index: %d rebuckets, %+v", rebuckets, st)
+	}
+	return ""
+}

@@ -10,15 +10,19 @@
 // batches (ApplyBatch) that acquire each shard lock only once; range and
 // k-nearest queries fan out across the shards in parallel and merge
 // their partial answers. Each shard additionally keeps a live spatial
-// index of the last reported positions (a spatial.LiveGrid maintained in
-// place by the write path: an accepted report moves its object between
-// cells only when it crosses a cell boundary) with per-cell displacement
-// bounds folded from the predictors, so range queries prune by cell
-// rectangle + cell bound and k-nearest queries expand rings of cells
-// outward from the query point — with answers bit-identical to a full
-// scan by construction. Objects whose predictor admits no displacement
-// bound route the whole shard to the scan path instead (see
-// live_index.go).
+// index of the last reports (a spatial.LiveGrid maintained in place by
+// the write path: an accepted report moves its object between cells only
+// when it crosses a cell boundary) whose cells carry the displacement
+// fold of their residents and the residents' report summaries inline, so
+// a query bounds each cell and then each resident by how far it can have
+// drifted since its report before it evaluates a prediction — a range
+// query by window, a k-nearest query in ascending order of lower bound
+// until the bound passes the k-th best. A fan-out worker carries one
+// result heap (one output slice) through the shards it takes, so every
+// shard prunes against the node-wide k-th distance so far. Answers are
+// bit-identical to a full scan by construction. Objects whose predictor
+// admits no displacement bound route the whole shard to the scan path
+// instead (see live_index.go).
 //
 // The service is a real ingest server, not only a query store: updates
 // arrive through the internal/wire transport layer — in-process, over a
@@ -35,12 +39,12 @@
 package locserv
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,9 +83,14 @@ type Update struct {
 const DefaultShards = 16
 
 // parallelQueryMin is the store size above which fan-out queries spawn
-// one goroutine per shard; below it the per-shard work is too small to
-// pay for the scheduling.
+// worker goroutines; below it the per-shard work is too small to pay for
+// the scheduling.
 const parallelQueryMin = 1024
+
+// minShardsPerWorker caps the fan-out width: a worker's first shard is
+// searched with no k-th bound yet, so the bound it carries only pays off
+// over the shards that follow.
+const minShardsPerWorker = 4
 
 // Service is a thread-safe, sharded location service.
 type Service struct {
@@ -124,25 +133,31 @@ type Service struct {
 
 // IndexHealth counts the live spatial index's behaviour across all
 // shards. CellMoves tracks how often ingest actually crossed a cell
-// boundary (the only write-path index cost beyond a bound fold);
-// BoundRecomputes how often a cell bound was re-derived exactly;
-// CellsVisited and RingExpansions the read-side pruning effort. A
-// nonzero ScanFallbacks share means unbounded-predictor objects are
-// routing queries to the O(n) scan path. The counters are obs-registry
-// counters (same single atomic add as before), so they surface on
+// boundary (the only write-path index cost beyond a fold);
+// BoundRecomputes how often a cell fold was re-derived exactly;
+// CellsVisited, RingExpansions and CandidatesEvaluated the read-side
+// pruning effort — evaluated candidates per returned hit is what the
+// per-object prefilter buys. A nonzero ScanFallbacks share means
+// unbounded-predictor objects are routing queries to the O(n) scan path.
+// The counters are obs-registry counters, so they surface on
 // GET /metrics without a second accounting path.
 type IndexHealth struct {
 	// CellMoves counts accepted reports that moved an object between
 	// grid cells.
 	CellMoves *obs.Counter
-	// BoundRecomputes counts exact per-cell bound re-derivations
-	// (evictions, fold-budget refreshes, rebucket rebuilds).
+	// BoundRecomputes counts exact per-cell fold re-derivations
+	// (evictions and fold-budget refreshes).
 	BoundRecomputes *obs.Counter
-	// CellsVisited counts cells whose residents were evaluated by
-	// indexed queries (after per-cell bound pruning).
+	// CellsVisited counts cells whose residents were tested by indexed
+	// queries (after per-cell bound pruning).
 	CellsVisited *obs.Counter
-	// RingExpansions counts cell rings expanded by k-nearest queries.
+	// RingExpansions counts cells k-nearest queries took off the
+	// bound-ordered frontier. (The name is the wire's: it dates from when
+	// the search marched rings of cells.)
 	RingExpansions *obs.Counter
+	// CandidatesEvaluated counts residents indexed queries evaluated by
+	// Position(t), after the per-object prefilter.
+	CandidatesEvaluated *obs.Counter
 	// IndexedQueries counts queries answered through the live index.
 	IndexedQueries *obs.Counter
 	// ScanFallbacks counts queries answered by a linear scan because the
@@ -161,7 +176,31 @@ const (
 	stalenessMaxHits = 32
 )
 
-// IndexStats is a point-in-time copy of the index health counters.
+// queryTally is the index work one fan-out worker did for one query,
+// kept in the worker's own state and published once per query rather
+// than per shard.
+type queryTally struct {
+	indexed, fallbacks int64 // shards answered through the index / by scan
+	cells              int64 // cells whose residents were tested
+	evaluated          int64 // residents that reached Position(t)
+}
+
+func (t *queryTally) add(o queryTally) {
+	t.indexed += o.indexed
+	t.fallbacks += o.fallbacks
+	t.cells += o.cells
+	t.evaluated += o.evaluated
+}
+
+func (h *IndexHealth) publish(t queryTally) {
+	h.IndexedQueries.Add(t.indexed)
+	h.ScanFallbacks.Add(t.fallbacks)
+	h.CellsVisited.Add(t.cells)
+	h.CandidatesEvaluated.Add(t.evaluated)
+}
+
+// IndexStats is a point-in-time copy of the index health counters the
+// stats wire payload carries (CandidatesEvaluated is on /metrics only).
 type IndexStats struct {
 	CellMoves, BoundRecomputes, CellsVisited, RingExpansions int64
 	IndexedQueries, ScanFallbacks                            int64
@@ -208,22 +247,17 @@ type shard struct {
 	// health points at the service-wide index health counters.
 	health *IndexHealth
 
-	// grid holds the last reported position of every bounded-predictor
-	// object with a report; bounds holds the displacement bound folded
-	// over each occupied cell.
-	grid   *spatial.LiveGrid[*objEntry]
-	bounds map[spatial.Cell]*cellBound
+	// grid holds the last report of every bounded-predictor object that
+	// has one.
+	grid *spatial.LiveGrid[*objEntry]
 	// unbounded counts residents whose predictor admits no displacement
 	// bound; while nonzero, queries take the scan path.
 	unbounded int
 	// sizedAt is the grid population when the cell size was last chosen.
 	sizedAt int
-	// maxV/minT/maxT fold the cell bounds shard-wide (conservative,
-	// recomputed every shardFolds); epoch increments under the write
-	// lock on every mutation so readers can assert index stability.
-	maxV, minT, maxT float64
-	shardFolds       int
-	epoch            uint64
+	// epoch increments under the write lock on every mutation so readers
+	// can assert index stability.
+	epoch uint64
 }
 
 // New returns an empty service with DefaultShards shards.
@@ -250,11 +284,13 @@ func NewSharded(n int) *Service {
 			CellMoves: reg.Counter("mapdr_node_index_cell_moves_total",
 				"Accepted reports that moved an object between live-grid cells."),
 			BoundRecomputes: reg.Counter("mapdr_node_index_bound_recomputes_total",
-				"Exact per-cell displacement-bound re-derivations."),
+				"Exact per-cell displacement-fold re-derivations."),
 			CellsVisited: reg.Counter("mapdr_node_index_cells_visited_total",
-				"Cells whose residents were evaluated by indexed queries."),
+				"Cells whose residents were tested by indexed queries."),
 			RingExpansions: reg.Counter("mapdr_node_index_ring_expansions_total",
-				"Cell rings expanded by k-nearest queries."),
+				"Cells k-nearest queries took off the bound-ordered frontier."),
+			CandidatesEvaluated: reg.Counter("mapdr_node_index_candidates_evaluated_total",
+				"Residents indexed queries evaluated by prediction, after the per-object prefilter."),
 			IndexedQueries: reg.Counter("mapdr_node_index_indexed_queries_total",
 				"Shard queries answered through the live spatial index."),
 			ScanFallbacks: reg.Counter("mapdr_node_index_scan_fallbacks_total",
@@ -281,10 +317,7 @@ func NewSharded(n int) *Service {
 			objs:    make(map[ObjectID]*objEntry),
 			health:  &s.health,
 			grid:    spatial.NewLiveGrid[*objEntry](liveCellInit),
-			bounds:  make(map[spatial.Cell]*cellBound),
 			sizedAt: liveResizeMin / 2,
-			minT:    math.Inf(1),
-			maxT:    math.Inf(-1),
 		}
 	}
 	return s
@@ -330,7 +363,7 @@ func (s *Service) Register(id ObjectID, pred core.Predictor) error {
 		sh.unbounded++
 	}
 	sh.objs[id] = e
-	sh.epoch++
+	sh.mutatedLocked()
 	s.count.Add(1)
 	return nil
 }
@@ -344,10 +377,9 @@ func (s *Service) Deregister(id ObjectID) {
 		if !e.bounded {
 			sh.unbounded--
 		}
-		sh.dropFromIndexLocked(e)
+		sh.grid.Remove(e)
 		delete(sh.objs, id)
-		sh.epoch++
-		sh.maybeResizeLocked()
+		sh.mutatedLocked()
 		s.count.Add(-1)
 	}
 }
@@ -364,9 +396,8 @@ func (s *Service) Apply(id ObjectID, u core.Update) error {
 	accepted := e.srv.Apply(u)
 	if accepted {
 		sh.noteAppliedLocked(e)
-		sh.maybeResizeLocked()
 	}
-	sh.epoch++
+	sh.mutatedLocked()
 	sh.mu.Unlock()
 	if accepted {
 		s.applied.Add(1)
@@ -455,8 +486,7 @@ func (sh *shard) applyIdx(batch []Update, order []int32, errs []error) (_ []erro
 			apply(&batch[i])
 		}
 	}
-	sh.epoch++
-	sh.maybeResizeLocked()
+	sh.mutatedLocked()
 	return errs, applied, bytes
 }
 
@@ -557,40 +587,50 @@ func (s *Service) Objects() []ObjectID {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
-// forEachShard runs fn once per shard, in parallel when the store is
-// large enough for the fan-out to pay off.
-func (s *Service) forEachShard(fn func(i int, sh *shard)) {
-	// Cap the fan-out at the machine width: more goroutines than cores
-	// only adds scheduling overhead.
-	width := runtime.GOMAXPROCS(0)
-	if width > len(s.shards) {
-		width = len(s.shards)
+// fanWidth returns how many workers a fan-out query runs: one per core
+// up to a quarter of the shards (see minShardsPerWorker), and a single
+// inline pass when the store is too small for goroutines to pay off.
+func (s *Service) fanWidth() int {
+	width := min(runtime.GOMAXPROCS(0), len(s.shards)/minShardsPerWorker)
+	if width < 2 || s.count.Load() < parallelQueryMin {
+		return 1
 	}
-	if width == 1 || s.count.Load() < parallelQueryMin {
-		for i, sh := range s.shards {
-			fn(i, sh)
+	return width
+}
+
+// forEachShard runs fn once per shard on width workers (see fanWidth),
+// passing each call its worker's index so a worker can carry state from
+// one shard to the next.
+func (s *Service) forEachShard(width int, fn func(worker int, sh *shard)) {
+	if width == 1 {
+		for _, sh := range s.shards {
+			fn(0, sh)
 		}
 		return
 	}
 	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(s.shards) {
+				return
+			}
+			fn(w, s.shards[i])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(width)
-	for w := 0; w < width; w++ {
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					return
-				}
-				fn(i, s.shards[i])
-			}
+			work(w)
 		}()
 	}
+	work(0) // the caller is a worker too: one goroutine and one wake-up fewer
 	wg.Wait()
 }
 
@@ -603,103 +643,126 @@ func PosLess(a, b ObjectPos) bool {
 	return a.ID < b.ID
 }
 
-// posHeap is a bounded max-heap of query results: the root is the worst
-// retained hit, so a better candidate replaces it in O(log k).
-type posHeap []ObjectPos
+// sortNearest orders hits by PosLess and truncates them to k; an empty
+// answer is nil, whichever path produced it.
+func sortNearest(hits []ObjectPos, k int) []ObjectPos {
+	if len(hits) == 0 {
+		return nil
+	}
+	slices.SortFunc(hits, func(a, b ObjectPos) int {
+		switch {
+		case PosLess(a, b):
+			return -1
+		case PosLess(b, a):
+			return 1
+		}
+		return 0
+	})
+	return hits[:min(k, len(hits))]
+}
 
-func (h posHeap) Len() int           { return len(h) }
-func (h posHeap) Less(i, j int) bool { return PosLess(h[j], h[i]) }
-func (h posHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *posHeap) Push(x any)        { *h = append(*h, x.(ObjectPos)) }
-func (h *posHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// sortWithin orders hits by id; an empty answer is nil.
+func sortWithin(hits []ObjectPos) []ObjectPos {
+	if len(hits) == 0 {
+		return nil
+	}
+	slices.SortFunc(hits, func(a, b ObjectPos) int { return cmp.Compare(a.ID, b.ID) })
+	return hits
+}
 
 // Nearest returns up to k objects nearest to p at time t ("find the
 // nearest taxi cab", paper §1). Objects without a report yet are
-// skipped. Each shard reduces its objects to a local top-k via a bounded
-// heap; the partial answers are merged and truncated.
+// skipped. Each fan-out worker reduces the shards it takes to one top-k
+// heap; the workers' heaps are merged and truncated.
 func (s *Service) Nearest(p geo.Point, k int, t float64) []ObjectPos {
 	if k <= 0 {
 		return nil
 	}
 	start := time.Now()
-	parts := make([][]ObjectPos, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) { parts[i] = sh.nearest(p, k, t) })
-	var all []ObjectPos
-	for _, part := range parts {
-		all = append(all, part...)
+	qs := make([]nearestQuery, s.fanWidth())
+	for w := range qs {
+		qs[w] = nearestQuery{p: p, k: k, t: t, heap: make([]ObjectPos, 0, min(k, s.Len()))}
 	}
-	sort.Slice(all, func(i, j int) bool { return PosLess(all[i], all[j]) })
-	if len(all) > k {
-		all = all[:k]
+	s.forEachShard(len(qs), func(w int, sh *shard) { sh.nearest(&qs[w]) })
+	all, tally := qs[0].heap, qs[0].queryTally
+	for _, q := range qs[1:] {
+		all = append(all, q.heap...)
+		tally.add(q.queryTally)
 	}
+	all = sortNearest(all, k)
+	s.health.publish(tally)
+	s.health.RingExpansions.Add(tally.cells)
 	s.qNearest.RecordDur(time.Since(start))
 	s.recordStaleness(all, t)
 	return all
 }
 
-// nearest computes the shard-local top-k, sorted ascending — by ring
-// expansion over the live index when every resident's predictor is
-// displacement-bounded, by heap scan otherwise.
-func (sh *shard) nearest(p geo.Point, k int, t float64) []ObjectPos {
+// nearest feeds q from the shard — by bound-ordered search over the live
+// index when every resident's predictor is displacement-bounded, by scan
+// otherwise.
+func (sh *shard) nearest(q *nearestQuery) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if sh.unbounded > 0 {
-		sh.health.ScanFallbacks.Add(1)
-		return sh.nearestScanLocked(p, k, t)
+		q.fallbacks++
+		sh.nearestScanLocked(q)
+		return
 	}
-	sh.health.IndexedQueries.Add(1)
-	if sh.grid.Len() == 0 {
-		return nil // no reported objects; nothing can answer
-	}
-	if sh.prunelessLocked(t) {
-		return sh.nearestScanLocked(p, k, t)
-	}
-	return sh.nearestIndexedLocked(p, k, t)
+	q.indexed++
+	sh.nearestIndexedLocked(q)
 }
 
 // nearestScanLocked is the O(shard population) reference: every object
-// through a bounded max-heap. It is the correctness oracle for the
-// indexed path in tests and the fallback for unbounded predictors.
-func (sh *shard) nearestScanLocked(p geo.Point, k int, t float64) []ObjectPos {
-	top := k
-	if n := len(sh.objs); n < top {
-		top = n
+// offered to the heap. It is the correctness oracle for the indexed path
+// in tests and the fallback for unbounded predictors.
+func (sh *shard) nearestScanLocked(q *nearestQuery) {
+	for _, e := range sh.objs {
+		q.offer(e)
 	}
-	h := make(posHeap, 0, top)
-	for id, e := range sh.objs {
-		pos, ok := e.srv.Position(t)
-		if !ok {
-			continue
-		}
-		op := ObjectPos{ID: id, Pos: pos, Dist: p.Dist(pos), Seq: e.srv.Seq()}
-		if len(h) < k {
-			heap.Push(&h, op)
-		} else if PosLess(op, h[0]) {
-			h[0] = op
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]ObjectPos, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ObjectPos)
-	}
-	return out
 }
 
 // Within returns all objects predicted inside r at time t ("all users
 // currently inside a department of a store", paper §1), sorted by id.
 func (s *Service) Within(r geo.Rect, t float64) []ObjectPos {
 	start := time.Now()
-	parts := make([][]ObjectPos, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) { parts[i] = sh.within(r, t) })
-	var out []ObjectPos
-	for _, part := range parts {
-		out = append(out, part...)
+	qs := make([]withinQuery, s.fanWidth())
+	for w := range qs {
+		qs[w] = withinQuery{r: r, t: t}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	s.forEachShard(len(qs), func(w int, sh *shard) { sh.within(&qs[w]) })
+	out, tally := qs[0].out, qs[0].queryTally
+	for _, q := range qs[1:] {
+		out = append(out, q.out...)
+		tally.add(q.queryTally)
+	}
+	out = sortWithin(out)
+	s.health.publish(tally)
 	s.qWithin.RecordDur(time.Since(start))
 	s.recordStaleness(out, t)
 	return out
+}
+
+// within feeds q from the shard — through the live index when every
+// resident's predictor is displacement-bounded, by full scan otherwise.
+func (sh *shard) within(q *withinQuery) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.unbounded > 0 {
+		q.fallbacks++
+		sh.withinScanLocked(q)
+		return
+	}
+	q.indexed++
+	sh.withinIndexedLocked(q)
+}
+
+// withinScanLocked is the O(shard population) reference: evaluate every
+// object. It is the correctness oracle for the indexed path in tests
+// and the fallback for unbounded predictors.
+func (sh *shard) withinScanLocked(q *withinQuery) {
+	for _, e := range sh.objs {
+		q.offer(e)
+	}
 }
 
 // recordStaleness histograms report age and effective u_s for a sampled
@@ -752,41 +815,4 @@ func (s *Service) recordStaleness(hits []ObjectPos, t float64) {
 	if haveUS {
 		s.ansUS.Record(maxUS)
 	}
-}
-
-// within answers the shard-local range query — through the live index
-// when every resident's predictor is displacement-bounded, by full scan
-// otherwise.
-func (sh *shard) within(r geo.Rect, t float64) []ObjectPos {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.unbounded > 0 {
-		sh.health.ScanFallbacks.Add(1)
-		return sh.withinScanLocked(r, t)
-	}
-	sh.health.IndexedQueries.Add(1)
-	if sh.grid.Len() == 0 {
-		return nil // no reported objects; nothing can answer
-	}
-	if sh.prunelessLocked(t) {
-		return sh.withinScanLocked(r, t)
-	}
-	return sh.withinIndexedLocked(r, t)
-}
-
-// withinScanLocked is the O(shard population) reference: evaluate every
-// object. It is the correctness oracle for the indexed path in tests
-// and the fallback for unbounded predictors.
-func (sh *shard) withinScanLocked(r geo.Rect, t float64) []ObjectPos {
-	var out []ObjectPos
-	for id, e := range sh.objs {
-		pos, ok := e.srv.Position(t)
-		if !ok {
-			continue
-		}
-		if r.Contains(pos) {
-			out = append(out, ObjectPos{ID: id, Pos: pos, Seq: e.srv.Seq()})
-		}
-	}
-	return out
 }

@@ -9,7 +9,8 @@
 package locserv
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -162,9 +163,7 @@ func MergeFreshest(parts [][]ObjectPos) (fresh []ObjectPos, stale []Divergence) 
 			stale = append(stale, *d)
 		}
 	}
-	if len(stale) > 1 {
-		sort.Slice(stale, func(i, j int) bool { return stale[i].ID < stale[j].ID })
-	}
+	slices.SortFunc(stale, func(a, b Divergence) int { return cmp.Compare(a.ID, b.ID) })
 	return fresh, stale
 }
 
@@ -173,17 +172,12 @@ func MergeFreshest(parts [][]ObjectPos) (fresh []ObjectPos, stale []Divergence) 
 // k. stale reports replicas needing read repair.
 func MergeNearest(parts [][]ObjectPos, k int) (hits []ObjectPos, stale []Divergence) {
 	hits, stale = MergeFreshest(parts)
-	sort.Slice(hits, func(i, j int) bool { return PosLess(hits[i], hits[j]) })
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits, stale
+	return sortNearest(hits, k), stale
 }
 
 // MergeWithin merges per-node range answers: freshest copy per object,
 // sorted by id — the same order a single store returns.
 func MergeWithin(parts [][]ObjectPos) (hits []ObjectPos, stale []Divergence) {
 	hits, stale = MergeFreshest(parts)
-	sort.Slice(hits, func(i, j int) bool { return hits[i].ID < hits[j].ID })
-	return hits, stale
+	return sortWithin(hits), stale
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -286,6 +288,34 @@ func TestStatsEndpointHealthCounters(t *testing.T) {
 	}
 	if body["index_cell_moves"] != st.CellMoves || body["index_scan_fallbacks"] != st.ScanFallbacks {
 		t.Errorf("/stats counters diverge from IndexStats: %v vs %+v", body, st)
+	}
+	// index_ring_expansions is the cells k-NN queries took off their
+	// frontiers: at least one per query, never more than all cells
+	// visited.
+	if st.RingExpansions < 20 || st.RingExpansions > st.CellsVisited {
+		t.Errorf("ring expansions = %d after 20 k-NN queries with %d cells visited", st.RingExpansions, st.CellsVisited)
+	}
+
+	// Evaluated candidates are on /metrics only (no wire change): at
+	// least the 3 hits of each k-NN query, far fewer than the 64 objects
+	// a scan evaluates per query.
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	text, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evaluated int64
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "mapdr_node_index_candidates_evaluated_total "); ok {
+			evaluated, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if evaluated < 20*3 || evaluated >= 40*64/2 {
+		t.Errorf("candidates evaluated = %d for 20 range + 20 3-NN queries over 64 objects\n%s", evaluated, text)
 	}
 }
 

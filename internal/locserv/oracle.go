@@ -1,7 +1,7 @@
 package locserv
 
 import (
-	"sort"
+	"math"
 
 	"mapdr/internal/geo"
 )
@@ -11,37 +11,34 @@ import (
 // per-object evaluation the live index's pruned paths must reproduce
 // bit-identically. They exist for validation harnesses (the churn
 // experiment, property tests, benchmarks baselining the index against
-// a scan) and cost O(n) per call; production queries go through Within
-// and Nearest.
+// a scan) and cost O(n) per call (ReferenceNearest sorts, too);
+// production queries go through Within and Nearest.
 
 // ReferenceWithin answers a range query through the per-shard scan
 // reference, merged and sorted exactly like Within.
 func (s *Service) ReferenceWithin(r geo.Rect, t float64) []ObjectPos {
-	var out []ObjectPos
+	q := withinQuery{r: r, t: t}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		out = append(out, sh.withinScanLocked(r, t)...)
+		sh.withinScanLocked(&q)
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortWithin(q.out)
 }
 
-// ReferenceNearest answers a k-NN query through the per-shard
-// heap-scan reference, merged and truncated exactly like Nearest.
+// ReferenceNearest answers a k-NN query by evaluating every object,
+// sorting them all and truncating to k exactly like Nearest — the
+// query is never full, so no pruning and no heap replacement is
+// involved in the answer.
 func (s *Service) ReferenceNearest(p geo.Point, k int, t float64) []ObjectPos {
 	if k <= 0 {
 		return nil
 	}
-	var all []ObjectPos
+	q := nearestQuery{p: p, k: math.MaxInt, t: t}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		all = append(all, sh.nearestScanLocked(p, k, t)...)
+		sh.nearestScanLocked(&q)
 		sh.mu.RUnlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return PosLess(all[i], all[j]) })
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return sortNearest(q.heap, k)
 }

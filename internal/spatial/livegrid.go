@@ -10,24 +10,40 @@ import (
 // [X·cellSize, (X+1)·cellSize) × [Y·cellSize, (Y+1)·cellSize).
 type Cell struct{ X, Y int32 }
 
-// Slot is the grid's per-member bookkeeping — current cell, position in
-// the cell's member slice (for O(1) swap-delete), and the exact point
-// the member was last placed at (kept so Rebucket can re-derive the
-// buckets without asking the caller). It is embedded in the caller's
-// own member record, so the write-path hot loop never hashes a member
-// key: an update touches at most the Cell-keyed bucket map.
-type Slot struct {
-	cell Cell
-	idx  int32
-	in   bool
-	pos  geo.Point
+// Report is what a LiveGrid keeps inline per member: where and when the
+// member last reported, and the speed bounding how fast it can have
+// moved away since.
+type Report struct {
+	Pos geo.Point
+	V   float64 // displacement-bound speed, m/s
+	T   float64 // report time, s
 }
 
-// InGrid reports whether the member is currently placed.
-func (s *Slot) InGrid() bool { return s.in }
+// Reach returns how far the member can be from Pos at time t:
+// V·|t−T| + 1 m. The 1 m absorbs map-matching rounding between a
+// report's position and its link offset point, and float rounding of
+// the predicted position; a predictor run backwards (t < T) moves at
+// most V·(T−t) as well.
+func (r *Report) Reach(t float64) float64 { return reach(r.V, math.Abs(t-r.T)) }
 
-// Pos returns the position the member was last placed at.
-func (s *Slot) Pos() (geo.Point, bool) { return s.pos, s.in }
+// reach is the drift radius after dt seconds at up to v m/s. A NaN or
+// negative dt counts as 0, so the radius never collapses below the slack.
+func reach(v, dt float64) float64 {
+	if !(dt > 0) {
+		dt = 0
+	}
+	return v*dt + 1
+}
+
+// Slot is the grid's per-member bookkeeping — the member's cell in the
+// dense cell table and its position in that cell's resident slice (for
+// O(1) swap-delete). It is embedded in the caller's own member record,
+// so the write path never hashes a member key: an update that stays in
+// its cell touches no map at all.
+type Slot struct {
+	cell, idx int32
+	in        bool
+}
 
 // Member is the caller's record type: it hands the grid a pointer to
 // the Slot embedded in it. GridSlot must return the same Slot for the
@@ -36,46 +52,85 @@ type Member interface {
 	GridSlot() *Slot
 }
 
-// LiveGrid is a point index maintained in place by its caller's write
-// path, unlike Grid, which is a bulk-built snapshot. Each
-// member occupies exactly one cell — the one containing its position —
-// and an update only touches the index when the position crosses a
-// cell boundary, so a fleet of mostly-quiet or smoothly moving objects
-// costs O(moved members) per batch instead of an O(n) rebuild. The
-// bookkeeping is intrusive (see Slot): members are stored as the
-// caller's own pointers, so queries read candidate records with no map
-// lookup and updates hash only the 8-byte Cell key.
+// Resident is one member of a cell with its report summary inline, so a
+// query rules a resident in or out without touching the member record.
+type Resident[M any] struct {
+	Report
+	M M
+}
+
+// LiveCell is one occupied cell: its rectangle, the fold of its
+// residents' reports, and the residents themselves, contiguous.
+type LiveCell[M any] struct {
+	// Rect is the cell's rectangle (see LiveGrid.CellRect).
+	Rect geo.Rect
+	// MaxV, MinT and MaxT fold the residents' reports: the fastest bound
+	// speed and the oldest and newest report time. The fold is monotone —
+	// an update only loosens it — and re-derived exactly when a resident
+	// leaves and whenever the cell has absorbed more updates than it has
+	// residents, so maintenance stays O(1) amortised per update while a
+	// steadily reporting fleet keeps tight folds.
+	MaxV, MinT, MaxT float64
+	Res              []Resident[M]
+
+	id    Cell
+	folds int32 // updates absorbed since the fold was last exact
+}
+
+// Reach returns how far any resident can be from its reported position
+// — hence from Rect — at time t. It dominates every resident's own
+// Report.Reach.
+func (c *LiveCell[M]) Reach(t float64) float64 {
+	dt := t - c.MinT
+	if d := c.MaxT - t; d > dt {
+		dt = d
+	}
+	return reach(c.MaxV, dt)
+}
+
+// LiveGrid is a point index over moving members' last reports,
+// maintained in place by its caller's write path, unlike Grid, which is
+// a bulk-built snapshot. Each member occupies exactly one cell — the one
+// containing its reported position — and an update only moves it when
+// the position crosses a cell boundary, so a fleet of mostly-quiet or
+// smoothly moving objects costs O(moved members) per batch instead of an
+// O(n) rebuild.
 //
-// LiveGrid deliberately stores no per-cell aggregates beyond
-// membership: callers that prune by displacement bounds
-// (internal/locserv) own that state, keyed by the Cell values this
-// type hands out. It is not goroutine-safe; the caller's shard lock
-// provides exclusion.
+// The read side is one dense table (Cells): every occupied cell with
+// its rectangle, its fold and its residents' reports inline. A query
+// makes one linear pass over the cell summaries, bounds each cell by
+// Rect and Reach, and bounds each resident of a surviving cell by its
+// own Report before it pays for evaluating the member — no map lookup
+// and no pointer chase until a candidate survives both.
+//
+// LiveGrid is not goroutine-safe; the caller's shard lock provides
+// exclusion.
 type LiveGrid[M Member] struct {
 	cellSize float64
-	cells    map[Cell][]M
+	cells    []LiveCell[M]  // every entry has at least one resident
+	index    map[Cell]int32 // cell id -> position in cells
 	n        int
 	// minCell/maxCell bound every cell occupied since the last Rebucket.
-	// The bbox grows monotonically — vacated cells do not shrink it — so
-	// it is a conservative cap for ring scans, recomputed exactly when
-	// the grid is rebucketed.
+	// The bbox grows monotonically — vacated cells do not shrink it — and
+	// is recomputed exactly when the grid is rebucketed.
 	minCell, maxCell Cell
 	haveCells        bool
-	// sat counts members currently resident in edge cells (a coordinate
-	// at the int32 boundary, where CellOf saturates) — see Saturated.
-	sat       int
-	rebuckets int64
+	rebuckets        int64
+	// moves and refolds tally cell-boundary crossings and exact fold
+	// re-derivations since the last TakeCounts.
+	moves, refolds int64
 }
 
 // NewLiveGrid returns an empty live grid with the given cell size in
 // metres.
 func NewLiveGrid[M Member](cellSize float64) *LiveGrid[M] {
+	checkCellSize(cellSize)
+	return &LiveGrid[M]{cellSize: cellSize, index: make(map[Cell]int32)}
+}
+
+func checkCellSize(cellSize float64) {
 	if cellSize <= 0 || math.IsInf(cellSize, 0) || math.IsNaN(cellSize) {
 		panic("spatial: live grid cell size must be positive and finite")
-	}
-	return &LiveGrid[M]{
-		cellSize: cellSize,
-		cells:    make(map[Cell][]M),
 	}
 }
 
@@ -85,19 +140,28 @@ func (g *LiveGrid[M]) CellSize() float64 { return g.cellSize }
 // Len returns the number of members in the grid.
 func (g *LiveGrid[M]) Len() int { return g.n }
 
-// Cells returns the number of occupied cells.
-func (g *LiveGrid[M]) Cells() int { return len(g.cells) }
+// Cells returns the dense table of occupied cells, in no particular
+// order. It is the grid's own storage: callers must not retain or
+// mutate it.
+func (g *LiveGrid[M]) Cells() []LiveCell[M] { return g.cells }
 
 // Rebuckets returns how many times the grid has been rebucketed.
 func (g *LiveGrid[M]) Rebuckets() int64 { return g.rebuckets }
+
+// TakeCounts returns how many updates crossed a cell boundary and how
+// many folds were re-derived exactly since the previous call.
+func (g *LiveGrid[M]) TakeCounts() (moves, refolds int64) {
+	moves, refolds = g.moves, g.refolds
+	g.moves, g.refolds = 0, 0
+	return moves, refolds
+}
 
 // CellOf returns the cell containing p. Coordinates beyond what int32
 // cell indices can address saturate to the edge cells (index
 // math.MinInt32 or math.MaxInt32) instead of going through Go's
 // implementation-defined out-of-range float→int conversion, which on
-// amd64 folds both +huge and −huge to MinInt32 and silently inverts
-// query windows derived from the result. CellRect treats edge cells as
-// covering the whole saturated half-plane, so the mapping stays
+// amd64 folds both +huge and −huge to MinInt32. CellRect treats edge
+// cells as covering the whole saturated half-plane, so the mapping stays
 // conservative for pruning.
 func (g *LiveGrid[M]) CellOf(p geo.Point) Cell {
 	return Cell{cellCoord(p.X / g.cellSize), cellCoord(p.Y / g.cellSize)}
@@ -118,17 +182,11 @@ func cellCoord(v float64) int32 {
 	return int32(f)
 }
 
-// edgeCell reports whether any coordinate of c sits on the int32
-// boundary — the cells CellOf saturates out-of-range positions into.
-func edgeCell(c Cell) bool {
-	return c.X == math.MinInt32 || c.X == math.MaxInt32 ||
-		c.Y == math.MinInt32 || c.Y == math.MaxInt32
-}
-
 // CellRect returns the rectangle covered by cell c. Edge cells absorb
 // every coordinate CellOf saturated, so their rectangle extends to
-// infinity on the boundary side — conservative for pruning: an edge
-// cell is never pruned away from a query its residents could serve.
+// infinity on the boundary side: its distance to any query point on
+// that side is zero, and an edge cell is never pruned away from a query
+// its residents could serve.
 func (g *LiveGrid[M]) CellRect(c Cell) geo.Rect {
 	r := geo.Rect{
 		Min: geo.Pt(float64(c.X)*g.cellSize, float64(c.Y)*g.cellSize),
@@ -147,87 +205,110 @@ func (g *LiveGrid[M]) CellRect(c Cell) geo.Rect {
 	return r
 }
 
-// Saturated returns how many members are resident in edge cells. While
-// nonzero, an edge cell's rectangle does not bracket its residents'
-// positions to within one cell size, so geometric lower bounds derived
-// from cell indices (ring distances in particular) are not trustworthy
-// near those members; callers should answer by scan until the members
-// rebucket or move back into range.
-func (g *LiveGrid[M]) Saturated() int { return g.sat }
-
-// CellLen returns the number of members in cell c.
-func (g *LiveGrid[M]) CellLen(c Cell) int { return len(g.cells[c]) }
-
-// CellMembers returns the members in cell c. The slice is the grid's
-// own storage: callers must not retain or mutate it.
-func (g *LiveGrid[M]) CellMembers(c Cell) []M { return g.cells[c] }
-
-// Update places m at p, inserting it if absent and moving it between
-// cells only when p crosses a cell boundary. It returns m's previous
-// and current cells; existed is false on first insert (prev is then
-// zero and meaningless). The caller detects a cell move as
-// existed && prev != cur. The same-cell common case costs no map write.
-func (g *LiveGrid[M]) Update(m M, p geo.Point) (prev, cur Cell, existed bool) {
+// Update records m's new report, inserting m if absent and moving it
+// between cells only when the position crosses a cell boundary. The
+// same-cell common case overwrites the resident's summary and loosens
+// the cell's fold in place, re-deriving it once the cell has absorbed
+// more such updates than it has residents.
+func (g *LiveGrid[M]) Update(m M, r Report) {
 	s := m.GridSlot()
-	cur = g.CellOf(p)
+	id := g.CellOf(r.Pos)
 	if s.in {
-		prev = s.cell
-		s.pos = p
-		if prev == cur {
-			return prev, cur, true
+		if c := &g.cells[s.cell]; c.id == id {
+			c.Res[s.idx].Report = r
+			c.loosen(&r)
+			if c.folds++; int(c.folds) > len(c.Res) {
+				g.refold(c)
+			}
+			return
 		}
-		g.removeFromCell(prev, s.idx)
-		g.place(m, s, cur)
-		return prev, cur, true
+		g.evict(s)
+		g.moves++
+	} else {
+		g.n++
 	}
-	s.pos = p
-	g.place(m, s, cur)
-	g.n++
-	return cur, cur, false
+	g.place(m, s, id, r)
 }
 
-// place appends m to cell c and records its slot.
-func (g *LiveGrid[M]) place(m M, s *Slot, c Cell) {
-	members := g.cells[c]
-	s.cell, s.idx, s.in = c, int32(len(members)), true
-	g.cells[c] = append(members, m)
-	if edgeCell(c) {
-		g.sat++
-	}
-	g.extendCellBBox(c)
-}
-
-// Remove deletes m, returning the cell it occupied.
-func (g *LiveGrid[M]) Remove(m M) (Cell, bool) {
+// Remove deletes m, reporting whether it was present.
+func (g *LiveGrid[M]) Remove(m M) bool {
 	s := m.GridSlot()
 	if !s.in {
-		return Cell{}, false
+		return false
 	}
-	g.removeFromCell(s.cell, s.idx)
-	s.in = false
+	g.evict(s)
 	g.n--
-	return s.cell, true
+	return true
 }
 
-// removeFromCell swap-deletes the member at idx from cell c, fixing the
-// displaced member's recorded slot in place (no key hashing).
-func (g *LiveGrid[M]) removeFromCell(c Cell, idx int32) {
-	members := g.cells[c]
-	last := int32(len(members)) - 1
-	if idx != last {
-		moved := members[last]
-		members[idx] = moved
-		moved.GridSlot().idx = idx
+// place appends m to cell id — creating the cell if it is unoccupied —
+// and records its slot.
+func (g *LiveGrid[M]) place(m M, s *Slot, id Cell, r Report) {
+	ci, ok := g.index[id]
+	if !ok {
+		ci = int32(len(g.cells))
+		g.index[id] = ci
+		g.cells = append(g.cells, LiveCell[M]{Rect: g.CellRect(id), id: id, MinT: math.Inf(1), MaxT: math.Inf(-1)})
+		g.extendCellBBox(id)
 	}
-	members = members[:last]
-	if len(members) == 0 {
-		delete(g.cells, c)
-	} else {
-		g.cells[c] = members
+	c := &g.cells[ci]
+	s.cell, s.idx, s.in = ci, int32(len(c.Res)), true
+	c.Res = append(c.Res, Resident[M]{Report: r, M: m})
+	c.loosen(&r)
+}
+
+// evict swap-deletes the member recorded in s from its cell, fixing the
+// displaced resident's slot in place. The cell's fold is re-derived so
+// it can tighten past the evicted report; a cell left empty is
+// swap-deleted from the dense table the same way.
+func (g *LiveGrid[M]) evict(s *Slot) {
+	c := &g.cells[s.cell]
+	last := len(c.Res) - 1
+	if int(s.idx) != last {
+		c.Res[s.idx] = c.Res[last]
+		c.Res[s.idx].M.GridSlot().idx = s.idx
 	}
-	if edgeCell(c) {
-		g.sat--
+	c.Res[last] = Resident[M]{}
+	c.Res = c.Res[:last]
+	s.in = false
+	if last > 0 {
+		g.refold(c)
+		return
 	}
+	delete(g.index, c.id)
+	tail := int32(len(g.cells) - 1)
+	if s.cell != tail {
+		*c = g.cells[tail]
+		g.index[c.id] = s.cell
+		for i := range c.Res {
+			c.Res[i].M.GridSlot().cell = s.cell
+		}
+	}
+	g.cells[tail] = LiveCell[M]{}
+	g.cells = g.cells[:tail]
+}
+
+// loosen widens c's fold to cover r; an exact fold stays exact when r is
+// a new resident's report.
+func (c *LiveCell[M]) loosen(r *Report) {
+	if r.V > c.MaxV {
+		c.MaxV = r.V
+	}
+	if r.T < c.MinT {
+		c.MinT = r.T
+	}
+	if r.T > c.MaxT {
+		c.MaxT = r.T
+	}
+}
+
+// refold re-derives c's fold exactly from its residents.
+func (g *LiveGrid[M]) refold(c *LiveCell[M]) {
+	c.MaxV, c.MinT, c.MaxT, c.folds = 0, math.Inf(1), math.Inf(-1), 0
+	for i := range c.Res {
+		c.loosen(&c.Res[i].Report)
+	}
+	g.refolds++
 }
 
 // extendCellBBox grows the monotone occupied-cell bbox to include c.
@@ -236,18 +317,8 @@ func (g *LiveGrid[M]) extendCellBBox(c Cell) {
 		g.minCell, g.maxCell, g.haveCells = c, c, true
 		return
 	}
-	if c.X < g.minCell.X {
-		g.minCell.X = c.X
-	}
-	if c.Y < g.minCell.Y {
-		g.minCell.Y = c.Y
-	}
-	if c.X > g.maxCell.X {
-		g.maxCell.X = c.X
-	}
-	if c.Y > g.maxCell.Y {
-		g.maxCell.Y = c.Y
-	}
+	g.minCell = Cell{min(g.minCell.X, c.X), min(g.minCell.Y, c.Y)}
+	g.maxCell = Cell{max(g.maxCell.X, c.X), max(g.maxCell.Y, c.Y)}
 }
 
 // CellExtent returns a bbox over every cell occupied since the last
@@ -257,109 +328,33 @@ func (g *LiveGrid[M]) CellExtent() (min, max Cell, ok bool) {
 	return g.minCell, g.maxCell, g.haveCells
 }
 
-// Extent returns the exact bounding rectangle of the stored positions,
-// in O(n).
+// Extent returns the exact bounding rectangle of the reported
+// positions, in O(n).
 func (g *LiveGrid[M]) Extent() geo.Rect {
 	b := geo.EmptyRect()
-	for _, members := range g.cells {
-		for _, m := range members {
-			b = b.ExtendPoint(m.GridSlot().pos)
+	for i := range g.cells {
+		for j := range g.cells[i].Res {
+			b = b.ExtendPoint(g.cells[i].Res[j].Pos)
 		}
 	}
 	return b
 }
 
-// VisitCells calls fn for every occupied cell until fn returns false.
-// The member slice is the grid's own storage: callers must not retain or
-// mutate it. Iteration order is unspecified (map order).
-func (g *LiveGrid[M]) VisitCells(fn func(c Cell, members []M) bool) {
-	for c, members := range g.cells {
-		if !fn(c, members) {
-			return
-		}
-	}
-}
-
-// VisitRing calls fn for every occupied cell on the square ring at
-// Chebyshev distance ring from center, until fn returns false. It
-// reports whether the visit ran to completion. Candidate cells are
-// clipped to the occupied-cell bbox — nothing can live outside it —
-// which caps the per-ring work at the bbox perimeter and keeps the
-// int64 ring arithmetic from wrapping the int32 cell coordinates.
-func (g *LiveGrid[M]) VisitRing(center Cell, ring int64, fn func(c Cell, members []M) bool) bool {
-	if !g.haveCells {
-		return true
-	}
-	if ring == 0 {
-		if m := g.cells[center]; len(m) > 0 {
-			return fn(center, m)
-		}
-		return true
-	}
-	cx, cy := int64(center.X), int64(center.Y)
-	xLo, xHi := maxI64(-ring, int64(g.minCell.X)-cx), minI64(ring, int64(g.maxCell.X)-cx)
-	yLo, yHi := maxI64(-ring, int64(g.minCell.Y)-cy), minI64(ring, int64(g.maxCell.Y)-cy)
-	// dx/dy stay inside the bbox offsets, so cx+dx / cy+dy fit in int32.
-	visit := func(dx, dy int64) bool {
-		c := Cell{int32(cx + dx), int32(cy + dy)}
-		if m := g.cells[c]; len(m) > 0 {
-			return fn(c, m)
-		}
-		return true
-	}
-	for dx := xLo; dx <= xHi; dx++ {
-		if dx == -ring || dx == ring {
-			for dy := yLo; dy <= yHi; dy++ {
-				if !visit(dx, dy) {
-					return false
-				}
-			}
-		} else {
-			if -ring >= yLo && -ring <= yHi && !visit(dx, -ring) {
-				return false
-			}
-			if ring >= yLo && ring <= yHi && !visit(dx, ring) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Rebucket redistributes every member into buckets of the new cell
-// size, using the positions recorded by Update, and recomputes the
-// occupied-cell bbox exactly. Callers that keep per-cell aggregates
-// must rebuild them afterwards: every Cell value handed out before is
+// Rebucket redistributes every member into cells of the new size from
+// the reports recorded by Update, rebuilding the cell table (folds exact,
+// occupied-cell bbox exact). Every index into Cells handed out before is
 // invalidated.
 func (g *LiveGrid[M]) Rebucket(cellSize float64) {
-	if cellSize <= 0 || math.IsInf(cellSize, 0) || math.IsNaN(cellSize) {
-		panic("spatial: live grid cell size must be positive and finite")
-	}
-	all := make([]M, 0, g.n)
-	for _, members := range g.cells {
-		all = append(all, members...)
-	}
+	checkCellSize(cellSize)
+	old := g.cells
 	g.cellSize = cellSize
-	g.cells = make(map[Cell][]M, len(g.cells))
+	g.cells = make([]LiveCell[M], 0, len(old))
+	g.index = make(map[Cell]int32, len(old))
 	g.haveCells = false
-	g.sat = 0
-	for _, m := range all {
-		s := m.GridSlot()
-		g.place(m, s, g.CellOf(s.pos))
+	for i := range old {
+		for _, r := range old[i].Res {
+			g.place(r.M, r.M.GridSlot(), g.CellOf(r.Pos), r.Report)
+		}
 	}
 	g.rebuckets++
 }

@@ -19,52 +19,63 @@ type tm struct {
 func (m *tm) GridSlot() *Slot { return &m.slot }
 
 // checkLiveGridInvariants verifies the grid's bookkeeping against the
-// reference position map: every member in exactly one cell, slots
-// consistent, counts matching, occupied-cell bbox covering every cell.
-func checkLiveGridInvariants(t *testing.T, g *LiveGrid[*tm], ref map[*tm]geo.Point) {
+// reference report map: every member in exactly one cell of the dense
+// table, slots and the cell index consistent, counts matching, the
+// inline report the last one given, every fold covering its residents,
+// and the occupied-cell bbox covering every cell.
+func checkLiveGridInvariants(t *testing.T, g *LiveGrid[*tm], ref map[*tm]Report) {
 	t.Helper()
 	if g.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", g.Len(), len(ref))
 	}
+	if len(g.index) != len(g.Cells()) {
+		t.Fatalf("index holds %d cells, table %d", len(g.index), len(g.Cells()))
+	}
 	seen := 0
-	cells := 0
 	minC, maxC, haveExt := g.CellExtent()
-	g.VisitCells(func(c Cell, members []*tm) bool {
-		cells++
-		if len(members) == 0 {
-			t.Fatalf("cell %v kept with zero members", c)
+	for ci := range g.Cells() {
+		cell := &g.Cells()[ci]
+		c := cell.id
+		if len(cell.Res) == 0 {
+			t.Fatalf("cell %v kept with zero residents", c)
+		}
+		if at, ok := g.index[c]; !ok || int(at) != ci {
+			t.Fatalf("cell %v at table position %d, index says %d,%v", c, ci, at, ok)
+		}
+		if cell.Rect != g.CellRect(c) {
+			t.Fatalf("cell %v caches rect %v, want %v", c, cell.Rect, g.CellRect(c))
 		}
 		if !haveExt || c.X < minC.X || c.X > maxC.X || c.Y < minC.Y || c.Y > maxC.Y {
 			t.Fatalf("cell %v outside CellExtent [%v,%v]", c, minC, maxC)
 		}
-		for idx, m := range members {
-			p, ok := ref[m]
+		for idx, res := range cell.Res {
+			m := res.M
+			r, ok := ref[m]
 			if !ok {
 				t.Fatalf("grid holds removed member %q", m.key)
 			}
-			if g.CellOf(p) != c {
-				t.Fatalf("member %q in cell %v, position %v maps to %v", m.key, c, p, g.CellOf(p))
+			if res.Report != r {
+				t.Fatalf("member %q carries report %+v, want %+v", m.key, res.Report, r)
 			}
-			if m.slot.cell != c || m.slot.idx != int32(idx) || !m.slot.in {
-				t.Fatalf("member %q slot %+v, want cell=%v idx=%d in=true", m.key, m.slot, c, idx)
+			if g.CellOf(r.Pos) != c {
+				t.Fatalf("member %q in cell %v, position %v maps to %v", m.key, c, r.Pos, g.CellOf(r.Pos))
 			}
-			if gp, ok := m.slot.Pos(); !ok || gp != p {
-				t.Fatalf("Pos(%q) = %v,%v want %v", m.key, gp, ok, p)
+			if m.slot.cell != int32(ci) || m.slot.idx != int32(idx) || !m.slot.in {
+				t.Fatalf("member %q slot %+v, want cell=%d idx=%d in=true", m.key, m.slot, ci, idx)
+			}
+			if r.V > cell.MaxV || r.T < cell.MinT || r.T > cell.MaxT {
+				t.Fatalf("cell %v fold (%v, %v, %v) misses resident report %+v", c, cell.MaxV, cell.MinT, cell.MaxT, r)
 			}
 			// CellOf/CellRect agree only up to float rounding at cell
 			// boundaries (the index's ≥1 m reach slack absorbs this).
-			if !g.CellRect(c).Expand(1e-9).Contains(p) {
-				t.Fatalf("position %v outside CellRect(%v) = %v", p, c, g.CellRect(c))
+			if !cell.Rect.Expand(1e-9).Contains(r.Pos) {
+				t.Fatalf("position %v outside CellRect(%v) = %v", r.Pos, c, cell.Rect)
 			}
 			seen++
 		}
-		return true
-	})
+	}
 	if seen != len(ref) {
 		t.Fatalf("cells hold %d members, want %d", seen, len(ref))
-	}
-	if cells != g.Cells() {
-		t.Fatalf("Cells() = %d, visited %d", g.Cells(), cells)
 	}
 }
 
@@ -75,7 +86,7 @@ func checkLiveGridInvariants(t *testing.T, g *LiveGrid[*tm], ref map[*tm]geo.Poi
 func TestLiveGridRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := NewLiveGrid[*tm](100)
-	ref := map[*tm]geo.Point{}
+	ref := map[*tm]Report{}
 	members := make([]*tm, 60)
 	for i := range members {
 		members[i] = &tm{key: fmt.Sprintf("k-%03d", i)}
@@ -99,21 +110,20 @@ func TestLiveGridRandomOps(t *testing.T) {
 		m := members[rng.Intn(60)]
 		switch rng.Intn(10) {
 		case 0: // remove
-			_, ok := g.Remove(m)
+			ok := g.Remove(m)
 			if _, refOk := ref[m]; ok != refOk {
 				t.Fatalf("Remove(%s) = %v, ref has %v", m.key, ok, refOk)
 			}
 			delete(ref, m)
 		default: // insert, small move, or teleport
-			p := randPos()
-			prev, cur, existed := g.Update(m, p)
-			if _, refOk := ref[m]; existed != refOk {
-				t.Fatalf("Update(%s) existed=%v, ref has %v", m.key, existed, refOk)
+			r := Report{Pos: randPos(), V: rng.Float64() * 30, T: float64(step) - rng.Float64()*100}
+			old, existed := ref[m]
+			g.Update(m, r)
+			moves, _ := g.TakeCounts()
+			if want := existed && g.CellOf(old.Pos) != g.CellOf(r.Pos); (moves == 1) != want || moves > 1 {
+				t.Fatalf("Update(%s) counted %d cell moves, crossed=%v", m.key, moves, want)
 			}
-			if existed && prev != cur && g.CellOf(p) != cur {
-				t.Fatalf("Update(%s) cur=%v, CellOf=%v", m.key, cur, g.CellOf(p))
-			}
-			ref[m] = p
+			ref[m] = r
 		}
 		if step%101 == 0 {
 			checkLiveGridInvariants(t, g, ref)
@@ -123,15 +133,15 @@ func TestLiveGridRandomOps(t *testing.T) {
 
 	// Remove everything; the grid must drain to empty cells.
 	for m := range ref {
-		if _, ok := g.Remove(m); !ok {
+		if !g.Remove(m) {
 			t.Fatalf("final Remove(%s) missed", m.key)
 		}
-		if m.slot.InGrid() {
-			t.Fatalf("removed member %s still marked in-grid", m.key)
+		if g.Remove(m) {
+			t.Fatalf("removed member %s still in the grid", m.key)
 		}
 	}
-	if g.Len() != 0 || g.Cells() != 0 {
-		t.Fatalf("drained grid: Len=%d Cells=%d", g.Len(), g.Cells())
+	if g.Len() != 0 || len(g.Cells()) != 0 || len(g.index) != 0 {
+		t.Fatalf("drained grid: Len=%d Cells=%d index=%d", g.Len(), len(g.Cells()), len(g.index))
 	}
 }
 
@@ -161,59 +171,58 @@ func TestLiveGridCellMath(t *testing.T) {
 	}
 }
 
-// TestLiveGridVisitRing checks rings partition the occupied cells by
-// Chebyshev distance and that early termination works.
-func TestLiveGridVisitRing(t *testing.T) {
-	g := NewLiveGrid[*tm](10)
-	// A 7x7 block of cells around the origin, one member per cell.
-	for dx := -3; dx <= 3; dx++ {
-		for dy := -3; dy <= 3; dy++ {
-			m := &tm{key: fmt.Sprintf("c%d,%d", dx, dy)}
-			g.Update(m, geo.Pt(float64(dx)*10+5, float64(dy)*10+5))
+// TestLiveGridFolds pins the fold maintenance: an update only loosens
+// its cell's fold, the fold is exact again once the cell has absorbed
+// more updates than it has residents and whenever a resident leaves,
+// and Reach covers queries before, between and after the report times.
+func TestLiveGridFolds(t *testing.T) {
+	g := NewLiveGrid[*tm](100)
+	a, b := &tm{key: "a"}, &tm{key: "b"}
+	g.Update(a, Report{Pos: geo.Pt(10, 10), V: 20, T: 5})
+	g.Update(b, Report{Pos: geo.Pt(20, 20), V: 3, T: 50})
+	fold := func() [3]float64 {
+		c := &g.Cells()[0]
+		return [3]float64{c.MaxV, c.MinT, c.MaxT}
+	}
+	if got := fold(); got != [3]float64{20, 5, 50} {
+		t.Fatalf("fold after two inserts = %v", got)
+	}
+	c := &g.Cells()[0]
+	for _, tc := range []struct{ t, want float64 }{
+		{60, 20*55 + 1}, // after both: the oldest report sets the age
+		{0, 20*50 + 1},  // before both: run backwards from the newest
+		{30, 20*25 + 1}, // between
+		{math.NaN(), 1}, // never below the slack
+	} {
+		if got := c.Reach(tc.t); got != tc.want {
+			t.Errorf("cell Reach(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
-	center := g.CellOf(geo.Pt(5, 5))
-	total := 0
-	for ring := int64(0); ring <= 3; ring++ {
-		count := 0
-		g.VisitRing(center, ring, func(c Cell, members []*tm) bool {
-			d := absI32t(c.X - center.X)
-			if dy := absI32t(c.Y - center.Y); dy > d {
-				d = dy
-			}
-			if int64(d) != ring {
-				t.Fatalf("ring %d visited cell %v at distance %d", ring, c, d)
-			}
-			count += len(members)
-			return true
-		})
-		want := 8 * int(ring)
-		if ring == 0 {
-			want = 1
-		}
-		if count != want {
-			t.Errorf("ring %d: %d cells, want %d", ring, count, want)
-		}
-		total += count
+	if got := c.Res[0].Reach(0); got != 20*5+1 {
+		t.Errorf("resident Reach(0) = %v, want 101", got)
 	}
-	if total != 49 {
-		t.Errorf("rings 0..3 covered %d cells, want 49", total)
+	// a reports again, slower and later, then b: the fold may only loosen…
+	g.Update(a, Report{Pos: geo.Pt(11, 11), V: 2, T: 60})
+	g.Update(b, Report{Pos: geo.Pt(21, 21), V: 3, T: 61})
+	if got := fold(); got != [3]float64{20, 5, 61} {
+		t.Fatalf("fold after two absorbed updates = %v, want it monotone", got)
 	}
-	// Early termination: fn returning false stops the ring.
-	calls := 0
-	if g.VisitRing(center, 2, func(Cell, []*tm) bool { calls++; return false }) {
-		t.Error("VisitRing did not report early termination")
+	// …until the cell has absorbed more updates than it has residents.
+	g.Update(b, Report{Pos: geo.Pt(22, 22), V: 3, T: 62})
+	if got := fold(); got != [3]float64{3, 60, 62} {
+		t.Fatalf("fold after the budget ran out = %v, want exact", got)
 	}
-	if calls != 1 {
-		t.Errorf("VisitRing kept calling after false: %d calls", calls)
+	if _, refolds := g.TakeCounts(); refolds != 1 {
+		t.Fatalf("refolds = %d, want 1", refolds)
 	}
-}
-
-func absI32t(v int32) int32 {
-	if v < 0 {
-		return -v
+	// A resident leaving re-derives the fold from who is left.
+	g.Update(b, Report{Pos: geo.Pt(5000, 5000), V: 9, T: 70})
+	if got := fold(); got != [3]float64{2, 60, 60} { // a's report alone
+		t.Fatalf("fold after b left = %v, want a's report alone", got)
 	}
-	return v
+	if moves, refolds := g.TakeCounts(); moves != 1 || refolds != 1 {
+		t.Fatalf("moves, refolds = %d, %d after one crossing", moves, refolds)
+	}
 }
 
 // TestLiveGridRebucket checks rebucketing preserves membership, resets
@@ -221,16 +230,16 @@ func absI32t(v int32) int32 {
 func TestLiveGridRebucket(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := NewLiveGrid[*tm](100)
-	ref := map[*tm]geo.Point{}
+	ref := map[*tm]Report{}
 	for i := 0; i < 200; i++ {
 		m := &tm{key: fmt.Sprintf("k-%d", i)}
-		p := geo.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		g.Update(m, p)
-		ref[m] = p
+		r := Report{Pos: geo.Pt(rng.Float64()*10000, rng.Float64()*10000), V: rng.Float64() * 30, T: float64(i)}
+		g.Update(m, r)
+		ref[m] = r
 	}
 	// Vacate the far corner so the monotone extent goes stale.
 	far := &tm{key: "far"}
-	g.Update(far, geo.Pt(1e6, 1e6))
+	g.Update(far, Report{Pos: geo.Pt(1e6, 1e6)})
 	g.Remove(far)
 	_, maxC, _ := g.CellExtent()
 	if maxC.X < 1000 {
@@ -261,8 +270,8 @@ func TestLiveGridRebucket(t *testing.T) {
 // implementation-defined out-of-range float→int32 conversion (which on
 // amd64 folds both ±huge to MinInt32 and inverts query windows derived
 // from the result), CellRect must extend edge cells over the saturated
-// half-plane so their residents are never pruned away, and Saturated
-// must track edge-cell residency through moves, removal and rebuckets.
+// half-plane so their residents are never pruned away, through moves,
+// removal and rebuckets.
 func TestLiveGridSaturation(t *testing.T) {
 	g := NewLiveGrid[*tm](256)
 	if c := g.CellOf(geo.Pt(1e15, -1e15)); c.X != math.MaxInt32 || c.Y != math.MinInt32 {
@@ -281,34 +290,30 @@ func TestLiveGridSaturation(t *testing.T) {
 	}
 
 	near, far := &tm{key: "near"}, &tm{key: "far"}
-	g.Update(near, geo.Pt(10, 10))
-	if g.Saturated() != 0 {
-		t.Fatalf("Saturated = %d before any edge resident", g.Saturated())
+	at := func(x, y float64) Report { return Report{Pos: geo.Pt(x, y)} }
+	farRect := func() geo.Rect { return g.Cells()[far.slot.cell].Rect }
+	g.Update(near, at(10, 10))
+	g.Update(far, at(1e15, 0))
+	if r := farRect(); !math.IsInf(r.Max.X, 1) || r.DistanceTo(geo.Pt(3e18, 10)) != 0 {
+		t.Fatalf("edge resident's cell rect %v does not cover its half-plane", r)
 	}
-	g.Update(far, geo.Pt(1e15, 0))
-	if g.Saturated() != 1 {
-		t.Fatalf("Saturated = %d with one edge resident", g.Saturated())
+	g.Update(far, at(-1e15, 1e18)) // edge-to-edge move
+	if r := farRect(); !math.IsInf(r.Min.X, -1) || !math.IsInf(r.Max.Y, 1) {
+		t.Fatalf("edge-to-edge move left cell rect %v", r)
 	}
-	g.Update(far, geo.Pt(-1e15, 1e18)) // edge-to-edge move stays saturated
-	if g.Saturated() != 1 {
-		t.Fatalf("Saturated = %d after edge-to-edge move", g.Saturated())
+	g.Update(far, at(20, 20)) // back into range, sharing near's cell
+	if far.slot.cell != near.slot.cell || len(g.Cells()) != 1 {
+		t.Fatalf("back in range: far in cell %d, near in %d, %d cells", far.slot.cell, near.slot.cell, len(g.Cells()))
 	}
-	g.Update(far, geo.Pt(20, 20))
-	if g.Saturated() != 0 {
-		t.Fatalf("Saturated = %d after moving back into range", g.Saturated())
-	}
-	g.Update(far, geo.Pt(0, 1e15))
-	if g.Saturated() != 1 {
-		t.Fatalf("Saturated = %d after re-saturating", g.Saturated())
-	}
+	g.Update(far, at(0, 1e15))
 	g.Rebucket(1e14) // the larger cells bring the position back in range
-	if g.Saturated() != 0 {
-		t.Fatalf("Saturated = %d after rebucket to a covering cell size", g.Saturated())
+	if r := farRect(); math.IsInf(r.Max.Y, 1) || !r.Contains(geo.Pt(0, 1e15)) {
+		t.Fatalf("rebucket to a covering cell size left cell rect %v", r)
 	}
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d after saturation churn, want 2", g.Len())
 	}
-	if _, ok := g.Remove(far); !ok {
+	if !g.Remove(far) {
 		t.Fatal("Remove(far) failed")
 	}
 }

@@ -343,8 +343,9 @@ type (
 	// spatial-index health counters.
 	NodeStats = locserv.NodeStats
 	// IndexStats counts the live spatial index's health: cell moves and
-	// bound recomputes on the write path, cells visited and k-NN rings
-	// expanded on the read path, and the indexed-vs-scan query mix.
+	// bound recomputes on the write path, cells visited and cells k-NN
+	// queries took off their bound-ordered frontiers (RingExpansions) on
+	// the read path, and the indexed-vs-scan query mix.
 	IndexStats = locserv.IndexStats
 )
 
