@@ -20,9 +20,7 @@ BENCH_MAXREGRESS ?= 0.30
 # (ring-routed ingest + merged 10-NN; gate: >= 100k updates/s), the
 # same pipeline at replication factor 2 (each batch delivered to both
 # owners, queries merged on freshest Seq; gate: >= 100k updates/s),
-# the two-coordinator fan-in pipeline (the batch stream split
-# across two membership-replicating fronts; gate: beat the
-# single-front replicated number), and the live-index churn pair
+# the live-index churn pair
 # (range and 10-NN queries interleaved with full-rate ingest at 10k
 # objects; gate: live >= 3x the scan baseline's queries/s), the
 # long-quiet pair (the same queries over 10k objects whose report ages
@@ -31,7 +29,7 @@ BENCH_MAXREGRESS ?= 0.30
 # untraced metrics record path (sampler check + histogram record;
 # gate: zero allocations — instrumentation must stay free on the hot
 # path).
-BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
+BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
 BENCH_PKGS = ./internal/core ./internal/locserv ./internal/sim ./internal/cluster ./internal/obs
 
 check: vet staticcheck build race bench-check

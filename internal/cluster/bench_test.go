@@ -87,14 +87,14 @@ func BenchmarkReplicatedIngestQuery(b *testing.B) {
 	benchClusterIngestQuery(b, 2)
 }
 
-// BenchmarkFanInIngestQuery is the multi-coordinator gate: two fan-in
+// BenchmarkFanInIngestQuery is the multi-coordinator smoke: two fan-in
 // coordinators front the same 4 nodes at R=2, the batch stream is
 // split across both fronts and each batch rides with a 10-NN
 // scatter-gather on its front. Both coordinators tick their fan-in
-// layer (gossip, lease fold) and the self-healing loops, so the gate
-// prices the whole two-front configuration. The acceptance bar is
-// beating the single-coordinator replicated gate: the second front
-// must buy throughput, not cost it.
+// layer (gossip, lease fold) and the self-healing loops, so it prices
+// the whole two-front configuration — but the fronts are driven one
+// after the other, so it cannot show a second front buying throughput
+// and gates nothing (CI runs it to see it still moves).
 func BenchmarkFanInIngestQuery(b *testing.B) {
 	nodes := make([]*locserv.NodeService, clusterBenchNodes)
 	for i := range nodes {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,12 +171,9 @@ type MemberStats struct {
 // pointer swaps and queries never observe a half-moved partition — or
 // a blocked one.
 type Coordinator struct {
-	mu      sync.RWMutex
-	ring    *Ring
-	rf      int
-	members map[string]*memberState
-	order   []string    // sorted member names: deterministic scatter order
-	duals   []dualRange // ranges in migration: extra owners for routing
+	// The routing state and its lock (routing.go); Nodes, Owner, Owners
+	// and Replicas are the embedded table's.
+	*routingTable
 
 	queries     atomic.Int64
 	queryErrors atomic.Int64
@@ -201,17 +197,15 @@ type Coordinator struct {
 	fanin atomic.Pointer[fanIn]    // multi-coordinator replication; nil = single front
 
 	// Migration engine state (migration.go). migMu serializes runs and is
-	// never held together with mu; mig is the in-flight or halted run
-	// (guarded by migMu), migView its lock-free mirror for stats.
+	// never waited for under the routing lock; mig is the in-flight or
+	// halted run (written under migMu, read lock-free by stats).
 	migMu        sync.Mutex
-	mig          *migrationRun
-	migView      atomic.Pointer[migrationRun]
+	mig          atomic.Pointer[migrationRun]
 	migHook      migrationHook // test crash hook; set before Begin*/Resume
 	migCommitted atomic.Int64
 	migAborted   atomic.Int64
 	migResumed   atomic.Int64
 	migRecords   atomic.Int64
-	migSwapNs    atomic.Int64
 	migLast      atomic.Pointer[string]
 
 	repairWG  sync.WaitGroup
@@ -253,104 +247,18 @@ func NewReplicated(vnodes, replicas int, members ...*Member) (*Coordinator, erro
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one member")
 	}
-	if replicas <= 0 {
-		replicas = 1
-	}
-	names := make([]string, len(members))
-	for i, m := range members {
+	for _, m := range members {
 		if m == nil || m.Node == nil {
 			return nil, fmt.Errorf("cluster: nil member")
 		}
-		names[i] = m.Name
 	}
-	ring, err := NewRing(vnodes, names...)
+	table, err := newRoutingTable(vnodes, replicas, members...)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		ring:      ring,
-		rf:        replicas,
-		members:   make(map[string]*memberState, len(members)),
-		repairing: make(map[locserv.ObjectID]bool),
-	}
-	for _, m := range members {
-		if _, dup := c.members[m.Name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate member %q", m.Name)
-		}
-		c.members[m.Name] = newMemberState(m)
-	}
-	c.reorder()
+	c := &Coordinator{routingTable: table, repairing: make(map[locserv.ObjectID]bool)}
 	c.initObs()
 	return c, nil
-}
-
-// Replicas returns the replication factor R. The effective copy count
-// of a key range is min(R, live members).
-func (c *Coordinator) Replicas() int { return c.rf }
-
-// reorder re-derives the deterministic scatter order; callers hold the
-// write lock.
-func (c *Coordinator) reorder() {
-	c.order = c.order[:0]
-	for name := range c.members {
-		c.order = append(c.order, name)
-	}
-	sort.Strings(c.order)
-}
-
-// Nodes returns the member names in scatter order.
-func (c *Coordinator) Nodes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.order...)
-}
-
-// Owner returns the member owning id (the head of its preference list).
-func (c *Coordinator) Owner(id locserv.ObjectID) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Owner(string(id))
-}
-
-// Owners returns id's full preference list: the R members holding its
-// replicas.
-func (c *Coordinator) Owners(id locserv.ObjectID) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Owners(string(id), c.rf)
-}
-
-// ownersFor returns id's routing owner set reusing dst's backing
-// array: the ring preference list plus — while a migration has the
-// id's range in transition — the dual-range adds, so old and new
-// owners are written and read alike until the commit. The ring owners
-// come first, so freshest-Seq ties keep resolving to the same member
-// they did before the migration started. Callers hold a lock; with no
-// migration in flight the dual scan is a nil-slice check.
-func (c *Coordinator) ownersFor(dst []string, id string) []string {
-	h := wire.KeyHash(id)
-	dst = c.ring.ownersAppendAt(dst, h, c.rf)
-	for i := range c.duals {
-		d := &c.duals[i]
-		if !wire.InKeyRange(h, d.lo, d.hi) {
-			continue
-		}
-		for _, name := range d.adds {
-			if !containsName(dst, name) {
-				dst = append(dst, name)
-			}
-		}
-	}
-	return dst
-}
-
-func containsName(names []string, name string) bool {
-	for _, have := range names {
-		if have == name {
-			return true
-		}
-	}
-	return false
 }
 
 // predictorRegistrar is the optional in-process fast path: a node that
@@ -367,137 +275,38 @@ type predictorRegistrar interface {
 // members catch up through hinted records and read repair (their
 // factories auto-register on delivery).
 func (c *Coordinator) Register(id locserv.ObjectID, pred core.Predictor) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	owners := c.ownersFor(nil, string(id))
-	if len(owners) == 0 {
-		return fmt.Errorf("cluster: no member owns %q", id)
+	errs := c.callOwners(id, func(n locserv.Node) error {
+		if pr, ok := n.(predictorRegistrar); ok && pred != nil {
+			return pr.RegisterWith(id, pred)
+		}
+		return n.Register(id)
+	})
+	for _, err := range errs {
+		if err == nil {
+			return nil
+		}
 	}
-	var errs []error
-	registered := 0
-	for _, name := range owners {
-		m, ok := c.members[name]
-		if !ok {
-			return fmt.Errorf("cluster: no member owns %q", id)
-		}
-		if m.down.Load() {
-			continue
-		}
-		var err error
-		if pr, ok := m.Node.(predictorRegistrar); ok && pred != nil {
-			err = pr.RegisterWith(id, pred)
-		} else {
-			err = m.Node.Register(id)
-		}
-		if err != nil {
-			m.errors.Add(1)
-			errs = append(errs, fmt.Errorf("cluster: register %q on %s: %w", id, name, err))
-			continue
-		}
-		registered++
+	if _, err := foldErrs(errs); err != nil {
+		return fmt.Errorf("cluster: register %q: %w", id, err)
 	}
-	if registered == 0 {
-		if len(errs) == 0 {
-			return fmt.Errorf("cluster: no live replica for %q", id)
-		}
-		return errors.Join(errs...)
-	}
-	return nil
+	return fmt.Errorf("cluster: no live replica for %q", id)
 }
 
 // Deregister implements locserv.Registry: the object is removed from
 // every replica.
 func (c *Coordinator) Deregister(id locserv.ObjectID) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, name := range c.ownersFor(nil, string(id)) {
-		m, ok := c.members[name]
-		if !ok || m.down.Load() {
-			continue
-		}
-		if err := m.Node.Deregister(id); err != nil {
-			m.errors.Add(1)
-		}
-	}
+	c.callOwners(id, func(n locserv.Node) error { return n.Deregister(id) })
 }
 
-// routeScratch is the reusable partition state of route(): the
-// per-member record slices and the owners scratch keep their backing
-// arrays between batches, so steady-state routing allocates nothing.
-type routeScratch struct {
-	parts   map[string][]wire.Record
-	owners  []string
-	targets []string // members with a non-empty partition, in scatter order
-}
-
-var routePool = sync.Pool{
-	New: func() any { return &routeScratch{parts: make(map[string][]wire.Record)} },
-}
-
-// releaseRouteScratch truncates the partitions (keeping capacity) and
-// returns the scratch to the pool. Safe once every consumer of the
-// partition slices has returned: transports, sinks and hint buffers
-// all copy records out before their call completes.
-func releaseRouteScratch(scr *routeScratch) {
-	for name, part := range scr.parts {
-		scr.parts[name] = part[:0]
-	}
-	routePool.Put(scr)
-}
-
-// route partitions a batch per member of each record's preference list
-// — plus any dual-range adds while a migration is in flight —
-// preserving each record's relative order; callers hold a lock, own
-// scr for the duration of the call and release it once the partitions
-// are consumed. Every record appears in all its owners' partitions.
-func (c *Coordinator) route(scr *routeScratch, batch []wire.Record) (map[string][]wire.Record, error) {
-	parts := scr.parts
-	owners := scr.owners
-	defer func() { scr.owners = owners }()
-	for i := range batch {
-		if batch[i].ID == "" {
-			return nil, fmt.Errorf("cluster: record %d has no object id", i)
-		}
-		owners = c.ownersFor(owners[:0], batch[i].ID)
-		if len(owners) == 0 {
-			return nil, fmt.Errorf("cluster: no member owns %q", batch[i].ID)
-		}
-		for _, name := range owners {
-			if _, ok := c.members[name]; !ok {
-				return nil, fmt.Errorf("cluster: no member owns %q", batch[i].ID)
-			}
-			parts[name] = append(parts[name], batch[i])
-		}
-	}
-	return parts, nil
-}
-
-// lostRecords counts the batch records none of whose owners accepted
-// delivery (failed names the members that did not take their
-// partition); callers hold a lock. The owner set is the one route()
-// partitioned by — ring owners plus in-migration dual adds — so a record
-// its joining owner accepted is not lost. Those records exist only as
-// hints until a replica recovers.
-func (c *Coordinator) lostRecords(batch []wire.Record, failed map[string]bool) int {
-	if len(failed) == 0 {
-		return 0
-	}
-	lost := 0
-	owners := make([]string, 0, c.rf)
-	for i := range batch {
-		owners = c.ownersFor(owners[:0], batch[i].ID)
-		alive := false
-		for _, name := range owners {
-			if !failed[name] {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			lost++
-		}
-	}
-	return lost
+// callOwners runs one registry call against every live owner of id at
+// once. A failure is counted but does not feed the breaker: a node
+// turning a registration down (a duplicate, say) is answering.
+func (c *Coordinator) callOwners(id locserv.ObjectID, call func(locserv.Node) error) []error {
+	c.hold()
+	defer c.release()
+	_, errs := fanOut(c, c.ownersFor(nil, string(id)), nil, (*Coordinator).noteErr,
+		func(_ *memberState, n locserv.Node) (struct{}, error) { return struct{}{}, call(n) })
+	return errs
 }
 
 // errMemberDown fills the fan-out error slot of a member that was not
@@ -510,9 +319,9 @@ var errMemberDown = errors.New("cluster: member down")
 // down member is not called and its error slot holds errMemberDown; a
 // failed call's slot holds the error with the member named. note feeds
 // each call's outcome to the member's health bookkeeping (noteQuery,
-// noteCall or noteBeat). With a non-nil tr the call is traced: the
+// noteCall, noteBeat or noteErr). With a non-nil tr the call is traced: the
 // member's node is bound to the trace where it can be, and the hop is
-// recorded on the query clock. Callers hold at least the read lock.
+// recorded on the query clock. Callers hold the routing table.
 func fanOut[T any](c *Coordinator, names []string, tr *queryTrace,
 	note func(*Coordinator, *memberState, error),
 	call func(*memberState, locserv.Node) (T, error)) ([]T, []error) {
@@ -523,8 +332,8 @@ func fanOut[T any](c *Coordinator, names []string, tr *queryTrace,
 	}
 	var wg sync.WaitGroup
 	for i, name := range names {
-		m, ok := c.members[name]
-		if !ok {
+		m := c.member(name)
+		if m == nil {
 			errs[i] = fmt.Errorf("cluster: unknown member %q", name)
 			continue
 		}
@@ -585,21 +394,15 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 		return 0, nil
 	}
 	c.advanceClock(now)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.hold()
+	defer c.release()
 	scr := routePool.Get().(*routeScratch)
 	defer releaseRouteScratch(scr)
 	parts, err := c.route(scr, batch)
 	if err != nil {
 		return 0, err
 	}
-	targets := scr.targets[:0]
-	for _, name := range c.order {
-		if len(parts[name]) > 0 {
-			targets = append(targets, name)
-		}
-	}
-	scr.targets = targets
+	targets := scr.targets
 	counts, errs := fanOut(c, targets, nil, (*Coordinator).noteCall,
 		func(m *memberState, _ locserv.Node) (int, error) {
 			part := parts[m.Name]
@@ -613,12 +416,12 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 			applied += counts[i]
 			continue
 		}
-		c.members[name].hints.AddAt(now, parts[name])
+		c.member(name).hints.AddAt(now, parts[name])
 		failed[name] = true
 	}
 	c.maybeProbe()
 	_, err = foldErrs(errs)
-	if exact && c.rf == 1 && len(c.duals) == 0 {
+	if exact && c.disjoint() {
 		// Unreplicated partitions are disjoint (no migration in flight, so
 		// no dual-written overlap): the per-member counts sum to the exact
 		// record-level accounting (records belonging to a registered or
@@ -659,22 +462,19 @@ func (c *Coordinator) Send(now float64, batch []wire.Record) error {
 // what is due at now. Flush also paces the recovery probes for tripped
 // members (see ProbeDown).
 func (c *Coordinator) Flush(now float64) error {
-	c.mu.RLock()
-	var errs []error
-	for _, name := range c.order {
-		m := c.members[name]
-		if m.Ingest == nil || m.down.Load() {
-			continue
-		}
-		if err := m.Ingest.Flush(now); err != nil {
-			m.errors.Add(1)
-			errs = append(errs, fmt.Errorf("cluster: flush %s: %w", m.Name, err))
-		}
-	}
-	c.mu.RUnlock()
+	c.hold()
+	_, errs := fanOut(c, c.scatterOrder(), nil, (*Coordinator).noteErr,
+		func(m *memberState, _ locserv.Node) (struct{}, error) {
+			if m.Ingest == nil {
+				return struct{}{}, nil
+			}
+			return struct{}{}, m.Ingest.Flush(now)
+		})
+	c.release()
 	c.advanceClock(now)
 	c.maybeProbe()
-	return errors.Join(errs...)
+	_, err := foldErrs(errs)
+	return err
 }
 
 // maybeProbe schedules a background recovery probe every
@@ -691,11 +491,8 @@ func (c *Coordinator) maybeProbe() {
 // Stats implements wire.Transport: the members' transport counters,
 // summed.
 func (c *Coordinator) Stats() wire.Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var total wire.Stats
-	for _, name := range c.order {
-		m := c.members[name]
+	for _, m := range c.memberList() {
 		if m.Ingest == nil {
 			continue
 		}
@@ -740,7 +537,7 @@ func (c *Coordinator) queryErr(errs []error) error {
 // yield nil parts, count toward their breaker and surface in the
 // joined error. A sampled query (tr non-nil) takes this same path.
 func (c *Coordinator) scatter(tr *queryTrace, query func(*memberState, locserv.Node) ([]locserv.ObjectPos, error)) ([][]locserv.ObjectPos, error) {
-	parts, errs := fanOut(c, c.order, tr, (*Coordinator).noteQuery, query)
+	parts, errs := fanOut(c, c.scatterOrder(), tr, (*Coordinator).noteQuery, query)
 	return parts, c.queryErr(errs)
 }
 
@@ -755,8 +552,8 @@ func (c *Coordinator) gather(op string, hist *obs.Histogram, t float64,
 	merge func([][]locserv.ObjectPos) ([]locserv.ObjectPos, []locserv.Divergence)) ([]locserv.ObjectPos, error) {
 	start := time.Now()
 	tr := c.sampleTrace(start)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.hold()
+	defer c.release()
 	c.queries.Add(1)
 	parts, err := c.scatter(tr, query)
 	if err != nil {
@@ -814,8 +611,8 @@ type posAnswer struct {
 func (c *Coordinator) PositionE(id locserv.ObjectID, t float64) (geo.Point, bool, error) {
 	start := time.Now()
 	tr := c.sampleTrace(start)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.hold()
+	defer c.release()
 	c.queries.Add(1)
 	var buf [4]string // R owners plus a dual add fit without allocating
 	owners := c.ownersFor(buf[:0], string(id))
@@ -859,14 +656,14 @@ func (c *Coordinator) PositionE(id locserv.ObjectID, t float64) (geo.Point, bool
 			continue
 		}
 		if !a.ok || a.seq < answers[best].seq {
-			staleMembers = append(staleMembers, c.members[owners[i]])
+			staleMembers = append(staleMembers, c.member(owners[i]))
 			if a.ok {
 				c.divergenceH.Record(float64(answers[best].seq - a.seq))
 			}
 		}
 	}
 	if len(staleMembers) > 0 {
-		c.spawnRepair(id, c.members[owners[best]], staleMembers)
+		c.spawnRepair(id, c.member(owners[best]), staleMembers)
 	}
 	return answers[best].pos, true, nil
 }
@@ -928,15 +725,15 @@ func (c *Coordinator) NodeStats() locserv.NodeStats {
 
 // MemberStats snapshots the coordinator's per-member routing counters
 // and each member's node stats, in scatter order. Down members keep a
-// zero NodeStats (they are not probed here).
+// zero NodeStats (they are not probed here). The node round trips run
+// outside the routing lock, so a slow scrape never queues a membership
+// change — and with it every query — behind the network.
 func (c *Coordinator) MemberStats() []MemberStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]MemberStats, 0, len(c.order))
-	for _, name := range c.order {
-		m := c.members[name]
+	members := c.memberList()
+	out := make([]MemberStats, 0, len(members))
+	for _, m := range members {
 		ms := MemberStats{
-			Name:    name,
+			Name:    m.Name,
 			Records: m.records.Load(),
 			Batches: m.batches.Load(),
 			Queries: m.queries.Load(),
@@ -949,14 +746,11 @@ func (c *Coordinator) MemberStats() []MemberStats {
 			if since := math.Float64frombits(m.downSince.Load()); c.now() > since {
 				ms.DownFor = c.now() - since
 			}
-		}
-		if !ms.Down {
-			if st, err := m.Node.NodeStats(); err == nil {
-				ms.Node = st
-			} else {
-				m.errors.Add(1)
-				ms.Errors++
-			}
+		} else if st, err := m.Node.NodeStats(); err == nil {
+			ms.Node = st
+		} else {
+			m.errors.Add(1)
+			ms.Errors++
 		}
 		out = append(out, ms)
 	}

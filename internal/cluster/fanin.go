@@ -70,37 +70,6 @@ var ErrNotLeaseHolder = errors.New("cluster: membership lease held by another co
 // never compact and stay byte-inspectable.
 const compactAfter = 64
 
-// Log-record MigKind values (the wire encoding of the run kinds).
-const (
-	migKindJoin uint8 = iota + 1
-	migKindLeave
-	migKindReweight
-)
-
-func migKindByte(kind string) uint8 {
-	switch kind {
-	case migJoin:
-		return migKindJoin
-	case migLeave:
-		return migKindLeave
-	default:
-		return migKindReweight
-	}
-}
-
-func migKindName(b uint8) (string, error) {
-	switch b {
-	case migKindJoin:
-		return migJoin, nil
-	case migKindLeave:
-		return migLeave, nil
-	case migKindReweight:
-		return migReweight, nil
-	default:
-		return "", fmt.Errorf("cluster: unknown migration kind %d", b)
-	}
-}
-
 // FanInConfig tunes a coordinator's fan-in membership replication.
 // Times are transport-clock units, like SelfHealConfig's.
 type FanInConfig struct {
@@ -124,23 +93,9 @@ type logKey struct {
 	origin string
 }
 
-// followerRun is a migration run known from the log: enough to route
-// during it (the duals are in Coordinator.duals), close it on
-// commit/abort, and rebuild a driveable run if this coordinator steals
-// the lease mid-flight.
-type followerRun struct {
-	epoch   uint64
-	origin  string
-	kind    string
-	target  string
-	next    *Ring
-	moves   []arcMove
-	joining *memberState
-}
-
 // fanIn is a coordinator's fan-in state. mu guards the log and
 // everything folded from it, and is always taken before (never inside)
-// Coordinator.mu; peer transports are only called with mu released.
+// the routing lock; peer transports are only called with mu released.
 type fanIn struct {
 	c   *Coordinator
 	id  string
@@ -151,8 +106,8 @@ type fanIn struct {
 	applied  map[logKey]bool
 	maxEpoch uint64
 	peers    map[string]wire.PeerTransport
-	order    []string // peer names, sorted: deterministic gossip order
-	runs     map[uint64]*followerRun
+	order    []string                  // peer names, sorted: deterministic gossip order
+	runs     map[uint64]*migrationPlan // begun on the log, not yet closed
 
 	// Lease fold (rebuilt by every sweep): current holder, the epoch
 	// its tenure started at (the fencing token), and its expiry.
@@ -240,7 +195,7 @@ func (c *Coordinator) EnableFanIn(id string, cfg FanInConfig) {
 		cfg:       cfg,
 		applied:   make(map[logKey]bool),
 		peers:     make(map[string]wire.PeerTransport),
-		runs:      make(map[uint64]*followerRun),
+		runs:      make(map[uint64]*migrationPlan),
 		peerCover: make(map[string]uint64),
 		peerFloor: make(map[string]uint64),
 		fencedOwn: make(map[logKey]bool),
@@ -305,10 +260,8 @@ func (c *Coordinator) ServePeer(req wire.PeerRequest) wire.PeerResponse {
 // fault can cut one coordinator off while another still reaches the
 // node); otherwise the sender keeps custody and retries.
 func (c *Coordinator) acceptPeerHints(name string, recs []wire.Record) (int, error) {
-	c.mu.RLock()
-	m, ok := c.members[name]
-	c.mu.RUnlock()
-	if !ok {
+	m := c.lookup(name)
+	if m == nil {
 		return 0, fmt.Errorf("unknown member %q", name)
 	}
 	if m.down.Load() {
@@ -686,8 +639,8 @@ func (f *fanIn) repairLocked(rec wire.LogRecord) {
 			heal.unpark(rec.Target)
 		}
 	case wire.LogBegin:
-		fr := f.runs[rec.Run]
-		if fr == nil {
+		plan := f.runs[rec.Run]
+		if plan == nil {
 			return
 		}
 		// Roll the fenced run's routing back: dual routes stop, a
@@ -695,28 +648,11 @@ func (f *fanIn) repairLocked(rec wire.LogRecord) {
 		// adds are left for the freshest-Seq merge to deduplicate (a
 		// network sweep does not belong under f.mu); the true holder's
 		// own runs will re-plan the ranges from its fold.
-		c.mu.Lock()
-		c.duals = c.duals[:0]
-		if fr.kind == migJoin {
-			delete(c.members, fr.target)
-			c.reorder()
-		}
-		c.mu.Unlock()
+		c.rollback(plan)
 		delete(f.runs, rec.Run)
-		if run := c.migView.Load(); run != nil && run.logged && run.logRun == rec.Run {
-			// We were driving (or halted on) it: drop the engine state so
-			// the halt does not block future membership changes. TryLock
-			// cannot deadlock; if the engine is mid-drive it will halt on
-			// its own at the fenced commit.
-			if c.migMu.TryLock() {
-				if c.mig == run {
-					c.mig = nil
-					c.migView.Store(nil)
-					c.setMigOutcome(fmt.Sprintf("fenced %s: begun under a superseded lease", runLabel(run)))
-				}
-				c.migMu.Unlock()
-			}
-		}
+		// If we were driving (or halted on) it, the halt must not block
+		// future membership changes.
+		f.clearHaltedRun(rec.Run, "fenced", "begun under a superseded lease")
 	case wire.LogCommit, wire.LogAbort:
 		// A close is fenced *before* any local mutation (commitRun and
 		// abortRun re-check the lease first), so there is nothing to
@@ -725,38 +661,32 @@ func (f *fanIn) repairLocked(rec wire.LogRecord) {
 }
 
 // dispatchLocked applies one fenced migration record to live routing
-// state. Callers hold f.mu; Coordinator.mu is taken inside (that lock
-// order is fixed: f.mu, then c.mu).
+// state. Callers hold f.mu; the routing lock is taken inside (that lock
+// order is fixed: f.mu, then the table's).
 func (f *fanIn) dispatchLocked(rec wire.LogRecord) error {
 	switch rec.Kind {
 	case wire.LogBegin:
 		return f.applyBegin(rec)
-	case wire.LogCommit:
-		return f.applyCommit(rec)
-	case wire.LogAbort:
-		return f.applyAbort(rec)
+	case wire.LogCommit, wire.LogAbort:
+		return f.applyClose(rec)
 	case wire.LogPark:
-		f.c.parkIdentity(rec.Target)
+		if heal := f.c.heal.Load(); heal != nil {
+			heal.park(rec.Target)
+		}
 		return nil
 	default:
 		return fmt.Errorf("cluster: unexpected log kind %v", rec.Kind)
 	}
 }
 
-// applyBegin opens a migration run learned from the log: compute the
-// next ring and its arc moves exactly as the driving coordinator did
-// (rings are deterministic functions of names and weights), enter a
-// joining member into the scatter set, and publish every dual route up
-// front — from here this coordinator routes the migration identically
-// to the driver.
+// applyBegin opens a migration run learned from the log exactly as the
+// driving coordinator did — the same record, the same plan derivation,
+// the same enter — and publishes every dual route up front: from here
+// this coordinator routes the migration identically to the driver.
 func (f *fanIn) applyBegin(rec wire.LogRecord) error {
-	kind, err := migKindName(rec.MigKind)
-	if err != nil {
-		return err
-	}
-	c := f.c
 	var joining *Member
-	if kind == migJoin {
+	if rec.MigKind == migKindJoin {
+		var err error
 		if joining, err = f.cfg.MemberFactory(rec.Target, rec.Addr); err != nil {
 			return fmt.Errorf("cluster: join %q: %w", rec.Target, err)
 		}
@@ -764,138 +694,66 @@ func (f *fanIn) applyBegin(rec wire.LogRecord) error {
 			return fmt.Errorf("cluster: member factory returned no member for %q", rec.Target)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *Ring
-	switch kind {
-	case migJoin:
-		if _, dup := c.members[rec.Target]; dup {
-			return fmt.Errorf("cluster: duplicate member %q", rec.Target)
-		}
-		next = c.ring.clone()
-		if _, err = next.Add(rec.Target); err != nil {
-			return err
-		}
-	case migLeave:
-		if _, ok := c.members[rec.Target]; !ok {
-			return fmt.Errorf("cluster: unknown member %q", rec.Target)
-		}
-		next = c.ring.clone()
-		if _, err = next.Remove(rec.Target); err != nil {
-			return err
-		}
-	case migReweight:
-		weights := make(map[string]int, len(rec.Weights))
-		for _, nw := range rec.Weights {
-			weights[nw.Name] = int(nw.W)
-		}
-		if next, err = c.ring.reweighted(weights); err != nil {
-			return err
-		}
+	plan, err := f.c.openPlan(rec, joining)
+	if err != nil {
+		return err
 	}
-	fr := &followerRun{
-		epoch:  rec.Run,
-		origin: rec.Origin,
-		kind:   kind,
-		target: rec.Target,
-		next:   next,
-		moves:  diffPreferenceLists(c.ring, next, c.rf),
-	}
-	if kind == migJoin {
-		if heal := c.heal.Load(); heal != nil {
-			heal.unpark(rec.Target)
-		}
-		st := newMemberState(joining)
-		fr.joining = st
-		c.members[rec.Target] = st
-		c.reorder()
-	}
-	for _, mv := range fr.moves {
-		if len(mv.adds) > 0 {
-			c.duals = append(c.duals, dualRange{lo: mv.lo, hi: mv.hi, adds: mv.adds})
-		}
-	}
-	f.runs[rec.Run] = fr
+	f.openLogged(plan, rec.Run)
 	return nil
 }
 
-// applyCommit closes a run learned from the log: swap to the
-// precomputed next ring and drop the dual routes under one brief write
-// lock, exactly the O(1) pointer work the driver's commit does. The
-// superseded copies are dropped by the driver. If this coordinator was
-// halted on the same run (its drive was fenced by the thief now
-// committing it), the resident engine state is cleared too.
-func (f *fanIn) applyCommit(rec wire.LogRecord) error {
-	fr := f.runs[rec.Run]
-	if fr == nil {
-		return fmt.Errorf("cluster: commit for unknown run %d", rec.Run)
-	}
-	c := f.c
-	c.mu.Lock()
-	c.ring = fr.next
-	c.duals = c.duals[:0]
-	if fr.kind == migLeave {
-		delete(c.members, fr.target)
-		c.reorder()
-	}
-	c.mu.Unlock()
-	delete(f.runs, rec.Run)
-	f.clearHaltedRun(rec.Run, "committed by "+rec.Origin)
-	return nil
+// openLogged registers an entered plan as run logRun of the log — on
+// the driver and on every follower alike, so a peer stealing the lease
+// finds the same open run no matter who drove it — and publishes all
+// its dual routes. Callers hold f.mu.
+func (f *fanIn) openLogged(plan *migrationPlan, logRun uint64) {
+	plan.logRun = logRun
+	f.runs[logRun] = plan
+	f.c.publish(plan.moves...)
 }
 
-// applyAbort rolls back a run learned from the log: dual routes stop
-// and a joining member leaves the scatter set; the ring was never
-// swapped. The driver removes the partial imports.
-func (f *fanIn) applyAbort(rec wire.LogRecord) error {
-	fr := f.runs[rec.Run]
-	if fr == nil {
-		return fmt.Errorf("cluster: abort for unknown run %d", rec.Run)
+// applyClose closes a run learned from the log with the table
+// transition its record names: a Commit swaps to the plan's next ring
+// (the driver drops the superseded copies), an Abort rolls back (the
+// driver removes the partial imports). If this coordinator was halted
+// on the same run (its drive was fenced by the thief now closing it),
+// the resident engine state is cleared too.
+func (f *fanIn) applyClose(rec wire.LogRecord) error {
+	plan := f.runs[rec.Run]
+	if plan == nil {
+		return fmt.Errorf("cluster: %v for unknown run %d", rec.Kind, rec.Run)
 	}
-	c := f.c
-	c.mu.Lock()
-	c.duals = c.duals[:0]
-	if fr.kind == migJoin {
-		delete(c.members, fr.target)
-		c.reorder()
+	how := "aborted by "
+	if rec.Kind == wire.LogCommit {
+		f.c.commit(plan)
+		how = "committed by "
+	} else {
+		f.c.rollback(plan)
 	}
-	c.mu.Unlock()
 	delete(f.runs, rec.Run)
-	f.clearHaltedRun(rec.Run, "aborted by "+rec.Origin)
+	f.clearHaltedRun(rec.Run, "superseded", how+rec.Origin)
 	return nil
 }
 
 // clearHaltedRun drops the resident engine state of a halted logged
-// run a peer's close record has just superseded, so the deposed driver
-// does not stay wedged on ErrMigrationHalted forever. TryLock cannot
-// deadlock under f.mu (migMu is never acquired while holding it
-// elsewhere); if the engine still runs, its own fenced close halts it.
-func (f *fanIn) clearHaltedRun(logRun uint64, how string) {
+// run a peer's close record has just superseded (or the converged fold
+// fenced), so the deposed driver does not stay wedged on
+// ErrMigrationHalted forever. TryLock cannot deadlock under f.mu (migMu
+// is never waited for while holding it); if the engine still runs, its
+// own fenced close halts it.
+func (f *fanIn) clearHaltedRun(logRun uint64, verdict, how string) {
 	c := f.c
-	run := c.migView.Load()
-	if run == nil || !run.logged || run.logRun != logRun {
+	run := c.mig.Load()
+	if run == nil || run.logRun != logRun {
 		return
 	}
 	if !c.migMu.TryLock() {
 		return
 	}
-	if c.mig == run {
-		c.mig = nil
-		c.migView.Store(nil)
-		c.setMigOutcome(fmt.Sprintf("superseded %s: %s", runLabel(run), how))
+	if c.mig.CompareAndSwap(run, nil) {
+		c.setMigOutcome(fmt.Sprintf("%s %s: %s", verdict, run.label(), how))
 	}
 	c.migMu.Unlock()
-}
-
-// parkIdentity records a demoted identity from a Park log record.
-func (c *Coordinator) parkIdentity(name string) {
-	heal := c.heal.Load()
-	if heal == nil {
-		return
-	}
-	heal.mu.Lock()
-	heal.parked[name] = true
-	heal.mu.Unlock()
 }
 
 // gossip exchanges logs with every peer — push ours, merge theirs —
@@ -1064,27 +922,12 @@ func (f *fanIn) acquireLease(now float64) bool {
 	return true
 }
 
-// ReleaseLease gives the lease up early (tests and orderly shutdown).
-func (c *Coordinator) ReleaseLease(now float64) {
-	f := c.fanin.Load()
-	if f == nil {
-		return
-	}
-	if holder, _, _ := f.leaseState(); holder != f.id {
-		return
-	}
-	f.mu.Lock()
-	f.appendLocked(wire.LogRecord{Kind: wire.LogRelease, Holder: f.id, T: now})
-	f.mu.Unlock()
-	f.gossip()
-}
-
 // openRun returns a run begun on the log and not yet closed, if any.
-func (f *fanIn) openRun() *followerRun {
+func (f *fanIn) openRun() *migrationPlan {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, fr := range f.runs {
-		return fr
+	for _, plan := range f.runs {
+		return plan
 	}
 	return nil
 }
@@ -1095,20 +938,20 @@ func (f *fanIn) openRun() *followerRun {
 // forwarding undeliverable hints to peers.
 func (c *Coordinator) fanInTick(f *fanIn, now float64) {
 	f.gossipIfDue(now)
-	if run := c.migView.Load(); run != nil && run.logged {
+	if run := c.mig.Load(); run != nil && run.logRun != 0 {
 		// A halted logged run a peer has since closed (it stole the lease
-		// and committed or aborted) is dead weight: applyCommit/applyAbort
-		// clear it, but their TryLock loses to a drive still unwinding —
+		// and committed or aborted) is dead weight: applyClose clears it,
+		// but its TryLock loses to a drive still unwinding —
 		// re-check here, where migMu is takeable.
 		f.mu.Lock()
 		_, open := f.runs[run.logRun]
 		f.mu.Unlock()
 		if !open {
-			f.clearHaltedRun(run.logRun, "closed by a peer")
+			f.clearHaltedRun(run.logRun, "superseded", "closed by a peer")
 		}
 	}
-	if fr := f.openRun(); fr != nil {
-		if c.migView.Load() != nil {
+	if plan := f.openRun(); plan != nil {
+		if c.mig.Load() != nil {
 			// We are driving (or halted on) this run: keep the tenure
 			// from expiring under a long copy.
 			holder, _, until := f.leaseState()
@@ -1118,51 +961,32 @@ func (c *Coordinator) fanInTick(f *fanIn, now float64) {
 		} else if f.holdLease(now) {
 			// The driver is gone and the lease fell to us: rebuild the
 			// run from the log and drive it to commit.
-			_ = c.resumeFromLog(f, fr)
+			c.resumeFromLog(f, plan)
 		}
 	}
 	c.forwardHints(f)
 }
 
-// resumeFromLog rebuilds the open run from its log state and drives it
-// to commit in a background goroutine, exactly like beginMigration's
+// resumeFromLog wraps the open run's plan for driving and drives it to
+// commit in a background goroutine, exactly like beginMigration's
 // engine: the duals are already published (Begin did that on every
 // coordinator), so every range re-copies — idempotent per (id, Seq) —
 // and the final commit swaps the ring and appends the Commit record
 // under the thief's tenure. Tick returns immediately; a large re-copy
 // never stalls heartbeats, gossip or lease renewal.
-func (c *Coordinator) resumeFromLog(f *fanIn, fr *followerRun) error {
+func (c *Coordinator) resumeFromLog(f *fanIn, plan *migrationPlan) {
 	if !c.migMu.TryLock() {
-		return ErrMigrationBusy
+		return // a drive is still unwinding; the next Tick retries
 	}
-	if c.mig != nil {
+	if c.mig.Load() != nil {
 		c.migMu.Unlock()
-		return ErrMigrationHalted
+		return
 	}
-	run := &migrationRun{
-		kind:    fr.kind,
-		target:  fr.target,
-		next:    fr.next,
-		joining: fr.joining,
-		hook:    c.migHook,
-		logged:  true,
-		logRun:  fr.epoch,
-	}
-	for _, mv := range fr.moves {
-		rs := &rangeState{arcMove: mv, published: true}
-		run.ranges = append(run.ranges, rs)
-	}
-	c.mig = run
-	c.migView.Store(run)
 	f.resumes.Add(1)
 	c.migResumed.Add(1)
-	go func() {
-		// A halt leaves the run resident for the next resume (or a
-		// peer's steal), exactly like a locally begun run.
-		_ = c.drive(run)
-		c.migMu.Unlock()
-	}()
-	return nil
+	// A halt leaves the run resident for the next resume (or a peer's
+	// steal), exactly like a locally begun run.
+	c.startRun(plan)
 }
 
 // forwardHints pushes buffered hints for down members to peers: an
@@ -1179,28 +1003,18 @@ func (c *Coordinator) forwardHints(f *fanIn) {
 	if len(peers) == 0 {
 		return
 	}
-	c.mu.RLock()
-	type target struct {
-		name string
-		m    *memberState
-	}
-	var downs []target
-	for _, name := range c.order {
-		m := c.members[name]
-		if m.down.Load() && m.hints.Stats().Buffered > 0 {
-			downs = append(downs, target{name, m})
+	for _, m := range c.memberList() {
+		if !m.down.Load() || m.hints.Stats().Buffered == 0 {
+			continue
 		}
-	}
-	c.mu.RUnlock()
-	for _, d := range downs {
-		recs := d.m.hints.Drain()
+		recs := m.hints.Drain()
 		if len(recs) == 0 {
 			continue
 		}
 		delivered := false
 		for _, pt := range peers {
 			resp, err := pt.Peer(wire.PeerRequest{
-				Op: wire.PeerOpHints, From: f.id, Member: d.name, Hints: recs,
+				Op: wire.PeerOpHints, From: f.id, Member: m.Name, Hints: recs,
 			})
 			if err == nil && resp.Err == "" {
 				delivered = true
@@ -1209,7 +1023,7 @@ func (c *Coordinator) forwardHints(f *fanIn) {
 			}
 		}
 		if !delivered {
-			d.m.hints.Readd(recs)
+			m.hints.Readd(recs)
 		}
 	}
 }
@@ -1231,43 +1045,23 @@ func (f *fanIn) appendMigrationRecord(rec wire.LogRecord) (wire.LogRecord, error
 	return rec, nil
 }
 
-// noteLeaderBegin registers the driver's own run under the log's run
-// id so peers stealing the lease and this coordinator's stats see the
-// same open-run state no matter who drives.
-func (f *fanIn) noteLeaderBegin(rec wire.LogRecord, run *migrationRun) {
-	fr := &followerRun{
-		epoch:   rec.Run,
-		origin:  f.id,
-		kind:    run.kind,
-		target:  run.target,
-		next:    run.next,
-		joining: run.joining,
-	}
-	for _, r := range run.ranges {
-		fr.moves = append(fr.moves, r.arcMove)
-	}
-	f.mu.Lock()
-	f.runs[rec.Run] = fr
-	f.mu.Unlock()
-}
-
 // closeRun appends the closing record for a driven run (Commit or
 // Abort). It re-verifies the lease through a quorum round first — the
 // decision-point fence: a driver deposed mid-copy learns of the thief
 // here and halts instead of mutating its routing state divergently.
 // Only after the record is appended (and pushed) does the caller swap
 // or roll back, so a close that fails leaves the run open everywhere.
-func (f *fanIn) closeRun(run *migrationRun, kind wire.LogKind) error {
+func (f *fanIn) closeRun(logRun uint64, kind wire.LogKind) error {
 	if !f.holdLease(f.c.now()) {
 		f.rejects.Add(1)
 		return ErrNotLeaseHolder
 	}
-	if _, err := f.appendMigrationRecord(wire.LogRecord{Kind: kind, Run: run.logRun}); err != nil {
+	if _, err := f.appendMigrationRecord(wire.LogRecord{Kind: kind, Run: logRun}); err != nil {
 		f.rejects.Add(1)
 		return err
 	}
 	f.mu.Lock()
-	delete(f.runs, run.logRun)
+	delete(f.runs, logRun)
 	f.mu.Unlock()
 	return nil
 }

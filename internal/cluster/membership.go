@@ -140,6 +140,14 @@ type selfHeal struct {
 	reweights        atomic.Int64
 }
 
+// park records a demoted identity — by the local demotion loop, or
+// from a peer's Park log record — until it rejoins through AddNode.
+func (h *selfHeal) park(name string) {
+	h.mu.Lock()
+	h.parked[name] = true
+	h.mu.Unlock()
+}
+
 // unpark clears a demoted identity when it rejoins through AddNode.
 func (h *selfHeal) unpark(name string) {
 	h.mu.Lock()
@@ -244,9 +252,9 @@ func (h *selfHeal) beatDue(now float64) bool {
 // concurrently; noteBeat judges the outcomes.
 func (c *Coordinator) heartbeat(heal *selfHeal) {
 	heal.heartbeats.Add(1)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	fanOut(c, c.order, nil, (*Coordinator).noteBeat,
+	c.hold()
+	defer c.release()
+	fanOut(c, c.scatterOrder(), nil, (*Coordinator).noteBeat,
 		func(_ *memberState, n locserv.Node) (locserv.NodeStats, error) { return n.NodeStats() })
 }
 
@@ -276,16 +284,14 @@ func (c *Coordinator) checkDemotions(heal *selfHeal, now float64) {
 	if heal.cfg.DemoteAfter <= 0 && heal.cfg.DemoteHints <= 0 {
 		return
 	}
-	c.mu.RLock()
+	members := c.memberList()
 	var overdue []string
-	for _, name := range c.order {
-		m := c.members[name]
+	for _, m := range members {
 		if m.down.Load() && pastDeadline(&heal.cfg, m, now) {
-			overdue = append(overdue, name)
+			overdue = append(overdue, m.Name)
 		}
 	}
-	remaining := len(c.members)
-	c.mu.RUnlock()
+	remaining := len(members)
 	if len(overdue) == 0 {
 		return
 	}
@@ -331,20 +337,14 @@ func pastDeadline(cfg *SelfHealConfig, m *memberState, now float64) bool {
 // back as a fresh AddNode. A failed migration (no live source for some
 // range, say) is counted and retried on the next tick.
 func (c *Coordinator) demote(heal *selfHeal, name string) bool {
-	c.mu.RLock()
-	m, ok := c.members[name]
-	down := ok && m.down.Load()
-	c.mu.RUnlock()
-	if !down {
+	if m := c.lookup(name); m == nil || !m.down.Load() {
 		return false
 	}
 	if err := c.RemoveNode(name); err != nil {
 		heal.demotionFailures.Add(1)
 		return false
 	}
-	heal.mu.Lock()
-	heal.parked[name] = true
-	heal.mu.Unlock()
+	heal.park(name)
 	heal.demotions.Add(1)
 	if f := c.fanin.Load(); f != nil {
 		// Replicate the parking so a late rejoin is fenced to a fresh
@@ -372,34 +372,21 @@ func (c *Coordinator) maybeReweight(heal *selfHeal, now float64) {
 	}
 	first := !heal.haveSample
 	heal.lastSample, heal.haveSample = now, true
-	heal.mu.Unlock()
-
-	c.mu.RLock()
-	type sample struct {
-		name  string
-		total int64
-	}
-	samples := make([]sample, 0, len(c.order))
-	for _, name := range c.order {
-		m := c.members[name]
+	members := c.memberList()
+	deltas := make([]MemberStats, 0, len(members))
+	var minD, maxD, traffic int64
+	minD = -1
+	for _, m := range members {
 		if m.down.Load() {
 			continue
 		}
-		samples = append(samples, sample{name, m.records.Load()})
-	}
-	c.mu.RUnlock()
-
-	heal.mu.Lock()
-	deltas := make([]MemberStats, 0, len(samples))
-	var minD, maxD, traffic int64
-	minD = -1
-	for _, s := range samples {
-		d := s.total - heal.lastRecords[s.name]
-		heal.lastRecords[s.name] = s.total
+		total := m.records.Load()
+		d := total - heal.lastRecords[m.Name]
+		heal.lastRecords[m.Name] = total
 		if d < 0 {
 			d = 0
 		}
-		deltas = append(deltas, MemberStats{Name: s.name, Records: d})
+		deltas = append(deltas, MemberStats{Name: m.Name, Records: d})
 		traffic += d
 		if minD < 0 || d < minD {
 			minD = d
@@ -434,15 +421,13 @@ func (c *Coordinator) maybeReweight(heal *selfHeal, now float64) {
 	}
 
 	weights := BalancedWeights(heal.cfg.VnodeBase, deltas)
-	c.mu.RLock()
 	same := true
 	for name, w := range weights {
-		if c.ring.Vnodes(name) != w {
+		if c.vnodes(name) != w {
 			same = false
 			break
 		}
 	}
-	c.mu.RUnlock()
 	if same {
 		return
 	}

@@ -28,10 +28,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mapdr/internal/locserv"
 	"mapdr/internal/wire"
@@ -71,13 +69,6 @@ func (p MigrationPhase) String() string {
 	}
 }
 
-// Migration run kinds.
-const (
-	migJoin     = "join"
-	migLeave    = "leave"
-	migReweight = "reweight"
-)
-
 // migrateChunk bounds one import delivery, so a big range never turns
 // into one unbounded Deliver call.
 const migrateChunk = 1024
@@ -93,14 +84,6 @@ var (
 	ErrNoMigration = errors.New("cluster: no halted migration")
 )
 
-// dualRange is one ring range in transition: writes for keys in
-// (lo, hi] fan out to adds alongside the ring owners, and reads include
-// them in the freshest-Seq merge. Guarded by Coordinator.mu.
-type dualRange struct {
-	lo, hi uint64
-	adds   []string
-}
-
 // rangeState is one arc of the migration plan plus its state-machine
 // position. Phase and the copied-record count are atomics so
 // MigrationStats can snapshot a run the engine is executing.
@@ -113,21 +96,27 @@ type rangeState struct {
 	published bool
 }
 
-// migrationRun is one membership change in flight (or halted). The
-// engine goroutine owns it under Coordinator.migMu; err is guarded by
-// mu so stats can report a halt cause.
+// migrationRun is one membership change in flight (or halted): the plan
+// plus the driver's per-range progress. The engine goroutine owns it
+// under Coordinator.migMu; err is guarded by mu so stats can report a
+// halt cause.
 type migrationRun struct {
-	kind    string // migJoin, migLeave or migReweight
-	target  string // joining/leaving member name; "" for reweight
-	next    *Ring
-	joining *memberState // the member being added (migJoin only)
-	ranges  []*rangeState
-	hook    migrationHook
-	logged  bool   // the run rides the fan-in membership log
-	logRun  uint64 // the Begin record's epoch: the run's id on the log
+	*migrationPlan
+	ranges []*rangeState
 
 	mu  sync.Mutex
 	err error // why the run halted; nil while progressing
+}
+
+// newRun wraps a plan for driving. A logged plan's dual routes are all
+// on the router already (published up front on every coordinator); a
+// solo run publishes each range's ahead of its copy.
+func newRun(plan *migrationPlan) *migrationRun {
+	run := &migrationRun{migrationPlan: plan}
+	for _, mv := range plan.moves {
+		run.ranges = append(run.ranges, &rangeState{arcMove: mv, published: plan.logRun != 0})
+	}
+	return run
 }
 
 func (run *migrationRun) setErr(err error) {
@@ -215,13 +204,7 @@ func (c *Coordinator) BeginAddNode(m *Member) (*Migration, error) {
 	if m == nil || m.Node == nil {
 		return nil, fmt.Errorf("cluster: nil member")
 	}
-	return c.beginMigration(migJoin, m.Name, m, nil, func(cur *Ring) (*Ring, error) {
-		next := cur.clone()
-		if _, err := next.Add(m.Name); err != nil {
-			return nil, err
-		}
-		return next, nil
-	})
+	return c.beginMigration(beginRecord(migKindJoin, m.Name, m.Addr, nil), m)
 }
 
 // BeginRemoveNode starts a live leave migration: every range the member
@@ -229,27 +212,14 @@ func (c *Coordinator) BeginAddNode(m *Member) (*Migration, error) {
 // sourced from the leaving member, or any surviving replica when it is
 // down — and the member leaves the cluster at the final commit.
 func (c *Coordinator) BeginRemoveNode(name string) (*Migration, error) {
-	return c.beginMigration(migLeave, name, nil, nil, func(cur *Ring) (*Ring, error) {
-		next := cur.clone()
-		if _, err := next.Remove(name); err != nil {
-			return nil, err
-		}
-		return next, nil
-	})
+	return c.beginMigration(beginRecord(migKindLeave, name, "", nil), nil)
 }
 
 // BeginReweight starts a live reweight migration onto new per-member
 // vnode counts (see BalancedWeights); ranges whose preference lists
 // change move exactly like a join's.
 func (c *Coordinator) BeginReweight(weights map[string]int) (*Migration, error) {
-	return c.beginMigration(migReweight, "", nil, weights, func(cur *Ring) (*Ring, error) {
-		for name := range weights {
-			if _, ok := c.members[name]; !ok {
-				return nil, fmt.Errorf("cluster: weight for unknown member %q", name)
-			}
-		}
-		return cur.reweighted(weights)
-	})
+	return c.beginMigration(beginRecord(migKindReweight, "", "", weights), nil)
 }
 
 // AddNode joins a member to the cluster through a live migration and
@@ -298,144 +268,95 @@ func (c *Coordinator) ResumeMigration() error { return c.resumeRun(nil) }
 // AbortMigration rolls back the halted migration, if any.
 func (c *Coordinator) AbortMigration() error { return c.abortRun(nil) }
 
-// beginMigration plans a run and starts the engine in the background.
-// migMu is acquired here and released by the engine goroutine when the
-// drive finishes or halts; TryLock keeps membership ops non-blocking —
-// concurrent attempts fail fast with ErrMigrationBusy and retry (the
-// self-heal loops do exactly that on their next tick).
-//
-// With fan-in enabled the begin is fenced and replicated: it requires
-// the lease (ErrNotLeaseHolder otherwise — the peer holding it drives
-// membership right now), refuses to start over a peer's open run, and
-// appends the Begin record — kind, target, join address, reweight
-// weights — before any data moves. Every dual route is published up
-// front too (not per-range), matching what followers derive from the
-// record, so all coordinators route identically for the whole run.
-func (c *Coordinator) beginMigration(kind, target string, joining *Member, weights map[string]int, mkNext func(cur *Ring) (*Ring, error)) (*Migration, error) {
+// beginMigration opens the run of the change begin describes — a
+// LogBegin record, the form it is replicated in — and starts the engine
+// in the background. migMu is acquired here and released by the engine
+// goroutine when the drive finishes or halts; TryLock keeps membership
+// ops non-blocking — concurrent attempts fail fast with
+// ErrMigrationBusy and retry (the self-heal loops do exactly that on
+// their next tick).
+func (c *Coordinator) beginMigration(begin wire.LogRecord, joining *Member) (*Migration, error) {
 	if !c.migMu.TryLock() {
 		return nil, ErrMigrationBusy
 	}
-	if c.mig != nil {
-		c.migMu.Unlock()
-		return nil, ErrMigrationHalted
-	}
-	f := c.fanin.Load()
-	if f != nil {
-		if !f.holdLease(c.now()) {
-			c.migMu.Unlock()
-			return nil, ErrNotLeaseHolder
-		}
-		if f.openRun() != nil {
-			// A begun, uncommitted run is on the log (ours halted, or a
-			// dead peer's awaiting resume): it must finish first.
-			c.migMu.Unlock()
-			return nil, ErrMigrationHalted
-		}
-	}
-	run, err := c.planMigration(kind, target, joining, mkNext)
+	plan, err := c.beginPlan(begin, joining)
 	if err != nil {
 		c.migMu.Unlock()
 		return nil, err
 	}
-	if f != nil {
-		rec := wire.LogRecord{Kind: wire.LogBegin, MigKind: migKindByte(kind), Target: target}
-		if joining != nil {
-			rec.Addr = joining.Addr
-		}
-		if len(weights) > 0 {
-			names := make([]string, 0, len(weights))
-			for name := range weights {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				rec.Weights = append(rec.Weights, wire.NameWeight{Name: name, W: float64(weights[name])})
-			}
-		}
-		rec, err = f.appendMigrationRecord(rec)
-		if err != nil {
-			c.unplanMigration(run)
-			c.migMu.Unlock()
-			return nil, err
-		}
-		run.logged = true
-		run.logRun = rec.Run
-		f.noteLeaderBegin(rec, run)
-		for _, r := range run.ranges {
-			if len(r.adds) > 0 {
-				c.publishDual(r)
-			}
-		}
-	}
-	c.mig = run
-	c.migView.Store(run)
+	return c.startRun(plan), nil
+}
+
+// startRun makes plan the resident run and drives it in the background;
+// callers hold migMu, which the engine goroutine releases when the
+// drive finishes or halts.
+func (c *Coordinator) startRun(plan *migrationPlan) *Migration {
+	run := newRun(plan)
+	c.mig.Store(run)
 	m := &Migration{c: c, run: run, done: make(chan struct{})}
 	go func() {
-		err := c.drive(run)
-		m.err = err
+		m.err = c.drive(run)
 		// Release before signalling so a caller sequencing Wait() → next
 		// Begin* never sees a stale lock.
 		c.migMu.Unlock()
 		close(m.done)
 	}()
-	return m, nil
+	return m
 }
 
-// planMigration validates the change and builds the run under one brief
-// write lock: next ring, per-arc plan, and — for a join — the member's
-// entry into the scatter set (it owns nothing until its first range
-// goes dual, but dual writes and scatter queries must reach it from the
-// start).
-func (c *Coordinator) planMigration(kind, target string, joining *Member, mkNext func(cur *Ring) (*Ring, error)) (*migrationRun, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch kind {
-	case migJoin:
-		if _, dup := c.members[target]; dup {
-			return nil, fmt.Errorf("cluster: duplicate member %q", target)
+// beginPlan opens the driver's plan; callers hold migMu. With fan-in
+// enabled the begin is fenced and replicated: it requires the lease
+// (ErrNotLeaseHolder otherwise — the peer holding it drives membership
+// right now), refuses to start over a peer's open run, and appends the
+// Begin record before any data moves. Every dual route is published up
+// front too (not per-range), matching what followers do on the record,
+// so all coordinators route identically for the whole run.
+func (c *Coordinator) beginPlan(begin wire.LogRecord, joining *Member) (*migrationPlan, error) {
+	if c.mig.Load() != nil {
+		return nil, ErrMigrationHalted
+	}
+	f := c.fanin.Load()
+	if f != nil {
+		if !f.holdLease(c.now()) {
+			return nil, ErrNotLeaseHolder
 		}
-		// A parked (auto-demoted) identity rejoins as a fresh member: its
-		// old replicas were migrated away at demotion, so nothing of the
-		// previous incarnation is assumed.
-		if heal := c.heal.Load(); heal != nil {
-			heal.unpark(target)
-		}
-	case migLeave:
-		if _, ok := c.members[target]; !ok {
-			return nil, fmt.Errorf("cluster: unknown member %q", target)
-		}
-		if len(c.members) == 1 {
-			return nil, fmt.Errorf("cluster: cannot remove the last member %q", target)
+		if f.openRun() != nil {
+			// A begun, uncommitted run is on the log (ours halted, or a
+			// dead peer's awaiting resume): it must finish first.
+			return nil, ErrMigrationHalted
 		}
 	}
-	next, err := mkNext(c.ring)
+	plan, err := c.openPlan(begin, joining)
+	if err != nil || f == nil {
+		return plan, err
+	}
+	if begin, err = f.appendMigrationRecord(begin); err != nil {
+		c.rollback(plan)
+		return nil, err
+	}
+	f.mu.Lock()
+	f.openLogged(plan, begin.Run)
+	f.mu.Unlock()
+	return plan, nil
+}
+
+// openPlan is the begin transition both the driver and a fan-in
+// follower take: derive the plan from the table and enter it. A parked
+// (auto-demoted) identity rejoins as a fresh member: its old replicas
+// were migrated away at demotion, so nothing of the previous
+// incarnation is assumed.
+func (c *Coordinator) openPlan(begin wire.LogRecord, joining *Member) (*migrationPlan, error) {
+	plan, err := c.plan(begin, joining)
+	if err == nil {
+		err = c.enter(plan)
+	}
 	if err != nil {
 		return nil, err
 	}
-	run := &migrationRun{kind: kind, target: target, next: next, hook: c.migHook}
-	for _, mv := range diffPreferenceLists(c.ring, next, c.rf) {
-		run.ranges = append(run.ranges, &rangeState{arcMove: mv})
+	if heal := c.heal.Load(); heal != nil && plan.joining != nil {
+		heal.unpark(plan.target)
 	}
-	if kind == migJoin {
-		st := newMemberState(joining)
-		run.joining = st
-		c.members[target] = st
-		c.reorder()
-	}
-	return run, nil
-}
-
-// unplanMigration undoes planMigration's membership side effect when a
-// begin fails after planning (the fan-in Begin append was rejected): a
-// join's member leaves the scatter set again. Nothing else moved yet.
-func (c *Coordinator) unplanMigration(run *migrationRun) {
-	if run.kind != migJoin {
-		return
-	}
-	c.mu.Lock()
-	delete(c.members, run.target)
-	c.reorder()
-	c.mu.Unlock()
+	return plan, nil
 }
 
 // drive executes the plan: every incomplete range is published for dual
@@ -473,17 +394,20 @@ func (c *Coordinator) drive(run *migrationRun) error {
 // snapshot against the live stream.
 func (c *Coordinator) migrateRange(run *migrationRun, r *rangeState) error {
 	r.phase.Store(MigCopying)
-	if err := callHook(run, r); err != nil {
+	if err := c.callHook(run, r); err != nil {
 		return err
 	}
 	if len(r.adds) > 0 {
-		c.publishDual(r)
-		recs, ids, err := c.exportRange(run, r)
+		if !r.published {
+			c.publish(r.arcMove)
+			r.published = true
+		}
+		recs, ids, err := c.exportRange(r)
 		if err != nil {
 			return err
 		}
 		for _, target := range r.adds {
-			to := c.memberHandle(run, target)
+			to := c.lookup(target)
 			if to == nil {
 				return fmt.Errorf("cluster: handoff (%x,%x]: unknown target %q", r.lo, r.hi, target)
 			}
@@ -494,37 +418,23 @@ func (c *Coordinator) migrateRange(run *migrationRun, r *rangeState) error {
 		r.records.Store(int64(len(recs)))
 	}
 	r.phase.Store(MigDual)
-	return callHook(run, r)
+	return c.callHook(run, r)
 }
 
-func callHook(run *migrationRun, r *rangeState) error {
-	if run.hook == nil {
+func (c *Coordinator) callHook(run *migrationRun, r *rangeState) error {
+	if c.migHook == nil {
 		return nil
 	}
-	return run.hook(run.kind, r.lo, r.hi, r.phase.Load())
-}
-
-// publishDual pushes the range's dual entry to the router — the only
-// write-lock hold on the copy path, and it is O(1).
-func (c *Coordinator) publishDual(r *rangeState) {
-	if r.published {
-		return
-	}
-	c.mu.Lock()
-	t0 := time.Now()
-	c.duals = append(c.duals, dualRange{lo: r.lo, hi: r.hi, adds: r.adds})
-	r.published = true
-	c.noteSwapDur(time.Since(t0))
-	c.mu.Unlock()
+	return c.migHook(run.kind, r.lo, r.hi, r.phase.Load())
 }
 
 // exportRange snapshots the arc from the first previous owner that is
 // known, up and answering — with R >= 2, losing a node does not strand
 // its ranges.
-func (c *Coordinator) exportRange(run *migrationRun, r *rangeState) ([]wire.Record, []locserv.ObjectID, error) {
+func (c *Coordinator) exportRange(r *rangeState) ([]wire.Record, []locserv.ObjectID, error) {
 	var lastErr error
 	for _, s := range r.sources {
-		from := c.memberHandle(run, s)
+		from := c.lookup(s)
 		if from == nil {
 			lastErr = fmt.Errorf("unknown member %q", s)
 			continue
@@ -575,50 +485,24 @@ func (c *Coordinator) importRange(to *memberState, target string, r *rangeState,
 	return nil
 }
 
-// commitRun is the final swap: one brief write lock moves the router
-// onto the next ring, clears the dual table and completes a leave —
-// O(1) pointer work, no data movement. The superseded copies are
-// dropped outside the lock: they were kept fresh by dual writes the
-// whole run, so until each drop lands the extra replica merely answers
-// scatter queries in duplicate (deduplicated by the freshest-Seq
-// merge).
+// commitRun is the final swap: the table's commit moves the router onto
+// the next ring under one brief write lock — pointer work, no data
+// movement. The superseded copies are dropped outside the lock: they
+// were kept fresh by dual writes the whole run, so until each drop
+// lands the extra replica merely answers scatter queries in duplicate
+// (deduplicated by the freshest-Seq merge).
 //
 // A logged run's Commit record is appended (and pushed) before any of
 // that: closeRun re-verifies the lease through a quorum round, so a
 // driver deposed mid-copy returns ErrNotLeaseHolder here with its
 // routing state untouched — never a divergent ring swap.
 func (c *Coordinator) commitRun(run *migrationRun) error {
-	if run.logged {
-		if f := c.fanin.Load(); f != nil {
-			if err := f.closeRun(run, wire.LogCommit); err != nil {
-				return err
-			}
+	if run.logRun != 0 {
+		if err := c.fanin.Load().closeRun(run.logRun, wire.LogCommit); err != nil {
+			return err
 		}
 	}
-	type dropTarget struct {
-		m      *memberState
-		lo, hi uint64
-	}
-	var drops []dropTarget
-	c.mu.Lock()
-	t0 := time.Now()
-	c.ring = run.next
-	c.duals = c.duals[:0]
-	if run.kind == migLeave {
-		delete(c.members, run.target)
-		c.reorder()
-	}
-	for _, r := range run.ranges {
-		for _, name := range r.drops {
-			// The leaving member of a leave run is gone from the map here:
-			// it keeps its data and simply stops being asked.
-			if m, ok := c.members[name]; ok {
-				drops = append(drops, dropTarget{m, r.lo, r.hi})
-			}
-		}
-	}
-	c.noteSwapDur(time.Since(t0))
-	c.mu.Unlock()
+	drops := c.commit(run.migrationPlan)
 	for _, r := range run.ranges {
 		r.phase.Store(MigCommitted)
 	}
@@ -628,9 +512,8 @@ func (c *Coordinator) commitRun(run *migrationRun) error {
 	moved := run.recordsMoved()
 	c.migCommitted.Add(1)
 	c.migRecords.Add(moved)
-	c.setMigOutcome(fmt.Sprintf("committed %s: %d ranges, %d records", runLabel(run), len(run.ranges), moved))
-	c.mig = nil
-	c.migView.Store(nil)
+	c.setMigOutcome(fmt.Sprintf("committed %s: %d ranges, %d records", run.label(), len(run.ranges), moved))
+	c.mig.Store(nil)
 	return nil
 }
 
@@ -641,12 +524,12 @@ func (c *Coordinator) resumeRun(run *migrationRun) error {
 		return ErrMigrationBusy
 	}
 	defer c.migMu.Unlock()
-	if c.mig == nil || (run != nil && c.mig != run) {
+	cur := c.mig.Load()
+	if cur == nil || (run != nil && cur != run) {
 		return ErrNoMigration
 	}
-	run = c.mig
+	run = cur
 	run.setErr(nil)
-	run.hook = c.migHook // tests clear the crash hook before resuming
 	c.migResumed.Add(1)
 	return c.drive(run)
 }
@@ -661,63 +544,41 @@ func (c *Coordinator) abortRun(run *migrationRun) error {
 		return ErrMigrationBusy
 	}
 	defer c.migMu.Unlock()
-	if c.mig == nil || (run != nil && c.mig != run) {
+	cur := c.mig.Load()
+	if cur == nil || (run != nil && cur != run) {
 		return ErrNoMigration
 	}
-	run = c.mig
+	run = cur
 	// A logged run's Abort record goes first, fenced like a commit's: a
 	// deposed coordinator must not roll routing back locally while the
 	// lease holder may be resuming the run everywhere else.
-	if run.logged {
-		if f := c.fanin.Load(); f != nil {
-			if err := f.closeRun(run, wire.LogAbort); err != nil {
-				return err
-			}
+	if run.logRun != 0 {
+		if err := c.fanin.Load().closeRun(run.logRun, wire.LogAbort); err != nil {
+			return err
 		}
 	}
-	c.mu.Lock()
-	t0 := time.Now()
-	c.duals = c.duals[:0]
-	if run.kind == migJoin {
-		delete(c.members, run.target)
-		c.reorder()
-	}
-	c.noteSwapDur(time.Since(t0))
-	c.mu.Unlock()
+	var partial []dropTarget // resolved first: rollback drops a joining member
 	for _, r := range run.ranges {
 		if r.phase.Load() != MigPlanned {
 			for _, name := range r.adds {
-				if to := c.memberHandle(run, name); to != nil {
-					c.dropRange(to, r.lo, r.hi)
+				if to := c.lookup(name); to != nil {
+					partial = append(partial, dropTarget{to, r.lo, r.hi})
 				}
 			}
 		}
 		r.phase.Store(MigAborted)
+	}
+	c.rollback(run.migrationPlan)
+	for _, d := range partial {
+		c.dropRange(d.m, d.lo, d.hi)
 	}
 	c.migAborted.Add(1)
 	cause := ""
 	if err := run.haltCause(); err != nil {
 		cause = ": " + err.Error()
 	}
-	c.setMigOutcome(fmt.Sprintf("aborted %s%s", runLabel(run), cause))
-	c.mig = nil
-	c.migView.Store(nil)
-	return nil
-}
-
-// memberHandle resolves a plan name to its member state: the cluster
-// map, or the joining member (which an abort has already removed from
-// the map but must still clean up).
-func (c *Coordinator) memberHandle(run *migrationRun, name string) *memberState {
-	c.mu.RLock()
-	m, ok := c.members[name]
-	c.mu.RUnlock()
-	if ok {
-		return m
-	}
-	if run.joining != nil && run.joining.Name == name {
-		return run.joining
-	}
+	c.setMigOutcome(fmt.Sprintf("aborted %s%s", run.label(), cause))
+	c.mig.Store(nil)
 	return nil
 }
 
@@ -737,26 +598,6 @@ func (c *Coordinator) dropRange(m *memberState, lo, hi uint64) {
 	for _, id := range ids {
 		if err := m.Node.Deregister(id); err != nil {
 			m.errors.Add(1)
-		}
-	}
-}
-
-func runLabel(run *migrationRun) string {
-	if run.target == "" {
-		return run.kind
-	}
-	return run.kind + " " + run.target
-}
-
-// noteSwapDur records the longest routing-lock hold the engine has
-// taken — the number that proves the swaps stay O(1) whatever the data
-// volume (see MigrationStats.MaxSwapNanos).
-func (c *Coordinator) noteSwapDur(d time.Duration) {
-	ns := d.Nanoseconds()
-	for {
-		cur := c.migSwapNs.Load()
-		if ns <= cur || c.migSwapNs.CompareAndSwap(cur, ns) {
-			return
 		}
 	}
 }
@@ -805,12 +646,12 @@ func (c *Coordinator) MigrationStats() MigrationStats {
 		Aborts:            c.migAborted.Load(),
 		Resumes:           c.migResumed.Load(),
 		TotalRecordsMoved: c.migRecords.Load(),
-		MaxSwapNanos:      c.migSwapNs.Load(),
+		MaxSwapNanos:      c.maxHold.Load(),
 	}
 	if s := c.migLast.Load(); s != nil {
 		st.LastOutcome = *s
 	}
-	run := c.migView.Load()
+	run := c.mig.Load()
 	if run == nil {
 		return st
 	}

@@ -44,11 +44,7 @@ func (c *Coordinator) initObs() {
 	reg.CounterFunc("mapdr_coord_migration_records_total",
 		"Records moved by live migrations.", c.migRecords.Load)
 	reg.GaugeFunc("mapdr_coord_members", "Cluster members this coordinator routes to.",
-		func() float64 {
-			c.mu.RLock()
-			defer c.mu.RUnlock()
-			return float64(len(c.members))
-		})
+		func() float64 { return float64(len(c.Nodes())) })
 	c.qPositionH = reg.Histogram("mapdr_coord_query_position_seconds",
 		"Wall-clock latency of coordinator position queries (owner fan-out and freshest-Seq pick).", obs.TicksSeconds)
 	c.qNearestH = reg.Histogram("mapdr_coord_query_nearest_seconds",
@@ -158,14 +154,8 @@ func (tr *queryTrace) finish(ring *obs.TraceRing, op string, t float64, mergeSta
 // nothing; the scrape itself never fails.
 func (c *Coordinator) ObsSnapshot() (obs.Snapshot, error) {
 	snap := c.obsReg.Snapshot()
-	c.mu.RLock()
-	members := make([]*memberState, 0, len(c.order))
-	for _, name := range c.order {
-		members = append(members, c.members[name])
-	}
-	c.mu.RUnlock()
 	now := c.now()
-	for _, m := range members {
+	for _, m := range c.memberList() {
 		labels := `member="` + m.Name + `"`
 		up := 1.0
 		if m.down.Load() {

@@ -53,6 +53,15 @@ func (c *Coordinator) noteCall(m *memberState, err error) {
 	}
 }
 
+// noteErr is the policy of calls whose failure is the node's own answer
+// or is retried by a later call anyway (registry calls, Flush): counted,
+// never held against the breaker.
+func (c *Coordinator) noteErr(m *memberState, err error) {
+	if err != nil {
+		m.errors.Add(1)
+	}
+}
+
 // noteQuery is noteCall for a scatter/route query call, which also
 // advances the member's query counter.
 func (c *Coordinator) noteQuery(m *memberState, err error) {
@@ -93,10 +102,8 @@ func (c *Coordinator) recoverK() int32 {
 // Closing it does not drain hints; use ProbeDown for a verified
 // recovery.
 func (c *Coordinator) MarkDown(name string, down bool) error {
-	c.mu.RLock()
-	m, ok := c.members[name]
-	c.mu.RUnlock()
-	if !ok {
+	m := c.lookup(name)
+	if m == nil {
 		return fmt.Errorf("cluster: unknown member %q", name)
 	}
 	if down {
@@ -122,18 +129,12 @@ func (c *Coordinator) MarkDown(name string, down bool) error {
 // background every probeEveryFlushes calls; operators, the Tick
 // heartbeat loop, and tests may call it directly.
 func (c *Coordinator) ProbeDown() int {
-	c.mu.RLock()
-	var probe []*memberState
-	for _, name := range c.order {
-		m := c.members[name]
-		if (m.down.Load() || m.hints.Len() > 0) && m.probing.CompareAndSwap(false, true) {
-			probe = append(probe, m)
-		}
-	}
-	c.mu.RUnlock()
 	recovered := 0
 	k := c.recoverK()
-	for _, m := range probe {
+	for _, m := range c.memberList() {
+		if !(m.down.Load() || m.hints.Len() > 0) || !m.probing.CompareAndSwap(false, true) {
+			continue
+		}
 		switch {
 		case !m.down.Load():
 			// Up, but with stranded hints: a Send hinted at the member
@@ -202,19 +203,16 @@ func (c *Coordinator) drainHints(m *memberState) bool {
 }
 
 // scheduleRepairs starts background read repair for every divergence a
-// merged scatter answer exposed; callers hold at least the read lock
-// (part indices map to c.order).
+// merged scatter answer exposed; callers hold the routing table (part
+// indices map to its scatter order).
 func (c *Coordinator) scheduleRepairs(stale []locserv.Divergence) {
-	if c.rf < 2 {
-		return
-	}
+	order := c.scatterOrder()
 	for _, d := range stale {
-		fresh := c.members[c.order[d.FreshPart]]
 		targets := make([]*memberState, 0, len(d.StaleParts))
 		for _, pi := range d.StaleParts {
-			targets = append(targets, c.members[c.order[pi]])
+			targets = append(targets, c.member(order[pi]))
 		}
-		c.spawnRepair(d.ID, fresh, targets)
+		c.spawnRepair(d.ID, c.member(order[d.FreshPart]), targets)
 	}
 }
 
@@ -224,7 +222,7 @@ func (c *Coordinator) scheduleRepairs(stale []locserv.Divergence) {
 // full report with its Seq — so the stale replica's own gate applies it
 // only if it is genuinely behind.
 func (c *Coordinator) spawnRepair(id locserv.ObjectID, fresh *memberState, targets []*memberState) {
-	if c.rf < 2 || len(targets) == 0 {
+	if c.Replicas() < 2 || len(targets) == 0 {
 		return
 	}
 	c.repairMu.Lock()
@@ -306,8 +304,8 @@ func diffPreferenceLists(old, next *Ring, rf int) []arcMove {
 		lo := bounds[(i+n-1)%n]
 		// n == 1 leaves lo == hi, which InKeyRange reads as the whole
 		// ring — exactly right for a single-vnode ring.
-		ownersOld := old.ownersAt(hi, rf)
-		ownersNew := next.ownersAt(hi, rf)
+		ownersOld := old.ownersAppendAt(nil, hi, rf)
+		ownersNew := next.ownersAppendAt(nil, hi, rf)
 		adds := subtractNames(ownersNew, ownersOld)
 		drops := subtractNames(ownersOld, ownersNew)
 		if len(adds) == 0 && len(drops) == 0 {
@@ -322,14 +320,7 @@ func diffPreferenceLists(old, next *Ring, rf int) []arcMove {
 func subtractNames(a, b []string) []string {
 	var out []string
 	for _, name := range a {
-		found := false
-		for _, have := range b {
-			if have == name {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !containsName(b, name) {
 			out = append(out, name)
 		}
 	}

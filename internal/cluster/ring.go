@@ -11,6 +11,25 @@
 // order the in-process shards use, coordinates travel as f64 on the
 // wire, and the coordinator merges with the same (Dist, ID) total
 // order — exactly the shard merge, one level up.
+//
+// The Coordinator is four parts. The routing table (routing.go) owns
+// the ring, the member set and the dual routes of a migration in flight
+// behind one RWMutex, and moves only by four transitions over one
+// migrationPlan: enter, publish, commit, rollback. Replica health
+// (replication.go, membership.go) is the per-member breaker, hints,
+// read repair and the self-heal loops. The migration engine
+// (migration.go) drives a plan's copies under migMu. The fan-in log
+// (fanin.go) replicates plans between coordinator fronts under its own
+// mutex and moves the table by the same derivation and transitions.
+//
+// Lock order: migMu, then the fan-in mutex, then the routing lock; the
+// fan-in side only ever TryLocks migMu, and no peer or member is called
+// under the fan-in mutex. Ingest and queries hold the routing read side
+// across their whole fan-out, which makes the write side a grace period
+// as well as a lock: commit cannot return while a batch routed by the
+// old ring is in flight, so the driver can empty the previous owners
+// right after it without a late write landing on a member that no
+// longer owns the key.
 package cluster
 
 import (
@@ -96,16 +115,13 @@ func NewWeightedRing(replicas int, weights map[string]int, names ...string) (*Ri
 	return r, nil
 }
 
-// vnodeCount returns how many virtual nodes name projects.
-func (r *Ring) vnodeCount(name string) int {
+// Vnodes returns how many virtual nodes name projects.
+func (r *Ring) Vnodes(name string) int {
 	if w, ok := r.weights[name]; ok {
 		return w
 	}
 	return r.replicas
 }
-
-// Vnodes returns a member's virtual-node count.
-func (r *Ring) Vnodes(name string) int { return r.vnodeCount(name) }
 
 // vnodePos is the ring position of a member's i-th virtual node.
 func vnodePos(name string, i int) uint64 {
@@ -121,7 +137,7 @@ func (r *Ring) insert(name string) error {
 		return fmt.Errorf("cluster: node %q already in ring", name)
 	}
 	r.names[name] = true
-	for i := 0; i < r.vnodeCount(name); i++ {
+	for i := 0; i < r.Vnodes(name); i++ {
 		r.vnodes = append(r.vnodes, vnode{pos: vnodePos(name, i), node: name})
 	}
 	r.sortVnodes()
@@ -138,9 +154,6 @@ func (r *Ring) sortVnodes() {
 		return r.vnodes[i].node < r.vnodes[j].node
 	})
 }
-
-// Len returns the number of members.
-func (r *Ring) Len() int { return len(r.names) }
 
 // Nodes returns the member names in sorted order.
 func (r *Ring) Nodes() []string {
@@ -179,11 +192,6 @@ func (r *Ring) Owners(id string, rf int) []string {
 // routing hot path's allocation-free variant.
 func (r *Ring) OwnersAppend(dst []string, id string, rf int) []string {
 	return r.ownersAppendAt(dst, wire.KeyHash(id), rf)
-}
-
-// ownersAt returns the preference list of ring position h.
-func (r *Ring) ownersAt(h uint64, rf int) []string {
-	return r.ownersAppendAt(nil, h, rf)
 }
 
 // ownersAppendAt walks the ring clockwise from the first vnode at or

@@ -90,9 +90,6 @@ type Sampler struct {
 // n traces one query in n.
 func (s *Sampler) SetEvery(n int64) { s.every.Store(n) }
 
-// Every returns the current sampling period.
-func (s *Sampler) Every() int64 { return s.every.Load() }
-
 // Sample reports whether this query should be traced.
 func (s *Sampler) Sample() bool {
 	e := s.every.Load()
