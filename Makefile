@@ -10,7 +10,7 @@ GO ?= go
 # are compared against: any gate metric regressing by more than
 # BENCH_MAXREGRESS (relative) fails the target.
 BENCH_JSON ?= BENCH_11.json
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_BASELINE ?= BENCH_11.json
 BENCH_MAXREGRESS ?= 0.30
 # The gate benchmarks: the prediction-walk/cursor pair, the end-to-end
 # source+server quiet-period pair, the 10k-object fleet step, the

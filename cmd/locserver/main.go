@@ -47,13 +47,17 @@
 // stops answering is circuit-broken — queries degrade to the surviving
 // replicas and its updates buffer as hints that drain on recovery.
 //
-// A node serves the regular API plus POST /query (the binary query
-// protocol the coordinator speaks) and always auto-registers unknown
-// ids with a map predictor over its road network (all nodes and
-// sources must be configured with the same -seed so they share the
-// prediction function). The coordinator serves the same query API as a
-// single server — clients cannot tell the difference — plus GET
-// /cluster for per-node routing and store stats.
+// A node serves the regular API plus GET /member, the member stream the
+// coordinator speaks: one long-lived connection per coordinator,
+// upgraded from HTTP/1.1 (Upgrade: mapdr-member/1) on the node's own
+// address, multiplexing binary query and update frames by request id.
+// A node always auto-registers unknown ids with a map predictor over
+// its road network (all nodes and sources must be configured with the
+// same -seed so they share the prediction function). The coordinator
+// serves the same query API as a single server — clients cannot tell
+// the difference — plus GET /cluster for per-node routing and store
+// stats. Only that public edge and the coordinators' peer gossip
+// (POST /peer) remain plain HTTP requests.
 //
 // # Multi-coordinator fan-in
 //
@@ -77,8 +81,8 @@
 //
 // Every role serves GET /metrics (Prometheus text exposition). A
 // coordinator's scrape merges its members' metrics fetched over the
-// binary query protocol, so node latency histograms add bucket-wise
-// into cluster-wide distributions. -trace-every N samples every N-th
+// member stream, so node latency histograms add bucket-wise into
+// cluster-wide distributions. -trace-every N samples every N-th
 // coordinator query for per-hop tracing (GET /trace), and -pprof
 // serves net/http/pprof on a separate address:
 //
@@ -335,8 +339,8 @@ func run(cfg config) error {
 		}
 
 	case "node":
-		// A cluster node: its partition of the store plus the binary
-		// query-protocol endpoint the coordinator speaks. The factory
+		// A cluster node: its partition of the store plus the member
+		// stream the coordinator speaks. The factory
 		// auto-registers unknown ids (routed ingest and handoff imports),
 		// sharing the prediction function through the common seed.
 		svc, g, err := buildService(cfg.fleet, cfg.seed, 15000, cfg.shards, cfg.workers)
@@ -347,7 +351,7 @@ func run(cfg config) error {
 			return core.NewMapPredictor(g)
 		})
 		h = node.Handler()
-		endpoints = "/objects, /position, /nearest, /within, /healthz, /stats, /metrics, /trace, POST /updates, POST /query"
+		endpoints = "/objects, /position, /nearest, /within, /healthz, /stats, /metrics, /trace, POST /updates, GET /member (Upgrade)"
 
 	case "coordinator":
 		members, err := parsePeers(cfg.peers)

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"mapdr/internal/core"
@@ -213,4 +214,37 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 		b.Fatalf("%d query errors", coord.QueryErrors())
 	}
 	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "updates/s")
+}
+
+// BenchmarkMemberStream prices the coordinator→node hop itself: one op
+// is one Position call and one 8-record delivery through a member
+// stream to a node served on a real loopback socket. CI runs it as a
+// does-it-move check; it gates nothing.
+func BenchmarkMemberStream(b *testing.B) {
+	node := locserv.NewNodeService(locserv.NewSharded(4),
+		func(locserv.ObjectID) core.Predictor { return core.LinearPredictor{} })
+	ts := httptest.NewServer(node.Handler())
+	defer ts.Close()
+	m := NewHTTPMember("n0", ts.URL, nil)
+	defer m.Ingest.(*wire.Stream).Close()
+	batch := make([]wire.Record, 8)
+	for i := range batch {
+		batch[i] = wire.Record{ID: fmt.Sprintf("veh-%02d", i), Update: core.Update{
+			Reason: core.ReasonDeviation,
+			Report: core.Report{Pos: geo.Pt(float64(i)*100, 0), V: 13, Heading: 1},
+		}}
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := range batch {
+			batch[i].Update.Report.Seq = uint32(n) + 1
+			batch[i].Update.Report.T = float64(n)
+		}
+		if applied, err := m.Node.Deliver(batch); err != nil || applied != len(batch) {
+			b.Fatalf("deliver: applied %d, %v", applied, err)
+		}
+		if _, _, ok, err := m.Node.Position("veh-03", float64(n)+0.5); err != nil || !ok {
+			b.Fatalf("position: %v %v", ok, err)
+		}
+	}
 }

@@ -201,8 +201,8 @@ func TestClusterStaleUpdateGatingSurvivesHandoff(t *testing.T) {
 }
 
 // TestClusterHTTP drives a real networked cluster: node servers on
-// loopback TCP, a coordinator over HTTP members, updates POSTed as
-// binary frames and queries scatter-gathered through POST /query —
+// loopback TCP, a coordinator over HTTP members, updates and queries
+// sent as binary frames on each member's stream (GET /member) —
 // answers must match an identically-fed single store.
 func TestClusterHTTP(t *testing.T) {
 	const n = 80

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -32,7 +33,7 @@ type Member struct {
 // nodeLoopback returns the in-process update transport into node's
 // batched delivery path. Its sink propagates per-record errors, so a
 // clean send means every record landed.
-func nodeLoopback(node *locserv.NodeService) wire.Transport {
+func nodeLoopback(node *locserv.NodeService) *wire.Loopback {
 	return wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
 		_, err := node.Deliver(batch)
 		return err
@@ -60,15 +61,21 @@ func NewLoopbackMember(name string, node *locserv.NodeService) *Member {
 	}
 }
 
-// NewHTTPMember returns a member reached over HTTP: queries POST binary
-// frames to baseURL/query, ingest batches to baseURL/updates. hc may be
-// nil for http.DefaultClient.
+// NewHTTPMember returns a member reached over the network at the node's
+// base URL: its queries, admin calls and ingest batches all ride one
+// member stream (wire.Stream) — a long-lived connection opened with an
+// HTTP/1.1 Upgrade on the node's own address and multiplexed, answers
+// matched to their callers by request id. The connection is dialed on
+// the first call and redialed after a failure; a node that refuses the
+// upgrade fails the call, which the breaker counts like any other. The
+// stream dials its own connection, so hc is not consulted; it stays in
+// the signature for the callers that pass one.
 func NewHTTPMember(name, baseURL string, hc *http.Client) *Member {
-	client := wire.NewClient(baseURL, hc)
+	stream := wire.NewStream(baseURL)
 	return &Member{
 		Name:   name,
-		Node:   NewRemoteNode(wire.NewQueryClient(baseURL, hc), client),
-		Ingest: client,
+		Node:   NewRemoteNode(stream, stream),
+		Ingest: stream,
 		Addr:   baseURL,
 	}
 }
@@ -113,6 +120,16 @@ func (m *memberState) health() Health {
 
 func newMemberState(m *Member) *memberState {
 	return &memberState{Member: m, hints: wire.NewHintBuffer(0)}
+}
+
+// hangUp drops the member's connection once the routing table no longer
+// holds it (a leave committed, a join rolled back), so a departed member
+// leaves no reader goroutine or socket behind; in-process transports
+// have nothing to close. The handle stays usable should it rejoin.
+func (m *memberState) hangUp() {
+	if c, ok := m.Ingest.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // MemberStats is a per-member snapshot of the coordinator's routing

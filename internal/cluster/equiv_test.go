@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"mapdr/internal/roadmap"
 	"mapdr/internal/sim"
 	"mapdr/internal/tracegen"
+	"mapdr/internal/wire"
 )
 
 // equivFleetSpec is the shared scenario of the equivalence proofs: a
@@ -36,19 +38,45 @@ func equivGraph(t *testing.T) *roadmap.Graph {
 	return cor.Graph
 }
 
-// buildLoopbackCluster returns a coordinator over n wire-loopback
-// members replicating every key range rf-fold: every query,
-// registration and handoff round-trips through the full binary query
-// codec, and ingest goes through the loopback update transport — the
-// wire-level behaviour of a real cluster with deterministic,
-// synchronous delivery.
-func buildLoopbackCluster(t *testing.T, g *roadmap.Graph, n, shardsPerNode, rf int) *Coordinator {
+// memberKind is one member constructor the equivalence proof runs
+// over. codec marks members whose updates cross the binary update codec
+// (speed and heading rounded to f32), so their reference store is fed
+// through the same codec.
+type memberKind struct {
+	name  string
+	codec bool
+	build func(t *testing.T, name string, node *locserv.NodeService) *Member
+}
+
+var memberKinds = []memberKind{
+	// The wire loopback: every query, registration and handoff
+	// round-trips through the full binary query codec in process, ingest
+	// through the loopback update transport — wire-level behaviour with
+	// deterministic, synchronous delivery.
+	{"loopback", false, func(_ *testing.T, name string, node *locserv.NodeService) *Member {
+		return NewLoopbackMember(name, node)
+	}},
+	// The member stream to a node served over real HTTP: the networked
+	// cluster's path, queries and update frames multiplexed on one
+	// upgraded connection per member.
+	{"stream", true, func(t *testing.T, name string, node *locserv.NodeService) *Member {
+		ts := httptest.NewServer(node.Handler())
+		t.Cleanup(ts.Close)
+		m := NewHTTPMember(name, ts.URL, nil)
+		t.Cleanup(func() { m.Ingest.(*wire.Stream).Close() })
+		return m
+	}},
+}
+
+// buildCluster returns a coordinator over n members of the given kind
+// replicating every key range rf-fold.
+func buildCluster(t *testing.T, kind memberKind, g *roadmap.Graph, n, shardsPerNode, rf int) *Coordinator {
 	t.Helper()
 	members := make([]*Member, n)
 	for i := range members {
 		node := locserv.NewNodeService(locserv.NewSharded(shardsPerNode),
 			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i] = NewLoopbackMember(fmt.Sprintf("node-%d", i), node)
+		members[i] = kind.build(t, fmt.Sprintf("node-%d", i), node)
 	}
 	coord, err := NewReplicated(0, rf, members...)
 	if err != nil {
@@ -57,81 +85,117 @@ func buildLoopbackCluster(t *testing.T, g *roadmap.Graph, n, shardsPerNode, rf i
 	return coord
 }
 
+// codecSink hands sink every batch after a round trip through the update
+// frame codec — what a member stream delivers to its node.
+func codecSink(sink wire.Sink) wire.Sink {
+	return wire.SinkFunc(func(batch []wire.Record) error {
+		frame, err := wire.EncodeFrame(batch)
+		if err != nil {
+			return err
+		}
+		recs, _, err := wire.DecodeFrame(frame)
+		if err != nil {
+			return err
+		}
+		return sink.Deliver(recs)
+	})
+}
+
 // TestClusterEquivalence is the scatter-gather correctness proof: a
-// 4-node loopback cluster (updates routed per partition, queries
-// through the binary query protocol, answers merged at the
-// coordinator) returns bit-identical Nearest/Within/Position results
-// and identical fleet error statistics to a single-process sharded
-// store driven by the same simulation — unreplicated and with every
-// key range on R=2 members (ingest fanned out to both, reads merged on
-// freshest Seq).
+// 4-node cluster (updates routed per partition, queries through the
+// binary query protocol, answers merged at the coordinator) returns
+// bit-identical Nearest/Within/Position results and identical fleet
+// error statistics to a single-process sharded store driven by the same
+// simulation — unreplicated and with every key range on R=2 members
+// (ingest fanned out to both, reads merged on freshest Seq), over every
+// member kind.
 func TestClusterEquivalence(t *testing.T) {
 	g := equivGraph(t)
 	spec := equivFleetSpec(6)
 
-	// Reference: the single-process sharded store.
-	svc := locserv.NewSharded(16)
-	objsA, err := sim.GenerateFleet(g, svc, spec)
-	if err != nil {
-		t.Fatal(err)
+	// References: the single-process sharded store, fed directly and
+	// through the update codec.
+	type reference struct {
+		svc *locserv.Service
+		res *sim.FleetResult
 	}
-	resA, err := (&sim.Fleet{Service: svc, Objects: objsA, Workers: spec.Workers}).Run()
-	if err != nil {
-		t.Fatal(err)
+	refs := make(map[bool]reference)
+	for _, codec := range []bool{false, true} {
+		svc := locserv.NewSharded(16)
+		objs, err := sim.GenerateFleet(g, svc, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := &sim.Fleet{Service: svc, Objects: objs, Workers: spec.Workers}
+		if codec {
+			fleet.Transport = wire.NewLoopback(codecSink(svc.Sink(nil)))
+		}
+		res, err := fleet.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[codec] = reference{svc, res}
 	}
 
 	for _, rf := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R%d", rf), func(t *testing.T) {
-			// Cluster: same simulation, updates and queries through the
-			// coordinator.
-			coord := buildLoopbackCluster(t, g, 4, 4, rf)
-			objsB, err := sim.GenerateFleet(g, coord, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resB, err := (&sim.Fleet{
-				Objects: objsB, Workers: spec.Workers,
-				Transport: coord, Query: coord,
-			}).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			for _, kind := range memberKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					ref := refs[kind.codec]
+					resA := ref.res
+					// Cluster: same simulation, updates and queries through
+					// the coordinator.
+					coord := buildCluster(t, kind, g, 4, 4, rf)
+					objsB, err := sim.GenerateFleet(g, coord, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resB, err := (&sim.Fleet{
+						Objects: objsB, Workers: spec.Workers,
+						Transport: coord, Query: coord,
+					}).Run()
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// Identical fleet error statistics: same samples, same per-object
-			// update counts, bit-identical mean server error.
-			if resA.Samples != resB.Samples {
-				t.Fatalf("samples: single %d, cluster %d", resA.Samples, resB.Samples)
-			}
-			if !reflect.DeepEqual(resA.Updates, resB.Updates) {
-				t.Fatalf("update counts differ:\nsingle  %v\ncluster %v", resA.Updates, resB.Updates)
-			}
-			if resA.MeanErr != resB.MeanErr {
-				t.Fatalf("mean error: single %v, cluster %v (diff %g)",
-					resA.MeanErr, resB.MeanErr, math.Abs(resA.MeanErr-resB.MeanErr))
-			}
-			// The transport really replicates: every record reaches rf
-			// members.
-			wantSent := resA.Wire.Sent * int64(rf)
-			if resB.Wire.Sent != wantSent || resB.Wire.Delivered != wantSent {
-				t.Fatalf("wire stats: cluster %+v, want sent=delivered=%d (R=%d)", resB.Wire, wantSent, rf)
-			}
+					// Identical fleet error statistics: same samples, same
+					// per-object update counts, bit-identical mean server
+					// error.
+					if resA.Samples != resB.Samples {
+						t.Fatalf("samples: single %d, cluster %d", resA.Samples, resB.Samples)
+					}
+					if !reflect.DeepEqual(resA.Updates, resB.Updates) {
+						t.Fatalf("update counts differ:\nsingle  %v\ncluster %v", resA.Updates, resB.Updates)
+					}
+					if resA.MeanErr != resB.MeanErr {
+						t.Fatalf("mean error: single %v, cluster %v (diff %g)",
+							resA.MeanErr, resB.MeanErr, math.Abs(resA.MeanErr-resB.MeanErr))
+					}
+					// The transport really replicates: every record reaches
+					// rf members.
+					wantSent := resA.Wire.Sent * int64(rf)
+					if resB.Wire.Sent != wantSent || resB.Wire.Delivered != wantSent {
+						t.Fatalf("wire stats: cluster %+v, want sent=delivered=%d (R=%d)", resB.Wire, wantSent, rf)
+					}
 
-			// The cluster really is partitioned: no node holds everything,
-			// and the copies sum to R per object.
-			nodeObjs := 0
-			for _, ms := range coord.MemberStats() {
-				if ms.Node.Objects == spec.N && rf < 4 {
-					t.Errorf("member %s holds the whole fleet — not partitioned", ms.Name)
-				}
-				nodeObjs += ms.Node.Objects
-			}
-			if nodeObjs != spec.N*rf {
-				t.Fatalf("nodes hold %d object copies in total, want %d", nodeObjs, spec.N*rf)
-			}
+					// The cluster really is partitioned: no node holds
+					// everything, and the copies sum to R per object.
+					nodeObjs := 0
+					for _, ms := range coord.MemberStats() {
+						if ms.Node.Objects == spec.N && rf < 4 {
+							t.Errorf("member %s holds the whole fleet — not partitioned", ms.Name)
+						}
+						nodeObjs += ms.Node.Objects
+					}
+					if nodeObjs != spec.N*rf {
+						t.Fatalf("nodes hold %d object copies in total, want %d", nodeObjs, spec.N*rf)
+					}
 
-			assertQueriesEqual(t, svc, coord, objsA)
-			if got := coord.QueryErrors(); got != 0 {
-				t.Fatalf("%d query errors on a healthy cluster", got)
+					assertQueriesEqual(t, ref.svc, coord, objsB)
+					if got := coord.QueryErrors(); got != 0 {
+						t.Fatalf("%d query errors on a healthy cluster", got)
+					}
+				})
 			}
 		})
 	}

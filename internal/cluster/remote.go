@@ -12,12 +12,13 @@ import (
 
 // RemoteNode implements locserv.Node over the wire query protocol:
 // every call becomes one request/response frame exchange through a
-// wire.QueryTransport (HTTP, in-process loopback, or the lossy sim
-// link). Deliver rides the separate update transport when one is
-// configured, keeping bulk ingest on the update path's chunked frames.
+// wire.QueryTransport (the member stream, in-process loopback, or the
+// lossy sim link). Deliver rides the separate update transport when one
+// is configured, keeping bulk ingest on the update path's chunked
+// frames.
 type RemoteNode struct {
 	q      wire.QueryTransport
-	ingest wire.Transport
+	ingest IngestTransport
 	// trace and spans are zero except on the per-call view BindTrace
 	// returns: call stamps the id on every request and appends every
 	// response's spans.
@@ -25,10 +26,17 @@ type RemoteNode struct {
 	spans *[]wire.Span
 }
 
+// IngestTransport is the update path a RemoteNode delivers over: a send
+// that reports how many records the node applied. wire.Stream counts
+// them exactly; wire.Loopback applies a batch whole or fails.
+type IngestTransport interface {
+	SendCounted(now float64, batch []wire.Record) (applied int, err error)
+}
+
 // NewRemoteNode returns a node speaking the query protocol over q.
 // ingest may be nil, which leaves Deliver unsupported (the coordinator
 // then must ship updates over a Member.Ingest transport instead).
-func NewRemoteNode(q wire.QueryTransport, ingest wire.Transport) *RemoteNode {
+func NewRemoteNode(q wire.QueryTransport, ingest IngestTransport) *RemoteNode {
 	return &RemoteNode{q: q, ingest: ingest}
 }
 
@@ -74,29 +82,13 @@ func (r *RemoteNode) Deregister(id locserv.ObjectID) error {
 	return err
 }
 
-// countedSender is an update transport that reports the server's
-// application-level applied count (wire.Client via IngestResponse).
-type countedSender interface {
-	SendCounted(now float64, batch []wire.Record) (int, error)
-}
-
-// Deliver implements locserv.Node over the update transport. When the
-// transport reports the server's application-level accounting
-// (wire.Client parsing IngestResponse), the returned count is exact;
-// otherwise a successful send counts every record as applied — for the
-// loopback transports that is accurate too, because their sinks
-// propagate per-record delivery errors.
+// Deliver implements locserv.Node over the update transport, returning
+// the node's applied count.
 func (r *RemoteNode) Deliver(recs []wire.Record) (int, error) {
 	if r.ingest == nil {
 		return 0, fmt.Errorf("cluster: remote node has no ingest transport")
 	}
-	if cs, ok := r.ingest.(countedSender); ok {
-		return cs.SendCounted(0, recs)
-	}
-	if err := r.ingest.Send(0, recs); err != nil {
-		return 0, err
-	}
-	return len(recs), nil
+	return r.ingest.SendCounted(0, recs)
 }
 
 // Position implements locserv.Node.

@@ -410,13 +410,15 @@ type dropTarget struct {
 // commit swaps the router onto the plan's next ring, clears the dual
 // routes and completes a leave, and returns the copies the new ring no
 // longer routes to (the driver removes them; followers ignore them). A
-// leaving member is gone from the table by then: it keeps its data and
-// simply stops being asked.
+// leaving member is gone from the table by then: it keeps its data,
+// simply stops being asked, and is hung up on.
 func (t *routingTable) commit(p *migrationPlan) (drops []dropTarget) {
+	var gone *memberState
 	t.swap(func() {
 		t.ring = p.next
 		t.duals = t.duals[:0]
 		if p.kind == migLeave {
+			gone = t.members[p.target]
 			delete(t.members, p.target)
 			t.reorder()
 		}
@@ -428,17 +430,26 @@ func (t *routingTable) commit(p *migrationPlan) (drops []dropTarget) {
 			}
 		}
 	})
+	if gone != nil {
+		gone.hangUp()
+	}
 	return drops
 }
 
 // rollback closes a plan without committing it: dual routing stops and
-// a joining member leaves the scatter set; the ring never moved.
+// a joining member leaves the scatter set and is hung up on; the ring
+// never moved.
 func (t *routingTable) rollback(p *migrationPlan) {
+	var gone *memberState
 	t.swap(func() {
 		t.duals = t.duals[:0]
 		if p.joining != nil {
+			gone = t.members[p.target]
 			delete(t.members, p.target)
 			t.reorder()
 		}
 	})
+	if gone != nil {
+		gone.hangUp()
+	}
 }

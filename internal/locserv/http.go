@@ -16,9 +16,6 @@ import (
 // largest permitted size.
 const maxIngestBody = 4 * (wire.MaxFrameBody + 4)
 
-// maxQueryBody bounds one /query request body: a single request frame.
-const maxQueryBody = wire.MaxFrameBody + 4
-
 // RecordSink ingests decoded update records; the HTTP ingest handler is
 // generic over it so the same endpoint fronts a single service or a
 // cluster coordinator.
@@ -60,17 +57,19 @@ func (s *Service) HandlerWithIngest(auto AutoRegister) http.Handler {
 }
 
 // Handler mounts the full node API: queries, binary ingest (with the
-// node's factory auto-registering unknown objects) and the binary
-// query-protocol endpoint:
+// node's factory auto-registering unknown objects) and the member
+// stream a cluster coordinator speaks:
 //
-//	POST /query  (application/x-mapdr-query)
+//	GET /member  (Upgrade: mapdr-member/1)
 //
-// This is what a cluster member serves.
+// The upgraded connection carries the coordinator's query-protocol and
+// update frames, multiplexed (wire.StreamHandler). This is what a
+// cluster member serves.
 func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)
 	mux.HandleFunc("POST /updates", IngestHandler(n.Deliver))
-	mux.HandleFunc("POST /query", QueryProtocolHandler(n))
+	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(n.QueryServer(), n.Deliver))
 	return mux
 }
 
@@ -235,40 +234,6 @@ func IngestHandler(sink RecordSink) http.HandlerFunc {
 			_ = err // per-record failures are reflected in the counts
 		}
 		WriteJSON(w, resp)
-	}
-}
-
-// QueryProtocolHandler returns the POST /query handler: one binary
-// query-request frame in, one response frame out. Malformed frames are
-// a 400; node-level failures travel in-band as error responses.
-func QueryProtocolHandler(n Node) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if ct := r.Header.Get("Content-Type"); ct != "" && ct != wire.QueryContentType {
-			http.Error(w, "want "+wire.QueryContentType, http.StatusUnsupportedMediaType)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
-		if err != nil {
-			http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, _, err := wire.DecodeQueryRequest(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		frame, err := wire.EncodeQueryResponse(ServeQuery(n, req))
-		if err != nil {
-			// The answer outgrew a frame (a Within over a huge store);
-			// report in-band-style as an encodable error response.
-			frame, err = wire.EncodeQueryResponse(wire.QueryResponse{Op: req.Op, Err: err.Error()})
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", wire.QueryContentType)
-		_, _ = w.Write(frame)
 	}
 }
 

@@ -263,8 +263,8 @@ type TraceBinder interface {
 }
 
 // ServeQuery answers one wire query request against a node — the
-// server side of the query protocol, shared by the HTTP /query
-// endpoint and the in-process loopback. Node errors become in-band
+// server side of the query protocol, shared by the member stream and
+// the in-process loopback. Node errors become in-band
 // error responses, so the transport only ever fails for transport
 // reasons.
 //

@@ -1,16 +1,19 @@
 package locserv
 
 import (
-	"bytes"
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
@@ -177,16 +180,19 @@ func sortedRecords(recs []wire.Record) bool {
 	return true
 }
 
-// TestNodeHandlerQueryEndpoint drives POST /query over real HTTP with
-// the query client.
-func TestNodeHandlerQueryEndpoint(t *testing.T) {
+// TestNodeMemberStream drives GET /member over real HTTP with the member
+// stream: query answers equal direct calls, update frames are acked with
+// the node's applied count, a request without the upgrade is refused,
+// and each malformed request frame closes the connection.
+func TestNodeMemberStream(t *testing.T) {
 	n := newLinearNode(4)
 	seedNode(t, n, 10)
 	ts := httptest.NewServer(n.Handler())
 	defer ts.Close()
-	qc := wire.NewQueryClient(ts.URL, ts.Client())
+	s := wire.NewStream(ts.URL)
+	defer s.Close()
 
-	resp, err := qc.Query(wire.QueryRequest{Op: wire.OpNearest, X: 0, Y: 0, K: 3, T: 1})
+	resp, err := s.Query(wire.QueryRequest{Op: wire.OpNearest, X: 0, Y: 0, K: 3, T: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,33 +200,76 @@ func TestNodeHandlerQueryEndpoint(t *testing.T) {
 		t.Fatalf("hits %v", resp.Hits)
 	}
 	if !reflect.DeepEqual(FromWireHits(resp.Hits), n.Service().Nearest(geo.Pt(0, 0), 3, 1)) {
-		t.Fatal("HTTP query answer differs from direct call")
+		t.Fatal("stream query answer differs from direct call")
+	}
+	recs := []wire.Record{{ID: "streamed", Update: core.Update{
+		Reason: core.ReasonInit, Report: core.Report{Seq: 1, Pos: geo.Pt(5, 5)},
+	}}}
+	if applied, err := s.SendCounted(0, recs); err != nil || applied != 1 {
+		t.Fatalf("update frame: applied %d, %v", applied, err)
+	}
+	if !n.Service().Contains("streamed") {
+		t.Fatal("streamed update did not reach the store")
 	}
 
-	// Negative paths: wrong content type, garbage frame, wrong method.
-	r, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader("hi"))
-	if err != nil {
-		t.Fatal(err)
+	// Negative paths: no upgrade, wrong method.
+	for _, tc := range []struct {
+		method string
+		want   int
+	}{{http.MethodGet, http.StatusUpgradeRequired}, {http.MethodPost, http.StatusMethodNotAllowed}} {
+		req, err := http.NewRequest(tc.method, ts.URL+wire.StreamPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != tc.want {
+			t.Errorf("%s %s without upgrade -> %d, want %d", tc.method, wire.StreamPath, r.StatusCode, tc.want)
+		}
 	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusUnsupportedMediaType {
-		t.Errorf("wrong content type -> %d", r.StatusCode)
+
+	// frame builds a stream frame: len u32 | id u64 | kind u8 | payload.
+	frame := func(n uint32, kind byte, payload ...byte) []byte {
+		out := binary.LittleEndian.AppendUint32(nil, n)
+		out = binary.LittleEndian.AppendUint64(out, 1)
+		return append(append(out, kind), payload...)
 	}
-	r, err = http.Post(ts.URL+"/query", wire.QueryContentType, bytes.NewReader([]byte{1, 2, 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage frame -> %d", r.StatusCode)
-	}
-	r, err = http.Get(ts.URL + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query -> %d", r.StatusCode)
+	for name, bad := range map[string][]byte{
+		"malformed frame": frame(9+3, wire.StreamQuery, 1, 2, 3),
+		"unknown kind":    frame(9+4, 7, 0, 0, 0, 0),
+		"oversize":        frame(9+4+wire.MaxFrameBody+1, wire.StreamUpdate),
+	} {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := fmt.Fprintf(nc, "GET %s HTTP/1.1\r\nHost: node\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+				wire.StreamPath, wire.StreamProtocol); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(nc)
+			up, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.StatusCode != http.StatusSwitchingProtocols {
+				t.Fatalf("upgrade -> %d", up.StatusCode)
+			}
+			if _, err := nc.Write(bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("node kept the connection after a %s: read %d, %v", name, b, err)
+			}
+		})
 	}
 }
 

@@ -24,11 +24,12 @@ const maxRecordsPerFrame = 4096
 // headroom for the version byte and the count varint.
 const maxFrameFill = MaxFrameBody - 16
 
-// Default request policy for the HTTP transports. Retrying a POSTed
-// update frame is safe — replicas are idempotent per (id, Seq) — and
-// queries are read-only, so both clients retry transient failures.
+// Default request policy for the HTTP transports and the member stream.
+// Retrying an update frame is safe — replicas are idempotent per (id,
+// Seq) — and queries are read-only, so every client retries transient
+// failures.
 const (
-	// DefaultTimeout bounds one HTTP attempt (connect + response).
+	// DefaultTimeout bounds one attempt (connect + response).
 	DefaultTimeout = 10 * time.Second
 	// DefaultRetries is how many re-attempts follow a transient failure.
 	DefaultRetries = 2
@@ -56,11 +57,10 @@ type IngestResponse struct {
 	Errors int `json:"errors,omitempty"`
 }
 
-// retryPolicy is the shared HTTP request discipline of the ingest and
-// query clients: per-attempt context timeout, bounded retries with
-// capped, fully jittered exponential backoff on transient failures
-// (network errors, 5xx and 429), permanent failure on other status
-// codes.
+// retryPolicy is the shared request discipline of the HTTP clients and
+// the member stream: per-attempt timeout, bounded retries with capped,
+// fully jittered exponential backoff on transient failures (network
+// errors, 5xx and 429), permanent failure on other status codes.
 type retryPolicy struct {
 	timeout    time.Duration
 	retries    int
@@ -106,20 +106,21 @@ func retryable(status int) bool {
 	return status/100 == 5 || status == http.StatusTooManyRequests
 }
 
-// do POSTs body to url with the policy's timeout/retry discipline,
-// returning the (2xx) response body. onRetry is invoked before each
-// re-attempt so callers can count retries.
-func (p retryPolicy) do(hc *http.Client, url, contentType string, body []byte, onRetry func()) ([]byte, error) {
+// do runs attempt under the policy's retry discipline, returning the
+// first successful attempt's data. attempt reports whether its failure
+// is transient; onRetry is invoked before each re-attempt so callers
+// can count retries.
+func (p retryPolicy) do(attempt func() (data []byte, retry bool, err error), onRetry func()) ([]byte, error) {
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > p.retries {
+	for n := 0; ; n++ {
+		if n > 0 {
+			if n > p.retries {
 				return nil, lastErr
 			}
 			onRetry()
-			time.Sleep(p.delay(attempt))
+			time.Sleep(p.delay(n))
 		}
-		data, retry, err := p.attempt(hc, url, contentType, body)
+		data, retry, err := attempt()
 		if err == nil {
 			return data, nil
 		}
@@ -130,9 +131,9 @@ func (p retryPolicy) do(hc *http.Client, url, contentType string, body []byte, o
 	}
 }
 
-// attempt runs one bounded-time POST. retry reports whether the failure
-// is transient.
-func (p retryPolicy) attempt(hc *http.Client, url, contentType string, body []byte) (data []byte, retry bool, err error) {
+// post runs one bounded-time POST, returning the (2xx) response body.
+// retry reports whether the failure is transient.
+func (p retryPolicy) post(hc *http.Client, url, contentType string, body []byte) (data []byte, retry bool, err error) {
 	ctx := context.Background()
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
@@ -221,6 +222,14 @@ func (t *Client) Send(_ float64, batch []Record) error {
 // so callers that must know whether every record was accepted (cluster
 // rebalancing handoff) do not have to equate a 2xx with acceptance.
 func (t *Client) SendCounted(_ float64, batch []Record) (applied int, err error) {
+	return sendChunked(batch, t.post)
+}
+
+// sendChunked cuts batch into frames of at most maxRecordsPerFrame
+// records and maxFrameFill encoded bytes and hands each chunk, with its
+// encoded record size, to post, summing the applied counts; the first
+// failure stops it.
+func sendChunked(batch []Record, post func(chunk []Record, size int) (int, error)) (applied int, err error) {
 	for len(batch) > 0 {
 		n, fill := 0, 0
 		for n < len(batch) && n < maxRecordsPerFrame {
@@ -231,7 +240,7 @@ func (t *Client) SendCounted(_ float64, batch []Record) (applied int, err error)
 			fill += size
 			n++
 		}
-		a, err := t.post(batch[:n])
+		a, err := post(batch[:n], fill)
 		applied += a
 		if err != nil {
 			return applied, err
@@ -241,33 +250,55 @@ func (t *Client) SendCounted(_ float64, batch []Record) (applied int, err error)
 	return applied, nil
 }
 
-func (t *Client) post(chunk []Record) (applied int, err error) {
-	size := BatchSize(chunk)
-	buf := AppendFrame(make([]byte, 0, 4+16+size), chunk)
-	if len(buf)-4 > MaxFrameBody {
-		return 0, fmt.Errorf("wire: frame body %d exceeds %d bytes", len(buf)-4, MaxFrameBody)
+// appendChunkFrame appends the update frame of one sendChunked chunk,
+// refusing one whose body outgrew MaxFrameBody (a single huge record).
+func appendChunkFrame(dst []byte, chunk []Record) ([]byte, error) {
+	start := len(dst)
+	dst = AppendFrame(dst, chunk)
+	if body := len(dst) - start - 4; body > MaxFrameBody {
+		return nil, fmt.Errorf("wire: frame body %d exceeds %d bytes", body, MaxFrameBody)
 	}
-	t.c.sent.Add(int64(len(chunk)))
-	t.c.bytesSent.Add(int64(size))
-	t.c.frames.Add(1)
-	t.c.frameBytes.Add(int64(len(buf)))
+	return dst, nil
+}
 
-	data, err := t.policy.do(t.hc, t.url, ContentType, buf, func() {
-		t.c.retries.Add(1)
-		t.c.frames.Add(1)
-		t.c.frameBytes.Add(int64(len(buf)))
+// ship sends one update frame carrying recs records of size encoded
+// bytes through attempt under policy p, keeping the framed transports'
+// counts, and returns the server's acknowledgement.
+func (c *counters) ship(p retryPolicy, frame []byte, recs, size int, attempt func() ([]byte, bool, error)) ([]byte, error) {
+	c.sent.Add(int64(recs))
+	c.bytesSent.Add(int64(size))
+	c.frames.Add(1)
+	c.frameBytes.Add(int64(len(frame)))
+	data, err := p.do(attempt, func() {
+		c.retries.Add(1)
+		c.frames.Add(1)
+		c.frameBytes.Add(int64(len(frame)))
 	})
 	if err != nil {
-		t.c.errors.Add(1)
-		return 0, fmt.Errorf("wire: ingest: %w", err)
+		c.errors.Add(1)
+		return nil, fmt.Errorf("wire: ingest: %w", err)
 	}
 	// Delivered counts records handed to the server — the same
 	// transport-level semantics as the other transports' handed-to-sink
 	// counting. Application-level acceptance (unknown objects, stale
-	// seqs) is the server's business; its IngestResponse carries it for
+	// seqs) is the server's business; its acknowledgement carries it for
 	// SendCounted callers.
-	t.c.delivered.Add(int64(len(chunk)))
-	t.c.bytesDelivered.Add(int64(size))
+	c.delivered.Add(int64(recs))
+	c.bytesDelivered.Add(int64(size))
+	return data, nil
+}
+
+func (t *Client) post(chunk []Record, size int) (applied int, err error) {
+	buf, err := appendChunkFrame(make([]byte, 0, 4+16+size), chunk)
+	if err != nil {
+		return 0, err
+	}
+	data, err := t.c.ship(t.policy, buf, len(chunk), size, func() ([]byte, bool, error) {
+		return t.policy.post(t.hc, t.url, ContentType, buf)
+	})
+	if err != nil {
+		return 0, err
+	}
 	var resp IngestResponse
 	if jerr := json.Unmarshal(data, &resp); jerr != nil {
 		// A non-locserv sink may answer with a different body; treat the
@@ -282,91 +313,6 @@ func (t *Client) Flush(float64) error { return nil }
 
 // Stats implements Transport.
 func (t *Client) Stats() Stats { return t.c.snapshot() }
-
-// QueryClient is the HTTP query transport: requests are encoded as
-// binary query frames and POSTed to baseURL+"/query"; the response body
-// is one response frame. It shares the ingest client's timeout/retry
-// policy — queries are read-only, so re-attempts are always safe.
-type QueryClient struct {
-	url    string
-	hc     *http.Client
-	policy retryPolicy
-	c      queryCounters
-}
-
-// NewQueryClient returns an HTTP query transport posting to
-// baseURL+"/query" with the default timeout/retry policy. hc may be
-// nil for http.DefaultClient.
-func NewQueryClient(baseURL string, hc *http.Client) *QueryClient {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &QueryClient{
-		url:    strings.TrimSuffix(baseURL, "/") + "/query",
-		hc:     hc,
-		policy: defaultRetryPolicy(),
-	}
-}
-
-// SetRetry overrides the request policy (see Client.SetRetry).
-func (t *QueryClient) SetRetry(timeout time.Duration, retries int, backoff time.Duration) {
-	if retries < 0 {
-		retries = 0
-	}
-	t.policy = retryPolicy{timeout: timeout, retries: retries, backoff: backoff}
-}
-
-// URL returns the query endpoint the client posts to.
-func (t *QueryClient) URL() string { return t.url }
-
-// Query implements QueryTransport. A traced request (req.Trace != 0)
-// additionally times its own encode, round trip, and decode stages and
-// prepends them to the server's spans, so the caller sees the full
-// per-hop decomposition; the untraced path takes no timestamps.
-func (t *QueryClient) Query(req QueryRequest) (QueryResponse, error) {
-	t.c.queries.Add(1)
-	traced := req.Trace != 0
-	var t0, t1, t2, t3 time.Time
-	if traced {
-		t0 = time.Now()
-	}
-	frame, err := EncodeQueryRequest(req)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if traced {
-		t1 = time.Now()
-	}
-	t.c.bytesSent.Add(int64(len(frame)))
-	data, err := t.policy.do(t.hc, t.url, QueryContentType, frame, func() { t.c.retries.Add(1) })
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, fmt.Errorf("wire: query: %w", err)
-	}
-	if traced {
-		t2 = time.Now()
-	}
-	t.c.bytesReceived.Add(int64(len(data)))
-	resp, _, err := DecodeQueryResponse(data)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if traced {
-		t3 = time.Now()
-		local := []Span{
-			{Stage: StageEncodeReq, Start: 0, Dur: uint64(t1.Sub(t0))},
-			{Stage: StageRTT, Start: uint64(t1.Sub(t0)), Dur: uint64(t2.Sub(t1))},
-			{Stage: StageDecodeResp, Start: uint64(t2.Sub(t0)), Dur: uint64(t3.Sub(t2))},
-		}
-		resp.Spans = append(local, resp.Spans...)
-	}
-	return resp, nil
-}
-
-// Stats returns the transport's traffic counters so far.
-func (t *QueryClient) Stats() QueryStats { return t.c.snapshot() }
 
 // ReadFrame reads one length-prefixed frame from r, enforcing the same
 // bounds as DecodeFrame. It returns io.EOF at a clean end of stream and

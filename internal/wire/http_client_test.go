@@ -204,31 +204,3 @@ func TestClientTimeoutBoundsAttempt(t *testing.T) {
 		t.Errorf("stats %+v", st)
 	}
 }
-
-// TestQueryClientRetries: the query client shares the retry policy.
-func TestQueryClientRetries(t *testing.T) {
-	var attempts atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if attempts.Add(1) == 1 {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
-		}
-		frame, _ := EncodeQueryResponse(QueryResponse{Op: OpStats, Stats: StatsPayload{Objects: 9}})
-		w.Header().Set("Content-Type", QueryContentType)
-		w.Write(frame)
-	}))
-	defer ts.Close()
-	qc := NewQueryClient(ts.URL, ts.Client())
-	qc.SetRetry(time.Second, 2, time.Millisecond)
-
-	resp, err := qc.Query(QueryRequest{Op: OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats.Objects != 9 {
-		t.Fatalf("resp %+v", resp)
-	}
-	if st := qc.Stats(); st.Queries != 1 || st.Retries != 1 || st.Errors != 0 {
-		t.Errorf("stats %+v", st)
-	}
-}

@@ -653,7 +653,9 @@ func (t *PeerClient) Peer(req PeerRequest) (PeerResponse, error) {
 	if err != nil {
 		return PeerResponse{}, err
 	}
-	data, err := t.retry.do(t.hc, t.url, PeerContentType, frame, func() {})
+	data, err := t.retry.do(func() ([]byte, bool, error) {
+		return t.retry.post(t.hc, t.url, PeerContentType, frame)
+	}, func() {})
 	if err != nil {
 		return PeerResponse{}, err
 	}

@@ -34,7 +34,7 @@ import (
 
 // QueryVersion is the query frame body version byte. It is distinct
 // from the update-frame Version space only by context (queries and
-// updates arrive on different endpoints/ops). Version 2 added replica
+// updates travel as different member-stream frame kinds). Version 2 added replica
 // sequence numbers to every hit (the coordinator's freshest-Seq merge
 // needs them) and the Within paging cursor. Version 3 replaced the
 // rebuild-era stats counters with the live spatial index's six
@@ -46,9 +46,6 @@ import (
 // the wire: decoders reject every version byte other than QueryVersion,
 // so a cluster upgrades its coordinators and nodes together.
 const QueryVersion = 4
-
-// QueryContentType is the media type of binary query frames on HTTP.
-const QueryContentType = "application/x-mapdr-query"
 
 // MaxErrLen bounds an error message inside a response frame.
 const MaxErrLen = 1024
@@ -311,22 +308,28 @@ func AppendQueryRequest(dst []byte, req QueryRequest) []byte {
 
 // EncodeQueryRequest encodes req as one frame, validating id bounds.
 func EncodeQueryRequest(req QueryRequest) ([]byte, error) {
-	if !req.Op.Valid() {
-		return nil, fmt.Errorf("wire: invalid query op %d", req.Op)
-	}
-	if len(req.ID) > MaxIDLen {
-		return nil, fmt.Errorf("wire: id length %d exceeds %d", len(req.ID), MaxIDLen)
-	}
-	if len(req.After) > MaxIDLen {
-		return nil, fmt.Errorf("wire: cursor length %d exceeds %d", len(req.After), MaxIDLen)
-	}
-	if req.Op == OpNearest && req.K < 0 {
-		return nil, fmt.Errorf("wire: negative k")
-	}
-	if req.Op == OpWithin && req.Limit < 0 {
-		return nil, fmt.Errorf("wire: negative page limit")
+	if err := checkQueryRequest(req); err != nil {
+		return nil, err
 	}
 	return AppendQueryRequest(make([]byte, 0, 64+len(req.ID)+len(req.After)), req), nil
+}
+
+// checkQueryRequest reports whether req encodes to a frame its decoder
+// accepts: a known op, bounded ids, non-negative counts.
+func checkQueryRequest(req QueryRequest) error {
+	switch {
+	case !req.Op.Valid():
+		return fmt.Errorf("wire: invalid query op %d", req.Op)
+	case len(req.ID) > MaxIDLen:
+		return fmt.Errorf("wire: id length %d exceeds %d", len(req.ID), MaxIDLen)
+	case len(req.After) > MaxIDLen:
+		return fmt.Errorf("wire: cursor length %d exceeds %d", len(req.After), MaxIDLen)
+	case req.Op == OpNearest && req.K < 0:
+		return fmt.Errorf("wire: negative k")
+	case req.Op == OpWithin && req.Limit < 0:
+		return fmt.Errorf("wire: negative page limit")
+	}
+	return nil
 }
 
 // DecodeQueryRequest decodes one request frame from the front of data,
@@ -779,7 +782,8 @@ type QueryTransport interface {
 // QueryStats counts a query transport's traffic.
 type QueryStats struct {
 	// Queries counts requests offered, Errors the transport-level
-	// failures (including drops), Retries the re-sent attempts (HTTP).
+	// failures (including drops), Retries the re-sent attempts (member
+	// stream).
 	Queries, Errors, Retries int64
 	// BytesSent and BytesReceived are encoded frame sizes.
 	BytesSent, BytesReceived int64

@@ -24,7 +24,8 @@ func (f SinkFunc) Deliver(batch []Record) error { return f(batch) }
 type Transport interface {
 	// Send offers a batch stamped with time now. Depending on the
 	// implementation the batch is delivered immediately (Loopback, the
-	// HTTP Client) or held in flight until Flush (SimLink).
+	// HTTP Client, the member Stream) or held in flight until Flush
+	// (SimLink).
 	Send(now float64, batch []Record) error
 	// Flush delivers everything due at or before now; a no-op for
 	// synchronous transports.
@@ -35,22 +36,24 @@ type Transport interface {
 
 // Stats counts a transport's traffic. Bytes are encoded record sizes
 // (what the messages cost on the wire, excluding per-frame framing);
-// the HTTP client additionally counts full frame bytes in FrameBytes.
+// the framed transports (HTTP client, member stream) additionally count
+// full frame bytes in FrameBytes.
 type Stats struct {
 	// Sent counts records offered to Send, Delivered the records handed
-	// to the sink (for the HTTP client: accepted by the server with a
-	// 2xx), Dropped the records lost in between (lossy links). Whether
+	// to the sink (for the framed transports: acknowledged by the
+	// server), Dropped the records lost in between (lossy links). Whether
 	// the application behind the sink accepts each record is not the
 	// transport's business — see the server's own counters for that.
 	Sent, Delivered, Dropped int64
 	// BytesSent and BytesDelivered are the encoded sizes of those
 	// records.
 	BytesSent, BytesDelivered int64
-	// Frames and FrameBytes count transmitted frames (HTTP requests,
-	// including retried ones); zero for unframed transports.
+	// Frames and FrameBytes count transmitted frames (HTTP requests or
+	// stream frames, including retried ones); zero for unframed
+	// transports.
 	Frames, FrameBytes int64
 	// Errors counts Sends that ultimately failed and Retries the extra
-	// attempts made before success or giving up (the HTTP client's
+	// attempts made before success or giving up (the framed transports'
 	// timeout/backoff policy); zero for in-process transports.
 	Errors, Retries int64
 }
@@ -103,6 +106,16 @@ func (t *Loopback) Send(_ float64, batch []Record) error {
 	t.c.delivered.Add(n)
 	t.c.bytesDelivered.Add(b)
 	return nil
+}
+
+// SendCounted is Send plus the count a coordinator's delivery reports:
+// the sink propagates per-record delivery errors, so a clean send
+// applied every record.
+func (t *Loopback) SendCounted(now float64, batch []Record) (applied int, err error) {
+	if err := t.Send(now, batch); err != nil {
+		return 0, err
+	}
+	return len(batch), nil
 }
 
 // Flush implements Transport; Loopback delivery is synchronous.

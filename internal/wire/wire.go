@@ -5,14 +5,18 @@
 // and bytes between mobile sources and the location server (§2-§4) — so
 // the path that carries them is explicit here instead of a Go function
 // call buried in the simulation harness. The same codec and Transport
-// interface run in three settings:
+// interface run in four settings:
 //
 //   - Loopback: synchronous in-process delivery, bit-identical to
 //     applying updates directly (the simulation default),
 //   - SimLink: delivery through internal/netsim's lossy, delaying link
 //     model (the Wolfson disconnection experiments),
 //   - Client: real HTTP, POSTing binary frames to a location server's
-//     /updates ingest endpoint (internal/locserv).
+//     public /updates ingest endpoint (internal/locserv),
+//   - Stream: the cluster's coordinator→node hop, one long-lived
+//     connection per member upgraded from HTTP/1.1 and multiplexing
+//     query and update frames by request id (stream.go) — also the
+//     networked QueryTransport.
 //
 // On the wire, updates travel as length-prefixed frames of records:
 //

@@ -513,17 +513,12 @@ func NewLocalClusterMember(name string, node *NodeService) *ClusterMember {
 	return cluster.NewLocalMember(name, node)
 }
 
-// NewHTTPClusterMember wraps a remote location server (its /query and
-// /updates endpoints) as a cluster member. hc may be nil for
-// http.DefaultClient.
+// NewHTTPClusterMember wraps a remote location server as a cluster
+// member: queries, admin calls and ingest ride one multiplexed member
+// stream upgraded on the server's address (GET /member). The stream
+// dials its own connection; hc is not consulted.
 func NewHTTPClusterMember(name, baseURL string, hc *http.Client) *ClusterMember {
 	return cluster.NewHTTPMember(name, baseURL, hc)
-}
-
-// NewQueryClient returns an HTTP query transport posting binary query
-// frames to baseURL+"/query". hc may be nil for http.DefaultClient.
-func NewQueryClient(baseURL string, hc *http.Client) *wire.QueryClient {
-	return wire.NewQueryClient(baseURL, hc)
 }
 
 // Fleet simulation.
