@@ -56,8 +56,9 @@
 // same -seed so they share the prediction function). The coordinator
 // serves the same query API as a single server — clients cannot tell
 // the difference — plus GET /cluster for per-node routing and store
-// stats. Only that public edge and the coordinators' peer gossip
-// (POST /peer) remain plain HTTP requests.
+// stats. Coordinators serve GET /member too, for their peers' frames
+// (below). Only the public edge — the query API, POST /updates,
+// /cluster and /metrics — remains plain HTTP requests.
 //
 // # Multi-coordinator fan-in
 //
@@ -72,6 +73,8 @@
 //	    -peers n1=http://127.0.0.1:8081,n2=http://127.0.0.1:8082 \
 //	    -coordinator-id co-b -peers-coordinators co-a=http://127.0.0.1:8080
 //
+// Each front dials the GET /member of every -peers-coordinators entry
+// and exchanges log, hint and stats frames over that member stream.
 // Both fronts accept ingest and queries concurrently; membership
 // changes and the self-healing loops are fenced behind a replicated
 // lease so exactly one coordinator drives them at a time, and GET
@@ -281,7 +284,7 @@ func tickPeriod(cfg config) time.Duration {
 }
 
 // addPeerCoordinators registers each name=baseURL peer coordinator on
-// the fan-in layer over the HTTP peer transport, returning the names.
+// the fan-in layer over a member stream to it, returning the names.
 func addPeerCoordinators(coord *cluster.Coordinator, list string) ([]string, error) {
 	var names []string
 	for _, item := range strings.Split(list, ",") {
@@ -293,7 +296,7 @@ func addPeerCoordinators(coord *cluster.Coordinator, list string) ([]string, err
 		if !ok || name == "" || url == "" {
 			return nil, fmt.Errorf("bad peer coordinator %q (want name=baseURL)", item)
 		}
-		if err := coord.AddPeerCoordinator(name, wire.NewPeerClient(url, nil)); err != nil {
+		if err := coord.AddPeerCoordinator(name, wire.NewStream(url)); err != nil {
 			return nil, err
 		}
 		names = append(names, name)
@@ -366,7 +369,7 @@ func run(cfg config) error {
 			// Multi-coordinator fan-in: this coordinator replicates
 			// membership over the shared record log and fences its
 			// self-heal behind the replicated lease. Peer coordinators
-			// exchange logs, stats and hints over POST /peer.
+			// exchange logs, stats and hints over the member stream.
 			coord.EnableFanIn(cfg.coordID, cluster.FanInConfig{
 				LeaseFor:    cfg.leaseFor.Seconds(),
 				GossipEvery: cfg.gossipEach.Seconds(),
@@ -412,7 +415,7 @@ func run(cfg config) error {
 		h = cluster.Handler(coord)
 		log.Printf("coordinating %d nodes (R=%d): %s",
 			len(members), coord.Replicas(), strings.Join(coord.Nodes(), ", "))
-		endpoints = "/position, /nearest, /within, /healthz, /stats, /cluster, /metrics, /trace, POST /updates, POST /peer"
+		endpoints = "/position, /nearest, /within, /healthz, /stats, /cluster, /metrics, /trace, POST /updates, GET /member (Upgrade)"
 
 	default:
 		return fmt.Errorf("unknown -cluster mode %q (want node or coordinator)", cfg.mode)

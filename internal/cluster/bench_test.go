@@ -119,10 +119,10 @@ func BenchmarkFanInIngestQuery(b *testing.B) {
 		return coord
 	}
 	ca, cb := mk("co-a"), mk("co-b")
-	if err := ca.AddPeerCoordinator("co-b", wire.NewPeerLoopback(cb)); err != nil {
+	if err := ca.AddPeerCoordinator("co-b", peerLoopback(cb)); err != nil {
 		b.Fatal(err)
 	}
-	if err := cb.AddPeerCoordinator("co-a", wire.NewPeerLoopback(ca)); err != nil {
+	if err := cb.AddPeerCoordinator("co-a", peerLoopback(ca)); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < clusterBenchObjects; i++ {

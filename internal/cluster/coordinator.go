@@ -47,16 +47,18 @@ func NewLocalMember(name string, node *locserv.NodeService) *Member {
 	return &Member{Name: name, Node: node, Ingest: nodeLoopback(node)}
 }
 
-// NewLoopbackMember returns a member whose queries and admin calls
-// round-trip through the full wire query codec in-process — the
-// configuration the cluster-vs-single-process equivalence proof runs
-// on: wire-level behaviour, deterministic delivery. The node's Deliver
-// (handoff imports) shares the loopback ingest transport.
+// NewLoopbackMember returns a member whose queries and admin calls ride
+// the member stream in process (wire.NewStreamLoopback): every call is
+// a stream frame the node answers as it would over a socket, checked as
+// a socket answer is — the configuration the cluster-vs-single-process
+// equivalence proof runs on: wire-level behaviour, deterministic
+// delivery. Ingest, and the node's Deliver (handoff imports), use the
+// codec-free loopback update transport.
 func NewLoopbackMember(name string, node *locserv.NodeService) *Member {
 	ingest := nodeLoopback(node)
 	return &Member{
 		Name:   name,
-		Node:   NewRemoteNode(wire.NewQueryLoopback(node.QueryServer()), ingest),
+		Node:   NewRemoteNode(wire.NewStreamLoopback(wire.StreamServer{Query: node.QueryServer()}), ingest),
 		Ingest: ingest,
 	}
 }

@@ -992,7 +992,9 @@ func (c *Coordinator) resumeFromLog(f *fanIn, plan *migrationPlan) {
 // forwardHints pushes buffered hints for down members to peers: an
 // asymmetric fault can cut this coordinator off from a node a peer
 // still reaches, so custody transfers only on a confirmed delivery —
-// otherwise the records go straight back into the local buffer.
+// otherwise the records go straight back into the local buffer. A
+// buffer is offered in frame-sized chunks, each confirmed on its own;
+// the first chunk no peer confirms and everything after it stay here.
 func (c *Coordinator) forwardHints(f *fanIn) {
 	f.mu.Lock()
 	peers := make([]wire.PeerTransport, 0, len(f.order))
@@ -1011,22 +1013,25 @@ func (c *Coordinator) forwardHints(f *fanIn) {
 		if len(recs) == 0 {
 			continue
 		}
-		delivered := false
-		for _, pt := range peers {
-			resp, err := pt.Peer(wire.PeerRequest{
-				Op: wire.PeerOpHints, From: f.id, Member: m.Name, Hints: recs,
-			})
-			if err == nil && resp.Err == "" {
-				delivered = true
-				f.hintsFwd.Add(int64(len(recs)))
-				break
+		handed, _ := wire.SendChunked(recs, func(chunk []wire.Record, _ int) (int, error) {
+			for _, pt := range peers {
+				resp, err := pt.Peer(wire.PeerRequest{
+					Op: wire.PeerOpHints, From: f.id, Member: m.Name, Hints: chunk,
+				})
+				if err == nil && resp.Err == "" {
+					f.hintsFwd.Add(int64(len(chunk)))
+					return len(chunk), nil
+				}
 			}
-		}
-		if !delivered {
-			m.hints.Readd(recs)
-		}
+			return 0, errNoPeerTookHints
+		})
+		m.hints.Readd(recs[handed:])
 	}
 }
+
+// errNoPeerTookHints stops a hint hand-off at the chunk no peer
+// confirmed.
+var errNoPeerTookHints = errors.New("cluster: no peer took the hints")
 
 // appendMigrationRecord appends a fenced migration record (Begin,
 // Commit, Abort or Park) under the current tenure and pushes it to the

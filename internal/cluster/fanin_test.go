@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +33,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // fanInFixture is a 2-coordinator fan-in tier over one shared node
 // set: each coordinator wraps the same NodeServices in its own faulty
 // members (so faults can be asymmetric per coordinator), and the peer
-// channel is the full wire codec loopback.
+// channel is a member stream of one peer kind.
 type fanInFixture struct {
 	a, b  *Coordinator
 	nodes map[string]*locserv.NodeService
@@ -76,7 +80,50 @@ func (fx *fanInFixture) addJoinable(name string) (*Member, *locserv.NodeService)
 	return m, node
 }
 
+// peerKind is one way a fan-in pair's coordinators reach each other:
+// dial returns a peer transport to c.
+type peerKind struct {
+	name string
+	dial func(t *testing.T, c *Coordinator) wire.PeerTransport
+}
+
+var peerKinds = []peerKind{
+	// The in-process member stream: every peer frame through the stream
+	// codec and answer checks, synchronously, no socket.
+	{"loopback", func(_ *testing.T, c *Coordinator) wire.PeerTransport { return peerLoopback(c) }},
+	// Both fronts behind their HTTP handlers, each dialing the other's
+	// GET /member: the deployed peer path.
+	{"stream", func(t *testing.T, c *Coordinator) wire.PeerTransport { return peerStream(t, c) }},
+}
+
+// peerLoopback is the in-process member stream to coordinator c.
+func peerLoopback(c *Coordinator) *wire.Stream {
+	return wire.NewStreamLoopback(wire.StreamServer{Peer: c})
+}
+
+// peerStream serves c's HTTP handler and returns a member stream to it.
+func peerStream(t *testing.T, c *Coordinator) *wire.Stream {
+	ts := httptest.NewServer(Handler(c))
+	t.Cleanup(ts.Close)
+	s := wire.NewStream(ts.URL)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// forPeerKinds runs test once per peer kind, as a subtest.
+func forPeerKinds(t *testing.T, test func(t *testing.T, pk peerKind)) {
+	for _, pk := range peerKinds {
+		t.Run(pk.name, func(t *testing.T) { test(t, pk) })
+	}
+}
+
+// newFanInPair is newFanInPairOver the in-process peer kind.
 func newFanInPair(t *testing.T, n, rf int, cfg FanInConfig) *fanInFixture {
+	t.Helper()
+	return newFanInPairOver(t, peerKinds[0], n, rf, cfg)
+}
+
+func newFanInPairOver(t *testing.T, pk peerKind, n, rf int, cfg FanInConfig) *fanInFixture {
 	t.Helper()
 	fx := &fanInFixture{
 		nodes:    make(map[string]*locserv.NodeService, n),
@@ -110,10 +157,10 @@ func newFanInPair(t *testing.T, n, rf int, cfg FanInConfig) *fanInFixture {
 	cfgB.MemberFactory = fx.factory(fx.injB)
 	a.EnableFanIn("co-a", cfgA)
 	b.EnableFanIn("co-b", cfgB)
-	if err := a.AddPeerCoordinator("co-b", wire.NewPeerLoopback(b)); err != nil {
+	if err := a.AddPeerCoordinator("co-b", pk.dial(t, b)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddPeerCoordinator("co-a", wire.NewPeerLoopback(a)); err != nil {
+	if err := b.AddPeerCoordinator("co-a", pk.dial(t, a)); err != nil {
 		t.Fatal(err)
 	}
 	return fx
@@ -145,9 +192,11 @@ func assertSameRouting(t *testing.T, fx *fanInFixture, n int) {
 // TestFanInReplicatesJoin proves a join driven by one coordinator
 // lands on the other entirely through the log: same members, same
 // ring, same routing, equal logs.
-func TestFanInReplicatesJoin(t *testing.T) {
+func TestFanInReplicatesJoin(t *testing.T) { forPeerKinds(t, fanInReplicatesJoin) }
+
+func fanInReplicatesJoin(t *testing.T, pk peerKind) {
 	const n = 200
-	fx := newFanInPair(t, 4, 2, FanInConfig{LeaseFor: 30, GossipEvery: 1})
+	fx := newFanInPairOver(t, pk, 4, 2, FanInConfig{LeaseFor: 30, GossipEvery: 1})
 	seedReplicated(t, &replicatedFixture{coord: fx.a}, n)
 
 	m5, _ := fx.addJoinable("n5")
@@ -278,9 +327,11 @@ func TestFanInFencedDemotion(t *testing.T) {
 // mid-copy (it halts and stops ticking): the peer's lease steal on
 // expiry rebuilds the run from the log, re-copies, commits — and the
 // dead driver's cluster state is never consulted.
-func TestFanInLeaseStealResume(t *testing.T) {
+func TestFanInLeaseStealResume(t *testing.T) { forPeerKinds(t, fanInLeaseStealResume) }
+
+func fanInLeaseStealResume(t *testing.T, pk peerKind) {
 	const n = 200
-	fx := newFanInPair(t, 4, 2, FanInConfig{LeaseFor: 10, GossipEvery: 1})
+	fx := newFanInPairOver(t, pk, 4, 2, FanInConfig{LeaseFor: 10, GossipEvery: 1})
 	seedReplicated(t, &replicatedFixture{coord: fx.a}, n)
 
 	// co-a halts at the second range's copy — mid-run, some ranges done.
@@ -366,9 +417,11 @@ func TestFanInLeaseStealResume(t *testing.T) {
 // TestFanInHintForwarding proves hint custody crosses the tier: a node
 // unreachable from one coordinator but healthy from its peer gets its
 // buffered updates through the peer, and the local buffer drains.
-func TestFanInHintForwarding(t *testing.T) {
+func TestFanInHintForwarding(t *testing.T) { forPeerKinds(t, fanInHintForwarding) }
+
+func fanInHintForwarding(t *testing.T, pk peerKind) {
 	const n = 150
-	fx := newFanInPair(t, 4, 2, FanInConfig{LeaseFor: 1000, GossipEvery: 1})
+	fx := newFanInPairOver(t, pk, 4, 2, FanInConfig{LeaseFor: 1000, GossipEvery: 1})
 	seedReplicated(t, &replicatedFixture{coord: fx.a}, n)
 
 	// n1 is down from co-a's side only.
@@ -428,6 +481,85 @@ func TestFanInHintForwarding(t *testing.T) {
 	}
 	if kept == 0 {
 		t.Fatal("hints were dropped though no coordinator could deliver them")
+	}
+}
+
+// TestFanInHintForwardingPastFrameBound: a hint buffer whose encoding
+// outgrows one peer frame still crosses the tier whole, in chunks each
+// confirmed on its own, rather than failing as one oversized request on
+// every tick.
+func TestFanInHintForwardingPastFrameBound(t *testing.T) {
+	fx := newFanInPair(t, 2, 2, FanInConfig{LeaseFor: 1000, GossipEvery: 1})
+	fx.injA["n1"].Fail()
+	if err := fx.a.MarkDown("n1", true); err != nil {
+		t.Fatal(err)
+	}
+	// At R=2 over two nodes n1 owns every object: all of them hint.
+	pad := strings.Repeat("x", 1000)
+	recs := make([]wire.Record, 4500)
+	for i := range recs {
+		recs[i] = wire.Record{ID: fmt.Sprintf("big-%s-%05d", pad, i), Update: core.Update{
+			Reason: core.ReasonInit,
+			Report: core.Report{Seq: 1, Pos: geo.Pt(float64(i), 0)},
+		}}
+	}
+	if size := wire.BatchSize(recs); size <= wire.MaxFrameBody {
+		t.Fatalf("fixture too small: %d hint bytes fit one %d-byte frame", size, wire.MaxFrameBody)
+	}
+	if err := fx.a.Send(1, recs); err != nil {
+		t.Fatal(err)
+	}
+	hints := func() int {
+		for _, ms := range fx.a.MemberStats() {
+			if ms.Name == "n1" {
+				return ms.Hints.Buffered
+			}
+		}
+		return -1
+	}
+	if got := hints(); got != len(recs) {
+		t.Fatalf("%d hints buffered for n1, want %d", got, len(recs))
+	}
+
+	fx.a.Tick(2)
+	if got := fx.a.FanInStats().HintsForwarded; got != int64(len(recs)) {
+		t.Fatalf("hints forwarded %d, want %d", got, len(recs))
+	}
+	if got := hints(); got != 0 {
+		t.Fatalf("co-a still buffers %d hints after custody transfer", got)
+	}
+	for _, i := range []int{0, len(recs) / 2, len(recs) - 1} {
+		id := locserv.ObjectID(recs[i].ID)
+		if _, seq, found, err := fx.nodes["n1"].Position(id, 1); err != nil || !found || seq != 1 {
+			t.Fatalf("n1 record %d after hint forward: seq=%d found=%v err=%v", i, seq, found, err)
+		}
+	}
+}
+
+// TestFanInClusterViewOverStream: with the fronts peered over member
+// streams, GET /cluster on either one lists both fronts as reachable.
+func TestFanInClusterViewOverStream(t *testing.T) {
+	fx := newFanInPairOver(t, peerKinds[1], 3, 2, FanInConfig{LeaseFor: 1000, GossipEvery: 1})
+	for _, c := range []*Coordinator{fx.a, fx.b} {
+		ts := httptest.NewServer(Handler(c))
+		resp, err := http.Get(ts.URL + "/cluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view clusterJSON
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reachable := make(map[string]bool)
+		for _, co := range view.Coordinators {
+			reachable[co.ID] = co.Reachable
+		}
+		if len(view.Coordinators) != 2 || !reachable["co-a"] || !reachable["co-b"] {
+			t.Fatalf("GET /cluster on %s: coordinators %+v, want co-a and co-b reachable", view.Coordinator, view.Coordinators)
+		}
 	}
 }
 
@@ -602,8 +734,8 @@ func newLinkedPair(t *testing.T, cfg FanInConfig) (fa, fb *fanIn, aToB, bToA *fl
 		return c
 	}
 	a, b := mk("co-a"), mk("co-b")
-	aToB = &flakyPeer{pt: wire.NewPeerLoopback(b)}
-	bToA = &flakyPeer{pt: wire.NewPeerLoopback(a)}
+	aToB = &flakyPeer{pt: peerLoopback(b)}
+	bToA = &flakyPeer{pt: peerLoopback(a)}
 	if err := a.AddPeerCoordinator("co-b", aToB); err != nil {
 		t.Fatal(err)
 	}

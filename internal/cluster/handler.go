@@ -289,8 +289,9 @@ func (c *Coordinator) ClusterView() clusterJSON {
 // cluster) plus:
 //
 //	POST /updates   binary update frames, routed per partition
-//	POST /peer      coordinator peer frames (fan-in log gossip, hint
-//	                forwarding, stats exchange)
+//	GET  /member    the member stream (Upgrade: mapdr-member/1) serving
+//	                peer frames only: fan-in log gossip, hint
+//	                forwarding, stats exchange
 //	GET  /cluster   routing and node stats — merged across the
 //	                coordinator tier when fan-in is enabled
 //
@@ -300,7 +301,7 @@ func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	locserv.RouteQueryAPI(mux, c)
 	mux.HandleFunc("POST /updates", locserv.IngestHandler(c.DeliverRecords))
-	mux.Handle("POST /peer", wire.PeerHTTPHandler(c))
+	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(wire.StreamServer{Peer: c}))
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, _ *http.Request) {
 		locserv.WriteJSON(w, c.ClusterView())
 	})

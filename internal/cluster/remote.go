@@ -12,10 +12,9 @@ import (
 
 // RemoteNode implements locserv.Node over the wire query protocol:
 // every call becomes one request/response frame exchange through a
-// wire.QueryTransport (the member stream, in-process loopback, or the
-// lossy sim link). Deliver rides the separate update transport when one
-// is configured, keeping bulk ingest on the update path's chunked
-// frames.
+// wire.QueryTransport (the member stream, over a socket or in process).
+// Deliver rides the separate update transport when one is configured,
+// keeping bulk ingest on the update path's chunked frames.
 type RemoteNode struct {
 	q      wire.QueryTransport
 	ingest IngestTransport

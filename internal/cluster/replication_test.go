@@ -738,7 +738,7 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 		t.Fatalf("seed: applied %d, err %v", applied, err)
 	}
 
-	lb := wire.NewQueryLoopback(node.QueryServer())
+	lb := wire.NewStreamLoopback(wire.StreamServer{Query: node.QueryServer()})
 	remote := NewRemoteNode(lb, nil)
 	rect := geo.Rect{Min: geo.Pt(-1, -1), Max: geo.Pt(1e6, 1e6)}
 	got, err := remote.Within(rect, 0)
@@ -752,7 +752,7 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("paged wire answer differs from the direct one (%d vs %d hits)", len(got), len(want))
 	}
-	if st := lb.Stats(); st.Queries < 2 {
+	if st := lb.QueryStats(); st.Queries < 2 {
 		t.Fatalf("answer arrived in %d query frames — paging never engaged", st.Queries)
 	}
 

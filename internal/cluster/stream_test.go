@@ -1,13 +1,15 @@
 package cluster
 
 // The coordinator over member streams (NewHTTPMember): breaker and
-// recovery across a node restart, and no connection or goroutine left
-// behind by a member that leaves.
+// recovery across a node restart, no connection or goroutine left
+// behind by a member that leaves, and each role refusing the other's
+// frames.
 
 import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -198,6 +200,65 @@ func TestMemberStreamNodeRestart(t *testing.T) {
 	}
 	if coord.QueryErrors() != 0 {
 		t.Errorf("%d query errors with a live replica for every key", coord.QueryErrors())
+	}
+}
+
+// upgradeCounter serves h, counting the member-stream upgrades asked
+// of it.
+func upgradeCounter(t *testing.T, h http.Handler) (string, *atomic.Int64) {
+	upgrades := new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.StreamPath {
+			upgrades.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, upgrades
+}
+
+// TestMemberStreamWrongRole: a node serves no peer frames and a
+// coordinator no query frames. Either frame sent to the wrong role
+// closes the connection and fails the call, and the next call redials.
+func TestMemberStreamWrongRole(t *testing.T) {
+	_, node := linearNode("n1", 2)
+	coord, err := New(0, NewLocalMember("n1", node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.EnableFanIn("co-a", FanInConfig{})
+	stats := wire.QueryRequest{Op: wire.OpStats}
+	gossip := wire.PeerRequest{Op: wire.PeerOpLog, From: "co-b"}
+	for _, role := range []struct {
+		name      string
+		h         http.Handler
+		wrong, ok func(*wire.Stream) error
+	}{
+		{"node", node.Handler(),
+			func(s *wire.Stream) error { _, err := s.Peer(gossip); return err },
+			func(s *wire.Stream) error { _, err := s.Query(stats); return err }},
+		{"coordinator", Handler(coord),
+			func(s *wire.Stream) error { _, err := s.Query(stats); return err },
+			func(s *wire.Stream) error { _, err := s.Peer(gossip); return err }},
+	} {
+		t.Run(role.name, func(t *testing.T) {
+			url, upgrades := upgradeCounter(t, role.h)
+			s := wire.NewStream(url)
+			s.SetRetry(2*time.Second, 0, 0)
+			defer s.Close()
+			if err := role.ok(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := role.wrong(s); err == nil {
+				t.Fatal("the wrong frame kind was answered")
+			}
+			if err := role.ok(s); err != nil {
+				t.Fatalf("the call after the protocol error: %v", err)
+			}
+			if n := upgrades.Load(); n != 2 {
+				t.Fatalf("%d upgrades, want 2: the wrong frame did not close the connection", n)
+			}
+		})
 	}
 }
 

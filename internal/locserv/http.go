@@ -63,13 +63,13 @@ func (s *Service) HandlerWithIngest(auto AutoRegister) http.Handler {
 //	GET /member  (Upgrade: mapdr-member/1)
 //
 // The upgraded connection carries the coordinator's query-protocol and
-// update frames, multiplexed (wire.StreamHandler). This is what a
-// cluster member serves.
+// update frames, multiplexed (wire.StreamHandler); a peer frame is a
+// protocol error. This is what a cluster member serves.
 func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)
 	mux.HandleFunc("POST /updates", IngestHandler(n.Deliver))
-	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(n.QueryServer(), n.Deliver))
+	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(wire.StreamServer{Query: n.QueryServer(), Deliver: n.Deliver}))
 	return mux
 }
 

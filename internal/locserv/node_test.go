@@ -76,11 +76,11 @@ func TestNodeServiceRegisterUsesFactory(t *testing.T) {
 
 // TestServeQueryMatchesDirectCalls proves the query-protocol server
 // side answers bit-identically to direct service calls, through the
-// full codec (loopback query transport).
+// full codec (the in-process member stream).
 func TestServeQueryMatchesDirectCalls(t *testing.T) {
 	n := newLinearNode(4)
 	seedNode(t, n, 40)
-	lb := wire.NewQueryLoopback(n.QueryServer())
+	lb := wire.NewStreamLoopback(wire.StreamServer{Query: n.QueryServer()})
 
 	for _, tt := range []float64{0, 12.5, 100} {
 		resp, err := lb.Query(wire.QueryRequest{Op: wire.OpNearest, X: 150, Y: 3, K: 7, T: tt})

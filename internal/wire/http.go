@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,8 +22,10 @@ const ContentType = "application/x-mapdr-frame"
 const maxRecordsPerFrame = 4096
 
 // maxFrameFill is the record-byte budget per frame: MaxFrameBody minus
-// headroom for the version byte and the count varint.
-const maxFrameFill = MaxFrameBody - 16
+// headroom for the largest header a chunk of records travels under — a
+// PeerOpHints request's version and op bytes, two bounded names and the
+// count varint (an update frame's version byte and count need less).
+const maxFrameFill = MaxFrameBody - (2 + 2*(2+MaxPeerNameLen) + binary.MaxVarintLen64)
 
 // Default request policy for the HTTP transports and the member stream.
 // Retrying an update frame is safe — replicas are idempotent per (id,
@@ -222,14 +225,15 @@ func (t *Client) Send(_ float64, batch []Record) error {
 // so callers that must know whether every record was accepted (cluster
 // rebalancing handoff) do not have to equate a 2xx with acceptance.
 func (t *Client) SendCounted(_ float64, batch []Record) (applied int, err error) {
-	return sendChunked(batch, t.post)
+	return SendChunked(batch, t.post)
 }
 
-// sendChunked cuts batch into frames of at most maxRecordsPerFrame
-// records and maxFrameFill encoded bytes and hands each chunk, with its
-// encoded record size, to post, summing the applied counts; the first
-// failure stops it.
-func sendChunked(batch []Record, post func(chunk []Record, size int) (int, error)) (applied int, err error) {
+// SendChunked cuts batch, in order, into chunks of at most 4096 records
+// whose encoding fits one frame under any record-carrying header (an
+// update frame or a PeerOpHints request), and hands each chunk, with
+// its encoded record size, to post, summing post's counts. The first
+// failure stops it: the chunks after the failed one are never offered.
+func SendChunked(batch []Record, post func(chunk []Record, size int) (int, error)) (applied int, err error) {
 	for len(batch) > 0 {
 		n, fill := 0, 0
 		for n < len(batch) && n < maxRecordsPerFrame {
@@ -250,7 +254,7 @@ func sendChunked(batch []Record, post func(chunk []Record, size int) (int, error
 	return applied, nil
 }
 
-// appendChunkFrame appends the update frame of one sendChunked chunk,
+// appendChunkFrame appends the update frame of one SendChunked chunk,
 // refusing one whose body outgrew MaxFrameBody (a single huge record).
 func appendChunkFrame(dst []byte, chunk []Record) ([]byte, error) {
 	start := len(dst)

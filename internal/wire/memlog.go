@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"net/http"
-	"time"
 )
 
 // This file is the membership half of the wire protocol: the tiny
 // ordered record log multi-coordinator clusters replicate membership
 // through, and the coordinator peer op family that carries it (plus
-// peer hint hand-off and merged /cluster stats).
+// peer hint hand-off and merged /cluster stats). Peer frames travel as
+// StreamPeer payloads on the member stream (stream.go), which a
+// coordinator serves on its own GET StreamPath.
 //
 // A LogRecord is one membership event: a migration run's begin, commit
 // or abort, a demoted identity parking, or a self-heal lease
@@ -42,9 +41,6 @@ import (
 
 // PeerVersion is the peer frame body version byte.
 const PeerVersion = 1
-
-// PeerContentType is the media type of binary peer frames on HTTP.
-const PeerContentType = "application/x-mapdr-peer"
 
 // MaxPeerNameLen bounds coordinator and member names inside log
 // records.
@@ -594,105 +590,6 @@ func (f PeerServerFunc) ServePeer(req PeerRequest) PeerResponse { return f(req) 
 // application-level failures arrive in PeerResponse.Err.
 type PeerTransport interface {
 	Peer(req PeerRequest) (PeerResponse, error)
-}
-
-// PeerLoopback is the in-process peer transport. Requests and responses
-// round-trip through the full frame codec, so a loopback pair of
-// coordinators proves wire-level behaviour.
-type PeerLoopback struct {
-	s PeerServer
-}
-
-// NewPeerLoopback returns an in-process peer transport against s.
-func NewPeerLoopback(s PeerServer) *PeerLoopback { return &PeerLoopback{s: s} }
-
-// Peer implements PeerTransport.
-func (t *PeerLoopback) Peer(req PeerRequest) (PeerResponse, error) {
-	frame, err := EncodePeerRequest(req)
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	decoded, _, err := DecodePeerRequest(frame)
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	out, err := EncodePeerResponse(t.s.ServePeer(decoded))
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	resp, _, err := DecodePeerResponse(out)
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	return resp, nil
-}
-
-// PeerClient is the HTTP peer transport: frames POSTed to a peer
-// coordinator's /peer endpoint, with the ingest client's retry policy.
-type PeerClient struct {
-	url   string
-	hc    *http.Client
-	retry retryPolicy
-}
-
-// NewPeerClient returns a peer transport POSTing to baseURL+"/peer".
-// A nil hc uses a dedicated client with sane defaults.
-func NewPeerClient(baseURL string, hc *http.Client) *PeerClient {
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &PeerClient{url: baseURL + "/peer", hc: hc, retry: defaultRetryPolicy()}
-}
-
-// URL returns the endpoint the client posts to.
-func (t *PeerClient) URL() string { return t.url }
-
-// Peer implements PeerTransport.
-func (t *PeerClient) Peer(req PeerRequest) (PeerResponse, error) {
-	frame, err := EncodePeerRequest(req)
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	data, err := t.retry.do(func() ([]byte, bool, error) {
-		return t.retry.post(t.hc, t.url, PeerContentType, frame)
-	}, func() {})
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	resp, _, err := DecodePeerResponse(data)
-	if err != nil {
-		return PeerResponse{}, err
-	}
-	return resp, nil
-}
-
-// PeerHTTPHandler serves the peer protocol over HTTP: one POSTed
-// request frame per call, answered with one response frame.
-func PeerHTTPHandler(s PeerServer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, MaxFrameBody+5))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, _, err := DecodePeerRequest(data)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		out, err := EncodePeerResponse(s.ServePeer(req))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", PeerContentType)
-		_, _ = w.Write(out)
-	})
 }
 
 // MergeLogs merges src into dst in total order, dropping duplicates,

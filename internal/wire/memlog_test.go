@@ -155,36 +155,6 @@ func TestPeerFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPeerLoopback(t *testing.T) {
-	srv := PeerServerFunc(func(req PeerRequest) PeerResponse {
-		switch req.Op {
-		case PeerOpLog:
-			return PeerResponse{Op: PeerOpLog, Log: req.Log}
-		case PeerOpHints:
-			return PeerResponse{Op: PeerOpHints, Applied: len(req.Hints)}
-		default:
-			return PeerResponse{Op: req.Op, Err: "unsupported"}
-		}
-	})
-	lb := NewPeerLoopback(srv)
-	resp, err := lb.Peer(PeerRequest{Op: PeerOpLog, From: "co-a", Log: sampleLogRecords()})
-	if err != nil {
-		t.Fatalf("log exchange: %v", err)
-	}
-	if !EqualLogs(resp.Log, sampleLogRecords()) {
-		t.Fatalf("log did not round-trip through the loopback")
-	}
-	resp, err = lb.Peer(PeerRequest{Op: PeerOpHints, From: "co-a", Member: "n1",
-		Hints: []Record{{ID: "v", Update: core.Update{Report: core.Report{Seq: 1, T: 1}}}}})
-	if err != nil || resp.Applied != 1 {
-		t.Fatalf("hint push: applied=%d err=%v", resp.Applied, err)
-	}
-	resp, err = lb.Peer(PeerRequest{Op: PeerOpStats, From: "co-a"})
-	if err != nil || resp.Err == "" {
-		t.Fatalf("error response must survive the codec: %+v, %v", resp, err)
-	}
-}
-
 func FuzzLogFrameDecode(f *testing.F) {
 	for _, req := range samplePeerRequests() {
 		if frame, err := EncodePeerRequest(req); err == nil {

@@ -2,13 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
 
 	"mapdr/internal/core"
-	"mapdr/internal/netsim"
 )
 
 // This file is the query half of the wire protocol: position, k-nearest
@@ -234,10 +232,6 @@ type QueryResponse struct {
 	// snapshot blob (the wire layer does not interpret it).
 	Metrics []byte
 }
-
-// ErrQueryDropped is returned by lossy query transports when the
-// request or response was lost in flight.
-var ErrQueryDropped = errors.New("wire: query dropped by link")
 
 func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
@@ -772,33 +766,23 @@ type QueryServerFunc func(QueryRequest) QueryResponse
 func (f QueryServerFunc) ServeQuery(req QueryRequest) QueryResponse { return f(req) }
 
 // QueryTransport carries query requests to a server and returns its
-// response. Transport-level failures (unreachable, dropped, corrupt
-// frame) surface as errors; application-level failures arrive in
+// response. Transport-level failures (unreachable, corrupt frame)
+// surface as errors; application-level failures arrive in
 // QueryResponse.Err with a nil error.
 type QueryTransport interface {
 	Query(req QueryRequest) (QueryResponse, error)
 }
 
-// QueryStats counts a query transport's traffic.
+// QueryStats counts a member stream's query traffic.
 type QueryStats struct {
 	// Queries counts requests offered, Errors the transport-level
-	// failures (including drops), Retries the re-sent attempts (member
-	// stream).
+	// failures, Retries the re-sent attempts.
 	Queries, Errors, Retries int64
 	// BytesSent and BytesReceived are encoded frame sizes.
 	BytesSent, BytesReceived int64
 }
 
-// QueryLoopback is the in-process query transport. Requests and
-// responses still round-trip through the full frame codec, so a
-// loopback cluster proves wire-level behaviour — while staying
-// deterministic and synchronous (coordinates are f64 on the wire, so
-// answers are bit-identical to direct calls).
-type QueryLoopback struct {
-	s QueryServer
-	c queryCounters
-}
-
+// queryCounters is the atomic backing store of QueryStats.
 type queryCounters struct {
 	queries, errors, retries atomic.Int64
 	bytesSent, bytesReceived atomic.Int64
@@ -813,101 +797,3 @@ func (c *queryCounters) snapshot() QueryStats {
 		BytesReceived: c.bytesReceived.Load(),
 	}
 }
-
-// NewQueryLoopback returns an in-process query transport against s.
-func NewQueryLoopback(s QueryServer) *QueryLoopback { return &QueryLoopback{s: s} }
-
-// Query implements QueryTransport.
-func (t *QueryLoopback) Query(req QueryRequest) (QueryResponse, error) {
-	t.c.queries.Add(1)
-	resp, reqN, respN, err := roundTrip(t.s, req)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	t.c.bytesSent.Add(int64(reqN))
-	t.c.bytesReceived.Add(int64(respN))
-	return resp, nil
-}
-
-// Stats returns the transport's traffic counters so far.
-func (t *QueryLoopback) Stats() QueryStats { return t.c.snapshot() }
-
-// roundTrip encodes req, decodes it server-side, serves it, and encodes
-// and decodes the response — the exact path a networked query takes.
-func roundTrip(s QueryServer, req QueryRequest) (resp QueryResponse, reqN, respN int, err error) {
-	frame, err := EncodeQueryRequest(req)
-	if err != nil {
-		return QueryResponse{}, 0, 0, err
-	}
-	decoded, _, err := DecodeQueryRequest(frame)
-	if err != nil {
-		return QueryResponse{}, 0, 0, err
-	}
-	out, err := EncodeQueryResponse(s.ServeQuery(decoded))
-	if err != nil {
-		return QueryResponse{}, 0, 0, err
-	}
-	resp, _, err = DecodeQueryResponse(out)
-	if err != nil {
-		return QueryResponse{}, 0, 0, err
-	}
-	return resp, len(frame), len(out), nil
-}
-
-// SimQueryLink is the lossy query transport: request and response each
-// draw the netsim link's loss/disconnection model (sized as their real
-// encoded frames), so cluster experiments can measure query failure
-// rates under the same link conditions as the update path. The link's
-// clock is the request's T field. Latency is not modelled — queries are
-// synchronous — but the link still counts offered bytes.
-type SimQueryLink struct {
-	link *netsim.Link
-	s    QueryServer
-	c    queryCounters
-}
-
-// NewSimQueryLink returns a query transport over link against s. The
-// caller keeps ownership of link.
-func NewSimQueryLink(link *netsim.Link, s QueryServer) *SimQueryLink {
-	return &SimQueryLink{link: link, s: s}
-}
-
-// Query implements QueryTransport.
-func (t *SimQueryLink) Query(req QueryRequest) (QueryResponse, error) {
-	t.c.queries.Add(1)
-	frame, err := EncodeQueryRequest(req)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if !t.link.Offer(req.T, len(frame)) {
-		t.c.errors.Add(1)
-		return QueryResponse{}, ErrQueryDropped
-	}
-	t.c.bytesSent.Add(int64(len(frame)))
-	decoded, _, err := DecodeQueryRequest(frame)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	out, err := EncodeQueryResponse(t.s.ServeQuery(decoded))
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if !t.link.Offer(req.T, len(out)) {
-		t.c.errors.Add(1)
-		return QueryResponse{}, ErrQueryDropped
-	}
-	t.c.bytesReceived.Add(int64(len(out)))
-	resp, _, err := DecodeQueryResponse(out)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	return resp, nil
-}
-
-// Stats returns the transport's traffic counters so far.
-func (t *SimQueryLink) Stats() QueryStats { return t.c.snapshot() }

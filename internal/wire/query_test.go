@@ -1,13 +1,10 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-
-	"mapdr/internal/netsim"
 )
 
 func sampleRequests() []QueryRequest {
@@ -180,89 +177,6 @@ func TestQueryErrorMessageTruncated(t *testing.T) {
 	}
 	if len(got.Err) != MaxErrLen {
 		t.Fatalf("error length %d, want %d", len(got.Err), MaxErrLen)
-	}
-}
-
-// echoServer answers every op with a fixed, op-consistent response.
-func echoServer() QueryServer {
-	return QueryServerFunc(func(req QueryRequest) QueryResponse {
-		switch req.Op {
-		case OpPosition:
-			return QueryResponse{Op: req.Op, Found: true, Hits: []QueryHit{{ID: req.ID, X: req.T, Y: -req.T}}}
-		case OpNearest:
-			return QueryResponse{Op: req.Op, Hits: []QueryHit{{ID: "n", X: req.X, Y: req.Y, Dist: 1}}}
-		case OpWithin:
-			return QueryResponse{Op: req.Op, Hits: []QueryHit{{ID: "w", X: req.MinX, Y: req.MaxY}}}
-		case OpStats:
-			return QueryResponse{Op: req.Op, Stats: StatsPayload{Objects: 42}}
-		default:
-			return QueryResponse{Op: req.Op}
-		}
-	})
-}
-
-func TestQueryLoopbackRoundTrips(t *testing.T) {
-	lb := NewQueryLoopback(echoServer())
-	resp, err := lb.Query(QueryRequest{Op: OpPosition, ID: "car", T: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The position answer is keyed by the request; the frame carries
-	// only found + coordinates.
-	if !resp.Found || resp.Hits[0].X != 7 || resp.Hits[0].Y != -7 {
-		t.Fatalf("resp %+v", resp)
-	}
-	if _, err := lb.Query(QueryRequest{Op: OpStats}); err != nil {
-		t.Fatal(err)
-	}
-	st := lb.Stats()
-	if st.Queries != 2 || st.Errors != 0 || st.BytesSent == 0 || st.BytesReceived == 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	// An unencodable request is a transport error, counted.
-	if _, err := lb.Query(QueryRequest{Op: 77}); err == nil {
-		t.Fatal("invalid op passed the loopback")
-	}
-	if st := lb.Stats(); st.Errors != 1 {
-		t.Fatalf("errors %d, want 1", st.Errors)
-	}
-}
-
-func TestSimQueryLinkLoss(t *testing.T) {
-	// Total loss: every query is dropped.
-	dead := NewSimQueryLink(netsim.NewLink(1, 0, 0, 1), echoServer())
-	if _, err := dead.Query(QueryRequest{Op: OpStats}); !errors.Is(err, ErrQueryDropped) {
-		t.Fatalf("err %v, want ErrQueryDropped", err)
-	}
-	if st := dead.Stats(); st.Errors != 1 || st.Queries != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Lossless: answers equal the loopback's.
-	clean := NewSimQueryLink(netsim.NewLink(1, 0.2, 0.1, 0), echoServer())
-	lb := NewQueryLoopback(echoServer())
-	req := QueryRequest{Op: OpNearest, X: 3, Y: 4, K: 5, T: 6}
-	a, err := clean.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lb.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("lossy-lossless answer %+v != loopback %+v", a, b)
-	}
-
-	// A disconnection window drops queries stamped inside it.
-	link := netsim.NewLink(1, 0, 0, 0)
-	link.Disconnections = []netsim.Window{{From: 10, To: 20}}
-	gap := NewSimQueryLink(link, echoServer())
-	if _, err := gap.Query(QueryRequest{Op: OpStats, T: 15}); !errors.Is(err, ErrQueryDropped) {
-		t.Fatalf("query inside outage: %v", err)
-	}
-	if _, err := gap.Query(QueryRequest{Op: OpStats, T: 25}); err != nil {
-		t.Fatalf("query after outage: %v", err)
 	}
 }
 

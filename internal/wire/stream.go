@@ -17,30 +17,37 @@ import (
 	"time"
 )
 
-// This file is the member stream: the coordinator→node hop of a
-// cluster. Instead of one HTTP request per call, a coordinator keeps one
-// long-lived connection per member, opened by an HTTP/1.1 Upgrade
-// (GET StreamPath, Upgrade: StreamProtocol) on the node's ordinary
-// address, and multiplexes every query, admin call and update batch over
-// it:
+// This file is the member stream: every call inside a cluster. Instead
+// of one HTTP request per call, a coordinator keeps one long-lived
+// connection per member node and per peer coordinator, opened by an
+// HTTP/1.1 Upgrade (GET StreamPath, Upgrade: StreamProtocol) on the
+// callee's ordinary address, and multiplexes every query, admin call,
+// update batch and peer exchange over it:
 //
 //	sframe := len u32 | id u64 | kind u8 | payload     (9 <= len <= maxStreamFrame)
 //
 // len counts the bytes after itself. A StreamQuery payload is one
 // query-request frame (query.go) and its answer one query-response
 // frame; a StreamUpdate payload is one update frame (wire.go) and its
-// answer the node's applied count as a uvarint. The id is the caller's:
-// the node answers each request under its id in whatever order its
-// workers finish, and the coordinator hands every answer to the caller
-// waiting on that id, so a slow request never delays the next one.
+// answer the node's applied count as a uvarint; a StreamPeer payload is
+// one peer-request frame (memlog.go) and its answer one peer-response
+// frame. Nodes serve the first two kinds, coordinators the third. The
+// id is the caller's: the callee answers each request under its id in
+// whatever order its workers finish, and the caller hands every answer
+// to the goroutine waiting on that id, so a slow request never delays
+// the next one.
 //
 // Both ends enforce every bound the frame decoders enforce: a length
-// outside the limits, an unknown kind, a payload cut short or one whose
-// own framing does not fill it exactly is a protocol error, and the
-// connection is closed. Calls keep the HTTP clients' retry policy: each
-// attempt is bounded by the per-attempt timeout, a connection failure
-// fails every call pending on it with a transient error, and the next
-// attempt redials.
+// outside the limits, an unknown kind or one the callee does not serve,
+// a payload cut short or one whose own framing does not fill it exactly
+// is a protocol error, and the connection is closed. Calls keep the
+// HTTP clients' retry policy: each attempt is bounded by the
+// per-attempt timeout, a connection failure fails every call pending on
+// it with a transient error, and the next attempt redials.
+//
+// NewStreamLoopback is the same stream without a connection: each
+// request frame goes straight to the callee's answering code and the
+// answer through the caller's checks, synchronously.
 
 const (
 	// StreamProtocol is the Upgrade token of the member stream.
@@ -57,6 +64,9 @@ const (
 	// StreamUpdate carries one update frame; the answer is the node's
 	// applied count as a uvarint.
 	StreamUpdate byte = 2
+	// StreamPeer carries one peer-request frame; the answer is one
+	// peer-response frame.
+	StreamPeer byte = 3
 )
 
 const (
@@ -100,15 +110,10 @@ func readStreamFrame(r *bufio.Reader) (id uint64, kind byte, payload []byte, err
 		return 0, 0, nil, err
 	}
 	r.Discard(streamHeader) // cannot fail: the bytes are buffered
-	n := binary.LittleEndian.Uint32(hdr)
-	if n < streamHeader-4 || n > maxStreamFrame {
-		return 0, 0, nil, fmt.Errorf("wire: stream frame length %d outside [%d, %d]", n, streamHeader-4, maxStreamFrame)
+	id, kind, size, err := parseStreamHeader(hdr)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	id, kind = binary.LittleEndian.Uint64(hdr[4:]), hdr[12]
-	if kind != StreamQuery && kind != StreamUpdate {
-		return 0, 0, nil, fmt.Errorf("wire: unknown stream frame kind %d", kind)
-	}
-	size := int(n) - (streamHeader - 4)
 	payload = make([]byte, 0, min(size, streamChunk))
 	for len(payload) < size {
 		k := min(size-len(payload), streamChunk)
@@ -121,8 +126,22 @@ func readStreamFrame(r *bufio.Reader) (id uint64, kind byte, payload []byte, err
 	return id, kind, payload, nil
 }
 
-// checkAnswer enforces an answer payload's own framing: a query answer
-// is exactly one length-prefixed frame, an update ack exactly one
+// parseStreamHeader checks a frame header's length bound and kind and
+// returns the payload size it announces.
+func parseStreamHeader(hdr []byte) (id uint64, kind byte, size int, err error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n < streamHeader-4 || n > maxStreamFrame {
+		return 0, 0, 0, fmt.Errorf("wire: stream frame length %d outside [%d, %d]", n, streamHeader-4, maxStreamFrame)
+	}
+	id, kind = binary.LittleEndian.Uint64(hdr[4:]), hdr[12]
+	if kind < StreamQuery || kind > StreamPeer {
+		return 0, 0, 0, fmt.Errorf("wire: unknown stream frame kind %d", kind)
+	}
+	return id, kind, int(n) - (streamHeader - 4), nil
+}
+
+// checkAnswer enforces an answer payload's own framing: a query or peer
+// answer is exactly one length-prefixed frame, an update ack exactly one
 // uvarint.
 func checkAnswer(kind byte, payload []byte) error {
 	if kind == StreamUpdate {
@@ -132,26 +151,34 @@ func checkAnswer(kind byte, payload []byte) error {
 		return nil
 	}
 	_, n, err := queryFrameBody(payload)
+	return whole(n, payload, "an answer", err)
+}
+
+// whole extends a payload decoder's err: a frame that decoded but did
+// not fill its payload exactly is an error too.
+func whole(n int, payload []byte, what string, err error) error {
 	if err == nil && n != len(payload) {
-		err = fmt.Errorf("wire: %d trailing bytes after a query answer", len(payload)-n)
+		err = fmt.Errorf("wire: %d trailing bytes after %s", len(payload)-n, what)
 	}
 	return err
 }
 
-// Stream is the coordinator end of the member stream: a QueryTransport
-// and a Transport to one node over one multiplexed connection, dialed
-// on the first call and redialed by the first call after a failure. Any
-// number of goroutines may call it at once: each writes its request
-// whole under one write lock and waits for the answer carrying its id.
+// Stream is the calling end of the member stream: a QueryTransport, a
+// Transport and a PeerTransport to one node or peer coordinator over
+// one multiplexed connection, dialed on the first call and redialed by
+// the first call after a failure. Any number of goroutines may call it
+// at once: each writes its request whole under one write lock and waits
+// for the answer carrying its id.
 //
 // Failures are the HTTP clients' (see DefaultTimeout, DefaultRetries):
 // a connection error, an attempt outliving the per-attempt timeout or a
 // protocol error drops the connection and fails every call pending on
 // it with a transient error, which the retry policy re-attempts on a
-// fresh connection. A node refusing the upgrade fails the call like an
+// fresh connection. A callee refusing the upgrade fails the call like an
 // HTTP status would: 5xx and 429 are retried, anything else is not.
 type Stream struct {
 	base   string
+	local  *StreamServer // the in-process callee (NewStreamLoopback); nil: dial base
 	policy retryPolicy
 	c      counters      // update traffic (Transport)
 	q      queryCounters // query traffic
@@ -161,11 +188,21 @@ type Stream struct {
 	cur *streamConn // the connection calls go to; nil or failed: dial anew
 }
 
-// NewStream returns a member stream to the node at baseURL (an http://
-// address; the upgrade is requested on baseURL+StreamPath) with the
-// default timeout/retry policy. Nothing is dialed until the first call.
+// NewStream returns a member stream to the node or coordinator at
+// baseURL (an http:// address; the upgrade is requested on
+// baseURL+StreamPath) with the default timeout/retry policy. Nothing is
+// dialed until the first call.
 func NewStream(baseURL string) *Stream {
 	return &Stream{base: strings.TrimSuffix(baseURL, "/"), policy: defaultRetryPolicy()}
+}
+
+// NewStreamLoopback returns the member stream to srv in process: every
+// call encodes its frame, srv answers it as a served connection would,
+// and the answer passes the checks an answer read off a socket passes.
+// There is no connection, goroutine or timer, so a failure is permanent
+// and never retried.
+func NewStreamLoopback(srv StreamServer) *Stream {
+	return &Stream{local: &srv, policy: defaultRetryPolicy()}
 }
 
 // SetRetry overrides the request policy (see Client.SetRetry); the
@@ -232,7 +269,7 @@ func (s *Stream) Send(now float64, batch []Record) error {
 // update frames the batch was chunked into (the same bounds as the HTTP
 // Client's).
 func (s *Stream) SendCounted(_ float64, batch []Record) (applied int, err error) {
-	return sendChunked(batch, s.deliver)
+	return SendChunked(batch, s.deliver)
 }
 
 func (s *Stream) deliver(chunk []Record, size int) (int, error) {
@@ -247,6 +284,22 @@ func (s *Stream) deliver(chunk []Record, size int) (int, error) {
 	}
 	applied, _ := binary.Uvarint(data) // checkAnswer validated the ack
 	return int(min(applied, uint64(len(chunk)))), nil
+}
+
+// Peer implements PeerTransport.
+func (s *Stream) Peer(req PeerRequest) (PeerResponse, error) {
+	body, err := EncodePeerRequest(req)
+	if err != nil {
+		return PeerResponse{}, err
+	}
+	frame := appendStreamHeader(make([]byte, 0, streamHeader+len(body)), 0, StreamPeer)
+	frame = finishStreamFrame(append(frame, body...), 0)
+	data, err := s.policy.do(func() ([]byte, bool, error) { return s.exchange(frame) }, func() {})
+	if err != nil {
+		return PeerResponse{}, fmt.Errorf("wire: peer: %w", err)
+	}
+	resp, _, err := DecodePeerResponse(data)
+	return resp, err
 }
 
 // Flush implements Transport; stream delivery is synchronous.
@@ -300,6 +353,10 @@ func (s *Stream) session() *streamConn {
 // blocked on a peer that stopped reading. Everything but a refused
 // upgrade with a non-retryable status is transient.
 func (s *Stream) exchange(frame []byte) ([]byte, bool, error) {
+	if s.local != nil {
+		data, err := s.answerLocal(frame)
+		return data, false, err
+	}
 	sc := s.session()
 	if s.policy.timeout > 0 {
 		timer := time.AfterFunc(s.policy.timeout, func() {
@@ -342,6 +399,33 @@ func (s *Stream) exchange(frame []byte) ([]byte, bool, error) {
 		return nil, true, err
 	}
 	return a.payload, false, nil
+}
+
+// answerLocal is exchange against the in-process callee: the request
+// frame is answered as serveStream answers it, and the answer frame is
+// held to what run and exchange demand of one read off the connection.
+func (s *Stream) answerLocal(frame []byte) ([]byte, error) {
+	id, kind := s.ids.Add(1), frame[12]
+	binary.LittleEndian.PutUint64(frame[4:], id)
+	out, err := answerStream(nil, streamJob{id, kind, frame[streamHeader:]}, *s.local)
+	if err != nil {
+		return nil, err
+	}
+	aid, akind, size, err := parseStreamHeader(out)
+	payload := out[streamHeader:]
+	switch {
+	case err != nil:
+	case size != len(payload):
+		err = fmt.Errorf("wire: in-process answer announces %d payload bytes, carries %d", size, len(payload))
+	case aid != id || akind != kind:
+		err = fmt.Errorf("wire: in-process answer %d (kind %d) to request %d (kind %d)", aid, akind, id, kind)
+	default:
+		err = checkAnswer(akind, payload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // streamConn is one connection of a Stream. Its run goroutine dials,
@@ -506,12 +590,22 @@ func dialStream(base string, timeout time.Duration) (net.Conn, *bufio.Reader, er
 	return nc, br, nil
 }
 
-// StreamHandler returns the node end of the member stream: the handler
-// of GET StreamPath, which takes the connection over (Upgrade:
-// StreamProtocol) and serves it until it fails — query frames answered
-// by q, update frames by deliver and acknowledged with its applied
-// count. A request asking for anything else is refused with 426.
-func StreamHandler(q QueryServer, deliver func([]Record) (applied int, err error)) http.Handler {
+// StreamServer is what the answering end of a member stream serves, one
+// field per frame kind: a node sets Query (query frames) and Deliver
+// (update frames, acknowledged with its applied count), a coordinator
+// sets Peer (its peers' frames). A frame of a kind whose field is nil is
+// a protocol error, like an unknown kind.
+type StreamServer struct {
+	Query   QueryServer
+	Deliver func([]Record) (applied int, err error)
+	Peer    PeerServer
+}
+
+// StreamHandler returns the answering end of the member stream: the
+// handler of GET StreamPath, which takes the connection over (Upgrade:
+// StreamProtocol) and serves it with srv until it fails. A request
+// asking for anything else is refused with 426.
+func StreamHandler(srv StreamServer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.EqualFold(r.Header.Get("Upgrade"), StreamProtocol) {
 			w.Header().Set("Connection", "Upgrade")
@@ -534,7 +628,7 @@ func StreamHandler(q QueryServer, deliver func([]Record) (applied int, err error
 			nc.Close()
 			return
 		}
-		serveStream(nc, brw.Reader, q, deliver)
+		serveStream(nc, brw.Reader, srv)
 	})
 }
 
@@ -551,7 +645,7 @@ type streamJob struct {
 // never delays the next, and each answer is written whole under one
 // lock. The first malformed frame or read or write error closes the
 // connection; serveStream returns once its workers have.
-func serveStream(nc net.Conn, br *bufio.Reader, q QueryServer, deliver func([]Record) (int, error)) {
+func serveStream(nc net.Conn, br *bufio.Reader, srv StreamServer) {
 	jobs := make(chan streamJob)
 	var wmu sync.Mutex
 	var wg sync.WaitGroup
@@ -562,7 +656,7 @@ func serveStream(nc net.Conn, br *bufio.Reader, q QueryServer, deliver func([]Re
 			var out []byte
 			for job := range jobs {
 				var err error
-				if out, err = answerStream(out[:0], job, q, deliver); err == nil {
+				if out, err = answerStream(out[:0], job, srv); err == nil {
 					wmu.Lock()
 					_, err = nc.Write(out)
 					wmu.Unlock()
@@ -586,40 +680,44 @@ func serveStream(nc net.Conn, br *bufio.Reader, q QueryServer, deliver func([]Re
 }
 
 // answerStream appends the answer frame of one request to dst. A
-// payload that does not decode exactly is a protocol error.
-func answerStream(dst []byte, job streamJob, q QueryServer, deliver func([]Record) (int, error)) ([]byte, error) {
+// payload that does not decode exactly, or a kind srv does not serve,
+// is a protocol error. An answer that outgrew a frame (a Within over a
+// huge store) is replaced by an in-band error.
+func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
 	start := len(dst)
 	dst = appendStreamHeader(dst, job.id, job.kind)
-	switch job.kind {
-	case StreamQuery:
+	at := len(dst)
+	switch {
+	case job.kind == StreamQuery && srv.Query != nil:
 		req, n, err := DecodeQueryRequest(job.payload)
-		if err == nil && n != len(job.payload) {
-			err = fmt.Errorf("wire: %d trailing bytes after a query request", len(job.payload)-n)
-		}
-		if err != nil {
+		if err = whole(n, job.payload, "a query request", err); err != nil {
 			return nil, err
 		}
-		at := len(dst)
-		dst = AppendQueryResponse(dst, q.ServeQuery(req))
+		dst = AppendQueryResponse(dst, srv.Query.ServeQuery(req))
 		if body := len(dst) - at - 4; body > MaxFrameBody {
-			// The answer outgrew a frame (a Within over a huge store):
-			// report it in-band.
 			dst = AppendQueryResponse(dst[:at], QueryResponse{Op: req.Op,
 				Err: fmt.Sprintf("wire: response body %d exceeds %d bytes", body, MaxFrameBody)})
 		}
-	case StreamUpdate:
+	case job.kind == StreamUpdate && srv.Deliver != nil:
 		recs, n, err := DecodeFrame(job.payload)
-		if err == nil && n != len(job.payload) {
-			err = fmt.Errorf("wire: %d trailing bytes after an update frame", len(job.payload)-n)
-		}
-		if err != nil {
+		if err = whole(n, job.payload, "an update frame", err); err != nil {
 			return nil, err
 		}
 		// Per-record failures are reflected in the count, as on /updates.
-		applied, _ := deliver(recs)
+		applied, _ := srv.Deliver(recs)
 		dst = binary.AppendUvarint(dst, uint64(applied))
+	case job.kind == StreamPeer && srv.Peer != nil:
+		req, n, err := DecodePeerRequest(job.payload)
+		if err = whole(n, job.payload, "a peer request", err); err != nil {
+			return nil, err
+		}
+		dst = AppendPeerResponse(dst, srv.Peer.ServePeer(req))
+		if body := len(dst) - at - 4; body > MaxFrameBody {
+			dst = AppendPeerResponse(dst[:at], PeerResponse{Op: req.Op,
+				Err: fmt.Sprintf("wire: peer response body %d exceeds %d bytes", body, MaxFrameBody)})
+		}
 	default:
-		return nil, fmt.Errorf("wire: unknown stream frame kind %d", job.kind)
+		return nil, fmt.Errorf("wire: stream frame kind %d is not served here", job.kind)
 	}
 	return finishStreamFrame(dst, start), nil
 }

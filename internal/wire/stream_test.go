@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,12 +46,28 @@ func echoQuery(req QueryRequest) QueryResponse {
 
 func countDeliver(recs []Record) (int, error) { return len(recs), nil }
 
+// echoPeer answers a log exchange with the sender's log and a hint
+// hand-off with its record count; stats is refused in-band.
+func echoPeer(req PeerRequest) PeerResponse {
+	switch req.Op {
+	case PeerOpLog:
+		return PeerResponse{Op: PeerOpLog, Log: req.Log}
+	case PeerOpHints:
+		return PeerResponse{Op: PeerOpHints, Applied: len(req.Hints)}
+	default:
+		return PeerResponse{Op: req.Op, Err: "unsupported"}
+	}
+}
+
+// echoNode is the scripted node: echoQuery and countDeliver, no peers.
+var echoNode = StreamServer{Query: QueryServerFunc(echoQuery), Deliver: countDeliver}
+
 // streamServer serves the member stream over httptest with q and
 // deliver, counting upgrades.
 func streamServer(t *testing.T, q QueryServerFunc, deliver func([]Record) (int, error)) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	upgrades := new(atomic.Int64)
-	h := StreamHandler(q, deliver)
+	h := StreamHandler(StreamServer{Query: q, Deliver: deliver})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == StreamPath {
 			upgrades.Add(1)
@@ -228,7 +246,7 @@ func answerAll(nc net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		out, err := answerStream(nil, streamJob{id, kind, payload}, QueryServerFunc(echoQuery), countDeliver)
+		out, err := answerStream(nil, streamJob{id, kind, payload}, echoNode)
 		if err != nil {
 			return
 		}
@@ -323,7 +341,7 @@ func (n *restartableNode) start() {
 	}
 	n.addr = ln.Addr().String()
 	srv := &http.Server{
-		Handler:           StreamHandler(QueryServerFunc(echoQuery), countDeliver),
+		Handler:           StreamHandler(echoNode),
 		ReadHeaderTimeout: time.Second,
 		ConnState: func(nc net.Conn, st http.ConnState) {
 			n.mu.Lock()
@@ -416,7 +434,7 @@ func TestStreamNodeRestart(t *testing.T) {
 // once.
 func TestStreamRetries(t *testing.T) {
 	var attempts atomic.Int64
-	h := StreamHandler(QueryServerFunc(echoQuery), countDeliver)
+	h := StreamHandler(echoNode)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if attempts.Add(1) == 1 {
 			http.Error(w, "warming up", http.StatusServiceUnavailable)
@@ -453,14 +471,15 @@ func TestStreamRetries(t *testing.T) {
 }
 
 // FuzzStreamFrameDecode throws arbitrary bytes at both ends' frame
-// readers: the coordinator's answer check and the node's request
-// decoding must error, never panic or allocate ahead of the input.
+// readers: the caller's answer check and the callee's request decoding
+// must error, never panic or allocate ahead of the input.
 func FuzzStreamFrameDecode(f *testing.F) {
+	every := StreamServer{Query: QueryServerFunc(echoQuery), Deliver: countDeliver, Peer: PeerServerFunc(echoPeer)}
 	query := finishStreamFrame(AppendQueryRequest(appendStreamHeader(nil, 1, StreamQuery),
 		QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4}), 0)
 	update := finishStreamFrame(AppendFrame(appendStreamHeader(nil, 2, StreamUpdate), sampleBatch()), 0)
-	answer, _ := answerStream(nil, streamJob{3, StreamQuery, query[streamHeader:]}, QueryServerFunc(echoQuery), countDeliver)
-	ack, _ := answerStream(nil, streamJob{4, StreamUpdate, update[streamHeader:]}, QueryServerFunc(echoQuery), countDeliver)
+	answer, _ := answerStream(nil, streamJob{3, StreamQuery, query[streamHeader:]}, every)
+	ack, _ := answerStream(nil, streamJob{4, StreamUpdate, update[streamHeader:]}, every)
 	f.Add(query)
 	f.Add(update)
 	f.Add(append(answer, ack...))
@@ -469,6 +488,10 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	binary.LittleEndian.PutUint32(oversized, maxStreamFrame+1)
 	f.Add(oversized)
 	f.Add(finishStreamFrame(append(appendStreamHeader(nil, 5, 0), 1), 0))
+	peer := finishStreamFrame(AppendPeerRequest(appendStreamHeader(nil, 7, StreamPeer), samplePeerRequests()[0]), 0)
+	peerAnswer, _ := answerStream(nil, streamJob{7, StreamPeer, peer[streamHeader:]}, every)
+	f.Add(peer)
+	f.Add(peerAnswer)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
@@ -477,7 +500,96 @@ func FuzzStreamFrameDecode(f *testing.F) {
 				return
 			}
 			_ = checkAnswer(kind, payload)
-			_, _ = answerStream(nil, streamJob{id, kind, payload}, QueryServerFunc(echoQuery), countDeliver)
+			_, _ = answerStream(nil, streamJob{id, kind, payload}, every)
 		}
 	})
+}
+
+// TestStreamLoopbackQuery: the in-process stream answers queries
+// through the frame codec and the answer checks, counts its traffic,
+// and fails a request it cannot encode, or one of a kind its server
+// does not serve, without retrying.
+func TestStreamLoopbackQuery(t *testing.T) {
+	lb := NewStreamLoopback(echoNode)
+	resp, err := lb.Query(QueryRequest{Op: OpPosition, ID: "car", T: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Found || resp.Hits[0].X != echoX("car") || resp.Hits[0].Y != 7 {
+		t.Fatalf("resp %+v", resp)
+	}
+	resp, err = lb.Query(QueryRequest{Op: OpStats, Trace: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.Objects != 9 || len(resp.Spans) != 4 || resp.Spans[3].Stage != StageNodeQuery {
+		t.Fatalf("traced stats: %+v", resp)
+	}
+	if applied, err := lb.SendCounted(0, batchOf(3)); err != nil || applied != 3 {
+		t.Fatalf("update batch: applied %d, err %v", applied, err)
+	}
+	st := lb.QueryStats()
+	if st.Queries != 2 || st.Errors != 0 || st.BytesSent == 0 || st.BytesReceived == 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	// An unencodable request is a transport error, counted.
+	if _, err := lb.Query(QueryRequest{Op: 77}); err == nil {
+		t.Fatal("invalid op passed the loopback")
+	}
+	if _, err := lb.Peer(PeerRequest{Op: PeerOpStats, From: "co-a"}); err == nil {
+		t.Fatal("a node loopback answered a peer frame")
+	}
+	if st := lb.QueryStats(); st.Errors != 1 || st.Retries != 0 {
+		t.Fatalf("stats %+v, want one error and no retry", st)
+	}
+}
+
+// TestStreamLoopbackPeer: peer requests and responses, in-band errors
+// included, survive the in-process stream; a query to a coordinator's
+// loopback fails.
+func TestStreamLoopbackPeer(t *testing.T) {
+	lb := NewStreamLoopback(StreamServer{Peer: PeerServerFunc(echoPeer)})
+	resp, err := lb.Peer(PeerRequest{Op: PeerOpLog, From: "co-a", Log: sampleLogRecords()})
+	if err != nil {
+		t.Fatalf("log exchange: %v", err)
+	}
+	if !EqualLogs(resp.Log, sampleLogRecords()) {
+		t.Fatalf("log did not round-trip through the loopback")
+	}
+	resp, err = lb.Peer(samplePeerRequests()[2])
+	if err != nil || resp.Applied != 2 {
+		t.Fatalf("hint push: applied=%d err=%v", resp.Applied, err)
+	}
+	resp, err = lb.Peer(PeerRequest{Op: PeerOpStats, From: "co-a"})
+	if err != nil || resp.Err == "" {
+		t.Fatalf("error response must survive the codec: %+v, %v", resp, err)
+	}
+	if _, err := lb.Query(QueryRequest{Op: OpStats}); err == nil {
+		t.Fatal("a coordinator loopback answered a query frame")
+	}
+}
+
+// TestStreamPeer: peer frames share one connection with every other
+// call to a coordinator, and an oversized request is refused before it
+// is sent.
+func TestStreamPeer(t *testing.T) {
+	h := StreamHandler(StreamServer{Peer: PeerServerFunc(echoPeer)})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	s := NewStream(ts.URL)
+	defer s.Close()
+	for _, req := range samplePeerRequests() {
+		resp, err := s.Peer(req)
+		if err != nil {
+			t.Fatalf("%v: %v", req.Op, err)
+		}
+		if want := echoPeer(req); !reflect.DeepEqual(resp, want) {
+			t.Fatalf("%v: got %+v, want %+v", req.Op, resp, want)
+		}
+	}
+	big := rec(strings.Repeat("x", MaxIDLen), 1, 0)
+	huge := PeerRequest{Op: PeerOpHints, From: "co-a", Member: "n1", Hints: slices.Repeat([]Record{big}, MaxFrameBody/MaxIDLen)}
+	if _, err := s.Peer(huge); err == nil {
+		t.Fatal("a peer request over the frame bound was sent")
+	}
 }

@@ -13,10 +13,11 @@
 //     model (the Wolfson disconnection experiments),
 //   - Client: real HTTP, POSTing binary frames to a location server's
 //     public /updates ingest endpoint (internal/locserv),
-//   - Stream: the cluster's coordinator→node hop, one long-lived
-//     connection per member upgraded from HTTP/1.1 and multiplexing
-//     query and update frames by request id (stream.go) — also the
-//     networked QueryTransport.
+//   - Stream: every call inside a cluster, one long-lived connection
+//     per node or peer coordinator upgraded from HTTP/1.1 and
+//     multiplexing query, update and peer frames by request id
+//     (stream.go) — also the QueryTransport and PeerTransport, and, as
+//     NewStreamLoopback, the same frames answered in process.
 //
 // On the wire, updates travel as length-prefixed frames of records:
 //
