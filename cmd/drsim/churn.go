@@ -173,7 +173,7 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 
 	qs := qLat.Snapshot()
 	queries := int64(qs.Count)
-	st := s.IndexStats() // before the verification sweep skews counters
+	st := s.NodeStats().IndexStats // before the verification sweep skews counters
 	updates := int64(n) * (rounds + 1)
 
 	// Verification: the bounded fleet must never have scanned, and the

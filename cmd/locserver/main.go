@@ -74,7 +74,7 @@
 //	    -coordinator-id co-b -peers-coordinators co-a=http://127.0.0.1:8080
 //
 // Each front dials the GET /member of every -peers-coordinators entry
-// and exchanges log, hint and stats frames over that member stream.
+// and exchanges log, hint and view frames over that member stream.
 // Both fronts accept ingest and queries concurrently; membership
 // changes and the self-healing loops are fenced behind a replicated
 // lease so exactly one coordinator drives them at a time, and GET
@@ -369,7 +369,7 @@ func run(cfg config) error {
 			// Multi-coordinator fan-in: this coordinator replicates
 			// membership over the shared record log and fences its
 			// self-heal behind the replicated lease. Peer coordinators
-			// exchange logs, stats and hints over the member stream.
+			// exchange logs, /cluster views and hints over the member stream.
 			coord.EnableFanIn(cfg.coordID, cluster.FanInConfig{
 				LeaseFor:    cfg.leaseFor.Seconds(),
 				GossipEvery: cfg.gossipEach.Seconds(),

@@ -721,25 +721,12 @@ func (c *Coordinator) DegradedQueries() int64 { return c.degraded.Load() }
 // replicas.
 func (c *Coordinator) Repairs() int64 { return c.repairs.Load() }
 
-// NodeStats aggregates the live members' node stats. Down and
-// unreachable members contribute nothing (the latter advance their
-// error counters).
+// NodeStats sums the live members' node stats: the view of the
+// coordinator's merged metrics snapshot that GET /stats serves. Down
+// and unreachable members contribute nothing.
 func (c *Coordinator) NodeStats() locserv.NodeStats {
-	var total locserv.NodeStats
-	for _, ms := range c.MemberStats() {
-		st := ms.Node
-		total.Objects += st.Objects
-		total.Shards += st.Shards
-		total.UpdatesApplied += st.UpdatesApplied
-		total.WireBytes += st.WireBytes
-		total.Index.CellMoves += st.Index.CellMoves
-		total.Index.BoundRecomputes += st.Index.BoundRecomputes
-		total.Index.CellsVisited += st.Index.CellsVisited
-		total.Index.RingExpansions += st.Index.RingExpansions
-		total.Index.IndexedQueries += st.Index.IndexedQueries
-		total.Index.ScanFallbacks += st.Index.ScanFallbacks
-	}
-	return total
+	snap, _ := c.ObsSnapshot()
+	return locserv.NodeStatsOf(snap)
 }
 
 // MemberStats snapshots the coordinator's per-member routing counters

@@ -243,12 +243,12 @@ func (c *Coordinator) ServePeer(req wire.PeerRequest) wire.PeerResponse {
 			return wire.PeerResponse{Op: req.Op, Err: err.Error()}
 		}
 		return wire.PeerResponse{Op: req.Op, Applied: applied}
-	case wire.PeerOpStats:
+	case wire.PeerOpView:
 		data, err := c.localClusterJSON()
 		if err != nil {
 			return wire.PeerResponse{Op: req.Op, Err: err.Error()}
 		}
-		return wire.PeerResponse{Op: req.Op, Stats: data}
+		return wire.PeerResponse{Op: req.Op, View: data}
 	default:
 		return wire.PeerResponse{Op: req.Op, Err: "unknown op"}
 	}

@@ -81,7 +81,7 @@ type clusterJSON struct {
 }
 
 // localClusterView builds this coordinator's own /cluster report — the
-// view PeerOpStats serves to peers (never merged, so stats exchanges
+// view PeerOpView serves to peers (never merged, so view exchanges
 // cannot recurse).
 func localClusterView(c *Coordinator) clusterJSON {
 	out := clusterJSON{
@@ -107,12 +107,12 @@ func localClusterView(c *Coordinator) clusterJSON {
 			Shards:   ms.Node.Shards,
 			Applied:  ms.Node.UpdatesApplied,
 
-			CellMoves:       ms.Node.Index.CellMoves,
-			BoundRecomputes: ms.Node.Index.BoundRecomputes,
-			CellsVisited:    ms.Node.Index.CellsVisited,
-			RingExpansions:  ms.Node.Index.RingExpansions,
-			IndexedQueries:  ms.Node.Index.IndexedQueries,
-			ScanFallbacks:   ms.Node.Index.ScanFallbacks,
+			CellMoves:       ms.Node.CellMoves,
+			BoundRecomputes: ms.Node.BoundRecomputes,
+			CellsVisited:    ms.Node.CellsVisited,
+			RingExpansions:  ms.Node.RingExpansions,
+			IndexedQueries:  ms.Node.IndexedQueries,
+			ScanFallbacks:   ms.Node.ScanFallbacks,
 		})
 		out.TotalObjects += ms.Node.Objects
 	}
@@ -123,7 +123,7 @@ func localClusterView(c *Coordinator) clusterJSON {
 	return out
 }
 
-// localClusterJSON is the PeerOpStats payload: the local view, encoded.
+// localClusterJSON is the PeerOpView payload: the local view, encoded.
 func (c *Coordinator) localClusterJSON() ([]byte, error) {
 	view := localClusterView(c)
 	return json.Marshal(view)
@@ -263,13 +263,13 @@ func (c *Coordinator) ClusterView() clusterJSON {
 	}
 	f.mu.Unlock()
 	for i, pt := range peers {
-		resp, err := pt.Peer(wire.PeerRequest{Op: wire.PeerOpStats, From: f.id})
+		resp, err := pt.Peer(wire.PeerRequest{Op: wire.PeerOpView, From: f.id})
 		if err != nil || resp.Err != "" {
 			out.Coordinators = append(out.Coordinators, coordJSON{ID: names[i]})
 			continue
 		}
 		var pv clusterJSON
-		if err := json.Unmarshal(resp.Stats, &pv); err != nil {
+		if err := json.Unmarshal(resp.View, &pv); err != nil {
 			out.Coordinators = append(out.Coordinators, coordJSON{ID: names[i]})
 			continue
 		}
@@ -291,7 +291,7 @@ func (c *Coordinator) ClusterView() clusterJSON {
 //	POST /updates   binary update frames, routed per partition
 //	GET  /member    the member stream (Upgrade: mapdr-member/1) serving
 //	                peer frames only: fan-in log gossip, hint
-//	                forwarding, stats exchange
+//	                forwarding, /cluster view exchange
 //	GET  /cluster   routing and node stats — merged across the
 //	                coordinator tier when fan-in is enabled
 //

@@ -2,9 +2,10 @@
 // routing counters onto /metrics, the span bookkeeping that decomposes
 // a sampled query into per-member fan-out hops, and the cluster-wide
 // snapshot a scrape assembles — the coordinator's own metrics plus
-// every live member's OpMetrics snapshot merged in (counters sum,
-// histograms add bucket-wise), plus per-member routing/health gauges
-// the coordinator alone can know.
+// every live member's OpMetrics snapshot merged in (counters and gauges
+// sum, histograms add bucket-wise), plus per-member routing/health
+// gauges the coordinator alone can know. GET /stats and NodeStats are
+// views of that snapshot.
 
 package cluster
 

@@ -103,6 +103,143 @@ func scrape(t *testing.T, base string) map[string]float64 {
 	return parsePromText(t, string(body))
 }
 
+// statsMetrics maps every GET /stats key to the metric it reports. Its
+// key set is the /stats schema, unchanged since the index counters
+// joined it; the metric names are an oracle independent of the code
+// that reads them.
+var statsMetrics = map[string]string{
+	"objects":                "mapdr_node_objects",
+	"shards":                 "mapdr_node_shards",
+	"updates_applied":        "mapdr_node_updates_applied_total",
+	"wire_bytes":             "mapdr_node_wire_bytes_total",
+	"index_cell_moves":       "mapdr_node_index_cell_moves_total",
+	"index_bound_recomputes": "mapdr_node_index_bound_recomputes_total",
+	"index_cells_visited":    "mapdr_node_index_cells_visited_total",
+	"index_ring_expansions":  "mapdr_node_index_ring_expansions_total",
+	"index_queries":          "mapdr_node_index_indexed_queries_total",
+	"index_scan_fallbacks":   "mapdr_node_index_scan_fallbacks_total",
+}
+
+// getStats reads GET /stats and checks its key set is statsMetrics'.
+func getStats(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]int64
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	for key := range body {
+		if _, ok := statsMetrics[key]; !ok {
+			t.Fatalf("GET %s/stats has unknown key %q", base, key)
+		}
+	}
+	if len(body) != len(statsMetrics) {
+		t.Fatalf("GET %s/stats has %d keys, want %d: %v", base, len(body), len(statsMetrics), body)
+	}
+	return body
+}
+
+// TestCoordinatorNodeObjectsSum: a coordinator's /metrics reports the
+// cluster's object and shard counts — the sums over its nodes, as its
+// /stats does — not its largest node's.
+func TestCoordinatorNodeObjectsSum(t *testing.T) {
+	var members []*Member
+	objects := 0
+	var nodes []*locserv.NodeService
+	for _, name := range []string{"a", "b", "c"} {
+		_, node := linearNode(name, 4)
+		nodes = append(nodes, node)
+		members = append(members, NewLoopbackMember(name, node))
+	}
+	c, err := New(0, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCluster(t, c, 60)
+	for _, node := range nodes {
+		if node.Service().Len() == 0 || node.Service().Len() == 60 {
+			t.Fatalf("fixture: a node holds %d of 60 objects", node.Service().Len())
+		}
+		objects += node.Service().Len()
+	}
+	srv := httptest.NewServer(Handler(c))
+	defer srv.Close()
+	metrics, stats := scrape(t, srv.URL), getStats(t, srv.URL)
+	if metrics["mapdr_node_objects"] != float64(objects) || stats["objects"] != int64(objects) {
+		t.Fatalf("objects: /metrics %v, /stats %d, nodes hold %d", metrics["mapdr_node_objects"], stats["objects"], objects)
+	}
+	if metrics["mapdr_node_shards"] != 12 || stats["shards"] != 12 {
+		t.Fatalf("shards: /metrics %v, /stats %d, want 12", metrics["mapdr_node_shards"], stats["shards"])
+	}
+}
+
+// TestNodeStatsOneAnswer reads one node's counters through every member
+// kind — in process, the member stream in process, the member stream
+// over a socket — and every view: Node.NodeStats, the node's /stats, and
+// the /stats and /metrics of a coordinator fronting that member. All
+// give one answer, field for field.
+func TestNodeStatsOneAnswer(t *testing.T) {
+	_, node := linearNode("n", 4)
+	nodeSrv := httptest.NewServer(node.Handler())
+	defer nodeSrv.Close()
+	socket := NewHTTPMember("n", nodeSrv.URL, nil)
+	defer socket.Ingest.(*wire.Stream).Close()
+	members := []*Member{NewLocalMember("n", node), NewLoopbackMember("n", node), socket}
+
+	seeder, err := New(0, members[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCluster(t, seeder, 40)
+	_ = snapshot(seeder, 40, 5)
+	want := node.Service().NodeStats()
+	if want.Objects != 40 || want.Shards != 4 || want.WireBytes == 0 || want.IndexedQueries == 0 || want.CellsVisited == 0 {
+		t.Fatalf("fixture: counters did not move: %+v", want)
+	}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantJSON map[string]int64
+	if err := json.Unmarshal(raw, &wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if got := getStats(t, nodeSrv.URL); !reflect.DeepEqual(got, wantJSON) {
+		t.Fatalf("node /stats %v, want %v", got, wantJSON)
+	}
+
+	for i, name := range []string{"local", "stream in process", "stream over a socket"} {
+		t.Run(name, func(t *testing.T) {
+			m := members[i]
+			if got, err := m.Node.NodeStats(); err != nil || got != want {
+				t.Fatalf("Node.NodeStats() = %+v, %v; want %+v", got, err, want)
+			}
+			c, err := New(0, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.NodeStats(); got != want {
+				t.Fatalf("coordinator NodeStats() = %+v, want %+v", got, want)
+			}
+			srv := httptest.NewServer(Handler(c))
+			defer srv.Close()
+			stats, metrics := getStats(t, srv.URL), scrape(t, srv.URL)
+			if !reflect.DeepEqual(stats, wantJSON) {
+				t.Fatalf("coordinator /stats %v, want %v", stats, wantJSON)
+			}
+			for key, metric := range statsMetrics {
+				if float64(stats[key]) != metrics[metric] {
+					t.Errorf("coordinator /stats %s = %d, /metrics %s = %v", key, stats[key], metric, metrics[metric])
+				}
+			}
+		})
+	}
+}
+
 // TestMetricsEndpointsSmoke boots a 2-node wire-codec cluster, drives
 // ingest and all three query families, and scrapes /metrics on both
 // roles: the node's own exposition, and the coordinator's cluster-wide

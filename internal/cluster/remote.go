@@ -12,9 +12,10 @@ import (
 
 // RemoteNode implements locserv.Node over the wire query protocol:
 // every call becomes one request/response frame exchange through a
-// wire.QueryTransport (the member stream, over a socket or in process).
-// Deliver rides the separate update transport when one is configured,
-// keeping bulk ingest on the update path's chunked frames.
+// wire.QueryTransport (the member stream, over a socket or in process);
+// NodeStats and ObsSnapshot share the one OpMetrics exchange. Deliver
+// rides the separate update transport when one is configured, keeping
+// bulk ingest on the update path's chunked frames.
 type RemoteNode struct {
 	q      wire.QueryTransport
 	ingest IngestTransport
@@ -153,19 +154,20 @@ func (r *RemoteNode) Export(lo, hi uint64) ([]wire.Record, []locserv.ObjectID, e
 	return resp.Records, ids, nil
 }
 
-// NodeStats implements locserv.Node.
+// NodeStats implements locserv.Node: the node's counters read off its
+// metrics snapshot, so a remote node answers exactly as the same node
+// in process.
 func (r *RemoteNode) NodeStats() (locserv.NodeStats, error) {
-	resp, err := r.call(wire.QueryRequest{Op: wire.OpStats})
+	snap, err := r.ObsSnapshot()
 	if err != nil {
 		return locserv.NodeStats{}, err
 	}
-	return locserv.StatsFromPayload(resp.Stats), nil
+	return locserv.NodeStatsOf(snap), nil
 }
 
 // ObsSnapshot implements locserv.ObsSnapshotter over the wire: one
 // OpMetrics exchange whose response payload is the node's binary
-// metrics snapshot. A node that exports no metrics answers with an
-// in-band error, which surfaces here — a scraping coordinator skips it.
+// metrics snapshot.
 func (r *RemoteNode) ObsSnapshot() (obs.Snapshot, error) {
 	resp, err := r.call(wire.QueryRequest{Op: wire.OpMetrics})
 	if err != nil {

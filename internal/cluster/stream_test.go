@@ -227,7 +227,7 @@ func TestMemberStreamWrongRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.EnableFanIn("co-a", FanInConfig{})
-	stats := wire.QueryRequest{Op: wire.OpStats}
+	metrics := wire.QueryRequest{Op: wire.OpMetrics}
 	gossip := wire.PeerRequest{Op: wire.PeerOpLog, From: "co-b"}
 	for _, role := range []struct {
 		name      string
@@ -236,9 +236,9 @@ func TestMemberStreamWrongRole(t *testing.T) {
 	}{
 		{"node", node.Handler(),
 			func(s *wire.Stream) error { _, err := s.Peer(gossip); return err },
-			func(s *wire.Stream) error { _, err := s.Query(stats); return err }},
+			func(s *wire.Stream) error { _, err := s.Query(metrics); return err }},
 		{"coordinator", Handler(coord),
-			func(s *wire.Stream) error { _, err := s.Query(stats); return err },
+			func(s *wire.Stream) error { _, err := s.Query(metrics); return err },
 			func(s *wire.Stream) error { _, err := s.Peer(gossip); return err }},
 	} {
 		t.Run(role.name, func(t *testing.T) {

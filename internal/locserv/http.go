@@ -24,7 +24,8 @@ type RecordSink func(recs []wire.Record) (applied int, err error)
 // Handler exposes the service as a query-only HTTP API:
 //
 //	GET /healthz                           -> {"ok":true,"objects":n}
-//	GET /stats                             -> object/shard/update/byte/index counters
+//	GET /stats                             -> object/shard/update/byte/index counters (NodeStats)
+//	GET /metrics                           -> the metrics snapshot /stats is read from
 //	GET /objects                           -> ["id", ...]
 //	GET /position?id=car1&t=120            -> {"id":"car1","x":..,"y":..}
 //	GET /nearest?x=0&y=0&k=3&t=120         -> [{"id":..,"x":..,"y":..,"dist":..}]
@@ -75,19 +76,23 @@ func (n *NodeService) Handler() http.Handler {
 
 // QueryAPIHandler mounts the JSON query API over any Querier — the
 // sharded store or a cluster coordinator. Optional capabilities are
-// detected: /stats requires NodeStats(), /objects requires Objects().
+// detected: /metrics and /stats require ObsSnapshot(), /objects
+// requires Objects().
 func QueryAPIHandler(q Querier) http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, q)
 	return mux
 }
 
-// statser, lener and objectser are the optional capabilities of a
+// lener, objectser and traceRinger are the optional capabilities of a
 // Querier behind the HTTP API.
-type statser interface{ NodeStats() NodeStats }
 type lener interface{ Len() int }
 type objectser interface{ Objects() []ObjectID }
+type traceRinger interface{ TraceRing() *obs.TraceRing }
 
+// RouteQueryAPI mounts the JSON query API on mux; see QueryAPIHandler.
+// /metrics and /stats render the same metrics snapshot: /stats is its
+// NodeStatsOf view.
 func RouteQueryAPI(mux *http.ServeMux, q Querier) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// A liveness probe must stay cheap: report a local object count
@@ -99,23 +104,22 @@ func RouteQueryAPI(mux *http.ServeMux, q Querier) {
 		}
 		WriteJSON(w, body)
 	})
-	if st, ok := q.(statser); ok {
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-			WriteJSON(w, statsToJSON(st.NodeStats()))
-		})
-	}
 	if ob, ok := q.(objectser); ok {
 		mux.HandleFunc("GET /objects", func(w http.ResponseWriter, _ *http.Request) {
 			WriteJSON(w, ob.Objects())
 		})
 	}
 	if os, ok := q.(ObsSnapshotter); ok {
-		mux.Handle("GET /metrics", obs.MetricsHandler(func() obs.Snapshot {
+		snapshot := func() obs.Snapshot {
 			// A failed member scrape degrades to whatever assembled; the
-			// snapshot source logs nothing and the scrape stays valid text.
+			// snapshot source logs nothing and the answer stays valid.
 			snap, _ := os.ObsSnapshot()
 			return snap
-		}))
+		}
+		mux.Handle("GET /metrics", obs.MetricsHandler(snapshot))
+		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, NodeStatsOf(snapshot()))
+		})
 	}
 	if tr, ok := q.(traceRinger); ok {
 		if ring := tr.TraceRing(); ring != nil {
@@ -165,43 +169,6 @@ func queryFloats(q url.Values, keys ...string) ([]float64, bool) {
 		vals[i] = v
 	}
 	return vals, true
-}
-
-// statsJSON is the GET /stats body. wire_bytes counts applied report
-// encodings only (Service.WireBytes) — record ids and frame headers are
-// transport overhead, visible in the client's wire.Stats instead. The
-// index_* counters expose the live spatial index's health: write-path
-// cell moves and fold recomputes, read-path pruning effort (cells
-// visited; index_ring_expansions counts the cells k-NN queries took off
-// their bound-ordered frontiers — the field name is kept for its
-// readers), and the indexed-vs-scan query mix (scan fallbacks only
-// happen for unbounded-predictor objects).
-type statsJSON struct {
-	Objects              int   `json:"objects"`
-	Shards               int   `json:"shards"`
-	UpdatesApplied       int64 `json:"updates_applied"`
-	WireBytes            int64 `json:"wire_bytes"`
-	IndexCellMoves       int64 `json:"index_cell_moves"`
-	IndexBoundRecomputes int64 `json:"index_bound_recomputes"`
-	IndexCellsVisited    int64 `json:"index_cells_visited"`
-	IndexRingExpansions  int64 `json:"index_ring_expansions"`
-	IndexedQueries       int64 `json:"index_queries"`
-	IndexScanFallbacks   int64 `json:"index_scan_fallbacks"`
-}
-
-func statsToJSON(st NodeStats) statsJSON {
-	return statsJSON{
-		Objects:              st.Objects,
-		Shards:               st.Shards,
-		UpdatesApplied:       st.UpdatesApplied,
-		WireBytes:            st.WireBytes,
-		IndexCellMoves:       st.Index.CellMoves,
-		IndexBoundRecomputes: st.Index.BoundRecomputes,
-		IndexCellsVisited:    st.Index.CellsVisited,
-		IndexRingExpansions:  st.Index.RingExpansions,
-		IndexedQueries:       st.Index.IndexedQueries,
-		IndexScanFallbacks:   st.Index.ScanFallbacks,
-	}
 }
 
 // IngestHandler returns the POST /updates handler over any record sink

@@ -161,7 +161,7 @@ func TestLiveIndexMatchesScanUnderChurn(t *testing.T) {
 					check(now)
 				}
 			}
-			st := s.IndexStats()
+			st := s.NodeStats().IndexStats
 			if st.ScanFallbacks != 0 {
 				t.Errorf("bounded fleet fell back to scan %d times", st.ScanFallbacks)
 			}
@@ -196,7 +196,7 @@ func TestLiveIndexUnboundedFallbackAndRecovery(t *testing.T) {
 	}
 	r := geo.Rect{Min: geo.Pt(500, 500), Max: geo.Pt(3000, 3000)}
 	s.Within(r, 5)
-	base := s.IndexStats()
+	base := s.NodeStats().IndexStats
 	if base.ScanFallbacks != 0 || base.IndexedQueries == 0 {
 		t.Fatalf("expected indexed baseline, got %+v", base)
 	}
@@ -222,7 +222,7 @@ func TestLiveIndexUnboundedFallbackAndRecovery(t *testing.T) {
 			t.Fatalf("fallback Nearest(t=%v) diverges:\n got %v\nwant %v", qt, got, want)
 		}
 	}
-	mid := s.IndexStats()
+	mid := s.NodeStats().IndexStats
 	if mid.ScanFallbacks == 0 {
 		t.Fatal("unbounded resident did not trigger scan fallbacks")
 	}
@@ -231,13 +231,13 @@ func TestLiveIndexUnboundedFallbackAndRecovery(t *testing.T) {
 	// consistent without any rebuild.
 	s.Deregister("wild-0")
 	s.Deregister("wild-1")
-	before := s.IndexStats().ScanFallbacks
+	before := s.NodeStats().ScanFallbacks
 	for _, qt := range []float64{0, 20, 111} {
 		if got, want := s.Within(r, qt), withinScanRef(s, r, qt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("recovered Within(t=%v) diverges:\n got %v\nwant %v", qt, got, want)
 		}
 	}
-	after := s.IndexStats()
+	after := s.NodeStats().IndexStats
 	if after.ScanFallbacks != before {
 		t.Error("scan fallbacks kept growing after the unbounded objects left")
 	}
@@ -418,7 +418,7 @@ func TestLiveIndexExtremeCoordinates(t *testing.T) {
 			}
 			check("recovered")
 
-			if st := s.IndexStats(); st.ScanFallbacks != 0 {
+			if st := s.NodeStats().IndexStats; st.ScanFallbacks != 0 {
 				t.Errorf("bounded fleet fell back to scan %d times: %+v", st.ScanFallbacks, st)
 			}
 		})
@@ -617,7 +617,7 @@ func looseFoldsRun(seed int64) string {
 	for _, sh := range s.shards {
 		rebuckets += sh.grid.Rebuckets()
 	}
-	if st := s.IndexStats(); st.ScanFallbacks != 0 || rebuckets < 2 {
+	if st := s.NodeStats().IndexStats; st.ScanFallbacks != 0 || rebuckets < 2 {
 		return fmt.Sprintf("schedule did not exercise the index: %d rebuckets, %+v", rebuckets, st)
 	}
 	return ""

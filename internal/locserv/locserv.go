@@ -99,8 +99,8 @@ type Service struct {
 	// parallel fan-out is worthwhile without locking every shard.
 	count atomic.Int64
 	// reg is the service's metrics registry: every counter below lives
-	// on it, so GET /metrics and the OpMetrics wire blob see the same
-	// numbers /stats always reported.
+	// on it, and GET /metrics, GET /stats (NodeStatsOf) and the
+	// OpMetrics wire blob all read its snapshot.
 	reg *obs.Registry
 	// applied counts updates that advanced an object replica and
 	// appliedBytes their total encoded wire size, for /stats and
@@ -199,23 +199,17 @@ func (h *IndexHealth) publish(t queryTally) {
 	h.CandidatesEvaluated.Add(t.evaluated)
 }
 
-// IndexStats is a point-in-time copy of the index health counters the
-// stats wire payload carries (CandidatesEvaluated is on /metrics only).
+// IndexStats is the index-health part of NodeStats
+// (CandidatesEvaluated is on /metrics only). index_ring_expansions
+// counts the cells k-NN queries took off their bound-ordered frontiers;
+// the key is kept for its readers.
 type IndexStats struct {
-	CellMoves, BoundRecomputes, CellsVisited, RingExpansions int64
-	IndexedQueries, ScanFallbacks                            int64
-}
-
-// IndexStats returns a snapshot of the spatial-index health counters.
-func (s *Service) IndexStats() IndexStats {
-	return IndexStats{
-		CellMoves:       s.health.CellMoves.Load(),
-		BoundRecomputes: s.health.BoundRecomputes.Load(),
-		CellsVisited:    s.health.CellsVisited.Load(),
-		RingExpansions:  s.health.RingExpansions.Load(),
-		IndexedQueries:  s.health.IndexedQueries.Load(),
-		ScanFallbacks:   s.health.ScanFallbacks.Load(),
-	}
+	CellMoves       int64 `json:"index_cell_moves"`
+	BoundRecomputes int64 `json:"index_bound_recomputes"`
+	CellsVisited    int64 `json:"index_cells_visited"`
+	RingExpansions  int64 `json:"index_ring_expansions"`
+	IndexedQueries  int64 `json:"index_queries"`
+	ScanFallbacks   int64 `json:"index_scan_fallbacks"`
 }
 
 // objEntry is a shard's record for one object: the protocol replica
@@ -312,6 +306,7 @@ func NewSharded(n int) *Service {
 	}
 	reg.GaugeFunc("mapdr_node_objects", "Registered objects.",
 		func() float64 { return float64(s.count.Load()) })
+	reg.Gauge("mapdr_node_shards", "Store shards.").Set(float64(n))
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			objs:    make(map[ObjectID]*objEntry),

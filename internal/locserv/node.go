@@ -38,59 +38,55 @@ type Registry interface {
 }
 
 // NodeStats is a node's counter snapshot: store size and ingest
-// counters plus the spatial-index health metrics.
+// counters plus the spatial-index health metrics. It is a view of the
+// node's metrics snapshot (NodeStatsOf), and its JSON form is the
+// GET /stats body. wire_bytes counts applied report encodings only
+// (Service.WireBytes) — record ids and frame headers are transport
+// overhead, visible in the client's wire.Stats instead.
 type NodeStats struct {
-	Objects        int
-	Shards         int
-	UpdatesApplied int64
-	WireBytes      int64
-	Index          IndexStats
+	Objects        int   `json:"objects"`
+	Shards         int   `json:"shards"`
+	UpdatesApplied int64 `json:"updates_applied"`
+	WireBytes      int64 `json:"wire_bytes"`
+	IndexStats
+}
+
+// NodeStatsOf reads a node's counters off a metrics snapshot — a node's
+// own, or a coordinator's merged one, whose node counters and sizes are
+// the sums over its members. It is the one mapping from metric names to
+// NodeStats fields; metrics it does not name are ignored.
+func NodeStatsOf(snap obs.Snapshot) NodeStats {
+	var st NodeStats
+	for _, m := range snap.Metrics {
+		v := int64(m.Value)
+		switch m.Name {
+		case "mapdr_node_objects":
+			st.Objects = int(v)
+		case "mapdr_node_shards":
+			st.Shards = int(v)
+		case "mapdr_node_updates_applied_total":
+			st.UpdatesApplied = v
+		case "mapdr_node_wire_bytes_total":
+			st.WireBytes = v
+		case "mapdr_node_index_cell_moves_total":
+			st.CellMoves = v
+		case "mapdr_node_index_bound_recomputes_total":
+			st.BoundRecomputes = v
+		case "mapdr_node_index_cells_visited_total":
+			st.CellsVisited = v
+		case "mapdr_node_index_ring_expansions_total":
+			st.RingExpansions = v
+		case "mapdr_node_index_indexed_queries_total":
+			st.IndexedQueries = v
+		case "mapdr_node_index_scan_fallbacks_total":
+			st.ScanFallbacks = v
+		}
+	}
+	return st
 }
 
 // NodeStats returns the service's counter snapshot.
-func (s *Service) NodeStats() NodeStats {
-	return NodeStats{
-		Objects:        s.Len(),
-		Shards:         s.Shards(),
-		UpdatesApplied: s.UpdatesApplied(),
-		WireBytes:      s.WireBytes(),
-		Index:          s.IndexStats(),
-	}
-}
-
-// Payload converts the snapshot to its wire representation.
-func (st NodeStats) Payload() wire.StatsPayload {
-	return wire.StatsPayload{
-		Objects:         int64(st.Objects),
-		Shards:          int64(st.Shards),
-		UpdatesApplied:  st.UpdatesApplied,
-		WireBytes:       st.WireBytes,
-		CellMoves:       st.Index.CellMoves,
-		BoundRecomputes: st.Index.BoundRecomputes,
-		CellsVisited:    st.Index.CellsVisited,
-		RingExpansions:  st.Index.RingExpansions,
-		IndexedQueries:  st.Index.IndexedQueries,
-		ScanFallbacks:   st.Index.ScanFallbacks,
-	}
-}
-
-// StatsFromPayload converts a wire stats payload back to a snapshot.
-func StatsFromPayload(p wire.StatsPayload) NodeStats {
-	return NodeStats{
-		Objects:        int(p.Objects),
-		Shards:         int(p.Shards),
-		UpdatesApplied: p.UpdatesApplied,
-		WireBytes:      p.WireBytes,
-		Index: IndexStats{
-			CellMoves:       p.CellMoves,
-			BoundRecomputes: p.BoundRecomputes,
-			CellsVisited:    p.CellsVisited,
-			RingExpansions:  p.RingExpansions,
-			IndexedQueries:  p.IndexedQueries,
-			ScanFallbacks:   p.ScanFallbacks,
-		},
-	}
-}
+func (s *Service) NodeStats() NodeStats { return NodeStatsOf(s.reg.Snapshot()) }
 
 // Node is the API a location-service node exposes to a cluster: what a
 // coordinator needs to route ingest, scatter queries and rebalance
@@ -126,7 +122,8 @@ type Node interface {
 	// registered-but-unreported objects. Ids are sorted so handoff is
 	// deterministic.
 	Export(lo, hi uint64) (recs []wire.Record, ids []ObjectID, err error)
-	// NodeStats returns the node's counter snapshot.
+	// NodeStats returns the node's counter snapshot: NodeStatsOf its
+	// metrics snapshot, however the node is reached.
 	NodeStats() (NodeStats, error)
 }
 
@@ -233,21 +230,12 @@ func (n *NodeService) NodeStats() (NodeStats, error) { return n.s.NodeStats(), n
 // ObsSnapshot implements ObsSnapshotter over the underlying store.
 func (n *NodeService) ObsSnapshot() (obs.Snapshot, error) { return n.s.ObsSnapshot() }
 
-// TraceRing exposes the store's trace ring for node-side retention.
-func (n *NodeService) TraceRing() *obs.TraceRing { return n.s.TraceRing() }
-
 // ObsSnapshotter is the optional Node extension for full metrics
-// snapshots — what OpMetrics and GET /metrics serve. NodeService and
-// cluster.RemoteNode implement it; nodes without it answer OpMetrics
-// with an in-band error.
+// snapshots — what OpMetrics, GET /metrics and GET /stats serve.
+// NodeService, cluster.RemoteNode and the cluster coordinator implement
+// it.
 type ObsSnapshotter interface {
 	ObsSnapshot() (obs.Snapshot, error)
-}
-
-// traceRinger is the optional Node extension for retaining traced
-// queries node-side.
-type traceRinger interface {
-	TraceRing() *obs.TraceRing
 }
 
 // TraceBinder is the optional Node extension that makes tracing a
@@ -263,16 +251,16 @@ type TraceBinder interface {
 }
 
 // ServeQuery answers one wire query request against a node — the
-// server side of the query protocol, shared by the member stream and
-// the in-process loopback. Node errors become in-band
-// error responses, so the transport only ever fails for transport
-// reasons.
+// server side of the query protocol, shared by the member stream over a
+// socket and in process. Node errors become in-band error responses, so
+// the transport only ever fails for transport reasons. OpMetrics ships
+// the node's metrics snapshot, which is also how a caller reads the
+// node's counters (NodeStatsOf).
 //
 // A request with a nonzero Trace id gets the server-side query span
-// (StageNodeQuery) appended to the response and, when the node retains
-// traces, a copy recorded in its ring. Untraced requests skip all
-// timing.
-func ServeQuery(n Node, req wire.QueryRequest) wire.QueryResponse {
+// (StageNodeQuery) appended to the response and a copy recorded in the
+// node's trace ring. Untraced requests skip all timing.
+func ServeQuery(n *NodeService, req wire.QueryRequest) wire.QueryResponse {
 	if req.Trace == 0 {
 		return serveQueryOp(n, req)
 	}
@@ -282,19 +270,15 @@ func ServeQuery(n Node, req wire.QueryRequest) wire.QueryResponse {
 	if resp.Err == "" {
 		resp.Spans = append(resp.Spans, wire.Span{Stage: wire.StageNodeQuery, Dur: uint64(dur)})
 	}
-	if tr, ok := n.(traceRinger); ok {
-		if ring := tr.TraceRing(); ring != nil {
-			ring.Add(obs.Trace{
-				ID: req.Trace, Op: req.Op.String(), T: req.T, Dur: int64(dur),
-				Spans: []obs.Span{{Stage: wire.StageNodeQuery.String(), Dur: int64(dur)}},
-			})
-		}
-	}
+	n.s.ring.Add(obs.Trace{
+		ID: req.Trace, Op: req.Op.String(), T: req.T, Dur: int64(dur),
+		Spans: []obs.Span{{Stage: wire.StageNodeQuery.String(), Dur: int64(dur)}},
+	})
 	return resp
 }
 
 // serveQueryOp dispatches one query op; see ServeQuery.
-func serveQueryOp(n Node, req wire.QueryRequest) wire.QueryResponse {
+func serveQueryOp(n *NodeService, req wire.QueryRequest) wire.QueryResponse {
 	resp := wire.QueryResponse{Op: req.Op}
 	fail := func(err error) wire.QueryResponse {
 		resp.Err = err.Error()
@@ -327,12 +311,6 @@ func serveQueryOp(n Node, req wire.QueryRequest) wire.QueryResponse {
 		page, next := pageWithin(hits, req.After, req.Limit)
 		resp.Hits = toWireHits(page, false)
 		resp.Next = next
-	case wire.OpStats:
-		st, err := n.NodeStats()
-		if err != nil {
-			return fail(err)
-		}
-		resp.Stats = st.Payload()
 	case wire.OpRegister:
 		if err := n.Register(ObjectID(req.ID)); err != nil {
 			return fail(err)
@@ -352,15 +330,7 @@ func serveQueryOp(n Node, req wire.QueryRequest) wire.QueryResponse {
 			resp.IDs[i] = string(id)
 		}
 	case wire.OpMetrics:
-		os, ok := n.(ObsSnapshotter)
-		if !ok {
-			return fail(fmt.Errorf("locserv: node does not export metrics"))
-		}
-		snap, err := os.ObsSnapshot()
-		if err != nil {
-			return fail(err)
-		}
-		resp.Metrics = snap.AppendBinary(nil)
+		resp.Metrics = n.s.reg.Snapshot().AppendBinary(nil)
 	default:
 		return fail(fmt.Errorf("locserv: unknown query op %d", req.Op))
 	}

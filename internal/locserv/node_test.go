@@ -17,6 +17,7 @@ import (
 
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
+	"mapdr/internal/obs"
 	"mapdr/internal/wire"
 )
 
@@ -117,12 +118,16 @@ func TestServeQueryMatchesDirectCalls(t *testing.T) {
 	if err != nil || resp.Found {
 		t.Fatalf("unknown object: %+v, %v", resp, err)
 	}
-	// Stats round-trips the full counter set.
-	resp, err = lb.Query(wire.QueryRequest{Op: wire.OpStats})
+	// The metrics snapshot carries the full counter set.
+	resp, err = lb.Query(wire.QueryRequest{Op: wire.OpMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := StatsFromPayload(resp.Stats); got != n.Service().NodeStats() {
+	snap, err := obs.DecodeSnapshot(resp.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NodeStatsOf(snap); got != n.Service().NodeStats() {
 		t.Fatalf("stats %+v != %+v", got, n.Service().NodeStats())
 	}
 	// Register errors arrive in-band.
@@ -309,7 +314,7 @@ func TestStatsEndpointHealthCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Within(r, 1)
-	st := s.IndexStats()
+	st := s.NodeStats().IndexStats
 	if st.CellMoves == 0 || st.BoundRecomputes == 0 || st.CellsVisited == 0 ||
 		st.RingExpansions == 0 || st.IndexedQueries == 0 || st.ScanFallbacks == 0 {
 		t.Fatalf("index counters did not move: %+v", st)

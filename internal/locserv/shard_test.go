@@ -256,7 +256,7 @@ func TestWithinIndexMatchesScan(t *testing.T) {
 			}
 			check(0)
 			check(60)
-			st := s.IndexStats()
+			st := s.NodeStats().IndexStats
 			if st.ScanFallbacks != 0 {
 				t.Errorf("bounded-predictor fleet hit the scan path %d times", st.ScanFallbacks)
 			}

@@ -138,8 +138,20 @@ func (s Snapshot) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// minMetricSize is the smallest encoded metric: three empty strings, the
+// kind byte and a one-byte value.
+const minMetricSize = 5
+
+// maxDecodedHists bounds the histograms one DecodeSnapshot expands. Each
+// becomes a dense histBuckets array however few bytes it arrived in, so
+// without a bound a blob of empty histograms allocates ~500× its size. A
+// node registers a handful.
+const maxDecodedHists = 128
+
 // DecodeSnapshot parses a binary snapshot. It is tolerant of a newer
-// codec version only in that it fails cleanly.
+// codec version only in that it fails cleanly. The blob arrives from
+// the network, so what it may allocate is bounded by its length and by
+// maxDecodedHists, never by the counts it claims.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
 	var s Snapshot
 	ver, n := binary.Uvarint(b)
@@ -148,11 +160,12 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	}
 	b = b[n:]
 	count, n := binary.Uvarint(b)
-	if n <= 0 || count > 1<<20 {
+	if n <= 0 || count > uint64(len(b)-n)/minMetricSize {
 		return s, fmt.Errorf("obs: bad snapshot metric count")
 	}
 	b = b[n:]
-	s.Metrics = make([]MetricSnapshot, 0, count)
+	s.Metrics = make([]MetricSnapshot, 0, min(count, 64))
+	hists := 0
 	for i := uint64(0); i < count; i++ {
 		var m MetricSnapshot
 		var err error
@@ -171,6 +184,9 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 		m.Kind = Kind(b[0])
 		b = b[1:]
 		if m.Kind == KindHistogram {
+			if hists++; hists > maxDecodedHists {
+				return s, fmt.Errorf("obs: snapshot holds more than %d histograms", maxDecodedHists)
+			}
 			var h HistSnapshot
 			var vals [4]uint64
 			for j := range vals {

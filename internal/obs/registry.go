@@ -170,10 +170,11 @@ func (s *Snapshot) AddCounter(name, help, labels string, v int64) {
 	s.Add(MetricSnapshot{Name: name, Help: help, Labels: labels, Kind: KindCounter, Value: float64(v)})
 }
 
-// Merge folds o into s by (name, labels): counters sum, gauges keep
-// the maximum, histograms merge bucket-wise; metrics only present in
-// o are appended. This is the coordinator's fan-in operation — member
-// snapshots merged into a cluster-wide view.
+// Merge folds o into s by (name, labels): counters and gauges sum,
+// histograms merge bucket-wise; metrics only present in o are appended.
+// This is the coordinator's fan-in operation — member snapshots merged
+// into a cluster-wide view, where the only unlabelled gauges that meet
+// are per-node sizes (objects, shards) whose cluster value is the sum.
 func (s *Snapshot) Merge(o Snapshot) {
 	idx := make(map[string]int, len(s.Metrics))
 	for i := range s.Metrics {
@@ -196,12 +197,8 @@ func (s *Snapshot) Merge(o Snapshot) {
 			continue // kind clash: keep ours
 		}
 		switch m.Kind {
-		case KindCounter:
+		case KindCounter, KindGauge:
 			have.Value += m.Value
-		case KindGauge:
-			if m.Value > have.Value {
-				have.Value = m.Value
-			}
 		case KindHistogram:
 			if have.Hist != nil && m.Hist != nil {
 				have.Hist.Merge(*m.Hist)

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,8 +49,8 @@ func TestSnapshotMergeSemantics(t *testing.T) {
 	if m, _ := a.Find("c_total"); m.Value != 7 {
 		t.Fatalf("merged counter %v, want sum 7", m.Value)
 	}
-	if m, _ := a.Find("g"); m.Value != 9 {
-		t.Fatalf("merged gauge %v, want max 9", m.Value)
+	if m, _ := a.Find("g"); m.Value != 10 {
+		t.Fatalf("merged gauge %v, want sum 10", m.Value)
 	}
 	if _, ok := a.Find("only_b_total"); !ok {
 		t.Fatalf("metric only in b was not appended")
@@ -100,6 +103,69 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("truncated blob at %d decoded without error", cut)
 		}
 	}
+}
+
+// TestDecodeSnapshotBoundsAllocation: a blob's claimed counts must not
+// drive allocation. Neither a 4-byte blob claiming 2^20 metrics nor
+// 10,000 empty histograms in 90 KB (each a dense bucket array once
+// decoded) may allocate 1 MiB, decoded or rejected.
+func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
+	countOnly := binary.AppendUvarint([]byte{snapshotCodecVersion}, 1<<20)
+	const emptyHists = 10000
+	hists := binary.AppendUvarint([]byte{snapshotCodecVersion}, emptyHists)
+	for i := 0; i < emptyHists; i++ {
+		// Three empty strings, the kind, four zero scalars, no buckets.
+		hists = append(hists, 0, 0, 0, byte(KindHistogram), 0, 0, 0, 0, 0)
+	}
+	for name, blob := range map[string][]byte{"claimed count": countOnly, "empty histograms": hists} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSnapshot(blob)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s (%d B): decode allocated %d B (err %v)", name, len(blob), got, err)
+		}
+	}
+}
+
+// FuzzSnapshotDecode: any input decodes or errors, never panics, and
+// what decodes stays within the input's bounds and re-encodes stably.
+func FuzzSnapshotDecode(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("c_total", "help c").Add(11)
+	r.Gauge("g", "").Set(-2.5)
+	h := r.Histogram("h_seconds", "help h", TicksSeconds)
+	h.Record(0.25)
+	h.Record(1e9)
+	blob := r.Snapshot().AppendBinary(nil)
+	f.Add(blob)
+	f.Add(blob[:len(blob)-1])
+	f.Add(binary.AppendUvarint([]byte{snapshotCodecVersion}, 1<<20))
+	f.Add([]byte{snapshotCodecVersion, 2, 0, 0, 0, byte(KindHistogram), 0, 0, 0, 0, 0, 0, 0, 0, byte(KindHistogram), 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		hists := 0
+		for _, m := range s.Metrics {
+			if m.Hist != nil {
+				hists++
+			}
+		}
+		if len(s.Metrics) > len(data)/minMetricSize || hists > maxDecodedHists {
+			t.Fatalf("%d input bytes decoded to %d metrics, %d histograms", len(data), len(s.Metrics), hists)
+		}
+		again := s.AppendBinary(nil)
+		s2, err := DecodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !bytes.Equal(s2.AppendBinary(nil), again) {
+			t.Fatal("re-encoding is not stable")
+		}
+	})
 }
 
 func TestWriteTextExposition(t *testing.T) {

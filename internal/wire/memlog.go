@@ -9,7 +9,7 @@ import (
 // This file is the membership half of the wire protocol: the tiny
 // ordered record log multi-coordinator clusters replicate membership
 // through, and the coordinator peer op family that carries it (plus
-// peer hint hand-off and merged /cluster stats). Peer frames travel as
+// peer hint hand-off and the merged /cluster view). Peer frames travel as
 // StreamPeer payloads on the member stream (stream.go), which a
 // coordinator serves on its own GET StreamPath.
 //
@@ -299,13 +299,13 @@ const (
 	// PeerOpHints hands hinted updates for a recovered member to the
 	// peer that can deliver them (the request names the member).
 	PeerOpHints
-	// PeerOpStats fetches the peer's local /cluster view (JSON payload)
-	// for the merged stats endpoint.
-	PeerOpStats
+	// PeerOpView fetches the peer's local /cluster view (JSON payload)
+	// for the merged /cluster endpoint.
+	PeerOpView
 )
 
 // Valid reports whether op is a known peer operation.
-func (op PeerOp) Valid() bool { return op >= PeerOpLog && op <= PeerOpStats }
+func (op PeerOp) Valid() bool { return op >= PeerOpLog && op <= PeerOpView }
 
 func (op PeerOp) String() string {
 	switch op {
@@ -313,8 +313,8 @@ func (op PeerOp) String() string {
 		return "log"
 	case PeerOpHints:
 		return "hints"
-	case PeerOpStats:
-		return "stats"
+	case PeerOpView:
+		return "view"
 	default:
 		return fmt.Sprintf("peerop(%d)", uint8(op))
 	}
@@ -348,9 +348,9 @@ type PeerResponse struct {
 	Log   []LogRecord
 	// Applied counts hint records accepted (PeerOpHints).
 	Applied int
-	// Stats is the peer's local cluster view, JSON-encoded
-	// (PeerOpStats).
-	Stats []byte
+	// View is the peer's local cluster view, JSON-encoded
+	// (PeerOpView).
+	View []byte
 }
 
 // AppendPeerRequest appends the frame encoding of req to dst.
@@ -369,7 +369,7 @@ func AppendPeerRequest(dst []byte, req PeerRequest) []byte {
 		for i := range req.Hints {
 			dst = AppendRecord(dst, req.Hints[i])
 		}
-	case PeerOpStats:
+	case PeerOpView:
 		// no payload
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
@@ -446,7 +446,7 @@ func DecodePeerRequest(data []byte) (req PeerRequest, n int, err error) {
 			k += rn
 			req.Hints = append(req.Hints, rec)
 		}
-	case PeerOpStats:
+	case PeerOpView:
 		// no payload
 	}
 	if k != len(body) {
@@ -477,9 +477,9 @@ func AppendPeerResponse(dst []byte, resp PeerResponse) []byte {
 		dst = appendLogRecords(dst, resp.Log)
 	case PeerOpHints:
 		dst = binary.AppendUvarint(dst, uint64(resp.Applied))
-	case PeerOpStats:
-		dst = binary.AppendUvarint(dst, uint64(len(resp.Stats)))
-		dst = append(dst, resp.Stats...)
+	case PeerOpView:
+		dst = binary.AppendUvarint(dst, uint64(len(resp.View)))
+		dst = append(dst, resp.View...)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
@@ -494,7 +494,7 @@ func EncodePeerResponse(resp PeerResponse) ([]byte, error) {
 	if len(resp.Log) > MaxLogRecords {
 		return nil, fmt.Errorf("wire: %d log records exceeds %d", len(resp.Log), MaxLogRecords)
 	}
-	buf := AppendPeerResponse(make([]byte, 0, 64+minLogRecordSize*len(resp.Log)+len(resp.Stats)), resp)
+	buf := AppendPeerResponse(make([]byte, 0, 64+minLogRecordSize*len(resp.Log)+len(resp.View)), resp)
 	if len(buf)-4 > MaxFrameBody {
 		return nil, fmt.Errorf("wire: peer response body %d exceeds %d bytes", len(buf)-4, MaxFrameBody)
 	}
@@ -556,14 +556,14 @@ func DecodePeerResponse(data []byte) (resp PeerResponse, n int, err error) {
 		}
 		resp.Applied = int(applied)
 		k += an
-	case PeerOpStats:
+	case PeerOpView:
 		l, ln := binary.Uvarint(body[k:])
 		if ln <= 0 || l > uint64(len(body)-k) {
-			return PeerResponse{}, 0, fmt.Errorf("wire: bad stats payload length")
+			return PeerResponse{}, 0, fmt.Errorf("wire: bad view payload length")
 		}
 		k += ln
 		if l > 0 {
-			resp.Stats = append([]byte(nil), body[k:k+int(l)]...)
+			resp.View = append([]byte(nil), body[k:k+int(l)]...)
 		}
 		k += int(l)
 	}

@@ -107,7 +107,7 @@ func samplePeerRequests() []PeerRequest {
 			{ID: "veh-2", Update: core.Update{Reason: core.ReasonDeviation, Report: core.Report{
 				Seq: 9, T: 4.5, Pos: geo.Pt(-1, -2), V: 1, Heading: -0.5}}},
 		}},
-		{Op: PeerOpStats, From: "co-b"},
+		{Op: PeerOpView, From: "co-b"},
 	}
 }
 
@@ -115,7 +115,7 @@ func samplePeerResponses() []PeerResponse {
 	return []PeerResponse{
 		{Op: PeerOpLog, Floor: 7, Log: sampleLogRecords()},
 		{Op: PeerOpHints, Applied: 2},
-		{Op: PeerOpStats, Stats: []byte(`{"objects":42}`)},
+		{Op: PeerOpView, View: []byte(`{"objects":42}`)},
 		{Op: PeerOpLog, Err: "no such coordinator"},
 	}
 }

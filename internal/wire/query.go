@@ -11,7 +11,7 @@ import (
 
 // This file is the query half of the wire protocol: position, k-nearest
 // and range queries (plus the cluster-admin operations register,
-// deregister, export and stats) travel as binary request/response
+// deregister, export and metrics) travel as binary request/response
 // frames over the same transport stack as update records, so a location
 // service scales out with one codec and one framing discipline for
 // both directions of traffic.
@@ -40,10 +40,13 @@ import (
 // indexed queries, scan fallbacks). Version 4 added the telemetry
 // surface: a trace id trailing every request, per-hop timing spans
 // trailing every success response, and the OpMetrics operation
-// carrying a node's binary metrics snapshot. There is one version on
-// the wire: decoders reject every version byte other than QueryVersion,
-// so a cluster upgrades its coordinators and nodes together.
-const QueryVersion = 4
+// carrying a node's binary metrics snapshot. Version 5 removed the
+// stats operation and its fixed counter payload — a node's counters
+// are read off its OpMetrics snapshot — so every op after it moved
+// down by one. There is one version on the wire: decoders reject every
+// version byte other than QueryVersion, so a cluster upgrades its
+// coordinators and nodes together.
+const QueryVersion = 5
 
 // MaxErrLen bounds an error message inside a response frame.
 const MaxErrLen = 1024
@@ -57,11 +60,10 @@ const (
 	OpPosition   QueryOp = iota + 1 // one object's position at time t
 	OpNearest                       // k nearest objects to a point at time t
 	OpWithin                        // all objects inside a rect at time t
-	OpStats                         // node counters snapshot
 	OpRegister                      // register an object (node-side predictor factory)
 	OpDeregister                    // remove an object
 	OpExport                        // export replicas in a key-hash range (handoff)
-	OpMetrics                       // node obs-registry snapshot (binary blob; version 4)
+	OpMetrics                       // node obs-registry snapshot (binary blob), counters included
 )
 
 // Valid reports whether op is a known operation.
@@ -75,8 +77,6 @@ func (op QueryOp) String() string {
 		return "nearest"
 	case OpWithin:
 		return "within"
-	case OpStats:
-		return "stats"
 	case OpRegister:
 		return "register"
 	case OpDeregister:
@@ -158,7 +158,7 @@ func (s SpanStage) String() string {
 	}
 }
 
-// Span is one timed stage inside a version-4 response: Start is the
+// Span is one timed stage inside a traced response: Start is the
 // offset in nanoseconds from the reporting hop's own start, Dur the
 // stage duration in nanoseconds.
 type Span struct {
@@ -188,20 +188,6 @@ func QueryHitSize(h QueryHit) int {
 	return core.UvarintLen(uint64(len(h.ID))) + len(h.ID) + 3*8 + core.UvarintLen(h.Seq)
 }
 
-// StatsPayload is the OpStats answer: a node's counter snapshot. The
-// index counters mirror internal/locserv's live spatial-index health
-// metrics.
-type StatsPayload struct {
-	Objects, Shards               int64
-	UpdatesApplied, WireBytes     int64
-	CellMoves, BoundRecomputes    int64
-	CellsVisited, RingExpansions  int64
-	IndexedQueries, ScanFallbacks int64
-}
-
-// statsFieldCount is the number of uvarint fields in a StatsPayload.
-const statsFieldCount = 10
-
 // QueryResponse is one query-protocol response. Err != "" signals an
 // application-level failure (unknown op, rejected registration, ...);
 // the other fields are per-op.
@@ -213,8 +199,6 @@ type QueryResponse struct {
 	Found bool
 	// Hits carries Position (one hit), Nearest and Within answers.
 	Hits []QueryHit
-	// Stats carries the OpStats answer.
-	Stats StatsPayload
 	// Next is the Within paging cursor: non-empty when the answer was
 	// truncated to fit one frame; re-issue the request with After = Next
 	// for the following page.
@@ -225,7 +209,7 @@ type QueryResponse struct {
 	Records []Record
 	IDs     []string
 	// Spans carries the serving hop's stage timings for a traced
-	// request (version 4; empty when untraced). Transports prepend
+	// request (empty when untraced). Transports prepend
 	// their own client-side spans before handing the response up.
 	Spans []Span
 	// Metrics is the OpMetrics answer: an opaque internal/obs binary
@@ -287,7 +271,7 @@ func AppendQueryRequest(dst []byte, req QueryRequest) []byte {
 		dst = appendF64(dst, req.T)
 		dst = appendString(dst, req.After)
 		dst = binary.AppendUvarint(dst, uint64(req.Limit))
-	case OpStats, OpMetrics:
+	case OpMetrics:
 		// no payload
 	case OpRegister, OpDeregister:
 		dst = appendString(dst, req.ID)
@@ -383,7 +367,7 @@ func DecodeQueryRequest(data []byte) (req QueryRequest, n int, err error) {
 		}
 		req.Limit = int(lim)
 		k += ln
-	case OpStats, OpMetrics:
+	case OpMetrics:
 		// no payload
 	case OpRegister, OpDeregister:
 		req.ID, err = readString(body, &k, MaxIDLen)
@@ -453,10 +437,6 @@ func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
 		if resp.Op == OpWithin {
 			dst = appendString(dst, resp.Next)
 		}
-	case OpStats:
-		for _, v := range resp.Stats.fields() {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
 	case OpRegister, OpDeregister:
 		// no payload
 	case OpExport:
@@ -484,22 +464,6 @@ func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
-}
-
-// fields flattens the payload for the uvarint codec; order is the wire
-// contract.
-func (s *StatsPayload) fields() [statsFieldCount]int64 {
-	return [statsFieldCount]int64{
-		s.Objects, s.Shards, s.UpdatesApplied, s.WireBytes,
-		s.CellMoves, s.BoundRecomputes, s.CellsVisited, s.RingExpansions,
-		s.IndexedQueries, s.ScanFallbacks,
-	}
-}
-
-func (s *StatsPayload) setFields(v [statsFieldCount]int64) {
-	s.Objects, s.Shards, s.UpdatesApplied, s.WireBytes = v[0], v[1], v[2], v[3]
-	s.CellMoves, s.BoundRecomputes, s.CellsVisited, s.RingExpansions = v[4], v[5], v[6], v[7]
-	s.IndexedQueries, s.ScanFallbacks = v[8], v[9]
 }
 
 // EncodeQueryResponse encodes resp as one frame, validating the size
@@ -606,17 +570,6 @@ func DecodeQueryResponse(data []byte) (resp QueryResponse, n int, err error) {
 				return QueryResponse{}, 0, err
 			}
 		}
-	case OpStats:
-		var v [statsFieldCount]int64
-		for i := range v {
-			u, kn := binary.Uvarint(body[k:])
-			if kn <= 0 || u > uint64(math.MaxInt64) {
-				return QueryResponse{}, 0, fmt.Errorf("wire: bad stats field %d", i)
-			}
-			v[i] = int64(u)
-			k += kn
-		}
-		resp.Stats.setFields(v)
 	case OpRegister, OpDeregister:
 		// no payload
 	case OpExport:

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -13,7 +14,7 @@ func sampleRequests() []QueryRequest {
 		{Op: OpNearest, X: 12.25, Y: -7.5, K: 10, T: 3600},
 		{Op: OpWithin, MinX: -1, MinY: -2, MaxX: 3.5, MaxY: 4.5, T: 0},
 		{Op: OpWithin, MinX: 0, MinY: 0, MaxX: 9, MaxY: 9, T: 5, After: "car-0042", Limit: 128},
-		{Op: OpStats},
+		{Op: OpMetrics},
 		{Op: OpRegister, ID: "new-object"},
 		{Op: OpDeregister, ID: "old-object"},
 		{Op: OpExport, Lo: 1 << 62, Hi: 17},
@@ -52,11 +53,7 @@ func sampleResponses() []QueryResponse {
 		{Op: OpNearest, Hits: []QueryHit{}},
 		{Op: OpWithin, Hits: []QueryHit{{ID: "only", X: 0.1, Y: 0.2, Seq: 3}}},
 		{Op: OpWithin, Hits: []QueryHit{{ID: "page-1", X: 1, Y: 2, Seq: 9}}, Next: "page-1"},
-		{Op: OpStats, Stats: StatsPayload{
-			Objects: 10, Shards: 4, UpdatesApplied: 123, WireBytes: 4567,
-			CellMoves: 1, BoundRecomputes: 2, CellsVisited: 3, RingExpansions: 4,
-			IndexedQueries: 5, ScanFallbacks: 6,
-		}},
+		{Op: OpMetrics, Metrics: []byte{1, 2, 3, 4, 5}},
 		{Op: OpRegister},
 		{Op: OpDeregister},
 		{Op: OpExport, Records: []Record{rec("x", 3, 9)}, IDs: []string{"silent-1", "silent-2"}},
@@ -87,7 +84,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 				}
 				return
 			}
-			if got.Op != resp.Op || got.Found != resp.Found || got.Stats != resp.Stats || got.Next != resp.Next {
+			if got.Op != resp.Op || got.Found != resp.Found || !bytes.Equal(got.Metrics, resp.Metrics) || got.Next != resp.Next {
 				t.Fatalf("round trip:\nin  %+v\nout %+v", resp, got)
 			}
 			if len(got.Hits) != len(resp.Hits) || len(got.Records) != len(resp.Records) || len(got.IDs) != len(resp.IDs) {
@@ -122,8 +119,8 @@ func TestQueryDecodeErrors(t *testing.T) {
 		{"empty", nil},
 		{"short header", []byte{1, 0}},
 		{"truncated body", valid[:len(valid)-3]},
-		{"bad version", append([]byte{2, 0, 0, 0}, 99, byte(OpStats))},
-		{"retired version", append([]byte{2, 0, 0, 0}, QueryVersion-1, byte(OpStats))},
+		{"bad version", append([]byte{2, 0, 0, 0}, 99, byte(OpMetrics))},
+		{"retired version", append([]byte{2, 0, 0, 0}, QueryVersion-1, byte(OpMetrics))},
 		{"bad op", append([]byte{2, 0, 0, 0}, QueryVersion, 200)},
 		{"trailing bytes", append(append([]byte{}, valid...), 0)[4:]},
 		{"oversized claim", []byte{255, 255, 255, 255}},
@@ -167,7 +164,7 @@ func TestQueryDecodeErrors(t *testing.T) {
 
 func TestQueryErrorMessageTruncated(t *testing.T) {
 	long := strings.Repeat("e", MaxErrLen+500)
-	frame, err := EncodeQueryResponse(QueryResponse{Op: OpStats, Err: long})
+	frame, err := EncodeQueryResponse(QueryResponse{Op: OpMetrics, Err: long})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +228,25 @@ func FuzzQueryFrameDecode(f *testing.F) {
 			f.Add(frame)
 		}
 	}
+	// Version 4's stats request (op 4, no payload, trace 0) and its
+	// answer (ten zero counters, no spans): op 4 is now OpRegister, and
+	// the version byte alone must turn both away.
+	v4Request := []byte{3, 0, 0, 0, 4, 4, 0}
+	v4Answer := []byte{14, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if _, _, err := DecodeQueryRequest(v4Request); err == nil {
+		f.Fatal("a version-4 request decoded")
+	}
+	if _, _, err := DecodeQueryResponse(v4Answer); err == nil {
+		f.Fatal("a version-4 answer decoded")
+	}
+	f.Add(v4Request)
+	f.Add(v4Answer)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-allocate; errors are fine.
 		req, _, err := DecodeQueryRequest(data)
+		if err == nil && data[4] != QueryVersion {
+			t.Fatalf("version %d request decoded", data[4])
+		}
 		if err == nil {
 			// Whatever decodes must re-encode decodably.
 			frame, err := EncodeQueryRequest(req)
@@ -244,7 +257,9 @@ func FuzzQueryFrameDecode(f *testing.F) {
 				t.Fatalf("re-encoded request does not decode: %v", err)
 			}
 		}
-		_, _, _ = DecodeQueryResponse(data)
+		if _, _, err := DecodeQueryResponse(data); err == nil && data[4] != QueryVersion {
+			t.Fatalf("version %d response decoded", data[4])
+		}
 	})
 }
 

@@ -28,15 +28,15 @@ func echoX(id string) float64 {
 	return float64(KeyHash(id) >> 11)
 }
 
-// echoQuery answers Position with echoX and Stats with a fixed count.
+// echoQuery answers Position with echoX and Metrics with a fixed blob.
 func echoQuery(req QueryRequest) QueryResponse {
 	resp := QueryResponse{Op: req.Op}
 	switch req.Op {
 	case OpPosition:
 		resp.Found = true
 		resp.Hits = []QueryHit{{ID: req.ID, X: echoX(req.ID), Y: req.T}}
-	case OpStats:
-		resp.Stats.Objects = 9
+	case OpMetrics:
+		resp.Metrics = []byte{9}
 	}
 	if req.Trace != 0 {
 		resp.Spans = []Span{{Stage: StageNodeQuery, Dur: 1}}
@@ -108,7 +108,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err := position(s, "car-1"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.Query(QueryRequest{Op: OpStats, Trace: 7})
+	resp, err := s.Query(QueryRequest{Op: OpMetrics, Trace: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	for _, sp := range resp.Spans {
 		stages = append(stages, sp.Stage)
 	}
-	if want := []SpanStage{StageEncodeReq, StageRTT, StageDecodeResp, StageNodeQuery}; resp.Stats.Objects != 9 || !reflect.DeepEqual(stages, want) {
-		t.Fatalf("traced stats: objects %d, stages %v want %v", resp.Stats.Objects, stages, want)
+	if want := []SpanStage{StageEncodeReq, StageRTT, StageDecodeResp, StageNodeQuery}; !bytes.Equal(resp.Metrics, []byte{9}) || !reflect.DeepEqual(stages, want) {
+		t.Fatalf("traced metrics: blob %v, stages %v want %v", resp.Metrics, stages, want)
 	}
 
 	applied, err := s.SendCounted(0, batchOf(maxRecordsPerFrame+1))
@@ -446,11 +446,11 @@ func TestStreamRetries(t *testing.T) {
 	s := NewStream(ts.URL)
 	s.SetRetry(time.Second, 2, time.Millisecond)
 	defer s.Close()
-	resp, err := s.Query(QueryRequest{Op: OpStats})
+	resp, err := s.Query(QueryRequest{Op: OpMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.Objects != 9 {
+	if !bytes.Equal(resp.Metrics, []byte{9}) {
 		t.Fatalf("resp %+v", resp)
 	}
 	if st := s.QueryStats(); st.Queries != 1 || st.Retries != 1 || st.Errors != 0 {
@@ -518,12 +518,12 @@ func TestStreamLoopbackQuery(t *testing.T) {
 	if !resp.Found || resp.Hits[0].X != echoX("car") || resp.Hits[0].Y != 7 {
 		t.Fatalf("resp %+v", resp)
 	}
-	resp, err = lb.Query(QueryRequest{Op: OpStats, Trace: 3})
+	resp, err = lb.Query(QueryRequest{Op: OpMetrics, Trace: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.Objects != 9 || len(resp.Spans) != 4 || resp.Spans[3].Stage != StageNodeQuery {
-		t.Fatalf("traced stats: %+v", resp)
+	if !bytes.Equal(resp.Metrics, []byte{9}) || len(resp.Spans) != 4 || resp.Spans[3].Stage != StageNodeQuery {
+		t.Fatalf("traced metrics: %+v", resp)
 	}
 	if applied, err := lb.SendCounted(0, batchOf(3)); err != nil || applied != 3 {
 		t.Fatalf("update batch: applied %d, err %v", applied, err)
@@ -536,7 +536,7 @@ func TestStreamLoopbackQuery(t *testing.T) {
 	if _, err := lb.Query(QueryRequest{Op: 77}); err == nil {
 		t.Fatal("invalid op passed the loopback")
 	}
-	if _, err := lb.Peer(PeerRequest{Op: PeerOpStats, From: "co-a"}); err == nil {
+	if _, err := lb.Peer(PeerRequest{Op: PeerOpView, From: "co-a"}); err == nil {
 		t.Fatal("a node loopback answered a peer frame")
 	}
 	if st := lb.QueryStats(); st.Errors != 1 || st.Retries != 0 {
@@ -560,11 +560,11 @@ func TestStreamLoopbackPeer(t *testing.T) {
 	if err != nil || resp.Applied != 2 {
 		t.Fatalf("hint push: applied=%d err=%v", resp.Applied, err)
 	}
-	resp, err = lb.Peer(PeerRequest{Op: PeerOpStats, From: "co-a"})
+	resp, err = lb.Peer(PeerRequest{Op: PeerOpView, From: "co-a"})
 	if err != nil || resp.Err == "" {
 		t.Fatalf("error response must survive the codec: %+v, %v", resp, err)
 	}
-	if _, err := lb.Query(QueryRequest{Op: OpStats}); err == nil {
+	if _, err := lb.Query(QueryRequest{Op: OpMetrics}); err == nil {
 		t.Fatal("a coordinator loopback answered a query frame")
 	}
 }
