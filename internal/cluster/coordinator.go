@@ -88,7 +88,7 @@ func NewHTTPMember(name, baseURL string, hc *http.Client) *Member {
 // unreachable.
 type memberState struct {
 	*Member
-	records atomic.Int64 // update records routed to this member
+	records atomic.Int64 // update records delivered to this member, hints included
 	batches atomic.Int64 // Send calls that included this member
 	queries atomic.Int64 // scatter/route calls against this member's node
 	errors  atomic.Int64 // failed node calls
@@ -425,9 +425,12 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 	counts, errs := fanOut(c, targets, nil, (*Coordinator).noteCall,
 		func(m *memberState, _ locserv.Node) (int, error) {
 			part := parts[m.Name]
-			m.records.Add(int64(len(part)))
 			m.batches.Add(1)
-			return send(m, part)
+			n, err := send(m, part)
+			if err == nil { // a failed partition is counted when its hints land
+				m.records.Add(int64(len(part)))
+			}
+			return n, err
 		})
 	failed := make(map[string]bool) // members that did not take their partition
 	for i, name := range targets {

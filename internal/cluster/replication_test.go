@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -288,6 +289,47 @@ func TestHintedHandoffDrain(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("victim owns no objects — fixture too small")
+	}
+}
+
+// TestFailedDeliveryRoutedOnce: a partition whose delivery fails while
+// its member is up is hinted, and counted as routed once — when its
+// hints land — on MemberStats and on /metrics alike.
+func TestFailedDeliveryRoutedOnce(t *testing.T) {
+	const n = 50
+	f := newReplicatedFixture(t, 2, 2)
+	seedReplicated(t, f, n)
+	stats := func() map[string]MemberStats {
+		out := make(map[string]MemberStats)
+		for _, ms := range f.coord.MemberStats() {
+			out[ms.Name] = ms
+		}
+		return out
+	}
+	before := stats()
+
+	f.injectors["n2"].FailDeliver()
+	if err := f.coord.Send(2, repBatch(n, 2)); err != nil { // n1 took every record
+		t.Fatal(err)
+	}
+	f.injectors["n2"].Recover()
+	f.coord.ProbeDown() // n2 never tripped; this drains its hints
+	after := stats()
+
+	if h := after["n2"].Hints; h.Hinted-before["n2"].Hints.Hinted != n || h.Drained-before["n2"].Hints.Drained != n {
+		t.Fatalf("n2 hints %+v, want %d hinted and drained", h, n)
+	}
+	srv := httptest.NewServer(Handler(f.coord))
+	defer srv.Close()
+	metrics := scrape(t, srv.URL)
+	for _, name := range f.names {
+		if d := after[name].Records - before[name].Records; d != n {
+			t.Errorf("%s routed %d records for one %d-record batch, want %d", name, d, n, n)
+		}
+		series := `mapdr_member_records_routed_total{member="` + name + `"}`
+		if got := metrics[series]; got != float64(after[name].Records) {
+			t.Errorf("/metrics %s = %v, MemberStats %d", series, got, after[name].Records)
+		}
 	}
 }
 
@@ -738,7 +780,12 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 		t.Fatalf("seed: applied %d, err %v", applied, err)
 	}
 
-	lb := wire.NewStreamLoopback(wire.StreamServer{Query: node.QueryServer()})
+	var served atomic.Int64
+	qs := node.QueryServer()
+	lb := wire.NewStreamLoopback(wire.StreamServer{Query: wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse {
+		served.Add(1)
+		return qs.ServeQuery(req)
+	})})
 	remote := NewRemoteNode(lb, nil)
 	rect := geo.Rect{Min: geo.Pt(-1, -1), Max: geo.Pt(1e6, 1e6)}
 	got, err := remote.Within(rect, 0)
@@ -752,8 +799,8 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("paged wire answer differs from the direct one (%d vs %d hits)", len(got), len(want))
 	}
-	if st := lb.QueryStats(); st.Queries < 2 {
-		t.Fatalf("answer arrived in %d query frames — paging never engaged", st.Queries)
+	if n := served.Load(); n < 2 {
+		t.Fatalf("answer arrived in %d query frames — paging never engaged", n)
 	}
 
 	// An explicit page limit cuts smaller pages; the cursor chain still

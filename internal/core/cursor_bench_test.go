@@ -5,8 +5,7 @@ package core
 // and server query re-walked the road graph from the last report —
 // O(time since report) per call, O(quiet-period^2) aggregate. The
 // cursor memoizes the walk, making monotone call streams O(time delta)
-// per call. `make bench` runs these with -benchmem and records the
-// numbers in BENCH_2.json.
+// per call. `make bench` runs these with -benchmem.
 
 import (
 	"math"
@@ -70,7 +69,8 @@ func BenchmarkPredictLongQuiet(b *testing.B) {
 // prediction holds and the radio stays quiet) while a server replica
 // answers one position query per sample. The stateless variant wraps
 // the predictors so source and server are forced onto the re-walking
-// Predict path; the cursor variant is the default wiring.
+// Predict path; the cursor variant is the default wiring. When both
+// ran, the cursor must cost at most a fifth of the stateless ns/sample.
 func BenchmarkSourceServerQuiet(b *testing.B) {
 	const samples = 1800
 	g, route, _ := quietRing(b)
@@ -85,7 +85,7 @@ func BenchmarkSourceServerQuiet(b *testing.B) {
 			s -= route.Length()
 		}
 	}
-	run := func(b *testing.B, stateless bool) {
+	run := func(b *testing.B, stateless bool) float64 {
 		var updates int64
 		for i := 0; i < b.N; i++ {
 			var srcPred, srvPred GraphPredictor = NewMapPredictor(g), NewMapPredictor(g)
@@ -106,11 +106,17 @@ func BenchmarkSourceServerQuiet(b *testing.B) {
 				srv.Position(smp.T)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/samples, "ns/sample")
+		perSample := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / samples
+		b.ReportMetric(perSample, "ns/sample")
 		b.ReportMetric(float64(updates)/float64(b.N), "updates/run")
+		return perSample
 	}
-	b.Run("stateless", func(b *testing.B) { run(b, true) })
-	b.Run("cursor", func(b *testing.B) { run(b, false) })
+	var stateless, cursor float64
+	b.Run("stateless", func(b *testing.B) { stateless = run(b, true) })
+	b.Run("cursor", func(b *testing.B) { cursor = run(b, false) })
+	if stateless > 0 && cursor > 0 && stateless < 5*cursor {
+		b.Fatalf("cursor %.1f ns/sample is %.1fx faster than stateless %.1f, want >= 5x", cursor, stateless/cursor, stateless)
+	}
 }
 
 // BenchmarkServerQueryFanout mimics a location-service query stream

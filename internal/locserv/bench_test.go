@@ -354,9 +354,9 @@ func BenchmarkServiceMixed(b *testing.B) {
 // four queries at the fresh report time. The "scan" sub-benchmark pins
 // every shard to the brute-force path — exactly what the old snapshot
 // index did under this workload, where each batch left the snapshot
-// dirty and every interleaved query fell back to a scan. The
-// acceptance bar is live >= 3x the scan baseline's queries/s at 10k
-// objects.
+// dirty and every interleaved query fell back to a scan. Each fails
+// itself unless live answers >= 3x the scan baseline's queries/s at
+// 10k objects (checked when both sides ran).
 //
 //	go test -bench=Churn -benchtime=1s ./internal/locserv
 
@@ -384,8 +384,8 @@ func forceScanPath(s *Service) {
 }
 
 // benchChurn runs the ingest+query churn loop; query runs 4 times per
-// applied batch.
-func benchChurn(b *testing.B, forceScan bool, query func(b *testing.B, s *Service, seq uint32, q int)) {
+// applied batch. It returns the queries/s it reports.
+func benchChurn(b *testing.B, forceScan bool, query func(b *testing.B, s *Service, seq uint32, q int)) float64 {
 	s, ids := benchService(b, 8)
 	if forceScan {
 		forceScanPath(s)
@@ -405,31 +405,41 @@ func benchChurn(b *testing.B, forceScan bool, query func(b *testing.B, s *Servic
 			query(b, s, seq, q)
 		}
 	}
-	b.ReportMetric(float64(4*b.N)/b.Elapsed().Seconds(), "queries/s")
+	qps := float64(4*b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(qps, "queries/s")
+	return qps
+}
+
+// churnPair runs query's live and scan sides and fails b unless live
+// answered >= 3x the scan baseline's queries/s. A side -bench filtered
+// out leaves its figure 0, and nothing is checked.
+func churnPair(b *testing.B, query func(b *testing.B, s *Service, seq uint32, q int)) {
+	var live, scan float64
+	b.Run("live", func(b *testing.B) { live = benchChurn(b, false, query) })
+	b.Run("scan", func(b *testing.B) { scan = benchChurn(b, true, query) })
+	if live > 0 && scan > 0 && live < 3*scan {
+		b.Fatalf("live %.0f queries/s is %.1fx the scan baseline's %.0f, want >= 3x", live, live/scan, scan)
+	}
 }
 
 // BenchmarkWithinChurn: range queries against the live index vs. the
 // scan baseline, interleaved with full-rate ingest (see block comment).
 func BenchmarkWithinChurn(b *testing.B) {
-	within := func(b *testing.B, s *Service, seq uint32, q int) {
+	churnPair(b, func(b *testing.B, s *Service, seq uint32, q int) {
 		x := float64((int(seq)+q)%50) * 100
 		s.Within(geo.Rect{Min: geo.Pt(x, 2000), Max: geo.Pt(x+500, 2500)}, float64(seq))
-	}
-	b.Run("live", func(b *testing.B) { benchChurn(b, false, within) })
-	b.Run("scan", func(b *testing.B) { benchChurn(b, true, within) })
+	})
 }
 
 // BenchmarkNearestChurn: 10-NN queries against the live index vs. the
 // scan baseline, interleaved with full-rate ingest.
 func BenchmarkNearestChurn(b *testing.B) {
-	nearest := func(b *testing.B, s *Service, seq uint32, q int) {
+	churnPair(b, func(b *testing.B, s *Service, seq uint32, q int) {
 		hits := s.Nearest(geo.Pt(float64((int(seq)+q)%100)*100, 5000), 10, float64(seq))
 		if len(hits) != 10 {
 			b.Fatalf("hits = %d", len(hits))
 		}
-	}
-	b.Run("live", func(b *testing.B) { benchChurn(b, false, nearest) })
-	b.Run("scan", func(b *testing.B) { benchChurn(b, true, nearest) })
+	})
 }
 
 // --- quiet benchmarks: queries over long-quiet objects ------------------

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mapdr/internal/core"
 )
@@ -724,29 +723,4 @@ func (f QueryServerFunc) ServeQuery(req QueryRequest) QueryResponse { return f(r
 // QueryResponse.Err with a nil error.
 type QueryTransport interface {
 	Query(req QueryRequest) (QueryResponse, error)
-}
-
-// QueryStats counts a member stream's query traffic.
-type QueryStats struct {
-	// Queries counts requests offered, Errors the transport-level
-	// failures, Retries the re-sent attempts.
-	Queries, Errors, Retries int64
-	// BytesSent and BytesReceived are encoded frame sizes.
-	BytesSent, BytesReceived int64
-}
-
-// queryCounters is the atomic backing store of QueryStats.
-type queryCounters struct {
-	queries, errors, retries atomic.Int64
-	bytesSent, bytesReceived atomic.Int64
-}
-
-func (c *queryCounters) snapshot() QueryStats {
-	return QueryStats{
-		Queries:       c.queries.Load(),
-		Errors:        c.errors.Load(),
-		Retries:       c.retries.Load(),
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesReceived.Load(),
-	}
 }

@@ -180,8 +180,7 @@ type Stream struct {
 	base   string
 	local  *StreamServer // the in-process callee (NewStreamLoopback); nil: dial base
 	policy retryPolicy
-	c      counters      // update traffic (Transport)
-	q      queryCounters // query traffic
+	c      counters // update traffic (Transport)
 	ids    atomic.Uint64
 
 	mu  sync.Mutex
@@ -216,14 +215,12 @@ func (s *Stream) SetRetry(timeout time.Duration, retries int, backoff time.Durat
 // prepends them to the node's spans, so the caller sees the full
 // per-hop decomposition; the untraced path takes no timestamps.
 func (s *Stream) Query(req QueryRequest) (QueryResponse, error) {
-	s.q.queries.Add(1)
 	traced := req.Trace != 0
 	var t0, t1, t2, t3 time.Time
 	if traced {
 		t0 = time.Now()
 	}
 	if err := checkQueryRequest(req); err != nil {
-		s.q.errors.Add(1)
 		return QueryResponse{}, err
 	}
 	frame := appendStreamHeader(make([]byte, 0, streamHeader+64+len(req.ID)+len(req.After)), 0, StreamQuery)
@@ -231,20 +228,15 @@ func (s *Stream) Query(req QueryRequest) (QueryResponse, error) {
 	if traced {
 		t1 = time.Now()
 	}
-	s.q.bytesSent.Add(int64(len(frame)))
-	data, err := s.policy.do(func() ([]byte, bool, error) { return s.exchange(frame) },
-		func() { s.q.retries.Add(1) })
+	data, err := s.policy.do(func() ([]byte, bool, error) { return s.exchange(frame) }, func() {})
 	if err != nil {
-		s.q.errors.Add(1)
 		return QueryResponse{}, fmt.Errorf("wire: query: %w", err)
 	}
 	if traced {
 		t2 = time.Now()
 	}
-	s.q.bytesReceived.Add(int64(len(data)))
 	resp, _, err := DecodeQueryResponse(data)
 	if err != nil {
-		s.q.errors.Add(1)
 		return QueryResponse{}, err
 	}
 	if traced {
@@ -307,9 +299,6 @@ func (s *Stream) Flush(float64) error { return nil }
 
 // Stats implements Transport: the update traffic.
 func (s *Stream) Stats() Stats { return s.c.snapshot() }
-
-// QueryStats returns the query traffic counters so far.
-func (s *Stream) QueryStats() QueryStats { return s.q.snapshot() }
 
 // errStreamClosed fails the calls pending on a connection Close dropped.
 var errStreamClosed = errors.New("wire: member stream closed")
