@@ -49,8 +49,10 @@
 //
 // A node serves the regular API plus GET /member, the member stream the
 // coordinator speaks: one long-lived connection per coordinator,
-// upgraded from HTTP/1.1 (Upgrade: mapdr-member/1) on the node's own
+// upgraded from HTTP/1.1 (Upgrade: mapdr-member/2) on the node's own
 // address, multiplexing binary query and update frames by request id.
+// The upgrade token is the protocol version: a coordinator and its
+// nodes must be built from the same release.
 // A node always auto-registers unknown ids with a map predictor over
 // its road network (all nodes and sources must be configured with the
 // same -seed so they share the prediction function). The coordinator

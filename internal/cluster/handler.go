@@ -289,7 +289,7 @@ func (c *Coordinator) ClusterView() clusterJSON {
 // cluster) plus:
 //
 //	POST /updates   binary update frames, routed per partition
-//	GET  /member    the member stream (Upgrade: mapdr-member/1) serving
+//	GET  /member    the member stream (Upgrade: mapdr-member/2) serving
 //	                peer frames only: fan-in log gossip, hint
 //	                forwarding, /cluster view exchange
 //	GET  /cluster   routing and node stats — merged across the

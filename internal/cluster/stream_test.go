@@ -3,7 +3,7 @@ package cluster
 // The coordinator over member streams (NewHTTPMember): breaker and
 // recovery across a node restart, no connection or goroutine left
 // behind by a member that leaves, and each role refusing the other's
-// frames.
+// frames and another version's upgrade.
 
 import (
 	"fmt"
@@ -257,6 +257,42 @@ func TestMemberStreamWrongRole(t *testing.T) {
 			}
 			if n := upgrades.Load(); n != 2 {
 				t.Fatalf("%d upgrades, want 2: the wrong frame did not close the connection", n)
+			}
+		})
+	}
+}
+
+// TestMemberStreamOtherVersion: the upgrade token is the one version of
+// every member-stream body, so a caller asking for the previous token
+// is refused with 426 and told the one this build speaks — by a node's
+// handler and by a coordinator's.
+func TestMemberStreamOtherVersion(t *testing.T) {
+	_, node := linearNode("n1", 2)
+	coord, err := New(0, NewLocalMember("n1", node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, role := range []struct {
+		name string
+		h    http.Handler
+	}{{"node", node.Handler()}, {"coordinator", Handler(coord)}} {
+		t.Run(role.name, func(t *testing.T) {
+			ts := httptest.NewServer(role.h)
+			defer ts.Close()
+			req, err := http.NewRequest(http.MethodGet, ts.URL+wire.StreamPath, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", "mapdr-member/1")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "mapdr-member/2" {
+				t.Fatalf("Upgrade: mapdr-member/1 -> %d, Upgrade: %q; want 426 and mapdr-member/2",
+					resp.StatusCode, resp.Header.Get("Upgrade"))
 			}
 		})
 	}

@@ -61,11 +61,11 @@ func (s *Service) HandlerWithIngest(auto AutoRegister) http.Handler {
 // node's factory auto-registering unknown objects) and the member
 // stream a cluster coordinator speaks:
 //
-//	GET /member  (Upgrade: mapdr-member/1)
+//	GET /member  (Upgrade: mapdr-member/2)
 //
 // The upgraded connection carries the coordinator's query-protocol and
-// update frames, multiplexed (wire.StreamHandler); a peer frame is a
-// protocol error. This is what a cluster member serves.
+// update bodies, one per frame, multiplexed (wire.StreamHandler); a peer
+// frame is a protocol error. This is what a cluster member serves.
 func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)

@@ -337,8 +337,8 @@ func serveQueryOp(n *NodeService, req wire.QueryRequest) wire.QueryResponse {
 	return resp
 }
 
-// withinPageSlack is the frame headroom a Within page leaves for the
-// response envelope (header, version/op/status, hit count, Next cursor).
+// withinPageSlack is the body headroom a Within page leaves for the
+// answer envelope (op/status, hit count, Next cursor, spans).
 const withinPageSlack = 64 + 2*wire.MaxIDLen
 
 // pageWithin cuts one page out of a full, id-sorted Within answer:

@@ -21,10 +21,11 @@ const ContentType = "application/x-mapdr-frame"
 // never exceed MaxFrameBody whatever the id lengths.
 const maxRecordsPerFrame = 4096
 
-// maxFrameFill is the record-byte budget per frame: MaxFrameBody minus
-// headroom for the largest header a chunk of records travels under — a
-// PeerOpHints request's version and op bytes, two bounded names and the
-// count varint (an update frame's version byte and count need less).
+// maxFrameFill is the record-byte budget per body: MaxFrameBody minus
+// headroom for the largest head a chunk of records travels under — a
+// PeerOpHints request's op byte, two bounded names and the count varint,
+// plus one spare byte that keeps chunk boundaries where they have always
+// been (an update body's version byte and count need less).
 const maxFrameFill = MaxFrameBody - (2 + 2*(2+MaxPeerNameLen) + binary.MaxVarintLen64)
 
 // Default request policy for the HTTP transports and the member stream.
@@ -254,12 +255,12 @@ func SendChunked(batch []Record, post func(chunk []Record, size int) (int, error
 	return applied, nil
 }
 
-// appendChunkFrame appends the update frame of one SendChunked chunk,
-// refusing one whose body outgrew MaxFrameBody (a single huge record).
-func appendChunkFrame(dst []byte, chunk []Record) ([]byte, error) {
+// appendChunkBody appends the update body of one SendChunked chunk,
+// refusing one that outgrew MaxFrameBody (a single huge record).
+func appendChunkBody(dst []byte, chunk []Record) ([]byte, error) {
 	start := len(dst)
-	dst = AppendFrame(dst, chunk)
-	if body := len(dst) - start - 4; body > MaxFrameBody {
+	dst = appendFrameBody(dst, chunk)
+	if body := len(dst) - start; body > MaxFrameBody {
 		return nil, fmt.Errorf("wire: frame body %d exceeds %d bytes", body, MaxFrameBody)
 	}
 	return dst, nil
@@ -293,10 +294,11 @@ func (c *counters) ship(p retryPolicy, frame []byte, recs, size int, attempt fun
 }
 
 func (t *Client) post(chunk []Record, size int) (applied int, err error) {
-	buf, err := appendChunkFrame(make([]byte, 0, 4+16+size), chunk)
+	buf, err := appendChunkBody(make([]byte, 4, 4+16+size), chunk)
 	if err != nil {
 		return 0, err
 	}
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	data, err := t.c.ship(t.policy, buf, len(chunk), size, func() ([]byte, bool, error) {
 		return t.policy.post(t.hc, t.url, ContentType, buf)
 	})

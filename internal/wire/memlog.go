@@ -9,8 +9,8 @@ import (
 // This file is the membership half of the wire protocol: the tiny
 // ordered record log multi-coordinator clusters replicate membership
 // through, and the coordinator peer op family that carries it (plus
-// peer hint hand-off and the merged /cluster view). Peer frames travel as
-// StreamPeer payloads on the member stream (stream.go), which a
+// peer hint hand-off and the merged /cluster view). Peer bodies travel
+// as StreamPeer payloads on the member stream (stream.go), which a
 // coordinator serves on its own GET StreamPath.
 //
 // A LogRecord is one membership event: a migration run's begin, commit
@@ -24,10 +24,13 @@ import (
 // appended under, so a deposed leader's stragglers are rejected
 // everywhere.
 //
-// On the wire:
+// On the wire, as a StreamPeer frame's payload (no length prefix or
+// version byte: the stream frame delimits it, the upgrade token
+// versions it):
 //
-//	pframe  := bodyLen u32 | version u8 | op u8 | payload       (request)
-//	prframe := bodyLen u32 | version u8 | op u8 | status u8 | payload
+//	request := op u8 | from str | payload
+//	answer  := op u8 | 0 u8 | payload
+//	         | op u8 | 1 u8 | error str                  (in-band failure)
 //	logpay  := floor uvarint | nrecs uvarint | logrec*          (PeerOpLog)
 //	logrec  := epoch uvarint | origin str | kind u8 | lease uvarint |
 //	           run uvarint | migkind u8 | target str | addr str |
@@ -38,9 +41,6 @@ import (
 // validated against what the input can hold, so decoders error on
 // hostile input instead of panicking or over-allocating — the same
 // contract as the update and query codecs, pinned by fuzz.
-
-// PeerVersion is the peer frame body version byte.
-const PeerVersion = 1
 
 // MaxPeerNameLen bounds coordinator and member names inside log
 // records.
@@ -353,12 +353,9 @@ type PeerResponse struct {
 	View []byte
 }
 
-// AppendPeerRequest appends the frame encoding of req to dst.
+// AppendPeerRequest appends the body of req to dst.
 func AppendPeerRequest(dst []byte, req PeerRequest) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, PeerVersion, byte(req.Op))
-	dst = appendString(dst, req.From)
+	dst = appendString(append(dst, byte(req.Op)), req.From)
 	switch req.Op {
 	case PeerOpLog:
 		dst = binary.AppendUvarint(dst, req.Floor)
@@ -372,46 +369,34 @@ func AppendPeerRequest(dst []byte, req PeerRequest) []byte {
 	case PeerOpView:
 		// no payload
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
-// EncodePeerRequest encodes req as one frame, validating bounds.
-func EncodePeerRequest(req PeerRequest) ([]byte, error) {
-	if !req.Op.Valid() {
-		return nil, fmt.Errorf("wire: invalid peer op %d", req.Op)
+// checkPeerRequest reports whether req encodes to a body its decoder
+// accepts, short of the body's size: a known op, bounded names and log.
+func checkPeerRequest(req PeerRequest) error {
+	switch {
+	case !req.Op.Valid():
+		return fmt.Errorf("wire: invalid peer op %d", req.Op)
+	case len(req.From) > MaxPeerNameLen || len(req.Member) > MaxPeerNameLen:
+		return fmt.Errorf("wire: peer name too long")
+	case len(req.Log) > MaxLogRecords:
+		return fmt.Errorf("wire: %d log records exceeds %d", len(req.Log), MaxLogRecords)
 	}
-	if len(req.From) > MaxPeerNameLen || len(req.Member) > MaxPeerNameLen {
-		return nil, fmt.Errorf("wire: peer name too long")
-	}
-	if len(req.Log) > MaxLogRecords {
-		return nil, fmt.Errorf("wire: %d log records exceeds %d", len(req.Log), MaxLogRecords)
-	}
-	buf := AppendPeerRequest(make([]byte, 0, 64+minLogRecordSize*len(req.Log)), req)
-	if len(buf)-4 > MaxFrameBody {
-		return nil, fmt.Errorf("wire: peer request body %d exceeds %d bytes", len(buf)-4, MaxFrameBody)
-	}
-	return buf, nil
+	return nil
 }
 
-// DecodePeerRequest decodes one request frame from the front of data,
-// returning the bytes consumed.
-func DecodePeerRequest(data []byte) (req PeerRequest, n int, err error) {
-	body, n, err := queryFrameBody(data)
-	if err != nil {
-		return PeerRequest{}, 0, err
+// DecodePeerRequest decodes a request body, which must fill body
+// exactly, returning its length.
+func DecodePeerRequest(body []byte) (req PeerRequest, n int, err error) {
+	if len(body) == 0 {
+		return PeerRequest{}, 0, fmt.Errorf("wire: empty peer request")
 	}
-	if len(body) < 2 {
-		return PeerRequest{}, 0, fmt.Errorf("wire: truncated peer body")
-	}
-	if body[0] != PeerVersion {
-		return PeerRequest{}, 0, fmt.Errorf("wire: unsupported peer version %d", body[0])
-	}
-	req.Op = PeerOp(body[1])
+	req.Op = PeerOp(body[0])
 	if !req.Op.Valid() {
-		return PeerRequest{}, 0, fmt.Errorf("wire: unknown peer op %d", body[1])
+		return PeerRequest{}, 0, fmt.Errorf("wire: unknown peer op %d", body[0])
 	}
-	k := 2
+	k := 1
 	if req.From, err = readString(body, &k, MaxPeerNameLen); err != nil {
 		return PeerRequest{}, 0, err
 	}
@@ -450,27 +435,17 @@ func DecodePeerRequest(data []byte) (req PeerRequest, n int, err error) {
 		// no payload
 	}
 	if k != len(body) {
-		return PeerRequest{}, 0, fmt.Errorf("wire: %d trailing bytes in peer body", len(body)-k)
+		return PeerRequest{}, 0, fmt.Errorf("wire: %d trailing bytes in peer request", len(body)-k)
 	}
-	return req, n, nil
+	return req, k, nil
 }
 
-// AppendPeerResponse appends the frame encoding of resp to dst.
+// AppendPeerResponse appends the answer body of resp to dst.
 func AppendPeerResponse(dst []byte, resp PeerResponse) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, PeerVersion, byte(resp.Op))
+	dst = appendAnswerHead(dst, byte(resp.Op), resp.Err)
 	if resp.Err != "" {
-		dst = append(dst, 1)
-		msg := resp.Err
-		if len(msg) > MaxErrLen {
-			msg = msg[:MaxErrLen]
-		}
-		dst = appendString(dst, msg)
-		binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 		return dst
 	}
-	dst = append(dst, 0)
 	switch resp.Op {
 	case PeerOpLog:
 		dst = binary.AppendUvarint(dst, resp.Floor)
@@ -481,59 +456,22 @@ func AppendPeerResponse(dst []byte, resp PeerResponse) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(resp.View)))
 		dst = append(dst, resp.View...)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
-// EncodePeerResponse encodes resp as one frame, validating the size
-// bound.
-func EncodePeerResponse(resp PeerResponse) ([]byte, error) {
-	if !resp.Op.Valid() {
-		return nil, fmt.Errorf("wire: invalid peer op %d", resp.Op)
-	}
-	if len(resp.Log) > MaxLogRecords {
-		return nil, fmt.Errorf("wire: %d log records exceeds %d", len(resp.Log), MaxLogRecords)
-	}
-	buf := AppendPeerResponse(make([]byte, 0, 64+minLogRecordSize*len(resp.Log)+len(resp.View)), resp)
-	if len(buf)-4 > MaxFrameBody {
-		return nil, fmt.Errorf("wire: peer response body %d exceeds %d bytes", len(buf)-4, MaxFrameBody)
-	}
-	return buf, nil
-}
-
-// DecodePeerResponse decodes one response frame from the front of data,
-// returning the bytes consumed.
-func DecodePeerResponse(data []byte) (resp PeerResponse, n int, err error) {
-	body, n, err := queryFrameBody(data)
+// DecodePeerResponse decodes an answer body, which must fill body
+// exactly, returning its length.
+func DecodePeerResponse(body []byte) (resp PeerResponse, n int, err error) {
+	op, errMsg, k, err := readAnswerHead(body)
 	if err != nil {
 		return PeerResponse{}, 0, err
 	}
-	if len(body) < 3 {
-		return PeerResponse{}, 0, fmt.Errorf("wire: truncated peer response body")
-	}
-	if body[0] != PeerVersion {
-		return PeerResponse{}, 0, fmt.Errorf("wire: unsupported peer version %d", body[0])
-	}
-	resp.Op = PeerOp(body[1])
+	resp.Op, resp.Err = PeerOp(op), errMsg
 	if !resp.Op.Valid() {
-		return PeerResponse{}, 0, fmt.Errorf("wire: unknown peer op %d", body[1])
+		return PeerResponse{}, 0, fmt.Errorf("wire: unknown peer op %d", op)
 	}
-	status := body[2]
-	if status > 1 {
-		return PeerResponse{}, 0, fmt.Errorf("wire: unknown peer response status %d", status)
-	}
-	k := 3
-	if status == 1 {
-		if resp.Err, err = readString(body, &k, MaxErrLen); err != nil {
-			return PeerResponse{}, 0, err
-		}
-		if resp.Err == "" {
-			resp.Err = "unknown remote error"
-		}
-		if k != len(body) {
-			return PeerResponse{}, 0, fmt.Errorf("wire: trailing bytes in peer error response")
-		}
-		return resp, n, nil
+	if errMsg != "" {
+		return resp, k, nil
 	}
 	switch resp.Op {
 	case PeerOpLog:
@@ -548,8 +486,8 @@ func DecodePeerResponse(data []byte) (resp PeerResponse, n int, err error) {
 		}
 	case PeerOpHints:
 		// Applied counts records landed on the receiver — it is not
-		// bounded by this (tiny) acknowledgement frame, only by the
-		// request that asked, so sanity-cap it alone.
+		// bounded by this (tiny) acknowledgement, only by the request
+		// that asked, so sanity-cap it alone.
 		applied, an := binary.Uvarint(body[k:])
 		if an <= 0 || applied > 1<<31-1 {
 			return PeerResponse{}, 0, fmt.Errorf("wire: bad hint applied count")
@@ -558,7 +496,7 @@ func DecodePeerResponse(data []byte) (resp PeerResponse, n int, err error) {
 		k += an
 	case PeerOpView:
 		l, ln := binary.Uvarint(body[k:])
-		if ln <= 0 || l > uint64(len(body)-k) {
+		if ln <= 0 || l > uint64(len(body)-k-ln) {
 			return PeerResponse{}, 0, fmt.Errorf("wire: bad view payload length")
 		}
 		k += ln
@@ -568,9 +506,9 @@ func DecodePeerResponse(data []byte) (resp PeerResponse, n int, err error) {
 		k += int(l)
 	}
 	if k != len(body) {
-		return PeerResponse{}, 0, fmt.Errorf("wire: %d trailing bytes in peer response body", len(body)-k)
+		return PeerResponse{}, 0, fmt.Errorf("wire: %d trailing bytes in peer answer", len(body)-k)
 	}
-	return resp, n, nil
+	return resp, k, nil
 }
 
 // PeerServer is the server side of the peer protocol: a coordinator
@@ -623,25 +561,6 @@ func MergeLogs(dst, src []LogRecord) ([]LogRecord, int) {
 		added++
 	}
 	return merged, added
-}
-
-// EncodeLogRecords encodes recs as a standalone blob (count-prefixed),
-// the persistence format for a coordinator's log snapshot.
-func EncodeLogRecords(recs []LogRecord) []byte {
-	return appendLogRecords(make([]byte, 0, 16+minLogRecordSize*len(recs)), recs)
-}
-
-// DecodeLogRecords decodes a standalone record blob.
-func DecodeLogRecords(data []byte) ([]LogRecord, error) {
-	k := 0
-	recs, err := readLogRecords(data, &k)
-	if err != nil {
-		return nil, err
-	}
-	if k != len(data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after log records", len(data)-k)
-	}
-	return recs, nil
 }
 
 // EqualLogs reports whether two sorted logs hold the same records.

@@ -40,24 +40,6 @@ func TestLogRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLogRecordsBlobRoundTrip(t *testing.T) {
-	recs := sampleLogRecords()
-	blob := EncodeLogRecords(recs)
-	got, err := DecodeLogRecords(blob)
-	if err != nil {
-		t.Fatalf("decode blob: %v", err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatalf("blob round-trip mismatch")
-	}
-	if !EqualLogs(got, recs) {
-		t.Fatalf("EqualLogs false on identical logs")
-	}
-	if _, err := DecodeLogRecords(append(blob, 0)); err == nil {
-		t.Fatalf("trailing byte not rejected")
-	}
-}
-
 func TestMergeLogs(t *testing.T) {
 	recs := sampleLogRecords()
 	a := []LogRecord{recs[0], recs[1], recs[2], recs[4]}
@@ -122,32 +104,29 @@ func samplePeerResponses() []PeerResponse {
 
 func TestPeerFrameRoundTrip(t *testing.T) {
 	for i, req := range samplePeerRequests() {
-		frame, err := EncodePeerRequest(req)
-		if err != nil {
-			t.Fatalf("request %d: encode: %v", i, err)
+		if err := checkPeerRequest(req); err != nil {
+			t.Fatalf("request %d: check: %v", i, err)
 		}
-		got, n, err := DecodePeerRequest(frame)
+		body := AppendPeerRequest(nil, req)
+		got, n, err := DecodePeerRequest(body)
 		if err != nil {
 			t.Fatalf("request %d: decode: %v", i, err)
 		}
-		if n != len(frame) {
-			t.Fatalf("request %d: consumed %d of %d", i, n, len(frame))
+		if n != len(body) {
+			t.Fatalf("request %d: consumed %d of %d", i, n, len(body))
 		}
 		if !reflect.DeepEqual(got, req) {
 			t.Fatalf("request %d: round-trip mismatch:\n got %+v\nwant %+v", i, got, req)
 		}
 	}
 	for i, resp := range samplePeerResponses() {
-		frame, err := EncodePeerResponse(resp)
-		if err != nil {
-			t.Fatalf("response %d: encode: %v", i, err)
-		}
-		got, n, err := DecodePeerResponse(frame)
+		body := AppendPeerResponse(nil, resp)
+		got, n, err := DecodePeerResponse(body)
 		if err != nil {
 			t.Fatalf("response %d: decode: %v", i, err)
 		}
-		if n != len(frame) {
-			t.Fatalf("response %d: consumed %d of %d", i, n, len(frame))
+		if n != len(body) {
+			t.Fatalf("response %d: consumed %d of %d", i, n, len(body))
 		}
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("response %d: round-trip mismatch:\n got %+v\nwant %+v", i, got, resp)
@@ -155,36 +134,52 @@ func TestPeerFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// viewPastBody is a peer view answer (op view, status 0) whose view
+// length, 1, counts its own varint byte: no view byte follows.
+var viewPastBody = []byte{byte(PeerOpView), 0, 1}
+
 func FuzzLogFrameDecode(f *testing.F) {
 	for _, req := range samplePeerRequests() {
-		if frame, err := EncodePeerRequest(req); err == nil {
-			f.Add(frame)
-		}
+		f.Add(AppendPeerRequest(nil, req))
 	}
 	for _, resp := range samplePeerResponses() {
-		if frame, err := EncodePeerResponse(resp); err == nil {
-			f.Add(frame)
-		}
+		f.Add(AppendPeerResponse(nil, resp))
 	}
-	f.Add(EncodeLogRecords(sampleLogRecords()))
+	f.Add(viewPastBody)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic or over-allocate; errors are fine.
-		req, _, err := DecodePeerRequest(data)
-		if err == nil {
-			frame, err := EncodePeerRequest(req)
-			if err != nil {
-				t.Fatalf("decoded peer request does not re-encode: %v", err)
+		// Must never panic or over-allocate; errors are fine. Whatever
+		// decodes filled data and must re-encode decodably.
+		if req, n, err := DecodePeerRequest(data); err == nil {
+			if n != len(data) {
+				t.Fatalf("peer request decoded %d of %d bytes", n, len(data))
 			}
-			if _, _, err := DecodePeerRequest(frame); err != nil {
+			if err := checkPeerRequest(req); err != nil {
+				t.Fatalf("decoded peer request fails its check: %v", err)
+			}
+			if _, _, err := DecodePeerRequest(AppendPeerRequest(nil, req)); err != nil {
 				t.Fatalf("re-encoded peer request does not decode: %v", err)
 			}
 		}
-		_, _, _ = DecodePeerResponse(data)
-		if recs, err := DecodeLogRecords(data); err == nil {
-			blob := EncodeLogRecords(recs)
-			if _, err := DecodeLogRecords(blob); err != nil {
-				t.Fatalf("re-encoded log blob does not decode: %v", err)
+		if resp, n, err := DecodePeerResponse(data); err == nil {
+			if n != len(data) {
+				t.Fatalf("peer answer decoded %d of %d bytes", n, len(data))
+			}
+			if _, _, err := DecodePeerResponse(AppendPeerResponse(nil, resp)); err != nil {
+				t.Fatalf("re-encoded peer answer does not decode: %v", err)
 			}
 		}
 	})
+}
+
+// TestPeerViewLengthPastBody: a view length that counts its own varint
+// byte is refused — it must neither slice past the body nor read the
+// bytes stored behind it.
+func TestPeerViewLengthPastBody(t *testing.T) {
+	if _, _, err := DecodePeerResponse(viewPastBody); err == nil {
+		t.Fatal("a view length past the body decoded")
+	}
+	spare := append(append(make([]byte, 0, 16), viewPastBody...), 0xAA)[:len(viewPastBody)]
+	if _, _, err := DecodePeerResponse(spare); err == nil {
+		t.Fatal("a view length past the body decoded the byte behind it")
+	}
 }

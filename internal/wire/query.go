@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -10,44 +11,28 @@ import (
 
 // This file is the query half of the wire protocol: position, k-nearest
 // and range queries (plus the cluster-admin operations register,
-// deregister, export and metrics) travel as binary request/response
-// frames over the same transport stack as update records, so a location
-// service scales out with one codec and one framing discipline for
-// both directions of traffic.
+// deregister, export and metrics) travel as binary request and answer
+// bodies, one per StreamQuery frame of the member stream (stream.go),
+// so every call inside a cluster shares one framing.
 //
-// On the wire:
+// On the wire, as a StreamQuery frame's payload:
 //
-//	qframe    := bodyLen u32 | qbody              (bodyLen <= MaxFrameBody)
-//	qbody     := version u8 | op u8 | payload
-//	rframe    := bodyLen u32 | rbody
-//	rbody     := version u8 | op u8 | status u8 | payload
+//	request := op u8 | payload | trace uvarint
+//	answer  := op u8 | 0 u8 | payload | nspans uvarint | span*
+//	         | op u8 | 1 u8 | error str                  (in-band failure)
 //
-// Scalars are little-endian; f64 is IEEE 754 bits, so query times,
-// coordinates and distances round-trip bit-exactly — the scatter-gather
-// coordinator's merged answers are bit-identical to a single-process
-// store's. Object ids ride as uvarint-length-prefixed bytes bounded by
-// MaxIDLen; export payloads reuse the update record codec. Decoders
-// validate every count and length against what the input can hold.
+// A body has no length prefix and no version byte: the stream frame's
+// length delimits it, and the member-stream upgrade token
+// (StreamProtocol) is the one version, so a cluster upgrades its
+// coordinators and nodes together. Scalars are little-endian; f64 is
+// IEEE 754 bits, so query times, coordinates and distances round-trip
+// bit-exactly — the scatter-gather coordinator's merged answers are
+// bit-identical to a single-process store's. Object ids ride as
+// uvarint-length-prefixed bytes bounded by MaxIDLen; export payloads
+// reuse the update record codec. Decoders validate every count and
+// length against what the input can hold.
 
-// QueryVersion is the query frame body version byte. It is distinct
-// from the update-frame Version space only by context (queries and
-// updates travel as different member-stream frame kinds). Version 2 added replica
-// sequence numbers to every hit (the coordinator's freshest-Seq merge
-// needs them) and the Within paging cursor. Version 3 replaced the
-// rebuild-era stats counters with the live spatial index's six
-// (cell moves, bound recomputes, cells visited, ring expansions,
-// indexed queries, scan fallbacks). Version 4 added the telemetry
-// surface: a trace id trailing every request, per-hop timing spans
-// trailing every success response, and the OpMetrics operation
-// carrying a node's binary metrics snapshot. Version 5 removed the
-// stats operation and its fixed counter payload — a node's counters
-// are read off its OpMetrics snapshot — so every op after it moved
-// down by one. There is one version on the wire: decoders reject every
-// version byte other than QueryVersion, so a cluster upgrades its
-// coordinators and nodes together.
-const QueryVersion = 5
-
-// MaxErrLen bounds an error message inside a response frame.
+// MaxErrLen bounds an error message inside an answer.
 const MaxErrLen = 1024
 
 // QueryOp identifies a query-protocol operation.
@@ -181,8 +166,8 @@ type QueryHit struct {
 	Seq  uint64
 }
 
-// QueryHitSize returns the exact encoded size of h inside a response
-// frame — what server-side paging budgets against.
+// QueryHitSize returns the exact encoded size of h inside an answer —
+// what server-side paging budgets against.
 func QueryHitSize(h QueryHit) int {
 	return core.UvarintLen(uint64(len(h.ID))) + len(h.ID) + 3*8 + core.UvarintLen(h.Seq)
 }
@@ -248,11 +233,42 @@ func readString(data []byte, n *int, maxLen uint64) (string, error) {
 	return s, nil
 }
 
-// AppendQueryRequest appends the frame encoding of req to dst.
+// appendAnswerHead appends the head every query and peer answer starts
+// with: its op, then status 0, or status 1 and errMsg cut to MaxErrLen,
+// which completes a failed answer.
+func appendAnswerHead(dst []byte, op byte, errMsg string) []byte {
+	if errMsg == "" {
+		return append(dst, op, 0)
+	}
+	return appendString(append(dst, op, 1), errMsg[:min(len(errMsg), MaxErrLen)])
+}
+
+// readAnswerHead reads the head appendAnswerHead wrote. A failed answer
+// returns its message ("unknown remote error" when empty) and must end
+// with it; a successful one returns the offset of its payload.
+func readAnswerHead(body []byte) (op byte, errMsg string, k int, err error) {
+	if len(body) < 2 {
+		return 0, "", 0, fmt.Errorf("wire: truncated answer")
+	}
+	k = 2
+	switch body[1] {
+	case 0:
+		return body[0], "", k, nil
+	case 1:
+		if errMsg, err = readString(body, &k, MaxErrLen); err != nil {
+			return 0, "", 0, err
+		}
+		if k != len(body) {
+			return 0, "", 0, fmt.Errorf("wire: %d trailing bytes after an error answer", len(body)-k)
+		}
+		return body[0], cmp.Or(errMsg, "unknown remote error"), k, nil
+	}
+	return 0, "", 0, fmt.Errorf("wire: unknown answer status %d", body[1])
+}
+
+// AppendQueryRequest appends the body of req to dst.
 func AppendQueryRequest(dst []byte, req QueryRequest) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // body length placeholder
-	dst = append(dst, QueryVersion, byte(req.Op))
+	dst = append(dst, byte(req.Op))
 	switch req.Op {
 	case OpPosition:
 		dst = appendString(dst, req.ID)
@@ -278,20 +294,10 @@ func AppendQueryRequest(dst []byte, req QueryRequest) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, req.Lo)
 		dst = binary.LittleEndian.AppendUint64(dst, req.Hi)
 	}
-	dst = binary.AppendUvarint(dst, req.Trace)
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
+	return binary.AppendUvarint(dst, req.Trace)
 }
 
-// EncodeQueryRequest encodes req as one frame, validating id bounds.
-func EncodeQueryRequest(req QueryRequest) ([]byte, error) {
-	if err := checkQueryRequest(req); err != nil {
-		return nil, err
-	}
-	return AppendQueryRequest(make([]byte, 0, 64+len(req.ID)+len(req.After)), req), nil
-}
-
-// checkQueryRequest reports whether req encodes to a frame its decoder
+// checkQueryRequest reports whether req encodes to a body its decoder
 // accepts: a known op, bounded ids, non-negative counts.
 func checkQueryRequest(req QueryRequest) error {
 	switch {
@@ -309,24 +315,17 @@ func checkQueryRequest(req QueryRequest) error {
 	return nil
 }
 
-// DecodeQueryRequest decodes one request frame from the front of data,
-// returning the bytes consumed.
-func DecodeQueryRequest(data []byte) (req QueryRequest, n int, err error) {
-	body, n, err := queryFrameBody(data)
-	if err != nil {
-		return QueryRequest{}, 0, err
+// DecodeQueryRequest decodes a request body, which must fill body
+// exactly, returning its length.
+func DecodeQueryRequest(body []byte) (req QueryRequest, n int, err error) {
+	if len(body) == 0 {
+		return QueryRequest{}, 0, fmt.Errorf("wire: empty query request")
 	}
-	if len(body) < 2 {
-		return QueryRequest{}, 0, fmt.Errorf("wire: truncated query body")
-	}
-	if body[0] != QueryVersion {
-		return QueryRequest{}, 0, fmt.Errorf("wire: unsupported query version %d", body[0])
-	}
-	req.Op = QueryOp(body[1])
+	req.Op = QueryOp(body[0])
 	if !req.Op.Valid() {
-		return QueryRequest{}, 0, fmt.Errorf("wire: unknown query op %d", body[1])
+		return QueryRequest{}, 0, fmt.Errorf("wire: unknown query op %d", body[0])
 	}
-	k := 2
+	k := 1
 	switch req.Op {
 	case OpPosition:
 		if req.ID, err = readString(body, &k, MaxIDLen); err == nil {
@@ -389,31 +388,21 @@ func DecodeQueryRequest(data []byte) (req QueryRequest, n int, err error) {
 	req.Trace = tr
 	k += tn
 	if k != len(body) {
-		return QueryRequest{}, 0, fmt.Errorf("wire: %d trailing bytes in query body", len(body)-k)
+		return QueryRequest{}, 0, fmt.Errorf("wire: %d trailing bytes in query request", len(body)-k)
 	}
-	return req, n, nil
+	return req, k, nil
 }
 
 // minHitSize is the smallest encoded QueryHit: empty id + three f64s +
 // a one-byte seq.
 const minHitSize = 1 + 3*8 + 1
 
-// AppendQueryResponse appends the frame encoding of resp to dst.
+// AppendQueryResponse appends the answer body of resp to dst.
 func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, QueryVersion, byte(resp.Op))
+	dst = appendAnswerHead(dst, byte(resp.Op), resp.Err)
 	if resp.Err != "" {
-		dst = append(dst, 1)
-		msg := resp.Err
-		if len(msg) > MaxErrLen {
-			msg = msg[:MaxErrLen]
-		}
-		dst = appendString(dst, msg)
-		binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 		return dst
 	}
-	dst = append(dst, 0)
 	switch resp.Op {
 	case OpPosition:
 		if resp.Found && len(resp.Hits) == 1 {
@@ -461,54 +450,22 @@ func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
 		dst = binary.AppendUvarint(dst, sp.Start)
 		dst = binary.AppendUvarint(dst, sp.Dur)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
-// EncodeQueryResponse encodes resp as one frame, validating the size
-// bound (a Within answer over a huge store can genuinely overflow it;
-// the server should page or reject upstream).
-func EncodeQueryResponse(resp QueryResponse) ([]byte, error) {
-	buf := AppendQueryResponse(make([]byte, 0, 64+minHitSize*len(resp.Hits)), resp)
-	if len(buf)-4 > MaxFrameBody {
-		return nil, fmt.Errorf("wire: response body %d exceeds %d bytes", len(buf)-4, MaxFrameBody)
-	}
-	return buf, nil
-}
-
-// DecodeQueryResponse decodes one response frame from the front of
-// data, returning the bytes consumed.
-func DecodeQueryResponse(data []byte) (resp QueryResponse, n int, err error) {
-	body, n, err := queryFrameBody(data)
+// DecodeQueryResponse decodes an answer body, which must fill body
+// exactly, returning its length.
+func DecodeQueryResponse(body []byte) (resp QueryResponse, n int, err error) {
+	op, errMsg, k, err := readAnswerHead(body)
 	if err != nil {
 		return QueryResponse{}, 0, err
 	}
-	if len(body) < 3 {
-		return QueryResponse{}, 0, fmt.Errorf("wire: truncated response body")
-	}
-	if body[0] != QueryVersion {
-		return QueryResponse{}, 0, fmt.Errorf("wire: unsupported query version %d", body[0])
-	}
-	resp.Op = QueryOp(body[1])
+	resp.Op, resp.Err = QueryOp(op), errMsg
 	if !resp.Op.Valid() {
-		return QueryResponse{}, 0, fmt.Errorf("wire: unknown query op %d", body[1])
+		return QueryResponse{}, 0, fmt.Errorf("wire: unknown query op %d", op)
 	}
-	status := body[2]
-	if status > 1 {
-		return QueryResponse{}, 0, fmt.Errorf("wire: unknown response status %d", status)
-	}
-	k := 3
-	if status == 1 {
-		if resp.Err, err = readString(body, &k, MaxErrLen); err != nil {
-			return QueryResponse{}, 0, err
-		}
-		if resp.Err == "" {
-			resp.Err = "unknown remote error"
-		}
-		if k != len(body) {
-			return QueryResponse{}, 0, fmt.Errorf("wire: trailing bytes in error response")
-		}
-		return resp, n, nil
+	if errMsg != "" {
+		return resp, k, nil
 	}
 	switch resp.Op {
 	case OpPosition:
@@ -644,26 +601,9 @@ func DecodeQueryResponse(data []byte) (resp QueryResponse, n int, err error) {
 		resp.Spans = append(resp.Spans, sp)
 	}
 	if k != len(body) {
-		return QueryResponse{}, 0, fmt.Errorf("wire: %d trailing bytes in response body", len(body)-k)
+		return QueryResponse{}, 0, fmt.Errorf("wire: %d trailing bytes in query answer", len(body)-k)
 	}
-	return resp, n, nil
-}
-
-// queryFrameBody validates the length prefix and slices out one frame
-// body, returning the total bytes consumed.
-func queryFrameBody(data []byte) ([]byte, int, error) {
-	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("wire: truncated frame header")
-	}
-	bodyLen32 := binary.LittleEndian.Uint32(data)
-	if bodyLen32 > MaxFrameBody {
-		return nil, 0, fmt.Errorf("wire: frame body %d exceeds %d bytes", bodyLen32, MaxFrameBody)
-	}
-	bodyLen := int(bodyLen32)
-	if len(data)-4 < bodyLen {
-		return nil, 0, fmt.Errorf("wire: frame body truncated (%d of %d bytes)", len(data)-4, bodyLen)
-	}
-	return data[4 : 4+bodyLen], 4 + bodyLen, nil
+	return resp, k, nil
 }
 
 // KeyHash returns an object id's position on the cluster key ring:

@@ -24,16 +24,16 @@ func sampleRequests() []QueryRequest {
 func TestQueryRequestRoundTrip(t *testing.T) {
 	for _, req := range sampleRequests() {
 		t.Run(req.Op.String(), func(t *testing.T) {
-			frame, err := EncodeQueryRequest(req)
+			if err := checkQueryRequest(req); err != nil {
+				t.Fatal(err)
+			}
+			body := AppendQueryRequest(nil, req)
+			got, n, err := DecodeQueryRequest(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, n, err := DecodeQueryRequest(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(frame) {
-				t.Fatalf("consumed %d of %d bytes", n, len(frame))
+			if n != len(body) {
+				t.Fatalf("consumed %d of %d bytes", n, len(body))
 			}
 			if !reflect.DeepEqual(got, req) {
 				t.Fatalf("round trip:\nin  %+v\nout %+v", req, got)
@@ -65,16 +65,13 @@ func sampleResponses() []QueryResponse {
 func TestQueryResponseRoundTrip(t *testing.T) {
 	for i, resp := range sampleResponses() {
 		t.Run(fmt.Sprintf("%d-%s", i, resp.Op), func(t *testing.T) {
-			frame, err := EncodeQueryResponse(resp)
+			body := AppendQueryResponse(nil, resp)
+			got, n, err := DecodeQueryResponse(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, n, err := DecodeQueryResponse(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(frame) {
-				t.Fatalf("consumed %d of %d bytes", n, len(frame))
+			if n != len(body) {
+				t.Fatalf("consumed %d of %d bytes", n, len(body))
 			}
 			// Encoding does not distinguish nil from empty slices; compare
 			// through a normalised view.
@@ -111,7 +108,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 }
 
 func TestQueryDecodeErrors(t *testing.T) {
-	valid, _ := EncodeQueryRequest(QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4})
+	valid := AppendQueryRequest(nil, QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4})
 	cases := []struct {
 		name string
 		data []byte
@@ -119,11 +116,11 @@ func TestQueryDecodeErrors(t *testing.T) {
 		{"empty", nil},
 		{"short header", []byte{1, 0}},
 		{"truncated body", valid[:len(valid)-3]},
-		{"bad version", append([]byte{2, 0, 0, 0}, 99, byte(OpMetrics))},
-		{"retired version", append([]byte{2, 0, 0, 0}, QueryVersion-1, byte(OpMetrics))},
-		{"bad op", append([]byte{2, 0, 0, 0}, QueryVersion, 200)},
-		{"trailing bytes", append(append([]byte{}, valid...), 0)[4:]},
-		{"oversized claim", []byte{255, 255, 255, 255}},
+		{"bad op", []byte{200, 0}},
+		{"trailing bytes", append(append([]byte{}, valid...), 0)},
+		// A hit count of 2³²−1 with no hit bytes: rejected before any
+		// allocation for it.
+		{"oversized claim", []byte{byte(OpNearest), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,40 +132,25 @@ func TestQueryDecodeErrors(t *testing.T) {
 			}
 		})
 	}
-	// A frame whose trailing-bytes corruption lives inside the declared
-	// body length.
-	bad := append([]byte(nil), valid...)
-	bad = append(bad, 7)
-	bad[0] = byte(len(bad) - 4)
-	if _, _, err := DecodeQueryRequest(bad); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Errorf("in-body trailing bytes: %v", err)
-	}
-	// Hit-count bigger than the body can hold must be rejected before
-	// allocation.
-	huge := []byte{5, 0, 0, 0, QueryVersion, byte(OpNearest), 0, 0xFF, 0x01} // count=255, no hit bytes
-	if _, _, err := DecodeQueryResponse(huge); err == nil {
-		t.Error("hit-count overflow accepted")
+	if _, _, err := DecodeQueryRequest(append(append([]byte{}, valid...), 7)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("trailing bytes: %v", err)
 	}
 	// Unknown status bytes are corruption, not silent success.
-	badStatus := []byte{4, 0, 0, 0, QueryVersion, byte(OpNearest), 9, 0}
+	badStatus := []byte{byte(OpNearest), 9, 0}
 	if _, _, err := DecodeQueryResponse(badStatus); err == nil {
 		t.Error("unknown status accepted")
 	}
-	if _, err := EncodeQueryRequest(QueryRequest{Op: 99}); err == nil {
-		t.Error("invalid op encoded")
+	if err := checkQueryRequest(QueryRequest{Op: 99}); err == nil {
+		t.Error("invalid op passed the check")
 	}
-	if _, err := EncodeQueryRequest(QueryRequest{Op: OpRegister, ID: strings.Repeat("x", MaxIDLen+1)}); err == nil {
-		t.Error("oversized id encoded")
+	if err := checkQueryRequest(QueryRequest{Op: OpRegister, ID: strings.Repeat("x", MaxIDLen+1)}); err == nil {
+		t.Error("oversized id passed the check")
 	}
 }
 
 func TestQueryErrorMessageTruncated(t *testing.T) {
 	long := strings.Repeat("e", MaxErrLen+500)
-	frame, err := EncodeQueryResponse(QueryResponse{Op: OpMetrics, Err: long})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeQueryResponse(frame)
+	got, _, err := DecodeQueryResponse(AppendQueryResponse(nil, QueryResponse{Op: OpMetrics, Err: long}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,48 +199,36 @@ func TestKeyHashContract(t *testing.T) {
 
 func FuzzQueryFrameDecode(f *testing.F) {
 	for _, req := range sampleRequests() {
-		frame, err := EncodeQueryRequest(req)
-		if err == nil {
-			f.Add(frame)
-		}
+		f.Add(AppendQueryRequest(nil, req))
 	}
 	for _, resp := range sampleResponses() {
-		frame, err := EncodeQueryResponse(resp)
-		if err == nil {
-			f.Add(frame)
-		}
+		f.Add(AppendQueryResponse(nil, resp))
 	}
-	// Version 4's stats request (op 4, no payload, trace 0) and its
-	// answer (ten zero counters, no spans): op 4 is now OpRegister, and
-	// the version byte alone must turn both away.
-	v4Request := []byte{3, 0, 0, 0, 4, 4, 0}
-	v4Answer := []byte{14, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	if _, _, err := DecodeQueryRequest(v4Request); err == nil {
-		f.Fatal("a version-4 request decoded")
-	}
-	if _, _, err := DecodeQueryResponse(v4Answer); err == nil {
-		f.Fatal("a version-4 answer decoded")
-	}
-	f.Add(v4Request)
-	f.Add(v4Answer)
+	// The failed-answer head's edges: an empty message (decoded as the
+	// default) and bytes after the message.
+	f.Add([]byte{byte(OpMetrics), 1, 0})
+	f.Add([]byte{byte(OpWithin), 1, 1, 'e', 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic or over-allocate; errors are fine.
-		req, _, err := DecodeQueryRequest(data)
-		if err == nil && data[4] != QueryVersion {
-			t.Fatalf("version %d request decoded", data[4])
-		}
-		if err == nil {
-			// Whatever decodes must re-encode decodably.
-			frame, err := EncodeQueryRequest(req)
-			if err != nil {
-				t.Fatalf("decoded request does not re-encode: %v", err)
+		// Must never panic or over-allocate; errors are fine. Whatever
+		// decodes filled data and must re-encode decodably.
+		if req, n, err := DecodeQueryRequest(data); err == nil {
+			if n != len(data) {
+				t.Fatalf("request decoded %d of %d bytes", n, len(data))
 			}
-			if _, _, err := DecodeQueryRequest(frame); err != nil {
+			if err := checkQueryRequest(req); err != nil {
+				t.Fatalf("decoded request fails its check: %v", err)
+			}
+			if _, _, err := DecodeQueryRequest(AppendQueryRequest(nil, req)); err != nil {
 				t.Fatalf("re-encoded request does not decode: %v", err)
 			}
 		}
-		if _, _, err := DecodeQueryResponse(data); err == nil && data[4] != QueryVersion {
-			t.Fatalf("version %d response decoded", data[4])
+		if resp, n, err := DecodeQueryResponse(data); err == nil {
+			if n != len(data) {
+				t.Fatalf("answer decoded %d of %d bytes", n, len(data))
+			}
+			if _, _, err := DecodeQueryResponse(AppendQueryResponse(nil, resp)); err != nil {
+				t.Fatalf("re-encoded answer does not decode: %v", err)
+			}
 		}
 	})
 }
@@ -267,11 +237,7 @@ func FuzzQueryFrameDecode(f *testing.F) {
 // response's spans survive the codec.
 func TestQueryTraceSpanRoundTrip(t *testing.T) {
 	req := QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 5, T: 9, Trace: 0xabcdef}
-	frame, err := EncodeQueryRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeQueryRequest(frame)
+	got, _, err := DecodeQueryRequest(AppendQueryRequest(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +248,7 @@ func TestQueryTraceSpanRoundTrip(t *testing.T) {
 		{Stage: StageServerDecode, Start: 0, Dur: 1500},
 		{Stage: StageNodeQuery, Start: 1500, Dur: 250000},
 	}}
-	rframe, err := EncodeQueryResponse(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rgot, _, err := DecodeQueryResponse(rframe)
+	rgot, _, err := DecodeQueryResponse(AppendQueryResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +257,7 @@ func TestQueryTraceSpanRoundTrip(t *testing.T) {
 	}
 	// OpMetrics carries its blob.
 	blob := []byte{1, 2, 3, 4, 5}
-	mresp := QueryResponse{Op: OpMetrics, Metrics: blob}
-	mframe, err := EncodeQueryResponse(mresp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgot, _, err := DecodeQueryResponse(mframe)
+	mgot, _, err := DecodeQueryResponse(AppendQueryResponse(nil, QueryResponse{Op: OpMetrics, Metrics: blob}))
 	if err != nil {
 		t.Fatal(err)
 	}

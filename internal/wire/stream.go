@@ -26,46 +26,51 @@ import (
 //
 //	sframe := len u32 | id u64 | kind u8 | payload     (9 <= len <= maxStreamFrame)
 //
-// len counts the bytes after itself. A StreamQuery payload is one
-// query-request frame (query.go) and its answer one query-response
-// frame; a StreamUpdate payload is one update frame (wire.go) and its
-// answer the node's applied count as a uvarint; a StreamPeer payload is
-// one peer-request frame (memlog.go) and its answer one peer-response
-// frame. Nodes serve the first two kinds, coordinators the third. The
-// id is the caller's: the callee answers each request under its id in
-// whatever order its workers finish, and the caller hands every answer
-// to the goroutine waiting on that id, so a slow request never delays
-// the next one.
+// len counts the bytes after itself, and the payload is one body with
+// no framing of its own. A StreamQuery payload is one query-request
+// body (query.go) and its answer one query-answer body; a StreamUpdate
+// payload is one update body (wire.go) and its answer the node's
+// applied count as a uvarint; a StreamPeer payload is one peer-request
+// body (memlog.go) and its answer one peer-answer body. Nodes serve the
+// first two kinds, coordinators the third. The upgrade token,
+// StreamProtocol, is the one version of every body, so a process built
+// against another version is refused at the upgrade. The id is the
+// caller's: the callee answers each request under its id in whatever
+// order its workers finish, and the caller hands every answer to the
+// goroutine waiting on that id, so a slow request never delays the
+// next one.
 //
-// Both ends enforce every bound the frame decoders enforce: a length
-// outside the limits, an unknown kind or one the callee does not serve,
-// a payload cut short or one whose own framing does not fill it exactly
-// is a protocol error, and the connection is closed. Calls keep the
-// HTTP clients' retry policy: each attempt is bounded by the
-// per-attempt timeout, a connection failure fails every call pending on
-// it with a transient error, and the next attempt redials.
+// The callee closes the connection on a protocol error: a length
+// outside the limits, an unknown kind or one it does not serve, or a
+// request body that does not decode exactly. The caller does the same
+// for a bad header or update ack, while a query or peer answer that does
+// not decode fails only the call it answers. Calls keep the HTTP
+// clients' retry policy: each attempt is bounded by the per-attempt
+// timeout, a connection failure fails every call pending on it with a
+// transient error, and the next attempt redials.
 //
 // NewStreamLoopback is the same stream without a connection: each
 // request frame goes straight to the callee's answering code and the
 // answer through the caller's checks, synchronously.
 
 const (
-	// StreamProtocol is the Upgrade token of the member stream.
-	StreamProtocol = "mapdr-member/1"
+	// StreamProtocol is the Upgrade token of the member stream and the
+	// version of every body it carries.
+	StreamProtocol = "mapdr-member/2"
 	// StreamPath is the node endpoint the upgrade is requested on.
 	StreamPath = "/member"
 )
 
 // Stream frame kinds; an answer carries its request's kind.
 const (
-	// StreamQuery carries one query-request frame; the answer is one
-	// query-response frame.
+	// StreamQuery carries one query-request body; the answer is one
+	// query-answer body.
 	StreamQuery byte = 1
-	// StreamUpdate carries one update frame; the answer is the node's
+	// StreamUpdate carries one update body; the answer is the node's
 	// applied count as a uvarint.
 	StreamUpdate byte = 2
-	// StreamPeer carries one peer-request frame; the answer is one
-	// peer-response frame.
+	// StreamPeer carries one peer-request body; the answer is one
+	// peer-answer body.
 	StreamPeer byte = 3
 )
 
@@ -73,8 +78,8 @@ const (
 	// streamHeader is the fixed part of a stream frame.
 	streamHeader = 4 + 8 + 1
 	// maxStreamFrame bounds a frame's len field: id and kind plus one
-	// length-prefixed update or query frame.
-	maxStreamFrame = 8 + 1 + 4 + MaxFrameBody
+	// body.
+	maxStreamFrame = 8 + 1 + MaxFrameBody
 	// streamChunk is how far a payload buffer grows ahead of the bytes
 	// actually received, so a lying length cannot make a reader allocate
 	// for data that never arrives.
@@ -99,8 +104,8 @@ func finishStreamFrame(dst []byte, start int) []byte {
 
 // readStreamFrame reads one stream frame from r. It returns io.EOF at a
 // clean end of stream and an error for a truncated frame, a length out
-// of bounds or an unknown kind; the payload's own framing is checked by
-// whoever decodes it.
+// of bounds or an unknown kind; the payload is checked by whoever
+// decodes it.
 func readStreamFrame(r *bufio.Reader) (id uint64, kind byte, payload []byte, err error) {
 	hdr, err := r.Peek(streamHeader)
 	if err != nil {
@@ -140,27 +145,14 @@ func parseStreamHeader(hdr []byte) (id uint64, kind byte, size int, err error) {
 	return id, kind, int(n) - (streamHeader - 4), nil
 }
 
-// checkAnswer enforces an answer payload's own framing: a query or peer
-// answer is exactly one length-prefixed frame, an update ack exactly one
-// uvarint.
+// checkAnswer enforces the one answer rule the stream owns: an update
+// ack is exactly one uvarint. Query and peer answers are bodies their
+// one caller decodes.
 func checkAnswer(kind byte, payload []byte) error {
-	if kind == StreamUpdate {
-		if _, n := binary.Uvarint(payload); n <= 0 || n != len(payload) {
-			return errors.New("wire: malformed update ack")
-		}
-		return nil
+	if _, n := binary.Uvarint(payload); kind == StreamUpdate && (n <= 0 || n != len(payload)) {
+		return errors.New("wire: malformed update ack")
 	}
-	_, n, err := queryFrameBody(payload)
-	return whole(n, payload, "an answer", err)
-}
-
-// whole extends a payload decoder's err: a frame that decoded but did
-// not fill its payload exactly is an error too.
-func whole(n int, payload []byte, what string, err error) error {
-	if err == nil && n != len(payload) {
-		err = fmt.Errorf("wire: %d trailing bytes after %s", len(payload)-n, what)
-	}
-	return err
+	return nil
 }
 
 // Stream is the calling end of the member stream: a QueryTransport, a
@@ -265,7 +257,7 @@ func (s *Stream) SendCounted(_ float64, batch []Record) (applied int, err error)
 }
 
 func (s *Stream) deliver(chunk []Record, size int) (int, error) {
-	frame, err := appendChunkFrame(appendStreamHeader(make([]byte, 0, streamHeader+4+16+size), 0, StreamUpdate), chunk)
+	frame, err := appendChunkBody(appendStreamHeader(make([]byte, 0, streamHeader+16+size), 0, StreamUpdate), chunk)
 	if err != nil {
 		return 0, err
 	}
@@ -280,12 +272,14 @@ func (s *Stream) deliver(chunk []Record, size int) (int, error) {
 
 // Peer implements PeerTransport.
 func (s *Stream) Peer(req PeerRequest) (PeerResponse, error) {
-	body, err := EncodePeerRequest(req)
-	if err != nil {
+	if err := checkPeerRequest(req); err != nil {
 		return PeerResponse{}, err
 	}
-	frame := appendStreamHeader(make([]byte, 0, streamHeader+len(body)), 0, StreamPeer)
-	frame = finishStreamFrame(append(frame, body...), 0)
+	frame := AppendPeerRequest(appendStreamHeader(nil, 0, StreamPeer), req)
+	if body := len(frame) - streamHeader; body > MaxFrameBody {
+		return PeerResponse{}, fmt.Errorf("wire: peer request body %d exceeds %d bytes", body, MaxFrameBody)
+	}
+	frame = finishStreamFrame(frame, 0)
 	data, err := s.policy.do(func() ([]byte, bool, error) { return s.exchange(frame) }, func() {})
 	if err != nil {
 		return PeerResponse{}, fmt.Errorf("wire: peer: %w", err)
@@ -670,38 +664,38 @@ func serveStream(nc net.Conn, br *bufio.Reader, srv StreamServer) {
 
 // answerStream appends the answer frame of one request to dst. A
 // payload that does not decode exactly, or a kind srv does not serve,
-// is a protocol error. An answer that outgrew a frame (a Within over a
-// huge store) is replaced by an in-band error.
+// is a protocol error. An answer body that outgrew MaxFrameBody (a
+// Within over a huge store) is replaced by an in-band error.
 func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
 	start := len(dst)
 	dst = appendStreamHeader(dst, job.id, job.kind)
 	at := len(dst)
 	switch {
 	case job.kind == StreamQuery && srv.Query != nil:
-		req, n, err := DecodeQueryRequest(job.payload)
-		if err = whole(n, job.payload, "a query request", err); err != nil {
+		req, _, err := DecodeQueryRequest(job.payload)
+		if err != nil {
 			return nil, err
 		}
 		dst = AppendQueryResponse(dst, srv.Query.ServeQuery(req))
-		if body := len(dst) - at - 4; body > MaxFrameBody {
+		if body := len(dst) - at; body > MaxFrameBody {
 			dst = AppendQueryResponse(dst[:at], QueryResponse{Op: req.Op,
 				Err: fmt.Sprintf("wire: response body %d exceeds %d bytes", body, MaxFrameBody)})
 		}
 	case job.kind == StreamUpdate && srv.Deliver != nil:
-		recs, n, err := DecodeFrame(job.payload)
-		if err = whole(n, job.payload, "an update frame", err); err != nil {
+		recs, err := decodeFrameBody(job.payload)
+		if err != nil {
 			return nil, err
 		}
 		// Per-record failures are reflected in the count, as on /updates.
 		applied, _ := srv.Deliver(recs)
 		dst = binary.AppendUvarint(dst, uint64(applied))
 	case job.kind == StreamPeer && srv.Peer != nil:
-		req, n, err := DecodePeerRequest(job.payload)
-		if err = whole(n, job.payload, "a peer request", err); err != nil {
+		req, _, err := DecodePeerRequest(job.payload)
+		if err != nil {
 			return nil, err
 		}
 		dst = AppendPeerResponse(dst, srv.Peer.ServePeer(req))
-		if body := len(dst) - at - 4; body > MaxFrameBody {
+		if body := len(dst) - at; body > MaxFrameBody {
 			dst = AppendPeerResponse(dst[:at], PeerResponse{Op: req.Op,
 				Err: fmt.Sprintf("wire: peer response body %d exceeds %d bytes", body, MaxFrameBody)})
 		}

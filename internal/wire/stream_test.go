@@ -474,13 +474,15 @@ func TestStreamRetries(t *testing.T) {
 }
 
 // FuzzStreamFrameDecode throws arbitrary bytes at both ends' frame
-// readers: the caller's answer check and the callee's request decoding
-// must error, never panic or allocate ahead of the input.
+// readers: every frame is decoded as a request, the way the callee
+// answers it, and as an answer, with its kind's answer decoder and the
+// caller's ack check. Each must error, never panic or allocate ahead of
+// the input.
 func FuzzStreamFrameDecode(f *testing.F) {
 	every := StreamServer{Query: QueryServerFunc(echoQuery), Deliver: countDeliver, Peer: PeerServerFunc(echoPeer)}
 	query := finishStreamFrame(AppendQueryRequest(appendStreamHeader(nil, 1, StreamQuery),
 		QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4}), 0)
-	update := finishStreamFrame(AppendFrame(appendStreamHeader(nil, 2, StreamUpdate), sampleBatch()), 0)
+	update := finishStreamFrame(appendFrameBody(appendStreamHeader(nil, 2, StreamUpdate), sampleBatch()), 0)
 	answer, _ := answerStream(nil, streamJob{3, StreamQuery, query[streamHeader:]}, every)
 	ack, _ := answerStream(nil, streamJob{4, StreamUpdate, update[streamHeader:]}, every)
 	f.Add(query)
@@ -495,6 +497,7 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	peerAnswer, _ := answerStream(nil, streamJob{7, StreamPeer, peer[streamHeader:]}, every)
 	f.Add(peer)
 	f.Add(peerAnswer)
+	f.Add(finishStreamFrame(append(appendStreamHeader(nil, 8, StreamPeer), viewPastBody...), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
@@ -502,8 +505,14 @@ func FuzzStreamFrameDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
-			_ = checkAnswer(kind, payload)
 			_, _ = answerStream(nil, streamJob{id, kind, payload}, every)
+			_ = checkAnswer(kind, payload)
+			switch kind {
+			case StreamQuery:
+				_, _, _ = DecodeQueryResponse(payload)
+			case StreamPeer:
+				_, _, _ = DecodePeerResponse(payload)
+			}
 		}
 	})
 }

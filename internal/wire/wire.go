@@ -19,18 +19,24 @@
 //     (stream.go) — also the QueryTransport and PeerTransport, and, as
 //     NewStreamLoopback, the same frames answered in process.
 //
-// On the wire, updates travel as length-prefixed frames of records:
+// On the wire, updates travel as bodies of records:
 //
-//	frame  := bodyLen u32 | body            (bodyLen <= MaxFrameBody)
-//	body   := version u8 | count uvarint | count * record
+//	body   := version u8 | count uvarint | count * record   (<= MaxFrameBody)
 //	record := idLen uvarint | id bytes | reason u8 | report
+//	frame  := bodyLen u32 | body
 //
 // where report is core.Report's self-delimiting variable-length
 // encoding: linear-prediction updates do not pay for the map-bound
 // link/route/turn-rate fields, so measured bytes differentiate the
-// protocol families. Decoders validate every length against what the
-// input can actually hold — corrupt, truncated or adversarial frames
-// produce errors, never panics or unbounded allocations.
+// protocol families. A member call carries one body — update, query
+// (query.go) or peer (memlog.go) — as the payload of one member-stream
+// frame, whose length delimits it and whose upgrade token versions the
+// whole protocol. The length-prefixed frame exists only where bodies are
+// concatenated — a POST /updates request is a run of frames — and the
+// update body keeps its version byte because that public endpoint has
+// no upgrade token to carry one. Decoders validate every length against
+// what the input can actually hold — corrupt, truncated or adversarial
+// input produces errors, never panics or unbounded allocations.
 package wire
 
 import (
@@ -40,7 +46,7 @@ import (
 	"mapdr/internal/core"
 )
 
-// Version is the frame body version byte.
+// Version is the update body version byte.
 const Version = 1
 
 // MaxFrameBody bounds a frame body; larger claims are rejected before
@@ -117,13 +123,18 @@ func DecodeRecord(data []byte) (rec Record, n int, err error) {
 // the decoder on the other end, and by EncodeFrame here.
 func AppendFrame(dst []byte, batch []Record) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // body length placeholder
+	dst = appendFrameBody(append(dst, 0, 0, 0, 0), batch) // body length placeholder
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// appendFrameBody appends the update body holding batch to dst.
+func appendFrameBody(dst []byte, batch []Record) []byte {
 	dst = append(dst, Version)
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	for i := range batch {
 		dst = AppendRecord(dst, batch[i])
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
@@ -160,7 +171,7 @@ func DecodeFrame(data []byte) ([]Record, int, error) {
 	return recs, 4 + bodyLen, nil
 }
 
-// decodeFrameBody decodes a complete frame body.
+// decodeFrameBody decodes an update body, which must fill body exactly.
 func decodeFrameBody(body []byte) ([]Record, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("wire: empty frame body")
