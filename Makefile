@@ -6,7 +6,8 @@ GO ?= go
 
 # The gate benchmarks. Each one that states a bound asserts it itself,
 # on the box that runs it, so `make bench` fails exactly when a bound
-# breaks; there is no stored baseline. By entry:
+# breaks; there is no stored baseline. A throughput floor judges timed
+# runs only (b.N > 1), never Go's one-op calibration probe. By entry:
 #   PredictLongQuiet       runs only (prediction walk vs cursor)
 #   SourceServerQuiet      cursor >= 5x the stateless path, ns/sample
 #   ServerQueryFanout      runs only (one object's monotone queries)
@@ -14,8 +15,9 @@ GO ?= go
 #   MapQueryMix            runs only (map-predictor query mix)
 #   IngestHTTP             >= 100k updates/s (frames -> POST /updates
 #                          -> ApplyBatch -> 10-NN)
-#   ClusterIngestQuery     >= 100k updates/s (4 nodes, ring-routed
-#                          ingest + merged 10-NN)
+#   ClusterIngestQuery     >= 100k updates/s (4 nodes over in-process
+#                          member streams, ring-routed ingest +
+#                          merged 10-NN, every frame through the codecs)
 #   ReplicatedIngestQuery  >= 100k updates/s (the same at R=2)
 #   FanInIngestQuery       runs only (two fan-in fronts, fed in turn)
 #   MemberStream           runs only (one member-stream call pair over

@@ -31,7 +31,6 @@ var drills = []*drill{
 		name:     "failover",
 		minNodes: 2, minReplicas: 2, why: "one member is killed, and a lost R=1 partition cannot answer",
 		replicas: 2,
-		faulty:   true,
 		phases:   []string{"healthy", "node down", "recovered"},
 		run:      failoverDrill,
 	},
@@ -39,7 +38,6 @@ var drills = []*drill{
 		name:     "selfheal",
 		minNodes: 3, minReplicas: 2, why: "the demotion must leave a replicated cluster and lose no R=1 partition",
 		replicas: 2,
-		faulty:   true,
 		phases:   []string{"healthy", "down (detecting)", "demoted"},
 		run:      selfhealDrill,
 	},
@@ -47,7 +45,6 @@ var drills = []*drill{
 		name:     "chaos",
 		minNodes: 4, minReplicas: 2, why: "it removes two members mid-run, and a lost R=1 partition cannot survive the kill",
 		replicas: 2,
-		faulty:   true,
 		phases:   []string{"steady", "join + loss burst", "churn (leave, kill, spike)", "reweighted tail"},
 		run:      chaosDrill,
 	},

@@ -28,9 +28,8 @@ type drill struct {
 	minNodes, minReplicas int
 	why                   string
 	replicas              int
-	// faulty wraps every member in a cluster.FaultInjector; fronts is
-	// the number of coordinators over the shared nodes (0 means one).
-	faulty bool
+	// fronts is the number of coordinators over the shared nodes (0
+	// means one).
 	fronts int
 	// phases labels the measurement windows of the probe accounting. A
 	// drill without phases gets no reference store: it only measures.
@@ -58,7 +57,7 @@ type lab struct {
 	csv bool
 
 	graph     *roadmap.Graph
-	injectors []*cluster.FaultInjector // per node; nil unless the drill is faulty
+	injectors []*cluster.FaultInjector // per node: front 0's fault gate on it
 	fronts    []*cluster.Coordinator
 	ref       *locserv.Service // nil unless the drill has phases
 	spec      sim.FleetSpec
@@ -100,7 +99,11 @@ func runDrill(d *drill, cfg fleetConfig, w io.Writer, csv bool) error {
 // per simulated second after that second's updates have been applied.
 func (l *lab) drive(ingest wire.Transport, query locserv.Querier, tick func(t float64)) (err error) {
 	if l.ref != nil {
-		ingest = teeTransport{Transport: ingest, ref: wire.NewLoopback(l.ref.Sink(nil))}
+		// The reference takes the same update frames the nodes do, so
+		// both hold the codec's f32 speed and heading.
+		ingest = teeTransport{Transport: ingest, ref: wire.NewStreamLoopback(wire.StreamServer{
+			Deliver: func(recs []wire.Record) (int, error) { return l.ref.DeliverRecords(recs, nil) },
+		})}
 	}
 	fl := sim.Fleet{Objects: l.objs, Workers: l.cfg.workers, Transport: ingest, Query: query, Tick: tick}
 	startT := time.Now()
@@ -136,19 +139,17 @@ func newLab(d *drill, cfg fleetConfig, w io.Writer, csv bool) (*lab, error) {
 	for i := range nodes {
 		nodes[i] = l.newNode()
 	}
-	if d.faulty {
-		l.injectors = make([]*cluster.FaultInjector, cfg.nodes)
-	}
 	// Every front holds its own Member handles on the shared nodes, like
-	// separate coordinator processes fronting one cluster.
+	// separate coordinator processes fronting one cluster; each handle
+	// has its own fault gate.
 	for f := 0; f < max(d.fronts, 1); f++ {
 		members := make([]*cluster.Member, cfg.nodes)
+		injectors := make([]*cluster.FaultInjector, cfg.nodes)
 		for i, node := range nodes {
-			if d.faulty {
-				members[i], l.injectors[i] = cluster.NewFaultyMember(nodeName(i), node)
-			} else {
-				members[i] = cluster.NewLocalMember(nodeName(i), node)
-			}
+			members[i], injectors[i] = cluster.NewFaultyMember(nodeName(i), node)
+		}
+		if f == 0 {
+			l.injectors = injectors
 		}
 		co, err := cluster.NewReplicated(0, cfg.replicas, members...)
 		if err != nil {

@@ -2,11 +2,12 @@ package cluster
 
 // Cluster gate benchmark: the scatter-gather pipeline end to end —
 // batches partitioned by the consistent-hash ring, routed to 4
-// in-process nodes through the loopback update transports, with a
-// 10-NN scatter-gather query merged at the coordinator riding along
-// each batch. BenchmarkClusterIngestQuery is a PR gate: it fails itself
-// below 100k updates/s sustained with the mixed query fan-out (reported
-// as updates/s).
+// in-process nodes over their member streams without a socket (every
+// batch and query crosses the wire codecs), with a 10-NN scatter-gather
+// query merged at the coordinator riding along each batch.
+// BenchmarkClusterIngestQuery is a PR gate: it fails itself below 100k
+// updates/s sustained with the mixed query fan-out (reported as
+// updates/s) on any run of more than one op.
 //
 //	go test -bench=ClusterIngestQuery -benchtime=1s ./internal/cluster
 
@@ -215,7 +216,9 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 	}
 	rate := float64(records) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "updates/s")
-	if rate < 100e3 {
+	// The floor judges a timed run, not Go's one-op calibration probe,
+	// which times a single cold batch.
+	if b.N > 1 && rate < 100e3 {
 		b.Fatalf("%.0f updates/s, want >= 100k", rate)
 	}
 }

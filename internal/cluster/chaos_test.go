@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
+
+	"mapdr/internal/core"
+	"mapdr/internal/geo"
+	"mapdr/internal/locserv"
+	"mapdr/internal/wire"
 )
 
 // TestChaosPlanFiresInOrder: events fire by At, stable on ties, each
@@ -92,5 +98,66 @@ func TestFaultInjectorLossAndLatency(t *testing.T) {
 	inj.delay()
 	if elapsed := time.Since(start); elapsed > time.Millisecond {
 		t.Fatalf("cleared latency still slept %v", elapsed)
+	}
+}
+
+// TestFaultModes pins which member calls each fault mode fails with
+// ErrInjectedFault: a killed member fails every call, a wedged write
+// path and a full loss burst fail only deliveries, and a recovered
+// member fails nothing.
+func TestFaultModes(t *testing.T) {
+	calls := []string{"Register", "Position", "Nearest", "Within", "Export",
+		"NodeStats", "ObsSnapshot", "Deliver", "Send"}
+	writes := map[string]bool{"Deliver": true, "Send": true}
+	all := func(string) bool { return true }
+	for _, mode := range []struct {
+		name  string
+		apply func(*FaultInjector)
+		fails func(call string) bool
+	}{
+		{"Fail", (*FaultInjector).Fail, all},
+		{"FailDeliver", (*FaultInjector).FailDeliver, func(c string) bool { return writes[c] }},
+		{"SetLossRate", func(inj *FaultInjector) { inj.SetLossRate(1, 3) }, func(c string) bool { return writes[c] }},
+		{"Recover", func(inj *FaultInjector) {
+			inj.Fail()
+			inj.FailDeliver()
+			inj.Recover()
+		}, func(string) bool { return false }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			node := locserv.NewNodeService(locserv.NewSharded(2),
+				func(locserv.ObjectID) core.Predictor { return core.LinearPredictor{} })
+			m, inj := NewFaultyMember("n", node)
+			rec := []wire.Record{repRecord(1, 1)}
+			mode.apply(inj)
+			for _, call := range calls {
+				var err error
+				switch call {
+				case "Register":
+					err = m.Node.Register("reg-" + locserv.ObjectID(mode.name))
+				case "Position":
+					_, _, _, err = m.Node.Position("obj-0001", 1)
+				case "Nearest":
+					_, err = m.Node.Nearest(geo.Pt(0, 0), 3, 1)
+				case "Within":
+					_, err = m.Node.Within(geo.Rect{Max: geo.Pt(100, 100)}, 1)
+				case "Export":
+					_, _, err = m.Node.Export(0, 0)
+				case "NodeStats":
+					_, err = m.Node.NodeStats()
+				case "ObsSnapshot":
+					_, err = m.Node.(locserv.ObsSnapshotter).ObsSnapshot()
+				case "Deliver":
+					_, err = m.Node.Deliver(rec)
+				case "Send":
+					err = m.Ingest.Send(1, rec)
+				}
+				if got, want := errors.Is(err, ErrInjectedFault), mode.fails(call); got != want {
+					t.Errorf("%s: err %v, injected fault %v, want %v", call, err, got, want)
+				} else if !want && err != nil {
+					t.Errorf("%s: %v", call, err)
+				}
+			}
+		})
 	}
 }

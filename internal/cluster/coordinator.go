@@ -18,11 +18,13 @@ import (
 )
 
 // Member is one cluster node: a name (its ring identity), its Node API
-// and the update transport ingest batches ride on. Ingest may be nil,
-// in which case the coordinator delivers through Node.Deliver directly
-// (an in-process loopback). Addr is the member's reachable base URL
-// when it has one — fan-in coordinators replicate it on join records
-// so peers can build their own handle to the same node.
+// and the update transport ingest batches ride on. Every constructor
+// here reaches the node through one member stream, which is both Node
+// (a RemoteNode) and Ingest. A hand-built member may leave Ingest nil;
+// the coordinator then delivers through Node.Deliver. Addr is the
+// member's reachable base URL when it has one — fan-in coordinators
+// replicate it on join records so peers can build their own handle to
+// the same node.
 type Member struct {
 	Name   string
 	Node   locserv.Node
@@ -30,37 +32,17 @@ type Member struct {
 	Addr   string
 }
 
-// nodeLoopback returns the in-process update transport into node's
-// batched delivery path. Its sink propagates per-record errors, so a
-// clean send means every record landed.
-func nodeLoopback(node *locserv.NodeService) *wire.Loopback {
-	return wire.NewLoopback(wire.SinkFunc(func(batch []wire.Record) error {
-		_, err := node.Deliver(batch)
-		return err
-	}))
+// streamMember returns the member reached through s.
+func streamMember(name, addr string, s *wire.Stream) *Member {
+	return &Member{Name: name, Node: NewRemoteNode(s), Ingest: s, Addr: addr}
 }
 
-// NewLocalMember returns a member over an in-process node: queries are
-// direct method calls, ingest is the loopback transport into the
-// node's batched delivery path.
+// NewLocalMember returns a member over an in-process node: its member
+// stream without a socket (wire.NewStreamLoopback). Every query, admin
+// call and update batch is a frame the node answers as it would over a
+// socket, checked as a socket answer is, synchronously.
 func NewLocalMember(name string, node *locserv.NodeService) *Member {
-	return &Member{Name: name, Node: node, Ingest: nodeLoopback(node)}
-}
-
-// NewLoopbackMember returns a member whose queries and admin calls ride
-// the member stream in process (wire.NewStreamLoopback): every call is
-// a stream frame the node answers as it would over a socket, checked as
-// a socket answer is — the configuration the cluster-vs-single-process
-// equivalence proof runs on: wire-level behaviour, deterministic
-// delivery. Ingest, and the node's Deliver (handoff imports), use the
-// codec-free loopback update transport.
-func NewLoopbackMember(name string, node *locserv.NodeService) *Member {
-	ingest := nodeLoopback(node)
-	return &Member{
-		Name:   name,
-		Node:   NewRemoteNode(wire.NewStreamLoopback(wire.StreamServer{Query: node.QueryServer()}), ingest),
-		Ingest: ingest,
-	}
+	return streamMember(name, "", wire.NewStreamLoopback(node.StreamServer()))
 }
 
 // NewHTTPMember returns a member reached over the network at the node's
@@ -73,13 +55,7 @@ func NewLoopbackMember(name string, node *locserv.NodeService) *Member {
 // stream dials its own connection, so hc is not consulted; it stays in
 // the signature for the callers that pass one.
 func NewHTTPMember(name, baseURL string, hc *http.Client) *Member {
-	stream := wire.NewStream(baseURL)
-	return &Member{
-		Name:   name,
-		Node:   NewRemoteNode(stream, stream),
-		Ingest: stream,
-		Addr:   baseURL,
-	}
+	return streamMember(name, baseURL, wire.NewStream(baseURL))
 }
 
 // memberState pairs a member with the coordinator's routing counters
@@ -280,26 +256,15 @@ func NewReplicated(vnodes, replicas int, members ...*Member) (*Coordinator, erro
 	return c, nil
 }
 
-// predictorRegistrar is the optional in-process fast path: a node that
-// can register with an explicit predictor (locserv.NodeService).
-type predictorRegistrar interface {
-	RegisterWith(id locserv.ObjectID, pred core.Predictor) error
-}
-
 // Register implements locserv.Registry: the object is registered on
-// every member of its preference list. In-process nodes take the
-// explicit predictor; remote nodes mint an equivalent one from their
-// own factory (the cluster's shared-prediction-function contract).
-// Registration succeeds when any replica accepted it — down or failing
-// members catch up through hinted records and read repair (their
-// factories auto-register on delivery).
-func (c *Coordinator) Register(id locserv.ObjectID, pred core.Predictor) error {
-	errs := c.callOwners(id, func(n locserv.Node) error {
-		if pr, ok := n.(predictorRegistrar); ok && pred != nil {
-			return pr.RegisterWith(id, pred)
-		}
-		return n.Register(id)
-	})
+// every member of its preference list. pred does not travel: each node
+// mints an equivalent predictor from its own factory (the cluster's
+// shared-prediction-function contract). Registration succeeds when any
+// replica accepted it — down or failing members catch up through
+// hinted records and read repair (their factories auto-register on
+// delivery).
+func (c *Coordinator) Register(id locserv.ObjectID, _ core.Predictor) error {
+	errs := c.callOwners(id, func(n locserv.Node) error { return n.Register(id) })
 	for _, err := range errs {
 		if err == nil {
 			return nil

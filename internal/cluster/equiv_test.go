@@ -39,27 +39,23 @@ func equivGraph(t *testing.T) *roadmap.Graph {
 }
 
 // memberKind is one member constructor the equivalence proof runs
-// over. codec marks members whose updates cross the binary update codec
-// (speed and heading rounded to f32), so their reference store is fed
-// through the same codec.
+// over.
 type memberKind struct {
 	name  string
-	codec bool
 	build func(t *testing.T, name string, node *locserv.NodeService) *Member
 }
 
 var memberKinds = []memberKind{
-	// The wire loopback: every query, registration and handoff
-	// round-trips through the full binary query codec in process, ingest
-	// through the loopback update transport — wire-level behaviour with
-	// deterministic, synchronous delivery.
-	{"loopback", false, func(_ *testing.T, name string, node *locserv.NodeService) *Member {
-		return NewLoopbackMember(name, node)
+	// The member stream in process: every query, registration, handoff
+	// and update batch round-trips through the full binary codecs —
+	// wire-level behaviour with deterministic, synchronous delivery.
+	{"loopback", func(_ *testing.T, name string, node *locserv.NodeService) *Member {
+		return NewLocalMember(name, node)
 	}},
 	// The member stream to a node served over real HTTP: the networked
 	// cluster's path, queries and update frames multiplexed on one
 	// upgraded connection per member.
-	{"stream", true, func(t *testing.T, name string, node *locserv.NodeService) *Member {
+	{"stream", func(t *testing.T, name string, node *locserv.NodeService) *Member {
 		ts := httptest.NewServer(node.Handler())
 		t.Cleanup(ts.Close)
 		m := NewHTTPMember(name, ts.URL, nil)
@@ -85,22 +81,6 @@ func buildCluster(t *testing.T, kind memberKind, g *roadmap.Graph, n, shardsPerN
 	return coord
 }
 
-// codecSink hands sink every batch after a round trip through the update
-// frame codec — what a member stream delivers to its node.
-func codecSink(sink wire.Sink) wire.Sink {
-	return wire.SinkFunc(func(batch []wire.Record) error {
-		frame, err := wire.EncodeFrame(batch)
-		if err != nil {
-			return err
-		}
-		recs, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			return err
-		}
-		return sink.Deliver(recs)
-	})
-}
-
 // TestClusterEquivalence is the scatter-gather correctness proof: a
 // 4-node cluster (updates routed per partition, queries through the
 // binary query protocol, answers merged at the coordinator) returns
@@ -113,36 +93,26 @@ func TestClusterEquivalence(t *testing.T) {
 	g := equivGraph(t)
 	spec := equivFleetSpec(6)
 
-	// References: the single-process sharded store, fed directly and
-	// through the update codec.
-	type reference struct {
-		svc *locserv.Service
-		res *sim.FleetResult
+	// Reference: the single-process sharded store, fed through the update
+	// codec as every member is (speed and heading rounded to f32).
+	svc := locserv.NewSharded(16)
+	objs, err := sim.GenerateFleet(g, svc, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	refs := make(map[bool]reference)
-	for _, codec := range []bool{false, true} {
-		svc := locserv.NewSharded(16)
-		objs, err := sim.GenerateFleet(g, svc, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleet := &sim.Fleet{Service: svc, Objects: objs, Workers: spec.Workers}
-		if codec {
-			fleet.Transport = wire.NewLoopback(codecSink(svc.Sink(nil)))
-		}
-		res, err := fleet.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[codec] = reference{svc, res}
+	resA, err := (&sim.Fleet{Service: svc, Objects: objs, Workers: spec.Workers,
+		Transport: wire.NewStreamLoopback(wire.StreamServer{Deliver: func(recs []wire.Record) (int, error) {
+			return svc.DeliverRecords(recs, nil)
+		}}),
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, rf := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R%d", rf), func(t *testing.T) {
 			for _, kind := range memberKinds {
 				t.Run(kind.name, func(t *testing.T) {
-					ref := refs[kind.codec]
-					resA := ref.res
 					// Cluster: same simulation, updates and queries through
 					// the coordinator.
 					coord := buildCluster(t, kind, g, 4, 4, rf)
@@ -191,7 +161,7 @@ func TestClusterEquivalence(t *testing.T) {
 						t.Fatalf("nodes hold %d object copies in total, want %d", nodeObjs, spec.N*rf)
 					}
 
-					assertQueriesEqual(t, ref.svc, coord, objsB)
+					assertQueriesEqual(t, svc, coord, objsB)
 					if got := coord.QueryErrors(); got != 0 {
 						t.Fatalf("%d query errors on a healthy cluster", got)
 					}

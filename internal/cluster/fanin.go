@@ -83,7 +83,9 @@ type FanInConfig struct {
 	// MemberFactory builds the local Member handle for a node another
 	// coordinator joined (name and the Begin record's Addr). Defaults
 	// to NewHTTPMember for a non-empty addr; required for in-process
-	// clusters.
+	// clusters, whose members have no address: it returns the joined
+	// node's in-process member stream (NewLocalMember or
+	// NewFaultyMember).
 	MemberFactory func(name, addr string) (*Member, error)
 }
 

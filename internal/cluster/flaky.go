@@ -1,11 +1,12 @@
-// Fault injection for failure-tolerance tests and the drsim failover,
-// selfheal and chaos experiments: an in-process member whose failure
-// modes compose — a kill switch (every call fails the way an
-// unreachable network peer would), a wedged write path (liveness
-// answers, deliveries fail), probabilistic loss bursts (a deterministic
-// fraction of deliveries fail), and latency spikes (every call sleeps).
-// ChaosPlan sequences such faults, plus arbitrary cluster actions, on
-// the experiment clock.
+// Fault injection for failure-tolerance tests and the drsim cluster
+// drills: an in-process member whose member stream passes every frame
+// through one gate before the node answers it. Its failure modes
+// compose — a kill switch (every frame fails the way an unreachable
+// network peer would), a wedged write path (query frames answer, update
+// frames fail), probabilistic loss bursts (a deterministic fraction of
+// update frames fail), and latency spikes (every frame waits). ChaosPlan
+// sequences such faults, plus arbitrary cluster actions, on the
+// experiment clock.
 
 package cluster
 
@@ -17,20 +18,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
-	"mapdr/internal/obs"
 	"mapdr/internal/wire"
 )
 
 // ErrInjectedFault is what a killed member's calls fail with.
 var ErrInjectedFault = errors.New("cluster: injected fault: member unreachable")
 
-// FaultInjector toggles a faulty member between reachable, dead, and
-// the half-dead mode that used to flap the breaker: healthy on the
-// cheap liveness calls but failing every delivery. Orthogonally it can
-// drop a deterministic fraction of deliveries (a loss burst) and delay
-// every call (a latency spike).
+// FaultInjector is the gate of one faulty member's stream. It toggles
+// the member between reachable, dead, and the half-dead mode that used
+// to flap the breaker: healthy on the cheap liveness calls but failing
+// every delivery. Orthogonally it can drop a deterministic fraction of
+// update frames (a loss burst) and delay every frame (a latency spike).
 type FaultInjector struct {
 	down, deliverDown atomic.Bool
 	latencyNs         atomic.Int64
@@ -43,9 +42,9 @@ type FaultInjector struct {
 // Fail makes the member unreachable: every call errors until Recover.
 func (f *FaultInjector) Fail() { f.down.Store(true) }
 
-// FailDeliver makes the member half-dead: NodeStats and queries answer
-// (the liveness probe sees a healthy node) but Deliver and ingest
-// sends fail — a wedged write path behind a live process.
+// FailDeliver makes the member half-dead: query frames answer (the
+// liveness probe sees a healthy node) but update frames fail — a wedged
+// write path behind a live process.
 func (f *FaultInjector) FailDeliver() { f.deliverDown.Store(true) }
 
 // Recover makes the member fully reachable again (the coordinator
@@ -57,14 +56,14 @@ func (f *FaultInjector) Recover() {
 	f.deliverDown.Store(false)
 }
 
-// SetLatency makes every call through the member sleep d first — a
-// network latency spike. Zero clears it.
+// SetLatency makes every frame to the member sleep d first — a network
+// latency spike. Zero clears it.
 func (f *FaultInjector) SetLatency(d time.Duration) { f.latencyNs.Store(d.Nanoseconds()) }
 
-// SetLossRate makes each delivery fail independently with probability
-// p, drawn from a deterministic seeded stream — a partial loss burst
-// that exercises hinting and re-convergence without tripping behaviour
-// depending on the wall clock. Zero p clears it.
+// SetLossRate makes each update frame fail independently with
+// probability p, drawn from a deterministic seeded stream — a partial
+// loss burst that exercises hinting and re-convergence without tripping
+// behaviour depending on the wall clock. Zero p clears it.
 func (f *FaultInjector) SetLossRate(p float64, seed int64) {
 	f.lossMu.Lock()
 	f.lossRate = p
@@ -84,6 +83,18 @@ func (f *FaultInjector) delay() {
 	if ns := f.latencyNs.Load(); ns > 0 {
 		time.Sleep(time.Duration(ns))
 	}
+}
+
+// gate decides one frame to the member: every frame waits out the
+// latency spike; while the member is down every frame fails, and an
+// update frame also fails while the write path is wedged or when the
+// loss burst draws a drop.
+func (f *FaultInjector) gate(kind byte) error {
+	f.delay()
+	if f.Down() || (kind == wire.StreamUpdate && f.deliverFails()) {
+		return ErrInjectedFault
+	}
+	return nil
 }
 
 // deliverFails reports whether this delivery fails: the member is down,
@@ -163,133 +174,10 @@ func (p *ChaosPlan) Remaining() int {
 	return len(p.events) - p.next
 }
 
-// NewFaultyMember returns an in-process member wired through inj: while
-// inj is failed, its queries, admin calls and ingest sends all error.
+// NewFaultyMember returns an in-process member wired through inj: the
+// node's member stream without a socket, as NewLocalMember builds it,
+// with inj's gate checked before the node answers each frame.
 func NewFaultyMember(name string, node *locserv.NodeService) (*Member, *FaultInjector) {
 	inj := &FaultInjector{}
-	return &Member{
-		Name:   name,
-		Node:   faultyNode{n: node, inj: inj},
-		Ingest: faultyTransport{tr: nodeLoopback(node), inj: inj},
-	}, inj
+	return streamMember(name, "", wire.NewGatedStreamLoopback(node.StreamServer(), inj.gate)), inj
 }
-
-// faultyNode fails every Node call while the injector is down. The
-// optional Node capabilities a coordinator probes for (metrics
-// snapshots, trace binding) are forwarded, so a fault-injected cluster
-// is observed like any other.
-type faultyNode struct {
-	n   locserv.Node
-	inj *FaultInjector
-}
-
-// ObsSnapshot implements locserv.ObsSnapshotter by forwarding.
-func (x faultyNode) ObsSnapshot() (obs.Snapshot, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return obs.Snapshot{}, ErrInjectedFault
-	}
-	os, ok := x.n.(locserv.ObsSnapshotter)
-	if !ok {
-		return obs.Snapshot{}, errors.New("cluster: wrapped node does not export metrics")
-	}
-	return os.ObsSnapshot()
-}
-
-// BindTrace implements locserv.TraceBinder by forwarding: the wrapped
-// node's bound view stays behind the same injector.
-func (x faultyNode) BindTrace(trace uint64, spans *[]wire.Span) locserv.Node {
-	if tb, ok := x.n.(locserv.TraceBinder); ok {
-		x.n = tb.BindTrace(trace, spans)
-	}
-	return x
-}
-
-func (x faultyNode) Register(id locserv.ObjectID) error {
-	x.inj.delay()
-	if x.inj.Down() {
-		return ErrInjectedFault
-	}
-	return x.n.Register(id)
-}
-
-func (x faultyNode) Deregister(id locserv.ObjectID) error {
-	x.inj.delay()
-	if x.inj.Down() {
-		return ErrInjectedFault
-	}
-	return x.n.Deregister(id)
-}
-
-func (x faultyNode) Deliver(recs []wire.Record) (int, error) {
-	x.inj.delay()
-	if x.inj.deliverFails() {
-		return 0, ErrInjectedFault
-	}
-	return x.n.Deliver(recs)
-}
-
-func (x faultyNode) Position(id locserv.ObjectID, t float64) (geo.Point, uint32, bool, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return geo.Point{}, 0, false, ErrInjectedFault
-	}
-	return x.n.Position(id, t)
-}
-
-func (x faultyNode) Nearest(p geo.Point, k int, t float64) ([]locserv.ObjectPos, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return nil, ErrInjectedFault
-	}
-	return x.n.Nearest(p, k, t)
-}
-
-func (x faultyNode) Within(r geo.Rect, t float64) ([]locserv.ObjectPos, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return nil, ErrInjectedFault
-	}
-	return x.n.Within(r, t)
-}
-
-func (x faultyNode) Export(lo, hi uint64) ([]wire.Record, []locserv.ObjectID, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return nil, nil, ErrInjectedFault
-	}
-	return x.n.Export(lo, hi)
-}
-
-func (x faultyNode) NodeStats() (locserv.NodeStats, error) {
-	x.inj.delay()
-	if x.inj.Down() {
-		return locserv.NodeStats{}, ErrInjectedFault
-	}
-	return x.n.NodeStats()
-}
-
-// faultyTransport fails Send while the injector is down. Flush stays a
-// no-op (the loopback has nothing in flight), so a dead member never
-// blocks the cluster-wide flush.
-type faultyTransport struct {
-	tr  wire.Transport
-	inj *FaultInjector
-}
-
-func (x faultyTransport) Send(now float64, batch []wire.Record) error {
-	x.inj.delay()
-	if x.inj.deliverFails() {
-		return ErrInjectedFault
-	}
-	return x.tr.Send(now, batch)
-}
-
-func (x faultyTransport) Flush(now float64) error {
-	if x.inj.Down() {
-		return nil
-	}
-	return x.tr.Flush(now)
-}
-
-func (x faultyTransport) Stats() wire.Stats { return x.tr.Stats() }

@@ -97,15 +97,14 @@ func (c *Coordinator) sampleTrace(start time.Time) *queryTrace {
 }
 
 // begin opens fan-out slot i's hop (fanOut closes it) and returns the
-// node to call: the member's node bound to the trace where it can
-// carry one (a remote node returns its transport and node-side spans
-// into the hop), the plain node otherwise — for a direct call the hop
-// itself is the node's query time.
+// node to call: a RemoteNode bound to the trace, so its stream and
+// node-side spans land in the hop; any other node as it is, its hop
+// alone timing the call.
 func (tr *queryTrace) begin(i int, m *memberState) locserv.Node {
 	h := &tr.hops[i]
 	h.member, h.start = m.Name, time.Since(tr.start)
-	if tb, ok := m.Node.(locserv.TraceBinder); ok {
-		return tb.BindTrace(tr.id, &h.wire)
+	if rn, ok := m.Node.(*RemoteNode); ok {
+		return rn.bindTrace(tr.id, &h.wire)
 	}
 	return m.Node
 }

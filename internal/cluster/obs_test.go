@@ -18,14 +18,14 @@ import (
 	"mapdr/internal/wire"
 )
 
-// loopbackPair builds a 2-node replicated cluster whose members
-// round-trip every node call through the wire query codec — so a
+// loopbackPair builds a 2-node replicated cluster of in-process
+// members, whose every node call is a member-stream frame — so a
 // coordinator scrape exercises OpMetrics frames, not method calls.
 func loopbackPair(t *testing.T) (*Coordinator, *locserv.NodeService, *locserv.NodeService) {
 	t.Helper()
-	_, n1 := linearNode("a", 4)
-	_, n2 := linearNode("b", 4)
-	c, err := NewReplicated(0, 2, NewLoopbackMember("a", n1), NewLoopbackMember("b", n2))
+	m1, n1 := linearNode("a", 4)
+	m2, n2 := linearNode("b", 4)
+	c, err := NewReplicated(0, 2, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,9 @@ func TestCoordinatorNodeObjectsSum(t *testing.T) {
 	objects := 0
 	var nodes []*locserv.NodeService
 	for _, name := range []string{"a", "b", "c"} {
-		_, node := linearNode(name, 4)
+		m, node := linearNode(name, 4)
 		nodes = append(nodes, node)
-		members = append(members, NewLoopbackMember(name, node))
+		members = append(members, m)
 	}
 	c, err := New(0, members...)
 	if err != nil {
@@ -178,17 +178,18 @@ func TestCoordinatorNodeObjectsSum(t *testing.T) {
 }
 
 // TestNodeStatsOneAnswer reads one node's counters through every member
-// kind — in process, the member stream in process, the member stream
+// kind — the member stream in process, plain and fault-injecting, and
 // over a socket — and every view: Node.NodeStats, the node's /stats, and
 // the /stats and /metrics of a coordinator fronting that member. All
 // give one answer, field for field.
 func TestNodeStatsOneAnswer(t *testing.T) {
-	_, node := linearNode("n", 4)
+	local, node := linearNode("n", 4)
+	faulty, _ := NewFaultyMember("n", node)
 	nodeSrv := httptest.NewServer(node.Handler())
 	defer nodeSrv.Close()
 	socket := NewHTTPMember("n", nodeSrv.URL, nil)
 	defer socket.Ingest.(*wire.Stream).Close()
-	members := []*Member{NewLocalMember("n", node), NewLoopbackMember("n", node), socket}
+	members := []*Member{local, faulty, socket}
 
 	seeder, err := New(0, members[0])
 	if err != nil {
@@ -212,7 +213,7 @@ func TestNodeStatsOneAnswer(t *testing.T) {
 		t.Fatalf("node /stats %v, want %v", got, wantJSON)
 	}
 
-	for i, name := range []string{"local", "stream in process", "stream over a socket"} {
+	for i, name := range []string{"local", "faulty in process", "stream over a socket"} {
 		t.Run(name, func(t *testing.T) {
 			m := members[i]
 			if got, err := m.Node.NodeStats(); err != nil || got != want {
@@ -459,12 +460,11 @@ func TestCoordinatorScrapeSkipsDownMember(t *testing.T) {
 	}
 }
 
-// TestFaultyMemberKeepsTelemetry: a fault-injecting wrapper must not
-// drop the optional capabilities a coordinator probes its members for.
-// A coordinator over NewFaultyMembers still merges the nodes' own
-// metrics into its scrape and attributes every query family's fan-out
-// hops to members; and a wrapper around a wire-reached node forwards
-// the trace binding, so the node-side spans still come home.
+// TestFaultyMemberKeepsTelemetry: fault injection must not cost a
+// member the telemetry a coordinator reads from it. A coordinator over
+// NewFaultyMembers still merges the nodes' own metrics into its scrape,
+// attributes every query family's fan-out hops to members, and gets
+// every member's node-side query span back on a traced call.
 func TestFaultyMemberKeepsTelemetry(t *testing.T) {
 	f := newReplicatedFixture(t, 3, 2)
 	seedReplicated(t, f, 30)
@@ -497,21 +497,18 @@ func TestFaultyMemberKeepsTelemetry(t *testing.T) {
 		t.Fatalf("ops with member-attributed fan-out spans: %v, want all three", attributed)
 	}
 
-	_, node := linearNode("w", 4)
-	wired := NewLoopbackMember("w", node)
-	wired.Node = faultyNode{n: wired.Node, inj: &FaultInjector{}}
-	c, err := New(0, wired)
-	if err != nil {
-		t.Fatal(err)
+	f.coord.SetTraceSampling(1)
+	f.coord.Nearest(geo.Pt(0, 0), 3, 1)
+	f.coord.SetTraceSampling(0)
+	nodeSide := make(map[string]bool)
+	for _, s := range f.coord.TraceRing().Traces(1)[0].Spans {
+		if s.Stage == "node_query" {
+			nodeSide[s.Member] = true
+		}
 	}
-	seedCluster(t, c, 5)
-	c.SetTraceSampling(1)
-	c.Nearest(geo.Pt(0, 0), 3, 1)
-	nodeSide := false
-	for _, s := range c.TraceRing().Traces(1)[0].Spans {
-		nodeSide = nodeSide || (s.Stage == "node_query" && s.Member == "w")
-	}
-	if !nodeSide {
-		t.Fatal("trace binding not forwarded through the wrapper: no node_query span")
+	for _, name := range f.names {
+		if !nodeSide[name] {
+			t.Errorf("traced Nearest has no node_query span from %s (spans from %v)", name, nodeSide)
+		}
 	}
 }

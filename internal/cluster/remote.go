@@ -10,40 +10,31 @@ import (
 	"mapdr/internal/wire"
 )
 
-// RemoteNode implements locserv.Node over the wire query protocol:
-// every call becomes one request/response frame exchange through a
-// wire.QueryTransport (the member stream, over a socket or in process);
-// NodeStats and ObsSnapshot share the one OpMetrics exchange. Deliver
-// rides the separate update transport when one is configured, keeping
-// bulk ingest on the update path's chunked frames.
+// RemoteNode implements locserv.Node over a node's member stream: every
+// call becomes one request/answer frame exchange on the wire.Stream —
+// over a socket or in process — query and admin calls as query frames,
+// NodeStats and ObsSnapshot sharing the one OpMetrics exchange, Deliver
+// as the update path's chunked update frames.
 type RemoteNode struct {
-	q      wire.QueryTransport
-	ingest IngestTransport
-	// trace and spans are zero except on the per-call view BindTrace
+	s *wire.Stream
+	// trace and spans are zero except on the per-call view bindTrace
 	// returns: call stamps the id on every request and appends every
 	// response's spans.
 	trace uint64
 	spans *[]wire.Span
 }
 
-// IngestTransport is the update path a RemoteNode delivers over: a send
-// that reports how many records the node applied. wire.Stream counts
-// them exactly; wire.Loopback applies a batch whole or fails.
-type IngestTransport interface {
-	SendCounted(now float64, batch []wire.Record) (applied int, err error)
+// NewRemoteNode returns the node at the other end of s.
+func NewRemoteNode(s *wire.Stream) *RemoteNode {
+	return &RemoteNode{s: s}
 }
 
-// NewRemoteNode returns a node speaking the query protocol over q.
-// ingest may be nil, which leaves Deliver unsupported (the coordinator
-// then must ship updates over a Member.Ingest transport instead).
-func NewRemoteNode(q wire.QueryTransport, ingest IngestTransport) *RemoteNode {
-	return &RemoteNode{q: q, ingest: ingest}
-}
-
-// BindTrace implements locserv.TraceBinder: a shallow copy of the node
-// whose exchanges carry the trace id. Every exchange of a bound call
-// contributes its spans, so a paged Within returns one set per page.
-func (r *RemoteNode) BindTrace(trace uint64, spans *[]wire.Span) locserv.Node {
+// bindTrace returns a shallow copy of the node whose exchanges carry the
+// trace id and append the spans they observe (encode, rtt, decode, node
+// query) to *spans. Every exchange of a bound call contributes its
+// spans, so a paged Within returns one set per page. The view serves one
+// traced member call on one goroutine.
+func (r *RemoteNode) bindTrace(trace uint64, spans *[]wire.Span) *RemoteNode {
 	bound := *r
 	bound.trace, bound.spans = trace, spans
 	return &bound
@@ -53,7 +44,7 @@ func (r *RemoteNode) BindTrace(trace uint64, spans *[]wire.Span) locserv.Node {
 // responses to errors.
 func (r *RemoteNode) call(req wire.QueryRequest) (wire.QueryResponse, error) {
 	req.Trace = r.trace
-	resp, err := r.q.Query(req)
+	resp, err := r.s.Query(req)
 	if err != nil {
 		return wire.QueryResponse{}, err
 	}
@@ -82,13 +73,10 @@ func (r *RemoteNode) Deregister(id locserv.ObjectID) error {
 	return err
 }
 
-// Deliver implements locserv.Node over the update transport, returning
-// the node's applied count.
+// Deliver implements locserv.Node over the update frames, returning the
+// node's applied count.
 func (r *RemoteNode) Deliver(recs []wire.Record) (int, error) {
-	if r.ingest == nil {
-		return 0, fmt.Errorf("cluster: remote node has no ingest transport")
-	}
-	return r.ingest.SendCounted(0, recs)
+	return r.s.SendCounted(0, recs)
 }
 
 // Position implements locserv.Node.

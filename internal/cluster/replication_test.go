@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -330,6 +331,54 @@ func TestFailedDeliveryRoutedOnce(t *testing.T) {
 		if got := metrics[series]; got != float64(after[name].Records) {
 			t.Errorf("/metrics %s = %v, MemberStats %d", series, got, after[name].Records)
 		}
+	}
+}
+
+// TestRejectedRecordKeepsMemberUp: a record the node turns down (its
+// factory mints no predictor for the id) is the node's answer, not a
+// failed call. Whether the member shares the process or sits behind a
+// socket, routing such records leaves it up, with no errors counted and
+// nothing hinted.
+func TestRejectedRecordKeepsMemberUp(t *testing.T) {
+	factory := func(id locserv.ObjectID) core.Predictor {
+		if strings.HasPrefix(string(id), "bad-") {
+			return nil
+		}
+		return core.LinearPredictor{}
+	}
+	kinds := map[string]func(t *testing.T, node *locserv.NodeService) *Member{
+		"local": func(_ *testing.T, node *locserv.NodeService) *Member { return NewLocalMember("n", node) },
+		"faulty": func(_ *testing.T, node *locserv.NodeService) *Member {
+			m, _ := NewFaultyMember("n", node)
+			return m
+		},
+		"socket": func(t *testing.T, node *locserv.NodeService) *Member {
+			ts := httptest.NewServer(node.Handler())
+			t.Cleanup(ts.Close)
+			m := NewHTTPMember("n", ts.URL, nil)
+			t.Cleanup(func() { m.Ingest.(*wire.Stream).Close() })
+			return m
+		},
+	}
+	for name, build := range kinds {
+		t.Run(name, func(t *testing.T) {
+			coord, err := New(0, build(t, locserv.NewNodeService(locserv.NewSharded(2), factory)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := []wire.Record{{ID: "bad-1", Update: core.Update{Reason: core.ReasonInit, Report: core.Report{Seq: 1}}}}
+			for i := range 3 {
+				_ = coord.Send(float64(i), bad)
+			}
+			for range 3 {
+				_, _ = coord.DeliverRecords(bad)
+			}
+			ms := coord.MemberStats()[0]
+			if ms.Down || ms.Errors != 0 || ms.Hints.Hinted != 0 {
+				t.Fatalf("after 6 rejected records: down %v, %d errors, %d hints; want up, 0, 0",
+					ms.Down, ms.Errors, ms.Hints.Hinted)
+			}
+		})
 	}
 }
 
@@ -781,12 +830,12 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 	}
 
 	var served atomic.Int64
-	qs := node.QueryServer()
+	qs := node.StreamServer().Query
 	lb := wire.NewStreamLoopback(wire.StreamServer{Query: wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse {
 		served.Add(1)
 		return qs.ServeQuery(req)
 	})})
-	remote := NewRemoteNode(lb, nil)
+	remote := NewRemoteNode(lb)
 	rect := geo.Rect{Min: geo.Pt(-1, -1), Max: geo.Pt(1e6, 1e6)}
 	got, err := remote.Within(rect, 0)
 	if err != nil {

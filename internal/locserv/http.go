@@ -70,8 +70,18 @@ func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)
 	mux.HandleFunc("POST /updates", IngestHandler(n.Deliver))
-	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(wire.StreamServer{Query: n.QueryServer(), Deliver: n.Deliver}))
+	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(n.StreamServer()))
 	return mux
+}
+
+// StreamServer is what the node serves on its member stream, over a
+// socket (Handler) or in process (wire.NewStreamLoopback): query frames
+// and update frames.
+func (n *NodeService) StreamServer() wire.StreamServer {
+	return wire.StreamServer{
+		Query:   wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse { return ServeQuery(n, req) }),
+		Deliver: n.Deliver,
+	}
 }
 
 // QueryAPIHandler mounts the JSON query API over any Querier — the

@@ -5,7 +5,7 @@ package locserv
 // endpoint, applied through the sharded batched path, with a k-NN
 // query fan-out riding along — the full networked source->server->query
 // pipeline. BenchmarkIngestHTTP is a PR gate: it fails itself below
-// 100k updates/s (reported as updates/s).
+// 100k updates/s (reported as updates/s) on any run of more than one op.
 //
 //	go test -bench=Ingest -benchtime=1s ./internal/locserv
 
@@ -96,7 +96,9 @@ func BenchmarkIngestHTTP(b *testing.B) {
 	rate := float64(records) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "updates/s")
 	b.ReportMetric(float64(cl.Stats().FrameBytes)/float64(records), "wirebytes/update")
-	if rate < 100e3 {
+	// The floor judges a timed run, not Go's one-op calibration probe,
+	// which times a single cold batch.
+	if b.N > 1 && rate < 100e3 {
 		b.Fatalf("%.0f updates/s, want >= 100k", rate)
 	}
 }

@@ -1,10 +1,10 @@
 // Node API: the minimal surface one location-service node exposes to
 // cluster coordination — registration, record delivery, the three query
 // families, key-range export (rebalancing handoff) and stats. A
-// NodeService implements it in-process over a Service; internal/cluster
-// re-implements it over the wire query protocol (RemoteNode), so a
-// coordinator scatter-gathers the same API whether its members share
-// its process or a datacenter.
+// NodeService implements it over a Service; internal/cluster
+// re-implements it over the node's member stream (RemoteNode), which is
+// how a coordinator reaches every node, whether it shares the
+// coordinator's process or a datacenter.
 
 package locserv
 
@@ -185,13 +185,6 @@ func (n *NodeService) Register(id ObjectID) error {
 	return n.s.Register(id, pred)
 }
 
-// RegisterWith registers id with an explicit predictor, bypassing the
-// factory — the in-process fast path a coordinator uses when its nodes
-// share its address space.
-func (n *NodeService) RegisterWith(id ObjectID, pred core.Predictor) error {
-	return n.s.Register(id, pred)
-}
-
 // Deregister implements Node.
 func (n *NodeService) Deregister(id ObjectID) error {
 	n.s.Deregister(id)
@@ -236,18 +229,6 @@ func (n *NodeService) ObsSnapshot() (obs.Snapshot, error) { return n.s.ObsSnapsh
 // it.
 type ObsSnapshotter interface {
 	ObsSnapshot() (obs.Snapshot, error)
-}
-
-// TraceBinder is the optional Node extension that makes tracing a
-// property of the ordinary query methods instead of a second set of
-// them: BindTrace returns a view of the node whose calls carry the trace
-// id and append the hop spans they observe (encode, rtt, decode, node
-// query) to *spans. The view serves one traced member call on one
-// goroutine. A node reached over a transport implements it, and so must
-// every wrapper around such a node, by forwarding; an in-process node
-// needs none — its query time is the span of the caller's own call.
-type TraceBinder interface {
-	BindTrace(trace uint64, spans *[]wire.Span) Node
 }
 
 // ServeQuery answers one wire query request against a node — the
@@ -385,11 +366,4 @@ func FromWireHits(hits []wire.QueryHit) []ObjectPos {
 		out[i] = ObjectPos{ID: ObjectID(h.ID), Pos: geo.Pt(h.X, h.Y), Dist: h.Dist, Seq: uint32(h.Seq)}
 	}
 	return out
-}
-
-// QueryServer adapts the node to wire.QueryServer.
-func (n *NodeService) QueryServer() wire.QueryServer {
-	return wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse {
-		return ServeQuery(n, req)
-	})
 }

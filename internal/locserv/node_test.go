@@ -81,7 +81,7 @@ func TestNodeServiceRegisterUsesFactory(t *testing.T) {
 func TestServeQueryMatchesDirectCalls(t *testing.T) {
 	n := newLinearNode(4)
 	seedNode(t, n, 40)
-	lb := wire.NewStreamLoopback(wire.StreamServer{Query: n.QueryServer()})
+	lb := wire.NewStreamLoopback(n.StreamServer())
 
 	for _, tt := range []float64{0, 12.5, 100} {
 		resp, err := lb.Query(wire.QueryRequest{Op: wire.OpNearest, X: 150, Y: 3, K: 7, T: tt})

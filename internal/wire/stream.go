@@ -52,6 +52,8 @@ import (
 // NewStreamLoopback is the same stream without a connection: each
 // request frame goes straight to the callee's answering code and the
 // answer through the caller's checks, synchronously.
+// NewGatedStreamLoopback puts a gate before the callee, which may fail a
+// frame unanswered: fault injection for in-process members.
 
 const (
 	// StreamProtocol is the Upgrade token of the member stream and the
@@ -170,7 +172,8 @@ func checkAnswer(kind byte, payload []byte) error {
 // HTTP status would: 5xx and 429 are retried, anything else is not.
 type Stream struct {
 	base   string
-	local  *StreamServer // the in-process callee (NewStreamLoopback); nil: dial base
+	local  *StreamServer         // the in-process callee (NewStreamLoopback); nil: dial base
+	gate   func(kind byte) error // checked before local answers a frame; nil: none
 	policy retryPolicy
 	c      counters // update traffic (Transport)
 	ids    atomic.Uint64
@@ -193,7 +196,15 @@ func NewStream(baseURL string) *Stream {
 // There is no connection, goroutine or timer, so a failure is permanent
 // and never retried.
 func NewStreamLoopback(srv StreamServer) *Stream {
-	return &Stream{local: &srv, policy: defaultRetryPolicy()}
+	return NewGatedStreamLoopback(srv, nil)
+}
+
+// NewGatedStreamLoopback is NewStreamLoopback with gate run on each
+// request frame's kind before srv sees the frame: an error fails the
+// call with it, unanswered, as an unreachable callee would. It is how a
+// test or experiment injects faults into an in-process member.
+func NewGatedStreamLoopback(srv StreamServer, gate func(kind byte) error) *Stream {
+	return &Stream{local: &srv, gate: gate, policy: defaultRetryPolicy()}
 }
 
 // SetRetry overrides the request policy (see Client.SetRetry); the
@@ -385,10 +396,16 @@ func (s *Stream) exchange(frame []byte) ([]byte, bool, error) {
 }
 
 // answerLocal is exchange against the in-process callee: the request
-// frame is answered as serveStream answers it, and the answer frame is
-// held to what run and exchange demand of one read off the connection.
+// frame passes the gate, is answered as serveStream answers it, and the
+// answer frame is held to what run and exchange demand of one read off
+// the connection.
 func (s *Stream) answerLocal(frame []byte) ([]byte, error) {
 	id, kind := s.ids.Add(1), frame[12]
+	if s.gate != nil {
+		if err := s.gate(kind); err != nil {
+			return nil, err
+		}
+	}
 	binary.LittleEndian.PutUint64(frame[4:], id)
 	out, err := answerStream(nil, streamJob{id, kind, frame[streamHeader:]}, *s.local)
 	if err != nil {

@@ -559,6 +559,38 @@ func TestStreamLoopbackQuery(t *testing.T) {
 	}
 }
 
+// TestStreamLoopbackGate: a gated loopback shows the gate every frame's
+// kind before the server sees it, and a frame the gate fails comes back
+// as the gate's error, unanswered and not retried.
+func TestStreamLoopbackGate(t *testing.T) {
+	blocked := errors.New("gate closed")
+	var kinds []byte
+	var delivered atomic.Int64
+	lb := NewGatedStreamLoopback(StreamServer{Query: QueryServerFunc(echoQuery),
+		Deliver: func(recs []Record) (int, error) {
+			delivered.Add(1)
+			return countDeliver(recs)
+		}}, func(kind byte) error {
+		kinds = append(kinds, kind)
+		if kind == StreamUpdate {
+			return blocked
+		}
+		return nil
+	})
+	if _, err := lb.Query(QueryRequest{Op: OpPosition, ID: "car", T: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Send(0, batchOf(3)); !errors.Is(err, blocked) {
+		t.Fatalf("gated update frame: err %v, want the gate's", err)
+	}
+	if delivered.Load() != 0 {
+		t.Fatal("a frame the gate failed reached the server")
+	}
+	if want := []byte{StreamQuery, StreamUpdate}; !bytes.Equal(kinds, want) {
+		t.Fatalf("gate saw kinds %v, want %v (one attempt each)", kinds, want)
+	}
+}
+
 // TestStreamLoopbackPeer: peer requests and responses, in-band errors
 // included, survive the in-process stream; a query to a coordinator's
 // loopback fails.

@@ -108,16 +108,6 @@ func (t *Loopback) Send(_ float64, batch []Record) error {
 	return nil
 }
 
-// SendCounted is Send plus the count a coordinator's delivery reports:
-// the sink propagates per-record delivery errors, so a clean send
-// applied every record.
-func (t *Loopback) SendCounted(now float64, batch []Record) (applied int, err error) {
-	if err := t.Send(now, batch); err != nil {
-		return 0, err
-	}
-	return len(batch), nil
-}
-
 // Flush implements Transport; Loopback delivery is synchronous.
 func (t *Loopback) Flush(float64) error { return nil }
 
