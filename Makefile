@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench-check bench bench-all bench-locserv clean
+.PHONY: check fmt vet staticcheck build test race bench-check bench bench-all bench-locserv clean
 
 # The gate benchmarks. Each one that states a bound asserts it itself,
 # on the box that runs it, so `make bench` fails exactly when a bound
@@ -31,7 +31,11 @@ GO ?= go
 BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|MemberStream|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
 BENCH_PKGS = ./internal/core ./internal/locserv ./internal/sim ./internal/cluster ./internal/obs
 
-check: vet staticcheck build race bench-check
+check: fmt vet staticcheck build race bench-check
+
+# Every Go file, bench/ included, must be gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

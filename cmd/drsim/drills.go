@@ -484,10 +484,10 @@ func faninDrill(l *lab) error {
 	fanCfg := cluster.FanInConfig{LeaseFor: leaseFor, GossipEvery: 1, MemberFactory: factory}
 	ca.EnableFanIn("co-a", fanCfg)
 	cb.EnableFanIn("co-b", fanCfg)
-	if err := ca.AddPeerCoordinator("co-b", wire.NewStreamLoopback(wire.StreamServer{Peer: cb})); err != nil {
+	if err := ca.AddPeerCoordinator("co-b", wire.NewStreamLoopback(wire.StreamServer{Peer: cb.ServePeer})); err != nil {
 		return err
 	}
-	if err := cb.AddPeerCoordinator("co-a", wire.NewStreamLoopback(wire.StreamServer{Peer: ca})); err != nil {
+	if err := cb.AddPeerCoordinator("co-a", wire.NewStreamLoopback(wire.StreamServer{Peer: ca.ServePeer})); err != nil {
 		return err
 	}
 

@@ -233,7 +233,7 @@ func runFleet(cfg fleetConfig, csv bool) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: svc.HandlerWithIngest(nil), ReadHeaderTimeout: 5 * time.Second}
+		hs := &http.Server{Handler: locserv.NewNodeService(svc, nil).Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go hs.Serve(ln)
 		defer hs.Close()
 		tr = wire.NewClient("http://"+ln.Addr().String(), nil)

@@ -7,7 +7,7 @@
 //
 //	locserver -addr 127.0.0.1:8080 -fleet 10
 //	locserver -fleet 200 -shards 32 -workers 8
-//	locserver -fleet 0 -ingest-auto          # empty store, sources POST updates
+//	locserver -cluster node -fleet 0         # empty store, sources POST updates
 //	curl 'http://127.0.0.1:8080/nearest?x=0&y=0&k=3&t=120'
 //	curl 'http://127.0.0.1:8080/stats'
 //
@@ -21,11 +21,12 @@
 // many goroutines generate vehicle movement and step the protocol
 // sources, feeding the store through its batched ingestion path.
 //
-// -ingest mounts the POST /updates endpoint (internal/wire frames,
-// Content-Type application/x-mapdr-frame); -ingest-auto additionally
-// registers unknown object ids on first contact with a map-based
-// predictor over the server's road network, so external sources can
-// stream updates without a registration step.
+// A store, standalone or a cluster node, serves one API
+// (locserv.NodeService.Handler), POST /updates included (internal/wire
+// frames, Content-Type application/x-mapdr-frame). An update for an
+// unknown id is rejected by a standalone store; a node registers the id
+// with a map-based predictor over its road network, so sources can
+// stream updates to an empty node without a registration step.
 //
 // # Cluster modes
 //
@@ -47,20 +48,18 @@
 // stops answering is circuit-broken — queries degrade to the surviving
 // replicas and its updates buffer as hints that drain on recovery.
 //
-// A node serves the regular API plus GET /member, the member stream the
-// coordinator speaks: one long-lived connection per coordinator,
-// upgraded from HTTP/1.1 (Upgrade: mapdr-member/2) on the node's own
-// address, multiplexing binary query and update frames by request id.
-// The upgrade token is the protocol version: a coordinator and its
-// nodes must be built from the same release.
-// A node always auto-registers unknown ids with a map predictor over
-// its road network (all nodes and sources must be configured with the
-// same -seed so they share the prediction function). The coordinator
-// serves the same query API as a single server — clients cannot tell
-// the difference — plus GET /cluster for per-node routing and store
-// stats. Coordinators serve GET /member too, for their peers' frames
-// (below). Only the public edge — the query API, POST /updates,
-// /cluster and /metrics — remains plain HTTP requests.
+// A store's GET /member is the member stream the coordinator speaks:
+// one long-lived connection per coordinator, upgraded from HTTP/1.1
+// (Upgrade: mapdr-member/2) on the node's own address, multiplexing
+// binary query and update frames by request id. The upgrade token is
+// the protocol version: a coordinator and its nodes must be built from
+// the same release. All nodes and sources must be configured with the
+// same -seed so they share the prediction function. The coordinator
+// serves the same query API as a single server plus GET /cluster for
+// per-node routing and store stats; its /healthz reports liveness only
+// and it has no /objects. Coordinators serve GET /member too, for their
+// peers' frames (below). Only the public edge — the query API, POST
+// /updates, /cluster and /metrics — remains plain HTTP requests.
 //
 // # Multi-coordinator fan-in
 //
@@ -76,8 +75,9 @@
 //	    -coordinator-id co-b -peers-coordinators co-a=http://127.0.0.1:8080
 //
 // Each front dials the GET /member of every -peers-coordinators entry
-// and exchanges log, hint and view frames over that member stream.
-// Both fronts accept ingest and queries concurrently; membership
+// and exchanges log, hint and view frames over that member stream; a
+// front listed in its own -peers-coordinators refuses to start. Both
+// fronts accept ingest and queries concurrently; membership
 // changes and the self-healing loops are fenced behind a replicated
 // lease so exactly one coordinator drives them at a time, and GET
 // /cluster merges stats across the peers.
@@ -124,8 +124,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		shards     = flag.Int("shards", locserv.DefaultShards, "location-store shard count")
 		workers    = flag.Int("workers", 0, "simulation worker goroutines (0 = all CPUs)")
-		ingest     = flag.Bool("ingest", true, "serve the POST /updates binary ingest endpoint")
-		ingestAuto = flag.Bool("ingest-auto", false, "auto-register unknown objects arriving on /updates")
 		mode       = flag.String("cluster", "", "cluster role: \"\" (standalone), \"node\" or \"coordinator\"")
 		peers      = flag.String("peers", "", "coordinator mode: comma-separated name=baseURL node list")
 		replicas   = flag.Int("replicas", 1, "coordinator mode: replicas per key range (R)")
@@ -147,7 +145,7 @@ func main() {
 	flag.Parse()
 	cfg := config{
 		addr: *addr, fleet: *fleet, seed: *seed, shards: *shards, workers: *workers,
-		ingest: *ingest, ingestAuto: *ingestAuto, mode: *mode, peers: *peers, replicas: *replicas,
+		mode: *mode, peers: *peers, replicas: *replicas,
 		pprofAddr: *pprofAddr, traceEvery: *traceEvery,
 		coordID: *coordID, coordPeers: *coordPeers, leaseFor: *leaseFor, gossipEach: *gossipEach,
 		heartbeat: *heartbeat, demoteAfter: *demoteAfter, demoteHints: *demoteHints,
@@ -164,8 +162,6 @@ type config struct {
 	fleet           int
 	seed            int64
 	shards, workers int
-	ingest          bool
-	ingestAuto      bool
 	mode            string
 	peers           string
 	replicas        int
@@ -236,17 +232,35 @@ func buildService(fleet int, seed int64, routeLen float64, shards, workers int) 
 	return svc, g, nil
 }
 
-// handler mounts the query API, optionally with the binary ingest
-// endpoint and on-first-contact registration.
-func handler(svc *locserv.Service, g *roadmap.Graph, ingest, ingestAuto bool) http.Handler {
-	if !ingest {
-		return svc.Handler()
-	}
+// storeHandler serves svc as a store: a cluster node registers an
+// unknown object id on first contact with a map predictor over g, a
+// standalone store rejects its updates.
+func storeHandler(svc *locserv.Service, g *roadmap.Graph, node bool) http.Handler {
 	var auto locserv.AutoRegister
-	if ingestAuto {
+	if node {
 		auto = func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) }
 	}
-	return svc.HandlerWithIngest(auto)
+	return locserv.NewNodeService(svc, auto).Handler()
+}
+
+// eachNamedURL calls fn with the name and baseURL of every entry of a
+// comma-separated name=baseURL list, skipping empty entries; what names
+// a malformed entry in the error.
+func eachNamedURL(list, what string, fn func(name, url string) error) error {
+	for _, item := range strings.Split(list, ",") {
+		item = strings.TrimSpace(item)
+		if item == "" {
+			continue
+		}
+		name, url, ok := strings.Cut(item, "=")
+		if !ok || name == "" || url == "" {
+			return fmt.Errorf("bad %s %q (want name=baseURL)", what, item)
+		}
+		if err := fn(name, url); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parsePeers parses the -peers list into HTTP cluster members.
@@ -255,16 +269,12 @@ func parsePeers(list string) ([]*cluster.Member, error) {
 		return nil, fmt.Errorf("coordinator mode needs -peers name=baseURL[,name=baseURL...]")
 	}
 	var members []*cluster.Member
-	for _, item := range strings.Split(list, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		name, url, ok := strings.Cut(item, "=")
-		if !ok || name == "" || url == "" {
-			return nil, fmt.Errorf("bad peer %q (want name=baseURL)", item)
-		}
+	err := eachNamedURL(list, "peer", func(name, url string) error {
 		members = append(members, cluster.NewHTTPMember(name, url, nil))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(members) == 0 {
 		return nil, fmt.Errorf("no peers in %q", list)
@@ -289,21 +299,11 @@ func tickPeriod(cfg config) time.Duration {
 // the fan-in layer over a member stream to it, returning the names.
 func addPeerCoordinators(coord *cluster.Coordinator, list string) ([]string, error) {
 	var names []string
-	for _, item := range strings.Split(list, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		name, url, ok := strings.Cut(item, "=")
-		if !ok || name == "" || url == "" {
-			return nil, fmt.Errorf("bad peer coordinator %q (want name=baseURL)", item)
-		}
-		if err := coord.AddPeerCoordinator(name, wire.NewStream(url)); err != nil {
-			return nil, err
-		}
+	err := eachNamedURL(list, "peer coordinator", func(name, url string) error {
 		names = append(names, name)
-	}
-	return names, nil
+		return coord.AddPeerCoordinator(name, wire.NewStream(url))
+	})
+	return names, err
 }
 
 // startPprof serves the net/http/pprof handlers on their own listener,
@@ -332,31 +332,16 @@ func run(cfg config) error {
 	var h http.Handler
 	var endpoints string
 	switch cfg.mode {
-	case "", "standalone":
+	case "", "standalone", "node":
+		// A store. A cluster node holds its partition and auto-registers
+		// unknown ids (routed ingest and handoff imports), sharing the
+		// prediction function through the common seed.
 		svc, g, err := buildService(cfg.fleet, cfg.seed, 15000, cfg.shards, cfg.workers)
 		if err != nil {
 			return err
 		}
-		h = handler(svc, g, cfg.ingest, cfg.ingestAuto)
-		endpoints = "/objects, /position, /nearest, /within, /healthz, /stats, /metrics"
-		if cfg.ingest {
-			endpoints += ", POST /updates"
-		}
-
-	case "node":
-		// A cluster node: its partition of the store plus the member
-		// stream the coordinator speaks. The factory
-		// auto-registers unknown ids (routed ingest and handoff imports),
-		// sharing the prediction function through the common seed.
-		svc, g, err := buildService(cfg.fleet, cfg.seed, 15000, cfg.shards, cfg.workers)
-		if err != nil {
-			return err
-		}
-		node := locserv.NewNodeService(svc, func(locserv.ObjectID) core.Predictor {
-			return core.NewMapPredictor(g)
-		})
-		h = node.Handler()
-		endpoints = "/objects, /position, /nearest, /within, /healthz, /stats, /metrics, /trace, POST /updates, GET /member (Upgrade)"
+		h = storeHandler(svc, g, cfg.mode == "node")
+		endpoints = "/healthz, /objects, /position, /nearest, /within, /metrics, /stats, /trace, POST /updates, GET /member (Upgrade)"
 
 	case "coordinator":
 		members, err := parsePeers(cfg.peers)
@@ -417,7 +402,7 @@ func run(cfg config) error {
 		h = cluster.Handler(coord)
 		log.Printf("coordinating %d nodes (R=%d): %s",
 			len(members), coord.Replicas(), strings.Join(coord.Nodes(), ", "))
-		endpoints = "/position, /nearest, /within, /healthz, /stats, /cluster, /metrics, /trace, POST /updates, GET /member (Upgrade)"
+		endpoints = "/healthz, /position, /nearest, /within, /metrics, /stats, /trace, /cluster, POST /updates, GET /member (Upgrade)"
 
 	default:
 		return fmt.Errorf("unknown -cluster mode %q (want node or coordinator)", cfg.mode)

@@ -1,18 +1,17 @@
 package main
 
 import (
-	"fmt"
-
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mapdr/internal/cluster"
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
-	"mapdr/internal/locserv"
 	"mapdr/internal/wire"
 )
 
@@ -30,7 +29,8 @@ func TestBuildServiceAndQuery(t *testing.T) {
 	if svc.Shards() != 8 {
 		t.Fatalf("shards = %d", svc.Shards())
 	}
-	ts := httptest.NewServer(handler(svc, g, false, false))
+	standalone := storeHandler(svc, g, false)
+	ts := httptest.NewServer(standalone)
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/objects")
@@ -55,15 +55,30 @@ func TestBuildServiceAndQuery(t *testing.T) {
 		t.Errorf("position status = %d", resp2.StatusCode)
 	}
 
-	// Ingest disabled: POST /updates must not be routed.
-	frame, _ := wire.EncodeFrame(nil)
-	resp3, err := http.Post(ts.URL+"/updates", wire.ContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	// An update for an unknown id: the standalone store rejects it, a
+	// node registers the id.
+	post := func(h http.Handler) wire.IngestResponse {
+		t.Helper()
+		frame, _ := wire.EncodeFrame([]wire.Record{{ID: "ext-1", Update: core.Update{
+			Reason: core.ReasonInit, Report: core.Report{Seq: 1, Pos: geo.Pt(10, 20), V: 5}}}})
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/updates", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", wire.ContentType)
+		h.ServeHTTP(rec, req)
+		var ir wire.IngestResponse
+		if err := json.NewDecoder(rec.Body).Decode(&ir); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("POST /updates = %d (%v)", rec.Code, err)
+		}
+		return ir
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode == http.StatusOK {
-		t.Errorf("ingest-disabled server accepted POST /updates: %d", resp3.StatusCode)
+	if ir := post(standalone); ir.Applied != 0 || ir.Errors != 1 {
+		t.Errorf("standalone store, unknown id: %+v, want applied 0, errors 1", ir)
+	}
+	if ir := post(storeHandler(svc, g, true)); ir.Applied != 1 || ir.Errors != 0 {
+		t.Errorf("node, unknown id: %+v, want applied 1, errors 0", ir)
+	}
+	if _, ok := svc.Position("ext-1", 0); !ok {
+		t.Error("the node did not register ext-1")
 	}
 }
 
@@ -98,7 +113,7 @@ func TestEmptyServerIngestEndToEnd(t *testing.T) {
 	if svc.Len() != 0 {
 		t.Fatalf("empty store has %d objects", svc.Len())
 	}
-	ts := httptest.NewServer(handler(svc, g, true, true))
+	ts := httptest.NewServer(storeHandler(svc, g, true))
 	defer ts.Close()
 
 	cl := wire.NewClient(ts.URL, ts.Client())
@@ -131,7 +146,9 @@ func TestEmptyServerIngestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestParsePeers covers the coordinator flag parsing.
+// TestParsePeers covers the coordinator flag parsing: -peers and
+// -peers-coordinators share one name=baseURL parser, each with its own
+// error wording, and a front refuses its own id as a peer.
 func TestParsePeers(t *testing.T) {
 	members, err := parsePeers("n1=http://a:1, n2=http://b:2 ,")
 	if err != nil {
@@ -145,6 +162,33 @@ func TestParsePeers(t *testing.T) {
 			t.Errorf("parsePeers(%q) accepted", bad)
 		}
 	}
+	if _, err := parsePeers("n1=http://a:1,justname"); err == nil || !strings.Contains(err.Error(), `bad peer "justname"`) {
+		t.Errorf("parsePeers error %v, want bad peer", err)
+	}
+
+	front := func() *cluster.Coordinator {
+		coord, err := cluster.New(0, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.EnableFanIn("co-a", cluster.FanInConfig{})
+		return coord
+	}
+	names, err := addPeerCoordinators(front(), " co-b=http://b:2, ,co-c=http://c:3")
+	if err != nil || strings.Join(names, ",") != "co-b,co-c" {
+		t.Fatalf("peer coordinators %v, err %v", names, err)
+	}
+	for _, bad := range []string{"justname", "=http://x", "n=", "co-b=http://b:2,co-b=http://b:2"} {
+		if _, err := addPeerCoordinators(front(), bad); err == nil {
+			t.Errorf("addPeerCoordinators(%q) accepted", bad)
+		}
+	}
+	if _, err := addPeerCoordinators(front(), "co-b=,x"); err == nil || !strings.Contains(err.Error(), `bad peer coordinator "co-b="`) {
+		t.Errorf("addPeerCoordinators error %v, want bad peer coordinator", err)
+	}
+	if _, err := addPeerCoordinators(front(), "co-a=http://a:1,co-b=http://b:2"); err == nil || !strings.Contains(err.Error(), "its own peer") {
+		t.Errorf("a front listing itself: err %v, want refusal", err)
+	}
 }
 
 // TestClusterModeEndToEnd wires two locserver node handlers and a
@@ -157,10 +201,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := locserv.NewNodeService(svc, func(locserv.ObjectID) core.Predictor {
-			return core.NewMapPredictor(g)
-		})
-		ts := httptest.NewServer(node.Handler())
+		ts := httptest.NewServer(storeHandler(svc, g, true))
 		defer ts.Close()
 		if i > 0 {
 			peers += ","

@@ -181,9 +181,9 @@ func TestFacadeTransport(t *testing.T) {
 	}
 
 	// HTTP ingest client against the service's ingest handler.
-	ts := httptest.NewServer(svc.HandlerWithIngest(func(ObjectID) Predictor {
+	ts := httptest.NewServer(NewLocationNode(svc, func(ObjectID) Predictor {
 		return LinearPredictor{}
-	}))
+	}).Handler())
 	defer ts.Close()
 	cl := NewIngestClient(ts.URL, ts.Client())
 	next := rec

@@ -205,11 +205,15 @@ func (c *Coordinator) EnableFanIn(id string, cfg FanInConfig) {
 }
 
 // AddPeerCoordinator registers a peer coordinator reachable over pt.
-// Gossip and lease traffic flow to every registered peer.
+// Gossip and lease traffic flow to every registered peer. A coordinator
+// refuses its own id: its own ack would count toward the lease quorum.
 func (c *Coordinator) AddPeerCoordinator(name string, pt wire.PeerTransport) error {
 	f := c.fanin.Load()
 	if f == nil {
 		return fmt.Errorf("cluster: fan-in not enabled")
+	}
+	if name == f.id {
+		return fmt.Errorf("cluster: coordinator %q cannot be its own peer", name)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -224,8 +228,8 @@ func (c *Coordinator) AddPeerCoordinator(name string, pt wire.PeerTransport) err
 	return nil
 }
 
-// ServePeer implements wire.PeerServer: the receiving half of the
-// coordinator peer protocol.
+// ServePeer answers one peer request: the receiving half of the
+// coordinator peer protocol (wire.StreamServer.Peer).
 func (c *Coordinator) ServePeer(req wire.PeerRequest) wire.PeerResponse {
 	f := c.fanin.Load()
 	if f == nil {

@@ -98,7 +98,7 @@ var peerKinds = []peerKind{
 
 // peerLoopback is the in-process member stream to coordinator c.
 func peerLoopback(c *Coordinator) *wire.Stream {
-	return wire.NewStreamLoopback(wire.StreamServer{Peer: c})
+	return wire.NewStreamLoopback(wire.StreamServer{Peer: c.ServePeer})
 }
 
 // peerStream serves c's HTTP handler and returns a member stream to it.
@@ -923,5 +923,35 @@ func TestFanInDeposedDriverCleared(t *testing.T) {
 	assertSameRouting(t, fx, n)
 	if !wire.EqualLogs(fx.a.MembershipLog(), fx.b.MembershipLog()) {
 		t.Fatal("logs diverge after the thief's commit")
+	}
+}
+
+// TestFanInRefusesSelfPeer: a coordinator refuses its own id as a peer.
+// One that gossiped with itself would count its own ack toward the
+// quorum, so two fronts given the same peer list and cut off from each
+// other would both hold the self-heal lease at once.
+func TestFanInRefusesSelfPeer(t *testing.T) {
+	mk := func(id string) *Coordinator {
+		m, _ := NewFaultyMember("n1", fanInNode())
+		c, err := NewReplicated(0, 1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.EnableFanIn(id, FanInConfig{LeaseFor: 10})
+		return c
+	}
+	fronts := map[string]*Coordinator{"co-a": mk("co-a"), "co-b": mk("co-b")}
+	for id, c := range fronts {
+		for name, peer := range fronts {
+			link := &flakyPeer{pt: peerLoopback(peer)}
+			link.fail.Store(name != id) // the two fronts are cut off from each other
+			err := c.AddPeerCoordinator(name, link)
+			if self := name == id; self != (err != nil) {
+				t.Fatalf("%s adding peer %s: err = %v", id, name, err)
+			}
+		}
+	}
+	if fronts["co-a"].fanin.Load().holdLease(1) && fronts["co-b"].fanin.Load().holdLease(1) {
+		t.Fatal("both partitioned fronts hold the lease")
 	}
 }

@@ -283,11 +283,11 @@ func (c *Coordinator) ClusterView() clusterJSON {
 	return out
 }
 
-// Handler exposes the coordinator over HTTP with the same JSON query
-// API a single location server serves (GET /position, /nearest,
-// /within, /healthz, /stats — answers scatter-gathered across the
-// cluster) plus:
+// Handler exposes the coordinator over HTTP with a store's query API
+// (answers scatter-gathered across the cluster) and /metrics, /stats
+// and /trace (over the merged cluster snapshot), plus:
 //
+//	GET  /healthz   {"ok":true}: liveness only, never a fan-out
 //	POST /updates   binary update frames, routed per partition
 //	GET  /member    the member stream (Upgrade: mapdr-member/2) serving
 //	                peer frames only: fan-in log gossip, hint
@@ -295,13 +295,14 @@ func (c *Coordinator) ClusterView() clusterJSON {
 //	GET  /cluster   routing and node stats — merged across the
 //	                coordinator tier when fan-in is enabled
 //
-// so clients cannot tell a coordinator from a single node, except by
-// asking /cluster.
+// so query clients cannot tell a coordinator from a single node.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	locserv.RouteQueryAPI(mux, c)
+	locserv.RouteObsAPI(mux, c, c.TraceRing())
+	mux.HandleFunc("GET /healthz", locserv.HandleLive)
 	mux.HandleFunc("POST /updates", locserv.IngestHandler(c.DeliverRecords))
-	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(wire.StreamServer{Peer: c}))
+	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(wire.StreamServer{Peer: c.ServePeer}))
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, _ *http.Request) {
 		locserv.WriteJSON(w, c.ClusterView())
 	})

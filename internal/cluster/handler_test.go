@@ -2,9 +2,17 @@ package cluster
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"mapdr/internal/core"
+	"mapdr/internal/geo"
+	"mapdr/internal/locserv"
+	"mapdr/internal/wire"
 )
 
 // setAll makes every settable field under v non-zero — nil pointers
@@ -166,5 +174,132 @@ func TestMergeClusterView(t *testing.T) {
 				t.Errorf("merged view\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// fixedQuerier answers every query with one object at the origin: a
+// Querier with none of a store's other methods.
+type fixedQuerier struct{}
+
+func (fixedQuerier) Position(locserv.ObjectID, float64) (geo.Point, bool) { return geo.Point{}, true }
+func (fixedQuerier) Nearest(geo.Point, int, float64) []locserv.ObjectPos {
+	return []locserv.ObjectPos{{ID: "obj-0000"}}
+}
+func (fixedQuerier) Within(geo.Rect, float64) []locserv.ObjectPos {
+	return []locserv.ObjectPos{{ID: "obj-0000"}}
+}
+
+// roleHandlers builds the HTTP face of every role over the same four
+// objects: a standalone store (a node without a predictor factory), a
+// cluster node, a coordinator in front of that node, and the bare query
+// API over a non-store Querier.
+func roleHandlers(t *testing.T) []struct {
+	name string
+	h    http.Handler
+} {
+	t.Helper()
+	_, node := linearNode("n1", 2)
+	coord, err := New(0, NewLocalMember("n1", node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := seedCluster(t, coord, 4)
+	svc := locserv.NewSharded(2)
+	for _, r := range recs {
+		if err := svc.Register(locserv.ObjectID(r.ID), core.LinearPredictor{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.DeliverRecords(recs, nil); err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		h    http.Handler
+	}{
+		{"standalone", locserv.NewNodeService(svc, nil).Handler()},
+		{"node", node.Handler()},
+		{"coordinator", Handler(coord)},
+		{"query API", locserv.QueryAPIHandler(fixedQuerier{})},
+	}
+}
+
+// TestRoleRoutes pins which endpoints each role serves: every route a
+// role states answers, and every other one is 404. A plain GET /member
+// (no upgrade) is 426 wherever the member stream is mounted: on every
+// store, standalone or node, and on a coordinator.
+func TestRoleRoutes(t *testing.T) {
+	routes := []string{
+		"/healthz", "/objects", "/metrics", "/stats", "/trace",
+		"/position?id=obj-0000&t=1", "/nearest?x=0&y=0&k=2&t=1",
+		"/within?minx=-100&miny=-100&maxx=100&maxy=100&t=1",
+		"/cluster", "/member", "POST /updates",
+	}
+	const ok, none, upgrade = http.StatusOK, http.StatusNotFound, http.StatusUpgradeRequired
+	want := map[string][]int{
+		"standalone":  {ok, ok, ok, ok, ok, ok, ok, ok, none, upgrade, ok},
+		"node":        {ok, ok, ok, ok, ok, ok, ok, ok, none, upgrade, ok},
+		"coordinator": {ok, none, ok, ok, ok, ok, ok, ok, ok, upgrade, ok},
+		"query API":   {ok, none, none, none, none, ok, ok, ok, none, none, none},
+	}
+	// /healthz counts objects only where the store is local; nothing
+	// that would fan out answers more than liveness.
+	wantHealth := map[string]string{
+		"standalone":  `{"objects":4,"ok":true}`,
+		"node":        `{"objects":4,"ok":true}`,
+		"coordinator": `{"ok":true}`,
+		"query API":   `{"ok":true}`,
+	}
+	for _, role := range roleHandlers(t) {
+		for i, route := range routes {
+			method, target := http.MethodGet, route
+			if m, path, found := strings.Cut(route, " "); found {
+				method, target = m, path
+			}
+			req := httptest.NewRequest(method, target, nil)
+			if method == http.MethodPost {
+				req.Header.Set("Content-Type", wire.ContentType)
+			}
+			rec := httptest.NewRecorder()
+			role.h.ServeHTTP(rec, req)
+			if rec.Code != want[role.name][i] {
+				t.Errorf("%s: %s %s = %d, want %d", role.name, method, target, rec.Code, want[role.name][i])
+			}
+			if target == "/healthz" {
+				if got := strings.TrimSpace(rec.Body.String()); got != wantHealth[role.name] {
+					t.Errorf("%s: /healthz = %s, want %s", role.name, got, wantHealth[role.name])
+				}
+			}
+		}
+	}
+}
+
+// TestQueryParamsNonFinite: a NaN or infinite numeric query parameter
+// is a bad request on a node and on a coordinator alike — never a 500
+// from encoding a NaN position, nor an empty answer from a NaN bound.
+func TestQueryParamsNonFinite(t *testing.T) {
+	const box = "minx=-100&miny=-100&maxx=100&maxy=100"
+	queries := []string{
+		"/position?id=obj-0000&t=NaN",
+		"/position?id=obj-0000&t=Inf",
+		"/position?id=obj-0000&t=-Inf",
+		"/nearest?x=NaN&y=0&k=2&t=1",
+		"/nearest?x=0&y=0&k=2&t=NaN",
+		"/nearest?x=Inf&y=0&k=2&t=1",
+		"/nearest?x=0&y=-Inf&k=2&t=1",
+		"/within?minx=NaN&miny=-100&maxx=100&maxy=100&t=1",
+		"/within?" + box + "&t=NaN",
+		"/within?" + box + "&t=%2BInf",
+		"/within?minx=-Inf&miny=-100&maxx=100&maxy=100&t=1",
+		"/within?minx=-100&miny=-100&maxx=100&maxy=Inf&t=1",
+	}
+	for _, role := range roleHandlers(t)[1:3] {
+		for _, q := range queries {
+			rec := httptest.NewRecorder()
+			role.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q, nil))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: GET %s = %d %q, want 400", role.name, q, rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+		}
 	}
 }

@@ -831,10 +831,10 @@ func TestWithinPagingFrameBoundary(t *testing.T) {
 
 	var served atomic.Int64
 	qs := node.StreamServer().Query
-	lb := wire.NewStreamLoopback(wire.StreamServer{Query: wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse {
+	lb := wire.NewStreamLoopback(wire.StreamServer{Query: func(req wire.QueryRequest) wire.QueryResponse {
 		served.Add(1)
-		return qs.ServeQuery(req)
-	})})
+		return qs(req)
+	}})
 	remote := NewRemoteNode(lb)
 	rect := geo.Rect{Min: geo.Pt(-1, -1), Max: geo.Pt(1e6, 1e6)}
 	got, err := remote.Within(rect, 0)

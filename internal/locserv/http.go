@@ -3,6 +3,7 @@ package locserv
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -21,54 +22,31 @@ const maxIngestBody = 4 * (wire.MaxFrameBody + 4)
 // cluster coordinator.
 type RecordSink func(recs []wire.Record) (applied int, err error)
 
-// Handler exposes the service as a query-only HTTP API:
+// Handler is a store's one HTTP server, standalone or a cluster node:
 //
-//	GET /healthz                           -> {"ok":true,"objects":n}
-//	GET /stats                             -> object/shard/update/byte/index counters (NodeStats)
-//	GET /metrics                           -> the metrics snapshot /stats is read from
-//	GET /objects                           -> ["id", ...]
-//	GET /position?id=car1&t=120            -> {"id":"car1","x":..,"y":..}
-//	GET /nearest?x=0&y=0&k=3&t=120         -> [{"id":..,"x":..,"y":..,"dist":..}]
-//	GET /within?minx=&miny=&maxx=&maxy=&t= -> [{"id":..,"x":..,"y":..}]
-//
-// HandlerWithIngest additionally accepts protocol updates; a cluster
-// coordinator mounts the same API over its scatter-gather Querier via
-// QueryAPIHandler.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	RouteQueryAPI(mux, s)
-	return mux
-}
-
-// HandlerWithIngest is Handler plus the binary ingest endpoint:
-//
+//	GET  /healthz                           -> {"ok":true,"objects":n}
+//	GET  /objects                           -> ["id", ...]
+//	GET  /position?id=car1&t=120            -> {"id":"car1","x":..,"y":..}
+//	GET  /nearest?x=0&y=0&k=3&t=120         -> [{"id":..,"x":..,"y":..,"dist":..}]
+//	GET  /within?minx=&miny=&maxx=&maxy=&t= -> [{"id":..,"x":..,"y":..}]
+//	GET  /metrics, /stats, /trace           -> see RouteObsAPI
 //	POST /updates  (application/x-mapdr-frame)
+//	GET  /member   (Upgrade: mapdr-member/2)
 //
-// The body is a stream of wire frames; the decoded records feed the
-// sharded store through ApplyBatch. auto controls whether updates for
-// unknown objects register them on the fly (nil: they are rejected).
-// The response is a wire.IngestResponse JSON body.
-func (s *Service) HandlerWithIngest(auto AutoRegister) http.Handler {
-	mux := http.NewServeMux()
-	RouteQueryAPI(mux, s)
-	mux.HandleFunc("POST /updates", IngestHandler(func(recs []wire.Record) (int, error) {
-		return s.DeliverRecords(recs, auto)
-	}))
-	return mux
-}
-
-// Handler mounts the full node API: queries, binary ingest (with the
-// node's factory auto-registering unknown objects) and the member
-// stream a cluster coordinator speaks:
-//
-//	GET /member  (Upgrade: mapdr-member/2)
-//
-// The upgraded connection carries the coordinator's query-protocol and
-// update bodies, one per frame, multiplexed (wire.StreamHandler); a peer
-// frame is a protocol error. This is what a cluster member serves.
+// POST /updates feeds wire frames to Deliver, so the factory decides
+// whether unknown objects register on the fly (nil: rejected). GET
+// /member is the member stream a coordinator speaks: query and update
+// bodies, one per frame, multiplexed (wire.StreamHandler).
 func (n *NodeService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, n.s)
+	RouteObsAPI(mux, n, n.s.ring)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, map[string]any{"ok": true, "objects": n.s.Len()})
+	})
+	mux.HandleFunc("GET /objects", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, n.s.Objects())
+	})
 	mux.HandleFunc("POST /updates", IngestHandler(n.Deliver))
 	mux.Handle("GET "+wire.StreamPath, wire.StreamHandler(n.StreamServer()))
 	return mux
@@ -79,63 +57,29 @@ func (n *NodeService) Handler() http.Handler {
 // and update frames.
 func (n *NodeService) StreamServer() wire.StreamServer {
 	return wire.StreamServer{
-		Query:   wire.QueryServerFunc(func(req wire.QueryRequest) wire.QueryResponse { return ServeQuery(n, req) }),
+		Query:   func(req wire.QueryRequest) wire.QueryResponse { return ServeQuery(n, req) },
 		Deliver: n.Deliver,
 	}
 }
 
-// QueryAPIHandler mounts the JSON query API over any Querier — the
-// sharded store or a cluster coordinator. Optional capabilities are
-// detected: /metrics and /stats require ObsSnapshot(), /objects
-// requires Objects().
+// QueryAPIHandler serves the JSON query API (RouteQueryAPI) over any
+// Querier, plus a GET /healthz that reports liveness only.
 func QueryAPIHandler(q Querier) http.Handler {
 	mux := http.NewServeMux()
 	RouteQueryAPI(mux, q)
+	mux.HandleFunc("GET /healthz", HandleLive)
 	return mux
 }
 
-// lener, objectser and traceRinger are the optional capabilities of a
-// Querier behind the HTTP API.
-type lener interface{ Len() int }
-type objectser interface{ Objects() []ObjectID }
-type traceRinger interface{ TraceRing() *obs.TraceRing }
+// HandleLive answers a liveness probe with {"ok":true}: it must stay
+// cheap, so it never fans out to remote members the way /stats does.
+func HandleLive(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, map[string]any{"ok": true})
+}
 
-// RouteQueryAPI mounts the JSON query API on mux; see QueryAPIHandler.
-// /metrics and /stats render the same metrics snapshot: /stats is its
-// NodeStatsOf view.
+// RouteQueryAPI mounts the three query families on mux: GET /position,
+// /nearest and /within. Every numeric parameter must be finite.
 func RouteQueryAPI(mux *http.ServeMux, q Querier) {
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// A liveness probe must stay cheap: report a local object count
-		// when one exists (Service.Len), but never fan out to remote
-		// members the way /stats aggregation does.
-		body := map[string]any{"ok": true}
-		if l, ok := q.(lener); ok {
-			body["objects"] = l.Len()
-		}
-		WriteJSON(w, body)
-	})
-	if ob, ok := q.(objectser); ok {
-		mux.HandleFunc("GET /objects", func(w http.ResponseWriter, _ *http.Request) {
-			WriteJSON(w, ob.Objects())
-		})
-	}
-	if os, ok := q.(ObsSnapshotter); ok {
-		snapshot := func() obs.Snapshot {
-			// A failed member scrape degrades to whatever assembled; the
-			// snapshot source logs nothing and the answer stays valid.
-			snap, _ := os.ObsSnapshot()
-			return snap
-		}
-		mux.Handle("GET /metrics", obs.MetricsHandler(snapshot))
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-			WriteJSON(w, NodeStatsOf(snapshot()))
-		})
-	}
-	if tr, ok := q.(traceRinger); ok {
-		if ring := tr.TraceRing(); ring != nil {
-			mux.Handle("GET /trace", obs.TraceHandler(ring))
-		}
-	}
 	mux.HandleFunc("GET /position", func(w http.ResponseWriter, r *http.Request) {
 		handlePosition(w, r, q)
 	})
@@ -145,6 +89,26 @@ func RouteQueryAPI(mux *http.ServeMux, q Querier) {
 	mux.HandleFunc("GET /within", func(w http.ResponseWriter, r *http.Request) {
 		handleWithin(w, r, q)
 	})
+}
+
+// RouteObsAPI mounts the observability endpoints on mux:
+//
+//	GET /metrics -> the metrics snapshot, Prometheus text exposition
+//	GET /stats   -> NodeStatsOf that same snapshot, as JSON
+//	GET /trace   -> the traced queries retained in ring
+//
+// A failed member scrape degrades to whatever assembled; the answer
+// stays valid.
+func RouteObsAPI(mux *http.ServeMux, src ObsSnapshotter, ring *obs.TraceRing) {
+	snapshot := func() obs.Snapshot {
+		snap, _ := src.ObsSnapshot()
+		return snap
+	}
+	mux.Handle("GET /metrics", obs.MetricsHandler(snapshot))
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, NodeStatsOf(snapshot()))
+	})
+	mux.Handle("GET /trace", obs.TraceHandler(ring))
 }
 
 // WriteJSON marshals v before touching the ResponseWriter, so an
@@ -168,12 +132,12 @@ func WriteJSON(w http.ResponseWriter, v any) {
 
 // queryFloats parses the named query parameters of a request — the
 // query string is decoded once, not once per parameter — and reports
-// whether every one is present and a number.
+// whether every one is present and a finite number.
 func queryFloats(q url.Values, keys ...string) ([]float64, bool) {
 	vals := make([]float64, len(keys))
 	for i, key := range keys {
 		v, err := strconv.ParseFloat(q.Get(key), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, false
 		}
 		vals[i] = v

@@ -23,7 +23,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyAt(t, s, "car1", 1, 0, geo.Pt(0, 0), 10, 0)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
 	defer ts.Close()
 
 	cases := []struct {
@@ -76,7 +76,7 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestHTTPEmptyStore checks that an empty service serves well-formed
 // empty answers rather than nulls or errors.
 func TestHTTPEmptyStore(t *testing.T) {
-	ts := httptest.NewServer(New().Handler())
+	ts := httptest.NewServer(NewNodeService(New(), nil).Handler())
 	defer ts.Close()
 
 	getJSON := func(path string, v any) {

@@ -72,7 +72,7 @@ func advanceBatch(batch []wire.Record, round uint32) {
 // One op is one batch of ingestBenchBatch updates plus one 10-NN query.
 func BenchmarkIngestHTTP(b *testing.B) {
 	s, batches := ingestBenchSetup(b, DefaultShards)
-	ts := httptest.NewServer(s.HandlerWithIngest(nil))
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
 	defer ts.Close()
 	cl := wire.NewClient(ts.URL, ts.Client())
 

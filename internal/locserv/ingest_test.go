@@ -79,9 +79,9 @@ func TestHTTPIngestEndToEnd(t *testing.T) {
 	if err := s.Register("car1", core.LinearPredictor{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.HandlerWithIngest(func(ObjectID) core.Predictor {
+	ts := httptest.NewServer(NewNodeService(s, func(ObjectID) core.Predictor {
 		return core.LinearPredictor{}
-	}))
+	}).Handler())
 	defer ts.Close()
 
 	// Drive the client transport against the real endpoint.
@@ -147,7 +147,7 @@ func TestHTTPIngestErrors(t *testing.T) {
 	if err := s.Register("car1", core.LinearPredictor{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.HandlerWithIngest(nil))
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
 	defer ts.Close()
 
 	post := func(body []byte, ct string) *http.Response {
@@ -200,17 +200,5 @@ func TestHTTPIngestErrors(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode == http.StatusOK {
 		t.Fatalf("GET /updates -> %d", gresp.StatusCode)
-	}
-
-	// Query-only Handler rejects ingest entirely.
-	qs := httptest.NewServer(s.Handler())
-	defer qs.Close()
-	qresp, err := http.Post(qs.URL+"/updates", wire.ContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qresp.Body.Close()
-	if qresp.StatusCode == http.StatusOK {
-		t.Fatalf("query-only handler accepted ingest: %d", qresp.StatusCode)
 	}
 }

@@ -27,7 +27,7 @@
 // The service is a real ingest server, not only a query store: updates
 // arrive through the internal/wire transport layer — in-process, over a
 // simulated lossy link, or as binary frames POSTed to the /updates HTTP
-// endpoint (HandlerWithIngest) — and land in ApplyBatch either way.
+// endpoint (NodeService.Handler) — and land in ApplyBatch either way.
 //
 // Per-object prediction is incremental: each core.Server replica caches
 // a prediction cursor over its last report (invalidated automatically by
@@ -562,15 +562,6 @@ func (s *Service) WireBytes() int64 { return s.appliedBytes.Load() }
 // (transports, handlers, binaries) can register their own metrics
 // alongside the store's.
 func (s *Service) Obs() *obs.Registry { return s.reg }
-
-// TraceRing returns the ring of traced queries served by this node.
-func (s *Service) TraceRing() *obs.TraceRing { return s.ring }
-
-// ObsSnapshot returns a point-in-time snapshot of every node metric —
-// what GET /metrics renders and what an OpMetrics wire query ships to a
-// scraping coordinator. The error is always nil locally; the signature
-// matches the remote-node implementation.
-func (s *Service) ObsSnapshot() (obs.Snapshot, error) { return s.reg.Snapshot(), nil }
 
 // Objects returns the registered ids in sorted order.
 func (s *Service) Objects() []ObjectID {

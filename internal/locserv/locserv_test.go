@@ -159,7 +159,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyAt(t, s, "car1", 1, 0, geo.Pt(0, 0), 10, 0)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
 	defer ts.Close()
 
 	get := func(path string, want int) *http.Response {

@@ -220,8 +220,11 @@ func (n *NodeService) Export(lo, hi uint64) ([]wire.Record, []ObjectID, error) {
 // NodeStats implements Node.
 func (n *NodeService) NodeStats() (NodeStats, error) { return n.s.NodeStats(), nil }
 
-// ObsSnapshot implements ObsSnapshotter over the underlying store.
-func (n *NodeService) ObsSnapshot() (obs.Snapshot, error) { return n.s.ObsSnapshot() }
+// ObsSnapshot returns a point-in-time snapshot of every metric of the
+// store — what GET /metrics renders and what an OpMetrics wire query
+// ships to a scraping coordinator. The error is always nil locally; the
+// signature matches the remote-node implementation.
+func (n *NodeService) ObsSnapshot() (obs.Snapshot, error) { return n.s.reg.Snapshot(), nil }
 
 // ObsSnapshotter is the optional Node extension for full metrics
 // snapshots — what OpMetrics, GET /metrics and GET /stats serve.

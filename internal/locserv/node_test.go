@@ -320,7 +320,7 @@ func TestStatsEndpointHealthCounters(t *testing.T) {
 		t.Fatalf("index counters did not move: %+v", st)
 	}
 
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {

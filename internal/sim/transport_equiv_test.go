@@ -317,7 +317,7 @@ func TestFleetHTTPTransport(t *testing.T) {
 	}
 
 	svcB, objsB := mkFleet(t, 4)
-	ts := httptest.NewServer(svcB.HandlerWithIngest(nil))
+	ts := httptest.NewServer(locserv.NewNodeService(svcB, nil).Handler())
 	defer ts.Close()
 	cl := wire.NewClient(ts.URL, ts.Client())
 	res, err := (&Fleet{Service: svcB, Objects: objsB, Workers: 1, Transport: cl}).Run()

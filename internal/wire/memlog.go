@@ -511,18 +511,6 @@ func DecodePeerResponse(body []byte) (resp PeerResponse, n int, err error) {
 	return resp, k, nil
 }
 
-// PeerServer is the server side of the peer protocol: a coordinator
-// answering its peers.
-type PeerServer interface {
-	ServePeer(req PeerRequest) PeerResponse
-}
-
-// PeerServerFunc adapts a function to PeerServer.
-type PeerServerFunc func(PeerRequest) PeerResponse
-
-// ServePeer implements PeerServer.
-func (f PeerServerFunc) ServePeer(req PeerRequest) PeerResponse { return f(req) }
-
 // PeerTransport carries peer requests to a coordinator and returns its
 // response. Transport-level failures surface as errors;
 // application-level failures arrive in PeerResponse.Err.

@@ -644,23 +644,3 @@ func InKeyRange(h, lo, hi uint64) bool {
 	}
 	return h > lo || h <= hi
 }
-
-// QueryServer is the server side of the query protocol: it answers one
-// decoded request. internal/locserv binds it to a Node.
-type QueryServer interface {
-	ServeQuery(req QueryRequest) QueryResponse
-}
-
-// QueryServerFunc adapts a function to QueryServer.
-type QueryServerFunc func(QueryRequest) QueryResponse
-
-// ServeQuery implements QueryServer.
-func (f QueryServerFunc) ServeQuery(req QueryRequest) QueryResponse { return f(req) }
-
-// QueryTransport carries query requests to a server and returns its
-// response. Transport-level failures (unreachable, corrupt frame)
-// surface as errors; application-level failures arrive in
-// QueryResponse.Err with a nil error.
-type QueryTransport interface {
-	Query(req QueryRequest) (QueryResponse, error)
-}

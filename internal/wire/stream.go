@@ -157,8 +157,8 @@ func checkAnswer(kind byte, payload []byte) error {
 	return nil
 }
 
-// Stream is the calling end of the member stream: a QueryTransport, a
-// Transport and a PeerTransport to one node or peer coordinator over
+// Stream is the calling end of the member stream to one node or peer
+// coordinator: its query calls, a Transport and a PeerTransport over
 // one multiplexed connection, dialed on the first call and redialed by
 // the first call after a failure. Any number of goroutines may call it
 // at once: each writes its request whole under one write lock and waits
@@ -213,7 +213,10 @@ func (s *Stream) SetRetry(timeout time.Duration, retries int, backoff time.Durat
 	s.policy = retryPolicy{timeout: timeout, retries: max(retries, 0), backoff: backoff}
 }
 
-// Query implements QueryTransport. A traced request (req.Trace != 0)
+// Query sends one query request and returns the node's answer.
+// Transport-level failures (unreachable, corrupt frame) surface as
+// errors; application-level failures arrive in QueryResponse.Err with a
+// nil error. A traced request (req.Trace != 0)
 // additionally times its own encode, round trip and decode stages and
 // prepends them to the node's spans, so the caller sees the full
 // per-hop decomposition; the untraced path takes no timestamps.
@@ -591,14 +594,15 @@ func dialStream(base string, timeout time.Duration) (net.Conn, *bufio.Reader, er
 }
 
 // StreamServer is what the answering end of a member stream serves, one
-// field per frame kind: a node sets Query (query frames) and Deliver
+// field per frame kind: a node sets Query (query frames, answered with
+// the response; application failures go in-band in its Err) and Deliver
 // (update frames, acknowledged with its applied count), a coordinator
 // sets Peer (its peers' frames). A frame of a kind whose field is nil is
 // a protocol error, like an unknown kind.
 type StreamServer struct {
-	Query   QueryServer
+	Query   func(QueryRequest) QueryResponse
 	Deliver func([]Record) (applied int, err error)
-	Peer    PeerServer
+	Peer    func(PeerRequest) PeerResponse
 }
 
 // StreamHandler returns the answering end of the member stream: the
@@ -693,7 +697,7 @@ func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		dst = AppendQueryResponse(dst, srv.Query.ServeQuery(req))
+		dst = AppendQueryResponse(dst, srv.Query(req))
 		if body := len(dst) - at; body > MaxFrameBody {
 			dst = AppendQueryResponse(dst[:at], QueryResponse{Op: req.Op,
 				Err: fmt.Sprintf("wire: response body %d exceeds %d bytes", body, MaxFrameBody)})
@@ -711,7 +715,7 @@ func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		dst = AppendPeerResponse(dst, srv.Peer.ServePeer(req))
+		dst = AppendPeerResponse(dst, srv.Peer(req))
 		if body := len(dst) - at; body > MaxFrameBody {
 			dst = AppendPeerResponse(dst[:at], PeerResponse{Op: req.Op,
 				Err: fmt.Sprintf("wire: peer response body %d exceeds %d bytes", body, MaxFrameBody)})

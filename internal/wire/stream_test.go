@@ -60,11 +60,11 @@ func echoPeer(req PeerRequest) PeerResponse {
 }
 
 // echoNode is the scripted node: echoQuery and countDeliver, no peers.
-var echoNode = StreamServer{Query: QueryServerFunc(echoQuery), Deliver: countDeliver}
+var echoNode = StreamServer{Query: echoQuery, Deliver: countDeliver}
 
 // streamServer serves the member stream over httptest with q and
 // deliver, counting upgrades.
-func streamServer(t *testing.T, q QueryServerFunc, deliver func([]Record) (int, error)) (*httptest.Server, *atomic.Int64) {
+func streamServer(t *testing.T, q func(QueryRequest) QueryResponse, deliver func([]Record) (int, error)) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	upgrades := new(atomic.Int64)
 	h := StreamHandler(StreamServer{Query: q, Deliver: deliver})
@@ -479,7 +479,7 @@ func TestStreamRetries(t *testing.T) {
 // caller's ack check. Each must error, never panic or allocate ahead of
 // the input.
 func FuzzStreamFrameDecode(f *testing.F) {
-	every := StreamServer{Query: QueryServerFunc(echoQuery), Deliver: countDeliver, Peer: PeerServerFunc(echoPeer)}
+	every := StreamServer{Query: echoQuery, Deliver: countDeliver, Peer: echoPeer}
 	query := finishStreamFrame(AppendQueryRequest(appendStreamHeader(nil, 1, StreamQuery),
 		QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4}), 0)
 	update := finishStreamFrame(appendFrameBody(appendStreamHeader(nil, 2, StreamUpdate), sampleBatch()), 0)
@@ -523,10 +523,10 @@ func FuzzStreamFrameDecode(f *testing.F) {
 // retrying.
 func TestStreamLoopbackQuery(t *testing.T) {
 	var served atomic.Int64
-	lb := NewStreamLoopback(StreamServer{Query: QueryServerFunc(func(req QueryRequest) QueryResponse {
+	lb := NewStreamLoopback(StreamServer{Query: func(req QueryRequest) QueryResponse {
 		served.Add(1)
 		return echoQuery(req)
-	}), Deliver: countDeliver})
+	}, Deliver: countDeliver})
 	resp, err := lb.Query(QueryRequest{Op: OpPosition, ID: "car", T: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func TestStreamLoopbackGate(t *testing.T) {
 	blocked := errors.New("gate closed")
 	var kinds []byte
 	var delivered atomic.Int64
-	lb := NewGatedStreamLoopback(StreamServer{Query: QueryServerFunc(echoQuery),
+	lb := NewGatedStreamLoopback(StreamServer{Query: echoQuery,
 		Deliver: func(recs []Record) (int, error) {
 			delivered.Add(1)
 			return countDeliver(recs)
@@ -595,7 +595,7 @@ func TestStreamLoopbackGate(t *testing.T) {
 // included, survive the in-process stream; a query to a coordinator's
 // loopback fails.
 func TestStreamLoopbackPeer(t *testing.T) {
-	lb := NewStreamLoopback(StreamServer{Peer: PeerServerFunc(echoPeer)})
+	lb := NewStreamLoopback(StreamServer{Peer: echoPeer})
 	resp, err := lb.Peer(PeerRequest{Op: PeerOpLog, From: "co-a", Log: sampleLogRecords()})
 	if err != nil {
 		t.Fatalf("log exchange: %v", err)
@@ -620,7 +620,7 @@ func TestStreamLoopbackPeer(t *testing.T) {
 // call to a coordinator, and an oversized request is refused before it
 // is sent.
 func TestStreamPeer(t *testing.T) {
-	h := StreamHandler(StreamServer{Peer: PeerServerFunc(echoPeer)})
+	h := StreamHandler(StreamServer{Peer: echoPeer})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	s := NewStream(ts.URL)

@@ -16,8 +16,8 @@
 //   - Stream: every call inside a cluster, one long-lived connection
 //     per node or peer coordinator upgraded from HTTP/1.1 and
 //     multiplexing query, update and peer frames by request id
-//     (stream.go) — also the QueryTransport and PeerTransport, and, as
-//     NewStreamLoopback, the same frames answered in process.
+//     (stream.go) — also the PeerTransport, and, as NewStreamLoopback,
+//     the same frames answered in process.
 //
 // On the wire, updates travel as bodies of records:
 //

@@ -34,7 +34,7 @@
 // protocol code runs in simulation and as a networked client/server
 // system, and measured bytes reflect real per-protocol message sizes.
 // Queries share that stack: a binary query protocol (QueryRequest /
-// QueryResponse over a QueryTransport) lets a ClusterCoordinator
+// QueryResponse over the member stream) lets a ClusterCoordinator
 // partition objects over many location-service nodes by consistent
 // hashing, route ingest per partition and scatter-gather
 // nearest/within answers that are bit-identical to a single-process
@@ -403,7 +403,7 @@ func NewSimLinkTransport(l *NetworkLink, sink TransportSink) *wire.SimLink {
 }
 
 // NewIngestClient returns an HTTP transport posting wire frames to
-// baseURL+"/updates" (a LocationService.HandlerWithIngest endpoint).
+// baseURL+"/updates" (a NodeService.Handler endpoint).
 // hc may be nil for http.DefaultClient.
 func NewIngestClient(baseURL string, hc *http.Client) *IngestClient {
 	return wire.NewClient(baseURL, hc)
@@ -453,8 +453,6 @@ type (
 	ClusterHealth = cluster.Health
 	// RemoteNode speaks the wire query protocol to a remote node.
 	RemoteNode = cluster.RemoteNode
-	// QueryTransport carries binary query frames to a node.
-	QueryTransport = wire.QueryTransport
 	// QueryRequest and QueryResponse are the wire query frames.
 	QueryRequest  = wire.QueryRequest
 	QueryResponse = wire.QueryResponse
