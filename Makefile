@@ -14,7 +14,7 @@ GO ?= go
 #   FleetSteps10k          runs only (10k-object fleet step)
 #   MapQueryMix            runs only (map-predictor query mix)
 #   IngestHTTP             >= 100k updates/s (frames -> POST /updates
-#                          -> ApplyBatch -> 10-NN)
+#                          -> DeliverRecords -> 10-NN)
 #   ClusterIngestQuery     >= 100k updates/s (4 nodes over in-process
 #                          member streams, ring-routed ingest +
 #                          merged 10-NN, every frame through the codecs)

@@ -13,6 +13,7 @@ import (
 	"mapdr/internal/locserv"
 	"mapdr/internal/obs"
 	"mapdr/internal/stats"
+	"mapdr/internal/wire"
 )
 
 // runChurn measures the query hot path while the write path churns the
@@ -61,7 +62,7 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 	}
 	objs := make([]state, n)
 	rng := rand.New(rand.NewSource(cfg.seed))
-	var init []locserv.Update
+	var init []wire.Record
 	for i := range objs {
 		id := locserv.ObjectID(fmt.Sprintf("churn-%06d", i))
 		var pred core.Predictor
@@ -77,12 +78,12 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 			return err
 		}
 		objs[i] = state{id: id, seq: 1, pos: geo.Pt(rng.Float64()*extent, rng.Float64()*extent)}
-		init = append(init, locserv.Update{ID: id, Update: core.Update{Report: core.Report{
+		init = append(init, wire.Record{ID: string(id), Update: core.Update{Report: core.Report{
 			Seq: 1, T: 0, Pos: objs[i].pos, V: rng.Float64() * 30,
 			Heading: rng.Float64() * 6.28, Omega: rng.Float64()*0.2 - 0.1,
 		}}})
 	}
-	if err := s.ApplyBatch(init); err != nil {
+	if _, err := s.DeliverRecords(init, nil); err != nil {
 		return err
 	}
 
@@ -114,7 +115,7 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 		go func(w, lo, hi int) {
 			defer writerWG.Done()
 			wr := rand.New(rand.NewSource(cfg.seed + int64(w)*7919))
-			batch := make([]locserv.Update, 0, hi-lo)
+			batch := make([]wire.Record, 0, hi-lo)
 			for r := 1; r <= rounds; r++ {
 				now := float64(r)
 				batch = batch[:0]
@@ -127,12 +128,12 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 						o.pos.X += wr.Float64()*30 - 15
 						o.pos.Y += wr.Float64()*30 - 15
 					}
-					batch = append(batch, locserv.Update{ID: o.id, Update: core.Update{Report: core.Report{
+					batch = append(batch, wire.Record{ID: string(o.id), Update: core.Update{Report: core.Report{
 						Seq: o.seq, T: now, Pos: o.pos, V: wr.Float64() * 30,
 						Heading: wr.Float64() * 6.28, Omega: wr.Float64()*0.2 - 0.1,
 					}}})
 				}
-				if err := s.ApplyBatch(batch); err != nil {
+				if _, err := s.DeliverRecords(batch, nil); err != nil {
 					writeErr.Store(err)
 					return
 				}

@@ -553,7 +553,7 @@ func TestReplicationChaos(t *testing.T) {
 		if err := f.coord.Flush(float64(r)); err != nil {
 			t.Fatalf("round %d: flush: %v", r, err)
 		}
-		if err := ref.ApplyBatch(toServiceBatch(batch)); err != nil {
+		if _, err := ref.DeliverRecords(batch, nil); err != nil {
 			t.Fatalf("round %d: reference apply: %v", r, err)
 		}
 		round.Store(int64(r))
@@ -600,14 +600,6 @@ func TestReplicationChaos(t *testing.T) {
 			t.Fatalf("victim replica of %s at seq %d, want %d", id, seq, rounds)
 		}
 	}
-}
-
-func toServiceBatch(recs []wire.Record) []locserv.Update {
-	out := make([]locserv.Update, len(recs))
-	for i := range recs {
-		out[i] = locserv.Update{ID: locserv.ObjectID(recs[i].ID), Update: recs[i].Update}
-	}
-	return out
 }
 
 // TestReplicatedHandoff proves AddNode/RemoveNode move ranges between

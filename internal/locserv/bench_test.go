@@ -27,6 +27,7 @@ import (
 
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
+	"mapdr/internal/wire"
 )
 
 const (
@@ -143,22 +144,22 @@ func (s *singleLockStore) within(r geo.Rect, t float64) []ObjectPos {
 
 // storeOps abstracts both implementations for the gate workload.
 type storeOps struct {
-	applyBatch func([]Update)
-	position   func(ObjectID, float64) (geo.Point, bool)
-	nearest    func(geo.Point, int, float64) []ObjectPos
-	within     func(geo.Rect, float64) []ObjectPos
+	deliver  func([]wire.Record)
+	position func(ObjectID, float64) (geo.Point, bool)
+	nearest  func(geo.Point, int, float64) []ObjectPos
+	within   func(geo.Rect, float64) []ObjectPos
 }
 
 // gateWorkload is one benchmark op: a 256-update batch followed by a
 // query mix (32 point, 2 k-NN, 2 range).
 func gateWorkload(b *testing.B, ops storeOps, ids []ObjectID, round int) {
 	seq := uint32(round + 2)
-	batch := make([]Update, benchBatchSize)
+	batch := make([]wire.Record, benchBatchSize)
 	for j := range batch {
 		i := (round*benchBatchSize + j) % len(ids)
-		batch[j] = Update{ID: ids[i], Update: core.Update{Report: benchReport(i, seq)}}
+		batch[j] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: benchReport(i, seq)}}
 	}
-	ops.applyBatch(batch)
+	ops.deliver(batch)
 	for q := 0; q < 32; q++ {
 		if _, ok := ops.position(ids[(round*31+q*13)%len(ids)], 0); !ok {
 			b.Fatal("missing position")
@@ -186,9 +187,9 @@ func BenchmarkStoreThroughput(b *testing.B) {
 		ops := storeOps{
 			// The seed had no batch path: ingestion is one locked Apply
 			// per update.
-			applyBatch: func(batch []Update) {
+			deliver: func(batch []wire.Record) {
 				for _, u := range batch {
-					s.apply(u.ID, u.Update)
+					s.apply(ObjectID(u.ID), u.Update)
 				}
 			},
 			position: s.position,
@@ -204,8 +205,8 @@ func BenchmarkStoreThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
 			s, ids := benchService(b, shards)
 			ops := storeOps{
-				applyBatch: func(batch []Update) {
-					if err := s.ApplyBatch(batch); err != nil {
+				deliver: func(batch []wire.Record) {
+					if _, err := s.DeliverRecords(batch, nil); err != nil {
 						b.Fatal(err)
 					}
 				},
@@ -223,9 +224,9 @@ func BenchmarkStoreThroughput(b *testing.B) {
 
 // --- concurrent per-API benchmarks (contention profile on multicore) ----
 
-// BenchmarkServiceApplyBatch measures concurrent batched ingestion: each
-// op applies one batch of benchBatchSize updates.
-func BenchmarkServiceApplyBatch(b *testing.B) {
+// BenchmarkServiceDeliverRecords measures concurrent batched ingestion:
+// each op delivers one batch of benchBatchSize updates.
+func BenchmarkServiceDeliverRecords(b *testing.B) {
 	for _, shards := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			s, ids := benchService(b, shards)
@@ -234,15 +235,15 @@ func BenchmarkServiceApplyBatch(b *testing.B) {
 			var cursor atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				batch := make([]Update, benchBatchSize)
+				batch := make([]wire.Record, benchBatchSize)
 				for pb.Next() {
 					sq := seq.Add(1)
 					base := int(cursor.Add(benchBatchSize))
 					for j := range batch {
 						i := (base + j) % len(ids)
-						batch[j] = Update{ID: ids[i], Update: core.Update{Report: benchReport(i, sq)}}
+						batch[j] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: benchReport(i, sq)}}
 					}
-					if err := s.ApplyBatch(batch); err != nil {
+					if _, err := s.DeliverRecords(batch, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -322,16 +323,16 @@ func BenchmarkServiceMixed(b *testing.B) {
 			seq.Store(1)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				batch := make([]Update, benchBatchSize)
+				batch := make([]wire.Record, benchBatchSize)
 				i := 0
 				for pb.Next() {
 					if i%8 == 0 {
 						sq := seq.Add(1)
 						for j := range batch {
 							k := (i + j*37) % len(ids)
-							batch[j] = Update{ID: ids[k], Update: core.Update{Report: benchReport(k, sq)}}
+							batch[j] = wire.Record{ID: string(ids[k]), Update: core.Update{Report: benchReport(k, sq)}}
 						}
-						if err := s.ApplyBatch(batch); err != nil {
+						if _, err := s.DeliverRecords(batch, nil); err != nil {
 							b.Fatal(err)
 						}
 					} else {
@@ -390,15 +391,15 @@ func benchChurn(b *testing.B, forceScan bool, query func(b *testing.B, s *Servic
 	if forceScan {
 		forceScanPath(s)
 	}
-	batch := make([]Update, benchBatchSize)
+	batch := make([]wire.Record, benchBatchSize)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		seq := uint32(n + 2)
 		for j := range batch {
 			i := (n*benchBatchSize + j) % len(ids)
-			batch[j] = Update{ID: ids[i], Update: core.Update{Report: churnReport(i, seq)}}
+			batch[j] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: churnReport(i, seq)}}
 		}
-		if err := s.ApplyBatch(batch); err != nil {
+		if _, err := s.DeliverRecords(batch, nil); err != nil {
 			b.Fatal(err)
 		}
 		for q := 0; q < 4; q++ {
@@ -465,21 +466,21 @@ func quietService(b *testing.B, forceScan bool) *Service {
 	b.Helper()
 	rng := rand.New(rand.NewSource(15))
 	s := NewSharded(16)
-	batch := make([]Update, benchObjects)
+	batch := make([]wire.Record, benchObjects)
 	for i := range batch {
 		id := ObjectID(fmt.Sprintf("veh-%05d", i))
 		if err := s.Register(id, core.LinearPredictor{}); err != nil {
 			b.Fatal(err)
 		}
 		age := math.Min(14*math.Exp(0.93*rng.NormFloat64()), 180)
-		batch[i] = Update{ID: id, Update: core.Update{Report: core.Report{
+		batch[i] = wire.Record{ID: string(id), Update: core.Update{Report: core.Report{
 			Seq: 1, T: quietNow - age,
 			Pos:     geo.Pt(rng.Float64()*10000, rng.Float64()*10000),
 			V:       rng.Float64() * 22,
 			Heading: rng.Float64() * 2 * math.Pi,
 		}}}
 	}
-	if err := s.ApplyBatch(batch); err != nil {
+	if _, err := s.DeliverRecords(batch, nil); err != nil {
 		b.Fatal(err)
 	}
 	if forceScan {
@@ -551,16 +552,16 @@ func BenchmarkStoreThroughputInterleaved(b *testing.B) {
 			var op atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				batch := make([]Update, benchBatchSize)
+				batch := make([]wire.Record, benchBatchSize)
 				for pb.Next() {
 					n := int(op.Add(1))
 					if n%8 == 0 {
 						sq := seq.Add(1)
 						for j := range batch {
 							i := (n*benchBatchSize + j) % len(ids)
-							batch[j] = Update{ID: ids[i], Update: core.Update{Report: churnReport(i, sq)}}
+							batch[j] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: churnReport(i, sq)}}
 						}
-						if err := s.ApplyBatch(batch); err != nil {
+						if _, err := s.DeliverRecords(batch, nil); err != nil {
 							b.Fatal(err)
 						}
 					} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +12,11 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/trace"
+	"mapdr/internal/wire"
 )
 
 // TestConcurrentBatchIngestAndQueries drives real protocol sources over
-// curved motion, replays their updates through ApplyBatch on one
+// curved motion, replays their updates through DeliverRecords on one
 // goroutine while reader goroutines issue position/nearest/range
 // queries, and asserts the protocol invariant: a query at the latest
 // ingested sample time answers within u_s of ground truth. Run under
@@ -78,14 +78,14 @@ func TestConcurrentBatchIngestAndQueries(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for k := 0; k < nSamples; k++ {
-			var batch []Update
+			var batch []wire.Record
 			for i := range objs {
 				if u := objs[i].ups[k]; u != nil {
-					batch = append(batch, Update{ID: objs[i].id, Update: *u})
+					batch = append(batch, wire.Record{ID: string(objs[i].id), Update: *u})
 				}
 			}
-			if err := s.ApplyBatch(batch); err != nil {
-				t.Errorf("ApplyBatch(k=%d): %v", k, err)
+			if _, err := s.DeliverRecords(batch, nil); err != nil {
+				t.Errorf("DeliverRecords(k=%d): %v", k, err)
 				return
 			}
 			published.Store(int64(k))
@@ -170,55 +170,5 @@ func TestConcurrentRegisterDeregister(t *testing.T) {
 	wg.Wait()
 	if got, want := s.Len(), len(s.Objects()); got != want {
 		t.Errorf("Len() = %d but Objects() has %d", got, want)
-	}
-}
-
-func TestApplyBatchErrors(t *testing.T) {
-	s := NewSharded(8)
-	if err := s.ApplyBatch(nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-	if err := s.Register("known", core.StaticPredictor{}); err != nil {
-		t.Fatal(err)
-	}
-	batch := []Update{
-		{ID: "ghost-1", Update: core.Update{Report: core.Report{Seq: 1}}},
-		{ID: "known", Update: core.Update{Report: core.Report{Seq: 1, Pos: geo.Pt(7, 7)}}},
-		{ID: "ghost-2", Update: core.Update{Report: core.Report{Seq: 1}}},
-	}
-	err := s.ApplyBatch(batch)
-	if err == nil {
-		t.Fatal("unknown ids should surface an error")
-	}
-	for _, ghost := range []string{"ghost-1", "ghost-2"} {
-		if !strings.Contains(err.Error(), ghost) {
-			t.Errorf("error %q does not name %s", err, ghost)
-		}
-	}
-	// The known object's update must still have landed.
-	p, ok := s.Position("known", 0)
-	if !ok || p.Dist(geo.Pt(7, 7)) > 1e-9 {
-		t.Errorf("known object not updated: %v %v", p, ok)
-	}
-}
-
-// TestApplyBatchIgnoresStaleSeq mirrors the single-Apply semantics: a
-// batch may contain several updates for one object; only forward
-// sequence numbers take effect.
-func TestApplyBatchIgnoresStaleSeq(t *testing.T) {
-	s := NewSharded(2)
-	if err := s.Register("car", core.StaticPredictor{}); err != nil {
-		t.Fatal(err)
-	}
-	batch := []Update{
-		{ID: "car", Update: core.Update{Report: core.Report{Seq: 5, Pos: geo.Pt(5, 0)}}},
-		{ID: "car", Update: core.Update{Report: core.Report{Seq: 3, Pos: geo.Pt(3, 0)}}},
-	}
-	if err := s.ApplyBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := s.Position("car", 0)
-	if !ok || p.X != 5 {
-		t.Errorf("stale seq overwrote newer report: %v %v", p, ok)
 	}
 }

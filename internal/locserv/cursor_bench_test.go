@@ -15,6 +15,7 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/roadmap"
+	"mapdr/internal/wire"
 )
 
 // nocursorGraphPred hides the StepPredictor implementation of a
@@ -30,7 +31,7 @@ func benchMapService(b *testing.B, pred core.GraphPredictor, g *roadmap.Graph, l
 	b.Helper()
 	s := NewSharded(DefaultShards)
 	ids := make([]ObjectID, benchMapObjects)
-	batch := make([]Update, benchMapObjects)
+	batch := make([]wire.Record, benchMapObjects)
 	for i := range ids {
 		ids[i] = ObjectID(fmt.Sprintf("cab-%05d", i))
 		if err := s.Register(ids[i], pred); err != nil {
@@ -39,12 +40,12 @@ func benchMapService(b *testing.B, pred core.GraphPredictor, g *roadmap.Graph, l
 		link := links[i%len(links)]
 		off := float64(i%50) + 1
 		pos, _ := g.Link(link).PointAtDirected(off, true)
-		batch[i] = Update{ID: ids[i], Update: core.Update{Report: core.Report{
+		batch[i] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: core.Report{
 			Seq: 1, T: 0, Pos: pos, V: 10 + float64(i%10),
 			Link: roadmap.Dir{Link: link, Forward: true}, Offset: off,
 		}}}
 	}
-	if err := s.ApplyBatch(batch); err != nil {
+	if _, err := s.DeliverRecords(batch, nil); err != nil {
 		b.Fatal(err)
 	}
 	return s, ids

@@ -10,6 +10,7 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/roadmap"
+	"mapdr/internal/wire"
 )
 
 // buildRingGraph builds a closed ring road (every node degree 2), the
@@ -64,11 +65,11 @@ func TestConcurrentCursorQueries(t *testing.T) {
 			Heading: 0, Link: roadmap.Dir{Link: link, Forward: true}, Offset: 5,
 		}
 	}
-	batch := make([]Update, nObjs)
+	batch := make([]wire.Record, nObjs)
 	for i := range ids {
-		batch[i] = Update{ID: ids[i], Update: core.Update{Report: mkReport(i, 1)}}
+		batch[i] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: mkReport(i, 1)}}
 	}
-	if err := s.ApplyBatch(batch); err != nil {
+	if _, err := s.DeliverRecords(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,11 +82,11 @@ func TestConcurrentCursorQueries(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for seq := uint32(2); seq < rounds; seq++ {
-			b := make([]Update, nObjs)
+			b := make([]wire.Record, nObjs)
 			for i := range ids {
-				b[i] = Update{ID: ids[i], Update: core.Update{Report: mkReport(i, seq)}}
+				b[i] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: mkReport(i, seq)}}
 			}
-			if err := s.ApplyBatch(b); err != nil {
+			if _, err := s.DeliverRecords(b, nil); err != nil {
 				t.Error(err)
 				return
 			}

@@ -163,8 +163,9 @@ func IngestHandler(sink RecordSink) http.HandlerFunc {
 			}
 			if err != nil {
 				// Frames already ingested stay ingested (the store has no
-				// transactions and the protocol is idempotent per Seq); the
-				// client learns how far we got.
+				// transactions and the protocol is idempotent per Seq),
+				// but the answer is a 400 carrying only the error text:
+				// the client is not told how many frames landed.
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}

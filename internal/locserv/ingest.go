@@ -3,6 +3,7 @@ package locserv
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"mapdr/internal/core"
 	"mapdr/internal/wire"
@@ -10,64 +11,95 @@ import (
 
 // AutoRegister decides the prediction function for an object that shows
 // up on the ingest path before being registered. Returning nil rejects
-// the object.
+// the object. It runs under a shard's write lock, so it must not call
+// back into the store.
 type AutoRegister func(id ObjectID) core.Predictor
 
-// DeliverRecords ingests transport records through the batched apply
-// path. When auto is non-nil, unknown object ids are registered first
-// with the predictor it returns; otherwise (or when auto returns nil)
-// their records are skipped and reported in the error. applied is the
-// number of records belonging to a registered object — whether each
-// advanced the replica or was a stale duplicate is the replica's
-// (seq-gated) decision, visible in UpdatesApplied.
+// DeliverRecords is the store's batched write. It applies recs in
+// place, grouped by shard so that each shard's write lock is held once
+// per call. An unknown id is registered in that same hold with the
+// predictor auto returns, so auto runs once per admitted id; when auto
+// is nil or returns nil, the id's records are skipped and reported in
+// the error. applied is the number of records belonging to a registered
+// object — whether each advanced the replica or was a stale duplicate
+// is the replica's (seq-gated) decision, visible in UpdatesApplied.
 func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied int, err error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	batch := make([]Update, 0, len(recs))
+	start := time.Now()
+	defer func() { s.ingestBatch.RecordDur(time.Since(start)) }()
 	var errs []error
+	// Counting sort of record indices by shard: one hash pass, no copies
+	// of the records. A record without an id takes no slot.
+	n := len(s.shards)
+	starts := make([]int32, n+1)
+	shardOf := make([]int32, len(recs))
 	for i := range recs {
-		id := ObjectID(recs[i].ID)
-		if id == "" {
+		if recs[i].ID == "" {
 			errs = append(errs, fmt.Errorf("locserv: record %d has no object id", i))
+			shardOf[i] = -1
 			continue
 		}
-		if auto != nil && !s.Contains(id) {
+		sh := int32(shardIndex(ObjectID(recs[i].ID), n))
+		shardOf[i] = sh
+		starts[sh+1]++
+	}
+	for i := 0; i < n; i++ {
+		starts[i+1] += starts[i]
+	}
+	order := make([]int32, starts[n])
+	fill := append([]int32(nil), starts[:n]...)
+	for i, sh := range shardOf {
+		if sh >= 0 {
+			order[fill[sh]] = int32(i)
+			fill[sh]++
+		}
+	}
+	for i, sh := range s.shards {
+		if part := order[starts[i]:starts[i+1]]; len(part) > 0 {
+			var a int
+			errs, a = s.deliverShard(sh, recs, part, auto, errs)
+			applied += a
+		}
+	}
+	return applied, errors.Join(errs...)
+}
+
+// deliverShard applies recs[order[...]], all hashed to sh, under one
+// hold of sh's write lock, appending an error per rejected record.
+// applied counts the records of registered objects.
+func (s *Service) deliverShard(sh *shard, recs []wire.Record, order []int32, auto AutoRegister, errs []error) (_ []error, applied int) {
+	var accepted, bytes int64
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range order {
+		r := &recs[i]
+		id := ObjectID(r.ID)
+		e, ok := sh.objs[id]
+		if !ok {
+			if auto == nil {
+				errs = append(errs, fmt.Errorf("locserv: unknown object %q", id))
+				continue
+			}
 			pred := auto(id)
 			if pred == nil {
 				errs = append(errs, fmt.Errorf("locserv: object %q rejected by auto-register", id))
 				continue
 			}
-			// A concurrent ingest may have won the registration race;
-			// that duplicate is fine.
-			if rerr := s.Register(id, pred); rerr != nil && !s.Contains(id) {
-				errs = append(errs, rerr)
-				continue
-			}
+			e = s.registerLocked(sh, id, pred)
 		}
-		batch = append(batch, Update{ID: id, Update: recs[i].Update})
-	}
-	aerr := s.ApplyBatch(batch)
-	applied = len(batch) - joinedLen(aerr)
-	if aerr != nil {
-		errs = append(errs, aerr)
-	}
-	return applied, errors.Join(errs...)
-}
-
-// joinedLen counts the leaves of an errors.Join error.
-func joinedLen(err error) int {
-	if err == nil {
-		return 0
-	}
-	if mu, ok := err.(interface{ Unwrap() []error }); ok {
-		n := 0
-		for _, e := range mu.Unwrap() {
-			n += joinedLen(e)
+		applied++
+		if e.srv.Apply(r.Update) {
+			accepted++
+			bytes += int64(r.Update.Report.EncodedSize())
+			sh.noteAppliedLocked(e)
 		}
-		return n
 	}
-	return 1
+	sh.mutatedLocked()
+	s.applied.Add(accepted)
+	s.appliedBytes.Add(bytes)
+	return errs, applied
 }
 
 // Sink adapts the service to wire.Sink so transports (the simulation

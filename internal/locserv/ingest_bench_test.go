@@ -68,7 +68,7 @@ func advanceBatch(batch []wire.Record, round uint32) {
 }
 
 // BenchmarkIngestHTTP measures the full pipeline: encode frame -> POST
-// over loopback TCP -> decode -> ApplyBatch -> Nearest query fan-out.
+// over loopback TCP -> decode -> DeliverRecords -> Nearest query fan-out.
 // One op is one batch of ingestBenchBatch updates plus one 10-NN query.
 func BenchmarkIngestHTTP(b *testing.B) {
 	s, batches := ingestBenchSetup(b, DefaultShards)

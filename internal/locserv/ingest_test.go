@@ -3,13 +3,22 @@ package locserv
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
+	"mapdr/internal/netsim"
 	"mapdr/internal/wire"
 )
 
@@ -200,5 +209,329 @@ func TestHTTPIngestErrors(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode == http.StatusOK {
 		t.Fatalf("GET /updates -> %d", gresp.StatusCode)
+	}
+}
+
+// ingestErrCount is the number of records an ingest error reports: the
+// leaves of its errors.Join.
+func ingestErrCount(err error) int {
+	if err == nil {
+		return 0
+	}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		return len(j.Unwrap())
+	}
+	return 1
+}
+
+// deliverOneAtATime is the reference for DeliverRecords: each record on
+// its own, registering an unknown id through auto and then applying.
+func deliverOneAtATime(t *testing.T, ref *Service, recs []wire.Record, auto AutoRegister) (applied, errs int) {
+	t.Helper()
+	for _, r := range recs {
+		id := ObjectID(r.ID)
+		if id == "" {
+			errs++
+			continue
+		}
+		if !ref.Contains(id) {
+			var pred core.Predictor
+			if auto != nil {
+				pred = auto(id)
+			}
+			if pred == nil {
+				errs++
+				continue
+			}
+			if err := ref.Register(id, pred); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ref.Apply(id, r.Update); err != nil {
+			t.Fatal(err)
+		}
+		applied++
+	}
+	return applied, errs
+}
+
+// deliverBoth delivers recs to s in one DeliverRecords call and to ref
+// one record at a time, and requires the same applied and error counts.
+func deliverBoth(t *testing.T, s, ref *Service, recs []wire.Record, auto AutoRegister) error {
+	t.Helper()
+	applied, err := s.DeliverRecords(recs, auto)
+	wantApplied, wantErrs := deliverOneAtATime(t, ref, recs, auto)
+	if applied != wantApplied || ingestErrCount(err) != wantErrs {
+		t.Fatalf("batch of %d: applied %d, %d errors (%v); one at a time: applied %d, %d errors",
+			len(recs), applied, ingestErrCount(err), err, wantApplied, wantErrs)
+	}
+	return err
+}
+
+// requireSameStore requires got to answer every query bit-identically
+// to want at each of times.
+func requireSameStore(t *testing.T, got, want *Service, ids []ObjectID, times []float64) {
+	t.Helper()
+	if got.Len() != want.Len() || got.UpdatesApplied() != want.UpdatesApplied() || got.WireBytes() != want.WireBytes() {
+		t.Fatalf("len/applied/bytes %d/%d/%d, want %d/%d/%d", got.Len(), got.UpdatesApplied(), got.WireBytes(),
+			want.Len(), want.UpdatesApplied(), want.WireBytes())
+	}
+	if g, w := got.Objects(), want.Objects(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("objects %v, want %v", g, w)
+	}
+	points := []geo.Point{{}, {X: 2500, Y: 2500}, {X: 5000, Y: -1000}}
+	rects := []geo.Rect{
+		{Min: geo.Pt(0, 0), Max: geo.Pt(2500, 2500)},
+		{Min: geo.Pt(-1e6, -1e6), Max: geo.Pt(1e6, 1e6)},
+	}
+	for _, qt := range times {
+		for _, id := range ids {
+			p, seq, ok := got.PositionSeq(id, qt)
+			wp, wseq, wok := want.PositionSeq(id, qt)
+			if p != wp || seq != wseq || ok != wok {
+				t.Fatalf("Position(%s, t=%v) = %v/%d/%v, want %v/%d/%v", id, qt, p, seq, ok, wp, wseq, wok)
+			}
+		}
+		for _, p := range points {
+			for _, k := range []int{1, 5, want.Len() + 3} {
+				if g, w := got.Nearest(p, k, qt), want.Nearest(p, k, qt); !reflect.DeepEqual(g, w) {
+					t.Fatalf("Nearest(%v, %d, t=%v)\n got %v\nwant %v", p, k, qt, g, w)
+				}
+			}
+		}
+		for _, r := range rects {
+			if g, w := got.Within(r, qt), want.Within(r, qt); !reflect.DeepEqual(g, w) {
+				t.Fatalf("Within(%v, t=%v)\n got %v\nwant %v", r, qt, g, w)
+			}
+		}
+	}
+}
+
+// TestDeliverRecordsMatchesOneAtATime checks the store's one batched
+// write against Register + Apply one record at a time: the applied and
+// error counts of every batch, and the store's answers afterwards.
+func TestDeliverRecordsMatchesOneAtATime(t *testing.T) {
+	t.Run("unknown-ids", func(t *testing.T) {
+		s, ref := NewSharded(8), New()
+		if applied, err := s.DeliverRecords(nil, nil); applied != 0 || err != nil {
+			t.Errorf("empty batch: applied %d, err %v", applied, err)
+		}
+		for _, st := range []*Service{s, ref} {
+			if err := st.Register("known", core.StaticPredictor{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := deliverBoth(t, s, ref, []wire.Record{
+			{ID: "ghost-1", Update: core.Update{Report: core.Report{Seq: 1}}},
+			{ID: "known", Update: core.Update{Report: core.Report{Seq: 1, Pos: geo.Pt(7, 7)}}},
+			{ID: "ghost-2", Update: core.Update{Report: core.Report{Seq: 1}}},
+		}, nil)
+		if err == nil {
+			t.Fatal("unknown ids should surface an error")
+		}
+		for _, ghost := range []string{"ghost-1", "ghost-2"} {
+			if !strings.Contains(err.Error(), ghost) {
+				t.Errorf("error %q does not name %s", err, ghost)
+			}
+		}
+		// The known object's update must still have landed.
+		if p, ok := s.Position("known", 0); !ok || p.Dist(geo.Pt(7, 7)) > 1e-9 {
+			t.Errorf("known object not updated: %v %v", p, ok)
+		}
+		requireSameStore(t, s, ref, []ObjectID{"known", "ghost-1"}, []float64{0})
+	})
+
+	// A batch may carry several updates for one object; only forward
+	// sequence numbers take effect, as with Apply.
+	t.Run("stale-seq", func(t *testing.T) {
+		s, ref := NewSharded(2), New()
+		for _, st := range []*Service{s, ref} {
+			if err := st.Register("car", core.StaticPredictor{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := deliverBoth(t, s, ref, []wire.Record{
+			{ID: "car", Update: core.Update{Report: core.Report{Seq: 5, Pos: geo.Pt(5, 0)}}},
+			{ID: "car", Update: core.Update{Report: core.Report{Seq: 3, Pos: geo.Pt(3, 0)}}},
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if p, ok := s.Position("car", 0); !ok || p.X != 5 {
+			t.Errorf("stale seq overwrote newer report: %v %v", p, ok)
+		}
+		requireSameStore(t, s, ref, []ObjectID{"car"}, []float64{0})
+	})
+
+	// A seeded stream of registered ids, new ids auto admits, ids it
+	// rejects, empty ids and stale or duplicate Seqs, delivered in random
+	// batch splits, some batches without auto.
+	preds := []core.Predictor{core.LinearPredictor{}, core.CTRVPredictor{}, core.StaticPredictor{}}
+	auto := func(id ObjectID) core.Predictor {
+		if strings.HasPrefix(string(id), "bad-") {
+			return nil
+		}
+		return preds[len(id)%len(preds)]
+	}
+	rng := rand.New(rand.NewSource(39))
+	seqs := map[string]uint32{}
+	var ids []ObjectID
+	for i := 0; i < 12; i++ {
+		ids = append(ids, ObjectID(fmt.Sprintf("reg-%d", i*7)), ObjectID(fmt.Sprintf("new-%d", i*7)), ObjectID(fmt.Sprintf("bad-%d", i)))
+	}
+	stream := make([]wire.Record, 1500)
+	for i := range stream {
+		var id string
+		if rng.Intn(12) > 0 {
+			id = string(ids[rng.Intn(len(ids))])
+		}
+		seq := seqs[id] + 1
+		if rng.Intn(4) == 0 {
+			seq = uint32(rng.Intn(int(seq) + 1)) // stale or duplicate
+		}
+		seqs[id] = max(seqs[id], seq)
+		stream[i] = wire.Record{ID: id, Update: core.Update{Reason: core.ReasonDeviation, Report: core.Report{
+			Seq: seq, T: float64(i) / 10, Pos: geo.Pt(rng.Float64()*5000, rng.Float64()*5000),
+			V: rng.Float64() * 30, Heading: rng.Float64() * 2 * math.Pi, Omega: rng.Float64()*0.2 - 0.1,
+		}}}
+	}
+	for _, shards := range []int{1, 2, 16} {
+		t.Run(fmt.Sprintf("seeded/shards-%d", shards), func(t *testing.T) {
+			s, ref := NewSharded(shards), New()
+			for _, id := range ids {
+				if strings.HasPrefix(string(id), "reg-") {
+					for _, st := range []*Service{s, ref} {
+						if err := st.Register(id, preds[len(id)%len(preds)]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			split := rand.New(rand.NewSource(int64(shards)))
+			for lo := 0; lo < len(stream); {
+				hi := min(lo+split.Intn(64), len(stream))
+				batchAuto := auto
+				if split.Intn(4) == 0 {
+					batchAuto = nil
+				}
+				deliverBoth(t, s, ref, stream[lo:hi], batchAuto)
+				lo = hi
+			}
+			requireSameStore(t, s, ref, ids, []float64{0, 75, 150, 400})
+		})
+	}
+}
+
+// TestDeliverRecordsConcurrentAutoRegister races four deliverers over
+// the same new ids: each id is registered once, and auto runs once per
+// id.
+func TestDeliverRecordsConcurrentAutoRegister(t *testing.T) {
+	const nIDs, deliverers, batchLen = 200, 4, 20
+	s := New()
+	var calls atomic.Int64
+	auto := func(ObjectID) core.Predictor {
+		calls.Add(1)
+		return core.LinearPredictor{}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < deliverers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			perm := rand.New(rand.NewSource(int64(g))).Perm(nIDs)
+			for lo := 0; lo < nIDs; lo += batchLen {
+				batch := make([]wire.Record, 0, batchLen)
+				for _, i := range perm[lo : lo+batchLen] {
+					batch = append(batch, ingestRecord(fmt.Sprintf("obj-%03d", i), uint32(g+1), 0, geo.Pt(float64(i), 0)))
+				}
+				if applied, err := s.DeliverRecords(batch, auto); applied != len(batch) || err != nil {
+					t.Errorf("deliverer %d: applied %d of %d, err %v", g, applied, len(batch), err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.Len() != nIDs || calls.Load() != nIDs {
+		t.Fatalf("Len() = %d, auto ran %d times; want %d and %d", s.Len(), calls.Load(), nIDs, nIDs)
+	}
+}
+
+// TestDeliverRecordsAllocs pins the batched write's allocations: one
+// 512-record delivery into registered objects on a 16-shard store
+// allocates its shard sort and nothing per record.
+func TestDeliverRecordsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const nRecs, calls, limit = 512, 20, 8 << 10
+	s := New()
+	batch := make([]wire.Record, nRecs)
+	for i := range batch {
+		id := fmt.Sprintf("veh-%03d", i)
+		if err := s.Register(ObjectID(id), core.LinearPredictor{}); err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = ingestRecord(id, 1, 0, geo.Pt(float64(i%32)*100, float64(i/32)*100))
+	}
+	deliver := func(seq uint32) {
+		for i := range batch {
+			batch[i].Update.Report.Seq = seq
+		}
+		if applied, err := s.DeliverRecords(batch, nil); applied != nRecs || err != nil {
+			t.Fatalf("applied %d, err %v", applied, err)
+		}
+	}
+	deliver(1) // every object's first report enters the index
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := 0; c < calls; c++ {
+		deliver(uint32(c + 2))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > limit {
+		t.Fatalf("one %d-record DeliverRecords allocates %d bytes, want <= %d", nRecs, per, limit)
+	}
+}
+
+// TestTransportsCountPartlyRejectedBatch: an in-process transport counts
+// a record delivered once it hands it to the store, whether or not the
+// store knows the object, so Sent == Delivered + Dropped for a batch the
+// store partly rejects. The sink's error still reaches the sender where
+// the transport carries one.
+func TestTransportsCountPartlyRejectedBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		open    func(*Service) wire.Transport
+		wantErr bool
+	}{
+		{"loopback", func(s *Service) wire.Transport { return wire.NewLoopback(s.Sink(nil)) }, true},
+		{"simlink", func(s *Service) wire.Transport {
+			return wire.NewSimLink(netsim.NewLink(1, 0, 0, 0), s.Sink(nil))
+		}, true},
+		// The stream's acknowledgement carries the applied count only.
+		{"stream", func(s *Service) wire.Transport {
+			return wire.NewStreamLoopback(wire.StreamServer{Deliver: func(recs []wire.Record) (int, error) {
+				return s.DeliverRecords(recs, nil)
+			}})
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			if err := s.Register("car1", core.LinearPredictor{}); err != nil {
+				t.Fatal(err)
+			}
+			tr := tc.open(s)
+			batch := []wire.Record{ingestRecord("car1", 1, 0, geo.Pt(1, 2)), ingestRecord("ghost", 1, 0, geo.Pt(3, 4))}
+			err := errors.Join(tr.Send(0, batch), tr.Flush(0))
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if s.UpdatesApplied() != 1 {
+				t.Fatalf("UpdatesApplied = %d, want 1", s.UpdatesApplied())
+			}
+			st := tr.Stats()
+			if st.Sent != 2 || st.Sent != st.Delivered+st.Dropped || st.BytesSent != st.BytesDelivered {
+				t.Fatalf("stats %+v: want Sent 2 == Delivered + Dropped, bytes alike", st)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/roadmap"
+	"mapdr/internal/wire"
 )
 
 // withinScanRef and nearestScanRef alias the exported scan oracle
@@ -136,12 +137,12 @@ func TestLiveIndexMatchesScanUnderChurn(t *testing.T) {
 
 			for round := 0; round < 25; round++ {
 				now := float64(round) * 10
-				var batch []Update
+				var batch []wire.Record
 				for i := range ids {
 					switch rng.Intn(10) {
 					case 0: // silent this round
 					case 1: // stale or duplicate seq: must be rejected
-						batch = append(batch, Update{ID: ids[i], Update: core.Update{Report: mkReport(i, seqs[i], now)}})
+						batch = append(batch, wire.Record{ID: string(ids[i]), Update: core.Update{Report: mkReport(i, seqs[i], now)}})
 					case 2: // deregister + re-register (same predictor family)
 						s.Deregister(ids[i])
 						if err := s.Register(ids[i], mkPred(i)); err != nil {
@@ -150,11 +151,11 @@ func TestLiveIndexMatchesScanUnderChurn(t *testing.T) {
 						seqs[i] = 0
 					default:
 						seqs[i]++
-						batch = append(batch, Update{ID: ids[i], Update: core.Update{Report: mkReport(i, seqs[i], now)}})
+						batch = append(batch, wire.Record{ID: string(ids[i]), Update: core.Update{Report: mkReport(i, seqs[i], now)}})
 					}
 				}
 				rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
-				if err := s.ApplyBatch(batch); err != nil {
+				if _, err := s.DeliverRecords(batch, nil); err != nil {
 					t.Fatal(err)
 				}
 				if round%5 == 0 || round == 24 {
@@ -247,7 +248,7 @@ func TestLiveIndexUnboundedFallbackAndRecovery(t *testing.T) {
 }
 
 // TestConcurrentLiveIndexSameShard hammers a single shard with
-// concurrent ApplyBatch (teleporting objects across cells every round,
+// concurrent DeliverRecords (teleporting objects across cells every round,
 // plus register/deregister churn of an unbounded object) and
 // Within/Nearest readers. Under -race this proves the lock discipline
 // of the in-place index maintenance; afterwards the quiesced store must
@@ -283,11 +284,11 @@ func TestConcurrentLiveIndexSameShard(t *testing.T) {
 		defer close(done)
 		rnd := rand.New(rand.NewSource(77))
 		for seq := uint32(1); seq <= rounds; seq++ {
-			b := make([]Update, nObjs)
+			b := make([]wire.Record, nObjs)
 			for i := range ids {
-				b[i] = Update{ID: ids[i], Update: core.Update{Report: mkReport(i, seq, rnd)}}
+				b[i] = wire.Record{ID: string(ids[i]), Update: core.Update{Report: mkReport(i, seq, rnd)}}
 			}
-			if err := s.ApplyBatch(b); err != nil {
+			if _, err := s.DeliverRecords(b, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -471,7 +472,7 @@ func looseFoldsRun(seed int64) string {
 	}
 	// report draws an object's next report at stream time now: half the
 	// fleet fast and fresh, half slow and long quiet, in shared clusters.
-	report := func(id ObjectID, now float64) Update {
+	report := func(id ObjectID, now float64) wire.Record {
 		seqs[id]++
 		c := clusters[rng.Intn(len(clusters))]
 		rep := core.Report{
@@ -484,7 +485,7 @@ func looseFoldsRun(seed int64) string {
 		} else {
 			rep.T, rep.V = now-30-rng.Float64()*270, rng.Float64()*2
 		}
-		return Update{ID: id, Update: core.Update{Report: rep}}
+		return wire.Record{ID: string(id), Update: core.Update{Report: rep}}
 	}
 	// park pins a static object at an exact position.
 	park := func(id ObjectID, pos geo.Point, now float64) {
@@ -508,8 +509,8 @@ func looseFoldsRun(seed int64) string {
 		park(ObjectID(fmt.Sprintf("edge-%d", i)), pos, 0)
 	}
 	nextID := 0
-	grow := func(n int, now float64) []Update {
-		batch := make([]Update, n)
+	grow := func(n int, now float64) []wire.Record {
+		batch := make([]wire.Record, n)
 		for i := range batch {
 			id := ObjectID(fmt.Sprintf("obj-%04d", nextID))
 			nextID++
@@ -553,7 +554,7 @@ func looseFoldsRun(seed int64) string {
 	const writers = 3
 	for round := 0; round < 8; round++ {
 		now := float64(round) * 40
-		var batch []Update
+		var batch []wire.Record
 		switch round {
 		case 0:
 			batch = grow(150, now)
@@ -578,14 +579,14 @@ func looseFoldsRun(seed int64) string {
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for w := 0; w < writers; w++ {
-			var part []Update
+			var part []wire.Record
 			for i := w; i < len(batch); i += writers {
 				part = append(part, batch[i])
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := s.ApplyBatch(part); err != nil {
+				if _, err := s.DeliverRecords(part, nil); err != nil {
 					panic(err)
 				}
 			}()

@@ -7,7 +7,7 @@
 // The store is sharded: objects are distributed over N independent
 // shards by an FNV-1a hash of their id, each shard guarded by its own
 // read-write lock. Updates can be ingested one at a time (Apply) or in
-// batches (ApplyBatch) that acquire each shard lock only once; range and
+// batches (DeliverRecords) that hold each shard lock only once; range and
 // k-nearest queries fan out across the shards in parallel and merge
 // their partial answers. Each shard additionally keeps a live spatial
 // index of the last reports (a spatial.LiveGrid maintained in place by
@@ -27,11 +27,11 @@
 // The service is a real ingest server, not only a query store: updates
 // arrive through the internal/wire transport layer — in-process, over a
 // simulated lossy link, or as binary frames POSTed to the /updates HTTP
-// endpoint (NodeService.Handler) — and land in ApplyBatch either way.
+// endpoint (NodeService.Handler) — and land in DeliverRecords either way.
 //
 // Per-object prediction is incremental: each core.Server replica caches
 // a prediction cursor over its last report (invalidated automatically by
-// Apply/ApplyBatch, shared safely across concurrent query fan-outs), so
+// Apply/DeliverRecords, shared safely across concurrent query fan-outs), so
 // a stream of Nearest/Within/Position calls at advancing times costs
 // O(time delta) per object instead of a road-graph re-walk from each
 // object's report — the dominant cost for map-predicted fleets in the
@@ -40,7 +40,6 @@ package locserv
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -68,13 +67,6 @@ type ObjectPos struct {
 	// object (0 before its first report). A replicated cluster merges
 	// per-node answers on it: the highest Seq is the freshest copy.
 	Seq uint32
-}
-
-// Update pairs an object id with a protocol update message, the unit of
-// batched ingestion via ApplyBatch.
-type Update struct {
-	ID     ObjectID
-	Update core.Update
 }
 
 // DefaultShards is the shard count used by New. It trades lock
@@ -111,7 +103,7 @@ type Service struct {
 	// /stats and capacity monitoring.
 	health IndexHealth
 	// Latency histograms for the three query families and batched
-	// ingest. Nearest/Within/ApplyBatch record every call (one Record is
+	// ingest. Nearest/Within/DeliverRecords record every call (one Record is
 	// two atomic adds, trivial next to a fan-out); Position is the
 	// nanosecond-scale hot path, so it samples 1 in stalenessSample
 	// calls — the common case pays a single atomic add.
@@ -297,7 +289,7 @@ func NewSharded(n int) *Service {
 		qWithin: reg.Histogram("mapdr_node_query_within_seconds",
 			"Wall-clock latency of range queries.", obs.TicksSeconds),
 		ingestBatch: reg.Histogram("mapdr_node_ingest_batch_seconds",
-			"Wall-clock latency of batched update ingestion (ApplyBatch).", obs.TicksSeconds),
+			"Wall-clock latency of batched update ingestion (DeliverRecords).", obs.TicksSeconds),
 		ansAge: reg.Histogram("mapdr_node_answer_age_seconds",
 			"Prediction age behind query answers: query time minus report time, simulation seconds.", obs.TicksSeconds),
 		ansUS: reg.Histogram("mapdr_node_answer_us_meters",
@@ -351,6 +343,15 @@ func (s *Service) Register(id ObjectID, pred core.Predictor) error {
 	if _, dup := sh.objs[id]; dup {
 		return fmt.Errorf("locserv: object %q already registered", id)
 	}
+	s.registerLocked(sh, id, pred)
+	sh.mutatedLocked()
+	return nil
+}
+
+// registerLocked adds id, not yet present, to sh under the write lock
+// the caller holds and returns its entry. The caller closes the hold
+// with mutatedLocked.
+func (s *Service) registerLocked(sh *shard, id ObjectID, pred core.Predictor) *objEntry {
 	e := &objEntry{id: id, srv: core.NewServer(pred), bounded: core.BoundsDisplacement(pred)}
 	if e.bounded {
 		e.db, _ = pred.(core.DisplacementBounded)
@@ -358,9 +359,8 @@ func (s *Service) Register(id ObjectID, pred core.Predictor) error {
 		sh.unbounded++
 	}
 	sh.objs[id] = e
-	sh.mutatedLocked()
 	s.count.Add(1)
-	return nil
+	return e
 }
 
 // Deregister removes an object.
@@ -399,90 +399,6 @@ func (s *Service) Apply(id ObjectID, u core.Update) error {
 		s.appliedBytes.Add(int64(u.Report.EncodedSize()))
 	}
 	return nil
-}
-
-// ApplyBatch ingests a batch of updates, grouping them by shard so each
-// shard lock is acquired exactly once per call. Updates for unknown
-// objects are skipped and reported in the returned error; all remaining
-// updates are still applied.
-func (s *Service) ApplyBatch(batch []Update) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	start := time.Now()
-	defer func() { s.ingestBatch.RecordDur(time.Since(start)) }()
-	var errs []error
-	n := len(s.shards)
-	if n == 1 {
-		var applied, bytes int64
-		errs, applied, bytes = s.shards[0].applyIdx(batch, nil, errs)
-		s.applied.Add(applied)
-		s.appliedBytes.Add(bytes)
-		return errors.Join(errs...)
-	}
-	// Counting sort of batch indices by shard: one hash pass, no copies
-	// of the (fairly large) Update values.
-	starts := make([]int32, n+1)
-	shardOf := make([]int32, len(batch))
-	for i := range batch {
-		sh := int32(shardIndex(batch[i].ID, n))
-		shardOf[i] = sh
-		starts[sh+1]++
-	}
-	for i := 0; i < n; i++ {
-		starts[i+1] += starts[i]
-	}
-	order := make([]int32, len(batch))
-	fill := append([]int32(nil), starts[:n]...)
-	for i := range batch {
-		sh := shardOf[i]
-		order[fill[sh]] = int32(i)
-		fill[sh]++
-	}
-	var applied, bytes int64
-	for sh := 0; sh < n; sh++ {
-		if starts[sh] == starts[sh+1] {
-			continue
-		}
-		var a, b int64
-		errs, a, b = s.shards[sh].applyIdx(batch, order[starts[sh]:starts[sh+1]], errs)
-		applied += a
-		bytes += b
-	}
-	s.applied.Add(applied)
-	s.appliedBytes.Add(bytes)
-	return errors.Join(errs...)
-}
-
-// applyIdx applies batch[order[...]] (or the whole batch when order is
-// nil) under one lock acquisition, appending an error per unknown
-// object and counting accepted updates and their wire bytes.
-func (sh *shard) applyIdx(batch []Update, order []int32, errs []error) (_ []error, applied, bytes int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	apply := func(u *Update) {
-		e, ok := sh.objs[u.ID]
-		if !ok {
-			errs = append(errs, fmt.Errorf("locserv: unknown object %q", u.ID))
-			return
-		}
-		if e.srv.Apply(u.Update) {
-			applied++
-			bytes += int64(u.Update.Report.EncodedSize())
-			sh.noteAppliedLocked(e)
-		}
-	}
-	if order == nil {
-		for i := range batch {
-			apply(&batch[i])
-		}
-	} else {
-		for _, i := range order {
-			apply(&batch[i])
-		}
-	}
-	sh.mutatedLocked()
-	return errs, applied, bytes
 }
 
 // Position answers a position query for one object at time t.

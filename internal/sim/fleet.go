@@ -38,7 +38,7 @@ type FleetResult struct {
 // that time.
 //
 // Updates travel through a wire.Transport. The default is the
-// in-process loopback into the service's batched ApplyBatch path —
+// in-process loopback into the service's batched DeliverRecords path —
 // bit-identical to applying the batches directly. A SimLink transport
 // adds latency/loss between the fleet and the service; an HTTP client
 // transport drives a real location server over the network (the
@@ -212,7 +212,7 @@ func (f *Fleet) Run() (*FleetResult, error) {
 
 			// Ship the round's updates through the transport and deliver
 			// everything due by the round time; for the loopback default
-			// this is one batched ApplyBatch, one lock acquisition per
+			// this is one batched DeliverRecords, one lock acquisition per
 			// shard for the whole round.
 			var batch []wire.Record
 			more := false

@@ -147,7 +147,7 @@ func TestRunExplicitLoopbackTransport(t *testing.T) {
 }
 
 // directFleetRun replicates the pre-refactor Fleet.Run (sequential,
-// batches applied straight to Service.ApplyBatch) for the equivalence
+// batches applied straight to Service.DeliverRecords) for the equivalence
 // proof.
 func directFleetRun(t *testing.T, svc *locserv.Service, objs []FleetObject) *FleetResult {
 	t.Helper()
@@ -168,7 +168,7 @@ func directFleetRun(t *testing.T, svc *locserv.Service, objs []FleetObject) *Fle
 	var errN int
 	for tt := 0.0; ; tt = math.Min(tt+1, tEnd) {
 		for {
-			var batch []locserv.Update
+			var batch []wire.Record
 			var queries []posQuery
 			more := false
 			for _, st := range states {
@@ -180,18 +180,18 @@ func directFleetRun(t *testing.T, svc *locserv.Service, objs []FleetObject) *Fle
 				st.next++
 				res.Samples++
 				if u, ok := st.obj.Source.OnSample(trace.Sample{T: s.T, Pos: s.Pos}); ok {
-					batch = append(batch, locserv.Update{ID: st.obj.ID, Update: u})
+					batch = append(batch, wire.Record{ID: string(st.obj.ID), Update: u})
 				}
 				queries = append(queries, posQuery{id: st.obj.ID, t: s.T, truth: s})
 				if st.next < tr.Len() && tr.Samples[st.next].T <= tt {
 					more = true
 				}
 			}
-			if err := svc.ApplyBatch(batch); err != nil {
+			if _, err := svc.DeliverRecords(batch, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, u := range batch {
-				res.Updates[u.ID]++
+				res.Updates[locserv.ObjectID(u.ID)]++
 			}
 			for _, q := range queries {
 				if p, ok := svc.Position(q.id, q.t); ok {

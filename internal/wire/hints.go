@@ -34,7 +34,7 @@ type HintBuffer struct {
 	drainSince float64 // since at the moment of the last Drain, for Readd
 	hadSince   bool
 
-	hinted    int64 // records offered to Add
+	hinted    int64 // records offered to AddAt
 	coalesced int64 // records superseded by a fresher hint for the same id
 	dropped   int64 // records rejected because the buffer was full
 	drained   int64 // records handed back by Drain and not re-buffered
@@ -52,8 +52,8 @@ type HintStats struct {
 	// after a failed replay.
 	Hinted, Coalesced, Dropped, Drained, Requeued int64
 	// Since is the transport clock when the oldest currently-buffered
-	// hint was first added; valid only when HasSince is true (the adds
-	// carried a clock and the buffer is non-empty).
+	// hint was first added; valid only when HasSince is true (the
+	// buffer is non-empty).
 	Since    float64
 	HasSince bool
 }
@@ -71,27 +71,14 @@ func NewHintBuffer(capacity int) *HintBuffer {
 	return &HintBuffer{byID: make(map[string]Record), cap: capacity}
 }
 
-// Add buffers recs, keeping per object only the record with the highest
-// Seq. It returns how many records were newly buffered or replaced a
-// staler hint. Adds through Add carry no clock; deadline accounting
-// starts only with AddAt.
-func (h *HintBuffer) Add(recs []Record) (buffered int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.add(recs, 0, false)
-}
-
-// AddAt is Add stamping the transport clock: if the buffer is empty,
-// now becomes Since — the deadline clock a coordinator reads to decide
-// when a member has been hinted-at for too long.
+// AddAt buffers recs, keeping per object only the record with the
+// highest Seq, and returns how many records were newly buffered or
+// replaced a staler hint. If the buffer was empty, now becomes Since —
+// the deadline clock a coordinator reads to decide when a member has
+// been hinted-at for too long.
 func (h *HintBuffer) AddAt(now float64, recs []Record) (buffered int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.add(recs, now, true)
-}
-
-// add implements Add/AddAt; callers hold the mutex.
-func (h *HintBuffer) add(recs []Record, now float64, haveNow bool) (buffered int) {
 	for i := range recs {
 		h.hinted++
 		prev, ok := h.byID[recs[i].ID]
@@ -110,14 +97,14 @@ func (h *HintBuffer) add(recs []Record, now float64, haveNow bool) (buffered int
 			buffered++
 		}
 	}
-	if haveNow && len(h.byID) > 0 && !h.hasSince {
+	if len(h.byID) > 0 && !h.hasSince {
 		h.since, h.hasSince = now, true
 	}
 	return buffered
 }
 
 // Readd re-buffers records a Drain handed out but a failed replay could
-// not deliver. Unlike Add it is capacity-exempt — a drained record may
+// not deliver. Unlike AddAt it is capacity-exempt — a drained record may
 // be the last copy of its object anywhere, so it must never be dropped
 // because the buffer refilled while the replay was in flight — and it
 // does not count toward Hinted (the records were already counted on

@@ -14,9 +14,9 @@ func hintRec(id string, seq uint32) Record {
 
 func TestHintBufferCoalescesOnFreshestSeq(t *testing.T) {
 	h := NewHintBuffer(0)
-	h.Add([]Record{hintRec("a", 1), hintRec("b", 5), hintRec("a", 3)})
+	h.AddAt(0, []Record{hintRec("a", 1), hintRec("b", 5), hintRec("a", 3)})
 	// A stale re-add must not regress the buffered record.
-	h.Add([]Record{hintRec("a", 2)})
+	h.AddAt(0, []Record{hintRec("a", 2)})
 	if h.Len() != 2 {
 		t.Fatalf("len %d, want 2", h.Len())
 	}
@@ -42,13 +42,13 @@ func TestHintBufferCoalescesOnFreshestSeq(t *testing.T) {
 func TestHintBufferCapacity(t *testing.T) {
 	h := NewHintBuffer(3)
 	for i := 0; i < 10; i++ {
-		h.Add([]Record{hintRec(fmt.Sprintf("obj-%02d", i), 1)})
+		h.AddAt(0, []Record{hintRec(fmt.Sprintf("obj-%02d", i), 1)})
 	}
 	if h.Len() != 3 {
 		t.Fatalf("len %d, want capacity 3", h.Len())
 	}
 	// Fresher hints for already-buffered objects still land at capacity.
-	h.Add([]Record{hintRec("obj-00", 9)})
+	h.AddAt(0, []Record{hintRec("obj-00", 9)})
 	if got := h.Drain()[0].Update.Report.Seq; got != 9 {
 		t.Fatalf("capacity blocked a coalescing update: seq %d", got)
 	}
@@ -58,14 +58,14 @@ func TestHintBufferCapacity(t *testing.T) {
 }
 
 // TestHintBufferReaddAtCapacity pins the bug the cluster's drainHints
-// used to have: a failed replay re-adding through Add loses records to
+// used to have: a failed replay re-adding through AddAt loses records to
 // a buffer that refilled mid-drain. Readd is capacity-exempt.
 func TestHintBufferReaddAtCapacity(t *testing.T) {
 	h := NewHintBuffer(3)
-	h.Add([]Record{hintRec("a", 1), hintRec("b", 1), hintRec("c", 1)})
+	h.AddAt(0, []Record{hintRec("a", 1), hintRec("b", 1), hintRec("c", 1)})
 	drained := h.Drain()
 	// The buffer refills to capacity while the replay is in flight.
-	h.Add([]Record{hintRec("x", 1), hintRec("y", 1), hintRec("z", 1)})
+	h.AddAt(0, []Record{hintRec("x", 1), hintRec("y", 1), hintRec("z", 1)})
 	if h.Len() != 3 {
 		t.Fatalf("len %d, want 3", h.Len())
 	}
@@ -94,10 +94,10 @@ func TestHintBufferReaddAtCapacity(t *testing.T) {
 // superseded by a fresher hint between Drain and Readd is discarded.
 func TestHintBufferReaddAccounting(t *testing.T) {
 	h := NewHintBuffer(0)
-	h.Add([]Record{hintRec("a", 1), hintRec("b", 2)})
+	h.AddAt(0, []Record{hintRec("a", 1), hintRec("b", 2)})
 	drained := h.Drain()
 	// A fresher hint for "a" lands while the replay is out.
-	h.Add([]Record{hintRec("a", 9)})
+	h.AddAt(0, []Record{hintRec("a", 9)})
 	h.Readd(drained)
 	if h.Len() != 2 {
 		t.Fatalf("len %d, want 2", h.Len())
@@ -195,7 +195,7 @@ func TestHintBufferConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				h.Add([]Record{hintRec(fmt.Sprintf("obj-%03d", i), uint32(w+1))})
+				h.AddAt(0, []Record{hintRec(fmt.Sprintf("obj-%03d", i), uint32(w+1))})
 				if i%32 == 0 {
 					h.Drain()
 				}

@@ -100,12 +100,9 @@ func (t *Loopback) Send(_ float64, batch []Record) error {
 	b := int64(BatchSize(batch))
 	t.c.sent.Add(n)
 	t.c.bytesSent.Add(b)
-	if err := t.sink.Deliver(batch); err != nil {
-		return err
-	}
 	t.c.delivered.Add(n)
 	t.c.bytesDelivered.Add(b)
-	return nil
+	return t.sink.Deliver(batch)
 }
 
 // Flush implements Transport; Loopback delivery is synchronous.

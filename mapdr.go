@@ -19,12 +19,12 @@
 //
 // The location service scales past a single lock: objects are hashed
 // over independently locked shards (NewShardedLocationService), updates
-// can be ingested in per-shard batches (LocationService.ApplyBatch with
-// BatchUpdate values), and k-nearest/range queries fan out across the
-// shards in parallel. The Fleet simulation harness drives many protocol
-// sources on a worker pool (Fleet.Workers) and feeds the service through
-// the batched path, so large fleets exercise the store the way a live
-// deployment would.
+// can be ingested in per-shard batches (LocationService.DeliverRecords
+// with TransportRecord values), and k-nearest/range queries fan out
+// across the shards in parallel. The Fleet simulation harness drives
+// many protocol sources on a worker pool (Fleet.Workers) and feeds the
+// service through the batched path, so large fleets exercise the store
+// the way a live deployment would.
 //
 // Updates cross an explicit wire/transport layer: sources and server
 // share a variable-length binary codec (EncodeUpdateFrame /
@@ -324,9 +324,6 @@ type (
 	ObjectID = locserv.ObjectID
 	// ObjectPos is a location-service query result.
 	ObjectPos = locserv.ObjectPos
-	// BatchUpdate pairs an object id with an update message for
-	// LocationService.ApplyBatch.
-	BatchUpdate = locserv.Update
 	// LocationQuerier answers position/nearest/within queries — a
 	// LocationService or a ClusterCoordinator.
 	LocationQuerier = locserv.Querier
