@@ -15,10 +15,12 @@ GO ?= go
 #   MapQueryMix            runs only (map-predictor query mix)
 #   IngestHTTP             >= 100k updates/s (frames -> POST /updates
 #                          -> DeliverRecords -> 10-NN)
-#   ClusterIngestQuery     >= 100k updates/s (4 nodes over in-process
-#                          member streams, ring-routed ingest +
-#                          merged 10-NN, every frame through the codecs)
-#   ReplicatedIngestQuery  >= 100k updates/s (the same at R=2)
+#   ClusterIngestQuery     >= 100k updates/s and <= 200 allocs/op (4
+#                          nodes over in-process member streams,
+#                          ring-routed ingest + merged 10-NN, every
+#                          frame through the codecs)
+#   ReplicatedIngestQuery  >= 100k updates/s and <= 320 allocs/op (the
+#                          same at R=2)
 #   FanInIngestQuery       runs only (two fan-in fronts, fed in turn)
 #   MemberStream           runs only (one member-stream call pair over
 #                          a loopback socket)

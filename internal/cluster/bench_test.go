@@ -7,13 +7,15 @@ package cluster
 // query merged at the coordinator riding along each batch.
 // BenchmarkClusterIngestQuery is a PR gate: it fails itself below 100k
 // updates/s sustained with the mixed query fan-out (reported as
-// updates/s) on any run of more than one op.
+// updates/s), or above 200 allocations per op (320 at R=2), on any run
+// of more than one op.
 //
 //	go test -bench=ClusterIngestQuery -benchtime=1s ./internal/cluster
 
 import (
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"mapdr/internal/core"
@@ -84,7 +86,7 @@ func BenchmarkClusterIngestQuery(b *testing.B) {
 // answers on freshest Seq — and the self-healing membership loops
 // (heartbeat detector + reweight controller) ticking alongside, so the
 // gate prices the whole production configuration. It fails itself
-// below 100k logical updates/s.
+// below 100k logical updates/s or above 320 allocations per op.
 func BenchmarkReplicatedIngestQuery(b *testing.B) {
 	benchClusterIngestQuery(b, 2)
 }
@@ -191,7 +193,9 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 	}
 
 	var records int64
+	var before, after runtime.MemStats
 	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	for n := 0; n < b.N; n++ {
 		batch := batches[n%len(batches)]
 		for i := range batch {
@@ -207,6 +211,7 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 			b.Fatal("scatter-gather returned nothing")
 		}
 	}
+	runtime.ReadMemStats(&after)
 	b.StopTimer()
 	if coord.NodeStats().UpdatesApplied == 0 {
 		b.Fatal("nothing applied")
@@ -220,6 +225,12 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 	// which times a single cold batch.
 	if b.N > 1 && rate < 100e3 {
 		b.Fatalf("%.0f updates/s, want >= 100k", rate)
+	}
+	// The update path allocates per frame, not per record, so an op —
+	// a 1024-record batch and a 10-NN query — stays under a fixed count.
+	ceiling := map[int]uint64{1: 200, 2: 320}[rf]
+	if allocs := (after.Mallocs - before.Mallocs) / uint64(b.N); b.N > 1 && !raceEnabled && allocs > ceiling {
+		b.Fatalf("%d allocs/op, want <= %d", allocs, ceiling)
 	}
 }
 

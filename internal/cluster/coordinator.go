@@ -370,8 +370,10 @@ func foldErrs(errs []error) (skipped bool, err error) {
 // counted against its breaker and its partition is hinted too. applied
 // is transport-level durability — records that reached at least one
 // live replica — except that exact selects the members' own counts
-// while partitions are disjoint. err joins the member failures and, if
-// any record reached no live replica at all, says how many.
+// while partitions are disjoint. A record without an id reaches no
+// member and counts as not applied. err joins one error per such
+// record, the member failures and, if any record reached no live
+// replica at all, says how many.
 func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 	send func(m *memberState, part []wire.Record) (int, error)) (applied int, err error) {
 	if len(batch) == 0 {
@@ -385,6 +387,10 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 	parts, err := c.route(scr, batch)
 	if err != nil {
 		return 0, err
+	}
+	var noID []error
+	for _, i := range scr.noID {
+		noID = append(noID, fmt.Errorf("cluster: record %d has no object id", i))
 	}
 	targets := scr.targets
 	counts, errs := fanOut(c, targets, nil, (*Coordinator).noteCall,
@@ -408,6 +414,9 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 	}
 	c.maybeProbe()
 	_, err = foldErrs(errs)
+	if len(noID) > 0 {
+		err = errors.Join(append(noID, err)...)
+	}
 	if exact && c.disjoint() {
 		// Unreplicated partitions are disjoint (no migration in flight, so
 		// no dual-written overlap): the per-member counts sum to the exact
@@ -419,7 +428,7 @@ func (c *Coordinator) deliver(now float64, batch []wire.Record, exact bool,
 	// Replicated partitions overlap, so per-member counts cannot be
 	// summed per record. The strict seq-gated number stays on the nodes'
 	// updates_applied counters (GET /stats, /cluster).
-	applied = len(batch)
+	applied = len(batch) - len(noID)
 	if lost := c.lostRecords(batch, failed); lost > 0 {
 		applied -= lost
 		err = errors.Join(err, fmt.Errorf(

@@ -178,6 +178,7 @@ type routeScratch struct {
 	parts   map[string][]wire.Record
 	owners  []string
 	targets []string // members with a non-empty partition, in scatter order
+	noID    []int    // indices of the batch's records without an id
 }
 
 var routePool = sync.Pool{
@@ -200,14 +201,18 @@ func releaseRouteScratch(scr *routeScratch) {
 // preserving each record's relative order, and leaves the members that
 // got a partition in scr.targets; callers hold, own scr for the
 // duration of the call and release it once the partitions are consumed.
-// Every record appears in all its owners' partitions.
+// Every record appears in all its owners' partitions, except that a
+// record without an id is skipped, as a store skips it, and its index
+// left in scr.noID.
 func (t *routingTable) route(scr *routeScratch, batch []wire.Record) (map[string][]wire.Record, error) {
 	parts := scr.parts
 	owners := scr.owners
 	defer func() { scr.owners = owners }()
+	scr.noID = scr.noID[:0]
 	for i := range batch {
 		if batch[i].ID == "" {
-			return nil, fmt.Errorf("cluster: record %d has no object id", i)
+			scr.noID = append(scr.noID, i)
+			continue
 		}
 		owners = t.ownersFor(owners[:0], batch[i].ID)
 		if len(owners) == 0 {
@@ -242,6 +247,9 @@ func (t *routingTable) lostRecords(batch []wire.Record, failed map[string]bool) 
 	lost := 0
 	owners := make([]string, 0, t.rf)
 	for i := range batch {
+		if batch[i].ID == "" { // never routed: route skipped it
+			continue
+		}
 		owners = t.ownersFor(owners[:0], batch[i].ID)
 		alive := false
 		for _, name := range owners {

@@ -1,14 +1,20 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mapdr/internal/core"
+	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
 	"mapdr/internal/wire"
 )
@@ -259,5 +265,82 @@ func TestRoutingCommitWaitsForInFlightDelivery(t *testing.T) {
 	}
 	if got := c.Nodes(); !reflect.DeepEqual(got, []string{"n1", "n2"}) {
 		t.Fatalf("nodes after the leave commit: %v", got)
+	}
+}
+
+// TestRouteSkipsRecordWithoutID: a record without an object id costs
+// only itself. The coordinator routes and delivers the rest of its
+// batch and answers POST /updates exactly as a standalone node does —
+// 8 records, 7 applied, 1 error — at R=1 and R=2.
+func TestRouteSkipsRecordWithoutID(t *testing.T) {
+	factory := func(locserv.ObjectID) core.Predictor { return core.LinearPredictor{} }
+	batch := func() []wire.Record {
+		recs := make([]wire.Record, 8)
+		for i := range recs {
+			recs[i] = wire.Record{ID: fmt.Sprintf("obj-%d", i), Update: core.Update{
+				Reason: core.ReasonDeviation,
+				Report: core.Report{Seq: 1, Pos: geo.Pt(float64(i)*10, 0), V: 1},
+			}}
+		}
+		recs[3].ID = ""
+		return recs
+	}
+	post := func(h http.Handler) wire.IngestResponse {
+		t.Helper()
+		frame, err := wire.EncodeFrame(batch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/updates", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", wire.ContentType)
+		h.ServeHTTP(w, req)
+		var resp wire.IngestResponse
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST /updates: %d %s", w.Code, w.Body)
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	want := wire.IngestResponse{Records: 8, Applied: 7, Errors: 1}
+	if got := post(locserv.NewNodeService(locserv.New(), factory).Handler()); got != want {
+		t.Fatalf("standalone node answers %+v, want %+v", got, want)
+	}
+	for _, rf := range []int{1, 2} {
+		for _, via := range []string{"DeliverRecords", "POST /updates"} {
+			t.Run(fmt.Sprintf("R=%d/%s", rf, via), func(t *testing.T) {
+				members := make([]*Member, 4)
+				for i := range members {
+					members[i] = NewLocalMember(fmt.Sprintf("n%d", i), locserv.NewNodeService(locserv.New(), factory))
+				}
+				coord, err := NewReplicated(0, rf, members...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if via == "DeliverRecords" {
+					applied, err := coord.DeliverRecords(batch())
+					if applied != 7 || err == nil || !strings.Contains(err.Error(), "record 3 has no object id") {
+						t.Fatalf("applied %d, err %v; want 7 and record 3 reported", applied, err)
+					}
+				} else if got := post(Handler(coord)); got != want {
+					t.Fatalf("coordinator answers %+v, want %+v", got, want)
+				}
+				for i, rec := range batch() {
+					if _, ok := coord.Position(locserv.ObjectID(rec.ID), 1); i != 3 && !ok {
+						t.Fatalf("%s not delivered", rec.ID)
+					}
+				}
+				if st := coord.NodeStats(); st.UpdatesApplied != int64(7*rf) {
+					t.Fatalf("members applied %d updates, want %d", st.UpdatesApplied, 7*rf)
+				}
+				for _, ms := range coord.MemberStats() {
+					if ms.Hints.Hinted != 0 {
+						t.Fatalf("member %s hinted %d records", ms.Name, ms.Hints.Hinted)
+					}
+				}
+			})
+		}
 	}
 }

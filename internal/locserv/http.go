@@ -2,7 +2,6 @@ package locserv
 
 import (
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -19,7 +18,11 @@ const maxIngestBody = 4 * (wire.MaxFrameBody + 4)
 
 // RecordSink ingests decoded update records; the HTTP ingest handler is
 // generic over it so the same endpoint fronts a single service or a
-// cluster coordinator.
+// cluster coordinator. The records are valid only during the call: the
+// handler decodes every frame of a request into one reused slice, so a
+// sink copies whatever records it keeps, and clones (strings.Clone) any
+// id it keeps, which would otherwise pin the string all its frame's ids
+// share.
 type RecordSink func(recs []wire.Record) (applied int, err error)
 
 // Handler is a store's one HTTP server, standalone or a cluster node:
@@ -156,24 +159,19 @@ func IngestHandler(sink RecordSink) http.HandlerFunc {
 		}
 		body := http.MaxBytesReader(w, r.Body, maxIngestBody)
 		var resp wire.IngestResponse
-		for {
-			recs, err := wire.ReadFrame(body)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Frames already ingested stay ingested (the store has no
-				// transactions and the protocol is idempotent per Seq),
-				// but the answer is a 400 carrying only the error text:
-				// the client is not told how many frames landed.
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
+		err := wire.ReadFrames(body, func(recs []wire.Record) {
 			resp.Records += len(recs)
-			applied, err := sink(recs)
+			applied, _ := sink(recs) // per-record failures are reflected in the counts
 			resp.Applied += applied
 			resp.Errors += len(recs) - applied
-			_ = err // per-record failures are reflected in the counts
+		})
+		if err != nil {
+			// Frames already ingested stay ingested (the store has no
+			// transactions and the protocol is idempotent per Seq), but
+			// the answer is a 400 carrying only the error text: the
+			// client is not told how many frames landed.
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		WriteJSON(w, resp)
 	}

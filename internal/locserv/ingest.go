@@ -3,6 +3,8 @@ package locserv
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"mapdr/internal/core"
@@ -12,7 +14,8 @@ import (
 // AutoRegister decides the prediction function for an object that shows
 // up on the ingest path before being registered. Returning nil rejects
 // the object. It runs under a shard's write lock, so it must not call
-// back into the store.
+// back into the store. id may share its bytes with the rest of a
+// decoded frame's ids; an AutoRegister that keeps it clones it.
 type AutoRegister func(id ObjectID) core.Predictor
 
 // DeliverRecords is the store's batched write. It applies recs in
@@ -23,6 +26,8 @@ type AutoRegister func(id ObjectID) core.Predictor
 // the error. applied is the number of records belonging to a registered
 // object — whether each advanced the replica or was a stale duplicate
 // is the replica's (seq-gated) decision, visible in UpdatesApplied.
+// DeliverRecords keeps no record and no part of recs past the call,
+// and in the steady state allocates nothing: its sort scratch is pooled.
 func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied int, err error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -33,8 +38,10 @@ func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied
 	// Counting sort of record indices by shard: one hash pass, no copies
 	// of the records. A record without an id takes no slot.
 	n := len(s.shards)
-	starts := make([]int32, n+1)
-	shardOf := make([]int32, len(recs))
+	scr := sortScratches.Get().(*sortScratch)
+	defer sortScratches.Put(scr)
+	starts := resize(&scr.starts, n+1)
+	shardOf := resize(&scr.shardOf, len(recs))
 	for i := range recs {
 		if recs[i].ID == "" {
 			errs = append(errs, fmt.Errorf("locserv: record %d has no object id", i))
@@ -48,8 +55,9 @@ func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied
 	for i := 0; i < n; i++ {
 		starts[i+1] += starts[i]
 	}
-	order := make([]int32, starts[n])
-	fill := append([]int32(nil), starts[:n]...)
+	order := resize(&scr.order, int(starts[n]))
+	fill := resize(&scr.fill, n)
+	copy(fill, starts[:n])
 	for i, sh := range shardOf {
 		if sh >= 0 {
 			order[fill[sh]] = int32(i)
@@ -64,6 +72,22 @@ func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied
 		}
 	}
 	return applied, errors.Join(errs...)
+}
+
+// sortScratch is DeliverRecords' counting-sort state, pooled so that a
+// steady stream of batches reuses it.
+type sortScratch struct {
+	starts, shardOf, order, fill []int32
+}
+
+var sortScratches = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// resize sets *buf to n zeroed entries, growing its backing array only
+// when too short, and returns it.
+func resize(buf *[]int32, n int) []int32 {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // deliverShard applies recs[order[...]], all hashed to sh, under one

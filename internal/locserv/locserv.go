@@ -44,6 +44,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -350,8 +351,11 @@ func (s *Service) Register(id ObjectID, pred core.Predictor) error {
 
 // registerLocked adds id, not yet present, to sh under the write lock
 // the caller holds and returns its entry. The caller closes the hold
-// with mutatedLocked.
+// with mutatedLocked. The stored key is a clone of id: a decoded
+// record's id shares one string with its whole frame, which the map
+// key would otherwise pin for the object's lifetime.
 func (s *Service) registerLocked(sh *shard, id ObjectID, pred core.Predictor) *objEntry {
+	id = ObjectID(strings.Clone(string(id)))
 	e := &objEntry{id: id, srv: core.NewServer(pred), bounded: core.BoundsDisplacement(pred)}
 	if e.bounded {
 		e.db, _ = pred.(core.DisplacementBounded)

@@ -105,7 +105,9 @@ type Node interface {
 	// Deregister removes an object; unknown ids are a no-op.
 	Deregister(id ObjectID) error
 	// Deliver ingests update records (the count is how many belonged to
-	// a registered or registrable object).
+	// a registered or registrable object). recs is valid only during the
+	// call — it may be a decoder's reused slice — so an implementation
+	// copies whatever records it keeps and clones any id it keeps.
 	Deliver(recs []wire.Record) (applied int, err error)
 	// Position, Nearest and Within are the query families, with Querier
 	// semantics plus a transport error. Every answer carries the
@@ -191,7 +193,9 @@ func (n *NodeService) Deregister(id ObjectID) error {
 	return nil
 }
 
-// Deliver implements Node.
+// Deliver implements Node: DeliverRecords with the factory auto-
+// registering unknown ids. It keeps nothing of recs past the call but
+// the cloned ids of the objects it registers.
 func (n *NodeService) Deliver(recs []wire.Record) (int, error) {
 	return n.s.DeliverRecords(recs, n.new)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -75,7 +76,9 @@ func NewHintBuffer(capacity int) *HintBuffer {
 // highest Seq, and returns how many records were newly buffered or
 // replaced a staler hint. If the buffer was empty, now becomes Since —
 // the deadline clock a coordinator reads to decide when a member has
-// been hinted-at for too long.
+// been hinted-at for too long. A buffered record's id is cloned: recs
+// may be decoded records whose ids share one string with their whole
+// frame, which a hint must not pin.
 func (h *HintBuffer) AddAt(now float64, recs []Record) (buffered int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -88,12 +91,13 @@ func (h *HintBuffer) AddAt(now float64, recs []Record) (buffered int) {
 			h.coalesced++
 		case ok:
 			h.coalesced++
-			h.byID[recs[i].ID] = recs[i]
+			h.byID[prev.ID] = Record{ID: prev.ID, Update: recs[i].Update}
 			buffered++
 		case len(h.byID) >= h.cap:
 			h.dropped++
 		default:
-			h.byID[recs[i].ID] = recs[i]
+			id := strings.Clone(recs[i].ID)
+			h.byID[id] = Record{ID: id, Update: recs[i].Update}
 			buffered++
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 )
@@ -320,26 +321,40 @@ func (t *Client) Flush(float64) error { return nil }
 // Stats implements Transport.
 func (t *Client) Stats() Stats { return t.c.snapshot() }
 
-// ReadFrame reads one length-prefixed frame from r, enforcing the same
-// bounds as DecodeFrame. It returns io.EOF at a clean end of stream and
-// io.ErrUnexpectedEOF for a frame cut short, so ingest handlers can
-// loop over a request body of back-to-back frames.
-func ReadFrame(r io.Reader) ([]Record, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("wire: truncated frame header")
+// ReadFrames reads r's run of length-prefixed frames to its end and
+// hands each frame's records to each, enforcing the bounds of
+// DecodeFrame. The records are valid only during the call to each: one
+// pooled RecordBuffer decodes every frame. A clean end of r between
+// frames ends the run with a nil error; a frame cut short or failing to
+// decode stops it with an error, after each has seen the frames before.
+func ReadFrames(r io.Reader, each func([]Record)) error {
+	b := recordBuffers.Get().(*RecordBuffer)
+	defer recordBuffers.Put(b)
+	for {
+		hdr := slices.Grow(b.raw[:0], 4)[:4]
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				return fmt.Errorf("wire: truncated frame header")
+			}
+			if err == io.EOF { // clean end of stream
+				return nil
+			}
+			return err
 		}
-		return nil, err // io.EOF: clean end of stream
+		// Bound-check as u32 before the int conversion (32-bit safety).
+		bodyLen32 := binary.LittleEndian.Uint32(hdr)
+		if bodyLen32 > MaxFrameBody {
+			return fmt.Errorf("wire: frame body %d exceeds %d bytes", bodyLen32, MaxFrameBody)
+		}
+		body := slices.Grow(hdr[:0], int(bodyLen32))[:bodyLen32]
+		b.raw = body
+		if _, err := io.ReadFull(r, body); err != nil {
+			return fmt.Errorf("wire: frame body truncated: %w", err)
+		}
+		recs, err := b.Decode(body)
+		if err != nil {
+			return err
+		}
+		each(recs)
 	}
-	// Bound-check as u32 before the int conversion (32-bit safety).
-	bodyLen32 := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	if bodyLen32 > MaxFrameBody {
-		return nil, fmt.Errorf("wire: frame body %d exceeds %d bytes", bodyLen32, MaxFrameBody)
-	}
-	body := make([]byte, int(bodyLen32))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: frame body truncated: %w", err)
-	}
-	return decodeFrameBody(body)
 }

@@ -23,11 +23,7 @@ type countingIngest struct {
 
 func (c *countingIngest) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		for {
-			recs, err := ReadFrame(r.Body)
-			if err != nil {
-				break
-			}
+		ReadFrames(r.Body, func(recs []Record) {
 			c.frames.Add(1)
 			c.records.Add(int64(len(recs)))
 			for {
@@ -36,7 +32,7 @@ func (c *countingIngest) handler() http.Handler {
 					break
 				}
 			}
-		}
+		})
 		fmt.Fprint(w, `{"records":0,"applied":0}`)
 	})
 }

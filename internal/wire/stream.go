@@ -104,11 +104,12 @@ func finishStreamFrame(dst []byte, start int) []byte {
 	return dst
 }
 
-// readStreamFrame reads one stream frame from r. It returns io.EOF at a
-// clean end of stream and an error for a truncated frame, a length out
-// of bounds or an unknown kind; the payload is checked by whoever
+// readStreamFrame reads one stream frame from r, its payload into buf's
+// backing array when that holds it (buf may be nil). It returns io.EOF
+// at a clean end of stream and an error for a truncated frame, a length
+// out of bounds or an unknown kind; the payload is checked by whoever
 // decodes it.
-func readStreamFrame(r *bufio.Reader) (id uint64, kind byte, payload []byte, err error) {
+func readStreamFrame(r *bufio.Reader, buf []byte) (id uint64, kind byte, payload []byte, err error) {
 	hdr, err := r.Peek(streamHeader)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -121,7 +122,7 @@ func readStreamFrame(r *bufio.Reader) (id uint64, kind byte, payload []byte, err
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	payload = make([]byte, 0, min(size, streamChunk))
+	payload = buf[:0]
 	for len(payload) < size {
 		k := min(size-len(payload), streamChunk)
 		payload = slices.Grow(payload, k)
@@ -270,12 +271,19 @@ func (s *Stream) SendCounted(_ float64, batch []Record) (applied int, err error)
 	return SendChunked(batch, s.deliver)
 }
 
+// updateFrames lends deliver its frame buffers. A buffer goes back once
+// ship returns: every attempt of a retry writes the same frame.
+var updateFrames = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *Stream) deliver(chunk []Record, size int) (int, error) {
-	frame, err := appendChunkBody(appendStreamHeader(make([]byte, 0, streamHeader+16+size), 0, StreamUpdate), chunk)
+	buf := updateFrames.Get().(*[]byte)
+	defer updateFrames.Put(buf)
+	frame, err := appendChunkBody(appendStreamHeader((*buf)[:0], 0, StreamUpdate), chunk)
 	if err != nil {
 		return 0, err
 	}
 	frame = finishStreamFrame(frame, 0)
+	*buf = frame
 	data, err := s.c.ship(s.policy, frame, len(chunk), size, func() ([]byte, bool, error) { return s.exchange(frame) })
 	if err != nil {
 		return 0, err
@@ -410,7 +418,9 @@ func (s *Stream) answerLocal(frame []byte) ([]byte, error) {
 		}
 	}
 	binary.LittleEndian.PutUint64(frame[4:], id)
-	out, err := answerStream(nil, streamJob{id, kind, frame[streamHeader:]}, *s.local)
+	dec := recordBuffers.Get().(*RecordBuffer)
+	out, err := answerStream(nil, streamJob{id, kind, frame[streamHeader:]}, *s.local, dec)
+	recordBuffers.Put(dec)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +521,7 @@ func (sc *streamConn) run(base string, timeout time.Duration) {
 		return
 	}
 	for {
-		id, kind, payload, err := readStreamFrame(br)
+		id, kind, payload, err := readStreamFrame(br, nil)
 		if err == nil {
 			err = checkAnswer(kind, payload)
 		}
@@ -598,7 +608,11 @@ func dialStream(base string, timeout time.Duration) (net.Conn, *bufio.Reader, er
 // the response; application failures go in-band in its Err) and Deliver
 // (update frames, acknowledged with its applied count), a coordinator
 // sets Peer (its peers' frames). A frame of a kind whose field is nil is
-// a protocol error, like an unknown kind.
+// a protocol error, like an unknown kind. The records handed to Deliver
+// are valid only during the call — the next frame decodes into the same
+// slice — so Deliver copies whatever records it keeps, and clones
+// (strings.Clone) any id it keeps, which would otherwise pin the string
+// all its frame's ids share.
 type StreamServer struct {
 	Query   func(QueryRequest) QueryResponse
 	Deliver func([]Record) (applied int, err error)
@@ -643,24 +657,48 @@ type streamJob struct {
 	payload []byte
 }
 
+// streamKeep is the largest payload buffer a served connection keeps
+// for reuse; a bigger one, read for a rare huge frame, is left to the
+// collector rather than held for the connection's life.
+const streamKeep = 1 << 20
+
 // serveStream runs one upgraded connection to its end. This goroutine
 // reads frames; a fixed set of long-lived workers — warm stacks, no
 // goroutine per request — answers them, so a request held by one worker
 // never delays the next, and each answer is written whole under one
-// lock. The first malformed frame or read or write error closes the
-// connection; serveStream returns once its workers have.
+// lock. Nothing is allocated per frame in the steady state: each worker
+// owns its answer buffer and its update decoder, and hands each payload
+// buffer back to the reader through a free list once the request is
+// decoded and answered. The first malformed frame or read or write
+// error closes the connection; serveStream returns once its workers
+// have.
 func serveStream(nc net.Conn, br *bufio.Reader, srv StreamServer) {
+	workers := max(4, runtime.GOMAXPROCS(0))
 	jobs := make(chan streamJob)
+	// At most one payload per worker plus the one being read exist at
+	// once, so a free list of that size never turns a buffer away.
+	free := make(chan []byte, workers+1)
 	var wmu sync.Mutex
 	var wg sync.WaitGroup
-	for range max(4, runtime.GOMAXPROCS(0)) {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var out []byte
+			var dec RecordBuffer
 			for job := range jobs {
 				var err error
-				if out, err = answerStream(out[:0], job, srv); err == nil {
+				out, err = answerStream(out[:0], job, srv, &dec)
+				// The answer holds nothing of the payload: hand it back
+				// before the write, so the reader has it for the caller's
+				// next frame.
+				if cap(job.payload) <= streamKeep {
+					select {
+					case free <- job.payload:
+					default:
+					}
+				}
+				if err == nil {
 					wmu.Lock()
 					_, err = nc.Write(out)
 					wmu.Unlock()
@@ -672,7 +710,12 @@ func serveStream(nc net.Conn, br *bufio.Reader, srv StreamServer) {
 		}()
 	}
 	for {
-		id, kind, payload, err := readStreamFrame(br)
+		var buf []byte
+		select {
+		case buf = <-free:
+		default:
+		}
+		id, kind, payload, err := readStreamFrame(br, buf)
 		if err != nil {
 			break
 		}
@@ -683,11 +726,12 @@ func serveStream(nc net.Conn, br *bufio.Reader, srv StreamServer) {
 	wg.Wait()
 }
 
-// answerStream appends the answer frame of one request to dst. A
-// payload that does not decode exactly, or a kind srv does not serve,
-// is a protocol error. An answer body that outgrew MaxFrameBody (a
-// Within over a huge store) is replaced by an in-band error.
-func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
+// answerStream appends the answer frame of one request to dst, decoding
+// an update body with dec. A payload that does not decode exactly, or a
+// kind srv does not serve, is a protocol error. An answer body that
+// outgrew MaxFrameBody (a Within over a huge store) is replaced by an
+// in-band error.
+func answerStream(dst []byte, job streamJob, srv StreamServer, dec *RecordBuffer) ([]byte, error) {
 	start := len(dst)
 	dst = appendStreamHeader(dst, job.id, job.kind)
 	at := len(dst)
@@ -703,7 +747,7 @@ func answerStream(dst []byte, job streamJob, srv StreamServer) ([]byte, error) {
 				Err: fmt.Sprintf("wire: response body %d exceeds %d bytes", body, MaxFrameBody)})
 		}
 	case job.kind == StreamUpdate && srv.Deliver != nil:
-		recs, err := decodeFrameBody(job.payload)
+		recs, err := dec.Decode(job.payload)
 		if err != nil {
 			return nil, err
 		}

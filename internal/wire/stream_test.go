@@ -245,11 +245,11 @@ func rawStreamServer(t *testing.T, serve func(i int, nc net.Conn, br *bufio.Read
 // answerAll answers every request on the connection like echoQuery.
 func answerAll(nc net.Conn, br *bufio.Reader) {
 	for {
-		id, kind, payload, err := readStreamFrame(br)
+		id, kind, payload, err := readStreamFrame(br, nil)
 		if err != nil {
 			return
 		}
-		out, err := answerStream(nil, streamJob{id, kind, payload}, echoNode)
+		out, err := answerStream(nil, streamJob{id, kind, payload}, echoNode, new(RecordBuffer))
 		if err != nil {
 			return
 		}
@@ -287,7 +287,7 @@ func TestStreamBadFrames(t *testing.T) {
 				// with the connection; the others leave it open until
 				// the client hangs up.
 				for n := 0; n < pendingCalls; n++ {
-					if _, _, _, err := readStreamFrame(br); err != nil {
+					if _, _, _, err := readStreamFrame(br, nil); err != nil {
 						return
 					}
 				}
@@ -295,7 +295,7 @@ func TestStreamBadFrames(t *testing.T) {
 					return
 				}
 				for {
-					if _, _, _, err := readStreamFrame(br); err != nil {
+					if _, _, _, err := readStreamFrame(br, nil); err != nil {
 						return
 					}
 				}
@@ -483,8 +483,8 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	query := finishStreamFrame(AppendQueryRequest(appendStreamHeader(nil, 1, StreamQuery),
 		QueryRequest{Op: OpNearest, X: 1, Y: 2, K: 3, T: 4}), 0)
 	update := finishStreamFrame(appendFrameBody(appendStreamHeader(nil, 2, StreamUpdate), sampleBatch()), 0)
-	answer, _ := answerStream(nil, streamJob{3, StreamQuery, query[streamHeader:]}, every)
-	ack, _ := answerStream(nil, streamJob{4, StreamUpdate, update[streamHeader:]}, every)
+	answer, _ := answerStream(nil, streamJob{3, StreamQuery, query[streamHeader:]}, every, new(RecordBuffer))
+	ack, _ := answerStream(nil, streamJob{4, StreamUpdate, update[streamHeader:]}, every, new(RecordBuffer))
 	f.Add(query)
 	f.Add(update)
 	f.Add(append(answer, ack...))
@@ -494,18 +494,19 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	f.Add(oversized)
 	f.Add(finishStreamFrame(append(appendStreamHeader(nil, 5, 0), 1), 0))
 	peer := finishStreamFrame(AppendPeerRequest(appendStreamHeader(nil, 7, StreamPeer), samplePeerRequests()[0]), 0)
-	peerAnswer, _ := answerStream(nil, streamJob{7, StreamPeer, peer[streamHeader:]}, every)
+	peerAnswer, _ := answerStream(nil, streamJob{7, StreamPeer, peer[streamHeader:]}, every, new(RecordBuffer))
 	f.Add(peer)
 	f.Add(peerAnswer)
 	f.Add(finishStreamFrame(append(appendStreamHeader(nil, 8, StreamPeer), viewPastBody...), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
+		var dec RecordBuffer
 		for {
-			id, kind, payload, err := readStreamFrame(r)
+			id, kind, payload, err := readStreamFrame(r, nil)
 			if err != nil {
 				return
 			}
-			_, _ = answerStream(nil, streamJob{id, kind, payload}, every)
+			_, _ = answerStream(nil, streamJob{id, kind, payload}, every, &dec)
 			_ = checkAnswer(kind, payload)
 			switch kind {
 			case StreamQuery:

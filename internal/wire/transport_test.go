@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -113,16 +112,9 @@ func TestHTTPClientPostsFrames(t *testing.T) {
 			http.Error(w, "bad content type "+ct, http.StatusUnsupportedMediaType)
 			return
 		}
-		for {
-			recs, err := ReadFrame(r.Body)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			got = append(got, recs...)
+		if err := ReadFrames(r.Body, func(recs []Record) { got = append(got, recs...) }); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		json.NewEncoder(w).Encode(IngestResponse{Records: len(got), Applied: len(got)})
 	}))
@@ -150,16 +142,9 @@ func TestHTTPClientPostsFrames(t *testing.T) {
 func TestHTTPClientChunksOversizedBatches(t *testing.T) {
 	var got int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		for {
-			recs, err := ReadFrame(r.Body)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			got += len(recs)
+		if err := ReadFrames(r.Body, func(recs []Record) { got += len(recs) }); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}))

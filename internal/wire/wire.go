@@ -37,11 +37,25 @@
 // no upgrade token to carry one. Decoders validate every length against
 // what the input can actually hold — corrupt, truncated or adversarial
 // input produces errors, never panics or unbounded allocations.
+//
+// An update body decodes into a RecordBuffer, which keeps its record
+// slice from body to body; the ids of one body are substrings of one
+// string holding only that body's id bytes, so a body costs O(1)
+// allocations whatever its record count. The receiving paths — POST
+// /updates (ReadFrames), the node's member-stream workers and the
+// in-process member — all decode that way, so the records a sink or
+// StreamServer.Deliver receives are valid only during the call. Code
+// that keeps a record copies it, and code that keeps an id as a map key
+// clones it (strings.Clone), or the key would pin its frame's id string:
+// the store's registration and HintBuffer do.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 
 	"mapdr/internal/core"
 )
@@ -94,27 +108,41 @@ func AppendRecord(dst []byte, rec Record) []byte {
 // DecodeRecord decodes one record from the front of data, returning the
 // bytes consumed.
 func DecodeRecord(data []byte) (rec Record, n int, err error) {
+	rec, id, n, err := decodeRecord(data)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	rec.ID = string(data[id.at : id.at+id.n])
+	return rec, n, nil
+}
+
+// idSpan locates an id's bytes in a buffer: buf[at : at+n].
+type idSpan struct{ at, n int32 }
+
+// decodeRecord is DecodeRecord without the id's allocation: it returns
+// where the id lies in data beside a record whose ID is empty.
+func decodeRecord(data []byte) (rec Record, id idSpan, n int, err error) {
 	idLen, k := binary.Uvarint(data)
 	if k <= 0 || idLen > MaxIDLen {
-		return Record{}, 0, fmt.Errorf("wire: bad id length")
+		return Record{}, idSpan{}, 0, fmt.Errorf("wire: bad id length")
 	}
 	n = k
 	if uint64(len(data)-n) < idLen+1 {
-		return Record{}, 0, fmt.Errorf("wire: truncated record id")
+		return Record{}, idSpan{}, 0, fmt.Errorf("wire: truncated record id")
 	}
-	rec.ID = string(data[n : n+int(idLen)])
+	id = idSpan{int32(n), int32(idLen)}
 	n += int(idLen)
 	rec.Update.Reason = core.Reason(data[n])
 	n++
 	if !rec.Update.Reason.Valid() {
-		return Record{}, 0, fmt.Errorf("wire: unknown reason %d", rec.Update.Reason)
+		return Record{}, idSpan{}, 0, fmt.Errorf("wire: unknown reason %d", rec.Update.Reason)
 	}
 	rep, k, err := core.DecodeReport(data[n:])
 	if err != nil {
-		return Record{}, 0, err
+		return Record{}, idSpan{}, 0, err
 	}
 	rec.Update.Report = rep
-	return rec, n + k, nil
+	return rec, id, n + k, nil
 }
 
 // AppendFrame appends one frame holding batch to dst. The caller must
@@ -149,7 +177,9 @@ func EncodeFrame(batch []Record) ([]byte, error) {
 
 // DecodeFrame decodes one frame from the front of data, returning the
 // records and the bytes consumed. Trailing data (the next frame of a
-// stream) is allowed; junk inside the frame body is not.
+// stream) is allowed; junk inside the frame body is not. The records are
+// the caller's to keep; like RecordBuffer's, their ids share one
+// allocation.
 func DecodeFrame(data []byte) ([]Record, int, error) {
 	if len(data) < 4 {
 		return nil, 0, fmt.Errorf("wire: truncated frame header")
@@ -164,15 +194,37 @@ func DecodeFrame(data []byte) ([]Record, int, error) {
 	if len(data)-4 < bodyLen {
 		return nil, 0, fmt.Errorf("wire: frame body truncated (%d of %d bytes)", len(data)-4, bodyLen)
 	}
-	recs, err := decodeFrameBody(data[4 : 4+bodyLen])
+	var b RecordBuffer
+	recs, err := b.Decode(data[4 : 4+bodyLen])
 	if err != nil {
 		return nil, 0, err
 	}
 	return recs, 4 + bodyLen, nil
 }
 
-// decodeFrameBody decodes an update body, which must fill body exactly.
-func decodeFrameBody(body []byte) ([]Record, error) {
+// RecordBuffer decodes update bodies into state it keeps between calls,
+// so that decoding a body costs O(1) allocations whatever its record
+// count. The zero value is ready to use; a RecordBuffer is not safe for
+// concurrent use.
+type RecordBuffer struct {
+	recs []Record
+	ids  []idSpan // where each record's id lies in the body being decoded
+	raw  []byte   // ReadFrames' frame buffer
+}
+
+// recordBuffers lends RecordBuffers to the calls that decode one body
+// and are done with it on return (ReadFrames, the in-process member
+// stream).
+var recordBuffers = sync.Pool{New: func() any { return new(RecordBuffer) }}
+
+// Decode decodes an update body, which must fill body exactly. The
+// returned slice is the buffer's own and the next Decode overwrites it:
+// a caller that keeps records past that copies them. The ids of one
+// body are substrings of one string that holds only that body's id
+// bytes — one allocation per body, none per record — so an id kept for
+// long pins that string, and code that keeps one clones it
+// (strings.Clone).
+func (b *RecordBuffer) Decode(body []byte) ([]Record, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("wire: empty frame body")
 	}
@@ -190,17 +242,32 @@ func decodeFrameBody(body []byte) ([]Record, error) {
 	if count > uint64(len(body)-n)/minRecordSize {
 		return nil, fmt.Errorf("wire: record count %d exceeds body capacity", count)
 	}
-	recs := make([]Record, 0, count)
+	recs := slices.Grow(b.recs[:0], int(count))
+	ids := slices.Grow(b.ids[:0], int(count))
+	defer func() { b.recs, b.ids = recs[:0], ids[:0] }()
+	idBytes := 0
 	for i := uint64(0); i < count; i++ {
-		rec, k, err := DecodeRecord(body[n:])
+		rec, id, k, err := decodeRecord(body[n:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: record %d: %w", i, err)
 		}
-		n += k
+		id.at += int32(n)
+		ids = append(ids, id)
 		recs = append(recs, rec)
+		idBytes += int(id.n)
+		n += k
 	}
 	if n != len(body) {
 		return nil, fmt.Errorf("wire: %d trailing bytes in frame body", len(body)-n)
+	}
+	var sb strings.Builder
+	sb.Grow(idBytes)
+	for _, id := range ids {
+		sb.Write(body[id.at : id.at+id.n])
+	}
+	all := sb.String()
+	for i, id := range ids {
+		recs[i].ID, all = all[:id.n], all[id.n:]
 	}
 	return recs, nil
 }

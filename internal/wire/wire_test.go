@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"mapdr/internal/core"
@@ -134,19 +135,27 @@ func TestReadFrameStream(t *testing.T) {
 	batch := sampleBatch()
 	frame, _ := EncodeFrame(batch)
 	stream := append(append([]byte{}, frame...), frame...)
-	r := bytes.NewReader(stream)
-	for i := 0; i < 2; i++ {
-		recs, err := ReadFrame(r)
-		if err != nil || len(recs) != len(batch) {
-			t.Fatalf("frame %d: %v, %d records", i, err, len(recs))
+	var frames [][]Record
+	err := ReadFrames(bytes.NewReader(stream), func(recs []Record) {
+		frames = append(frames, append([]Record(nil), recs...))
+	})
+	if err != nil || len(frames) != 2 {
+		t.Fatalf("%v after %d frames, want nil after 2", err, len(frames))
+	}
+	want, _, _ := DecodeFrame(frame)
+	for i, recs := range frames {
+		if !reflect.DeepEqual(recs, want) {
+			t.Fatalf("frame %d: got %+v, want %+v", i, recs, want)
 		}
 	}
-	if _, err := ReadFrame(r); err == nil {
-		t.Fatal("expected EOF at end of stream")
-	}
-	// A frame cut short mid-body must error, not hang or panic.
-	if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-2])); err == nil {
-		t.Fatal("expected error on truncated stream")
+	// A frame cut short mid-body, or mid-header, must error, not hang or
+	// panic, after the frames before it were handed over.
+	for _, cut := range []int{2, len(frame) - 2} {
+		n := 0
+		err := ReadFrames(bytes.NewReader(stream[:len(stream)-cut]), func([]Record) { n++ })
+		if err == nil || n != 1 {
+			t.Fatalf("cut %d: %v after %d frames, want an error after 1", cut, err, n)
+		}
 	}
 }
 
@@ -174,6 +183,10 @@ func TestRecordDecodeErrors(t *testing.T) {
 // FuzzFrameDecode throws arbitrary bytes at the frame decoder: it must
 // never panic and never allocate past the input's actual capacity, and
 // anything that decodes must re-encode to a decodable equivalent frame.
+// The input also goes through a reused RecordBuffer, followed by a
+// different valid body: what the buffer decodes must match a
+// record-by-record DecodeRecord, and records copied out before the
+// second decode must survive it unchanged.
 func FuzzFrameDecode(f *testing.F) {
 	valid, _ := EncodeFrame(sampleBatch())
 	f.Add(valid)
@@ -181,8 +194,18 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(empty)
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	other := sampleBatch()
+	for i := range other {
+		other[i].ID = "other-" + other[i].ID
+	}
+	otherBody := appendFrameBody(nil, other)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n, err := DecodeFrame(data)
+		body := data // not a frame: try the bytes as a bare body
+		if err == nil {
+			body = data[4:n]
+		}
+		checkReusedDecode(t, body, otherBody)
 		if err != nil {
 			return
 		}
@@ -209,6 +232,58 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkReusedDecode decodes body, then next, through one RecordBuffer.
+// Whatever body decodes to must equal DecodeRecord's reading of it,
+// record by record, and copies of those records must come through the
+// decode of next unchanged; next, a valid body, must decode whatever
+// state body left behind.
+func checkReusedDecode(t *testing.T, body, next []byte) {
+	t.Helper()
+	var dec RecordBuffer
+	recs, err := dec.Decode(body)
+	var kept []Record
+	var keptEnc [][]byte
+	if err == nil {
+		_, off := binary.Uvarint(body[1:])
+		off++
+		for i := range recs {
+			want, k, err := DecodeRecord(body[off:])
+			if err != nil {
+				t.Fatalf("record %d: RecordBuffer decoded it, DecodeRecord: %v", i, err)
+			}
+			if recs[i].ID != want.ID || !bytes.Equal(AppendRecord(nil, recs[i]), AppendRecord(nil, want)) {
+				t.Fatalf("record %d: RecordBuffer %+v, DecodeRecord %+v", i, recs[i], want)
+			}
+			off += k
+		}
+		if off != len(body) {
+			t.Fatalf("records end at %d of %d body bytes", off, len(body))
+		}
+		kept = append(kept, recs...)
+		for i := range kept {
+			keptEnc = append(keptEnc, AppendRecord(nil, kept[i]))
+		}
+	}
+	want, err := (&RecordBuffer{}).Decode(next)
+	if err != nil {
+		t.Fatalf("fresh decode of the second body: %v", err)
+	}
+	recs2, err := dec.Decode(next)
+	if err != nil || len(recs2) != len(want) {
+		t.Fatalf("second body through the reused buffer: %d records, %v; want %d", len(recs2), err, len(want))
+	}
+	for i := range want {
+		if recs2[i].ID != want[i].ID || !bytes.Equal(AppendRecord(nil, recs2[i]), AppendRecord(nil, want[i])) {
+			t.Fatalf("second body record %d: %+v, want %+v", i, recs2[i], want[i])
+		}
+	}
+	for i := range kept {
+		if !bytes.Equal(AppendRecord(nil, kept[i]), keptEnc[i]) {
+			t.Fatalf("record %d copied out before the second decode changed after it", i)
+		}
+	}
 }
 
 func TestBatchSizeMatchesEncoding(t *testing.T) {
