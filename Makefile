@@ -9,9 +9,13 @@ GO ?= go
 # breaks; there is no stored baseline. A throughput floor judges timed
 # runs only (b.N > 1), never Go's one-op calibration probe. By entry:
 #   PredictLongQuiet       runs only (prediction walk vs cursor)
-#   SourceServerQuiet      cursor >= 5x the stateless path, ns/sample
+#   SourceServerQuiet      cursor >= 5x the stateless path, ns/sample,
+#                          and cursor <= 14 allocs/op (the samples
+#                          allocate nothing)
 #   ServerQueryFanout      runs only (one object's monotone queries)
-#   FleetSteps10k          runs only (10k-object fleet step)
+#   FleetSteps10k          <= 58,000 + 200 x GOMAXPROCS allocs/op
+#                          (10k-object fleet step; per object and per
+#                          worker, none per sample)
 #   MapQueryMix            runs only (map-predictor query mix)
 #   IngestHTTP             >= 100k updates/s (frames -> POST /updates
 #                          -> DeliverRecords -> 10-NN)

@@ -118,7 +118,7 @@ func (r *RemoteNode) Within(rect geo.Rect, t float64) ([]locserv.ObjectPos, erro
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, locserv.FromWireHits(resp.Hits)...)
+		out = locserv.AppendWireHits(out, resp.Hits)
 		if resp.Next == "" {
 			return out, nil
 		}

@@ -18,8 +18,10 @@ import (
 // t), At returns the bit-identical position Predictor.Predict(rep, t)
 // returns. Queries at non-monotone times transparently restart the walk
 // from the report, so correctness never depends on call order. A cursor
-// is bound to the report it was created with; after a new report, create
-// a new cursor (core.Server and core.Source do this automatically).
+// is bound to one report at a time; Reset re-aims it at a new report,
+// keeping the buffers it owns, and answers as a cursor newly minted for
+// that report would (core.Server and core.Source re-aim theirs on every
+// report they apply or send, so the per-sample path allocates nothing).
 //
 // Cursors are not safe for concurrent use. core.Server guards its cached
 // cursor with a mutex so location-service query fan-outs can share it.
@@ -33,6 +35,9 @@ type Cursor interface {
 	AtState(t float64) (geo.Point, float64)
 	// Report returns the report the cursor is bound to.
 	Report() Report
+	// Reset binds the cursor to rep, restarting its walk there. Every
+	// later answer is the one NewCursor(p, rep) would give.
+	Reset(rep Report)
 }
 
 // StepPredictor is a Predictor that can mint prediction cursors. All
@@ -51,7 +56,7 @@ func NewCursor(p Predictor, rep Report) Cursor {
 	if sp, ok := p.(StepPredictor); ok {
 		return sp.NewCursor(rep)
 	}
-	return statelessCursor{p: p, rep: rep}
+	return &statelessCursor{p: p, rep: rep}
 }
 
 // cursorPays reports whether caching a cursor for p beats calling
@@ -76,30 +81,36 @@ type statelessCursor struct {
 }
 
 // At implements Cursor.
-func (c statelessCursor) At(t float64) geo.Point { return c.p.Predict(c.rep, t) }
+func (c *statelessCursor) At(t float64) geo.Point { return c.p.Predict(c.rep, t) }
 
 // AtState implements Cursor.
-func (c statelessCursor) AtState(t float64) (geo.Point, float64) {
+func (c *statelessCursor) AtState(t float64) (geo.Point, float64) {
 	return finiteDiffState(c.p, c.rep, t)
 }
 
 // Report implements Cursor.
-func (c statelessCursor) Report() Report { return c.rep }
+func (c *statelessCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor.
+func (c *statelessCursor) Reset(rep Report) { c.rep = rep }
 
 // staticCursor is the cursor of StaticPredictor.
 type staticCursor struct{ rep Report }
 
 // At implements Cursor.
-func (c staticCursor) At(t float64) geo.Point { return StaticPredictor{}.Predict(c.rep, t) }
+func (c *staticCursor) At(t float64) geo.Point { return StaticPredictor{}.Predict(c.rep, t) }
 
 // AtState implements Cursor.
-func (c staticCursor) AtState(t float64) (geo.Point, float64) { return c.rep.Pos, c.rep.Heading }
+func (c *staticCursor) AtState(t float64) (geo.Point, float64) { return c.rep.Pos, c.rep.Heading }
 
 // Report implements Cursor.
-func (c staticCursor) Report() Report { return c.rep }
+func (c *staticCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor.
+func (c *staticCursor) Reset(rep Report) { c.rep = rep }
 
 // NewCursor implements StepPredictor.
-func (StaticPredictor) NewCursor(rep Report) Cursor { return staticCursor{rep: rep} }
+func (StaticPredictor) NewCursor(rep Report) Cursor { return &staticCursor{rep: rep} }
 
 // linearCursor is the cursor of LinearPredictor. Linear extrapolation is
 // closed-form, so the cursor holds no walk state; the heading is the
@@ -107,28 +118,31 @@ func (StaticPredictor) NewCursor(rep Report) Cursor { return staticCursor{rep: r
 type linearCursor struct{ rep Report }
 
 // At implements Cursor.
-func (c linearCursor) At(t float64) geo.Point { return LinearPredictor{}.Predict(c.rep, t) }
+func (c *linearCursor) At(t float64) geo.Point { return LinearPredictor{}.Predict(c.rep, t) }
 
 // AtState implements Cursor.
-func (c linearCursor) AtState(t float64) (geo.Point, float64) {
+func (c *linearCursor) AtState(t float64) (geo.Point, float64) {
 	return LinearPredictor{}.Predict(c.rep, t), c.rep.Heading
 }
 
 // Report implements Cursor.
-func (c linearCursor) Report() Report { return c.rep }
+func (c *linearCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor.
+func (c *linearCursor) Reset(rep Report) { c.rep = rep }
 
 // NewCursor implements StepPredictor.
-func (LinearPredictor) NewCursor(rep Report) Cursor { return linearCursor{rep: rep} }
+func (LinearPredictor) NewCursor(rep Report) Cursor { return &linearCursor{rep: rep} }
 
 // ctrvCursor is the cursor of CTRVPredictor: closed-form arc, with the
 // heading advanced by the turn rate (the arc tangent).
 type ctrvCursor struct{ rep Report }
 
 // At implements Cursor.
-func (c ctrvCursor) At(t float64) geo.Point { return CTRVPredictor{}.Predict(c.rep, t) }
+func (c *ctrvCursor) At(t float64) geo.Point { return CTRVPredictor{}.Predict(c.rep, t) }
 
 // AtState implements Cursor.
-func (c ctrvCursor) AtState(t float64) (geo.Point, float64) {
+func (c *ctrvCursor) AtState(t float64) (geo.Point, float64) {
 	pos := CTRVPredictor{}.Predict(c.rep, t)
 	dt := t - c.rep.T
 	if dt <= 0 || math.Abs(c.rep.Omega) < minTurnRate {
@@ -138,10 +152,13 @@ func (c ctrvCursor) AtState(t float64) (geo.Point, float64) {
 }
 
 // Report implements Cursor.
-func (c ctrvCursor) Report() Report { return c.rep }
+func (c *ctrvCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor.
+func (c *ctrvCursor) Reset(rep Report) { c.rep = rep }
 
 // NewCursor implements StepPredictor.
-func (CTRVPredictor) NewCursor(rep Report) Cursor { return ctrvCursor{rep: rep} }
+func (CTRVPredictor) NewCursor(rep Report) Cursor { return &ctrvCursor{rep: rep} }
 
 // routeCursor memoizes the route-link index of a RoutePredictor, turning
 // the per-query binary search into an amortised O(1) neighbour scan. The
@@ -169,6 +186,10 @@ func (c *routeCursor) AtState(t float64) (geo.Point, float64) {
 
 // Report implements Cursor.
 func (c *routeCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor. The link hint survives: the hinted lookup is
+// exact from any hint, and the new report is usually near the old one.
+func (c *routeCursor) Reset(rep Report) { c.rep = rep }
 
 // NewCursor implements StepPredictor.
 func (rp *RoutePredictor) NewCursor(rep Report) Cursor { return &routeCursor{rp: rp, rep: rep} }

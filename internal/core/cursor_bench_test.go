@@ -9,6 +9,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mapdr/internal/geo"
@@ -70,7 +71,8 @@ func BenchmarkPredictLongQuiet(b *testing.B) {
 // answers one position query per sample. The stateless variant wraps
 // the predictors so source and server are forced onto the re-walking
 // Predict path; the cursor variant is the default wiring. When both
-// ran, the cursor must cost at most a fifth of the stateless ns/sample.
+// ran, the cursor must cost at most a fifth of the stateless ns/sample,
+// and the cursor op must stay within its allocation ceiling.
 func BenchmarkSourceServerQuiet(b *testing.B) {
 	const samples = 1800
 	g, route, _ := quietRing(b)
@@ -85,8 +87,10 @@ func BenchmarkSourceServerQuiet(b *testing.B) {
 			s -= route.Length()
 		}
 	}
-	run := func(b *testing.B, stateless bool) float64 {
+	run := func(b *testing.B, stateless bool) (perSample float64, allocs uint64) {
 		var updates int64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			var srcPred, srvPred GraphPredictor = NewMapPredictor(g), NewMapPredictor(g)
 			if stateless {
@@ -106,14 +110,23 @@ func BenchmarkSourceServerQuiet(b *testing.B) {
 				srv.Position(smp.T)
 			}
 		}
-		perSample := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / samples
+		runtime.ReadMemStats(&after)
+		perSample = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / samples
 		b.ReportMetric(perSample, "ns/sample")
 		b.ReportMetric(float64(updates)/float64(b.N), "updates/run")
-		return perSample
+		return perSample, (after.Mallocs - before.Mallocs) / uint64(b.N)
 	}
 	var stateless, cursor float64
-	b.Run("stateless", func(b *testing.B) { stateless = run(b, true) })
-	b.Run("cursor", func(b *testing.B) { cursor = run(b, false) })
+	b.Run("stateless", func(b *testing.B) { stateless, _ = run(b, true) })
+	b.Run("cursor", func(b *testing.B) {
+		var allocs uint64
+		cursor, allocs = run(b, false)
+		// The samples allocate nothing: what an op allocates is the
+		// source, the replica and their buffers, 14 objects.
+		if b.N > 1 && !raceEnabled && allocs > 14 {
+			b.Fatalf("%d allocs/op, want <= 14", allocs)
+		}
+	})
 	if stateless > 0 && cursor > 0 && stateless < 5*cursor {
 		b.Fatalf("cursor %.1f ns/sample is %.1fx faster than stateless %.1f, want >= 5x", cursor, stateless/cursor, stateless)
 	}

@@ -134,7 +134,8 @@ type mapCursor struct {
 	rep       Report
 	walk      mapWalk
 	lastTotal float64
-	scratch   []roadmap.Dir
+	scratch   []roadmap.Dir // turn alternatives, backed by buf until it outgrows it
+	buf       [8]roadmap.Dir
 }
 
 // At implements Cursor.
@@ -142,6 +143,11 @@ func (c *mapCursor) At(t float64) geo.Point { p, _ := c.AtState(t); return p }
 
 // Report implements Cursor.
 func (c *mapCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor; the turn scratch is kept.
+func (c *mapCursor) Reset(rep Report) {
+	c.rep, c.walk, c.lastTotal = rep, startWalk(rep), math.Inf(-1)
+}
 
 // AtState implements Cursor.
 func (c *mapCursor) AtState(t float64) (geo.Point, float64) {
@@ -158,9 +164,6 @@ func (c *mapCursor) AtState(t float64) (geo.Point, float64) {
 		c.walk = startWalk(c.rep)
 	}
 	c.lastTotal = total
-	if c.scratch == nil {
-		c.scratch = make([]roadmap.Dir, 0, 8)
-	}
 	return c.walk.advanceDist(c.mp.G, c.mp.Chooser, total, &c.scratch)
 }
 
@@ -171,7 +174,8 @@ type speedCappedCursor struct {
 	rep       Report
 	walk      mapWalk
 	lastTotal float64
-	scratch   []roadmap.Dir
+	scratch   []roadmap.Dir // turn alternatives, backed by buf until it outgrows it
+	buf       [8]roadmap.Dir
 }
 
 // At implements Cursor.
@@ -179,6 +183,11 @@ func (c *speedCappedCursor) At(t float64) geo.Point { p, _ := c.AtState(t); retu
 
 // Report implements Cursor.
 func (c *speedCappedCursor) Report() Report { return c.rep }
+
+// Reset implements Cursor; the turn scratch is kept.
+func (c *speedCappedCursor) Reset(rep Report) {
+	c.rep, c.walk, c.lastTotal = rep, startWalk(rep), math.Inf(-1)
+}
 
 // AtState implements Cursor.
 func (c *speedCappedCursor) AtState(t float64) (geo.Point, float64) {
@@ -193,18 +202,21 @@ func (c *speedCappedCursor) AtState(t float64) (geo.Point, float64) {
 		c.walk = startWalk(c.rep)
 	}
 	c.lastTotal = total
-	if c.scratch == nil {
-		c.scratch = make([]roadmap.Dir, 0, 8)
-	}
 	return c.walk.advanceTime(c.sp, c.rep.V, total, &c.scratch)
 }
 
 // NewCursor implements StepPredictor.
 func (mp *MapPredictor) NewCursor(rep Report) Cursor {
-	return &mapCursor{mp: mp, rep: rep, walk: startWalk(rep), lastTotal: math.Inf(-1)}
+	c := &mapCursor{mp: mp}
+	c.scratch = c.buf[:0]
+	c.Reset(rep)
+	return c
 }
 
 // NewCursor implements StepPredictor.
 func (sp *SpeedCappedMapPredictor) NewCursor(rep Report) Cursor {
-	return &speedCappedCursor{sp: sp, rep: rep, walk: startWalk(rep), lastTotal: math.Inf(-1)}
+	c := &speedCappedCursor{sp: sp}
+	c.scratch = c.buf[:0]
+	c.Reset(rep)
+	return c
 }

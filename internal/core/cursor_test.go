@@ -357,8 +357,8 @@ func TestNewCursorFallback(t *testing.T) {
 	p := nocursorPred{LinearPredictor{}}
 	rep := Report{T: 0, Pos: geo.Pt(1, 2), V: 5, Heading: 0}
 	c := NewCursor(p, rep)
-	if _, ok := c.(statelessCursor); !ok {
-		t.Fatalf("wrapped predictor got %T, want statelessCursor", c)
+	if _, ok := c.(*statelessCursor); !ok {
+		t.Fatalf("wrapped predictor got %T, want *statelessCursor", c)
 	}
 	if got, want := c.At(10), p.Predict(rep, 10); got != want {
 		t.Errorf("fallback At %v != %v", got, want)

@@ -9,6 +9,13 @@
 // pure prediction function over the *same* last report, so the source can
 // locally decide when the server's view exceeds the accuracy bound u_s
 // (paper §2, Fig. 1).
+//
+// Both ends evaluate that function through a prediction Cursor that
+// memoizes the road-graph walk between reports. A Source and a Server
+// each keep one cursor and re-aim it at every new report (Cursor.Reset)
+// instead of minting another, so the cursor's walk state and turn
+// scratch are reused and the per-sample deviation check and the
+// replica's position answer allocate nothing.
 package core
 
 import (

@@ -14,11 +14,13 @@ import (
 // For predictors whose evaluation walks state forward (the map-based
 // family and known-route), the server caches a prediction cursor over
 // the last report, so query streams at advancing times cost O(time
-// delta) instead of O(time since the report) each. The cursor is guarded
-// by a mutex: Position/State may be called concurrently with each other
-// (the location service's query fan-outs do), while Apply requires
-// external synchronisation against queries, as before (the location
-// service's shard lock provides it).
+// delta) instead of O(time since the report) each; Apply re-aims the
+// cursor at the new report (Cursor.Reset), so a report and the queries
+// after it allocate nothing. The cursor is guarded by a mutex:
+// Position/State may be called concurrently with each other (the
+// location service's query fan-outs do), while Apply requires external
+// synchronisation against queries, as before (the location service's
+// shard lock provides it).
 type Server struct {
 	pred Predictor
 
@@ -68,7 +70,9 @@ func (sv *Server) Apply(u Update) bool {
 	}
 	if sv.useCursor {
 		sv.curMu.Lock()
-		sv.cursor = nil
+		if sv.cursor != nil {
+			sv.cursor.Reset(u.Report)
+		}
 		sv.curMu.Unlock()
 	}
 	return true

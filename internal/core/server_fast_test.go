@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mapdr/internal/geo"
+	"mapdr/internal/roadmap"
+	"mapdr/internal/trace"
 )
 
 // TestFastLinearBitIdentical proves the server's memoized linear path
@@ -55,5 +57,96 @@ func TestFastLinearZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("linear Position allocates %.1f objects per query, want 0", avg)
+	}
+}
+
+// TestServerApplyPositionAllocs pins the replica's report path for the
+// map predictor: after the first report, Apply re-aims the existing
+// cursor (keeping its turn scratch) and Position walks it across
+// intersections, so a report and the query after it allocate nothing.
+func TestServerApplyPositionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; skipped under the race detector")
+	}
+	g, links := buildRing(t, 24, 500)
+	sv := NewServer(NewMapPredictor(g))
+	rep := Report{Seq: 1, T: 0, Pos: g.Node(0).Pt, V: 20, Heading: math.Pi / 2,
+		Link: roadmap.Dir{Link: links[0], Forward: true}}
+	sv.Apply(Update{Reason: ReasonInit, Report: rep})
+	sv.Position(1) // the first query mints the cursor
+	k := 0
+	// One run is 50 reports: AllocsPerRun rounds its mean down.
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 50; i++ {
+			k++
+			rep.Seq++
+			rep.T = float64(k)
+			rep.Link = roadmap.Dir{Link: links[k%len(links)], Forward: true}
+			rep.Pos = g.Node(roadmap.NodeID(k % len(links))).Pt
+			if !sv.Apply(Update{Reason: ReasonDeviation, Report: rep}) {
+				t.Fatal("report not applied")
+			}
+			// 40 s at 20 m/s crosses several of the ring's ~130 m links.
+			if _, ok := sv.Position(rep.T + 40); !ok {
+				t.Fatal("no position")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Server.Apply + Position: %v allocs per 50 reports, want 0", allocs)
+	}
+}
+
+// TestSourceSampleAllocs pins the source's per-sample path for the map
+// predictor: the sighting window, the map matcher and the deviation
+// check's cursor (re-aimed at every report it sends) allocate nothing
+// once warm, on quiet samples and on samples that send an update.
+func TestSourceSampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; skipped under the race detector")
+	}
+	g, links := buildRing(t, 24, 500)
+	dirs := make([]roadmap.Dir, len(links))
+	for i, l := range links {
+		dirs[i] = roadmap.Dir{Link: l, Forward: true}
+	}
+	route, err := roadmap.NewRoute(g, dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewMapSource(SourceConfig{US: 10, UP: 2, Sightings: 4}, NewMapPredictor(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The speed swings between 8 and 22 m/s, so the 10 m threshold is
+	// crossed every few samples and updates are sent throughout.
+	k, s, updates := 0, 0.0, 0
+	step := func() {
+		k++
+		s += 15 + 7*math.Sin(float64(k)/3)
+		for s >= route.Length() {
+			s -= route.Length()
+		}
+		pos, _ := route.PointAt(s)
+		if _, ok := src.OnSample(trace.Sample{T: float64(k), Pos: pos}); ok {
+			updates++
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	warm := updates
+	// One run is 50 samples: AllocsPerRun rounds its mean down, so a
+	// per-run batch keeps an occasional regrowth from hiding.
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 50; i++ {
+			step()
+		}
+	})
+	if updates-warm < 10 {
+		t.Fatalf("only %d updates during the pin; the trace must exercise the report path", updates-warm)
+	}
+	if allocs != 0 {
+		t.Errorf("Source.OnSample: %v allocs per 50 samples, want 0", allocs)
 	}
 }

@@ -69,8 +69,8 @@ type Source struct {
 	// check costs O(time since the previous sample) instead of O(time
 	// since the last update) — constant per sample instead of a full
 	// re-walk that grows with the protocol's quiet period. Nil until
-	// first use and after every new report; only kept for predictors
-	// where the memoized state pays (cursorPays).
+	// first use, then re-aimed (Cursor.Reset) at every new report; only
+	// kept for predictors where the memoized state pays (cursorPays).
 	cursor    Cursor
 	useCursor bool
 }
@@ -173,7 +173,9 @@ func (s *Source) OnSample(sample trace.Sample) (Update, bool) {
 	rep := s.buildReport(sample, v, heading, match)
 	s.last = rep
 	s.hasReport = true
-	s.cursor = nil // the cursor is bound to the replaced report
+	if s.cursor != nil {
+		s.cursor.Reset(rep) // re-aim at the new report, keeping its buffers
+	}
 	s.movedSince = 0
 	s.cfg.Threshold.OnUpdate(sample.T, 0)
 	return Update{Report: rep, Reason: reason}, true

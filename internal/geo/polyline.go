@@ -44,6 +44,30 @@ func (pl Polyline) NumSegments() int {
 	return len(pl) - 1
 }
 
+// SegGeom is the geometry of one polyline segment that a walk along
+// the polyline reads: everything about the segment that does not depend
+// on the query, computed once.
+type SegGeom struct {
+	Len     float64 // length: the distance between its vertices
+	Heading float64 // travel heading from its first vertex to its second
+	Back    float64 // travel heading the other way: NormalizeAngle(Heading + π)
+}
+
+// Geometry returns the per-segment geometry table of pl, one entry per
+// segment (nil for fewer than two vertices). Walk and ProjectWith read
+// it instead of recomputing lengths and headings per call.
+func (pl Polyline) Geometry() []SegGeom {
+	if len(pl) < 2 {
+		return nil
+	}
+	tab := make([]SegGeom, len(pl)-1)
+	for i := range tab {
+		h := pl.Segment(i).Heading()
+		tab[i] = SegGeom{Len: pl[i].Dist(pl[i+1]), Heading: h, Back: NormalizeAngle(h + math.Pi)}
+	}
+	return tab
+}
+
 // PointAtLength returns the point at arc length s from the start. s is
 // clamped to [0, Length()]. Panics on an empty polyline.
 func (pl Polyline) PointAtLength(s float64) Point {
@@ -61,23 +85,35 @@ func (pl Polyline) PosAtLength(s float64) (Point, float64) {
 	if len(pl) == 1 {
 		return pl[0], 0
 	}
+	tab := pl.Geometry()
+	p, seg := pl.Walk(tab, s)
+	return p, tab[seg].Heading
+}
+
+// Walk returns the point at arc length s from the start of pl and the
+// index of the segment holding it, reading segment lengths from tab,
+// which must be pl.Geometry() (pl has at least two vertices). s is
+// clamped to [0, Length()]: at or below 0 the walk stays at the first
+// vertex of segment 0, past the end (or for a NaN s) at the last vertex
+// of the last segment. It subtracts the segment lengths from s one by
+// one, in order: predictions rely on that order to come out bit for bit
+// the same, so it must not become a search over running sums.
+func (pl Polyline) Walk(tab []SegGeom, s float64) (Point, int) {
 	if s <= 0 {
-		return pl[0], pl.Segment(0).Heading()
+		return pl[0], 0
 	}
 	remaining := s
-	for i := 1; i < len(pl); i++ {
-		d := pl[i-1].Dist(pl[i])
+	for i := range tab {
+		d := tab[i].Len
 		if remaining <= d {
-			seg := Segment{A: pl[i-1], B: pl[i]}
 			if d == 0 {
-				return pl[i], seg.Heading()
+				return pl[i+1], i
 			}
-			return seg.PointAt(remaining / d), seg.Heading()
+			return Segment{A: pl[i], B: pl[i+1]}.PointAt(remaining / d), i
 		}
 		remaining -= d
 	}
-	last := pl.Segment(len(pl) - 2)
-	return pl[len(pl)-1], last.Heading()
+	return pl[len(pl)-1], len(tab) - 1
 }
 
 // Projection is the result of projecting a point onto a polyline.
@@ -97,12 +133,17 @@ func (pl Polyline) Project(p Point) PolylineProjection {
 	if len(pl) == 1 {
 		return PolylineProjection{Point: pl[0], Offset: 0, Dist: p.Dist(pl[0])}
 	}
+	return pl.ProjectWith(pl.Geometry(), p)
+}
+
+// ProjectWith is Project over a polyline of at least two vertices whose
+// segment lengths are read from tab, which must be pl.Geometry().
+func (pl Polyline) ProjectWith(tab []SegGeom, p Point) PolylineProjection {
 	best := PolylineProjection{Dist: math.Inf(1)}
 	var walked float64
-	for i := 0; i < len(pl)-1; i++ {
-		seg := Segment{A: pl[i], B: pl[i+1]}
-		segLen := seg.Length()
-		q, t := seg.ClosestPoint(p)
+	for i := range tab {
+		segLen := tab[i].Len
+		q, t := Segment{A: pl[i], B: pl[i+1]}.ClosestPoint(p)
 		d := p.Dist(q)
 		if d < best.Dist {
 			best = PolylineProjection{

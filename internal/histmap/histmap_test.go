@@ -239,7 +239,7 @@ func TestLearnTurnsAtJunction(t *testing.T) {
 	// The learned map must contain a junction (some node with 3 ways out).
 	junction := false
 	for _, n := range res.Graph.Nodes() {
-		if len(res.Graph.Outgoing(n.ID, roadmap.NoDir)) >= 3 {
+		if len(res.Graph.OutgoingAppend(nil, n.ID, roadmap.NoDir)) >= 3 {
 			junction = true
 		}
 	}

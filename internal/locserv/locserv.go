@@ -161,9 +161,13 @@ type IndexHealth struct {
 // Instrumentation sampling: every stalenessSample-th Position call
 // records its latency and its answer's report age / effective u_s;
 // every stalenessSample-th Nearest/Within answer walks up to
-// stalenessMaxHits of its hits for the same staleness gauges. Sampling
-// keeps the per-query overhead in the noise while the histograms stay
-// statistically faithful.
+// stalenessMaxHits of its hits for the same staleness gauges. At 1 in 4
+// the cost is not in the noise: in a CPU profile of the benchmark's
+// protocol_city workload, Position's sampled branch (the tick, two clock
+// reads, three histogram records) took 7.3 % of the process, and 11.7 %
+// once the prediction beneath it got cheaper (one profile each). A lower
+// rate would also thin the staleness gauges, so the rate stays until a
+// measurement settles the trade.
 const (
 	stalenessSample  = 4 // must be a power of two
 	stalenessMaxHits = 32

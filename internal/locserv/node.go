@@ -10,6 +10,7 @@ package locserv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -364,13 +365,15 @@ func toWireHits(hits []ObjectPos, withDist bool) []wire.QueryHit {
 
 // FromWireHits converts wire hits back to query results. Empty stays
 // nil, matching what the Querier methods return for empty answers.
-func FromWireHits(hits []wire.QueryHit) []ObjectPos {
-	if len(hits) == 0 {
-		return nil
+func FromWireHits(hits []wire.QueryHit) []ObjectPos { return AppendWireHits(nil, hits) }
+
+// AppendWireHits appends the query results of hits to dst and returns
+// the extended slice, so a paged answer converts each page straight into
+// its result. Appending nothing to nil stays nil.
+func AppendWireHits(dst []ObjectPos, hits []wire.QueryHit) []ObjectPos {
+	dst = slices.Grow(dst, len(hits))
+	for _, h := range hits {
+		dst = append(dst, ObjectPos{ID: ObjectID(h.ID), Pos: geo.Pt(h.X, h.Y), Dist: h.Dist, Seq: uint32(h.Seq)})
 	}
-	out := make([]ObjectPos, len(hits))
-	for i, h := range hits {
-		out[i] = ObjectPos{ID: ObjectID(h.ID), Pos: geo.Pt(h.X, h.Y), Dist: h.Dist, Seq: uint32(h.Seq)}
-	}
-	return out
+	return dst
 }

@@ -12,6 +12,7 @@ import (
 
 	"mapdr/internal/geo"
 	"mapdr/internal/roadmap"
+	"mapdr/internal/spatial"
 )
 
 // Event classifies what happened on one matcher update.
@@ -97,6 +98,14 @@ type Matcher struct {
 	history     []roadmap.NodeID
 	lastAttempt float64
 	everMatched bool
+
+	// Scratch the matcher owns and reuses on every Feed, so matching a
+	// sample allocates nothing once the buffers have grown: candidate
+	// links at intersections, the nodes back-tracking revisits, and the
+	// spatial index's working memory for acquisition.
+	alts  []roadmap.Dir
+	nodes []roadmap.NodeID
+	near  spatial.NearestScratch
 }
 
 // dirHysteresis is the canonical-offset regression (metres) past the
@@ -117,7 +126,11 @@ func New(g *roadmap.Graph, cfg Config) *Matcher {
 	if cfg.BacktrackDepth <= 0 {
 		cfg.BacktrackDepth = 1
 	}
-	return &Matcher{g: g, cfg: cfg, lastAttempt: math.Inf(-1)}
+	return &Matcher{
+		g: g, cfg: cfg, lastAttempt: math.Inf(-1),
+		history: make([]roadmap.NodeID, 0, cfg.BacktrackDepth),
+		alts:    make([]roadmap.Dir, 0, 8),
+	}
 }
 
 // Matched reports whether the matcher currently has a link.
@@ -209,7 +222,7 @@ func (m *Matcher) tryAcquire(t float64, p geo.Point, heading float64) Result {
 		return Result{Event: EventSearching}
 	}
 	m.lastAttempt = t
-	match, ok := m.g.NearestLink(p, m.cfg.MatchRadius)
+	match, ok := m.g.NearestLinkWith(p, m.cfg.MatchRadius, &m.near)
 	if !ok {
 		return Result{Event: EventSearching}
 	}
@@ -266,9 +279,9 @@ func (m *Matcher) updateDirection(canon float64) {
 func (m *Matcher) switchToBetter(p geo.Point, curDist float64) (Result, bool) {
 	endNode := m.g.Link(m.cur.Link).EndNode(m.cur.Forward)
 	startNode := m.g.Link(m.cur.Link).StartNode(m.cur.Forward)
-	alts := m.g.Outgoing(endNode, m.cur)
-	alts = append(append([]roadmap.Dir(nil), alts...), m.g.Outgoing(startNode, m.cur)...)
-	best, proj, ok := m.nearestAlt(p, alts)
+	m.alts = m.g.OutgoingAppend(m.alts[:0], endNode, m.cur)
+	m.alts = m.g.OutgoingAppend(m.alts, startNode, m.cur)
+	best, proj, ok := m.nearestAlt(p, m.alts)
 	if !ok || proj.Dist > curDist/2 {
 		return Result{}, false
 	}
@@ -291,15 +304,15 @@ func (m *Matcher) switchToBetter(p geo.Point, curDist float64) (Result, bool) {
 // u_m becomes the new current link (paper §3).
 func (m *Matcher) forwardTrack(p geo.Point) (Result, bool) {
 	node := m.g.Link(m.cur.Link).EndNode(m.cur.Forward)
-	alts := m.g.Outgoing(node, m.cur)
-	if len(alts) == 0 {
+	m.alts = m.g.OutgoingAppend(m.alts[:0], node, m.cur)
+	if len(m.alts) == 0 {
 		// Dead end: the only possibility is a U-turn onto the same link.
-		alts = []roadmap.Dir{{Link: m.cur.Link, Forward: !m.cur.Forward}}
 		if m.g.Link(m.cur.Link).OneWay {
 			return Result{}, false
 		}
+		m.alts = append(m.alts, roadmap.Dir{Link: m.cur.Link, Forward: !m.cur.Forward})
 	}
-	best, proj, ok := m.nearestAlt(p, alts)
+	best, proj, ok := m.nearestAlt(p, m.alts)
 	if !ok {
 		return Result{}, false
 	}
@@ -315,13 +328,13 @@ func (m *Matcher) forwardTrack(p geo.Point) (Result, bool) {
 // selected the wrong link and tries to correct this", paper §3).
 func (m *Matcher) backTrack(p geo.Point) (Result, bool) {
 	// The most recent intersection is the start of the current travel.
-	nodes := []roadmap.NodeID{m.g.Link(m.cur.Link).StartNode(m.cur.Forward)}
-	for i := len(m.history) - 1; i >= 0 && len(nodes) < m.cfg.BacktrackDepth; i-- {
-		nodes = append(nodes, m.history[i])
+	m.nodes = append(m.nodes[:0], m.g.Link(m.cur.Link).StartNode(m.cur.Forward))
+	for i := len(m.history) - 1; i >= 0 && len(m.nodes) < m.cfg.BacktrackDepth; i-- {
+		m.nodes = append(m.nodes, m.history[i])
 	}
-	for _, node := range nodes {
-		alts := m.g.Outgoing(node, m.cur)
-		best, proj, ok := m.nearestAlt(p, alts)
+	for _, node := range m.nodes {
+		m.alts = m.g.OutgoingAppend(m.alts[:0], node, m.cur)
+		best, proj, ok := m.nearestAlt(p, m.alts)
 		if !ok {
 			continue
 		}
@@ -350,11 +363,15 @@ func (m *Matcher) nearestAlt(p geo.Point, alts []roadmap.Dir) (roadmap.Dir, geo.
 	return best, bestProj, best.IsValid()
 }
 
+// pushHistory records an intersection passed, keeping the last
+// BacktrackDepth of them; a full window shifts in place.
 func (m *Matcher) pushHistory(node roadmap.NodeID) {
-	m.history = append(m.history, node)
-	if len(m.history) > m.cfg.BacktrackDepth {
-		m.history = m.history[1:]
+	if n := len(m.history); n >= m.cfg.BacktrackDepth {
+		copy(m.history, m.history[1:])
+		m.history[n-1] = node
+		return
 	}
+	m.history = append(m.history, node)
 }
 
 // result assembles a matched Result from a canonical projection.

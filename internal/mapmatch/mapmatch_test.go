@@ -247,3 +247,40 @@ func TestMatcherNoMatchFarFromMap(t *testing.T) {
 		t.Errorf("far point = %+v", r)
 	}
 }
+
+// TestMatcherFeedAllocs pins the matcher's per-sample path: after Reset,
+// a run that acquires the L network's first link through the spatial
+// index, keeps it, and forward-tracks through the corner onto the second
+// link allocates nothing — candidate links, history and index scratch
+// are buffers the matcher owns.
+func TestMatcherFeedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; skipped under the race detector")
+	}
+	g, links := buildL(t)
+	m := New(g, DefaultConfig())
+	var last Result
+	forward := 0
+	run := func() {
+		m.Reset()
+		for i := 0; i <= 18; i++ {
+			var p geo.Point
+			if i < 10 {
+				p = geo.Pt(100*float64(i)+5, 3) // east along the first link
+			} else {
+				p = geo.Pt(1002, 100*float64(i-9)) // north along the second
+			}
+			last = m.Feed(float64(i), p, math.NaN())
+			if last.Event == EventForward {
+				forward++
+			}
+		}
+	}
+	run()
+	if forward == 0 || !last.Matched || last.Dir.Link != links[1] {
+		t.Fatalf("the run must forward-track onto the second link: last %+v, %d forward events", last, forward)
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("Matcher.Feed: %v allocs per run of 19 samples, want 0", allocs)
+	}
+}

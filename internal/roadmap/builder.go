@@ -82,8 +82,10 @@ func (b *Builder) AddLink(spec LinkSpec) LinkID {
 		OneWay:     spec.OneWay,
 		Name:       spec.Name,
 	}
-	l.cum = shape.CumLengths()
-	l.length = l.cum[len(l.cum)-1]
+	l.geom = shape.Geometry()
+	for _, sg := range l.geom {
+		l.length += sg.Len
+	}
 	b.links = append(b.links, l)
 	return id
 }
@@ -117,7 +119,7 @@ func (b *Builder) Build() (*Graph, error) {
 
 // buildIndex bulk-loads every link segment into a uniform grid whose
 // cell size follows the network's segment lengths.
-func (b *Builder) buildIndex(g *Graph) spatial.Index {
+func (b *Builder) buildIndex(g *Graph) *spatial.Grid {
 	cell := b.medianSegmentLength() * 4
 	if cell < 50 {
 		cell = 50
@@ -136,9 +138,8 @@ func (b *Builder) buildIndex(g *Graph) spatial.Index {
 func (b *Builder) medianSegmentLength() float64 {
 	var lengths []float64
 	for i := range b.links {
-		sh := b.links[i].Shape
-		for s := 0; s < sh.NumSegments(); s++ {
-			lengths = append(lengths, sh.Segment(s).Length())
+		for _, sg := range b.links[i].geom {
+			lengths = append(lengths, sg.Len)
 		}
 	}
 	if len(lengths) == 0 {
@@ -176,16 +177,16 @@ func (b *Builder) validate() error {
 		if l.length <= 0 {
 			return fmt.Errorf("roadmap: link %d has zero length", i)
 		}
+		if math.IsInf(l.length, 1) {
+			// Finite shape points can still be too far apart for a
+			// float64 length; every walk along such a link would pin.
+			return fmt.Errorf("roadmap: link %d length is not finite", i)
+		}
 		if d := l.Shape[0].Dist(b.nodes[l.From].Pt); d > endpointTolerance {
 			return fmt.Errorf("roadmap: link %d start %.1fm from node %d", i, d, l.From)
 		}
 		if d := l.Shape[len(l.Shape)-1].Dist(b.nodes[l.To].Pt); d > endpointTolerance {
 			return fmt.Errorf("roadmap: link %d end %.1fm from node %d", i, d, l.To)
-		}
-		for k := 1; k < len(l.cum); k++ {
-			if l.cum[k] < l.cum[k-1] {
-				return fmt.Errorf("roadmap: link %d has non-monotonic cumulative lengths", i)
-			}
 		}
 	}
 	return nil

@@ -7,11 +7,18 @@
 // map matching, turn-probability annotations (for the "map-based with
 // probability information" protocol variant), routing for the known-route
 // baseline, and serialisation.
+//
+// Link geometry never changes once built, so the Builder computes it
+// once: every link keeps a table of its shape segments' lengths, headings
+// and reverse headings (geo.SegGeom). The shared prediction function
+// walks links on every sensor sample and every position query, and reads
+// the table instead of calling math.Hypot per vertex and math.Atan2 per
+// call; it performs the same arithmetic in the same order, so every point
+// and heading is the float64 the polyline computation gives.
 package roadmap
 
 import (
 	"fmt"
-	"math"
 
 	"mapdr/internal/geo"
 	"mapdr/internal/spatial"
@@ -88,6 +95,8 @@ type Node struct {
 // Link connects two intersections. Shape holds the full geometry: the
 // first vertex is the From node location, the last is the To node
 // location, and interior vertices are shape points.
+// The walks, headings and projections below read the segment geometry
+// table the Builder computed once (see the package comment).
 type Link struct {
 	ID         LinkID
 	From, To   NodeID
@@ -97,8 +106,8 @@ type Link struct {
 	OneWay     bool    // travel allowed only From->To
 	Name       string
 
-	cum    []float64 // cumulative arc length per shape vertex
-	length float64
+	geom   []geo.SegGeom // per shape segment, from Shape.Geometry
+	length float64       // running sum of geom lengths
 }
 
 // Length returns the arc length of the link.
@@ -115,7 +124,8 @@ func (l *Link) Speed() float64 {
 // PointAt returns the point and heading at arc length offset from the From
 // node, independent of travel direction. offset is clamped.
 func (l *Link) PointAt(offset float64) (geo.Point, float64) {
-	return l.Shape.PosAtLength(offset)
+	p, seg := l.Shape.Walk(l.geom, offset)
+	return p, l.geom[seg].Heading
 }
 
 // DirectedOffset converts an offset measured along the travel direction to
@@ -130,35 +140,35 @@ func (l *Link) DirectedOffset(offset float64, forward bool) float64 {
 // PointAtDirected returns the point and travel heading after travelling
 // offset metres along the link in the given direction.
 func (l *Link) PointAtDirected(offset float64, forward bool) (geo.Point, float64) {
-	p, h := l.Shape.PosAtLength(l.DirectedOffset(offset, forward))
+	p, seg := l.Shape.Walk(l.geom, l.DirectedOffset(offset, forward))
 	if !forward {
-		h = geo.NormalizeAngle(h + math.Pi)
+		return p, l.geom[seg].Back
 	}
-	return p, h
+	return p, l.geom[seg].Heading
 }
 
 // Project projects p onto the link geometry, returning the canonical
 // From->To offset, the projected point and the distance.
 func (l *Link) Project(p geo.Point) geo.PolylineProjection {
-	return l.Shape.Project(p)
+	return l.Shape.ProjectWith(l.geom, p)
 }
 
 // EntryHeading returns the travel heading when entering the link in the
 // given direction.
 func (l *Link) EntryHeading(forward bool) float64 {
 	if forward {
-		return l.Shape.Segment(0).Heading()
+		return l.geom[0].Heading
 	}
-	return geo.NormalizeAngle(l.Shape.Segment(l.Shape.NumSegments()-1).Heading() + math.Pi)
+	return l.geom[len(l.geom)-1].Back
 }
 
 // ExitHeading returns the travel heading when leaving the link in the
 // given direction.
 func (l *Link) ExitHeading(forward bool) float64 {
 	if forward {
-		return l.Shape.Segment(l.Shape.NumSegments() - 1).Heading()
+		return l.geom[len(l.geom)-1].Heading
 	}
-	return geo.NormalizeAngle(l.Shape.Segment(0).Heading() + math.Pi)
+	return l.geom[0].Back
 }
 
 // EndNode returns the node reached when traversing the link in the given
@@ -196,7 +206,7 @@ func (d Dir) IsValid() bool { return d.Link != NoLink }
 type Graph struct {
 	nodes []Node
 	links []Link
-	index spatial.Index
+	index *spatial.Grid
 	turns *TurnTable
 }
 
@@ -236,31 +246,12 @@ func (g *Graph) TotalLength() float64 {
 	return total
 }
 
-// Outgoing returns the directed links that can be used to leave node id.
-// Traversal that would re-enter via the excluded directed link's reverse
-// (an immediate U-turn on the same link) is filtered out when exclude is
-// valid.
-func (g *Graph) Outgoing(id NodeID, exclude Dir) []Dir {
-	out := g.nodes[id].out
-	if !exclude.IsValid() {
-		return out
-	}
-	filtered := make([]Dir, 0, len(out))
-	for _, d := range out {
-		if d.Link == exclude.Link {
-			continue
-		}
-		filtered = append(filtered, d)
-	}
-	return filtered
-}
-
-// OutgoingAppend appends the directed links usable to leave node id to
-// dst and returns the extended slice, applying the same U-turn filter as
-// Outgoing. It is the allocation-free variant for hot walk loops: the
-// caller owns dst (typically a scratch buffer re-sliced to length 0) and
-// reuses it across intersections, so the steady-state walk performs no
-// heap allocations.
+// OutgoingAppend appends the directed links that can be used to leave
+// node id to dst and returns the extended slice. Traversal that would
+// re-enter via the excluded directed link's reverse (an immediate U-turn
+// on the same link) is filtered out when exclude is valid. The caller
+// owns dst (typically a scratch buffer re-sliced to length 0) and reuses
+// it across intersections, so a steady-state walk allocates nothing.
 func (g *Graph) OutgoingAppend(dst []Dir, id NodeID, exclude Dir) []Dir {
 	for _, d := range g.nodes[id].out {
 		if exclude.IsValid() && d.Link == exclude.Link {
@@ -288,11 +279,17 @@ type LinkMatch struct {
 // projection onto its full geometry ("the link with the shortest distance
 // is then selected, if it is not farther away than u_m", paper §3).
 func (g *Graph) NearestLink(p geo.Point, maxDist float64) (LinkMatch, bool) {
-	hit, ok := g.index.Nearest(p, maxDist)
-	if !ok {
+	return g.NearestLinkWith(p, maxDist, new(spatial.NearestScratch))
+}
+
+// NearestLinkWith is NearestLink over the caller's reusable index
+// scratch, so repeated acquisitions (the map matcher's) allocate nothing.
+func (g *Graph) NearestLinkWith(p geo.Point, maxDist float64, s *spatial.NearestScratch) (LinkMatch, bool) {
+	hits := g.index.NearestKWith(p, 1, maxDist, s)
+	if len(hits) == 0 {
 		return LinkMatch{Link: NoLink}, false
 	}
-	link, _ := decodeSegID(hit.Entry.ID)
+	link, _ := decodeSegID(hits[0].Entry.ID)
 	return LinkMatch{Link: link, Proj: g.links[link].Project(p)}, true
 }
 

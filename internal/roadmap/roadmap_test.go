@@ -2,6 +2,7 @@ package roadmap
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mapdr/internal/geo"
@@ -106,12 +107,12 @@ func TestEndStartNodes(t *testing.T) {
 
 func TestOutgoing(t *testing.T) {
 	g, nodes, links := buildCross(t)
-	out := g.Outgoing(nodes[0], NoDir)
+	out := g.OutgoingAppend(nil, nodes[0], NoDir)
 	if len(out) != 4 {
 		t.Fatalf("outgoing at center = %d", len(out))
 	}
 	// Excluding the arrival link (l1 traversed forward) removes it.
-	out = g.Outgoing(nodes[0], Dir{Link: links[0], Forward: true})
+	out = g.OutgoingAppend(nil, nodes[0], Dir{Link: links[0], Forward: true})
 	if len(out) != 3 {
 		t.Fatalf("outgoing excluding arrival = %d", len(out))
 	}
@@ -121,7 +122,7 @@ func TestOutgoing(t *testing.T) {
 		}
 	}
 	// Dead-end node: only the link back.
-	out = g.Outgoing(nodes[1], NoDir)
+	out = g.OutgoingAppend(nil, nodes[1], NoDir)
 	if len(out) != 1 || out[0].Link != links[0] || !out[0].Forward {
 		t.Errorf("outgoing at n1 = %v", out)
 	}
@@ -136,10 +137,10 @@ func TestOneWayAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Outgoing(n1, NoDir)) != 0 {
+	if len(g.OutgoingAppend(nil, n1, NoDir)) != 0 {
 		t.Error("one-way link should not be traversable backwards")
 	}
-	if len(g.Outgoing(n0, NoDir)) != 1 {
+	if len(g.OutgoingAppend(nil, n0, NoDir)) != 1 {
 		t.Error("one-way link should be traversable forwards")
 	}
 }
@@ -205,6 +206,15 @@ func TestBuilderValidation(t *testing.T) {
 	b.AddLink(LinkSpec{From: n0, To: n1})
 	if _, err := b.Build(); err == nil {
 		t.Error("expected error for zero-length link")
+	}
+	// Finite vertices whose distance overflows: the length is +Inf and
+	// every walk along the link would pin at its first vertex.
+	b = NewBuilder()
+	n0 = b.AddNode(geo.Pt(-1e308, 0))
+	n1 = b.AddNode(geo.Pt(1e308, 0))
+	b.AddLink(LinkSpec{From: n0, To: n1})
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Errorf("overflowing link length: err = %v, want a not-finite length error", err)
 	}
 	// Non-finite node.
 	b = NewBuilder()

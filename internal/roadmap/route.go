@@ -192,6 +192,7 @@ func ShortestPath(g *Graph, a, b NodeID, cost CostFunc) (*Route, error) {
 	}
 	dist[a] = 0
 	pq := &nodeHeap{{node: a, dist: 0}}
+	var outs []Dir
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(nodeDist)
 		if cur.node == b {
@@ -200,7 +201,8 @@ func ShortestPath(g *Graph, a, b NodeID, cost CostFunc) (*Route, error) {
 		if cur.dist > dist[cur.node] {
 			continue
 		}
-		for _, d := range g.Outgoing(cur.node, NoDir) {
+		outs = g.OutgoingAppend(outs[:0], cur.node, NoDir)
+		for _, d := range outs {
 			next := g.Link(d.Link).EndNode(d.Forward)
 			nd := cur.dist + cost(g, d)
 			if nd < dist[next] {

@@ -34,7 +34,7 @@ func buildFork(t *testing.T) (*Graph, Dir, Dir, Dir) {
 func TestSmallestAngleChooser(t *testing.T) {
 	g, in, straight, left := buildFork(t)
 	node := g.Link(in.Link).EndNode(in.Forward)
-	alts := g.Outgoing(node, in)
+	alts := g.OutgoingAppend(nil, node, in)
 	if len(alts) != 2 {
 		t.Fatalf("alternatives = %d", len(alts))
 	}
@@ -56,7 +56,7 @@ func TestSmallestAngleChooserEmpty(t *testing.T) {
 func TestProbabilityChooser(t *testing.T) {
 	g, in, straight, left := buildFork(t)
 	node := g.Link(in.Link).EndNode(in.Forward)
-	alts := g.Outgoing(node, in)
+	alts := g.OutgoingAppend(nil, node, in)
 	exitH := g.Link(in.Link).ExitHeading(in.Forward)
 
 	tt := NewTurnTable()
@@ -76,7 +76,7 @@ func TestProbabilityChooser(t *testing.T) {
 func TestMainRoadChooser(t *testing.T) {
 	g, in, _, left := buildFork(t)
 	node := g.Link(in.Link).EndNode(in.Forward)
-	alts := g.Outgoing(node, in)
+	alts := g.OutgoingAppend(nil, node, in)
 	exitH := g.Link(in.Link).ExitHeading(in.Forward)
 	// Motorway branch wins although its angle is larger.
 	if got := (MainRoadChooser{}).Choose(g, in, exitH, alts); got != left {
@@ -97,7 +97,7 @@ func TestChooserDeterminism(t *testing.T) {
 	// the prerequisite for source/server prediction agreement).
 	g, in, _, _ := buildFork(t)
 	node := g.Link(in.Link).EndNode(in.Forward)
-	alts := g.Outgoing(node, in)
+	alts := g.OutgoingAppend(nil, node, in)
 	exitH := g.Link(in.Link).ExitHeading(in.Forward)
 	first := (SmallestAngleChooser{}).Choose(g, in, exitH, alts)
 	for i := 0; i < 100; i++ {

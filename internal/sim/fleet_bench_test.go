@@ -1,13 +1,16 @@
 package sim
 
-// Gate benchmark for the 10k-object fleet step (PR 2): every simulated
-// sample funnels through Source.OnSample's deviation check and a
-// service Position query, both served by prediction cursors since the
-// cursor layer landed. `make bench` runs it; it states no bound.
+// Gate benchmark for the 10k-object fleet step: every simulated sample
+// funnels through Source.OnSample's deviation check and a service
+// Position query, both served by prediction cursors. The per-sample path
+// allocates nothing, so what a run allocates is per object (its fleet
+// state, cursors, index scratch) and per worker round; `make bench` runs
+// it and it fails itself above its allocation ceiling.
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"mapdr/internal/core"
@@ -83,6 +86,8 @@ func getFleetWorld(b *testing.B) *benchFleetWorld {
 func BenchmarkFleetSteps10k(b *testing.B) {
 	w := getFleetWorld(b)
 	cfg := core.SourceConfig{US: 100, UP: 2, Sightings: 2}
+	var before, after runtime.MemStats
+	var mallocs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		svc := locserv.NewSharded(locserv.DefaultShards)
@@ -99,8 +104,13 @@ func BenchmarkFleetSteps10k(b *testing.B) {
 			objs[j] = FleetObject{ID: id, Truth: w.traces[j], Source: src}
 		}
 		fl := Fleet{Service: svc, Objects: objs}
+		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		res, err := fl.Run()
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		b.StartTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,5 +118,12 @@ func BenchmarkFleetSteps10k(b *testing.B) {
 			b.Fatalf("samples = %d", res.Samples)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Samples), "ns/sample")
+	}
+	// 57,969 allocs/op with 2 workers (57,625 with 1), about 5.8 per
+	// object; every further worker adds ~170 (its goroutines and
+	// buffers).
+	ceiling := 58_000 + 200*uint64(runtime.GOMAXPROCS(0))
+	if allocs := mallocs / uint64(b.N); b.N > 1 && !raceEnabled && allocs > ceiling {
+		b.Fatalf("%d allocs/op, want <= %d", allocs, ceiling)
 	}
 }

@@ -96,9 +96,41 @@ func (g *Grid) Nearest(p geo.Point, maxDist float64) (Hit, bool) {
 // search stops once the next ring cannot contain anything closer than the
 // current k-th best hit.
 func (g *Grid) NearestK(p geo.Point, k int, maxDist float64) []Hit {
+	return g.NearestKWith(p, k, maxDist, new(NearestScratch))
+}
+
+// NearestScratch is the working memory of nearest queries that one caller
+// reuses across them: the hit list and the entry index of each hit. The
+// zero value is ready. It serves one goroutine at a time.
+type NearestScratch struct {
+	hits []Hit
+	at   []int32 // at[i] is the entry index of hits[i]
+}
+
+// holds reports whether entry idx is among the current hits.
+func (s *NearestScratch) holds(idx int32) bool {
+	for _, i := range s.at {
+		if i == idx {
+			return true
+		}
+	}
+	return false
+}
+
+// NearestKWith is NearestK over the caller's scratch, so a warmed-up
+// scratch makes the query allocation-free. The result aliases s and is
+// valid until s is used again.
+//
+// An entry registered in several cells is met once per cell, and no
+// visited set is kept: meeting it again changes nothing. If it is among
+// the hits it is not inserted twice; if it is not, it was rejected or
+// evicted by k hits at most as far, which only get nearer, so it is
+// rejected again. The answer is the one a single visit per entry gives.
+func (g *Grid) NearestKWith(p geo.Point, k int, maxDist float64, s *NearestScratch) []Hit {
 	if k <= 0 || len(g.entries) == 0 {
 		return nil
 	}
+	s.hits, s.at = s.hits[:0], s.at[:0]
 	center := g.cellOf(p)
 	// A ring beyond the farthest corner of the occupied extent cannot hold
 	// entries, so cap the scan there even when maxDist is infinite.
@@ -108,57 +140,33 @@ func (g *Grid) NearestK(p geo.Point, k int, maxDist float64) []Hit {
 	)
 	reach := math.Min(maxDist, farthest)
 	maxRing := int32(math.Ceil(reach/g.cellSize)) + 1
-	var hits []Hit
-	seen := make(map[int32]struct{})
 	for ring := int32(0); ring <= maxRing; ring++ {
 		// Entries in cells of this ring are at least (ring-1)*cellSize away.
 		minPossible := float64(ring-1) * g.cellSize
-		if minPossible > kthDist(hits, k, maxDist) {
+		if minPossible > kthDist(s.hits, k, maxDist) {
 			break
 		}
-		g.visitRing(center, ring, func(idx int32) {
-			if _, dup := seen[idx]; dup {
-				return
+		// The cells at Chebyshev distance ring from center, column by
+		// column: a full column at either edge, else its two ends.
+		for dx := -ring; dx <= ring; dx++ {
+			step := 2 * ring
+			if dx == -ring || dx == ring {
+				step = 1
 			}
-			seen[idx] = struct{}{}
-			e := g.entries[idx]
-			if d := e.Seg.DistanceTo(p); d <= maxDist {
-				hits = insertHit(hits, Hit{Entry: e, Dist: d}, k)
-			}
-		})
-	}
-	return hits
-}
-
-// visitRing calls fn for every entry index registered in cells on the
-// square ring at Chebyshev distance ring from center.
-func (g *Grid) visitRing(center [2]int32, ring int32, fn func(int32)) {
-	if ring == 0 {
-		for _, idx := range g.cells[center] {
-			fn(idx)
-		}
-		return
-	}
-	for dx := -ring; dx <= ring; dx++ {
-		for _, dy := range ringYs(dx, ring) {
-			key := [2]int32{center[0] + dx, center[1] + dy}
-			for _, idx := range g.cells[key] {
-				fn(idx)
+			for dy := -ring; dy <= ring; dy += step {
+				for _, idx := range g.cells[[2]int32{center[0] + dx, center[1] + dy}] {
+					e := g.entries[idx]
+					if d := e.Seg.DistanceTo(p); d <= maxDist {
+						if lo := hitRank(s.hits, d); lo < k && !s.holds(idx) {
+							s.hits = insertAt(s.hits, lo, Hit{Entry: e, Dist: d}, k)
+							s.at = insertAt(s.at, lo, idx, k)
+						}
+					}
+				}
 			}
 		}
 	}
-}
-
-// ringYs returns the dy values on the ring for a given dx.
-func ringYs(dx, ring int32) []int32 {
-	if dx == -ring || dx == ring {
-		ys := make([]int32, 0, 2*ring+1)
-		for dy := -ring; dy <= ring; dy++ {
-			ys = append(ys, dy)
-		}
-		return ys
-	}
-	return []int32{-ring, ring}
+	return s.hits
 }
 
 var _ Index = (*Grid)(nil)

@@ -1,0 +1,7 @@
+//go:build race
+
+package spatial
+
+// raceEnabled reports whether the race detector is compiled in; the
+// allocation pins skip under it, as the other packages' pins do.
+const raceEnabled = true

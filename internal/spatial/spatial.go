@@ -53,20 +53,31 @@ type Index interface {
 // insertHit inserts h into hits (sorted ascending by Dist), keeping at most
 // k elements. Returns the updated slice.
 func insertHit(hits []Hit, h Hit, k int) []Hit {
-	lo := 0
-	for lo < len(hits) && hits[lo].Dist <= h.Dist {
-		lo++
-	}
-	if lo >= k {
-		return hits
-	}
-	hits = append(hits, Hit{})
-	copy(hits[lo+1:], hits[lo:])
-	hits[lo] = h
-	if len(hits) > k {
-		hits = hits[:k]
+	if lo := hitRank(hits, h.Dist); lo < k {
+		hits = insertAt(hits, lo, h, k)
 	}
 	return hits
+}
+
+// hitRank returns the position a hit at distance d takes in hits (sorted
+// ascending by Dist): after every hit at most as far.
+func hitRank(hits []Hit, d float64) int {
+	lo := 0
+	for lo < len(hits) && hits[lo].Dist <= d {
+		lo++
+	}
+	return lo
+}
+
+// insertAt inserts v at position i of s, keeping at most k elements.
+func insertAt[T any](s []T, i int, v T, k int) []T {
+	s = append(s, v)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	if len(s) > k {
+		s = s[:k]
+	}
+	return s
 }
 
 // kthDist returns the distance of the k-th (last acceptable) hit, or

@@ -248,3 +248,91 @@ func BenchmarkSpatialIndexes(b *testing.B) {
 		}
 	}
 }
+
+// visitedSetNearestK is the reference for Grid.NearestKWith: the same ring
+// scan, deduplicating entries met in several cells with a visited set, so
+// each entry is judged once.
+func visitedSetNearestK(g *Grid, p geo.Point, k int, maxDist float64) []Hit {
+	if k <= 0 || len(g.entries) == 0 {
+		return nil
+	}
+	center := g.cellOf(p)
+	farthest := math.Max(
+		math.Max(p.Dist(g.bounds.Min), p.Dist(g.bounds.Max)),
+		math.Max(p.Dist(geo.Pt(g.bounds.Min.X, g.bounds.Max.Y)), p.Dist(geo.Pt(g.bounds.Max.X, g.bounds.Min.Y))),
+	)
+	maxRing := int32(math.Ceil(math.Min(maxDist, farthest)/g.cellSize)) + 1
+	var hits []Hit
+	seen := make(map[int32]bool)
+	for ring := int32(0); ring <= maxRing; ring++ {
+		if float64(ring-1)*g.cellSize > kthDist(hits, k, maxDist) {
+			break
+		}
+		for dx := -ring; dx <= ring; dx++ {
+			var ys []int32
+			if dx == -ring || dx == ring {
+				for dy := -ring; dy <= ring; dy++ {
+					ys = append(ys, dy)
+				}
+			} else {
+				ys = []int32{-ring, ring}
+			}
+			for _, dy := range ys {
+				for _, idx := range g.cells[[2]int32{center[0] + dx, center[1] + dy}] {
+					if seen[idx] {
+						continue
+					}
+					seen[idx] = true
+					e := g.entries[idx]
+					if d := e.Seg.DistanceTo(p); d <= maxDist {
+						hits = insertHit(hits, Hit{Entry: e, Dist: d}, k)
+					}
+				}
+			}
+		}
+	}
+	return hits
+}
+
+// TestNearestKWithMatchesVisitedSet pins the scratch query to the
+// visited-set scan bit for bit — the same entries, distances and order —
+// over one reused scratch, on a grid where long segments span many cells
+// and some entries are exact duplicates of others.
+func TestNearestKWithMatchesVisitedSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := NewGrid(100)
+	for i := 0; i < 400; i++ {
+		a := geo.Pt(rng.Float64()*3000, rng.Float64()*3000)
+		b := geo.PolarPoint(a, rng.Float64()*2*math.Pi, rng.Float64()*[]float64{50, 400, 1500}[i%3])
+		e := Entry{ID: int64(i), Seg: geo.Seg(a, b)}
+		g.Insert(e)
+		if i%10 == 0 {
+			g.Insert(e)
+		}
+	}
+	g.Build()
+	var s NearestScratch
+	for q := 0; q < 500; q++ {
+		p := geo.Pt(rng.Float64()*3400-200, rng.Float64()*3400-200)
+		k := []int{1, 2, 5, 20}[q%4]
+		maxD := []float64{25, 150, 800, math.Inf(1)}[q%4]
+		want := visitedSetNearestK(g, p, k, maxD)
+		got := g.NearestKWith(p, k, maxD, &s)
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d hits, want %d", q, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Entry != want[i].Entry || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("q%d hit %d: %+v, want %+v", q, i, got[i], want[i])
+			}
+		}
+	}
+	if raceEnabled {
+		return // the pin below counts allocations; see raceEnabled
+	}
+	p := geo.Pt(1500, 1500)
+	g.NearestKWith(p, 20, math.Inf(1), &s)
+	if allocs := testing.AllocsPerRun(100, func() { g.NearestKWith(p, 20, math.Inf(1), &s) }); allocs != 0 {
+		t.Errorf("NearestKWith on a warm scratch: %v allocs, want 0", allocs)
+	}
+}

@@ -9,7 +9,7 @@ import "mapdr/internal/geo"
 // uses n=2 for freeway, 4 for city/inter-urban, 8 for walking).
 type Estimator struct {
 	n    int
-	ring []Sample
+	ring []Sample // the last min(n, added) sightings, oldest first; capacity n
 }
 
 // NewEstimator returns an estimator over the last n sightings (n >= 2).
@@ -17,7 +17,7 @@ func NewEstimator(n int) *Estimator {
 	if n < 2 {
 		panic("trace: estimator needs n >= 2")
 	}
-	return &Estimator{n: n}
+	return &Estimator{n: n, ring: make([]Sample, 0, n)}
 }
 
 // N returns the window size.
@@ -29,10 +29,14 @@ func (e *Estimator) Reset() { e.ring = e.ring[:0] }
 // Add records a sighting and returns the current speed (m/s) and heading
 // (radians) estimate. With fewer than 2 sightings the estimate is
 // (0, 0, false).
+//
+// A full window shifts in place, so Add allocates nothing.
 func (e *Estimator) Add(s Sample) (v, heading float64, ok bool) {
-	e.ring = append(e.ring, s)
-	if len(e.ring) > e.n {
-		e.ring = e.ring[1:]
+	if len(e.ring) == e.n {
+		copy(e.ring, e.ring[1:])
+		e.ring[e.n-1] = s
+	} else {
+		e.ring = append(e.ring, s)
 	}
 	return e.Current()
 }

@@ -133,3 +133,28 @@ func TestEstimateAll(t *testing.T) {
 		t.Errorf("estimated V/H = %v/%v", last.V, last.Heading)
 	}
 }
+
+// TestEstimatorAddAllocs pins the sighting window: once built, the
+// estimator shifts its fixed window in place, so Add allocates nothing —
+// neither while the window fills nor once it is full.
+func TestEstimatorAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin; skipped under the race detector")
+	}
+	e := NewEstimator(4)
+	k := 0
+	// One run adds 100 sightings: AllocsPerRun rounds its mean down, so
+	// a per-run batch keeps an occasional regrowth from hiding.
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 100; i++ {
+			k++
+			e.Add(Sample{T: float64(k), Pos: geo.Pt(3*float64(k), 0)})
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Estimator.Add: %v allocs per 100 sightings, want 0", allocs)
+	}
+	if v, _, ok := e.Current(); !ok || v != 3 {
+		t.Errorf("after the pin the estimate is %v (ok %v), want 3 m/s", v, ok)
+	}
+}

@@ -33,7 +33,7 @@ func DefaultWanderPolicy() WanderPolicy {
 // driver with a destination beyond the map.
 func Wander(g *roadmap.Graph, seed int64, start roadmap.NodeID, minLength float64, pol WanderPolicy) (*roadmap.Route, error) {
 	rng := rand.New(rand.NewSource(seed))
-	outs := g.Outgoing(start, roadmap.NoDir)
+	outs := g.OutgoingAppend(nil, start, roadmap.NoDir)
 	if len(outs) == 0 {
 		return nil, fmt.Errorf("tracegen: start node %d has no outgoing links", start)
 	}
@@ -41,10 +41,11 @@ func Wander(g *roadmap.Graph, seed int64, start roadmap.NodeID, minLength float6
 	dirs := []roadmap.Dir{cur}
 	var total float64 = g.Link(cur.Link).Length()
 
+	var alts []roadmap.Dir
 	for total < minLength {
 		node := g.Link(cur.Link).EndNode(cur.Forward)
 		arrivalHeading := g.Link(cur.Link).ExitHeading(cur.Forward)
-		alts := g.Outgoing(node, cur)
+		alts = g.OutgoingAppend(alts[:0], node, cur)
 		if len(alts) == 0 || (pol.AllowUTurn && rng.Float64() < 0.02) {
 			// Dead end (or rare deliberate U-turn): go back.
 			back := roadmap.Dir{Link: cur.Link, Forward: !cur.Forward}
