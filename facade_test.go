@@ -112,8 +112,7 @@ func TestFacadeCursor(t *testing.T) {
 	link := cor.Graph.Link(0)
 	rep := Report{Seq: 1, T: 0, Pos: link.Shape[0], V: 12,
 		Link: Dir{Link: link.ID, Forward: true}, Offset: 0}
-	var sp StepPredictor = mp // every built-in predictor can mint cursors
-	c := NewCursor(sp, rep)
+	c := mp.NewCursor(rep)
 	if c.Report() != rep {
 		t.Error("cursor not bound to the report")
 	}

@@ -12,46 +12,36 @@ import "math"
 // displacement is no larger. A location service exploits that bound to
 // prune spatial queries — an object reported at position p at time T
 // cannot answer a range query outside p ± bound·(t−T) — so the bound is
-// part of each predictor's contract, not a service-side heuristic.
+// part of the Predictor contract, not a service-side heuristic. It must
+// be conservative: the true displacement at any query time t >= rep.T
+// never exceeds DisplacementBound(rep)·(t−rep.T) (up to the map-matching
+// epsilon between rep.Pos and the walk's start point on its link).
 
-// DisplacementBounded is implemented by predictors that bound how fast
-// the predicted position can move away from the reported position.
-// Implementations must be conservative: the true displacement at any
-// query time t >= rep.T never exceeds DisplacementBound(rep)·(t−rep.T)
-// (up to the map-matching epsilon between rep.Pos and the walk's start
-// point on its link).
-type DisplacementBounded interface {
-	// DisplacementBound returns an upper bound in m/s on the predicted
-	// position's drift away from rep.Pos, or +Inf when no bound holds
-	// for this report.
-	DisplacementBound(rep Report) float64
-}
-
-// DisplacementBound implements DisplacementBounded: a static object
-// never leaves its reported position.
+// DisplacementBound implements Predictor: a static object never leaves
+// its reported position.
 func (StaticPredictor) DisplacementBound(Report) float64 { return 0 }
 
-// DisplacementBound implements DisplacementBounded: linear
-// extrapolation advances at exactly the reported speed.
+// DisplacementBound implements Predictor: linear extrapolation advances
+// at exactly the reported speed.
 func (LinearPredictor) DisplacementBound(rep Report) float64 { return rep.V }
 
-// DisplacementBound implements DisplacementBounded: the CTRV arc has
-// constant speed V, and arc length bounds euclidean displacement.
+// DisplacementBound implements Predictor: the CTRV arc has constant
+// speed V, and arc length bounds euclidean displacement.
 func (CTRVPredictor) DisplacementBound(rep Report) float64 { return rep.V }
 
-// DisplacementBound implements DisplacementBounded: the map walk spends
-// V·dt of arc length along road polylines; euclidean displacement from
-// the walk's start is no larger.
+// DisplacementBound implements Predictor: the map walk spends V·dt of
+// arc length along road polylines; euclidean displacement from the
+// walk's start is no larger.
 func (mp *MapPredictor) DisplacementBound(rep Report) float64 { return rep.V }
 
-// DisplacementBound implements DisplacementBounded: the known-route
-// walk advances the route offset by V·dt, and euclidean displacement
-// between two route points is bounded by their arc distance.
+// DisplacementBound implements Predictor: the known-route walk advances
+// the route offset by V·dt, and euclidean displacement between two
+// route points is bounded by their arc distance.
 func (rp *RoutePredictor) DisplacementBound(rep Report) float64 { return rep.V }
 
-// DisplacementBound implements DisplacementBounded. With RaiseToLimit
-// the assumed speed can exceed the reported speed (up to unknown link
-// speed limits), so no bound is available; otherwise the assumed speed
+// DisplacementBound implements Predictor. With RaiseToLimit the assumed
+// speed can exceed the reported speed (up to unknown link speed limits),
+// so no bound is available for any report; otherwise the assumed speed
 // is capped at rep.V.
 func (sp *SpeedCappedMapPredictor) DisplacementBound(rep Report) float64 {
 	if sp.RaiseToLimit {
@@ -63,22 +53,11 @@ func (sp *SpeedCappedMapPredictor) DisplacementBound(rep Report) float64 {
 // BoundsDisplacement reports whether pred admits a finite displacement
 // bound for every report — a static property of the predictor instance,
 // so a store can decide once at registration whether the object can
-// participate in bound-pruned spatial queries.
+// participate in bound-pruned spatial queries. Whether a predictor's
+// bound is finite does not depend on the report, so the zero report
+// decides it.
 func BoundsDisplacement(pred Predictor) bool {
-	if sp, ok := pred.(*SpeedCappedMapPredictor); ok {
-		return !sp.RaiseToLimit
-	}
-	_, ok := pred.(DisplacementBounded)
-	return ok
-}
-
-// DisplacementBound returns pred's drift bound for rep in m/s, or +Inf
-// when the predictor type admits none.
-func DisplacementBound(pred Predictor, rep Report) float64 {
-	if b, ok := pred.(DisplacementBounded); ok {
-		return b.DisplacementBound(rep)
-	}
-	return math.Inf(1)
+	return !math.IsInf(pred.DisplacementBound(Report{}), 1)
 }
 
 // EffectiveUncertainty is the paper's u_s evaluated at answer time: the
@@ -91,10 +70,10 @@ func DisplacementBound(pred Predictor, rep Report) float64 {
 // before the report time have no prediction error (age clamps at 0);
 // an unbounded predictor yields +Inf, which callers should treat as
 // "no bound known" rather than record.
-func EffectiveUncertainty(db DisplacementBounded, rep Report, t float64) float64 {
+func EffectiveUncertainty(pred Predictor, rep Report, t float64) float64 {
 	age := t - rep.T
 	if age <= 0 {
 		return 0
 	}
-	return db.DisplacementBound(rep) * age
+	return pred.DisplacementBound(rep) * age
 }

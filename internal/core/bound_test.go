@@ -32,7 +32,7 @@ func TestDisplacementBoundContract(t *testing.T) {
 		if got := BoundsDisplacement(tc.pred); got != tc.bounded {
 			t.Errorf("%s: BoundsDisplacement = %v, want %v", name, got, tc.bounded)
 		}
-		if got := DisplacementBound(tc.pred, rep); got != tc.want {
+		if got := tc.pred.DisplacementBound(rep); got != tc.want {
 			t.Errorf("%s: DisplacementBound = %v, want %v", name, got, tc.want)
 		}
 	}
@@ -69,7 +69,7 @@ func TestDisplacementBoundIsConservative(t *testing.T) {
 		&RoutePredictor{Route: route},
 	}
 	for _, pred := range preds {
-		bound := DisplacementBound(pred, rep)
+		bound := pred.DisplacementBound(rep)
 		for _, qt := range []float64{5, 5.1, 7, 15, 45, 120, 0, -10} {
 			dt := math.Max(qt-rep.T, 0)
 			drift := pred.Predict(rep, qt).Dist(rep.Pos)

@@ -7,21 +7,22 @@ import (
 )
 
 // Cursor is a stateful view of one (predictor, report) pair that answers
-// repeated prediction queries incrementally. For the map-based predictor
-// family a cursor memoizes the road-graph walk (current directed link,
-// entry offset, consumed budget), so a query at a later time advances in
-// O(links crossed since the previous query) instead of re-walking from
-// the report — the difference between O(1) and O(time-since-report) per
+// repeated prediction queries incrementally; every Predictor mints one
+// (Predictor.NewCursor). For the map-based predictor family a cursor
+// memoizes the road-graph walk (current directed link, entry offset,
+// consumed budget), so a query at a later time advances in O(links
+// crossed since the previous query) instead of re-walking from the
+// report — the difference between O(1) and O(time-since-report) per
 // deviation check during the protocol's long quiet periods.
 //
-// Cursors are exactly equivalent to the stateless path: for every (rep,
-// t), At returns the bit-identical position Predictor.Predict(rep, t)
-// returns. Queries at non-monotone times transparently restart the walk
-// from the report, so correctness never depends on call order. A cursor
-// is bound to one report at a time; Reset re-aims it at a new report,
-// keeping the buffers it owns, and answers as a cursor newly minted for
-// that report would (core.Server and core.Source re-aim theirs on every
-// report they apply or send, so the per-sample path allocates nothing).
+// For every (rep, t), At returns the bit-identical position
+// Predictor.Predict(rep, t) returns. Queries at non-monotone times
+// transparently restart the walk from the report, so correctness never
+// depends on call order. A cursor is bound to one report at a time;
+// Reset re-aims it at a new report, keeping the buffers it owns, and
+// answers as a cursor newly minted for that report would (core.Server
+// and core.Source re-aim theirs on every report they apply or send, so
+// the per-sample path allocates nothing).
 //
 // Cursors are not safe for concurrent use. core.Server guards its cached
 // cursor with a mutex so location-service query fan-outs can share it.
@@ -36,63 +37,22 @@ type Cursor interface {
 	// Report returns the report the cursor is bound to.
 	Report() Report
 	// Reset binds the cursor to rep, restarting its walk there. Every
-	// later answer is the one NewCursor(p, rep) would give.
+	// later answer is the one p.NewCursor(rep) would give.
 	Reset(rep Report)
-}
-
-// StepPredictor is a Predictor that can mint prediction cursors. All
-// predictors in this package implement it; NewCursor adapts any other
-// Predictor with a stateless fallback cursor.
-type StepPredictor interface {
-	Predictor
-	// NewCursor returns a cursor bound to rep.
-	NewCursor(rep Report) Cursor
-}
-
-// NewCursor returns a cursor for any predictor: the predictor's own
-// cursor when it implements StepPredictor, a stateless adapter that
-// delegates every call to Predict otherwise.
-func NewCursor(p Predictor, rep Report) Cursor {
-	if sp, ok := p.(StepPredictor); ok {
-		return sp.NewCursor(rep)
-	}
-	return &statelessCursor{p: p, rep: rep}
 }
 
 // cursorPays reports whether caching a cursor for p beats calling
 // Predict directly. The closed-form predictors (static, linear, CTRV)
 // answer any t in O(1) already, so the cursor indirection would only add
-// overhead to hot query paths; everything else that can mint a cursor
-// gains from the memoized state.
+// overhead to hot query paths; every other predictor gains from the
+// memoized state.
 func cursorPays(p Predictor) bool {
 	switch p.(type) {
 	case StaticPredictor, LinearPredictor, CTRVPredictor:
 		return false
 	}
-	_, ok := p.(StepPredictor)
-	return ok
+	return true
 }
-
-// statelessCursor adapts a plain Predictor to the Cursor interface: the
-// transparent fallback for predictors outside the StepPredictor family.
-type statelessCursor struct {
-	p   Predictor
-	rep Report
-}
-
-// At implements Cursor.
-func (c *statelessCursor) At(t float64) geo.Point { return c.p.Predict(c.rep, t) }
-
-// AtState implements Cursor.
-func (c *statelessCursor) AtState(t float64) (geo.Point, float64) {
-	return finiteDiffState(c.p, c.rep, t)
-}
-
-// Report implements Cursor.
-func (c *statelessCursor) Report() Report { return c.rep }
-
-// Reset implements Cursor.
-func (c *statelessCursor) Reset(rep Report) { c.rep = rep }
 
 // staticCursor is the cursor of StaticPredictor.
 type staticCursor struct{ rep Report }
@@ -109,7 +69,7 @@ func (c *staticCursor) Report() Report { return c.rep }
 // Reset implements Cursor.
 func (c *staticCursor) Reset(rep Report) { c.rep = rep }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (StaticPredictor) NewCursor(rep Report) Cursor { return &staticCursor{rep: rep} }
 
 // linearCursor is the cursor of LinearPredictor. Linear extrapolation is
@@ -131,7 +91,7 @@ func (c *linearCursor) Report() Report { return c.rep }
 // Reset implements Cursor.
 func (c *linearCursor) Reset(rep Report) { c.rep = rep }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (LinearPredictor) NewCursor(rep Report) Cursor { return &linearCursor{rep: rep} }
 
 // ctrvCursor is the cursor of CTRVPredictor: closed-form arc, with the
@@ -157,7 +117,7 @@ func (c *ctrvCursor) Report() Report { return c.rep }
 // Reset implements Cursor.
 func (c *ctrvCursor) Reset(rep Report) { c.rep = rep }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (CTRVPredictor) NewCursor(rep Report) Cursor { return &ctrvCursor{rep: rep} }
 
 // routeCursor memoizes the route-link index of a RoutePredictor, turning
@@ -191,5 +151,5 @@ func (c *routeCursor) Report() Report { return c.rep }
 // exact from any hint, and the new report is usually near the old one.
 func (c *routeCursor) Reset(rep Report) { c.rep = rep }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (rp *RoutePredictor) NewCursor(rep Report) Cursor { return &routeCursor{rp: rp, rep: rep} }

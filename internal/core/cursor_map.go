@@ -205,7 +205,7 @@ func (c *speedCappedCursor) AtState(t float64) (geo.Point, float64) {
 	return c.walk.advanceTime(c.sp, c.rep.V, total, &c.scratch)
 }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (mp *MapPredictor) NewCursor(rep Report) Cursor {
 	c := &mapCursor{mp: mp}
 	c.scratch = c.buf[:0]
@@ -213,7 +213,7 @@ func (mp *MapPredictor) NewCursor(rep Report) Cursor {
 	return c
 }
 
-// NewCursor implements StepPredictor.
+// NewCursor implements Predictor.
 func (sp *SpeedCappedMapPredictor) NewCursor(rep Report) Cursor {
 	c := &speedCappedCursor{sp: sp}
 	c.scratch = c.buf[:0]

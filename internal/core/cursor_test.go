@@ -11,14 +11,36 @@ import (
 	"mapdr/internal/trace"
 )
 
-// nocursorPred hides a predictor's StepPredictor implementation, forcing
-// every consumer onto the stateless Predict path — the "before" side of
-// the cursor equivalence and gate benchmarks.
+// nocursorPred replaces a predictor's cursor with a re-walking one, so
+// every consumer evaluates the stateless Predict path — the "before"
+// side of the cursor equivalence and gate benchmarks.
 type nocursorPred struct{ Predictor }
+
+// NewCursor implements Predictor.
+func (p nocursorPred) NewCursor(rep Report) Cursor { return &rewalkCursor{p: p.Predictor, rep: rep} }
 
 // nocursorGraphPred does the same for graph-bound predictors, so
 // NewMapSource still sees a GraphPredictor.
 type nocursorGraphPred struct{ GraphPredictor }
+
+// NewCursor implements Predictor.
+func (p nocursorGraphPred) NewCursor(rep Report) Cursor {
+	return &rewalkCursor{p: p.GraphPredictor, rep: rep}
+}
+
+// rewalkCursor answers every query from the report: At is Predict, and
+// AtState a fresh cursor of the wrapped predictor.
+type rewalkCursor struct {
+	p   Predictor
+	rep Report
+}
+
+func (c *rewalkCursor) At(t float64) geo.Point { return c.p.Predict(c.rep, t) }
+func (c *rewalkCursor) AtState(t float64) (geo.Point, float64) {
+	return c.p.NewCursor(c.rep).AtState(t)
+}
+func (c *rewalkCursor) Report() Report   { return c.rep }
+func (c *rewalkCursor) Reset(rep Report) { c.rep = rep }
 
 // buildRing builds a closed ring road of n nodes with radius r: every
 // node has exactly two links, so the smallest-angle walk circulates
@@ -85,20 +107,40 @@ func schedules(repT float64) map[string][]float64 {
 	}
 }
 
-// assertCursorEquivalence queries cursor and stateless predictor over
-// every schedule and requires bit-identical positions.
+// assertCursorEquivalence queries a fresh cursor, a cursor re-aimed at
+// rep and the stateless predictor over every schedule and requires
+// bit-identical positions.
 func assertCursorEquivalence(t *testing.T, p Predictor, rep Report) {
 	t.Helper()
 	for name, sched := range schedules(rep.T) {
-		c := NewCursor(p, rep)
+		c := p.NewCursor(rep)
+		r := reaimedCursor(p, rep)
 		for i, qt := range sched {
 			want := p.Predict(rep, qt)
-			got := c.At(qt)
-			if got != want {
+			if got := c.At(qt); got != want {
 				t.Fatalf("%s[%d] t=%v: cursor %v != stateless %v", name, i, qt, got, want)
+			}
+			if got := r.At(qt); got != want {
+				t.Fatalf("%s[%d] t=%v: re-aimed cursor %v != stateless %v", name, i, qt, got, want)
 			}
 		}
 	}
+}
+
+// reaimedCursor mints a cursor on a report unrelated to rep (another
+// time, position, speed, offset and turn rate on the same link), walks
+// it well past that report, and then re-aims it at rep with Reset.
+func reaimedCursor(p Predictor, rep Report) Cursor {
+	other := rep
+	other.Seq, other.T = rep.Seq+9, rep.T+1000
+	other.Pos = geo.Pt(rep.Pos.X+37, rep.Pos.Y-11)
+	other.V, other.Heading, other.Omega = rep.V+7, rep.Heading+1, -rep.Omega-0.02
+	other.Offset, other.RouteOffset = 0, rep.RouteOffset+13
+	c := p.NewCursor(other)
+	c.At(other.T + 40)
+	c.At(other.T + 300)
+	c.Reset(rep)
+	return c
 }
 
 func TestCursorStatelessEquivalenceAllPredictors(t *testing.T) {
@@ -163,7 +205,7 @@ func TestCursorDeadEndEquivalence(t *testing.T) {
 		assertCursorEquivalence(t, p, rep)
 	}
 	// The walk parks at the dead-end node once the path is consumed.
-	c := NewCursor(NewMapPredictor(g), rep)
+	c := NewMapPredictor(g).NewCursor(rep)
 	if got := c.At(1000); got != geo.Pt(400, 300) {
 		t.Errorf("parked at %v, want dead-end node", got)
 	}
@@ -181,7 +223,7 @@ func TestCursorWalkCapEquivalence(t *testing.T) {
 	rep := Report{T: 0, Pos: g.Node(0).Pt, V: 100, Heading: 0,
 		Link: roadmap.Dir{Link: links[0], Forward: true}, Offset: 0}
 	for _, p := range []Predictor{NewMapPredictor(g), NewSpeedCappedMapPredictor(g, false)} {
-		c := NewCursor(p, rep)
+		c := p.NewCursor(rep)
 		// 100 m/s x 200 s = 20000 m >> 10000 x 1 m cap.
 		for _, qt := range []float64{1, 50, 99, 100.5, 150, 200, 120, 10, 200} {
 			want := p.Predict(rep, qt)
@@ -192,11 +234,11 @@ func TestCursorWalkCapEquivalence(t *testing.T) {
 	}
 }
 
-// TestSourceCursorUpdateStreamEquivalence feeds the same trace to two
-// map-based sources — one using the memoized cursor, one forced onto the
-// stateless path — and requires bit-identical update streams: the
-// protocol's source/server agreement must not depend on which path
-// evaluates the deviation check.
+// TestSourceCursorUpdateStreamEquivalence feeds the same trace to each
+// kind of source and to its re-walking twin, whose cursor answers every
+// deviation check with a stateless Predict from the last report, and
+// requires bit-identical update streams: the protocol's source/server
+// agreement must not depend on how the deviation check is evaluated.
 func TestSourceCursorUpdateStreamEquivalence(t *testing.T) {
 	g, links := buildRing(t, 24, 500)
 	dirs := make([]roadmap.Dir, len(links))
@@ -209,53 +251,81 @@ func TestSourceCursorUpdateStreamEquivalence(t *testing.T) {
 	}
 
 	cfg := SourceConfig{US: 60, UP: 2, Sightings: 2}
-	mk := func(stateless bool) *Source {
-		var pred GraphPredictor = NewMapPredictor(g)
-		if stateless {
-			pred = nocursorGraphPred{NewMapPredictor(g)}
-		}
-		src, err := NewMapSource(cfg, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
-	withCursor, statelessOnly := mk(false), mk(true)
-	if !withCursor.useCursor {
-		t.Fatal("map source did not enable the cursor path")
-	}
-	if statelessOnly.useCursor {
-		t.Fatal("wrapped source should stay stateless")
-	}
-
-	// Drive around the ring with varying speed: the reported speed goes
-	// stale between updates, so the deviation trigger fires repeatedly.
-	rng := rand.New(rand.NewSource(3))
-	s, v := 0.0, 15.0
-	var updates int
-	for k := 0; k < 900; k++ {
-		v += rng.Float64()*2 - 1
-		v = math.Max(6, math.Min(24, v))
-		s += v
-		for s >= route.Length() {
-			s -= route.Length()
-		}
-		pos, _ := route.PointAt(s)
-		sample := trace.Sample{T: float64(k), Pos: pos}
-		u1, ok1 := withCursor.OnSample(sample)
-		u2, ok2 := statelessOnly.OnSample(sample)
-		if ok1 != ok2 {
-			t.Fatalf("sample %d: cursor triggered=%v stateless triggered=%v", k, ok1, ok2)
-		}
-		if ok1 {
-			updates++
-			if u1 != u2 {
-				t.Fatalf("sample %d: update mismatch\ncursor:    %+v\nstateless: %+v", k, u1, u2)
+	plain := func(p Predictor) func(bool) (*Source, error) {
+		return func(twin bool) (*Source, error) {
+			if twin {
+				return NewSource(cfg, nocursorPred{p})
 			}
+			return NewSource(cfg, p)
 		}
 	}
-	if updates < 5 {
-		t.Fatalf("only %d updates; scenario too tame to prove equivalence", updates)
+	cases := []struct {
+		name string
+		mk   func(twin bool) (*Source, error)
+	}{
+		{"static", plain(StaticPredictor{})},
+		{"linear", plain(LinearPredictor{})},
+		{"ctrv", plain(CTRVPredictor{})},
+		{"known-route", func(twin bool) (*Source, error) {
+			rp := &RoutePredictor{Route: route}
+			if !twin {
+				return NewSource(cfg, rp)
+			}
+			src, err := NewSource(cfg, nocursorPred{rp})
+			if src != nil {
+				src.route = rp.Route // the wrapper hides the route from NewSource
+			}
+			return src, err
+		}},
+		{"map", func(twin bool) (*Source, error) {
+			var pred GraphPredictor = NewMapPredictor(g)
+			if twin {
+				pred = nocursorGraphPred{pred}
+			}
+			return NewMapSource(cfg, pred)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			withCursor, err := tc.mk(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewalk, err := tc.mk(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drive around the ring with varying speed: the reported speed
+			// goes stale between updates, so the deviation trigger fires
+			// repeatedly.
+			rng := rand.New(rand.NewSource(3))
+			s, v := 0.0, 15.0
+			var updates int
+			for k := 0; k < 900; k++ {
+				v += rng.Float64()*2 - 1
+				v = math.Max(6, math.Min(24, v))
+				s += v
+				for s >= route.Length() {
+					s -= route.Length()
+				}
+				pos, _ := route.PointAt(s)
+				sample := trace.Sample{T: float64(k), Pos: pos}
+				u1, ok1 := withCursor.OnSample(sample)
+				u2, ok2 := rewalk.OnSample(sample)
+				if ok1 != ok2 {
+					t.Fatalf("sample %d: cursor triggered=%v re-walk triggered=%v", k, ok1, ok2)
+				}
+				if ok1 {
+					updates++
+					if u1 != u2 {
+						t.Fatalf("sample %d: update mismatch\ncursor:  %+v\nre-walk: %+v", k, u1, u2)
+					}
+				}
+			}
+			if updates < 5 {
+				t.Fatalf("only %d updates; scenario too tame to prove equivalence", updates)
+			}
+		})
 	}
 }
 
@@ -335,7 +405,7 @@ func TestCursorZeroAllocSteadyState(t *testing.T) {
 	g, links := buildRing(t, 24, 500)
 	rep := Report{T: 0, Pos: geo.Pt(500, 0), V: 20, Heading: math.Pi / 2,
 		Link: roadmap.Dir{Link: links[0], Forward: true}, Offset: 0}
-	for _, p := range []StepPredictor{NewMapPredictor(g), NewSpeedCappedMapPredictor(g, false)} {
+	for _, p := range []Predictor{NewMapPredictor(g), NewSpeedCappedMapPredictor(g, false)} {
 		c := p.NewCursor(rep)
 		qt := 0.0
 		c.At(1) // warm: allocates the scratch buffer once
@@ -351,35 +421,21 @@ func TestCursorZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestNewCursorFallback covers the generic adapter for predictors
-// outside the StepPredictor family.
-func TestNewCursorFallback(t *testing.T) {
-	p := nocursorPred{LinearPredictor{}}
-	rep := Report{T: 0, Pos: geo.Pt(1, 2), V: 5, Heading: 0}
-	c := NewCursor(p, rep)
-	if _, ok := c.(*statelessCursor); !ok {
-		t.Fatalf("wrapped predictor got %T, want *statelessCursor", c)
-	}
-	if got, want := c.At(10), p.Predict(rep, 10); got != want {
-		t.Errorf("fallback At %v != %v", got, want)
-	}
-	if c.Report() != rep {
-		t.Errorf("Report() = %+v", c.Report())
-	}
-	if cursorPays(p) {
-		t.Error("cursorPays must be false for non-StepPredictors")
-	}
+// TestCursorPays pins the server's cursor selection: the closed-form
+// predictors answer from the report, every other predictor through a
+// cached cursor.
+func TestCursorPays(t *testing.T) {
 	if cursorPays(LinearPredictor{}) || cursorPays(StaticPredictor{}) || cursorPays(CTRVPredictor{}) {
 		t.Error("cursorPays must be false for closed-form predictors")
 	}
-	if !cursorPays(NewMapPredictor(nil)) || !cursorPays(&RoutePredictor{}) {
+	if !cursorPays(NewMapPredictor(nil)) || !cursorPays(NewSpeedCappedMapPredictor(nil, false)) || !cursorPays(&RoutePredictor{}) {
 		t.Error("cursorPays must be true for walk-based predictors")
 	}
 }
 
-func ExampleNewCursor() {
+func ExampleLinearPredictor_NewCursor() {
 	rep := Report{T: 0, Pos: geo.Pt(0, 0), V: 10, Heading: 0}
-	c := NewCursor(LinearPredictor{}, rep)
+	c := LinearPredictor{}.NewCursor(rep)
 	p := c.At(3)
 	fmt.Printf("%.0f,%.0f\n", p.X, p.Y)
 	// Output: 30,0

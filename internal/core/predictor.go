@@ -9,12 +9,25 @@ import (
 // general dead-reckoning protocol (paper §2, Fig. 1). Implementations
 // must be pure: identical inputs produce identical outputs at source and
 // server, which is what makes the deviation bound enforceable.
+//
+// It is the one predictor contract: besides the prediction itself every
+// predictor states its incremental evaluator (NewCursor) and how fast
+// its prediction can drift from the report (DisplacementBound, see
+// bound.go), so no consumer probes for either.
 type Predictor interface {
 	// Predict returns the assumed position of the object at time t given
 	// its last report.
 	Predict(rep Report, t float64) geo.Point
 	// Name identifies the predictor in experiment output.
 	Name() string
+	// NewCursor returns a cursor bound to rep whose At answers are
+	// bit-identical to Predict over rep.
+	NewCursor(rep Report) Cursor
+	// DisplacementBound returns an upper bound in m/s on the predicted
+	// position's drift away from rep.Pos, or +Inf when the predictor
+	// admits none. Which of the two it is depends on the predictor
+	// alone, never on rep (BoundsDisplacement relies on it).
+	DisplacementBound(rep Report) float64
 }
 
 // StaticPredictor assumes the object rests at its reported position. The
@@ -68,11 +81,11 @@ func NewMapPredictor(g *roadmap.Graph) *MapPredictor {
 	return &MapPredictor{G: g, Chooser: roadmap.SmallestAngleChooser{}}
 }
 
-// Predict implements Predictor. It runs the same walk a cursor advances
-// incrementally (see NewCursor), restarted from the report, so stateless
-// and cursor predictions are bit-identical by construction. The walk
-// buffers intersection alternatives in one stack scratch slice instead
-// of allocating per intersection.
+// Predict implements Predictor. It runs the same walk its cursor
+// advances incrementally (see MapPredictor.NewCursor), restarted from
+// the report, so stateless and cursor predictions are bit-identical by
+// construction. The walk buffers intersection alternatives in one stack
+// scratch slice instead of allocating per intersection.
 func (mp *MapPredictor) Predict(rep Report, t float64) geo.Point {
 	if !rep.Link.IsValid() {
 		return (LinearPredictor{}).Predict(rep, t)
@@ -119,28 +132,8 @@ func (rp *RoutePredictor) Predict(rep Report, t float64) geo.Point {
 // Name implements Predictor.
 func (rp *RoutePredictor) Name() string { return "known-route" }
 
-// PredictedState returns both position and heading for predictors that
-// can supply it; used by the location server to answer richer queries.
-// StepPredictor implementations derive the heading from the walk state
-// of a single advance (the travel heading on the predicted link);
-// other predictors fall back to a two-walk finite difference.
+// PredictedState returns the predicted position and travel heading at
+// time t in a single advance of a cursor minted for rep.
 func PredictedState(p Predictor, rep Report, t float64) (geo.Point, float64) {
-	if sp, ok := p.(StepPredictor); ok {
-		return sp.NewCursor(rep).AtState(t)
-	}
-	return finiteDiffState(p, rep, t)
-}
-
-// finiteDiffState estimates the heading by a finite difference over a
-// short horizon — two full stateless walks. Only predictors outside the
-// StepPredictor family pay this cost.
-func finiteDiffState(p Predictor, rep Report, t float64) (geo.Point, float64) {
-	pos := p.Predict(rep, t)
-	const h = 0.5
-	next := p.Predict(rep, t+h)
-	d := next.Sub(pos)
-	if d.Norm() < 1e-9 {
-		return pos, rep.Heading
-	}
-	return pos, d.Heading()
+	return p.NewCursor(rep).AtState(t)
 }

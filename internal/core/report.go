@@ -10,12 +10,15 @@
 // locally decide when the server's view exceeds the accuracy bound u_s
 // (paper §2, Fig. 1).
 //
-// Both ends evaluate that function through a prediction Cursor that
-// memoizes the road-graph walk between reports. A Source and a Server
-// each keep one cursor and re-aim it at every new report (Cursor.Reset)
-// instead of minting another, so the cursor's walk state and turn
-// scratch are reused and the per-sample deviation check and the
-// replica's position answer allocate nothing.
+// There is one predictor contract, Predictor: every predictor evaluates
+// the function (Predict), mints a prediction Cursor that memoizes the
+// road-graph walk between reports (NewCursor), and states how fast its
+// prediction can drift from the report (DisplacementBound). A Source
+// evaluates through its cursor, as a Server does for every predictor
+// but the closed-form ones; each keeps one cursor and re-aims it at
+// every new report (Cursor.Reset) instead of minting another, so the
+// cursor's walk state and turn scratch are reused and the per-sample
+// deviation check and the replica's position answer allocate nothing.
 package core
 
 import (
@@ -41,6 +44,18 @@ type Report struct {
 	Offset      float64     // offset along travel direction on Link, m
 	RouteOffset float64     // offset along a pre-known route (known-route DR)
 	Omega       float64     // turn rate, rad/s (higher-order CTRV predictor)
+}
+
+// Finite reports whether every number the report carries is finite. A
+// location store refuses other reports: one NaN or infinite field would
+// leak into every answer that holds the object.
+func (r Report) Finite() bool {
+	for _, x := range [...]float64{r.T, r.Pos.X, r.Pos.Y, r.V, r.Heading, r.Offset, r.RouteOffset, r.Omega} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reason states why an update was sent; it rides in the record header of

@@ -16,11 +16,12 @@ import (
 // the last report, so query streams at advancing times cost O(time
 // delta) instead of O(time since the report) each; Apply re-aims the
 // cursor at the new report (Cursor.Reset), so a report and the queries
-// after it allocate nothing. The cursor is guarded by a mutex:
-// Position/State may be called concurrently with each other (the
-// location service's query fan-outs do), while Apply requires external
-// synchronisation against queries, as before (the location service's
-// shard lock provides it).
+// after it allocate nothing. The cursor is minted at the first query,
+// not at construction or Apply: a replica that is never queried never
+// builds one. It is guarded by a mutex: Position may be called
+// concurrently with itself (the location service's query fan-outs do),
+// while Apply requires external synchronisation against queries (the
+// location service's shard lock provides it).
 type Server struct {
 	pred Predictor
 
@@ -95,31 +96,13 @@ func (sv *Server) Position(t float64) (geo.Point, bool) {
 	if sv.useCursor {
 		sv.curMu.Lock()
 		if sv.cursor == nil {
-			sv.cursor = NewCursor(sv.pred, sv.last)
+			sv.cursor = sv.pred.NewCursor(sv.last)
 		}
 		p := sv.cursor.At(t)
 		sv.curMu.Unlock()
 		return p, true
 	}
 	return sv.pred.Predict(sv.last, t), true
-}
-
-// State returns predicted position and heading at time t.
-func (sv *Server) State(t float64) (geo.Point, float64, bool) {
-	if !sv.hasReport {
-		return geo.Point{}, 0, false
-	}
-	if sv.useCursor {
-		sv.curMu.Lock()
-		if sv.cursor == nil {
-			sv.cursor = NewCursor(sv.pred, sv.last)
-		}
-		p, h := sv.cursor.AtState(t)
-		sv.curMu.Unlock()
-		return p, h, true
-	}
-	p, h := PredictedState(sv.pred, sv.last, t)
-	return p, h, true
 }
 
 // LastReport returns the last applied report.

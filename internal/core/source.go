@@ -64,15 +64,14 @@ type Source struct {
 	movedSince float64
 	wasMatched bool
 
-	// cursor memoizes the prediction walk over the last report for the
-	// per-sample deviation check: sample times are monotone, so each
-	// check costs O(time since the previous sample) instead of O(time
-	// since the last update) — constant per sample instead of a full
-	// re-walk that grows with the protocol's quiet period. Nil until
-	// first use, then re-aimed (Cursor.Reset) at every new report; only
-	// kept for predictors where the memoized state pays (cursorPays).
-	cursor    Cursor
-	useCursor bool
+	// cursor evaluates the shared prediction function over the last
+	// report for the per-sample deviation check: sample times are
+	// monotone, so each check costs O(time since the previous sample)
+	// instead of O(time since the last update) — constant per sample
+	// instead of a full re-walk that grows with the protocol's quiet
+	// period. Minted at the first check, then re-aimed (Cursor.Reset)
+	// at every new report, so a source mints one in its lifetime.
+	cursor Cursor
 }
 
 // NewSource returns a source using the given prediction function. The
@@ -84,7 +83,7 @@ func NewSource(cfg SourceConfig, pred Predictor) (*Source, error) {
 	if cfg.Threshold == nil {
 		cfg.Threshold = FixedThreshold{US: cfg.US}
 	}
-	s := &Source{cfg: cfg, pred: pred, est: trace.NewEstimator(cfg.Sightings), useCursor: cursorPays(pred)}
+	s := &Source{cfg: cfg, pred: pred, est: trace.NewEstimator(cfg.Sightings)}
 	if rp, ok := pred.(*RoutePredictor); ok {
 		s.route = rp.Route
 	}
@@ -182,15 +181,11 @@ func (s *Source) OnSample(sample trace.Sample) (Update, bool) {
 }
 
 // predictLast evaluates the shared prediction function over the last
-// report, through the memoized cursor when the predictor benefits. The
-// cursor result is bit-identical to the stateless Predict, so the
-// deviation trigger fires on exactly the same samples either way.
+// report through the source's cursor, whose answers are bit-identical
+// to the predictor's Predict.
 func (s *Source) predictLast(t float64) geo.Point {
-	if !s.useCursor {
-		return s.pred.Predict(s.last, t)
-	}
 	if s.cursor == nil {
-		s.cursor = NewCursor(s.pred, s.last)
+		s.cursor = s.pred.NewCursor(s.last)
 	}
 	return s.cursor.At(t)
 }

@@ -346,9 +346,6 @@ func TestServerBeforeFirstUpdate(t *testing.T) {
 	if _, ok := srv.Position(0); ok {
 		t.Error("position before first update should be unavailable")
 	}
-	if _, _, ok := srv.State(0); ok {
-		t.Error("state before first update should be unavailable")
-	}
 }
 
 func TestDTDRSendsMoreUpdatesWhenStationaryThreshold(t *testing.T) {

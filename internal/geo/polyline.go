@@ -68,28 +68,6 @@ func (pl Polyline) Geometry() []SegGeom {
 	return tab
 }
 
-// PointAtLength returns the point at arc length s from the start. s is
-// clamped to [0, Length()]. Panics on an empty polyline.
-func (pl Polyline) PointAtLength(s float64) Point {
-	p, _ := pl.PosAtLength(s)
-	return p
-}
-
-// PosAtLength returns the point at arc length s from the start along with
-// the heading of the containing segment. s is clamped to [0, Length()].
-// For a single-vertex polyline the heading is 0.
-func (pl Polyline) PosAtLength(s float64) (Point, float64) {
-	if len(pl) == 0 {
-		panic("geo: PosAtLength on empty polyline")
-	}
-	if len(pl) == 1 {
-		return pl[0], 0
-	}
-	tab := pl.Geometry()
-	p, seg := pl.Walk(tab, s)
-	return p, tab[seg].Heading
-}
-
 // Walk returns the point at arc length s from the start of pl and the
 // index of the segment holding it, reading segment lengths from tab,
 // which must be pl.Geometry() (pl has at least two vertices). s is
@@ -124,20 +102,9 @@ type PolylineProjection struct {
 	Segment int     // index of the segment containing Point
 }
 
-// Project returns the closest point on the polyline to p. Panics on a
-// polyline with fewer than 1 vertex.
-func (pl Polyline) Project(p Point) PolylineProjection {
-	if len(pl) == 0 {
-		panic("geo: Project on empty polyline")
-	}
-	if len(pl) == 1 {
-		return PolylineProjection{Point: pl[0], Offset: 0, Dist: p.Dist(pl[0])}
-	}
-	return pl.ProjectWith(pl.Geometry(), p)
-}
-
-// ProjectWith is Project over a polyline of at least two vertices whose
-// segment lengths are read from tab, which must be pl.Geometry().
+// ProjectWith returns the closest point to p on pl, a polyline of at
+// least two vertices whose segment lengths are read from tab, which must
+// be pl.Geometry().
 func (pl Polyline) ProjectWith(tab []SegGeom, p Point) PolylineProjection {
 	best := PolylineProjection{Dist: math.Inf(1)}
 	var walked float64
@@ -232,21 +199,4 @@ func (pl Polyline) Simplify(tol float64) Polyline {
 		}
 	}
 	return out
-}
-
-// HeadingAtVertex returns a smoothed heading at vertex i, averaging the
-// directions of the adjacent segments where both exist.
-func (pl Polyline) HeadingAtVertex(i int) float64 {
-	switch {
-	case len(pl) < 2:
-		return 0
-	case i <= 0:
-		return pl.Segment(0).Heading()
-	case i >= len(pl)-1:
-		return pl.Segment(len(pl) - 2).Heading()
-	default:
-		h1 := pl.Segment(i - 1).Heading()
-		h2 := pl.Segment(i).Heading()
-		return NormalizeAngle(h1 + AngleDiff(h1, h2)/2)
-	}
 }

@@ -50,36 +50,37 @@ func TestPolylinePointAtLength(t *testing.T) {
 		{30, Pt(0, 10)},
 		{99, Pt(0, 10)},
 	}
+	tab := pl.Geometry()
 	for _, c := range cases {
-		if got := pl.PointAtLength(c.s); got.Dist(c.want) > eps {
-			t.Errorf("PointAtLength(%v) = %v, want %v", c.s, got, c.want)
+		if got, _ := pl.Walk(tab, c.s); got.Dist(c.want) > eps {
+			t.Errorf("Walk(%v) = %v, want %v", c.s, got, c.want)
 		}
 	}
 }
 
 func TestPolylinePosAtLengthHeading(t *testing.T) {
 	pl := squareLine()
-	_, h := pl.PosAtLength(5)
-	if !approx(h, 0, eps) {
+	tab := pl.Geometry()
+	heading := func(s float64) float64 { _, seg := pl.Walk(tab, s); return tab[seg].Heading }
+	if h := heading(5); !approx(h, 0, eps) {
 		t.Errorf("heading at 5 = %v", h)
 	}
-	_, h = pl.PosAtLength(15)
-	if !approx(h, math.Pi/2, eps) {
+	if h := heading(15); !approx(h, math.Pi/2, eps) {
 		t.Errorf("heading at 15 = %v", h)
 	}
-	_, h = pl.PosAtLength(1e9)
-	if !approx(h, math.Pi, eps) {
+	if h := heading(1e9); !approx(h, math.Pi, eps) {
 		t.Errorf("heading beyond end = %v", h)
 	}
 }
 
 func TestPolylineProject(t *testing.T) {
 	pl := squareLine()
-	pr := pl.Project(Pt(5, -3))
+	tab := pl.Geometry()
+	pr := pl.ProjectWith(tab, Pt(5, -3))
 	if pr.Point.Dist(Pt(5, 0)) > eps || !approx(pr.Offset, 5, eps) || !approx(pr.Dist, 3, eps) || pr.Segment != 0 {
 		t.Errorf("Project = %+v", pr)
 	}
-	pr = pl.Project(Pt(12, 5))
+	pr = pl.ProjectWith(tab, Pt(12, 5))
 	if pr.Point.Dist(Pt(10, 5)) > eps || !approx(pr.Offset, 15, eps) || pr.Segment != 1 {
 		t.Errorf("Project = %+v", pr)
 	}
@@ -87,18 +88,19 @@ func TestPolylineProject(t *testing.T) {
 
 func TestPolylineProjectOnCurveProperty(t *testing.T) {
 	// Projecting a point that lies on the polyline returns ~zero distance
-	// and an offset whose PointAtLength is the same point.
+	// and an offset that walks back to the same point.
 	rng := rand.New(rand.NewSource(7))
 	pl := CubicBezier(Pt(0, 0), Pt(300, 400), Pt(700, -200), Pt(1000, 100), 50)
+	tab := pl.Geometry()
 	total := pl.Length()
 	for i := 0; i < 200; i++ {
 		s := rng.Float64() * total
-		p := pl.PointAtLength(s)
-		pr := pl.Project(p)
+		p, _ := pl.Walk(tab, s)
+		pr := pl.ProjectWith(tab, p)
 		if pr.Dist > 1e-6 {
 			t.Fatalf("on-line point projected at distance %v", pr.Dist)
 		}
-		if pl.PointAtLength(pr.Offset).Dist(p) > 1e-6 {
+		if back, _ := pl.Walk(tab, pr.Offset); back.Dist(p) > 1e-6 {
 			t.Fatalf("offset round trip failed at s=%v", s)
 		}
 	}
@@ -106,13 +108,14 @@ func TestPolylineProjectOnCurveProperty(t *testing.T) {
 
 func TestPolylineProjectOffsetRangeProperty(t *testing.T) {
 	pl := squareLine()
+	tab := pl.Geometry()
 	total := pl.Length()
 	f := func(x, y float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 			return true
 		}
 		x, y = math.Mod(x, 100), math.Mod(y, 100)
-		pr := pl.Project(Pt(x, y))
+		pr := pl.ProjectWith(tab, Pt(x, y))
 		return pr.Offset >= -eps && pr.Offset <= total+eps
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -165,22 +168,10 @@ func TestPolylineSimplify(t *testing.T) {
 	curve := CubicBezier(Pt(0, 0), Pt(100, 300), Pt(200, -300), Pt(300, 0), 64)
 	tol := 5.0
 	simp := curve.Simplify(tol)
+	tab := simp.Geometry()
 	for _, p := range curve {
-		if pr := simp.Project(p); pr.Dist > tol+eps {
+		if pr := simp.ProjectWith(tab, p); pr.Dist > tol+eps {
 			t.Errorf("simplified line %v away from original vertex", pr.Dist)
 		}
-	}
-}
-
-func TestPolylineHeadingAtVertex(t *testing.T) {
-	pl := squareLine()
-	if h := pl.HeadingAtVertex(0); !approx(h, 0, eps) {
-		t.Errorf("start heading = %v", h)
-	}
-	if h := pl.HeadingAtVertex(1); !approx(h, math.Pi/4, eps) {
-		t.Errorf("corner heading = %v, want pi/4", h)
-	}
-	if h := pl.HeadingAtVertex(3); !approx(h, math.Pi, eps) {
-		t.Errorf("end heading = %v", h)
 	}
 }

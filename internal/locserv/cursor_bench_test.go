@@ -10,6 +10,7 @@ package locserv
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mapdr/internal/core"
@@ -18,10 +19,33 @@ import (
 	"mapdr/internal/wire"
 )
 
-// nocursorGraphPred hides the StepPredictor implementation of a
-// map-bound predictor, forcing servers onto the stateless Predict path
-// (the pre-cursor behaviour).
+// nocursorGraphPred replaces a map-bound predictor's cursor with a
+// re-walking one, forcing servers onto the stateless Predict path (the
+// pre-cursor behaviour). It also states no drift bound, so its objects
+// stay on the scan path and the baseline measures a pre-cursor store.
 type nocursorGraphPred struct{ core.GraphPredictor }
+
+// DisplacementBound implements core.Predictor.
+func (nocursorGraphPred) DisplacementBound(core.Report) float64 { return math.Inf(1) }
+
+// NewCursor implements core.Predictor.
+func (p nocursorGraphPred) NewCursor(rep core.Report) core.Cursor {
+	return &rewalkCursor{p: p.GraphPredictor, rep: rep}
+}
+
+// rewalkCursor answers every query from the report: At is Predict, and
+// AtState a fresh cursor of the wrapped predictor.
+type rewalkCursor struct {
+	p   core.Predictor
+	rep core.Report
+}
+
+func (c *rewalkCursor) At(t float64) geo.Point { return c.p.Predict(c.rep, t) }
+func (c *rewalkCursor) AtState(t float64) (geo.Point, float64) {
+	return c.p.NewCursor(c.rep).AtState(t)
+}
+func (c *rewalkCursor) Report() core.Report   { return c.rep }
+func (c *rewalkCursor) Reset(rep core.Report) { c.rep = rep }
 
 const benchMapObjects = 10000
 

@@ -20,14 +20,16 @@ type AutoRegister func(id ObjectID) core.Predictor
 
 // DeliverRecords is the store's batched write. It applies recs in
 // place, grouped by shard so that each shard's write lock is held once
-// per call. An unknown id is registered in that same hold with the
-// predictor auto returns, so auto runs once per admitted id; when auto
-// is nil or returns nil, the id's records are skipped and reported in
-// the error. applied is the number of records belonging to a registered
-// object — whether each advanced the replica or was a stale duplicate
-// is the replica's (seq-gated) decision, visible in UpdatesApplied.
-// DeliverRecords keeps no record and no part of recs past the call,
-// and in the steady state allocates nothing: its sort scratch is pooled.
+// per call. A record without an id or whose report is not Finite is
+// refused with its own error. An unknown id is registered in that same
+// hold with the predictor auto returns, so auto runs once per admitted
+// id; when auto is nil or returns nil, the id's records are skipped and
+// reported in the error. applied is the number of records belonging to
+// a registered object — whether each advanced the replica or was a
+// stale duplicate is the replica's (seq-gated) decision, visible in
+// UpdatesApplied. DeliverRecords keeps no record and no part of recs
+// past the call, and in the steady state allocates nothing: its sort
+// scratch is pooled.
 func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied int, err error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -36,7 +38,8 @@ func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied
 	defer func() { s.ingestBatch.RecordDur(time.Since(start)) }()
 	var errs []error
 	// Counting sort of record indices by shard: one hash pass, no copies
-	// of the records. A record without an id takes no slot.
+	// of the records. A record without an id or with a non-finite report
+	// takes no slot.
 	n := len(s.shards)
 	scr := sortScratches.Get().(*sortScratch)
 	defer sortScratches.Put(scr)
@@ -45,6 +48,11 @@ func (s *Service) DeliverRecords(recs []wire.Record, auto AutoRegister) (applied
 	for i := range recs {
 		if recs[i].ID == "" {
 			errs = append(errs, fmt.Errorf("locserv: record %d has no object id", i))
+			shardOf[i] = -1
+			continue
+		}
+		if !recs[i].Update.Report.Finite() {
+			errs = append(errs, fmt.Errorf("locserv: record %d for %q has a non-finite report", i, recs[i].ID))
 			shardOf[i] = -1
 			continue
 		}

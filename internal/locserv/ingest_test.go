@@ -211,6 +211,93 @@ func TestHTTPIngestErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPIngestRefusesNonFinite posts a record whose position is NaN
+// beside a good one: the store refuses it with a per-record error, and
+// /nearest keeps answering 200 without the object.
+func TestHTTPIngestRefusesNonFinite(t *testing.T) {
+	s := New()
+	for _, id := range []ObjectID{"car1", "car2"} {
+		if err := s.Register(id, core.LinearPredictor{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewNodeService(s, nil).Handler())
+	defer ts.Close()
+
+	frame, err := wire.EncodeFrame([]wire.Record{
+		ingestRecord("car1", 1, 0, geo.Pt(3, 4)),
+		ingestRecord("car2", 1, 0, geo.Pt(math.NaN(), 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/updates", wire.ContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ir wire.IngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || ir.Records != 2 || ir.Applied != 1 || ir.Errors != 1 {
+		t.Fatalf("ingest -> %d %+v, want 200 with 1 applied and 1 error", resp.StatusCode, ir)
+	}
+
+	nresp, err := http.Get(ts.URL + "/nearest?x=0&y=0&k=3&t=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nresp.Body.Close()
+	if nresp.StatusCode != http.StatusOK {
+		t.Fatalf("/nearest -> %d after a NaN record", nresp.StatusCode)
+	}
+	var hits []posJSON
+	if err := json.NewDecoder(nresp.Body).Decode(&hits); err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 1 || hits[0].ID != "car1" {
+		t.Fatalf("/nearest = %+v, want car1 alone", hits)
+	}
+}
+
+// TestIngestRefusesNonFiniteFields refuses a record with any one
+// non-finite report field, on the batched and the single write, and
+// keeps such a record from registering its object.
+func TestIngestRefusesNonFiniteFields(t *testing.T) {
+	bad := map[string]func(*core.Report, float64){
+		"T":           func(r *core.Report, x float64) { r.T = x },
+		"Pos.X":       func(r *core.Report, x float64) { r.Pos.X = x },
+		"Pos.Y":       func(r *core.Report, x float64) { r.Pos.Y = x },
+		"V":           func(r *core.Report, x float64) { r.V = x },
+		"Heading":     func(r *core.Report, x float64) { r.Heading = x },
+		"Offset":      func(r *core.Report, x float64) { r.Offset = x },
+		"RouteOffset": func(r *core.Report, x float64) { r.RouteOffset = x },
+		"Omega":       func(r *core.Report, x float64) { r.Omega = x },
+	}
+	auto := func(ObjectID) core.Predictor { return core.LinearPredictor{} }
+	for field, set := range bad {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := New()
+			rec := ingestRecord("car1", 1, 0, geo.Pt(1, 1))
+			set(&rec.Update.Report, x)
+			applied, err := s.DeliverRecords([]wire.Record{rec}, auto)
+			if applied != 0 || ingestErrCount(err) != 1 || s.Contains("car1") {
+				t.Errorf("%s=%v: DeliverRecords applied %d, err %v, registered %v", field, x, applied, err, s.Contains("car1"))
+			}
+			if err := s.Register("car1", core.LinearPredictor{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Apply("car1", rec.Update); err == nil {
+				t.Errorf("%s=%v: Apply accepted the report", field, x)
+			}
+			if _, ok := s.Position("car1", 1); ok {
+				t.Errorf("%s=%v: the refused report answers a position", field, x)
+			}
+		}
+	}
+}
+
 // ingestErrCount is the number of records an ingest error reports: the
 // leaves of its errors.Join.
 func ingestErrCount(err error) int {

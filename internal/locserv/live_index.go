@@ -68,7 +68,7 @@ func (sh *shard) noteAppliedLocked(e *objEntry) {
 	if !ok {
 		return
 	}
-	vb := e.db.DisplacementBound(rep)
+	vb := e.srv.Predictor().DisplacementBound(rep)
 	if !(vb > 0) {
 		vb = 0 // a negative (or NaN) bound speed drifts no further than the slack
 	}

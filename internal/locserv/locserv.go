@@ -211,17 +211,15 @@ type IndexStats struct {
 
 // objEntry is a shard's record for one object: the protocol replica
 // plus the live-index bookkeeping embedded intrusively — the grid slot
-// and the cached displacement-bound view of the predictor — so the
-// ingest and query hot paths never hash an ObjectID beyond the one
-// replica lookup they always needed.
+// and whether the predictor bounds its drift — so the ingest and query
+// hot paths never hash an ObjectID beyond the one replica lookup they
+// always needed.
 type objEntry struct {
 	id  ObjectID
 	srv *core.Server
-	// bounded caches core.BoundsDisplacement(pred); db is the predictor's
-	// bound interface when bounded (nil otherwise). Static per predictor
-	// instance, resolved once at Register.
+	// bounded caches core.BoundsDisplacement of the replica's predictor:
+	// static per predictor instance, resolved once at Register.
 	bounded bool
-	db      core.DisplacementBounded
 	slot    spatial.Slot
 }
 
@@ -361,9 +359,7 @@ func (s *Service) Register(id ObjectID, pred core.Predictor) error {
 func (s *Service) registerLocked(sh *shard, id ObjectID, pred core.Predictor) *objEntry {
 	id = ObjectID(strings.Clone(string(id)))
 	e := &objEntry{id: id, srv: core.NewServer(pred), bounded: core.BoundsDisplacement(pred)}
-	if e.bounded {
-		e.db, _ = pred.(core.DisplacementBounded)
-	} else {
+	if !e.bounded {
 		sh.unbounded++
 	}
 	sh.objs[id] = e
@@ -387,8 +383,12 @@ func (s *Service) Deregister(id ObjectID) {
 	}
 }
 
-// Apply ingests a single update for an object.
+// Apply ingests a single update for an object. A report that is not
+// Finite is refused.
 func (s *Service) Apply(id ObjectID, u core.Update) error {
+	if !u.Report.Finite() {
+		return fmt.Errorf("locserv: object %q: non-finite report", id)
+	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	e, ok := sh.objs[id]
@@ -447,7 +447,7 @@ func (s *Service) PositionSeq(id ObjectID, t float64) (pos geo.Point, seq uint32
 		if rep, has := e.srv.LastReport(); has {
 			s.ansAge.Record(t - rep.T)
 			if e.bounded {
-				if us := core.EffectiveUncertainty(e.db, rep, t); !math.IsInf(us, 1) {
+				if us := core.EffectiveUncertainty(e.srv.Predictor(), rep, t); !math.IsInf(us, 1) {
 					s.ansUS.Record(us)
 				}
 			}
@@ -705,7 +705,7 @@ func (s *Service) recordStaleness(hits []ObjectPos, t float64) {
 			continue
 		}
 		rep, has := e.srv.LastReport()
-		bounded, db := e.bounded, e.db
+		bounded, pred := e.bounded, e.srv.Predictor()
 		sh.mu.RUnlock()
 		if !has {
 			continue
@@ -714,7 +714,7 @@ func (s *Service) recordStaleness(hits []ObjectPos, t float64) {
 			maxAge, haveAge = age, true
 		}
 		if bounded {
-			if us := core.EffectiveUncertainty(db, rep, t); !math.IsInf(us, 1) && (!haveUS || us > maxUS) {
+			if us := core.EffectiveUncertainty(pred, rep, t); !math.IsInf(us, 1) && (!haveUS || us > maxUS) {
 				maxUS, haveUS = us, true
 			}
 		}

@@ -43,14 +43,16 @@
 // Prediction is incremental where it matters: the protocol's whole point
 // is that updates are rare, so between updates both the source's
 // per-sample deviation check and every server-side query evaluate the
-// prediction function at a slowly advancing time. A Cursor (NewCursor,
-// or StepPredictor.NewCursor) memoizes the road-graph walk state and
-// advances it in O(time delta) per call instead of re-walking from the
-// last report — bit-identical to the stateless Predict for every (rep,
-// t), falling back transparently on backwards time or report change.
-// Source, Server and the location service wire cursors in automatically;
-// reach for NewCursor directly only when evaluating predictions outside
-// those endpoints (e.g. replaying a report along a dense time grid).
+// prediction function at a slowly advancing time. There is one
+// predictor contract: every Predictor mints a Cursor (p.NewCursor(rep))
+// and states its drift bound (p.DisplacementBound(rep), +Inf when none
+// holds). A cursor memoizes the road-graph walk state and advances it in
+// O(time delta) per call instead of re-walking from the last report —
+// bit-identical to the stateless Predict for every (rep, t), restarting
+// transparently on backwards time or report change. Source, Server and
+// the location service wire cursors in automatically; mint one directly
+// only when evaluating predictions outside those endpoints (e.g.
+// replaying a report along a dense time grid).
 //
 // Quick start:
 //
@@ -275,15 +277,7 @@ type (
 	ThresholdPolicy = core.ThresholdPolicy
 	// Cursor incrementally advances one (predictor, report) prediction.
 	Cursor = core.Cursor
-	// StepPredictor is a Predictor that can mint prediction cursors.
-	StepPredictor = core.StepPredictor
 )
-
-// NewCursor returns a prediction cursor for any predictor: monotone
-// query times advance in O(time delta) instead of re-walking from the
-// report, with results bit-identical to Predictor.Predict. Predictors
-// outside the StepPredictor family get a stateless fallback cursor.
-func NewCursor(p Predictor, rep Report) Cursor { return core.NewCursor(p, rep) }
 
 // PredictedState returns the predicted position and travel heading at
 // time t in a single walk advance.
