@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race bench-check bench bench-all bench-locserv clean
+.PHONY: check fmt vet staticcheck build test race bench-check deadcode bench bench-all bench-locserv clean
 
 # The gate benchmarks. Each one that states a bound asserts it itself,
 # on the box that runs it, so `make bench` fails exactly when a bound
@@ -70,6 +70,13 @@ race:
 # narrowed internal/ API would break it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every function that no binary links (each main package built with
+# inlining off, read back with `go tool nm`) must be on the allowlist
+# with its reason; a listed function that is now linked or gone fails
+# too, so the list cannot rot.
+deadcode:
+	$(GO) run ./internal/cmd/deadcode
 
 # Gate benchmarks with allocation tracking. The target fails when a
 # benchmark fails, and for no other reason; the repo's measured perf

@@ -167,7 +167,7 @@ func TestParsePeers(t *testing.T) {
 	}
 
 	front := func() *cluster.Coordinator {
-		coord, err := cluster.New(0, members...)
+		coord, err := cluster.NewReplicated(0, 1, members...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := cluster.New(0, members...)
+	coord, err := cluster.NewReplicated(0, 1, members...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 // Command mapgen generates synthetic road networks and writes them as
-// JSON or compact binary.
+// JSON or GeoJSON.
 //
 // Usage:
 //
 //	mapgen -kind freeway -seed 1 -out map.json
-//	mapgen -kind city -binary -out map.bin
 //	mapgen -kind city -geojson -out map.geojson
 package main
 
@@ -23,15 +22,11 @@ func main() {
 		kind    = flag.String("kind", "city", "network kind: freeway, interurban, city, footpaths")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "output path (default stdout)")
-		binF    = flag.Bool("binary", false, "write compact binary instead of JSON")
 		geojson = flag.Bool("geojson", false, "write GeoJSON (WGS84, Stuttgart-centred) instead of JSON")
 		length  = flag.Float64("length", 0, "corridor length km (freeway/interurban; 0 = default)")
 	)
 	flag.Parse()
 	format := formatJSON
-	if *binF {
-		format = formatBinary
-	}
 	if *geojson {
 		format = formatGeoJSON
 	}
@@ -44,7 +39,6 @@ func main() {
 // output formats.
 const (
 	formatJSON = iota
-	formatBinary
 	formatGeoJSON
 )
 
@@ -89,8 +83,6 @@ func run(kind string, seed int64, out string, format int, length float64) error 
 	fmt.Fprintf(os.Stderr, "generated %s: %d nodes, %d links, %.1f km, %d signals\n",
 		kind, st.Nodes, st.Links, st.TotalLengthKm, st.Signals)
 	switch format {
-	case formatBinary:
-		return roadmap.WriteBinary(w, cor.Graph)
 	case formatGeoJSON:
 		proj := geo.NewProjection(geo.LatLon{Lat: 48.7758, Lon: 9.1829})
 		return roadmap.WriteGeoJSON(w, cor.Graph, proj)

@@ -36,26 +36,6 @@ func TestRunAllKindsJSON(t *testing.T) {
 	}
 }
 
-func TestRunBinaryOutput(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "city.bin")
-	if err := run("city", 2, path, formatBinary, 0); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	g, err := roadmap.ReadBinary(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumLinks() == 0 {
-		t.Error("empty network")
-	}
-}
-
 func TestRunUnknownKind(t *testing.T) {
 	if err := run("marsbase", 1, "", formatJSON, 0); err == nil {
 		t.Error("unknown kind should fail")

@@ -113,9 +113,6 @@ func TestFacadeCursor(t *testing.T) {
 	rep := Report{Seq: 1, T: 0, Pos: link.Shape[0], V: 12,
 		Link: Dir{Link: link.ID, Forward: true}, Offset: 0}
 	c := mp.NewCursor(rep)
-	if c.Report() != rep {
-		t.Error("cursor not bound to the report")
-	}
 	for _, qt := range []float64{1, 30, 12, 300, 90} {
 		if got, want := c.At(qt), mp.Predict(rep, qt); got != want {
 			t.Fatalf("t=%v: cursor %v != stateless %v", qt, got, want)

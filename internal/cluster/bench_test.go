@@ -174,7 +174,7 @@ func BenchmarkFanInIngestQuery(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if ca.NodeStats().UpdatesApplied == 0 {
+	if nodeStats(ca).UpdatesApplied == 0 {
 		b.Fatal("nothing applied")
 	}
 	if qe := ca.QueryErrors() + cb.QueryErrors(); qe != 0 {
@@ -213,7 +213,7 @@ func benchClusterIngestQuery(b *testing.B, rf int) {
 	}
 	runtime.ReadMemStats(&after)
 	b.StopTimer()
-	if coord.NodeStats().UpdatesApplied == 0 {
+	if nodeStats(coord).UpdatesApplied == 0 {
 		b.Fatal("nothing applied")
 	}
 	if coord.QueryErrors() != 0 {

@@ -13,6 +13,13 @@ import (
 	"mapdr/internal/wire"
 )
 
+// nodeStats is the coordinator's GET /stats view: its live members' node
+// stats, summed from the merged metrics snapshot.
+func nodeStats(c *Coordinator) locserv.NodeStats {
+	snap, _ := c.ObsSnapshot()
+	return locserv.NodeStatsOf(snap)
+}
+
 // linearNode returns an in-process member whose factory mints linear
 // predictors — cheap enough for protocol-level tests without a road
 // network.
@@ -96,13 +103,13 @@ func TestClusterAddNodeHandoff(t *testing.T) {
 	m1, _ := linearNode("n1", 4)
 	m2, _ := linearNode("n2", 4)
 	m3, _ := linearNode("n3", 4)
-	coord, err := New(0, m1, m2, m3)
+	coord, err := NewReplicated(0, 1, m1, m2, m3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedCluster(t, coord, n)
 	before := snapshot(coord, n, 42.5)
-	applied := coord.NodeStats().UpdatesApplied
+	applied := nodeStats(coord).UpdatesApplied
 
 	m4, node4 := linearNode("n4", 4)
 	if err := coord.AddNode(m4); err != nil {
@@ -123,7 +130,7 @@ func TestClusterAddNodeHandoff(t *testing.T) {
 	// Handoff re-applies moved reports; their Seq is preserved, so a
 	// replayed original update must be rejected as stale, not double
 	// counted.
-	if nowApplied := coord.NodeStats().UpdatesApplied; nowApplied < applied {
+	if nowApplied := nodeStats(coord).UpdatesApplied; nowApplied < applied {
 		t.Fatalf("applied went backwards: %d -> %d", applied, nowApplied)
 	}
 
@@ -159,7 +166,7 @@ func TestClusterAddNodeHandoff(t *testing.T) {
 func TestClusterStaleUpdateGatingSurvivesHandoff(t *testing.T) {
 	m1, _ := linearNode("n1", 2)
 	m2, _ := linearNode("n2", 2)
-	coord, err := New(0, m1, m2)
+	coord, err := NewReplicated(0, 1, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestClusterStaleUpdateGatingSurvivesHandoff(t *testing.T) {
 	if err := coord.Send(10, recs); err != nil {
 		t.Fatal(err)
 	}
-	applied := coord.NodeStats().UpdatesApplied
+	applied := nodeStats(coord).UpdatesApplied
 	if applied != 100 {
 		t.Fatalf("applied %d, want 100", applied)
 	}
@@ -184,7 +191,7 @@ func TestClusterStaleUpdateGatingSurvivesHandoff(t *testing.T) {
 	// Handoff re-applies the moved reports on the new owner (the old
 	// owner's counter keeps its history), so re-baseline before the
 	// stale replay.
-	applied = coord.NodeStats().UpdatesApplied
+	applied = nodeStats(coord).UpdatesApplied
 	// Replay the Seq-1 originals: every replica must reject them.
 	stale := make([]wire.Record, len(recs))
 	copy(stale, recs)
@@ -195,7 +202,7 @@ func TestClusterStaleUpdateGatingSurvivesHandoff(t *testing.T) {
 	if err := coord.Send(11, stale); err != nil {
 		t.Fatal(err)
 	}
-	if got := coord.NodeStats().UpdatesApplied; got != applied {
+	if got := nodeStats(coord).UpdatesApplied; got != applied {
 		t.Fatalf("stale replay advanced applied: %d -> %d", applied, got)
 	}
 }
@@ -221,7 +228,7 @@ func TestClusterHTTP(t *testing.T) {
 			ts.Close()
 		}
 	}()
-	coord, err := New(0, members...)
+	coord, err := NewReplicated(0, 1, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestClusterHTTP(t *testing.T) {
 		}
 	}
 
-	st := coord.NodeStats()
+	st := nodeStats(coord)
 	if st.Objects != n || st.UpdatesApplied != n {
 		t.Fatalf("cluster stats %+v, want %d objects/applied", st, n)
 	}
@@ -297,7 +304,7 @@ func TestClusterHTTP(t *testing.T) {
 func TestCoordinatorAsFleetTransport(t *testing.T) {
 	m1, _ := linearNode("a", 2)
 	m2, _ := linearNode("b", 2)
-	coord, err := New(0, m1, m2)
+	coord, err := NewReplicated(0, 1, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,17 +317,17 @@ func TestCoordinatorAsFleetTransport(t *testing.T) {
 }
 
 func TestCoordinatorErrors(t *testing.T) {
-	if _, err := New(0); err == nil {
+	if _, err := NewReplicated(0, 1); err == nil {
 		t.Error("empty cluster accepted")
 	}
 	m1, _ := linearNode("a", 2)
 	dup, _ := linearNode("a", 2)
-	if _, err := New(0, m1, dup); err == nil {
+	if _, err := NewReplicated(0, 1, m1, dup); err == nil {
 		t.Error("duplicate member accepted")
 	}
 	m1b, _ := linearNode("a", 2)
 	m2, _ := linearNode("b", 2)
-	coord, err := New(0, m1b, m2)
+	coord, err := NewReplicated(0, 1, m1b, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +350,7 @@ func TestClusterAddNodeRollsBackOnFailure(t *testing.T) {
 	const n = 120
 	m1, _ := linearNode("n1", 4)
 	m2, _ := linearNode("n2", 4)
-	coord, err := New(0, m1, m2)
+	coord, err := NewReplicated(0, 1, m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}

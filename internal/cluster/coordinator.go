@@ -227,13 +227,6 @@ func (c *Coordinator) advanceClock(now float64) {
 	}
 }
 
-// New returns an unreplicated coordinator (replication factor 1) over
-// the given members. vnodes is the virtual-node count per member (<= 0
-// selects DefaultVnodes).
-func New(vnodes int, members ...*Member) (*Coordinator, error) {
-	return NewReplicated(vnodes, 1, members...)
-}
-
 // NewReplicated returns a coordinator replicating every key range to
 // replicas distinct members (capped at the member count; <= 0 selects
 // 1). vnodes is the virtual-node count per member (<= 0 selects
@@ -697,14 +690,6 @@ func (c *Coordinator) DegradedQueries() int64 { return c.degraded.Load() }
 // Repairs returns how many read-repair deliveries landed on stale
 // replicas.
 func (c *Coordinator) Repairs() int64 { return c.repairs.Load() }
-
-// NodeStats sums the live members' node stats: the view of the
-// coordinator's merged metrics snapshot that GET /stats serves. Down
-// and unreachable members contribute nothing.
-func (c *Coordinator) NodeStats() locserv.NodeStats {
-	snap, _ := c.ObsSnapshot()
-	return locserv.NodeStatsOf(snap)
-}
 
 // MemberStats snapshots the coordinator's per-member routing counters
 // and each member's node stats, in scatter order. Down members keep a

@@ -261,7 +261,7 @@ func TestFanInDualRoutingMidMigration(t *testing.T) {
 
 	// Resume on the driver; commit replicates and both converge.
 	fx.a.migHook = nil
-	if err := mig.Resume(); err != nil {
+	if err := resume(fx.a, mig); err != nil {
 		t.Fatal(err)
 	}
 	assertSameRouting(t, fx, n)
@@ -914,8 +914,8 @@ func TestFanInDeposedDriverCleared(t *testing.T) {
 		fx.a.Tick(16) // re-check path for a clear that raced the halt
 		return !fx.a.MigrationStats().Active
 	})
-	if err := fx.a.ResumeMigration(); err != ErrNoMigration {
-		t.Fatalf("deposed driver still holds a run: ResumeMigration = %v, want ErrNoMigration", err)
+	if err := fx.a.abortRun(nil); err != ErrNoMigration {
+		t.Fatalf("deposed driver still holds a run: abortRun = %v, want ErrNoMigration", err)
 	}
 	if got := fx.a.Nodes(); len(got) != 5 {
 		t.Fatalf("co-a nodes after the thief's commit: %v", got)

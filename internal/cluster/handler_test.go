@@ -199,7 +199,7 @@ func roleHandlers(t *testing.T) []struct {
 } {
 	t.Helper()
 	_, node := linearNode("n1", 2)
-	coord, err := New(0, NewLocalMember("n1", node))
+	coord, err := NewReplicated(0, 1, NewLocalMember("n1", node))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func TestReweightControlLoop(t *testing.T) {
 	// by its (new) owner and queries still answer the freshest report.
 	for i := 0; i < n; i++ {
 		id := locserv.ObjectID(fmt.Sprintf("obj-%04d", i))
-		owner := f.coord.Owner(id)
+		owner := f.coord.Owners(id)[0]
 		if !f.nodes[owner].Service().Contains(id) {
 			t.Fatalf("%s not held by owner %s after reweight", id, owner)
 		}

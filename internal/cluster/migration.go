@@ -21,8 +21,8 @@
 // is an exact rollback (the adds' partial copies are removed, the ring
 // is untouched). The run's state lives in the coordinator, so a halt
 // mid-migration (an error, or the crash hook in tests) strands nothing:
-// Resume continues from the first incomplete range (re-copying is
-// idempotent), Abort rolls back.
+// a fan-in peer that steals the lease resumes it from the first
+// incomplete range (re-copying is idempotent), Abort rolls back.
 package cluster
 
 import (
@@ -80,7 +80,7 @@ var (
 	// ErrMigrationHalted: a halted migration holds the cluster in dual
 	// routing; Resume or Abort it before starting another.
 	ErrMigrationHalted = errors.New("cluster: a halted migration is pending (resume or abort it)")
-	// ErrNoMigration: Resume/Abort found no halted migration to act on.
+	// ErrNoMigration: Abort found no halted migration to act on.
 	ErrNoMigration = errors.New("cluster: no halted migration")
 )
 
@@ -92,7 +92,7 @@ type rangeState struct {
 	phase   atomicPhase
 	records atomic.Int64
 	// published records whether the dual entry was pushed to the router
-	// (engine-private; survives a halt so Resume does not double-add).
+	// (engine-private; survives a halt so a resume does not double-add).
 	published bool
 }
 
@@ -171,8 +171,8 @@ func (c *Coordinator) CrashMigrationAfterCopies(n int) {
 // BeginAddNode, BeginRemoveNode or BeginReweight. The engine runs in
 // the background; Wait blocks for the initial drive's outcome. A run
 // that halted (Wait returned an error) stays resident — dual routing
-// keeps both owner sets serving — until Resume completes it or Abort
-// rolls it back.
+// keeps both owner sets serving — until a lease-stealing peer resumes
+// it or Abort rolls it back.
 type Migration struct {
 	c    *Coordinator
 	run  *migrationRun
@@ -186,10 +186,6 @@ func (m *Migration) Wait() error {
 	<-m.done
 	return m.err
 }
-
-// Resume re-drives a halted migration to completion (or its next halt),
-// synchronously, continuing from the first incomplete range.
-func (m *Migration) Resume() error { return m.c.resumeRun(m.run) }
 
 // Abort rolls a halted migration back: dual routing stops, the new
 // owners' partial copies are removed, and the ring stays exactly as it
@@ -260,13 +256,6 @@ func (c *Coordinator) runSync(begin func() (*Migration, error)) error {
 	}
 	return nil
 }
-
-// ResumeMigration resumes the halted migration, if any — the operator
-// surface for recovering a coordinator that crashed mid-handoff.
-func (c *Coordinator) ResumeMigration() error { return c.resumeRun(nil) }
-
-// AbortMigration rolls back the halted migration, if any.
-func (c *Coordinator) AbortMigration() error { return c.abortRun(nil) }
 
 // beginMigration opens the run of the change begin describes — a
 // LogBegin record, the form it is replicated in — and starts the engine
@@ -363,7 +352,7 @@ func (c *Coordinator) openPlan(begin wire.LogRecord, joining *Member) (*migratio
 // routing, copied and verified, one at a time, then the final commit
 // swaps the ring. Any error halts the run exactly where it is — nothing
 // rolls back until Abort, and dual routing keeps both owner sets
-// serving — so Resume can continue from the first incomplete range.
+// serving — so a resume can continue from the first incomplete range.
 // Callers hold migMu.
 func (c *Coordinator) drive(run *migrationRun) error {
 	for _, r := range run.ranges {
@@ -517,23 +506,6 @@ func (c *Coordinator) commitRun(run *migrationRun) error {
 	return nil
 }
 
-// resumeRun re-drives the halted run (the one run names, or whichever
-// is halted when nil) in the calling goroutine.
-func (c *Coordinator) resumeRun(run *migrationRun) error {
-	if !c.migMu.TryLock() {
-		return ErrMigrationBusy
-	}
-	defer c.migMu.Unlock()
-	cur := c.mig.Load()
-	if cur == nil || (run != nil && cur != run) {
-		return ErrNoMigration
-	}
-	run = cur
-	run.setErr(nil)
-	c.migResumed.Add(1)
-	return c.drive(run)
-}
-
 // abortRun rolls the halted run back. Dual routing stops first — under
 // the same brief lock a join's member leaves the scatter set — so no
 // new write can land on an add while its partial copy is removed; the
@@ -613,7 +585,7 @@ type MigrationStats struct {
 	Active bool   `json:"active"`
 	Kind   string `json:"kind,omitempty"`
 	Target string `json:"target,omitempty"`
-	// Halted reports a run stopped mid-flight awaiting Resume or Abort;
+	// Halted reports a run stopped mid-flight awaiting a resume or Abort;
 	// HaltCause is why.
 	Halted    bool   `json:"halted,omitempty"`
 	HaltCause string `json:"halt_cause,omitempty"`

@@ -13,10 +13,26 @@ import (
 	"mapdr/internal/wire"
 )
 
+// resume re-drives a halted run in the calling goroutine, from its first
+// incomplete range to commit or its next halt: the drive a
+// lease-stealing peer resumes, without the steal.
+func resume(c *Coordinator, mig *Migration) error {
+	if !c.migMu.TryLock() {
+		return ErrMigrationBusy
+	}
+	defer c.migMu.Unlock()
+	if c.mig.Load() != mig.run {
+		return ErrNoMigration
+	}
+	mig.run.setErr(nil)
+	c.migResumed.Add(1)
+	return c.drive(mig.run)
+}
+
 // TestMigrationCrashResumeSourceDeath is the coordinator-crash drill:
 // the run halts between copying and committed (one range already dual,
 // the rest untouched), the exported source of a pending range dies,
-// and Resume must still complete — falling through to the surviving
+// and a resume must still complete — falling through to the surviving
 // replica — with every answer bit-identical to the no-migration
 // reference. Concurrent queries run across the whole migration so the
 // dual-routing paths race the engine under -race.
@@ -92,8 +108,8 @@ func TestMigrationCrashResumeSourceDeath(t *testing.T) {
 	f.injectors[victim].Fail()
 
 	f.coord.migHook = nil // the crashed coordinator restarts hook-less
-	if err := mig.Resume(); err != nil {
-		t.Fatalf("Resume() with a dead source = %v", err)
+	if err := resume(f.coord, mig); err != nil {
+		t.Fatalf("resume with a dead source = %v", err)
 	}
 	st = f.coord.MigrationStats()
 	if st.Active || st.Migrations != 1 || st.Resumes != 1 {
@@ -133,7 +149,7 @@ func TestMigrationAbortRollsBackImportFailure(t *testing.T) {
 	}
 	assertSnapshotEqual(t, "halted before abort", before, snapshot(f.coord, n, 4))
 
-	if err := f.coord.AbortMigration(); err != nil {
+	if err := f.coord.abortRun(nil); err != nil {
 		t.Fatal(err)
 	}
 	if nodes := f.coord.Nodes(); len(nodes) != 3 {

@@ -66,9 +66,6 @@ func (c *Coordinator) SetTraceSampling(n int) { c.sampler.SetEvery(int64(n)) }
 // TraceRing exposes the coordinator's trace ring (GET /trace).
 func (c *Coordinator) TraceRing() *obs.TraceRing { return c.traceRing }
 
-// Obs returns the coordinator's own metrics registry.
-func (c *Coordinator) Obs() *obs.Registry { return c.obsReg }
-
 // queryTrace is the span bookkeeping of one sampled query. Unsampled
 // queries carry a nil *queryTrace through the same code and skip all of
 // it.

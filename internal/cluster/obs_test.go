@@ -155,7 +155,7 @@ func TestCoordinatorNodeObjectsSum(t *testing.T) {
 		nodes = append(nodes, node)
 		members = append(members, m)
 	}
-	c, err := New(0, members...)
+	c, err := NewReplicated(0, 1, members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestNodeStatsOneAnswer(t *testing.T) {
 	defer socket.Ingest.(*wire.Stream).Close()
 	members := []*Member{local, faulty, socket}
 
-	seeder, err := New(0, members[0])
+	seeder, err := NewReplicated(0, 1, members[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestNodeStatsOneAnswer(t *testing.T) {
 			if got, err := m.Node.NodeStats(); err != nil || got != want {
 				t.Fatalf("Node.NodeStats() = %+v, %v; want %+v", got, err, want)
 			}
-			c, err := New(0, m)
+			c, err := NewReplicated(0, 1, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := c.NodeStats(); got != want {
-				t.Fatalf("coordinator NodeStats() = %+v, want %+v", got, want)
+			if got := nodeStats(c); got != want {
+				t.Fatalf("coordinator node stats = %+v, want %+v", got, want)
 			}
 			srv := httptest.NewServer(Handler(c))
 			defer srv.Close()

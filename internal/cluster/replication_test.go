@@ -362,7 +362,7 @@ func TestRejectedRecordKeepsMemberUp(t *testing.T) {
 	}
 	for name, build := range kinds {
 		t.Run(name, func(t *testing.T) {
-			coord, err := New(0, build(t, locserv.NewNodeService(locserv.NewSharded(2), factory)))
+			coord, err := NewReplicated(0, 1, build(t, locserv.NewNodeService(locserv.NewSharded(2), factory)))
 			if err != nil {
 				t.Fatal(err)
 			}

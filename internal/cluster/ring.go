@@ -165,9 +165,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Owner returns the member owning id, or "" on an empty ring.
-func (r *Ring) Owner(id string) string { return r.ownerAt(wire.KeyHash(id)) }
-
 // ownerAt returns the owner of ring position h: the first vnode at or
 // after h, wrapping to the lowest.
 func (r *Ring) ownerAt(h uint64) string {

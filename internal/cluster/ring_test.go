@@ -7,6 +7,10 @@ import (
 	"mapdr/internal/wire"
 )
 
+// ringOwner is the member owning id: the head of its preference list,
+// or "" on an empty ring.
+func ringOwner(r *Ring, id string) string { return r.ownerAt(wire.KeyHash(id)) }
+
 func ringIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
@@ -22,7 +26,7 @@ func TestRingBalance(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, id := range ringIDs(20000) {
-		counts[r.Owner(id)]++
+		counts[ringOwner(r, id)]++
 	}
 	if len(counts) != 4 {
 		t.Fatalf("only %d of 4 members own keys: %v", len(counts), counts)
@@ -41,7 +45,7 @@ func TestRingOwnerDeterministic(t *testing.T) {
 	r1, _ := NewRing(16, "x", "y", "z")
 	r2, _ := NewRing(16, "z", "y", "x") // construction order must not matter
 	for _, id := range ringIDs(500) {
-		if r1.Owner(id) != r2.Owner(id) {
+		if ringOwner(r1, id) != ringOwner(r2, id) {
 			t.Fatalf("owner of %q depends on construction order", id)
 		}
 	}
@@ -56,7 +60,7 @@ func TestRingAddMovements(t *testing.T) {
 	ids := ringIDs(20000)
 	before := make(map[string]string, len(ids))
 	for _, id := range ids {
-		before[id] = r.Owner(id)
+		before[id] = ringOwner(r, id)
 	}
 	movs, err := r.Add("d")
 	if err != nil {
@@ -75,7 +79,7 @@ func TestRingAddMovements(t *testing.T) {
 	}
 	moved := 0
 	for _, id := range ids {
-		after := r.Owner(id)
+		after := ringOwner(r, id)
 		h := wire.KeyHash(id)
 		var mov *Movement
 		for i := range movs {
@@ -112,7 +116,7 @@ func TestRingRemoveMovements(t *testing.T) {
 	ids := ringIDs(20000)
 	before := make(map[string]string, len(ids))
 	for _, id := range ids {
-		before[id] = r.Owner(id)
+		before[id] = ringOwner(r, id)
 	}
 	movs, err := r.Remove("b")
 	if err != nil {
@@ -124,7 +128,7 @@ func TestRingRemoveMovements(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		after := r.Owner(id)
+		after := ringOwner(r, id)
 		if after == "b" {
 			t.Fatalf("%s still owned by removed member", id)
 		}
@@ -161,8 +165,8 @@ func TestRingOwnersPreferenceList(t *testing.T) {
 		if len(owners) != 3 {
 			t.Fatalf("%s: owners %v, want 3", id, owners)
 		}
-		if owners[0] != r.Owner(id) {
-			t.Fatalf("%s: primary %s != Owner %s", id, owners[0], r.Owner(id))
+		if owners[0] != ringOwner(r, id) {
+			t.Fatalf("%s: primary %s != Owner %s", id, owners[0], ringOwner(r, id))
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -221,7 +225,7 @@ func TestRingWeightedOwnershipDiff(t *testing.T) {
 	counts := map[string]int{}
 	moved := 0
 	for _, id := range ids {
-		was, now := uniform.Owner(id), weighted.Owner(id)
+		was, now := ringOwner(uniform, id), ringOwner(weighted, id)
 		counts[now]++
 		if was == now {
 			continue
@@ -249,7 +253,7 @@ func TestRingWeightedOwnershipDiff(t *testing.T) {
 	grown, _ := NewRing(32, "a", "b", "c")
 	before := map[string]string{}
 	for _, id := range ids {
-		before[id] = grown.Owner(id)
+		before[id] = ringOwner(grown, id)
 	}
 	movs, err := grown.AddWeighted("d", 128)
 	if err != nil {
@@ -259,7 +263,7 @@ func TestRingWeightedOwnershipDiff(t *testing.T) {
 		t.Fatalf("joined member carries %d vnodes, want 128", grown.Vnodes("d"))
 	}
 	for _, id := range ids {
-		after := grown.Owner(id)
+		after := ringOwner(grown, id)
 		h := wire.KeyHash(id)
 		inMove := false
 		for i := range movs {
@@ -294,14 +298,14 @@ func TestRingErrors(t *testing.T) {
 	if movs, err := r.Add("b"); err != nil || len(movs) == 0 {
 		t.Errorf("Add(b) = %v, %v", movs, err)
 	}
-	if owner := r.Owner("anything"); owner != "a" && owner != "b" {
+	if owner := ringOwner(r, "anything"); owner != "a" && owner != "b" {
 		t.Errorf("owner %q", owner)
 	}
 	// Removing down to one member keeps everything owned.
 	if _, err := r.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if owner := r.Owner("anything"); owner != "b" {
+	if owner := ringOwner(r, "anything"); owner != "b" {
 		t.Errorf("owner after removal %q, want b", owner)
 	}
 	// Removing the last member empties the ring without movements.
@@ -309,7 +313,7 @@ func TestRingErrors(t *testing.T) {
 	if err != nil || movs != nil {
 		t.Errorf("last removal: %v, %v", movs, err)
 	}
-	if owner := r.Owner("anything"); owner != "" {
+	if owner := ringOwner(r, "anything"); owner != "" {
 		t.Errorf("empty ring owner %q", owner)
 	}
 }

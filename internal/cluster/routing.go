@@ -96,13 +96,6 @@ func (t *routingTable) Nodes() []string {
 	return append([]string(nil), t.order...)
 }
 
-// Owner returns the member owning id (the head of its preference list).
-func (t *routingTable) Owner(id locserv.ObjectID) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ring.Owner(string(id))
-}
-
 // Owners returns id's full preference list: the R members holding its
 // replicas.
 func (t *routingTable) Owners(id locserv.ObjectID) []string {

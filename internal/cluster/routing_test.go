@@ -332,7 +332,7 @@ func TestRouteSkipsRecordWithoutID(t *testing.T) {
 						t.Fatalf("%s not delivered", rec.ID)
 					}
 				}
-				if st := coord.NodeStats(); st.UpdatesApplied != int64(7*rf) {
+				if st := nodeStats(coord); st.UpdatesApplied != int64(7*rf) {
 					t.Fatalf("members applied %d updates, want %d", st.UpdatesApplied, 7*rf)
 				}
 				for _, ms := range coord.MemberStats() {

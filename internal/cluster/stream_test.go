@@ -222,7 +222,7 @@ func upgradeCounter(t *testing.T, h http.Handler) (string, *atomic.Int64) {
 // closes the connection and fails the call, and the next call redials.
 func TestMemberStreamWrongRole(t *testing.T) {
 	_, node := linearNode("n1", 2)
-	coord, err := New(0, NewLocalMember("n1", node))
+	coord, err := NewReplicated(0, 1, NewLocalMember("n1", node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMemberStreamWrongRole(t *testing.T) {
 // handler and by a coordinator's.
 func TestMemberStreamOtherVersion(t *testing.T) {
 	_, node := linearNode("n1", 2)
-	coord, err := New(0, NewLocalMember("n1", node))
+	coord, err := NewReplicated(0, 1, NewLocalMember("n1", node))
 	if err != nil {
 		t.Fatal(err)
 	}

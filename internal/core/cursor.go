@@ -34,8 +34,6 @@ type Cursor interface {
 	// t in a single advance. At and before the report time the reported
 	// heading is returned.
 	AtState(t float64) (geo.Point, float64)
-	// Report returns the report the cursor is bound to.
-	Report() Report
 	// Reset binds the cursor to rep, restarting its walk there. Every
 	// later answer is the one p.NewCursor(rep) would give.
 	Reset(rep Report)
@@ -63,9 +61,6 @@ func (c *staticCursor) At(t float64) geo.Point { return StaticPredictor{}.Predic
 // AtState implements Cursor.
 func (c *staticCursor) AtState(t float64) (geo.Point, float64) { return c.rep.Pos, c.rep.Heading }
 
-// Report implements Cursor.
-func (c *staticCursor) Report() Report { return c.rep }
-
 // Reset implements Cursor.
 func (c *staticCursor) Reset(rep Report) { c.rep = rep }
 
@@ -84,9 +79,6 @@ func (c *linearCursor) At(t float64) geo.Point { return LinearPredictor{}.Predic
 func (c *linearCursor) AtState(t float64) (geo.Point, float64) {
 	return LinearPredictor{}.Predict(c.rep, t), c.rep.Heading
 }
-
-// Report implements Cursor.
-func (c *linearCursor) Report() Report { return c.rep }
 
 // Reset implements Cursor.
 func (c *linearCursor) Reset(rep Report) { c.rep = rep }
@@ -110,9 +102,6 @@ func (c *ctrvCursor) AtState(t float64) (geo.Point, float64) {
 	}
 	return pos, geo.NormalizeAngle(c.rep.Heading + c.rep.Omega*dt)
 }
-
-// Report implements Cursor.
-func (c *ctrvCursor) Report() Report { return c.rep }
 
 // Reset implements Cursor.
 func (c *ctrvCursor) Reset(rep Report) { c.rep = rep }
@@ -143,9 +132,6 @@ func (c *routeCursor) AtState(t float64) (geo.Point, float64) {
 	c.hint = hint
 	return p, h
 }
-
-// Report implements Cursor.
-func (c *routeCursor) Report() Report { return c.rep }
 
 // Reset implements Cursor. The link hint survives: the hinted lookup is
 // exact from any hint, and the new report is usually near the old one.

@@ -141,9 +141,6 @@ type mapCursor struct {
 // At implements Cursor.
 func (c *mapCursor) At(t float64) geo.Point { p, _ := c.AtState(t); return p }
 
-// Report implements Cursor.
-func (c *mapCursor) Report() Report { return c.rep }
-
 // Reset implements Cursor; the turn scratch is kept.
 func (c *mapCursor) Reset(rep Report) {
 	c.rep, c.walk, c.lastTotal = rep, startWalk(rep), math.Inf(-1)
@@ -180,9 +177,6 @@ type speedCappedCursor struct {
 
 // At implements Cursor.
 func (c *speedCappedCursor) At(t float64) geo.Point { p, _ := c.AtState(t); return p }
-
-// Report implements Cursor.
-func (c *speedCappedCursor) Report() Report { return c.rep }
 
 // Reset implements Cursor; the turn scratch is kept.
 func (c *speedCappedCursor) Reset(rep Report) {

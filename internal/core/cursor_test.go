@@ -146,7 +146,7 @@ func reaimedCursor(p Predictor, rep Report) Cursor {
 func TestCursorStatelessEquivalenceAllPredictors(t *testing.T) {
 	ring, ringLinks := buildRing(t, 24, 500)
 	chain, chainLinks := buildCurveChain(t)
-	turns := ring.Turns()
+	turns := roadmap.NewTurnTable()
 	turns.Observe(roadmap.Dir{Link: ringLinks[0], Forward: true}, roadmap.Dir{Link: ringLinks[1], Forward: true}, 3)
 
 	route, err := roadmap.NewRoute(chain, []roadmap.Dir{

@@ -190,19 +190,24 @@ func (s *Source) predictLast(t float64) geo.Point {
 	return s.cursor.At(t)
 }
 
-// buildReport assembles the report for the current state.
+// buildReport assembles the report for the current state. V, Heading,
+// Offset, RouteOffset and Omega are rounded to float32 here, as the wire
+// codec carries them, so the report the source predicts from is the one
+// every server decodes, bit for bit. The codec omits a RouteOffset or
+// Omega that is zero, and decodes it as +0, so one that rounds to a zero
+// of either sign is left at +0.
 func (s *Source) buildReport(sample trace.Sample, v, heading float64, match mapmatch.Result) Report {
 	s.seq++
 	rep := Report{
 		Seq:     s.seq,
 		T:       sample.T,
 		Pos:     sample.Pos,
-		V:       v,
-		Heading: heading,
+		V:       float64(float32(v)),
+		Heading: float64(float32(heading)),
 		Link:    roadmap.NoDir,
 	}
-	if omega, ok := s.est.TurnRate(); ok {
-		rep.Omega = omega
+	if omega, ok := s.est.TurnRate(); ok && float32(omega) != 0 {
+		rep.Omega = float64(float32(omega))
 	}
 	if s.matcher != nil && match.Matched {
 		// Map-based updates carry the corrected position and the link id
@@ -211,11 +216,12 @@ func (s *Source) buildReport(sample trace.Sample, v, heading float64, match mapm
 		// identifier of the current link o.l").
 		rep.Pos = match.Corrected
 		rep.Link = match.Dir
-		rep.Offset = match.Offset
+		rep.Offset = float64(float32(match.Offset))
 	}
 	if s.route != nil {
-		off, _ := s.route.Project(sample.Pos)
-		rep.RouteOffset = off
+		if off, _ := s.route.Project(sample.Pos); float32(off) != 0 {
+			rep.RouteOffset = float64(float32(off))
+		}
 	}
 	return rep
 }

@@ -377,3 +377,86 @@ func TestDTDRSendsMoreUpdatesWhenStationaryThreshold(t *testing.T) {
 		t.Errorf("dtdr (%d) should send more updates than sdr (%d) on a straight line", dtdr, sdr)
 	}
 }
+
+// TestEmittedReportsSurviveCodec pins the shared prediction function
+// across the wire: every report a source emits decodes from its own
+// encoding bit for bit, so the source and every server predict from the
+// same numbers. Static, linear, CTRV, known-route and map sources each
+// follow a noisy lap of a ring road.
+func TestEmittedReportsSurviveCodec(t *testing.T) {
+	ring, links := buildRing(t, 24, 500)
+	dirs := make([]roadmap.Dir, len(links))
+	for i, l := range links {
+		dirs[i] = roadmap.Dir{Link: l, Forward: true}
+	}
+	route, err := roadmap.NewRoute(ring, dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lap := &trace.Trace{}
+	for i := 0; float64(i)*13.71 < route.Length(); i++ {
+		p, _ := route.PointAt(float64(i) * 13.71)
+		lap.Samples = append(lap.Samples, trace.Sample{T: float64(i), Pos: p})
+	}
+	lap = trace.ApplyNoise(lap, trace.NewGaussMarkov(7, 3, 20))
+
+	cfg := SourceConfig{US: 20, UP: 5, Sightings: 4}
+	mapSrc, err := NewMapSource(cfg, NewMapPredictor(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]*Source{"map": mapSrc}
+	for name, p := range map[string]Predictor{
+		"static": StaticPredictor{}, "linear": LinearPredictor{},
+		"ctrv": CTRVPredictor{}, "route": &RoutePredictor{Route: route},
+	} {
+		if sources[name], err = NewSource(cfg, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var linked, routeOffsets, omegas int // the codec's optional fields, exercised
+	for name, src := range sources {
+		var emitted int
+		for _, s := range lap.Samples {
+			u, ok := src.OnSample(s)
+			if !ok {
+				continue
+			}
+			emitted++
+			in := u.Report
+			if in.Link.IsValid() {
+				linked++
+			}
+			if in.RouteOffset != 0 {
+				routeOffsets++
+			}
+			if in.Omega != 0 {
+				omegas++
+			}
+			out, n, err := DecodeReport(in.AppendBinary(nil))
+			if err != nil || n != in.EncodedSize() {
+				t.Fatalf("%s seq %d: decode = %v, %d bytes", name, in.Seq, err, n)
+			}
+			same := out.Seq == in.Seq && out.Link == in.Link
+			for i, f := range [][2]float64{
+				{in.T, out.T}, {in.Pos.X, out.Pos.X}, {in.Pos.Y, out.Pos.Y},
+				{in.V, out.V}, {in.Heading, out.Heading}, {in.Offset, out.Offset},
+				{in.RouteOffset, out.RouteOffset}, {in.Omega, out.Omega},
+			} {
+				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+					t.Errorf("%s seq %d: field %d %v decodes as %v", name, in.Seq, i, f[0], f[1])
+					same = false
+				}
+			}
+			if !same {
+				t.Fatalf("%s: emitted %+v, decoded %+v", name, in, out)
+			}
+		}
+		if emitted < 3 {
+			t.Fatalf("%s: %d updates over the lap, want several", name, emitted)
+		}
+	}
+	if linked == 0 || routeOffsets == 0 || omegas == 0 {
+		t.Fatalf("optional fields unexercised: %d links, %d route offsets, %d turn rates", linked, routeOffsets, omegas)
+	}
+}

@@ -38,9 +38,3 @@ func HeadingToCompass(heading float64) float64 {
 	}
 	return deg
 }
-
-// CompassToHeading converts a compass bearing in degrees (clockwise from
-// north) to a mathematical heading in radians CCW from east, in (-pi, pi].
-func CompassToHeading(bearing float64) float64 {
-	return NormalizeAngle(Rad(90 - bearing))
-}

@@ -83,8 +83,5 @@ func TestCompassConversion(t *testing.T) {
 		if got := HeadingToCompass(c.heading); !approx(got, c.compass, 1e-9) {
 			t.Errorf("HeadingToCompass(%v) = %v, want %v", c.heading, got, c.compass)
 		}
-		if got := CompassToHeading(c.compass); !approx(NormalizeAngle(got-c.heading), 0, 1e-9) {
-			t.Errorf("CompassToHeading(%v) = %v, want %v", c.compass, got, c.heading)
-		}
 	}
 }

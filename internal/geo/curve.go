@@ -56,22 +56,3 @@ func CurvatureAt(pl Polyline, i int) float64 {
 	}
 	return AngleDiff(h1, h2) / mean
 }
-
-// MaxCurvatureAhead returns the maximum absolute curvature of pl between
-// arc length from and from+lookahead, scanning vertices. Used by the
-// vehicle model to slow down before curves.
-func MaxCurvatureAhead(pl Polyline, cum []float64, from, lookahead float64) float64 {
-	var maxAbs float64
-	for i := 1; i < len(pl)-1; i++ {
-		if cum[i] < from {
-			continue
-		}
-		if cum[i] > from+lookahead {
-			break
-		}
-		if c := math.Abs(CurvatureAt(pl, i)); c > maxAbs {
-			maxAbs = c
-		}
-	}
-	return maxAbs
-}

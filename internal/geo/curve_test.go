@@ -63,18 +63,3 @@ func TestCurvatureSign(t *testing.T) {
 		t.Error("right bend should have negative curvature")
 	}
 }
-
-func TestMaxCurvatureAhead(t *testing.T) {
-	// Straight then a sharp corner at s=20.
-	pl := Polyline{Pt(0, 0), Pt(10, 0), Pt(20, 0), Pt(20, 10), Pt(20, 20)}
-	cum := pl.CumLengths()
-	if c := MaxCurvatureAhead(pl, cum, 0, 15); c != 0 {
-		t.Errorf("curvature before corner = %v", c)
-	}
-	if c := MaxCurvatureAhead(pl, cum, 0, 25); c <= 0 {
-		t.Errorf("corner not seen, c = %v", c)
-	}
-	if c := MaxCurvatureAhead(pl, cum, 25, 10); c != 0 {
-		t.Errorf("curvature after corner = %v", c)
-	}
-}

@@ -27,36 +27,14 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dot returns the dot product of p and q seen as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Cross returns the z component of the cross product of p and q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
 // Norm returns the Euclidean length of p seen as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
-// DistSq returns the squared Euclidean distance between p and q.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
-// Unit returns the unit vector in the direction of p. The zero vector is
-// returned unchanged.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return Point{p.X / n, p.Y / n}
-}
 
 // Heading returns the direction of p seen as a vector, in radians in
 // (-pi, pi], measured counter-clockwise from the +X (east) axis.

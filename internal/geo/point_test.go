@@ -18,14 +18,8 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != Pt(4, 2) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != Pt(6, 8) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != -3+8 {
 		t.Errorf("Dot = %v", got)
-	}
-	if got := p.Cross(q); got != 3*2-4*(-1) {
-		t.Errorf("Cross = %v", got)
 	}
 	if got := p.Norm(); got != 5 {
 		t.Errorf("Norm = %v", got)
@@ -36,20 +30,6 @@ func TestPointDist(t *testing.T) {
 	a, b := Pt(0, 0), Pt(3, 4)
 	if d := a.Dist(b); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
-	}
-	if d := a.DistSq(b); d != 25 {
-		t.Errorf("DistSq = %v, want 25", d)
-	}
-}
-
-func TestPointUnit(t *testing.T) {
-	u := Pt(3, 4).Unit()
-	if !approx(u.Norm(), 1, eps) {
-		t.Errorf("Unit norm = %v", u.Norm())
-	}
-	z := Pt(0, 0).Unit()
-	if z != Pt(0, 0) {
-		t.Errorf("Unit of zero = %v", z)
 	}
 }
 

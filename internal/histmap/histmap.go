@@ -77,9 +77,6 @@ func New(cfg Config) *Learner {
 // Traces returns how many traces have been added.
 func (l *Learner) Traces() int { return l.traces }
 
-// Cells returns the number of distinct cells seen so far.
-func (l *Learner) Cells() int { return len(l.cells) }
-
 func (l *Learner) keyOf(p geo.Point) cellKey {
 	return cellKey{
 		int32(math.Floor(p.X / l.cfg.CellSize)),
@@ -146,12 +143,9 @@ func (l *Learner) AddTrace(tr *trace.Trace) {
 	}
 }
 
-// Result is a learned map plus protocol-relevant byproducts.
+// Result is a learned map plus the visit filter's statistics.
 type Result struct {
 	Graph *roadmap.Graph
-	// Turns carries learned turn counts keyed by the learned graph's
-	// directed links, usable with roadmap.ProbabilityChooser.
-	Turns *roadmap.TurnTable
 	// CoveredCells and DroppedCells describe the visit filter's effect.
 	CoveredCells, DroppedCells int
 }
@@ -391,27 +385,7 @@ func (l *Learner) Build() (*Result, error) {
 	}
 	return &Result{
 		Graph:        g,
-		Turns:        roadmap.NewTurnTable(),
 		CoveredCells: len(kept),
 		DroppedCells: len(l.cells) - len(kept),
 	}, nil
-}
-
-// LearnTurns replays a trace against the learned graph and records the
-// link transitions into the result's TurnTable, enabling the "map-based
-// with probability information" variant on the learned map.
-func (r *Result) LearnTurns(tr *trace.Trace, matchRadius float64) {
-	var last roadmap.Dir
-	haveLast := false
-	for _, s := range tr.Samples {
-		m, ok := r.Graph.NearestLink(s.Pos, matchRadius)
-		if !ok {
-			continue
-		}
-		cur := roadmap.Dir{Link: m.Link, Forward: true}
-		if haveLast && cur.Link != last.Link {
-			r.Turns.Observe(last, cur, 1)
-		}
-		last, haveLast = cur, true
-	}
 }

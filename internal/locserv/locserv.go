@@ -482,11 +482,6 @@ func (s *Service) UpdatesApplied() int64 { return s.applied.Load() }
 // overhead; transports report those in their wire.Stats.
 func (s *Service) WireBytes() int64 { return s.appliedBytes.Load() }
 
-// Obs returns the node's metrics registry so embedding layers
-// (transports, handlers, binaries) can register their own metrics
-// alongside the store's.
-func (s *Service) Obs() *obs.Registry { return s.reg }
-
 // Objects returns the registered ids in sorted order.
 func (s *Service) Objects() []ObjectID {
 	ids := make([]ObjectID, 0, s.count.Load())

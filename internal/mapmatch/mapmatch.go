@@ -30,30 +30,6 @@ const (
 	EventSearching        // still lost, no re-acquisition attempt due yet
 )
 
-// String implements fmt.Stringer.
-func (e Event) String() string {
-	switch e {
-	case EventNone:
-		return "none"
-	case EventInit:
-		return "init"
-	case EventKeep:
-		return "keep"
-	case EventForward:
-		return "forward"
-	case EventBacktrack:
-		return "backtrack"
-	case EventLost:
-		return "lost"
-	case EventReacquired:
-		return "reacquired"
-	case EventSearching:
-		return "searching"
-	default:
-		return "unknown"
-	}
-}
-
 // Config parameterises the matcher.
 type Config struct {
 	// MatchRadius is u_m: the maximum distance between a position and a

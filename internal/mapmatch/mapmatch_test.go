@@ -228,17 +228,6 @@ func TestMatcherPanicsOnBadRadius(t *testing.T) {
 	New(g, Config{MatchRadius: 0})
 }
 
-func TestEventString(t *testing.T) {
-	for ev := EventNone; ev <= EventSearching; ev++ {
-		if ev.String() == "" || ev.String() == "unknown" {
-			t.Errorf("event %d has no name", ev)
-		}
-	}
-	if Event(200).String() != "unknown" {
-		t.Error("out of range event should be unknown")
-	}
-}
-
 func TestMatcherNoMatchFarFromMap(t *testing.T) {
 	g, _ := buildL(t)
 	m := New(g, DefaultConfig())

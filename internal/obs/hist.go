@@ -200,14 +200,6 @@ func (s HistSnapshot) Sum() float64 {
 	return float64(s.SumTicks) / s.TicksPerUnit
 }
 
-// Mean is the average recorded value in the exposed unit (0 if empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum() / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) in the exposed unit,
 // reporting the upper bound of the bucket holding the rank — an
 // overestimate by at most 2^-4 = 6.25% relative error. An empty

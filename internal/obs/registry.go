@@ -24,9 +24,6 @@ type Counter struct{ v atomic.Int64 }
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 

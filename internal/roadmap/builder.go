@@ -102,7 +102,6 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		nodes: append([]Node(nil), b.nodes...),
 		links: append([]Link(nil), b.links...),
-		turns: NewTurnTable(),
 	}
 	// Adjacency: a link is usable out of From (forward) and, unless
 	// one-way, out of To (backward).

@@ -104,9 +104,12 @@ func TestPointAtHintMatchesPointAt(t *testing.T) {
 	}
 
 	offsets := []float64{-50, 0, 1e-9, 100.5, r.Length() / 2, r.Length() - 1e-9, r.Length(), r.Length() + 500}
-	for _, c := range r.TruthOffsets() {
-		offsets = append(offsets, c, c-1e-9, c+1e-9) // link boundaries
+	c := 0.0 // link boundaries, summed as NewRoute sums them
+	for _, d := range r.Dirs() {
+		offsets = append(offsets, c, c-1e-9, c+1e-9)
+		c += g.Link(d.Link).Length()
 	}
+	offsets = append(offsets, c, c-1e-9, c+1e-9)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		offsets = append(offsets, rng.Float64()*r.Length())

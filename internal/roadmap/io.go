@@ -1,12 +1,9 @@
 package roadmap
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"mapdr/internal/geo"
 )
@@ -86,142 +83,6 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 			Class: RoadClass(l.Class), SpeedLimit: l.SpeedLimit,
 			OneWay: l.OneWay, Name: l.Name,
 		})
-	}
-	return b.Build()
-}
-
-var binaryMagic = [4]byte{'M', 'D', 'R', 'M'}
-
-// WriteBinary serialises the graph in a compact binary format suitable for
-// embedding in on-device navigation storage.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	writeU32 := func(v uint32) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeF64 := func(v float64) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeU32(formatVersion)
-	writeU32(uint32(len(g.nodes)))
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		writeF64(n.Pt.X)
-		writeF64(n.Pt.Y)
-		flag := uint32(0)
-		if n.Signal {
-			flag = 1
-		}
-		writeU32(flag)
-	}
-	writeU32(uint32(len(g.links)))
-	for i := range g.links {
-		l := &g.links[i]
-		writeU32(uint32(l.From))
-		writeU32(uint32(l.To))
-		flags := uint32(l.Class)
-		if l.OneWay {
-			flags |= 1 << 8
-		}
-		writeU32(flags)
-		writeF64(l.SpeedLimit)
-		interior := l.Shape[1 : len(l.Shape)-1]
-		writeU32(uint32(len(interior)))
-		for _, p := range interior {
-			writeF64(p.X)
-			writeF64(p.Y)
-		}
-		name := []byte(l.Name)
-		writeU32(uint32(len(name)))
-		if _, err := bw.Write(name); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserialises a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("roadmap: read magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("roadmap: bad magic %q", magic)
-	}
-	var readErr error
-	readU32 := func() uint32 {
-		var v uint32
-		if readErr == nil {
-			readErr = binary.Read(br, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	readF64 := func() float64 {
-		var v float64
-		if readErr == nil {
-			readErr = binary.Read(br, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	if v := readU32(); readErr == nil && v != formatVersion {
-		return nil, fmt.Errorf("roadmap: unsupported version %d", v)
-	}
-	b := NewBuilder()
-	nNodes := readU32()
-	if readErr == nil && nNodes > 1<<24 {
-		return nil, fmt.Errorf("roadmap: implausible node count %d", nNodes)
-	}
-	for i := uint32(0); i < nNodes && readErr == nil; i++ {
-		x, y := readF64(), readF64()
-		signal := readU32()&1 != 0
-		if signal {
-			b.AddSignalNode(geo.Pt(x, y))
-		} else {
-			b.AddNode(geo.Pt(x, y))
-		}
-	}
-	nLinks := readU32()
-	if readErr == nil && nLinks > 1<<24 {
-		return nil, fmt.Errorf("roadmap: implausible link count %d", nLinks)
-	}
-	for i := uint32(0); i < nLinks && readErr == nil; i++ {
-		from := NodeID(readU32())
-		to := NodeID(readU32())
-		flags := readU32()
-		speed := readF64()
-		nShape := readU32()
-		if readErr == nil && nShape > 1<<20 {
-			return nil, fmt.Errorf("roadmap: implausible shape count %d", nShape)
-		}
-		shape := make(geo.Polyline, 0, nShape)
-		for s := uint32(0); s < nShape && readErr == nil; s++ {
-			shape = append(shape, geo.Pt(readF64(), readF64()))
-		}
-		nameLen := readU32()
-		if readErr == nil && nameLen > 1<<16 {
-			return nil, fmt.Errorf("roadmap: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if readErr == nil {
-			_, readErr = io.ReadFull(br, name)
-		}
-		if readErr != nil {
-			break
-		}
-		if math.IsNaN(speed) {
-			return nil, fmt.Errorf("roadmap: link %d has NaN speed", i)
-		}
-		b.AddLink(LinkSpec{
-			From: from, To: to, Shape: shape,
-			Class:      RoadClass(flags & 0xff),
-			SpeedLimit: speed,
-			OneWay:     flags&(1<<8) != 0,
-			Name:       string(name),
-		})
-	}
-	if readErr != nil {
-		return nil, fmt.Errorf("roadmap: read binary: %w", readErr)
 	}
 	return b.Build()
 }

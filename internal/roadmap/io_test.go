@@ -64,57 +64,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	graphsEquivalent(t, g, g2)
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := buildSerializable(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, g2)
-}
-
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
 		t.Error("expected decode error")
 	}
 	if _, err := ReadJSON(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("expected version error")
-	}
-}
-
-func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Error("expected magic error")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("expected short read error")
-	}
-	// Truncated payload.
-	g := buildSerializable(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("expected truncation error")
-	}
-}
-
-func TestBinarySmallerThanJSON(t *testing.T) {
-	g := buildSerializable(t)
-	var jbuf, bbuf bytes.Buffer
-	if err := WriteJSON(&jbuf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&bbuf, g); err != nil {
-		t.Fatal(err)
-	}
-	if bbuf.Len() >= jbuf.Len() {
-		t.Errorf("binary (%d) should be smaller than JSON (%d)", bbuf.Len(), jbuf.Len())
 	}
 }

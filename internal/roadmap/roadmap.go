@@ -207,7 +207,6 @@ type Graph struct {
 	nodes []Node
 	links []Link
 	index *spatial.Grid
-	turns *TurnTable
 }
 
 // NumNodes returns the number of intersections.
@@ -224,9 +223,6 @@ func (g *Graph) Link(id LinkID) *Link { return &g.links[id] }
 
 // Links returns all links (read-only use).
 func (g *Graph) Links() []Link { return g.links }
-
-// Nodes returns all nodes (read-only use).
-func (g *Graph) Nodes() []Node { return g.nodes }
 
 // Bounds returns the bounding rectangle of the whole network.
 func (g *Graph) Bounds() geo.Rect {
@@ -292,44 +288,3 @@ func (g *Graph) NearestLinkWith(p geo.Point, maxDist float64, s *spatial.Nearest
 	link, _ := decodeSegID(hits[0].Entry.ID)
 	return LinkMatch{Link: link, Proj: g.links[link].Project(p)}, true
 }
-
-// NearestLinks returns up to k distinct links within maxDist of p, ordered
-// by increasing distance.
-func (g *Graph) NearestLinks(p geo.Point, k int, maxDist float64) []LinkMatch {
-	// Ask for more segment hits than links wanted, since adjacent segments
-	// of one link can dominate the head of the list.
-	hits := g.index.NearestK(p, 4*k+8, maxDist)
-	seen := make(map[LinkID]struct{}, k)
-	var out []LinkMatch
-	for _, h := range hits {
-		link, _ := decodeSegID(h.Entry.ID)
-		if _, dup := seen[link]; dup {
-			continue
-		}
-		seen[link] = struct{}{}
-		out = append(out, LinkMatch{Link: link, Proj: g.links[link].Project(p)})
-		if len(out) == k {
-			break
-		}
-	}
-	return out
-}
-
-// LinksInRect returns the ids of all links with at least one segment
-// intersecting r.
-func (g *Graph) LinksInRect(r geo.Rect) []LinkID {
-	seen := make(map[LinkID]struct{})
-	var out []LinkID
-	g.index.Search(r, func(e spatial.Entry) bool {
-		link, _ := decodeSegID(e.ID)
-		if _, dup := seen[link]; !dup {
-			seen[link] = struct{}{}
-			out = append(out, link)
-		}
-		return true
-	})
-	return out
-}
-
-// Turns returns the turn-probability table (never nil after Build).
-func (g *Graph) Turns() *TurnTable { return g.turns }

@@ -159,38 +159,6 @@ func TestNearestLink(t *testing.T) {
 	}
 }
 
-func TestNearestLinksDistinct(t *testing.T) {
-	g, _, _ := buildCross(t)
-	ms := g.NearestLinks(geo.Pt(5, 5), 3, 200)
-	if len(ms) != 3 {
-		t.Fatalf("NearestLinks = %d", len(ms))
-	}
-	seen := map[LinkID]bool{}
-	for _, m := range ms {
-		if seen[m.Link] {
-			t.Error("duplicate link in NearestLinks")
-		}
-		seen[m.Link] = true
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Proj.Dist < ms[i-1].Proj.Dist {
-			t.Error("NearestLinks not sorted")
-		}
-	}
-}
-
-func TestLinksInRect(t *testing.T) {
-	g, _, links := buildCross(t)
-	ids := g.LinksInRect(geo.Rect{Min: geo.Pt(10, -10), Max: geo.Pt(110, 10)})
-	if len(ids) != 1 || ids[0] != links[2] {
-		t.Errorf("LinksInRect = %v", ids)
-	}
-	all := g.LinksInRect(g.Bounds().Expand(1))
-	if len(all) != 4 {
-		t.Errorf("all links = %v", all)
-	}
-}
-
 func TestBuilderValidation(t *testing.T) {
 	// Unknown node reference.
 	b := NewBuilder()

@@ -111,28 +111,6 @@ func (r *Route) PointAtHint(s float64, hint int) (geo.Point, float64, int) {
 	return p, h, lo
 }
 
-// LinkAt returns the directed link containing route offset s and the
-// offset within that link (along travel direction).
-func (r *Route) LinkAt(s float64) (Dir, float64) {
-	if s <= 0 {
-		return r.dirs[0], 0
-	}
-	if s >= r.Length() {
-		d := r.dirs[len(r.dirs)-1]
-		return d, r.g.Link(d.Link).Length()
-	}
-	lo, hi := 0, len(r.dirs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.cum[mid] <= s {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return r.dirs[lo], s - r.cum[lo]
-}
-
 // Project finds the route offset whose point is nearest to p, scanning all
 // links. Used to initialise the known-route protocol from a sensor
 // position. Returns the offset and the distance.
@@ -152,10 +130,6 @@ func (r *Route) Project(p geo.Point) (float64, float64) {
 	return bestOffset, bestDist
 }
 
-// TruthOffsets returns the cumulative length table (one entry per link
-// start plus the total); exposed for tests.
-func (r *Route) TruthOffsets() []float64 { return r.cum }
-
 // RecordTurns adds every intersection transition of the route to the turn
 // table with the given weight, simulating "user-specific" probability
 // learning from repeated trips (paper §2).
@@ -170,12 +144,6 @@ type CostFunc func(g *Graph, d Dir) float64
 
 // LengthCost routes by distance.
 func LengthCost(g *Graph, d Dir) float64 { return g.Link(d.Link).Length() }
-
-// TravelTimeCost routes by free-flow travel time.
-func TravelTimeCost(g *Graph, d Dir) float64 {
-	l := g.Link(d.Link)
-	return l.Length() / l.Speed()
-}
 
 // ShortestPath computes a minimum-cost route from node a to node b using
 // Dijkstra's algorithm. Returns an error when b is unreachable.

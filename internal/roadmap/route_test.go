@@ -96,7 +96,11 @@ func TestTravelTimeCostPrefersFastRoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ShortestPath(g, n0, n1, TravelTimeCost)
+	travelTime := func(g *Graph, d Dir) float64 {
+		l := g.Link(d.Link)
+		return l.Length() / l.Speed()
+	}
+	r, err := ShortestPath(g, n0, n1, travelTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +134,6 @@ func TestRouteAddressing(t *testing.T) {
 	if p.Dist(geo.Pt(300, 0)) > 1e-9 {
 		t.Errorf("clamped end = %v", p)
 	}
-	d, off := r.LinkAt(250)
-	if d != r.At(2) || math.Abs(off-50) > 1e-9 {
-		t.Errorf("LinkAt(250) = %+v, %v", d, off)
-	}
 }
 
 func TestRouteProject(t *testing.T) {
@@ -164,7 +164,7 @@ func TestRouteContinuityValidation(t *testing.T) {
 }
 
 func TestRouteRecordTurns(t *testing.T) {
-	g, nodes, _ := buildChain(t)
+	g, nodes, links := buildChain(t)
 	r, err := ShortestPath(g, nodes[0], nodes[3], LengthCost)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +174,10 @@ func TestRouteRecordTurns(t *testing.T) {
 	if tt.Len() != 2 {
 		t.Errorf("turn pairs = %d", tt.Len())
 	}
-	if c := tt.Count(r.At(0), r.At(1)); c != 1 {
-		t.Errorf("count = %v", c)
+	// The recorded turn takes all the weight from the unrecorded detour.
+	detour := Dir{Link: links[3], Forward: true}
+	if p := tt.Prob(r.At(0), r.At(1), []Dir{r.At(1), detour}); p != 1 {
+		t.Errorf("prob = %v", p)
 	}
 }
 

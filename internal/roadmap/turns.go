@@ -30,9 +30,6 @@ func (t *TurnTable) Observe(in, out Dir, weight float64) {
 	t.counts[turnKey{in, out}] += weight
 }
 
-// Count returns the recorded weight for the pair.
-func (t *TurnTable) Count(in, out Dir) float64 { return t.counts[turnKey{in, out}] }
-
 // Prob returns the probability of turning from in to out, given the set of
 // alternatives out of the intersection. Unobserved intersections return a
 // uniform distribution.

@@ -37,7 +37,7 @@ func (g *Grid) cellOf(p geo.Point) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / g.cellSize)), int32(math.Floor(p.Y / g.cellSize))}
 }
 
-// Insert implements Index. Entries are visible immediately.
+// Insert adds an entry. Entries are visible immediately.
 func (g *Grid) Insert(e Entry) {
 	idx := int32(len(g.entries))
 	g.entries = append(g.entries, e)
@@ -52,52 +52,12 @@ func (g *Grid) Insert(e Entry) {
 	}
 }
 
-// Build implements Index (no-op for the grid).
+// Build finalises the index after a batch of inserts (a no-op for the
+// grid).
 func (g *Grid) Build() { g.built = true }
 
-// Len implements Index.
+// Len returns the number of indexed entries.
 func (g *Grid) Len() int { return len(g.entries) }
-
-// Search implements Index.
-func (g *Grid) Search(r geo.Rect, fn func(Entry) bool) {
-	if r.IsEmpty() || len(g.entries) == 0 {
-		return
-	}
-	lo, hi := g.cellOf(r.Min), g.cellOf(r.Max)
-	seen := make(map[int32]struct{})
-	for cx := lo[0]; cx <= hi[0]; cx++ {
-		for cy := lo[1]; cy <= hi[1]; cy++ {
-			for _, idx := range g.cells[[2]int32{cx, cy}] {
-				if _, dup := seen[idx]; dup {
-					continue
-				}
-				seen[idx] = struct{}{}
-				e := g.entries[idx]
-				if r.Intersects(e.Bounds()) {
-					if !fn(e) {
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// Nearest implements Index.
-func (g *Grid) Nearest(p geo.Point, maxDist float64) (Hit, bool) {
-	hits := g.NearestK(p, 1, maxDist)
-	if len(hits) == 0 {
-		return Hit{}, false
-	}
-	return hits[0], true
-}
-
-// NearestK implements Index. It scans rings of cells outward from p; the
-// search stops once the next ring cannot contain anything closer than the
-// current k-th best hit.
-func (g *Grid) NearestK(p geo.Point, k int, maxDist float64) []Hit {
-	return g.NearestKWith(p, k, maxDist, new(NearestScratch))
-}
 
 // NearestScratch is the working memory of nearest queries that one caller
 // reuses across them: the hit list and the entry index of each hit. The
@@ -117,8 +77,11 @@ func (s *NearestScratch) holds(idx int32) bool {
 	return false
 }
 
-// NearestKWith is NearestK over the caller's scratch, so a warmed-up
-// scratch makes the query allocation-free. The result aliases s and is
+// NearestKWith returns up to k entries nearest to p within maxDist,
+// ordered by increasing distance. It scans rings of cells outward from p
+// and stops once the next ring cannot hold anything closer than the
+// current k-th best hit. It works in the caller's scratch, so a warmed-up
+// scratch makes the query allocation-free; the result aliases s and is
 // valid until s is used again.
 //
 // An entry registered in several cells is met once per cell, and no
@@ -168,5 +131,3 @@ func (g *Grid) NearestKWith(p geo.Point, k int, maxDist float64, s *NearestScrat
 	}
 	return s.hits
 }
-
-var _ Index = (*Grid)(nil)

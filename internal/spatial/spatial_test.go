@@ -24,83 +24,92 @@ func randomEntries(n int, size float64, seed int64) []Entry {
 	return entries
 }
 
-// allIndexes returns the index under test beside its reference scan.
-// The rect is the callers' data bounds, which neither needs up front.
-func allIndexes(geo.Rect) map[string]Index {
-	return map[string]Index{
-		"scan": NewScan(),
-		"grid": NewGrid(250),
+// scan is the brute-force reference the grid is checked against: every
+// entry, judged one at a time.
+type scan []Entry
+
+// within returns the ids of the entries within maxDist of p, sorted.
+func (s scan) within(p geo.Point, maxDist float64) []int64 {
+	var ids []int64
+	for _, e := range s {
+		if e.Seg.DistanceTo(p) <= maxDist {
+			ids = append(ids, e.ID)
+		}
 	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
-func buildWith(idx Index, entries []Entry) {
-	for _, e := range entries {
-		idx.Insert(e)
+// nearestK returns up to k entries nearest to p within maxDist, ordered
+// by increasing distance.
+func (s scan) nearestK(p geo.Point, k int, maxDist float64) []Hit {
+	if k <= 0 {
+		return nil
 	}
-	idx.Build()
+	var hits []Hit
+	for _, e := range s {
+		if d := e.Seg.DistanceTo(p); d <= maxDist {
+			hits = insertHit(hits, Hit{Entry: e, Dist: d}, k)
+		}
+	}
+	return hits
+}
+
+// insertHit inserts h into hits (sorted ascending by Dist), keeping at most
+// k elements. Returns the updated slice.
+func insertHit(hits []Hit, h Hit, k int) []Hit {
+	if lo := hitRank(hits, h.Dist); lo < k {
+		hits = insertAt(hits, lo, h, k)
+	}
+	return hits
+}
+
+func newGrid(cellSize float64, entries []Entry) *Grid {
+	g := NewGrid(cellSize)
+	for _, e := range entries {
+		g.Insert(e)
+	}
+	g.Build()
+	return g
 }
 
 func TestIndexLen(t *testing.T) {
-	entries := randomEntries(100, 5000, 1)
-	for name, idx := range allIndexes(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(5200, 5200)}) {
-		buildWith(idx, entries)
-		if idx.Len() != 100 {
-			t.Errorf("%s: Len = %d", name, idx.Len())
-		}
+	if g := newGrid(250, randomEntries(100, 5000, 1)); g.Len() != 100 {
+		t.Errorf("Len = %d", g.Len())
 	}
 }
 
 func TestIndexEmptyQueries(t *testing.T) {
-	for name, idx := range allIndexes(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(100, 100)}) {
-		idx.Build()
-		if _, ok := idx.Nearest(geo.Pt(1, 1), 1e9); ok {
-			t.Errorf("%s: Nearest on empty index returned a hit", name)
-		}
-		if hits := idx.NearestK(geo.Pt(0, 0), 5, 1e9); len(hits) != 0 {
-			t.Errorf("%s: NearestK on empty index = %d hits", name, len(hits))
-		}
-		called := false
-		idx.Search(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, func(Entry) bool {
-			called = true
-			return true
-		})
-		if called {
-			t.Errorf("%s: Search on empty index visited entries", name)
-		}
+	g := newGrid(250, nil)
+	var s NearestScratch
+	if hits := g.NearestKWith(geo.Pt(1, 1), 1, 1e9, &s); len(hits) != 0 {
+		t.Errorf("nearest on empty index = %d hits", len(hits))
+	}
+	if hits := g.NearestKWith(geo.Pt(0, 0), 5, 1e9, &s); len(hits) != 0 {
+		t.Errorf("NearestKWith on empty index = %d hits", len(hits))
 	}
 }
 
+// TestIndexSearchMatchesScan asks the grid for every entry within a
+// radius (k as large as the index) and compares the id set with the scan's.
 func TestIndexSearchMatchesScan(t *testing.T) {
 	entries := randomEntries(500, 8000, 2)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(8400, 8400)}
-	ref := NewScan()
-	buildWith(ref, entries)
+	ref, g := scan(entries), newGrid(250, entries)
+	var s NearestScratch
 	rng := rand.New(rand.NewSource(3))
-	for name, idx := range allIndexes(bounds) {
-		if name == "scan" {
-			continue
+	for q := 0; q < 50; q++ {
+		c := geo.Pt(rng.Float64()*8000, rng.Float64()*8000)
+		r := rng.Float64() * 1000
+		want := ref.within(c, r)
+		var got []int64
+		for _, h := range g.NearestKWith(c, len(entries), r, &s) {
+			got = append(got, h.Entry.ID)
 		}
-		buildWith(idx, entries)
-		for q := 0; q < 50; q++ {
-			c := geo.Pt(rng.Float64()*8000, rng.Float64()*8000)
-			r := geo.Rect{Min: c, Max: c.Add(geo.Pt(rng.Float64()*1000, rng.Float64()*1000))}
-			want := collectIDs(ref, r)
-			got := collectIDs(idx, r)
-			if !equalIDs(want, got) {
-				t.Fatalf("%s: query %v: got %v want %v", name, r, got, want)
-			}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if !equalIDs(want, got) {
+			t.Fatalf("query %v r=%v: got %v want %v", c, r, got, want)
 		}
 	}
-}
-
-func collectIDs(idx Index, r geo.Rect) []int64 {
-	var ids []int64
-	idx.Search(r, func(e Entry) bool {
-		ids = append(ids, e.ID)
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func equalIDs(a, b []int64) bool {
@@ -117,55 +126,41 @@ func equalIDs(a, b []int64) bool {
 
 func TestIndexNearestMatchesScan(t *testing.T) {
 	entries := randomEntries(500, 8000, 4)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(8400, 8400)}
-	ref := NewScan()
-	buildWith(ref, entries)
+	ref, g := scan(entries), newGrid(250, entries)
+	var s NearestScratch
 	rng := rand.New(rand.NewSource(5))
-	for name, idx := range allIndexes(bounds) {
-		if name == "scan" {
-			continue
+	for q := 0; q < 200; q++ {
+		p := geo.Pt(rng.Float64()*9000-500, rng.Float64()*9000-500)
+		maxD := []float64{50, 200, 1000, math.Inf(1)}[q%4]
+		want := ref.nearestK(p, 1, maxD)
+		got := g.NearestKWith(p, 1, maxD, &s)
+		if len(want) != len(got) {
+			t.Fatalf("nearest(%v, %v) hits=%d want %d", p, maxD, len(got), len(want))
 		}
-		buildWith(idx, entries)
-		for q := 0; q < 200; q++ {
-			p := geo.Pt(rng.Float64()*9000-500, rng.Float64()*9000-500)
-			maxD := []float64{50, 200, 1000, math.Inf(1)}[q%4]
-			wantHit, wantOK := ref.Nearest(p, maxD)
-			gotHit, gotOK := idx.Nearest(p, maxD)
-			if wantOK != gotOK {
-				t.Fatalf("%s: Nearest(%v, %v) ok=%v want %v", name, p, maxD, gotOK, wantOK)
-			}
-			if wantOK && math.Abs(wantHit.Dist-gotHit.Dist) > 1e-9 {
-				t.Fatalf("%s: Nearest(%v, %v) dist=%v want %v (ids %d vs %d)",
-					name, p, maxD, gotHit.Dist, wantHit.Dist, gotHit.Entry.ID, wantHit.Entry.ID)
-			}
+		if len(want) == 1 && math.Abs(want[0].Dist-got[0].Dist) > 1e-9 {
+			t.Fatalf("nearest(%v, %v) dist=%v want %v (ids %d vs %d)",
+				p, maxD, got[0].Dist, want[0].Dist, got[0].Entry.ID, want[0].Entry.ID)
 		}
 	}
 }
 
 func TestIndexNearestKMatchesScan(t *testing.T) {
 	entries := randomEntries(300, 5000, 6)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(5400, 5400)}
-	ref := NewScan()
-	buildWith(ref, entries)
+	ref, g := scan(entries), newGrid(250, entries)
+	var s NearestScratch
 	rng := rand.New(rand.NewSource(7))
-	for name, idx := range allIndexes(bounds) {
-		if name == "scan" {
-			continue
+	for q := 0; q < 100; q++ {
+		p := geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
+		k := 1 + q%8
+		maxD := []float64{100, 500, math.Inf(1)}[q%3]
+		want := ref.nearestK(p, k, maxD)
+		got := g.NearestKWith(p, k, maxD, &s)
+		if len(want) != len(got) {
+			t.Fatalf("NearestKWith(%v,%d,%v) len=%d want %d", p, k, maxD, len(got), len(want))
 		}
-		buildWith(idx, entries)
-		for q := 0; q < 100; q++ {
-			p := geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
-			k := 1 + q%8
-			maxD := []float64{100, 500, math.Inf(1)}[q%3]
-			want := ref.NearestK(p, k, maxD)
-			got := idx.NearestK(p, k, maxD)
-			if len(want) != len(got) {
-				t.Fatalf("%s: NearestK(%v,%d,%v) len=%d want %d", name, p, k, maxD, len(got), len(want))
-			}
-			for i := range want {
-				if math.Abs(want[i].Dist-got[i].Dist) > 1e-9 {
-					t.Fatalf("%s: NearestK hit %d dist %v want %v", name, i, got[i].Dist, want[i].Dist)
-				}
+		for i := range want {
+			if math.Abs(want[i].Dist-got[i].Dist) > 1e-9 {
+				t.Fatalf("NearestKWith hit %d dist %v want %v", i, got[i].Dist, want[i].Dist)
 			}
 		}
 	}
@@ -173,34 +168,21 @@ func TestIndexNearestKMatchesScan(t *testing.T) {
 
 func TestNearestKSortedAscendingProperty(t *testing.T) {
 	entries := randomEntries(300, 5000, 8)
-	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(5200, 5200)}
+	ref, g := scan(entries), newGrid(250, entries)
+	var s NearestScratch
 	rng := rand.New(rand.NewSource(9))
-	for name, idx := range allIndexes(bounds) {
-		buildWith(idx, entries)
+	for name, nearestK := range map[string]func(geo.Point) []Hit{
+		"scan": func(p geo.Point) []Hit { return ref.nearestK(p, 10, math.Inf(1)) },
+		"grid": func(p geo.Point) []Hit { return g.NearestKWith(p, 10, math.Inf(1), &s) },
+	} {
 		for q := 0; q < 50; q++ {
 			p := geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
-			hits := idx.NearestK(p, 10, math.Inf(1))
+			hits := nearestK(p)
 			for i := 1; i < len(hits); i++ {
 				if hits[i].Dist < hits[i-1].Dist {
 					t.Fatalf("%s: hits not sorted: %v then %v", name, hits[i-1].Dist, hits[i].Dist)
 				}
 			}
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	entries := randomEntries(200, 1000, 12)
-	bounds := geo.Rect{Min: geo.Pt(-100, -100), Max: geo.Pt(1300, 1300)}
-	for name, idx := range allIndexes(bounds) {
-		buildWith(idx, entries)
-		count := 0
-		idx.Search(geo.Rect{Min: geo.Pt(-1e6, -1e6), Max: geo.Pt(1e6, 1e6)}, func(Entry) bool {
-			count++
-			return count < 5
-		})
-		if count != 5 {
-			t.Errorf("%s: early stop visited %d entries", name, count)
 		}
 	}
 }
@@ -232,17 +214,16 @@ func TestInsertHitKeepsK(t *testing.T) {
 func BenchmarkSpatialIndexes(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		entries := randomEntries(n, 20000, 42)
-		idxs := map[string]Index{
-			"scan": NewScan(),
-			"grid": NewGrid(500),
-		}
-		for name, idx := range idxs {
-			buildWith(idx, entries)
+		ref, g := scan(entries), newGrid(500, entries)
+		var s NearestScratch
+		for name, nearest := range map[string]func(geo.Point){
+			"scan": func(p geo.Point) { ref.nearestK(p, 1, 500) },
+			"grid": func(p geo.Point) { g.NearestKWith(p, 1, 500, &s) },
+		} {
 			b.Run(fmt.Sprintf("%s/n=%d/nearest", name, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				for i := 0; i < b.N; i++ {
-					p := geo.Pt(rng.Float64()*20000, rng.Float64()*20000)
-					idx.Nearest(p, 500)
+					nearest(geo.Pt(rng.Float64()*20000, rng.Float64()*20000))
 				}
 			})
 		}

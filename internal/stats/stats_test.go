@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestWelfordBasics(t *testing.T) {
@@ -23,8 +22,8 @@ func TestWelfordBasics(t *testing.T) {
 	if math.Abs(w.Var()-32.0/7) > 1e-12 {
 		t.Errorf("Var = %v", w.Var())
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", w.Min(), w.Max())
+	if w.Max() != 9 {
+		t.Errorf("Max = %v", w.Max())
 	}
 }
 
@@ -34,42 +33,8 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 		t.Error("empty accumulator should be all zero")
 	}
 	w.Add(42)
-	if w.Mean() != 42 || w.Var() != 0 || w.Min() != 42 || w.Max() != 42 {
+	if w.Mean() != 42 || w.Var() != 0 || w.Max() != 42 {
 		t.Error("single observation stats wrong")
-	}
-}
-
-func TestWelfordMergeMatchesSequentialProperty(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, math.Mod(x, 1e6))
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		cut := int(split) % (len(clean) + 1)
-		var all, a, b Welford
-		for _, x := range clean {
-			all.Add(x)
-		}
-		for _, x := range clean[:cut] {
-			a.Add(x)
-		}
-		for _, x := range clean[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		tol := 1e-6 * (1 + math.Abs(all.Mean()))
-		return a.Count() == all.Count() &&
-			math.Abs(a.Mean()-all.Mean()) < tol &&
-			math.Abs(a.Var()-all.Var()) < 1e-6*(1+all.Var()) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -84,23 +49,17 @@ func TestSampleQuantile(t *testing.T) {
 	if q := s.Quantile(1); q != 100 {
 		t.Errorf("q1 = %v", q)
 	}
-	if q := s.Median(); math.Abs(q-50.5) > 1e-9 {
+	if q := s.Quantile(0.5); math.Abs(q-50.5) > 1e-9 {
 		t.Errorf("median = %v", q)
 	}
 	if q := s.Quantile(0.95); math.Abs(q-95.05) > 1e-9 {
 		t.Errorf("p95 = %v", q)
 	}
-	if m := s.Mean(); math.Abs(m-50.5) > 1e-9 {
-		t.Errorf("mean = %v", m)
-	}
-	if m := s.Max(); m != 100 {
-		t.Errorf("max = %v", m)
-	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Max()) {
+	if !math.IsNaN(s.Quantile(0.5)) {
 		t.Error("empty sample should return NaN")
 	}
 }

@@ -20,12 +20,6 @@ func NewEstimator(n int) *Estimator {
 	return &Estimator{n: n, ring: make([]Sample, 0, n)}
 }
 
-// N returns the window size.
-func (e *Estimator) N() int { return e.n }
-
-// Reset clears the sighting window.
-func (e *Estimator) Reset() { e.ring = e.ring[:0] }
-
 // Add records a sighting and returns the current speed (m/s) and heading
 // (radians) estimate. With fewer than 2 sightings the estimate is
 // (0, 0, false).
@@ -79,34 +73,4 @@ func (e *Estimator) TurnRate() (omega float64, ok bool) {
 		return 0, false
 	}
 	return geo.AngleDiff(d1.Heading(), d2.Heading()) / dt, true
-}
-
-// OptimalSightings returns the paper's empirically optimal window size for
-// a movement class given its typical speed in m/s: 2 for freeway speeds,
-// 4 for city/inter-urban, 8 for walking.
-func OptimalSightings(typicalSpeed float64) int {
-	switch {
-	case typicalSpeed >= 25: // ≥ 90 km/h: freeway
-		return 2
-	case typicalSpeed >= 7: // ≥ 25 km/h: city / inter-urban
-		return 4
-	default: // walking
-		return 8
-	}
-}
-
-// EstimateAll annotates a position-only trace with estimated V and Heading
-// using a window of n sightings, returning a new trace.
-func EstimateAll(tr *Trace, n int) *Trace {
-	est := NewEstimator(n)
-	out := &Trace{Name: tr.Name, Samples: make([]Sample, len(tr.Samples))}
-	for i, s := range tr.Samples {
-		v, h, ok := est.Add(s)
-		ns := Sample{T: s.T, Pos: s.Pos}
-		if ok {
-			ns.V, ns.Heading = v, h
-		}
-		out.Samples[i] = ns
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mapdr/internal/geo"
@@ -32,10 +33,6 @@ func TestEstimatorWarmup(t *testing.T) {
 	}
 	if _, _, ok := est.Add(Sample{T: 1, Pos: geo.Pt(1, 0)}); !ok {
 		t.Error("two sightings should produce an estimate")
-	}
-	est.Reset()
-	if _, _, ok := est.Current(); ok {
-		t.Error("reset should clear the window")
 	}
 }
 
@@ -81,11 +78,13 @@ func TestEstimatorNoiseSuppression(t *testing.T) {
 	// With noisy positions at walking speed, the n=8 estimator's speed
 	// error is smaller than the n=2 estimator's.
 	mk := func() *Trace {
+		rng := rand.New(rand.NewSource(11)) // white noise, sigma 3 m per axis
 		tr := &Trace{}
 		for i := 0; i <= 600; i++ {
-			tr.Samples = append(tr.Samples, Sample{T: float64(i), Pos: geo.Pt(1.3*float64(i), 0)})
+			x, y := 1.3*float64(i)+3*rng.NormFloat64(), 3*rng.NormFloat64()
+			tr.Samples = append(tr.Samples, Sample{T: float64(i), Pos: geo.Pt(x, y)})
 		}
-		return ApplyNoise(tr, NewWhiteNoise(11, 3))
+		return tr
 	}
 	speedErr := func(n int) float64 {
 		est := NewEstimator(n)
@@ -103,34 +102,6 @@ func TestEstimatorNoiseSuppression(t *testing.T) {
 	if speedErr(8) >= speedErr(2) {
 		t.Errorf("speed error n=8 (%v) should beat n=2 (%v) at walking speed",
 			speedErr(8), speedErr(2))
-	}
-}
-
-func TestOptimalSightings(t *testing.T) {
-	if n := OptimalSightings(30); n != 2 { // ~108 km/h
-		t.Errorf("freeway n = %d", n)
-	}
-	if n := OptimalSightings(12); n != 4 { // ~43 km/h
-		t.Errorf("city n = %d", n)
-	}
-	if n := OptimalSightings(1.3); n != 8 { // walking
-		t.Errorf("walking n = %d", n)
-	}
-}
-
-func TestEstimateAll(t *testing.T) {
-	tr := constantSpeedTrace(7, 50)
-	// Strip V/Heading to simulate a position-only sensor.
-	for i := range tr.Samples {
-		tr.Samples[i].V, tr.Samples[i].Heading = 0, 0
-	}
-	out := EstimateAll(tr, 4)
-	if out.Len() != tr.Len() {
-		t.Fatalf("len = %d", out.Len())
-	}
-	last := out.Samples[out.Len()-1]
-	if math.Abs(last.V-7) > 1e-9 || math.Abs(last.Heading) > 1e-9 {
-		t.Errorf("estimated V/H = %v/%v", last.V, last.Heading)
 	}
 }
 

@@ -91,31 +91,6 @@ func formatNMEACoord(deg float64, posHemi, negHemi string, latWidth bool) string
 	return fmt.Sprintf("%03.0f%07.4f,%s", d, m, hemi)
 }
 
-// parseNMEACoord parses ddmm.mmmm plus hemisphere into decimal degrees.
-func parseNMEACoord(coord, hemi string) (float64, error) {
-	dot := strings.Index(coord, ".")
-	if dot < 3 {
-		return 0, fmt.Errorf("trace: bad NMEA coordinate %q", coord)
-	}
-	d, err := strconv.ParseFloat(coord[:dot-2], 64)
-	if err != nil {
-		return 0, err
-	}
-	m, err := strconv.ParseFloat(coord[dot-2:], 64)
-	if err != nil {
-		return 0, err
-	}
-	deg := d + m/60
-	switch hemi {
-	case "S", "W":
-		deg = -deg
-	case "N", "E":
-	default:
-		return 0, fmt.Errorf("trace: bad hemisphere %q", hemi)
-	}
-	return deg, nil
-}
-
 // WriteNMEA writes the trace as $GPRMC sentences, converting planar
 // coordinates to WGS84 via proj. Times are rendered as hhmmss.ss offsets
 // from 00:00:00.
@@ -139,69 +114,4 @@ func WriteNMEA(w io.Writer, tr *Trace, proj *geo.Projection) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadNMEA parses $GPRMC sentences into a trace, converting WGS84 to
-// planar coordinates via proj. Sentences other than GPRMC are skipped;
-// checksums are verified when present.
-func ReadNMEA(r io.Reader, proj *geo.Projection) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	tr := &Trace{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "$") {
-			continue
-		}
-		body := line[1:]
-		if star := strings.LastIndex(body, "*"); star >= 0 {
-			wantCS, err := strconv.ParseUint(body[star+1:], 16, 8)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d bad checksum field: %w", lineNo, err)
-			}
-			body = body[:star]
-			if nmeaChecksum(body) != byte(wantCS) {
-				return nil, fmt.Errorf("trace: line %d checksum mismatch", lineNo)
-			}
-		}
-		fields := strings.Split(body, ",")
-		if len(fields) < 9 || !strings.HasSuffix(fields[0], "RMC") {
-			continue
-		}
-		if fields[2] != "A" { // void fix
-			continue
-		}
-		tStr := fields[1]
-		if len(tStr) < 6 {
-			return nil, fmt.Errorf("trace: line %d bad time %q", lineNo, tStr)
-		}
-		hh, err1 := strconv.Atoi(tStr[0:2])
-		mm, err2 := strconv.Atoi(tStr[2:4])
-		ss, err3 := strconv.ParseFloat(tStr[4:], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("trace: line %d bad time %q", lineNo, tStr)
-		}
-		lat, err := parseNMEACoord(fields[3], fields[4])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		lon, err := parseNMEACoord(fields[5], fields[6])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		speedKnots, _ := strconv.ParseFloat(fields[7], 64)
-		course, _ := strconv.ParseFloat(fields[8], 64)
-		tr.Samples = append(tr.Samples, Sample{
-			T:       float64(hh)*3600 + float64(mm)*60 + ss,
-			Pos:     proj.Forward(geo.LatLon{Lat: lat, Lon: lon}),
-			V:       speedKnots / 1.943844,
-			Heading: geo.CompassToHeading(course),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

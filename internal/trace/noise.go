@@ -18,35 +18,6 @@ type NoiseModel interface {
 	Sigma() float64
 }
 
-// NoNoise passes positions through unchanged.
-type NoNoise struct{}
-
-// Perturb implements NoiseModel.
-func (NoNoise) Perturb(_ float64, truth geo.Point) geo.Point { return truth }
-
-// Sigma implements NoiseModel.
-func (NoNoise) Sigma() float64 { return 0 }
-
-// WhiteNoise adds independent Gaussian noise to each coordinate.
-type WhiteNoise struct {
-	rng   *rand.Rand
-	sigma float64
-}
-
-// NewWhiteNoise returns white Gaussian position noise with the given
-// per-axis standard deviation.
-func NewWhiteNoise(seed int64, sigma float64) *WhiteNoise {
-	return &WhiteNoise{rng: rand.New(rand.NewSource(seed)), sigma: sigma}
-}
-
-// Perturb implements NoiseModel.
-func (w *WhiteNoise) Perturb(_ float64, truth geo.Point) geo.Point {
-	return geo.Pt(truth.X+w.rng.NormFloat64()*w.sigma, truth.Y+w.rng.NormFloat64()*w.sigma)
-}
-
-// Sigma implements NoiseModel.
-func (w *WhiteNoise) Sigma() float64 { return w.sigma }
-
 // GaussMarkov models temporally correlated GPS error: a first-order
 // Gauss-Markov process per axis. This matches real receiver behaviour
 // better than white noise — the error wanders slowly rather than jumping,

@@ -8,34 +8,6 @@ import (
 	"mapdr/internal/stats"
 )
 
-func TestNoNoise(t *testing.T) {
-	var m NoNoise
-	p := geo.Pt(3, 4)
-	if m.Perturb(0, p) != p || m.Sigma() != 0 {
-		t.Error("NoNoise should be identity")
-	}
-}
-
-func TestWhiteNoiseStatistics(t *testing.T) {
-	m := NewWhiteNoise(1, 5)
-	var wx, wy stats.Welford
-	p := geo.Pt(100, 200)
-	for i := 0; i < 20000; i++ {
-		q := m.Perturb(float64(i), p)
-		wx.Add(q.X - p.X)
-		wy.Add(q.Y - p.Y)
-	}
-	if math.Abs(wx.Mean()) > 0.2 || math.Abs(wy.Mean()) > 0.2 {
-		t.Errorf("bias = %v, %v", wx.Mean(), wy.Mean())
-	}
-	if math.Abs(wx.Std()-5) > 0.25 || math.Abs(wy.Std()-5) > 0.25 {
-		t.Errorf("std = %v, %v, want 5", wx.Std(), wy.Std())
-	}
-	if m.Sigma() != 5 {
-		t.Errorf("Sigma = %v", m.Sigma())
-	}
-}
-
 func TestGaussMarkovStationaryStd(t *testing.T) {
 	m := NewGaussMarkov(2, 4, 30)
 	var w stats.Welford

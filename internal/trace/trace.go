@@ -114,41 +114,3 @@ func (tr *Trace) ComputeStats() Stats {
 	}
 	return st
 }
-
-// Resample returns a trace with samples at the fixed period dt (seconds),
-// linearly interpolating between the original samples.
-func (tr *Trace) Resample(dt float64) *Trace {
-	if dt <= 0 {
-		panic("trace: Resample period must be positive")
-	}
-	out := &Trace{Name: tr.Name}
-	if len(tr.Samples) == 0 {
-		return out
-	}
-	if len(tr.Samples) == 1 {
-		out.Samples = []Sample{tr.Samples[0]}
-		return out
-	}
-	t0 := tr.Samples[0].T
-	tEnd := tr.Samples[len(tr.Samples)-1].T
-	j := 0
-	for t := t0; t <= tEnd+1e-9; t += dt {
-		for j+1 < len(tr.Samples) && tr.Samples[j+1].T < t {
-			j++
-		}
-		a := tr.Samples[j]
-		if j+1 >= len(tr.Samples) || a.T >= t {
-			out.Samples = append(out.Samples, Sample{T: t, Pos: a.Pos, V: a.V, Heading: a.Heading})
-			continue
-		}
-		b := tr.Samples[j+1]
-		f := (t - a.T) / (b.T - a.T)
-		out.Samples = append(out.Samples, Sample{
-			T:       t,
-			Pos:     a.Pos.Lerp(b.Pos, f),
-			V:       a.V + (b.V-a.V)*f,
-			Heading: geo.NormalizeAngle(a.Heading + geo.AngleDiff(a.Heading, b.Heading)*f),
-		})
-	}
-	return out
-}

@@ -94,38 +94,3 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("MaxSpeedKmh = %v", st.MaxSpeedKmh)
 	}
 }
-
-func TestResample(t *testing.T) {
-	// Samples at t=0,2,4; resample to 1 Hz.
-	tr := &Trace{Samples: []Sample{
-		{T: 0, Pos: geo.Pt(0, 0), V: 1},
-		{T: 2, Pos: geo.Pt(2, 0), V: 1},
-		{T: 4, Pos: geo.Pt(4, 0), V: 1},
-	}}
-	rs := tr.Resample(1)
-	if rs.Len() != 5 {
-		t.Fatalf("resampled len = %d", rs.Len())
-	}
-	for i, s := range rs.Samples {
-		if math.Abs(s.T-float64(i)) > 1e-9 || s.Pos.Dist(geo.Pt(float64(i), 0)) > 1e-9 {
-			t.Errorf("sample %d = %+v", i, s)
-		}
-	}
-}
-
-func TestResamplePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	(&Trace{}).Resample(0)
-}
-
-func TestResampleSingleSample(t *testing.T) {
-	tr := &Trace{Samples: []Sample{{T: 5, Pos: geo.Pt(1, 2)}}}
-	rs := tr.Resample(1)
-	if rs.Len() != 1 || rs.Samples[0].Pos != geo.Pt(1, 2) {
-		t.Errorf("resampled = %+v", rs.Samples)
-	}
-}

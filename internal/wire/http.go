@@ -211,9 +211,6 @@ func (t *Client) SetRetry(timeout time.Duration, retries int, backoff time.Durat
 	t.policy = retryPolicy{timeout: timeout, retries: retries, backoff: backoff}
 }
 
-// URL returns the ingest endpoint the client posts to.
-func (t *Client) URL() string { return t.url }
-
 // Send implements Transport: the batch is chunked into frames of at
 // most maxRecordsPerFrame records and maxFrameFill encoded bytes, each
 // POSTed as one request.

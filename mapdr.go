@@ -471,7 +471,7 @@ func NewLocationNode(svc *LocationService, factory AutoRegister) *NodeService {
 // NewCluster returns a coordinator over the given members. vnodes is
 // the virtual-node count per member (<= 0 selects a sensible default).
 func NewCluster(vnodes int, members ...*ClusterMember) (*ClusterCoordinator, error) {
-	return cluster.New(vnodes, members...)
+	return cluster.NewReplicated(vnodes, 1, members...)
 }
 
 // NewReplicatedCluster returns a coordinator replicating every key
