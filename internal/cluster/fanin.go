@@ -687,8 +687,8 @@ func (f *fanIn) dispatchLocked(rec wire.LogRecord) error {
 
 // applyBegin opens a migration run learned from the log exactly as the
 // driving coordinator did — the same record, the same plan derivation,
-// the same enter — and publishes every dual route up front: from here
-// this coordinator routes the migration identically to the driver.
+// the same enter, which publishes every dual route: from here this
+// coordinator routes the migration identically to the driver.
 func (f *fanIn) applyBegin(rec wire.LogRecord) error {
 	var joining *Member
 	if rec.MigKind == migKindJoin {
@@ -710,20 +710,18 @@ func (f *fanIn) applyBegin(rec wire.LogRecord) error {
 
 // openLogged registers an entered plan as run logRun of the log — on
 // the driver and on every follower alike, so a peer stealing the lease
-// finds the same open run no matter who drove it — and publishes all
-// its dual routes. Callers hold f.mu.
+// finds the same open run no matter who drove it. Callers hold f.mu.
 func (f *fanIn) openLogged(plan *migrationPlan, logRun uint64) {
 	plan.logRun = logRun
 	f.runs[logRun] = plan
-	f.c.publish(plan.moves...)
 }
 
 // applyClose closes a run learned from the log with the table
 // transition its record names: a Commit swaps to the plan's next ring
 // (the driver drops the superseded copies), an Abort rolls back (the
-// driver removes the partial imports). If this coordinator was halted
-// on the same run (its drive was fenced by the thief now closing it),
-// the resident engine state is cleared too.
+// driver removes every range from its adds). If this coordinator was
+// halted on the same run (its drive was fenced by the thief now closing
+// it), the resident engine state is cleared too.
 func (f *fanIn) applyClose(rec wire.LogRecord) error {
 	plan := f.runs[rec.Run]
 	if plan == nil {

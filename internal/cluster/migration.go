@@ -6,23 +6,25 @@
 //	planned → copying → dual → committed
 //	                  ↘ (Abort) → aborted
 //
-// While a range is in transition the router dual-writes it (old and
-// new owners both receive every record — safe because replicas are
-// idempotent per (id, Seq)) and double-reads it (the new owners join
-// the scatter/owner sets, merged on freshest Seq), so the coordinator's
-// routing lock is only ever held for O(1) pointer swaps: publishing a
-// dual entry, and the final ring swap. Data movement — export, import,
-// drop — happens outside every routing lock, and ingest and queries
-// proceed at full rate throughout.
+// Every range of a run is in transition from the moment the run opens:
+// the router dual-writes it (old and new owners both receive every
+// record — safe because replicas are idempotent per (id, Seq)) and
+// double-reads it (the new owners join the scatter/owner sets, merged
+// on freshest Seq), so the coordinator's routing lock is only ever held
+// for O(1) pointer swaps: publishing the plan's dual routes, and the
+// final ring swap. Data movement — export, import, drop — happens
+// outside every routing lock, and ingest and queries proceed at full
+// rate throughout.
 //
 // Drops are deferred to the final commit: the old owners keep their
 // copies and keep receiving dual writes for the whole run, so at any
 // point before commit the previous ring is still fully served — Abort
-// is an exact rollback (the adds' partial copies are removed, the ring
-// is untouched). The run's state lives in the coordinator, so a halt
-// mid-migration (an error, or the crash hook in tests) strands nothing:
-// a fan-in peer that steals the lease resumes it from the first
-// incomplete range (re-copying is idempotent), Abort rolls back.
+// is an exact rollback (every range is removed from every add, copied
+// or not, since dual writes reach them all; the ring is untouched). The
+// run's state lives in the coordinator, so a halt mid-migration (an
+// error, or the crash hook in tests) strands nothing: a fan-in peer
+// that steals the lease resumes it from the first incomplete range
+// (re-copying is idempotent), Abort rolls back.
 package cluster
 
 import (
@@ -39,10 +41,10 @@ import (
 type MigrationPhase int32
 
 const (
-	// MigPlanned: the range is in the plan, nothing has moved.
+	// MigPlanned: the range is dual-routed, nothing has been copied.
 	MigPlanned MigrationPhase = iota
-	// MigCopying: the range is dual-routed and its snapshot export is
-	// being imported on the new owners.
+	// MigCopying: the range's snapshot export is being imported on the
+	// new owners.
 	MigCopying
 	// MigDual: the snapshot landed and was verified; the range is served
 	// by old and new owners alike until the final commit.
@@ -91,9 +93,6 @@ type rangeState struct {
 	arcMove
 	phase   atomicPhase
 	records atomic.Int64
-	// published records whether the dual entry was pushed to the router
-	// (engine-private; survives a halt so a resume does not double-add).
-	published bool
 }
 
 // migrationRun is one membership change in flight (or halted): the plan
@@ -108,13 +107,12 @@ type migrationRun struct {
 	err error // why the run halted; nil while progressing
 }
 
-// newRun wraps a plan for driving. A logged plan's dual routes are all
-// on the router already (published up front on every coordinator); a
-// solo run publishes each range's ahead of its copy.
+// newRun wraps an entered plan, whose dual routes are all published,
+// for driving.
 func newRun(plan *migrationPlan) *migrationRun {
 	run := &migrationRun{migrationPlan: plan}
 	for _, mv := range plan.moves {
-		run.ranges = append(run.ranges, &rangeState{arcMove: mv, published: plan.logRun != 0})
+		run.ranges = append(run.ranges, &rangeState{arcMove: mv})
 	}
 	return run
 }
@@ -187,9 +185,9 @@ func (m *Migration) Wait() error {
 	return m.err
 }
 
-// Abort rolls a halted migration back: dual routing stops, the new
-// owners' partial copies are removed, and the ring stays exactly as it
-// was.
+// Abort rolls a halted migration back: dual routing stops, every range
+// is removed from the new owners that dual writes or copies reached,
+// and the ring stays exactly as it was.
 func (m *Migration) Abort() error { return m.c.abortRun(m.run) }
 
 // BeginAddNode starts a live join migration: the member enters the
@@ -297,9 +295,8 @@ func (c *Coordinator) startRun(plan *migrationPlan) *Migration {
 // enabled the begin is fenced and replicated: it requires the lease
 // (ErrNotLeaseHolder otherwise — the peer holding it drives membership
 // right now), refuses to start over a peer's open run, and appends the
-// Begin record before any data moves. Every dual route is published up
-// front too (not per-range), matching what followers do on the record,
-// so all coordinators route identically for the whole run.
+// Begin record before any data moves. A Begin that cannot be appended
+// rolls the opened plan back and removes what its dual routes wrote.
 func (c *Coordinator) beginPlan(begin wire.LogRecord, joining *Member) (*migrationPlan, error) {
 	if c.mig.Load() != nil {
 		return nil, ErrMigrationHalted
@@ -320,7 +317,7 @@ func (c *Coordinator) beginPlan(begin wire.LogRecord, joining *Member) (*migrati
 		return plan, err
 	}
 	if begin, err = f.appendMigrationRecord(begin); err != nil {
-		c.rollback(plan)
+		c.undo(plan)
 		return nil, err
 	}
 	f.mu.Lock()
@@ -330,10 +327,11 @@ func (c *Coordinator) beginPlan(begin wire.LogRecord, joining *Member) (*migrati
 }
 
 // openPlan is the begin transition both the driver and a fan-in
-// follower take: derive the plan from the table and enter it. A parked
-// (auto-demoted) identity rejoins as a fresh member: its old replicas
-// were migrated away at demotion, so nothing of the previous
-// incarnation is assumed.
+// follower take: derive the plan from the table and enter it, which
+// publishes every dual route of the plan at once. A parked (auto-
+// demoted) identity rejoins as a fresh member: its old replicas were
+// migrated away at demotion, so nothing of the previous incarnation is
+// assumed.
 func (c *Coordinator) openPlan(begin wire.LogRecord, joining *Member) (*migrationPlan, error) {
 	plan, err := c.plan(begin, joining)
 	if err == nil {
@@ -348,11 +346,11 @@ func (c *Coordinator) openPlan(begin wire.LogRecord, joining *Member) (*migratio
 	return plan, nil
 }
 
-// drive executes the plan: every incomplete range is published for dual
-// routing, copied and verified, one at a time, then the final commit
-// swaps the ring. Any error halts the run exactly where it is — nothing
-// rolls back until Abort, and dual routing keeps both owner sets
-// serving — so a resume can continue from the first incomplete range.
+// drive executes the plan: every incomplete range is copied and
+// verified, one at a time, then the final commit swaps the ring. Any
+// error halts the run exactly where it is — nothing rolls back until
+// Abort, and dual routing keeps both owner sets serving — so a resume
+// can continue from the first incomplete range.
 // Callers hold migMu.
 func (c *Coordinator) drive(run *migrationRun) error {
 	for _, r := range run.ranges {
@@ -374,23 +372,18 @@ func (c *Coordinator) drive(run *migrationRun) error {
 	return nil
 }
 
-// migrateRange moves one arc onto its new owners: publish the dual
-// entry (an O(1) append under the routing lock), snapshot-export from
+// migrateRange moves one arc onto its new owners: snapshot-export from
 // the first live previous owner, import on each add in bounded chunks,
-// verify the applied counts. Publishing before exporting closes the
-// copy/live-write race: any record sent after the publish reaches the
-// adds as a dual write, and the replicas' per-(id, Seq) gates order the
-// snapshot against the live stream.
+// verify the applied counts. The arc was dual-routed when the run
+// opened, before any export, which closes the copy/live-write race: any
+// record sent since reaches the adds as a dual write, and the replicas'
+// per-(id, Seq) gates order the snapshot against the live stream.
 func (c *Coordinator) migrateRange(run *migrationRun, r *rangeState) error {
 	r.phase.Store(MigCopying)
 	if err := c.callHook(run, r); err != nil {
 		return err
 	}
 	if len(r.adds) > 0 {
-		if !r.published {
-			c.publish(r.arcMove)
-			r.published = true
-		}
 		recs, ids, err := c.exportRange(r)
 		if err != nil {
 			return err
@@ -508,9 +501,9 @@ func (c *Coordinator) commitRun(run *migrationRun) error {
 
 // abortRun rolls the halted run back. Dual routing stops first — under
 // the same brief lock a join's member leaves the scatter set — so no
-// new write can land on an add while its partial copy is removed; the
-// old owners stayed fresh through dual writes, so the previous ring
-// serves every answer exactly as before the run.
+// new write can land on an add while its ranges are removed; the old
+// owners stayed fresh through dual writes, so the previous ring serves
+// every answer exactly as before the run.
 func (c *Coordinator) abortRun(run *migrationRun) error {
 	if !c.migMu.TryLock() {
 		return ErrMigrationBusy
@@ -529,21 +522,10 @@ func (c *Coordinator) abortRun(run *migrationRun) error {
 			return err
 		}
 	}
-	var partial []dropTarget // resolved first: rollback drops a joining member
 	for _, r := range run.ranges {
-		if r.phase.Load() != MigPlanned {
-			for _, name := range r.adds {
-				if to := c.lookup(name); to != nil {
-					partial = append(partial, dropTarget{to, r.lo, r.hi})
-				}
-			}
-		}
 		r.phase.Store(MigAborted)
 	}
-	c.rollback(run.migrationPlan)
-	for _, d := range partial {
-		c.dropRange(d.m, d.lo, d.hi)
-	}
+	c.undo(run.migrationPlan)
 	c.migAborted.Add(1)
 	cause := ""
 	if err := run.haltCause(); err != nil {
@@ -554,8 +536,17 @@ func (c *Coordinator) abortRun(run *migrationRun) error {
 	return nil
 }
 
+// undo rolls an entered plan back and removes every range from every
+// add: the dual routes reached them all from the moment the plan
+// opened.
+func (c *Coordinator) undo(p *migrationPlan) {
+	for _, d := range c.rollback(p) {
+		c.dropRange(d.m, d.lo, d.hi)
+	}
+}
+
 // dropRange removes every object in (lo, hi] from m — the superseded
-// copy after a commit, or a partial import after an abort. The copies
+// copy after a commit, or an add's range after an abort. The copies
 // are replicated on the serving owner set, so failures only leak a
 // stale replica (counted, not fatal).
 func (c *Coordinator) dropRange(m *memberState, lo, hi uint64) {

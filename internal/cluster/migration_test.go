@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,12 +189,92 @@ func TestMigrationAbortRollsBackImportFailure(t *testing.T) {
 	assertSnapshotEqual(t, "after recovered rejoin", before, snapshot(f.coord, n, 4))
 }
 
+// TestMigrationAbortLeavesNoStrayReplica: a join, a leave and a
+// reweight, each driven solo and on a fan-in log, halt at their first
+// copy, take one batch of every object under the run's dual routes, and
+// are aborted. Afterwards every member holds exactly the objects the
+// ring assigns it: the dual routes reached every range's adds from the
+// moment the run opened, copied or not, so the abort must remove them
+// all.
+func TestMigrationAbortLeavesNoStrayReplica(t *testing.T) {
+	const n, rf = 400, 2
+	for _, logged := range []bool{false, true} {
+		for _, kind := range []string{migJoin, migLeave, migReweight} {
+			name := "solo/" + kind
+			if logged {
+				name = "fanin/" + kind
+			}
+			t.Run(name, func(t *testing.T) {
+				var coord *Coordinator
+				var nodes map[string]*locserv.NodeService
+				var joining *Member
+				if logged {
+					fx := newFanInPair(t, 4, rf, FanInConfig{LeaseFor: 1000, GossipEvery: 1})
+					coord, nodes = fx.a, fx.nodes
+					if kind == migJoin {
+						joining, nodes["n5"] = fx.addJoinable("n5")
+					}
+				} else {
+					f := newReplicatedFixture(t, 4, rf)
+					coord, nodes = f.coord, f.nodes
+					if kind == migJoin {
+						nodes["n5"] = fanInNode()
+						joining, _ = NewFaultyMember("n5", nodes["n5"])
+					}
+				}
+				seedReplicated(t, &replicatedFixture{coord: coord}, n)
+
+				coord.CrashMigrationAfterCopies(1)
+				var mig *Migration
+				var err error
+				switch kind {
+				case migJoin:
+					mig, err = coord.BeginAddNode(joining)
+				case migLeave:
+					mig, err = coord.BeginRemoveNode("n4")
+				default:
+					mig, err = coord.BeginReweight(map[string]int{"n1": 16, "n4": 160})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mig.Wait(); err == nil {
+					t.Fatal("the run did not halt at its first copy")
+				}
+				if err := coord.Send(2, repBatch(n, 2)); err != nil {
+					t.Fatal(err)
+				}
+				if err := mig.Abort(); err != nil {
+					t.Fatal(err)
+				}
+
+				stray := 0
+				for _, member := range coord.Nodes() {
+					for i := 0; i < n; i++ {
+						id := locserv.ObjectID(fmt.Sprintf("obj-%04d", i))
+						owner := containsName(coord.Owners(id), member)
+						if held := nodes[member].Service().Contains(id); held && !owner {
+							stray++
+						} else if !held && owner {
+							t.Fatalf("%s lost its replica of %s", member, id)
+						}
+					}
+				}
+				if stray != 0 {
+					t.Fatalf("the abort left %d replicas on members that do not own them", stray)
+				}
+			})
+		}
+	}
+}
+
 // TestDeliveryCountsDualRangeOwners: mid-migration a record is routed
 // to its ring owners plus the dual-range adds, and delivery must judge
-// "reached no live replica" over that same owner set. With a dual range
-// published, both of its ring owners failing and the joining member
-// healthy, the records landed — on the join — so Send must not fail and
-// DeliverRecords must count them applied.
+// "reached no live replica" over that same owner set. With the join
+// halted after its first range went dual (every range is dual-routed
+// from the start), both ring owners of that range failing and the
+// joining member healthy, the records landed — on the join — so Send
+// must not fail and DeliverRecords must count them applied.
 func TestDeliveryCountsDualRangeOwners(t *testing.T) {
 	f := newReplicatedFixture(t, 3, 2)
 	seedReplicated(t, f, 30)
@@ -217,13 +298,19 @@ func TestDeliveryCountsDualRangeOwners(t *testing.T) {
 	if err := mig.Wait(); !errors.Is(err, errHalt) {
 		t.Fatalf("Wait() = %v, want the injected halt", err)
 	}
-	f.coord.mu.RLock()
-	if len(f.coord.duals) != 1 || !containsName(f.coord.duals[0].adds, "n4") {
-		f.coord.mu.RUnlock()
-		t.Fatalf("want one published dual range adding n4, have %+v", f.coord.duals)
+	var dual arcMove
+	for _, r := range mig.run.ranges {
+		if r.phase.Load() == MigDual {
+			dual = r.arcMove
+			break
+		}
 	}
-	dual := f.coord.duals[0]
+	f.coord.mu.RLock()
+	published := slices.ContainsFunc(f.coord.duals, func(d arcMove) bool { return d.lo == dual.lo && d.hi == dual.hi })
 	f.coord.mu.RUnlock()
+	if !published || !containsName(dual.adds, "n4") {
+		t.Fatalf("want the copied range published as a dual route adding n4, have %+v", dual)
+	}
 
 	// Fresh ids inside the dual range (one elementary arc, so they share
 	// their ring owners), in two batches: one per delivery entry point.

@@ -286,10 +286,10 @@ type arcMove struct {
 // changes. Boundaries come from both rings, so within one arc both
 // preference lists are constant.
 func diffPreferenceLists(old, next *Ring, rf int) []arcMove {
-	seen := make(map[uint64]bool, len(old.vnodes)+len(next.vnodes))
-	bounds := make([]uint64, 0, len(old.vnodes)+len(next.vnodes))
+	seen := make(map[uint64]bool, len(old.points)+len(next.points))
+	bounds := make([]uint64, 0, len(old.points)+len(next.points))
 	for _, r := range []*Ring{old, next} {
-		for _, v := range r.vnodes {
+		for _, v := range r.points {
 			if !seen[v.pos] {
 				seen[v.pos] = true
 				bounds = append(bounds, v.pos)

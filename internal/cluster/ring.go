@@ -14,8 +14,8 @@
 //
 // The Coordinator is four parts. The routing table (routing.go) owns
 // the ring, the member set and the dual routes of a migration in flight
-// behind one RWMutex, and moves only by four transitions over one
-// migrationPlan: enter, publish, commit, rollback. Replica health
+// behind one RWMutex, and moves only by three transitions over one
+// migrationPlan: enter, commit, rollback. Replica health
 // (replication.go, membership.go) is the per-member breaker, hints,
 // read repair and the self-heal loops. The migration engine
 // (migration.go) drives a plan's copies under migMu. The fan-in log
@@ -42,8 +42,8 @@ import (
 
 // DefaultVnodes is the number of virtual nodes each member projects
 // onto the ring. More vnodes smooth the partition sizes (the classic
-// consistent-hashing variance argument) at the cost of slightly larger
-// handoff movement lists.
+// consistent-hashing variance argument) at the cost of more, smaller
+// arcs for a migration to move.
 const DefaultVnodes = 64
 
 // vnode is one virtual node: a ring position owned by a member.
@@ -55,8 +55,7 @@ type vnode struct {
 // Ring is a consistent-hash partitioner: object ids hash onto a
 // uint64 ring (wire.KeyHash, the wire-contract hash all nodes share),
 // and each id belongs to the member owning the first virtual node at or
-// after its hash. Add and Remove report exactly which key ranges change
-// owner, so membership changes hand off only the moved partitions.
+// after its hash.
 //
 // Replication reads the ring through Owners: an id's preference list is
 // its owner followed by the next distinct physical members walking the
@@ -68,39 +67,35 @@ type vnode struct {
 // a member's share of the key space is proportional to its weight, the
 // lever BalancedWeights uses to bias placement from observed load.
 //
-// Ring is not safe for concurrent use; the Coordinator guards it.
+// A Ring is an immutable value, a pure function of its member names and
+// vnode counts: a membership change builds the next ring with
+// NewWeightedRing and diffs the two (diffPreferenceLists). It is safe
+// for concurrent use.
 type Ring struct {
-	vnodes   []vnode
-	replicas int            // default vnodes per member
-	weights  map[string]int // per-member vnode count overrides
-	names    map[string]bool
-}
-
-// Movement is one key range (Lo, Hi] (half-open, wrapping; see
-// wire.InKeyRange) whose owner changed in a membership update.
-type Movement struct {
-	Lo, Hi   uint64
-	From, To string
+	points  []vnode        // every member's vnodes, sorted by position
+	vnodes  int            // default vnodes per member
+	weights map[string]int // per-member vnode count overrides
+	names   map[string]bool
 }
 
 // NewRing returns a ring with the given members, each projected to
-// replicas virtual nodes (<= 0 selects DefaultVnodes).
-func NewRing(replicas int, names ...string) (*Ring, error) {
-	return NewWeightedRing(replicas, nil, names...)
+// vnodes virtual nodes (<= 0 selects DefaultVnodes).
+func NewRing(vnodes int, names ...string) (*Ring, error) {
+	return NewWeightedRing(vnodes, nil, names...)
 }
 
 // NewWeightedRing returns a ring whose members project weights[name]
 // virtual nodes each (members absent from weights, or with a
-// non-positive weight, use the replicas default; replicas <= 0 selects
+// non-positive weight, use the vnodes default; vnodes <= 0 selects
 // DefaultVnodes).
-func NewWeightedRing(replicas int, weights map[string]int, names ...string) (*Ring, error) {
-	if replicas <= 0 {
-		replicas = DefaultVnodes
+func NewWeightedRing(vnodes int, weights map[string]int, names ...string) (*Ring, error) {
+	if vnodes <= 0 {
+		vnodes = DefaultVnodes
 	}
 	r := &Ring{
-		replicas: replicas,
-		weights:  make(map[string]int, len(weights)),
-		names:    make(map[string]bool, len(names)),
+		vnodes:  vnodes,
+		weights: make(map[string]int, len(weights)),
+		names:   make(map[string]bool, len(names)),
 	}
 	for name, w := range weights {
 		if w > 0 {
@@ -108,10 +103,25 @@ func NewWeightedRing(replicas int, weights map[string]int, names ...string) (*Ri
 		}
 	}
 	for _, name := range names {
-		if err := r.insert(name); err != nil {
-			return nil, err
+		if name == "" {
+			return nil, fmt.Errorf("cluster: empty node name")
+		}
+		if r.names[name] {
+			return nil, fmt.Errorf("cluster: node %q already in ring", name)
+		}
+		r.names[name] = true
+		for i := 0; i < r.Vnodes(name); i++ {
+			r.points = append(r.points, vnode{pos: vnodePos(name, i), node: name})
 		}
 	}
+	// Position collisions (astronomically unlikely) break by name, so
+	// every coordinator builds the same order.
+	sort.Slice(r.points, func(i, j int) bool {
+		if r.points[i].pos != r.points[j].pos {
+			return r.points[i].pos < r.points[j].pos
+		}
+		return r.points[i].node < r.points[j].node
+	})
 	return r, nil
 }
 
@@ -120,39 +130,12 @@ func (r *Ring) Vnodes(name string) int {
 	if w, ok := r.weights[name]; ok {
 		return w
 	}
-	return r.replicas
+	return r.vnodes
 }
 
 // vnodePos is the ring position of a member's i-th virtual node.
 func vnodePos(name string, i int) uint64 {
 	return wire.KeyHash(name + "#" + strconv.Itoa(i))
-}
-
-// insert adds a member's vnodes, keeping the ring sorted.
-func (r *Ring) insert(name string) error {
-	if name == "" {
-		return fmt.Errorf("cluster: empty node name")
-	}
-	if r.names[name] {
-		return fmt.Errorf("cluster: node %q already in ring", name)
-	}
-	r.names[name] = true
-	for i := 0; i < r.Vnodes(name); i++ {
-		r.vnodes = append(r.vnodes, vnode{pos: vnodePos(name, i), node: name})
-	}
-	r.sortVnodes()
-	return nil
-}
-
-// sortVnodes orders by position, breaking (astronomically unlikely)
-// position collisions by name so every coordinator agrees.
-func (r *Ring) sortVnodes() {
-	sort.Slice(r.vnodes, func(i, j int) bool {
-		if r.vnodes[i].pos != r.vnodes[j].pos {
-			return r.vnodes[i].pos < r.vnodes[j].pos
-		}
-		return r.vnodes[i].node < r.vnodes[j].node
-	})
 }
 
 // Nodes returns the member names in sorted order.
@@ -163,19 +146,6 @@ func (r *Ring) Nodes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ownerAt returns the owner of ring position h: the first vnode at or
-// after h, wrapping to the lowest.
-func (r *Ring) ownerAt(h uint64) string {
-	if len(r.vnodes) == 0 {
-		return ""
-	}
-	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].pos >= h })
-	if i == len(r.vnodes) {
-		i = 0
-	}
-	return r.vnodes[i].node
 }
 
 // Owners returns id's preference list: the R distinct physical members
@@ -196,12 +166,12 @@ func (r *Ring) OwnersAppend(dst []string, id string, rf int) []string {
 // already in the list) are skipped so replicas land on distinct nodes.
 func (r *Ring) ownersAppendAt(dst []string, h uint64, rf int) []string {
 	dst = dst[:0]
-	if len(r.vnodes) == 0 || rf <= 0 {
+	if len(r.points) == 0 || rf <= 0 {
 		return dst
 	}
-	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].pos >= h })
-	for n := 0; n < len(r.vnodes) && len(dst) < rf; n++ {
-		v := &r.vnodes[(i+n)%len(r.vnodes)]
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
+	for n := 0; n < len(r.points) && len(dst) < rf; n++ {
+		v := &r.points[(i+n)%len(r.points)]
 		dup := false
 		for _, have := range dst {
 			if have == v.node {
@@ -214,132 +184,4 @@ func (r *Ring) ownersAppendAt(dst []string, h uint64, rf int) []string {
 		}
 	}
 	return dst
-}
-
-// prevPos returns the position of the vnode preceding index i,
-// wrapping.
-func (r *Ring) prevPos(i int) uint64 {
-	if i == 0 {
-		return r.vnodes[len(r.vnodes)-1].pos
-	}
-	return r.vnodes[i-1].pos
-}
-
-// Add inserts a member with the default vnode count and returns the
-// key ranges that move to it, each annotated with its previous owner.
-// On the first member the list is empty (there is nobody to move keys
-// from).
-func (r *Ring) Add(name string) ([]Movement, error) { return r.AddWeighted(name, 0) }
-
-// AddWeighted is Add with an explicit vnode count for the new member
-// (<= 0 uses the ring default) — how a heavier or lighter node joins
-// with a proportionally different share of the key space.
-func (r *Ring) AddWeighted(name string, vnodes int) ([]Movement, error) {
-	if r.names[name] {
-		return nil, fmt.Errorf("cluster: node %q already in ring", name)
-	}
-	old := r.clone()
-	if vnodes > 0 {
-		r.weights[name] = vnodes
-	}
-	if err := r.insert(name); err != nil {
-		return nil, err
-	}
-	if len(old.vnodes) == 0 {
-		return nil, nil
-	}
-	var movs []Movement
-	for i, v := range r.vnodes {
-		if v.node != name {
-			continue
-		}
-		lo := r.prevPos(i)
-		if lo == v.pos {
-			// A full-collision range would select the whole ring; with
-			// >1 vnodes it is actually empty. Skip it.
-			continue
-		}
-		movs = append(movs, Movement{Lo: lo, Hi: v.pos, From: old.ownerAt(v.pos), To: name})
-	}
-	return movs, nil
-}
-
-// Remove deletes a member and returns the key ranges it gives up, each
-// annotated with its new owner. Removing the last member returns no
-// movements (there is nobody to move keys to).
-func (r *Ring) Remove(name string) ([]Movement, error) {
-	if !r.names[name] {
-		return nil, fmt.Errorf("cluster: node %q not in ring", name)
-	}
-	old := r.clone()
-	delete(r.names, name)
-	delete(r.weights, name)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.node != name {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-	if len(r.vnodes) == 0 {
-		return nil, nil
-	}
-	// Walk the old ring and emit one movement per maximal run of the
-	// removed member's vnodes: the run's keys flow to the surviving
-	// successor of its last vnode.
-	n := len(old.vnodes)
-	var movs []Movement
-	for i := 0; i < n; i++ {
-		if old.vnodes[i].node != name || old.vnodes[(i+n-1)%n].node == name {
-			continue // not a run start
-		}
-		lo := old.prevPos(i)
-		j := i
-		for old.vnodes[(j+1)%n].node == name {
-			j = (j + 1) % n
-		}
-		hi := old.vnodes[j].pos
-		if lo == hi {
-			continue
-		}
-		movs = append(movs, Movement{Lo: lo, Hi: hi, From: name, To: r.ownerAt(hi)})
-	}
-	return movs, nil
-}
-
-// clone copies the ring (for before/after ownership comparison).
-func (r *Ring) clone() *Ring {
-	c := &Ring{
-		vnodes:   append([]vnode(nil), r.vnodes...),
-		replicas: r.replicas,
-		weights:  make(map[string]int, len(r.weights)),
-		names:    make(map[string]bool, len(r.names)),
-	}
-	for n, w := range r.weights {
-		c.weights[n] = w
-	}
-	for n := range r.names {
-		c.names[n] = true
-	}
-	return c
-}
-
-// reweighted returns a new ring with the same members and the given
-// vnode-count overrides applied on top of the existing ones — the
-// target ring of a Coordinator.Reweight migration.
-func (r *Ring) reweighted(weights map[string]int) (*Ring, error) {
-	merged := make(map[string]int, len(r.weights)+len(weights))
-	for name, w := range r.weights {
-		merged[name] = w
-	}
-	for name, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("cluster: vnode weight %d for %q", w, name)
-		}
-		if !r.names[name] {
-			return nil, fmt.Errorf("cluster: weight for unknown member %q", name)
-		}
-		merged[name] = w
-	}
-	return NewWeightedRing(r.replicas, merged, r.Nodes()...)
 }

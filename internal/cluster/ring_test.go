@@ -2,14 +2,93 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"mapdr/internal/wire"
 )
 
-// ringOwner is the member owning id: the head of its preference list,
-// or "" on an empty ring.
-func ringOwner(r *Ring, id string) string { return r.ownerAt(wire.KeyHash(id)) }
+// ringOwner is the member owning id: the first vnode at or after its
+// hash, wrapping to the lowest; "" on an empty ring.
+func ringOwner(r *Ring, id string) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	h := wire.KeyHash(id)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
+	return r.points[i%len(r.points)].node
+}
+
+// planOn derives the plan of rec against a fresh routing table over
+// names, replicating to rf members on rings of vnodes vnodes each.
+func planOn(t *testing.T, vnodes, rf int, names []string, rec wire.LogRecord) *migrationPlan {
+	t.Helper()
+	members := make([]*Member, len(names))
+	for i, name := range names {
+		members[i] = tableMember(name)
+	}
+	tbl, err := newRoutingTable(vnodes, rf, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var joining *Member
+	if rec.MigKind == migKindJoin {
+		joining = tableMember(rec.Target)
+	}
+	p, err := tbl.plan(rec, joining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkPlanMoves proves a plan's moves are exactly its owner-set diff
+// over the sampled ids: an id whose R-owner set changes from p.from to
+// p.next lies in exactly one move, whose adds and drops are the set
+// differences and whose sources are the previous owners; every other
+// id keeps its owners and lies in no move. It returns how many ids
+// changed owners.
+func checkPlanMoves(t *testing.T, p *migrationPlan, rf int, ids []string) (moved int) {
+	t.Helper()
+	for _, id := range ids {
+		was, now := p.from.Owners(id, rf), p.next.Owners(id, rf)
+		h := wire.KeyHash(id)
+		var in []arcMove
+		for _, mv := range p.moves {
+			if wire.InKeyRange(h, mv.lo, mv.hi) {
+				in = append(in, mv)
+			}
+		}
+		var adds, drops []string // the set differences, in list order
+		for _, name := range now {
+			if !slices.Contains(was, name) {
+				adds = append(adds, name)
+			}
+		}
+		for _, name := range was {
+			if !slices.Contains(now, name) {
+				drops = append(drops, name)
+			}
+		}
+		if len(adds) == 0 && len(drops) == 0 {
+			if len(in) != 0 {
+				t.Fatalf("%s keeps owners %v but lies in %d moves", id, was, len(in))
+			}
+			continue
+		}
+		if len(in) != 1 {
+			t.Fatalf("%s: owners %v -> %v, but it lies in %d moves", id, was, now, len(in))
+		}
+		moved++
+		mv := in[0]
+		if !reflect.DeepEqual(mv.adds, adds) || !reflect.DeepEqual(mv.drops, drops) || !reflect.DeepEqual(mv.sources, was) {
+			t.Fatalf("%s: owners %v -> %v, move says sources %v adds %v drops %v", id, was, now, mv.sources, mv.adds, mv.drops)
+		}
+	}
+	return moved
+}
 
 func ringIDs(n int) []string {
 	ids := make([]string, n)
@@ -51,106 +130,67 @@ func TestRingOwnerDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingAddMovements proves the movement list is exactly the
-// ownership diff: every key whose owner changed is covered by a
-// movement with the right From/To, and every key inside a movement
-// range actually moved that way.
+// TestRingAddMovements proves a join's plan is exactly the ownership
+// diff at R = 1 and 2, and that consistent hashing bounds the churn:
+// every primary that changes moves to the joiner, and fewer than half
+// the keys move.
 func TestRingAddMovements(t *testing.T) {
-	r, _ := NewRing(32, "a", "b", "c")
 	ids := ringIDs(20000)
-	before := make(map[string]string, len(ids))
-	for _, id := range ids {
-		before[id] = ringOwner(r, id)
-	}
-	movs, err := r.Add("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(movs) == 0 {
-		t.Fatal("adding a member to a populated ring must move keys")
-	}
-	for _, mov := range movs {
-		if mov.To != "d" {
-			t.Fatalf("movement to %q, want new member d", mov.To)
+	for _, rf := range []int{1, 2} {
+		p := planOn(t, 32, rf, []string{"a", "b", "c"}, beginRecord(migKindJoin, "d", "mem://d", nil))
+		if len(p.moves) == 0 {
+			t.Fatal("adding a member to a populated ring must move keys")
 		}
-		if mov.From == "d" || mov.From == "" {
-			t.Fatalf("movement from %q", mov.From)
-		}
-	}
-	moved := 0
-	for _, id := range ids {
-		after := ringOwner(r, id)
-		h := wire.KeyHash(id)
-		var mov *Movement
-		for i := range movs {
-			if wire.InKeyRange(h, movs[i].Lo, movs[i].Hi) {
-				mov = &movs[i]
-				break
+		for _, mv := range p.moves {
+			if !reflect.DeepEqual(mv.adds, []string{"d"}) || containsName(mv.drops, "d") {
+				t.Fatalf("R=%d: join move adds %v drops %v, want adds [d]", rf, mv.adds, mv.drops)
 			}
 		}
-		switch {
-		case mov == nil:
-			if after != before[id] {
-				t.Fatalf("%s changed owner %s->%s outside any movement", id, before[id], after)
-			}
-		default:
-			moved++
-			if before[id] != mov.From || after != mov.To {
-				t.Fatalf("%s: movement says %s->%s, owners were %s->%s",
-					id, mov.From, mov.To, before[id], after)
+		moved := checkPlanMoves(t, p, rf, ids)
+		if moved == 0 {
+			t.Fatalf("R=%d: no sampled key moved — move ranges empty?", rf)
+		}
+		if rf > 1 {
+			continue
+		}
+		for _, id := range ids {
+			if was, now := ringOwner(p.from, id), ringOwner(p.next, id); was != now && now != "d" {
+				t.Fatalf("%s moved %s->%s on a join of d", id, was, now)
 			}
 		}
-	}
-	if moved == 0 {
-		t.Fatal("no sampled key moved — movement ranges empty?")
-	}
-	// Consistent hashing: roughly 1/4 of keys should move to the new
-	// member, never the majority.
-	if moved > len(ids)/2 {
-		t.Errorf("%d of %d keys moved on one join — too much churn", moved, len(ids))
+		// Consistent hashing: roughly 1/4 of keys should move to the new
+		// member, never the majority.
+		if moved > len(ids)/2 {
+			t.Errorf("%d of %d keys moved on one join — too much churn", moved, len(ids))
+		}
 	}
 }
 
+// TestRingRemoveMovements proves a leave's plan is exactly the
+// ownership diff at R = 1 and 2, and that only the leaver's keys move.
 func TestRingRemoveMovements(t *testing.T) {
-	r, _ := NewRing(32, "a", "b", "c", "d")
 	ids := ringIDs(20000)
-	before := make(map[string]string, len(ids))
-	for _, id := range ids {
-		before[id] = ringOwner(r, id)
-	}
-	movs, err := r.Remove("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mov := range movs {
-		if mov.From != "b" || mov.To == "b" || mov.To == "" {
-			t.Fatalf("bad movement %+v", mov)
-		}
-	}
-	for _, id := range ids {
-		after := ringOwner(r, id)
-		if after == "b" {
-			t.Fatalf("%s still owned by removed member", id)
-		}
-		if before[id] != "b" {
-			if after != before[id] {
-				t.Fatalf("%s changed owner %s->%s though b never owned it", id, before[id], after)
+	for _, rf := range []int{1, 2} {
+		p := planOn(t, 32, rf, []string{"a", "b", "c", "d"}, beginRecord(migKindLeave, "b", "", nil))
+		for _, mv := range p.moves {
+			if !reflect.DeepEqual(mv.drops, []string{"b"}) || len(mv.adds) == 0 || containsName(mv.adds, "b") {
+				t.Fatalf("R=%d: bad leave move adds %v drops %v", rf, mv.adds, mv.drops)
 			}
+		}
+		if checkPlanMoves(t, p, rf, ids) == 0 {
+			t.Fatalf("R=%d: no sampled key moved off the leaver", rf)
+		}
+		if rf > 1 {
 			continue
 		}
-		h := wire.KeyHash(id)
-		found := false
-		for _, mov := range movs {
-			if wire.InKeyRange(h, mov.Lo, mov.Hi) {
-				if after != mov.To {
-					t.Fatalf("%s: movement says ->%s, owner is %s", id, mov.To, after)
-				}
-				found = true
-				break
+		for _, id := range ids {
+			was, now := ringOwner(p.from, id), ringOwner(p.next, id)
+			if now == "b" {
+				t.Fatalf("%s still owned by removed member", id)
 			}
-		}
-		if !found {
-			t.Fatalf("%s left b but is covered by no movement", id)
+			if was != "b" && now != was {
+				t.Fatalf("%s changed owner %s->%s though b never owned it", id, was, now)
+			}
 		}
 	}
 }
@@ -183,17 +223,11 @@ func TestRingOwnersPreferenceList(t *testing.T) {
 	// The preference list shifts by at most one position when a member
 	// leaves: survivors keep their replicas (that is what makes handoff
 	// incremental).
-	before := map[string][]string{}
 	ids := ringIDs(2000)
+	shrunk, _ := NewRing(32, "a", "b", "c")
 	for _, id := range ids {
-		before[id] = r.Owners(id, 2)
-	}
-	if _, err := r.Remove("d"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		after := r.Owners(id, 2)
-		for _, o := range before[id] {
+		before, after := r.Owners(id, 2), shrunk.Owners(id, 2)
+		for _, o := range before {
 			if o == "d" {
 				continue
 			}
@@ -205,7 +239,7 @@ func TestRingOwnersPreferenceList(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("%s: surviving replica %s evicted by removal (%v -> %v)", id, o, before[id], after)
+				t.Fatalf("%s: surviving replica %s evicted by removal (%v -> %v)", id, o, before, after)
 			}
 		}
 	}
@@ -248,36 +282,24 @@ func TestRingWeightedOwnershipDiff(t *testing.T) {
 			t.Fatalf("unweighted %s owns more than the 4x-weighted d: %v", name, counts)
 		}
 	}
-	// AddWeighted produces the same ownership as constructing the ring
-	// with that weight, and its movement list is exactly the diff.
-	grown, _ := NewRing(32, "a", "b", "c")
-	before := map[string]string{}
-	for _, id := range ids {
-		before[id] = ringOwner(grown, id)
-	}
-	movs, err := grown.AddWeighted("d", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Vnodes("d") != 128 {
-		t.Fatalf("joined member carries %d vnodes, want 128", grown.Vnodes("d"))
+	// A reweight plan onto that weight leads to the same ownership as
+	// constructing the ring with it, and its moves are exactly the diff.
+	p := planOn(t, 32, 1, []string{"a", "b", "c", "d"}, beginRecord(migKindReweight, "", "", map[string]int{"d": 128}))
+	if p.next.Vnodes("d") != 128 {
+		t.Fatalf("reweighted member carries %d vnodes, want 128", p.next.Vnodes("d"))
 	}
 	for _, id := range ids {
-		after := ringOwner(grown, id)
-		h := wire.KeyHash(id)
-		inMove := false
-		for i := range movs {
-			if wire.InKeyRange(h, movs[i].Lo, movs[i].Hi) {
-				inMove = true
-				break
-			}
+		if got, want := ringOwner(p.next, id), ringOwner(weighted, id); got != want {
+			t.Fatalf("%s: reweight plan owner %s, weighted ring owner %s", id, got, want)
 		}
-		if inMove && after != "d" {
-			t.Fatalf("%s inside a movement but owned by %s", id, after)
+	}
+	for _, mv := range p.moves {
+		if !reflect.DeepEqual(mv.adds, []string{"d"}) {
+			t.Fatalf("upweighting d moves a range to %v", mv.adds)
 		}
-		if !inMove && after != before[id] {
-			t.Fatalf("%s changed owner %s->%s outside any movement", id, before[id], after)
-		}
+	}
+	if checkPlanMoves(t, p, 1, ids) != moved {
+		t.Fatalf("the reweight plan moves other keys than the weighted ring does")
 	}
 }
 
@@ -288,32 +310,34 @@ func TestRingErrors(t *testing.T) {
 	if _, err := NewRing(8, ""); err == nil {
 		t.Error("empty member name accepted")
 	}
-	r, _ := NewRing(8, "a")
-	if _, err := r.Add("a"); err == nil {
-		t.Error("duplicate Add accepted")
+	tbl, _ := newRoutingTable(8, 1, tableMember("a"))
+	for _, bad := range []struct {
+		rec     wire.LogRecord
+		joining *Member
+	}{
+		{beginRecord(migKindJoin, "a", "mem://a", nil), tableMember("a")},
+		{beginRecord(migKindJoin, "", "mem://", nil), tableMember("")},
+		{beginRecord(migKindLeave, "ghost", "", nil), nil},
+		{beginRecord(migKindLeave, "a", "", nil), nil}, // the last member
+		{beginRecord(migKindReweight, "", "", map[string]int{"ghost": 8}), nil},
+		{beginRecord(migKindReweight, "", "", map[string]int{"a": 0}), nil},
+	} {
+		if _, err := tbl.plan(bad.rec, bad.joining); err == nil {
+			t.Errorf("plan accepted %+v", bad.rec)
+		}
 	}
-	if _, err := r.Remove("ghost"); err == nil {
-		t.Error("removing unknown member accepted")
+	p, err := tbl.plan(beginRecord(migKindJoin, "b", "mem://b", nil), tableMember("b"))
+	if err != nil || len(p.moves) == 0 {
+		t.Fatalf("join of b: %v, %v", p, err)
 	}
-	if movs, err := r.Add("b"); err != nil || len(movs) == 0 {
-		t.Errorf("Add(b) = %v, %v", movs, err)
-	}
-	if owner := ringOwner(r, "anything"); owner != "a" && owner != "b" {
+	if owner := ringOwner(p.next, "anything"); owner != "a" && owner != "b" {
 		t.Errorf("owner %q", owner)
 	}
-	// Removing down to one member keeps everything owned.
-	if _, err := r.Remove("a"); err != nil {
-		t.Fatal(err)
+	// A one-member ring owns everything; an empty ring owns nothing.
+	if one, _ := NewRing(8, "b"); ringOwner(one, "anything") != "b" {
+		t.Errorf("one-member owner %q, want b", ringOwner(one, "anything"))
 	}
-	if owner := ringOwner(r, "anything"); owner != "b" {
-		t.Errorf("owner after removal %q, want b", owner)
-	}
-	// Removing the last member empties the ring without movements.
-	movs, err := r.Remove("b")
-	if err != nil || movs != nil {
-		t.Errorf("last removal: %v, %v", movs, err)
-	}
-	if owner := ringOwner(r, "anything"); owner != "" {
-		t.Errorf("empty ring owner %q", owner)
+	if empty, _ := NewRing(8); ringOwner(empty, "anything") != "" || len(empty.Owners("anything", 2)) != 0 {
+		t.Errorf("empty ring owns %q", ringOwner(empty, "anything"))
 	}
 }

@@ -5,13 +5,14 @@
 // routed fan-outs hold the read side). Nothing outside this file reads
 // or writes those fields. The migration driver and the fan-in follower
 // both derive a migrationPlan with plan() and move the table with the
-// same four transitions, so every coordinator front routes a migration
-// alike.
+// same three transitions — enter, commit, rollback — so every
+// coordinator front routes a migration alike.
 
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,9 +28,10 @@ type routingTable struct {
 	rf      int
 	members map[string]*memberState
 	order   []string // sorted member names: deterministic scatter order
-	// duals are the published moves of the migration in flight: writes
-	// for keys in a move's (lo, hi] fan out to its adds alongside the
-	// ring owners, and reads include them in the freshest-Seq merge.
+	// duals are the moves of the migration in flight, all published by
+	// enter: writes for keys in a move's (lo, hi] fan out to its adds
+	// alongside the ring owners, and reads include them in the
+	// freshest-Seq merge.
 	duals []arcMove
 
 	maxHold atomic.Int64 // longest write-lock hold, nanoseconds
@@ -287,7 +289,7 @@ func beginRecord(kind uint8, target, addr string, weights map[string]int) wire.L
 // migrationPlan is one membership change worked out against a table:
 // the ring it leads to and the elementary arcs whose owners change on
 // the way. The driver's run embeds it, the fan-in log's open runs are
-// plans, and the four transitions below take nothing else.
+// plans, and the three transitions below take nothing else.
 type migrationPlan struct {
 	kind    string // migJoin, migLeave or migReweight
 	target  string // joining/leaving member name; "" for reweight
@@ -307,45 +309,54 @@ func (p *migrationPlan) label() string {
 
 // plan derives the migration plan of the change a LogBegin record
 // describes against the current table: validate it, build the next
-// ring, diff the preference lists. joining is the caller's own handle
-// on the node a join adds. Rings are deterministic functions of names
-// and weights, so every coordinator deriving the same record from the
-// same table gets the same plan. The table is untouched until enter.
+// ring from the member names and vnode weights the change leads to,
+// diff the preference lists. joining is the caller's own handle on the
+// node a join adds. Rings are deterministic functions of names and
+// weights, so every coordinator deriving the same record from the same
+// table gets the same plan. The table is untouched until enter.
 func (t *routingTable) plan(rec wire.LogRecord, joining *Member) (*migrationPlan, error) {
 	p := &migrationPlan{target: rec.Target}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, member := t.members[rec.Target]
-	var err error
+	names := t.ring.Nodes()
+	weights := make(map[string]int, len(t.ring.weights)+len(rec.Weights))
+	for name, w := range t.ring.weights {
+		weights[name] = w
+	}
 	switch rec.MigKind {
 	case migKindJoin:
-		if member {
+		if _, dup := t.members[rec.Target]; dup {
 			return nil, fmt.Errorf("cluster: duplicate member %q", rec.Target)
 		}
 		p.kind, p.joining = migJoin, newMemberState(joining)
-		p.next = t.ring.clone()
-		_, err = p.next.Add(rec.Target)
+		names = append(names, rec.Target)
 	case migKindLeave:
-		if !member {
+		if !t.ring.names[rec.Target] {
 			return nil, fmt.Errorf("cluster: unknown member %q", rec.Target)
 		}
 		if len(t.members) == 1 {
 			return nil, fmt.Errorf("cluster: cannot remove the last member %q", rec.Target)
 		}
 		p.kind = migLeave
-		p.next = t.ring.clone()
-		_, err = p.next.Remove(rec.Target)
+		names = slices.DeleteFunc(names, func(name string) bool { return name == rec.Target })
+		delete(weights, rec.Target)
 	case migKindReweight:
-		weights := make(map[string]int, len(rec.Weights))
-		for _, nw := range rec.Weights {
-			weights[nw.Name] = int(nw.W)
-		}
 		p.kind = migReweight
-		p.next, err = t.ring.reweighted(weights)
+		for _, nw := range rec.Weights {
+			w := int(nw.W)
+			if w <= 0 {
+				return nil, fmt.Errorf("cluster: vnode weight %d for %q", w, nw.Name)
+			}
+			if !t.ring.names[nw.Name] {
+				return nil, fmt.Errorf("cluster: weight for unknown member %q", nw.Name)
+			}
+			weights[nw.Name] = w
+		}
 	default:
-		err = fmt.Errorf("cluster: unknown migration kind %d", rec.MigKind)
+		return nil, fmt.Errorf("cluster: unknown migration kind %d", rec.MigKind)
 	}
-	if err != nil {
+	var err error
+	if p.next, err = NewWeightedRing(t.ring.vnodes, weights, names...); err != nil {
 		return nil, err
 	}
 	p.from = t.ring
@@ -369,40 +380,37 @@ func (t *routingTable) swap(transition func()) {
 	}
 }
 
-// enter opens a plan: a joining member enters the scatter set — it owns
-// nothing until a range goes dual, but dual writes and scatter queries
-// must reach it from the start. A plan derived from a ring the table
-// has since left is refused.
+// enter opens a plan: a joining member enters the scatter set and
+// every move's range is dual-routed onto its adds, under one lock hold.
+// Every run opens this way — driven solo, driven on the fan-in log, or
+// followed from it — so all coordinators route a run alike from its
+// Begin on. A plan derived from a ring the table has since left is
+// refused.
 func (t *routingTable) enter(p *migrationPlan) (err error) {
 	t.swap(func() {
 		switch _, dup := t.members[p.target]; {
 		case t.ring != p.from:
 			err = fmt.Errorf("cluster: %s planned against a superseded ring", p.label())
+			return
 		case p.joining == nil: // a leave or reweight enters nobody
 		case dup:
 			err = fmt.Errorf("cluster: duplicate member %q", p.target)
+			return
 		default:
 			t.members[p.target] = p.joining
 			t.reorder()
 		}
-	})
-	return err
-}
-
-// publish dual-routes the moves' ranges onto their adds: one range at a
-// time ahead of its copy for a solo driver, all of a logged run's up
-// front so every front routes alike from the Begin record on.
-func (t *routingTable) publish(moves ...arcMove) {
-	t.swap(func() {
-		for _, mv := range moves {
+		for _, mv := range p.moves {
 			if len(mv.adds) > 0 {
 				t.duals = append(t.duals, mv)
 			}
 		}
 	})
+	return err
 }
 
-// dropTarget is a range copy a commit superseded.
+// dropTarget is a range copy a commit superseded or a rollback
+// abandoned.
 type dropTarget struct {
 	m      *memberState
 	lo, hi uint64
@@ -437,12 +445,22 @@ func (t *routingTable) commit(p *migrationPlan) (drops []dropTarget) {
 	return drops
 }
 
-// rollback closes a plan without committing it: dual routing stops and
-// a joining member leaves the scatter set and is hung up on; the ring
-// never moved.
-func (t *routingTable) rollback(p *migrationPlan) {
+// rollback closes a plan without committing it: dual routing stops, a
+// joining member leaves the scatter set and is hung up on, and the ring
+// never moved. It returns every move's range on every add still in the
+// table, a joining member included: the routes enter published may have
+// written any of them, so the driver removes them all; followers ignore
+// them.
+func (t *routingTable) rollback(p *migrationPlan) (drops []dropTarget) {
 	var gone *memberState
 	t.swap(func() {
+		for _, mv := range p.moves {
+			for _, name := range mv.adds {
+				if m, ok := t.members[name]; ok {
+					drops = append(drops, dropTarget{m, mv.lo, mv.hi})
+				}
+			}
+		}
 		t.duals = t.duals[:0]
 		if p.joining != nil {
 			gone = t.members[p.target]
@@ -453,4 +471,5 @@ func (t *routingTable) rollback(p *migrationPlan) {
 	if gone != nil {
 		gone.hangUp()
 	}
+	return drops
 }

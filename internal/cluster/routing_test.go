@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -65,8 +66,9 @@ func dropNames(drops []dropTarget) []string {
 // record built from the Begin* arguments, the caller's own member
 // handle), the other the way a fan-in follower does (the record after a
 // trip through the log codec, the handle from a member factory). Plans
-// and every table state along enter → publish → commit|rollback must be
-// identical, and a rollback must restore the table exactly.
+// and every table state along enter → commit|rollback must be
+// identical, enter must publish every move with adds, and a rollback
+// must restore the table exactly.
 func TestRoutingPlanDriverAndRecordEntriesAgree(t *testing.T) {
 	factory := func(name, addr string) (*Member, error) {
 		if addr != "mem://"+name {
@@ -167,17 +169,17 @@ func TestRoutingPlanDriverAndRecordEntriesAgree(t *testing.T) {
 			if err := follower.enter(fp); err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
-			same("enter")
-			// The solo driver publishes range by range, a follower all up
-			// front: the routes must add up to the same table.
+			entered := same("enter")
 			for _, mv := range dp.moves {
-				driver.publish(mv)
+				if len(mv.adds) > 0 && !slices.ContainsFunc(entered.duals, func(d arcMove) bool { return reflect.DeepEqual(d, mv) }) {
+					t.Fatalf("%s: enter did not publish the move (%x,%x] adding %v", at, mv.lo, mv.hi, mv.adds)
+				}
 			}
-			follower.publish(fp.moves...)
-			same("publish")
 			if rng.Intn(3) == 0 {
-				driver.rollback(dp)
-				follower.rollback(fp)
+				dd, fd := dropNames(driver.rollback(dp)), dropNames(follower.rollback(fp))
+				if !reflect.DeepEqual(dd, fd) {
+					t.Fatalf("%s: rollback drop targets differ: %v vs %v", at, dd, fd)
+				}
 				if after := same("rollback"); !reflect.DeepEqual(after, before) || len(after.duals) != 0 {
 					t.Fatalf("%s: rollback of %s did not restore the table:\nbefore %v %v\nafter  %v %v",
 						at, dp.label(), before.nodes, before.duals, after.nodes, after.duals)
@@ -235,7 +237,6 @@ func TestRoutingCommitWaitsForInFlightDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.publish(plan.moves...)
 
 	sent := make(chan error, 1)
 	go func() { sent <- c.Send(1, repBatch(64, 1)) }()

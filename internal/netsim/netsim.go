@@ -33,9 +33,6 @@ type Link struct {
 
 	rng      *rand.Rand
 	inFlight []Message
-	sent     int64
-	dropped  int64
-	bytes    int64
 }
 
 // Window is a half-open time interval.
@@ -63,16 +60,12 @@ func NewLink(seed int64, latency, jitter, lossProb float64) *Link {
 // Send enqueues a message of the given size at time now. Returns false if
 // the message was dropped (loss or disconnection).
 func (l *Link) Send(now float64, size int, payload any) bool {
-	l.sent++
-	l.bytes += int64(size)
 	for _, w := range l.Disconnections {
 		if w.Contains(now) {
-			l.dropped++
 			return false
 		}
 	}
 	if l.LossProb > 0 && l.rng.Float64() < l.LossProb {
-		l.dropped++
 		return false
 	}
 	delay := l.Latency
@@ -111,12 +104,3 @@ func (l *Link) Deliverable(now float64) []Message {
 
 // Pending returns the number of messages in flight.
 func (l *Link) Pending() int { return len(l.inFlight) }
-
-// Sent returns the number of Send calls.
-func (l *Link) Sent() int64 { return l.sent }
-
-// Dropped returns the number of dropped messages.
-func (l *Link) Dropped() int64 { return l.dropped }
-
-// Bytes returns the total bytes offered to the link.
-func (l *Link) Bytes() int64 { return l.bytes }

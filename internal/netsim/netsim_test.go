@@ -13,8 +13,8 @@ func TestPerfectLinkDeliversImmediately(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Payload != "a" || msgs[0].DeliverT != 10 {
 		t.Fatalf("msgs = %+v", msgs)
 	}
-	if l.Pending() != 0 || l.Sent() != 1 || l.Dropped() != 0 || l.Bytes() != 49 {
-		t.Error("counters wrong")
+	if l.Pending() != 0 || msgs[0].Size != 49 {
+		t.Errorf("pending %d, size %d; want 0 and 49", l.Pending(), msgs[0].Size)
 	}
 }
 
@@ -41,10 +41,16 @@ func TestDeliveryOrder(t *testing.T) {
 
 func TestLossProbability(t *testing.T) {
 	l := NewLink(3, 0, 0, 0.5)
+	dropped := 0
 	for i := 0; i < 2000; i++ {
-		l.Send(float64(i), 1, i)
+		if !l.Send(float64(i), 1, i) {
+			dropped++
+		}
 	}
-	frac := float64(l.Dropped()) / 2000
+	if got := len(l.Deliverable(2000)); got != 2000-dropped {
+		t.Fatalf("delivered %d of the %d messages Send accepted", got, 2000-dropped)
+	}
+	frac := float64(dropped) / 2000
 	if frac < 0.42 || frac > 0.58 {
 		t.Errorf("drop fraction = %v, want ≈0.5", frac)
 	}

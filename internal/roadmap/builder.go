@@ -130,7 +130,6 @@ func (b *Builder) buildIndex(g *Graph) *spatial.Grid {
 			idx.Insert(spatial.Entry{ID: encodeSegID(l.ID, s), Seg: l.Shape.Segment(s)})
 		}
 	}
-	idx.Build()
 	return idx
 }
 

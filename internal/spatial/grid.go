@@ -18,7 +18,6 @@ type Grid struct {
 	entries  []Entry
 	cells    map[[2]int32][]int32
 	bounds   geo.Rect
-	built    bool
 }
 
 // NewGrid returns a grid index with the given cell size in metres.
@@ -51,10 +50,6 @@ func (g *Grid) Insert(e Entry) {
 		}
 	}
 }
-
-// Build finalises the index after a batch of inserts (a no-op for the
-// grid).
-func (g *Grid) Build() { g.built = true }
 
 // Len returns the number of indexed entries.
 func (g *Grid) Len() int { return len(g.entries) }

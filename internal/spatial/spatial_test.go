@@ -69,7 +69,6 @@ func newGrid(cellSize float64, entries []Entry) *Grid {
 	for _, e := range entries {
 		g.Insert(e)
 	}
-	g.Build()
 	return g
 }
 
@@ -291,7 +290,6 @@ func TestNearestKWithMatchesVisitedSet(t *testing.T) {
 			g.Insert(e)
 		}
 	}
-	g.Build()
 	var s NearestScratch
 	for q := 0; q < 500; q++ {
 		p := geo.Pt(rng.Float64()*3400-200, rng.Float64()*3400-200)

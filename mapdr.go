@@ -431,8 +431,6 @@ type (
 	ClusterMemberStats = cluster.MemberStats
 	// ClusterRing is the consistent-hash partitioner.
 	ClusterRing = cluster.Ring
-	// ClusterMovement is one key range whose owner changed.
-	ClusterMovement = cluster.Movement
 	// ClusterFaultInjector is the kill switch of a faulty test member.
 	ClusterFaultInjector = cluster.FaultInjector
 	// ClusterSelfHealConfig tunes the self-healing membership loops:
