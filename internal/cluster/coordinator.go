@@ -59,9 +59,10 @@ func NewHTTPMember(name, baseURL string, hc *http.Client) *Member {
 }
 
 // memberState pairs a member with the coordinator's routing counters
-// and its replication health state: the consecutive-failure circuit
-// breaker and the hint buffer that holds updates while the member is
-// unreachable.
+// and its replication health state: the health word (replication.go)
+// that the breaker, the heartbeat detector and the recovery probes
+// advance, and the hint buffer that holds updates while the member is
+// down.
 type memberState struct {
 	*Member
 	records atomic.Int64 // update records delivered to this member, hints included
@@ -69,31 +70,29 @@ type memberState struct {
 	queries atomic.Int64 // scatter/route calls against this member's node
 	errors  atomic.Int64 // failed node calls
 
-	consecFails  atomic.Int32     // breaker input: consecutive transport failures
-	suspectFails atomic.Int32     // liveness input: consecutive failed heartbeats while up
-	recoverOKs   atomic.Int32     // consecutive successful recovery probes while down
-	down         atomic.Bool      // breaker state: skip this member, hint its updates
-	probing      atomic.Bool      // a recovery probe is in flight
-	downSince    atomic.Uint64    // coordinator clock (float bits) when the breaker tripped
-	hintedAtDown atomic.Int64     // hints.Hinted at trip time, for the demotion record count
-	hints        *wire.HintBuffer // updates awaiting the member's recovery
+	hstate  atomic.Uint64    // the health word (an hstate); written only by step
+	hmu     sync.Mutex       // serializes step's slow path; guards trip
+	trip    tripRecord       // the current (or last) down episode's record
+	probing atomic.Bool      // a recovery probe is in flight
+	hints   *wire.HintBuffer // updates awaiting the member's recovery
 }
 
-// health derives the member's detector state: Down while the breaker is
-// open (Suspect once recovery probes have started to succeed), Suspect
-// while heartbeats are failing but the breaker has not tripped, Up
-// otherwise.
-func (m *memberState) health() Health {
-	switch {
-	case m.down.Load() && m.recoverOKs.Load() > 0:
-		return HealthSuspect
-	case m.down.Load():
-		return HealthDown
-	case m.suspectFails.Load() > 0:
-		return HealthSuspect
-	default:
-		return HealthUp
-	}
+// tripRecord is what the step taking a member down records: the clock
+// and the hint count then, which the demotion deadlines count from.
+type tripRecord struct {
+	since  float64
+	hinted int64
+}
+
+// state loads the member's health word.
+func (m *memberState) state() hstate { return hstate(m.hstate.Load()) }
+
+// snapshot reads the health word together with its trip record: a down
+// word never pairs with an earlier episode's record.
+func (m *memberState) snapshot() (hstate, tripRecord) {
+	m.hmu.Lock()
+	defer m.hmu.Unlock()
+	return m.state(), m.trip
 }
 
 func newMemberState(m *Member) *memberState {
@@ -119,13 +118,15 @@ type MemberStats struct {
 	Batches int64
 	Queries int64
 	Errors  int64
-	// Down reports whether the member's circuit breaker is open.
+	// Down reports whether the member is down (its breaker open:
+	// queries skip it, its updates are hinted). Down, Health and
+	// DownFor come from one read of the member's health state.
 	Down bool
 	// Health is the liveness detector's view: up, suspect (failing
 	// heartbeats, or down but partway through recovery) or down.
 	Health Health
-	// DownFor is how long (coordinator clock) the breaker has been open;
-	// zero while the member is up.
+	// DownFor is how long (coordinator clock) the member has been down;
+	// zero while it is up.
 	DownFor float64
 	// Hints is the member's hinted-handoff buffer accounting.
 	Hints wire.HintStats
@@ -153,7 +154,7 @@ type MemberStats struct {
 // Replicas observed answering stale are read-repaired in the
 // background.
 //
-// Per-member health is a consecutive-failure circuit breaker: after
+// Per-member health is one state word (replication.go): after
 // breakerThreshold transport failures a member is marked down, queries
 // degrade to the surviving replicas without error, and its updates park
 // in a hint buffer that drains when a recovery probe reaches it again.
@@ -314,7 +315,7 @@ func fanOut[T any](c *Coordinator, names []string, tr *queryTrace,
 			errs[i] = fmt.Errorf("cluster: unknown member %q", name)
 			continue
 		}
-		if m.down.Load() {
+		if m.state().down() {
 			errs[i] = errMemberDown
 			continue
 		}
@@ -700,20 +701,19 @@ func (c *Coordinator) MemberStats() []MemberStats {
 	members := c.memberList()
 	out := make([]MemberStats, 0, len(members))
 	for _, m := range members {
+		s, trip := m.snapshot()
 		ms := MemberStats{
 			Name:    m.Name,
 			Records: m.records.Load(),
 			Batches: m.batches.Load(),
 			Queries: m.queries.Load(),
 			Errors:  m.errors.Load(),
-			Down:    m.down.Load(),
-			Health:  m.health(),
+			Down:    s.down(),
+			Health:  s.health(),
 			Hints:   m.hints.Stats(),
 		}
 		if ms.Down {
-			if since := math.Float64frombits(m.downSince.Load()); c.now() > since {
-				ms.DownFor = c.now() - since
-			}
+			ms.DownFor = max(c.now()-trip.since, 0)
 		} else if st, err := m.Node.NodeStats(); err == nil {
 			ms.Node = st
 		} else {

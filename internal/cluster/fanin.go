@@ -270,7 +270,7 @@ func (c *Coordinator) acceptPeerHints(name string, recs []wire.Record) (int, err
 	if m == nil {
 		return 0, fmt.Errorf("unknown member %q", name)
 	}
-	if m.down.Load() {
+	if m.state().down() {
 		return 0, fmt.Errorf("member %q is down here too", name)
 	}
 	if len(recs) == 0 {
@@ -339,17 +339,13 @@ func (f *fanIn) mergeAndApply(from string, peerFloor uint64, recs []wire.LogReco
 	merged, added := wire.MergeLogs(f.log, recs)
 	f.log = merged
 	for i := range recs {
-		if recs[i].Epoch > f.maxEpoch {
-			f.maxEpoch = recs[i].Epoch
-		}
+		f.maxEpoch = max(f.maxEpoch, recs[i].Epoch)
 	}
 	if added > 0 || f.leaseHolder == "" {
 		f.sweepLocked()
 	}
 	if from != "" {
-		if peerFloor > f.peerFloor[from] {
-			f.peerFloor[from] = peerFloor
-		}
+		f.peerFloor[from] = max(f.peerFloor[from], peerFloor)
 		if pc := f.coverFromLocked(recs, peerFloor); pc > f.peerCover[from] {
 			f.peerCover[from] = pc
 		}
@@ -366,10 +362,7 @@ func (f *fanIn) mergeAndApply(from string, peerFloor uint64, recs []wire.LogReco
 // peerLog in — so any record the peer has and we lacked is already
 // ours, and a cover of E means our logs agree through E exactly.
 func (f *fanIn) coverFromLocked(peerLog []wire.LogRecord, peerFloor uint64) uint64 {
-	base := f.floor
-	if peerFloor > base {
-		base = peerFloor
-	}
+	base := max(f.floor, peerFloor)
 	cover := base
 	j := 0
 	for i := 0; i < len(f.log); i++ {
@@ -398,18 +391,14 @@ func (f *fanIn) coverFromLocked(peerLog []wire.LogRecord, peerFloor uint64) uint
 func (f *fanIn) maybeCompactLocked() {
 	maxPeerFloor := uint64(0)
 	for _, name := range f.order {
-		if pf := f.peerFloor[name]; pf > maxPeerFloor {
-			maxPeerFloor = pf
-		}
+		maxPeerFloor = max(maxPeerFloor, f.peerFloor[name])
 	}
 	if len(f.log) < compactAfter && maxPeerFloor <= f.floor {
 		return
 	}
 	cover := f.maxEpoch
 	for _, name := range f.order {
-		if pc := f.peerCover[name]; pc < cover {
-			cover = pc
-		}
+		cover = min(cover, f.peerCover[name])
 	}
 	if cover > f.floor {
 		f.compactLocked(cover)
@@ -1010,7 +999,7 @@ func (c *Coordinator) forwardHints(f *fanIn) {
 		return
 	}
 	for _, m := range c.memberList() {
-		if !m.down.Load() || m.hints.Stats().Buffered == 0 {
+		if !m.state().down() || m.hints.Stats().Buffered == 0 {
 			continue
 		}
 		recs := m.hints.Drain()

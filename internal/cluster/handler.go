@@ -172,33 +172,15 @@ func mergeClusterView(out *clusterJSON, pv clusterJSON) {
 		// Node-side stats describe the same shared node: take the
 		// freshest sample (a coordinator that sees the node down reports
 		// zeros).
-		if pn.Applied > n.Applied {
-			n.Applied = pn.Applied
-		}
-		if pn.Objects > n.Objects {
-			n.Objects = pn.Objects
-		}
-		if pn.Shards > n.Shards {
-			n.Shards = pn.Shards
-		}
-		if pn.CellMoves > n.CellMoves {
-			n.CellMoves = pn.CellMoves
-		}
-		if pn.BoundRecomputes > n.BoundRecomputes {
-			n.BoundRecomputes = pn.BoundRecomputes
-		}
-		if pn.CellsVisited > n.CellsVisited {
-			n.CellsVisited = pn.CellsVisited
-		}
-		if pn.RingExpansions > n.RingExpansions {
-			n.RingExpansions = pn.RingExpansions
-		}
-		if pn.IndexedQueries > n.IndexedQueries {
-			n.IndexedQueries = pn.IndexedQueries
-		}
-		if pn.ScanFallbacks > n.ScanFallbacks {
-			n.ScanFallbacks = pn.ScanFallbacks
-		}
+		n.Applied = max(n.Applied, pn.Applied)
+		n.Objects = max(n.Objects, pn.Objects)
+		n.Shards = max(n.Shards, pn.Shards)
+		n.CellMoves = max(n.CellMoves, pn.CellMoves)
+		n.BoundRecomputes = max(n.BoundRecomputes, pn.BoundRecomputes)
+		n.CellsVisited = max(n.CellsVisited, pn.CellsVisited)
+		n.RingExpansions = max(n.RingExpansions, pn.RingExpansions)
+		n.IndexedQueries = max(n.IndexedQueries, pn.IndexedQueries)
+		n.ScanFallbacks = max(n.ScanFallbacks, pn.ScanFallbacks)
 	}
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].Name < out.Nodes[j].Name })
 	out.TotalObjects = 0
@@ -210,9 +192,7 @@ func mergeClusterView(out *clusterJSON, pv clusterJSON) {
 	m.Aborts += pm.Aborts
 	m.Resumes += pm.Resumes
 	m.TotalRecordsMoved += pm.TotalRecordsMoved
-	if pm.MaxSwapNanos > m.MaxSwapNanos {
-		m.MaxSwapNanos = pm.MaxSwapNanos
-	}
+	m.MaxSwapNanos = max(m.MaxSwapNanos, pm.MaxSwapNanos)
 	if pm.Active && !m.Active {
 		// The peer drives a run this coordinator only follows: its
 		// per-range machine is the authoritative progress.

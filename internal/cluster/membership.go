@@ -4,11 +4,12 @@
 // notices a member when traffic happens to hit it. This file adds the
 // global half and the reactions:
 //
-//   - a liveness detector: periodic heartbeat probes with a suspicion
-//     state between up and down (consecutive heartbeat failures trip
-//     the breaker; the consecutive-failure fast path stays), and
-//     recovery that demands K consecutive successful probes so a
-//     flapping member does not oscillate;
+//   - a liveness detector: periodic heartbeats whose outcomes are
+//     events of the member's health word (replication.go) beside the
+//     breaker's calls — a suspicion state between up and down,
+//     consecutive missed beats trip the member — and recovery that
+//     demands K consecutive successful probes so a flapping member
+//     does not oscillate;
 //   - auto-demotion: a member down past a hint-buffer deadline (wall
 //     time or hinted-record count) is removed via the RemoveNode
 //     preference-list migration — survivors source the imports — and
@@ -26,7 +27,6 @@
 package cluster
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,32 +34,6 @@ import (
 	"mapdr/internal/locserv"
 	"mapdr/internal/wire"
 )
-
-// Health is the liveness detector's verdict on a member.
-type Health int8
-
-const (
-	// HealthUp: the member answers heartbeats and deliveries.
-	HealthUp Health = iota
-	// HealthSuspect: between up and down — heartbeats are failing but
-	// the breaker has not tripped, or the member is down but partway
-	// through the K-probe recovery.
-	HealthSuspect
-	// HealthDown: the breaker is open; ingest hints, queries skip.
-	HealthDown
-)
-
-// String returns the state name the /cluster endpoint reports.
-func (h Health) String() string {
-	switch h {
-	case HealthSuspect:
-		return "suspect"
-	case HealthDown:
-		return "down"
-	default:
-		return "up"
-	}
-}
 
 // SelfHealConfig tunes the self-healing control loops. Times are in
 // the coordinator's transport-clock units — seconds of simulation time
@@ -258,26 +232,12 @@ func (c *Coordinator) heartbeat(heal *selfHeal) {
 		func(_ *memberState, n locserv.Node) (locserv.NodeStats, error) { return n.NodeStats() })
 }
 
-// noteBeat feeds one heartbeat's outcome to the liveness detector. A
-// failure moves the member toward Suspect and, at SuspectAfter
-// consecutive misses, trips its breaker; a success clears only the
-// suspicion — not the breaker's consecutive-delivery-failure count,
-// which a member faulty on Deliver but healthy on stats must not be
-// able to reset.
-func (c *Coordinator) noteBeat(m *memberState, err error) {
-	if err == nil {
-		m.suspectFails.Store(0)
-		return
-	}
-	heal := c.heal.Load()
-	m.errors.Add(1)
-	if m.suspectFails.Add(1) == 1 {
-		heal.suspects.Add(1)
-	}
-	if int(m.suspectFails.Load()) >= heal.cfg.SuspectAfter {
-		c.markTripped(m)
-	}
-}
+// noteBeat feeds one heartbeat's outcome to the member's health word:
+// a beat ok clears only the missed-beat run — not the breaker's
+// failed-call run, which a member faulty on Deliver but healthy on
+// stats must not be able to reset — and a failure is counted and
+// extends it (SuspectAfter in a row trip the member).
+func (c *Coordinator) noteBeat(m *memberState, err error) { c.step(m, m.outcome(evBeatOK, err)) }
 
 // checkDemotions removes members down past their hint deadline.
 func (c *Coordinator) checkDemotions(heal *selfHeal, now float64) {
@@ -287,7 +247,7 @@ func (c *Coordinator) checkDemotions(heal *selfHeal, now float64) {
 	members := c.memberList()
 	var overdue []string
 	for _, m := range members {
-		if m.down.Load() && pastDeadline(&heal.cfg, m, now) {
+		if s, trip := m.snapshot(); s.down() && pastDeadline(&heal.cfg, m, trip, now) {
 			overdue = append(overdue, m.Name)
 		}
 	}
@@ -315,17 +275,17 @@ func (c *Coordinator) checkDemotions(heal *selfHeal, now float64) {
 // pastDeadline reports whether a down member has crossed either
 // demotion deadline: down (or holding hints) longer than DemoteAfter,
 // or hinted at more than DemoteHints records since the trip.
-func pastDeadline(cfg *SelfHealConfig, m *memberState, now float64) bool {
+func pastDeadline(cfg *SelfHealConfig, m *memberState, trip tripRecord, now float64) bool {
 	st := m.hints.Stats()
 	if d := cfg.DemoteAfter; d > 0 {
-		if now-math.Float64frombits(m.downSince.Load()) >= d {
+		if now-trip.since >= d {
 			return true
 		}
 		if st.HasSince && st.Buffered > 0 && now-st.Since >= d {
 			return true
 		}
 	}
-	if h := cfg.DemoteHints; h > 0 && st.Hinted-m.hintedAtDown.Load() >= h {
+	if h := cfg.DemoteHints; h > 0 && st.Hinted-trip.hinted >= h {
 		return true
 	}
 	return false
@@ -337,7 +297,7 @@ func pastDeadline(cfg *SelfHealConfig, m *memberState, now float64) bool {
 // back as a fresh AddNode. A failed migration (no live source for some
 // range, say) is counted and retried on the next tick.
 func (c *Coordinator) demote(heal *selfHeal, name string) bool {
-	if m := c.lookup(name); m == nil || !m.down.Load() {
+	if m := c.lookup(name); m == nil || !m.state().down() {
 		return false
 	}
 	if err := c.RemoveNode(name); err != nil {
@@ -377,7 +337,7 @@ func (c *Coordinator) maybeReweight(heal *selfHeal, now float64) {
 	var minD, maxD, traffic int64
 	minD = -1
 	for _, m := range members {
-		if m.down.Load() {
+		if m.state().down() {
 			continue
 		}
 		total := m.records.Load()
@@ -391,9 +351,7 @@ func (c *Coordinator) maybeReweight(heal *selfHeal, now float64) {
 		if minD < 0 || d < minD {
 			minD = d
 		}
-		if d > maxD {
-			maxD = d
-		}
+		maxD = max(maxD, d)
 	}
 	if first || len(deltas) < 2 || traffic == 0 {
 		// Nothing to balance (or no baseline yet): not a breach.
@@ -401,11 +359,7 @@ func (c *Coordinator) maybeReweight(heal *selfHeal, now float64) {
 		heal.mu.Unlock()
 		return
 	}
-	den := minD
-	if den < 1 {
-		den = 1
-	}
-	if float64(maxD)/float64(den) < heal.cfg.ReweightRatio {
+	if float64(maxD)/float64(max(minD, 1)) < heal.cfg.ReweightRatio {
 		heal.breaches = 0
 		heal.mu.Unlock()
 		return

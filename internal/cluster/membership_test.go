@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -455,7 +456,7 @@ func TestDrainHintsCapacityExempt(t *testing.T) {
 	for seq := uint32(2); seq <= 4; seq++ {
 		f.coord.Send(float64(seq), repBatch(30, seq))
 	}
-	if !m.down.Load() {
+	if m.state().health() != HealthDown {
 		t.Fatal("breaker did not trip")
 	}
 	got := m.hints.Len()
@@ -471,5 +472,154 @@ func TestDrainHintsCapacityExempt(t *testing.T) {
 	st := m.hints.Stats()
 	if st.Requeued != 4 {
 		t.Fatalf("requeued %d, want 4 (stats %+v)", st.Requeued, st)
+	}
+}
+
+// TestMemberHealthConcurrent trips one member and brings it back over
+// and over — by call failures and by MarkDown, back up by probe and by
+// MarkDown — while readers take MemberStats and run the demotion check.
+// The coordinator clock is held at 1000 and DemoteAfter is 500, so every
+// down episode starts at the readers' now: a nonzero DownFor or any
+// demotion means a reader paired a Down with an earlier episode's trip
+// record, and a Down that disagrees with Health means the two were read
+// from different states.
+func TestMemberHealthConcurrent(t *testing.T) {
+	f := newReplicatedFixture(t, 3, 2)
+	c := f.coord
+	c.EnableSelfHeal(SelfHealConfig{RecoverAfter: 1, DemoteAfter: 500})
+	c.advanceClock(1000)
+	heal := c.heal.Load()
+	m := c.members["n1"]
+	errCall := errors.New("injected call failure")
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // writer
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 0; i < 400; i++ {
+			if i%2 == 0 {
+				c.MarkDown("n1", true)
+			} else {
+				for range breakerThreshold {
+					c.noteCall(m, errCall)
+				}
+			}
+			if i%4 < 2 {
+				c.MarkDown("n1", false)
+			} else {
+				c.ProbeDown()
+			}
+		}
+	}()
+	go func() { // stats reader
+		defer wg.Done()
+		for !stop.Load() {
+			for _, ms := range c.MemberStats() {
+				if ms.DownFor != 0 {
+					t.Errorf("%s: DownFor %v on a clock that never moved", ms.Name, ms.DownFor)
+					return
+				}
+				if (ms.Down && ms.Health == HealthUp) || (!ms.Down && ms.Health == HealthDown) {
+					t.Errorf("%s: torn snapshot Down=%v Health=%v", ms.Name, ms.Down, ms.Health)
+					return
+				}
+			}
+		}
+	}()
+	go func() { // demotion checker
+		defer wg.Done()
+		for !stop.Load() {
+			c.checkDemotions(heal, 1000)
+		}
+	}()
+	wg.Wait()
+	if d, fails := heal.demotions.Load(), heal.demotionFailures.Load(); d != 0 || fails != 0 {
+		t.Fatalf("%d demotions (%d failed) of a member down for 0 of 500 units", d, fails)
+	}
+	if got := c.Nodes(); len(got) != 3 {
+		t.Fatalf("nodes %v after the run, want all 3", got)
+	}
+}
+
+// TestMemberHealthStep walks every (state, event) pair of a member's
+// health word through the transition table. The expected rows come
+// from the documented rules (README "Liveness detection", the
+// SelfHealConfig fields, noteCall and noteBeat), not from next itself:
+// up(c, b) is an up member with c consecutive failed calls and b missed
+// beats, down(p) a down member with p consecutive clean probes; a
+// failed-call run of 3 (breakerThreshold) or a missed-beat run of
+// SuspectAfter trips the member, K (RecoverAfter, 1 without
+// self-healing) clean probes in a row bring it back up.
+func TestMemberHealthStep(t *testing.T) {
+	up := func(c, b int) hstate { return hstate(c) | hstate(b)<<16 }
+	down := func(p int) hstate { return hDown | hstate(p) }
+	healLimits := func(cfg SelfHealConfig) healthLimits {
+		m, _ := linearNode("n1", 1)
+		c, err := NewReplicated(0, 1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.EnableSelfHeal(cfg)
+		return limits(c.heal.Load())
+	}
+	def := healLimits(SelfHealConfig{})                     // SuspectAfter 3, K 2
+	suspect1 := healLimits(SelfHealConfig{SuspectAfter: 1}) // K 2
+	manual := limits(nil)                                   // K 1
+	if def != (healthLimits{beats: 3, probes: 2}) || suspect1.beats != 1 || manual.probes != 1 {
+		t.Fatalf("limits: default %+v, SuspectAfter 1 %+v, manual %+v", def, suspect1, manual)
+	}
+	lowered := healthLimits{beats: 3, probes: 2} // a run left above a threshold EnableSelfHeal lowered
+
+	events := [...]healthEvent{evCallOK, evCallFailed, evBeatOK, evBeatFailed, evProbeOK, evProbeFailed, evMarkDown, evMarkUp}
+	names := [...]string{"call ok", "call failed", "beat ok", "beat failed", "probe ok", "probe failed", "mark down", "mark up"}
+	rows := []struct {
+		name   string
+		lim    healthLimits
+		from   hstate
+		health Health
+		// by event: call ok, call failed, beat ok, beat failed,
+		// probe ok, probe failed, mark down, mark up
+		want [8]hstate
+	}{
+		// Row up(c, b) of the README table.
+		{"up", def, up(0, 0), HealthUp,
+			[8]hstate{up(0, 0), up(1, 0), up(0, 0), up(0, 1), up(0, 0), up(0, 0), down(0), up(0, 0)}},
+		{"up, 1 failed call", def, up(1, 0), HealthUp,
+			[8]hstate{up(0, 0), up(2, 0), up(1, 0), up(1, 1), up(1, 0), up(1, 0), down(0), up(0, 0)}},
+		{"up, 2 failed calls: the 3rd trips", def, up(2, 0), HealthUp,
+			[8]hstate{up(0, 0), down(0), up(2, 0), up(2, 1), up(2, 0), up(2, 0), down(0), up(0, 0)}},
+		{"suspect, 1 missed beat", def, up(0, 1), HealthSuspect,
+			[8]hstate{up(0, 0), up(1, 1), up(0, 0), up(0, 2), up(0, 1), up(0, 1), down(0), up(0, 0)}},
+		{"suspect, 2 missed beats: the 3rd trips", def, up(0, 2), HealthSuspect,
+			[8]hstate{up(0, 0), up(1, 2), up(0, 0), down(0), up(0, 2), up(0, 2), down(0), up(0, 0)}},
+		{"suspect, both runs live: a beat ok keeps the failed calls", def, up(2, 2), HealthSuspect,
+			[8]hstate{up(0, 0), down(0), up(2, 0), down(0), up(2, 2), up(2, 2), down(0), up(0, 0)}},
+		{"up, SuspectAfter 1: the 1st missed beat trips", suspect1, up(0, 0), HealthUp,
+			[8]hstate{up(0, 0), up(1, 0), up(0, 0), down(0), up(0, 0), up(0, 0), down(0), up(0, 0)}},
+		{"up, manual mode", manual, up(1, 0), HealthUp,
+			[8]hstate{up(0, 0), up(2, 0), up(1, 0), up(1, 1), up(1, 0), up(1, 0), down(0), up(0, 0)}},
+		{"suspect, beat run past a lowered SuspectAfter", lowered, up(1, 4), HealthSuspect,
+			[8]hstate{up(0, 0), up(2, 4), up(1, 0), down(0), up(1, 4), up(1, 4), down(0), up(0, 0)}},
+		// Row down(p) of the README table.
+		{"down", def, down(0), HealthDown,
+			[8]hstate{down(0), down(0), down(0), down(0), down(1), down(0), down(0), up(0, 0)}},
+		{"suspect, 1 clean probe of K 2: the 2nd recovers", def, down(1), HealthSuspect,
+			[8]hstate{down(1), down(1), down(1), down(1), up(0, 0), down(0), down(1), up(0, 0)}},
+		{"down, manual mode: K 1, the 1st clean probe recovers", manual, down(0), HealthDown,
+			[8]hstate{down(0), down(0), down(0), down(0), up(0, 0), down(0), down(0), up(0, 0)}},
+		{"suspect, probe run past a lowered K", lowered, down(3), HealthSuspect,
+			[8]hstate{down(3), down(3), down(3), down(3), up(0, 0), down(0), down(3), up(0, 0)}},
+	}
+	for _, row := range rows {
+		if got := row.from.health(); got != row.health {
+			t.Errorf("%s: health %v, want %v", row.name, got, row.health)
+		}
+		for i, ev := range events {
+			if got := row.from.next(ev, row.lim); got != row.want[i] {
+				t.Errorf("%s, %s: got %#x, want %#x", row.name, names[i], uint64(got), uint64(row.want[i]))
+			}
+		}
 	}
 }

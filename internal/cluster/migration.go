@@ -57,18 +57,7 @@ const (
 
 // String returns the phase name the /cluster endpoint reports.
 func (p MigrationPhase) String() string {
-	switch p {
-	case MigCopying:
-		return "copying"
-	case MigDual:
-		return "dual"
-	case MigCommitted:
-		return "committed"
-	case MigAborted:
-		return "aborted"
-	default:
-		return "planned"
-	}
+	return [...]string{"planned", "copying", "dual", "committed", "aborted"}[p]
 }
 
 // migrateChunk bounds one import delivery, so a big range never turns
@@ -421,7 +410,7 @@ func (c *Coordinator) exportRange(r *rangeState) ([]wire.Record, []locserv.Objec
 			lastErr = fmt.Errorf("unknown member %q", s)
 			continue
 		}
-		if from.down.Load() {
+		if from.state().down() {
 			lastErr = fmt.Errorf("member %q is down", s)
 			continue
 		}

@@ -154,8 +154,8 @@ func (c *Coordinator) ObsSnapshot() (obs.Snapshot, error) {
 	now := c.now()
 	for _, m := range c.memberList() {
 		labels := `member="` + m.Name + `"`
-		up := 1.0
-		if m.down.Load() {
+		down, up := m.state().down(), 1.0
+		if down {
 			up = 0
 		}
 		snap.AddGauge("mapdr_member_up",
@@ -171,7 +171,7 @@ func (c *Coordinator) ObsSnapshot() (obs.Snapshot, error) {
 			snap.AddGauge("mapdr_member_hint_age_seconds",
 				"Age (transport clock) of the oldest buffered hint for the member.", labels, now-hs.Since)
 		}
-		if m.down.Load() {
+		if down {
 			continue
 		}
 		if os, ok := m.Node.(locserv.ObsSnapshotter); ok {

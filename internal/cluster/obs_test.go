@@ -443,8 +443,9 @@ func TestQueryTracingEndToEnd(t *testing.T) {
 func TestCoordinatorScrapeSkipsDownMember(t *testing.T) {
 	c, _, _ := loopbackPair(t)
 	seedCluster(t, c, 10)
-	m := c.members["b"]
-	m.down.Store(true)
+	if err := c.MarkDown("b", true); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := c.ObsSnapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,12 @@
 // range lives on an R-member preference list (ring.Owners); this file
 // holds what keeps those replicas honest when nodes fail and recover:
 //
-//   - the per-member circuit breaker (consecutive transport failures
-//     trip it; queries and ingest then route around the member),
+//   - each member's health word and its one step function: the
+//     circuit breaker (consecutive failed calls), the heartbeat
+//     detector (consecutive missed beats, membership.go) and the
+//     recovery probes (consecutive clean probes) are events of one
+//     transition table, and queries and ingest route around a member
+//     it holds down,
 //   - recovery probes and hinted-handoff draining (updates buffered
 //     while a member was down are replayed on first contact — safe
 //     because replicas are idempotent per (id, Seq)),
@@ -17,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mapdr/internal/locserv"
@@ -35,23 +38,154 @@ const (
 	probeEveryFlushes = 8
 )
 
-// noteCall feeds one member call's outcome to the traffic breaker. A
-// success resets the consecutive-failure count — and the heartbeat
-// suspicion: a successful real call is at least as strong a liveness
-// signal as a heartbeat. A transport failure counts against the member
-// and trips the breaker once it has failed breakerThreshold calls in a
-// row.
-func (c *Coordinator) noteCall(m *memberState, err error) {
-	if err == nil {
-		m.consecFails.Store(0)
-		m.suspectFails.Store(0)
-		return
+// Health is the liveness detector's verdict on a member, decoded from
+// its health word (hstate), which step alone writes.
+type Health int8
+
+const (
+	// HealthUp: the member answers heartbeats and deliveries.
+	HealthUp Health = iota
+	// HealthSuspect: between up and down — heartbeats are failing but
+	// the breaker has not tripped, or the member is down but partway
+	// through the K-probe recovery.
+	HealthSuspect
+	// HealthDown: the breaker is open; ingest hints, queries skip.
+	HealthDown
+)
+
+// String returns the state name the /cluster endpoint reports.
+func (h Health) String() string { return [...]string{"up", "suspect", "down"}[h] }
+
+// hstate is a member's health word: its mode and the runs live in it.
+// Up, the low 16 bits count consecutive failed calls and the next 16
+// consecutive missed beats; down (hDown set), the low 16 bits count
+// consecutive clean probes. A run that reaches its threshold changes the
+// mode, and the new mode's runs start at zero: the zero word is up.
+type hstate uint64
+
+const hDown hstate = 1 << 32
+
+func (s hstate) down() bool     { return s&hDown != 0 }
+func (s hstate) calls() uint16  { return uint16(s) }
+func (s hstate) beats() uint16  { return uint16(s >> 16) }
+func (s hstate) probes() uint16 { return uint16(s) }
+
+func (s hstate) health() Health {
+	switch {
+	case s == hDown:
+		return HealthDown
+	case s.down() || s.beats() > 0: // recovering, or missing beats
+		return HealthSuspect
 	}
-	m.errors.Add(1)
-	if m.consecFails.Add(1) >= breakerThreshold {
-		c.markTripped(m)
-	}
+	return HealthUp
 }
+
+// healthEvent is one input to a member's health word. Each ok event is
+// followed by its failed twin.
+type healthEvent uint8
+
+const (
+	evCallOK healthEvent = iota
+	evCallFailed
+	evBeatOK
+	evBeatFailed
+	evProbeOK
+	evProbeFailed
+	evMarkDown
+	evMarkUp
+)
+
+// healthLimits are the run thresholds besides breakerThreshold:
+// SuspectAfter missed beats trip a member, K clean probes recover it.
+// Without self-healing no beats are sent and K = 1: each probe includes
+// a real hint-drain delivery, so even one cannot flap a member healthy
+// on NodeStats but faulty on Deliver.
+type healthLimits struct{ beats, probes uint16 }
+
+func limits(heal *selfHeal) healthLimits {
+	if heal == nil {
+		return healthLimits{uint16(DefaultSelfHealConfig().SuspectAfter), 1}
+	}
+	return healthLimits{uint16(min(heal.cfg.SuspectAfter, 0xFFFF)), uint16(min(heal.cfg.RecoverAfter, 0xFFFF))}
+}
+
+// next is the transition table, which README's "Liveness detection"
+// lists. Up, a failure extends its own run and trips the member once the
+// run reaches its threshold; a call ok clears both runs but a beat ok
+// only the beat run, so a member faulty on Deliver but healthy on stats
+// cannot reset its breaker. Down, only probes count, and the K-th clean
+// one in a row brings the member up.
+func (s hstate) next(ev healthEvent, lim healthLimits) hstate {
+	if s.down() {
+		switch {
+		case ev == evMarkUp, ev == evProbeOK && s.probes()+1 >= lim.probes:
+			return 0
+		case ev == evProbeOK:
+			return s + 1
+		case ev == evProbeFailed:
+			return hDown
+		}
+		return s
+	}
+	switch {
+	case ev == evCallOK, ev == evMarkUp:
+		return 0
+	case ev == evMarkDown, ev == evCallFailed && s.calls()+1 >= breakerThreshold,
+		ev == evBeatFailed && s.beats()+1 >= lim.beats:
+		return hDown
+	case ev == evCallFailed:
+		return s + 1
+	case ev == evBeatOK:
+		return s &^ (0xFFFF << 16)
+	case ev == evBeatFailed:
+		return s + 1<<16
+	}
+	return s
+}
+
+// step feeds one event to the member's health word, its only writer,
+// and returns the states before and after. A call ok on a clean up
+// member is one load and no store. Other events run under hmu, so the
+// step that takes a member down writes that episode's trip record
+// before a reader holding hmu can see the down word. The self-healing
+// trip and suspicion counts are bumped here and nowhere else.
+func (c *Coordinator) step(m *memberState, ev healthEvent) (from, to hstate) {
+	if from = m.state(); ev == evCallOK && from == 0 {
+		return from, from
+	}
+	heal := c.heal.Load()
+	m.hmu.Lock()
+	from = m.state()
+	to = from.next(ev, limits(heal))
+	if !from.down() && to.down() {
+		m.trip = tripRecord{since: c.now(), hinted: m.hints.Stats().Hinted}
+	}
+	m.hstate.Store(uint64(to))
+	m.hmu.Unlock()
+	if heal != nil && !from.down() && to.down() {
+		heal.trips.Add(1)
+	}
+	if heal != nil && from.health() == HealthUp && to.health() == HealthSuspect {
+		heal.suspects.Add(1)
+	}
+	return from, to
+}
+
+// outcome maps a call's result to ok's event, or to its failed twin —
+// counting the failure — when err is set.
+func (m *memberState) outcome(ok healthEvent, err error) healthEvent {
+	if err != nil {
+		m.errors.Add(1)
+		return ok + 1
+	}
+	return ok
+}
+
+// noteCall feeds one member call's outcome to the breaker: a transport
+// failure counts against the member and breakerThreshold in a row trip
+// it; a success clears the failed-call run and the heartbeat suspicion,
+// since a real call is at least as strong a liveness signal as a beat.
+func (c *Coordinator) noteCall(m *memberState, err error) { c.step(m, m.outcome(evCallOK, err)) }
 
 // noteErr is the policy of calls whose failure is the node's own answer
 // or is retried by a later call anyway (registry calls, Flush): counted,
@@ -69,34 +203,6 @@ func (c *Coordinator) noteQuery(m *memberState, err error) {
 	c.noteCall(m, err)
 }
 
-// markTripped opens the member's breaker, recording the trip time and
-// the hint high-water mark the demotion deadline counts from. Only the
-// first trip in a down episode records; repeat failures while already
-// down keep the original deadline clock.
-func (c *Coordinator) markTripped(m *memberState) {
-	if m.down.CompareAndSwap(false, true) {
-		m.downSince.Store(math.Float64bits(c.now()))
-		m.hintedAtDown.Store(m.hints.Stats().Hinted)
-		m.recoverOKs.Store(0)
-		if heal := c.heal.Load(); heal != nil {
-			heal.trips.Add(1)
-		}
-	}
-}
-
-// recoverK is how many consecutive successful probes a down member
-// needs before it is marked up. With self-healing enabled the detector
-// config decides; manual operation keeps the historical single-probe
-// recovery (each probe already includes a real hint-drain delivery, so
-// even K = 1 cannot flap on a member healthy on NodeStats but faulty
-// on Deliver).
-func (c *Coordinator) recoverK() int32 {
-	if heal := c.heal.Load(); heal != nil && heal.cfg.RecoverAfter > 0 {
-		return int32(heal.cfg.RecoverAfter)
-	}
-	return 1
-}
-
 // MarkDown forces a member's breaker open or closed — operational
 // override for planned maintenance (and deterministic failure tests).
 // Closing it does not drain hints; use ProbeDown for a verified
@@ -106,48 +212,37 @@ func (c *Coordinator) MarkDown(name string, down bool) error {
 	if m == nil {
 		return fmt.Errorf("cluster: unknown member %q", name)
 	}
+	ev := evMarkUp
 	if down {
-		c.markTripped(m)
-	} else {
-		m.down.Store(false)
-		m.consecFails.Store(0)
-		m.suspectFails.Store(0)
-		m.recoverOKs.Store(0)
+		ev = evMarkDown
 	}
+	c.step(m, ev)
 	return nil
 }
 
 // ProbeDown synchronously probes every tripped member: a cheap
 // NodeStats call plus a real hint-drain delivery, so a member that
 // answers stats but cannot take writes stays down (no breaker flap).
-// A member is marked up after recoverK consecutive successful probes;
-// on the down→up transition its ingest transport is flushed once (to
-// push out frames buffered before the trip) and any hints that raced
-// in are swept. ProbeDown also drains hint buffers stranded on members
+// A member is marked up after K (RecoverAfter; 1 without self-healing)
+// consecutive successful probes; on the down→up transition its ingest
+// transport is flushed once (to push out frames buffered before the
+// trip) and any hints that raced in are swept. ProbeDown also drains hint buffers stranded on members
 // that recovered while a concurrent Send was still hinting at them.
 // It returns how many members recovered. Flush schedules it in the
 // background every probeEveryFlushes calls; operators, the Tick
 // heartbeat loop, and tests may call it directly.
 func (c *Coordinator) ProbeDown() int {
 	recovered := 0
-	k := c.recoverK()
 	for _, m := range c.memberList() {
-		if !(m.down.Load() || m.hints.Len() > 0) || !m.probing.CompareAndSwap(false, true) {
+		if !(m.state().down() || m.hints.Len() > 0) || !m.probing.CompareAndSwap(false, true) {
 			continue
 		}
-		switch {
-		case !m.down.Load():
+		if !m.state().down() {
 			// Up, but with stranded hints: a Send hinted at the member
 			// in the window between its recovery drain and the breaker
 			// closing. Sweep them in.
 			c.drainHints(m)
-		case !c.probeMember(m):
-			m.recoverOKs.Store(0)
-		case m.recoverOKs.Add(1) >= k:
-			m.consecFails.Store(0)
-			m.suspectFails.Store(0)
-			m.recoverOKs.Store(0)
-			m.down.Store(false)
+		} else if from, to := c.step(m, c.probeMember(m)); from.down() && !to.down() {
 			// Frames buffered in the member's transport before the trip
 			// were never flushed while it was down; push them now so the
 			// recovered member does not serve a hole.
@@ -166,17 +261,17 @@ func (c *Coordinator) ProbeDown() int {
 	return recovered
 }
 
-// probeMember runs one recovery probe: the cheap NodeStats liveness
-// check, then — the part that makes recovery honest — a real delivery
-// of the member's drained hints. Probe success requires both; a member
+// probeMember runs one recovery probe and returns its event: the cheap
+// NodeStats liveness check, then — the part that makes recovery honest
+// — a real delivery of the member's drained hints. A probe ok needs
+// both; a member
 // healthy on stats but faulty on Deliver keeps failing probes and
 // stays down instead of flapping up and re-tripping on the next send.
-func (c *Coordinator) probeMember(m *memberState) bool {
-	if _, err := m.Node.NodeStats(); err != nil {
-		m.errors.Add(1)
-		return false
+func (c *Coordinator) probeMember(m *memberState) healthEvent {
+	if _, err := m.Node.NodeStats(); m.outcome(evProbeOK, err) == evProbeOK && c.drainHints(m) {
+		return evProbeOK
 	}
-	return c.drainHints(m)
+	return evProbeFailed
 }
 
 // drainHints replays a member's buffered updates and reports whether
@@ -253,7 +348,7 @@ func (c *Coordinator) spawnRepair(id locserv.ObjectID, fresh *memberState, targe
 			return
 		}
 		for _, m := range targets {
-			if m.down.Load() {
+			if m.state().down() {
 				continue
 			}
 			_, err := m.Node.Deliver(recs)
@@ -350,22 +445,13 @@ func BalancedWeights(base int, stats []MemberStats) map[string]int {
 		return weights
 	}
 	fair := float64(total) / float64(len(stats))
-	lo, hi := base/4, base*4
-	if lo < 1 {
-		lo = 1
-	}
+	lo, hi := max(base/4, 1), base*4
 	for i := range stats {
 		w := base
 		if stats[i].Records > 0 {
 			w = int(float64(base)*fair/float64(stats[i].Records) + 0.5)
 		}
-		if w < lo {
-			w = lo
-		}
-		if w > hi {
-			w = hi
-		}
-		weights[stats[i].Name] = w
+		weights[stats[i].Name] = min(max(w, lo), hi)
 	}
 	return weights
 }
