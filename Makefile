@@ -16,6 +16,9 @@ GO ?= go
 #   FleetSteps10k          <= 58,000 + 200 x GOMAXPROCS allocs/op
 #                          (10k-object fleet step; per object and per
 #                          worker, none per sample)
+#   GenerateFleet          <= 10,600 allocs/op (100 vehicles' routes,
+#                          traces and sources on city 1; per vehicle,
+#                          none per step or intersection)
 #   MapQueryMix            runs only (map-predictor query mix)
 #   IngestHTTP             >= 100k updates/s (frames -> POST /updates
 #                          -> DeliverRecords -> 10-NN)
@@ -34,7 +37,7 @@ GO ?= go
 #   WithinQuiet            runs only (range over long-quiet objects)
 #   ObsRecordUntraced      runs only (zero allocations are pinned by
 #                          obs's TestRecordNoAllocs)
-BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|MemberStream|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
+BENCH_GATE = PredictLongQuiet|SourceServerQuiet|ServerQueryFanout|FleetSteps10k|GenerateFleet|MapQueryMix|IngestHTTP|ClusterIngestQuery|ReplicatedIngestQuery|FanInIngestQuery|MemberStream|WithinChurn|NearestChurn|NearestQuiet|WithinQuiet|ObsRecordUntraced
 BENCH_PKGS = ./internal/core ./internal/locserv ./internal/sim ./internal/cluster ./internal/obs
 
 check: fmt vet staticcheck build race bench-check

@@ -76,8 +76,8 @@ func TestFacadeConstructors(t *testing.T) {
 	}
 	learner := NewMapLearner(MapLearnerConfig{CellSize: 30, MinVisits: 1})
 	learner.AddTrace(walk.Trace)
-	if learner.Traces() != 1 {
-		t.Error("learner did not record the trace")
+	if res, err := learner.Build(); err != nil || res.CoveredCells == 0 {
+		t.Errorf("learner did not learn the trace: %v", err)
 	}
 
 	// NewRoute through the facade.

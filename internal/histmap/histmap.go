@@ -57,10 +57,9 @@ func mkEdge(a, b cellKey) edgeKey {
 
 // Learner accumulates traces. Not safe for concurrent use.
 type Learner struct {
-	cfg    Config
-	cells  map[cellKey]*cellInfo
-	edges  map[edgeKey]int
-	traces int
+	cfg   Config
+	cells map[cellKey]*cellInfo
+	edges map[edgeKey]int
 }
 
 // New returns an empty learner.
@@ -73,9 +72,6 @@ func New(cfg Config) *Learner {
 	}
 	return &Learner{cfg: cfg, cells: map[cellKey]*cellInfo{}, edges: map[edgeKey]int{}}
 }
-
-// Traces returns how many traces have been added.
-func (l *Learner) Traces() int { return l.traces }
 
 func (l *Learner) keyOf(p geo.Point) cellKey {
 	return cellKey{
@@ -90,7 +86,6 @@ func (l *Learner) AddTrace(tr *trace.Trace) {
 	if tr.Len() == 0 {
 		return
 	}
-	l.traces++
 	step := l.cfg.CellSize / 2
 	seen := map[cellKey]bool{} // one visit per traversal per cell
 	var prevKey cellKey

@@ -35,9 +35,6 @@ func TestLearnLShape(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		l.AddTrace(lTrip(seed))
 	}
-	if l.Traces() != 4 {
-		t.Errorf("Traces = %d", l.Traces())
-	}
 	res, err := l.Build()
 	if err != nil {
 		t.Fatal(err)

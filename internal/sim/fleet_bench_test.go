@@ -16,8 +16,10 @@ import (
 	"mapdr/internal/core"
 	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
+	"mapdr/internal/mapgen"
 	"mapdr/internal/roadmap"
 	"mapdr/internal/trace"
+	"mapdr/internal/tracegen"
 )
 
 const (
@@ -124,6 +126,42 @@ func BenchmarkFleetSteps10k(b *testing.B) {
 	// buffers).
 	ceiling := 58_000 + 200*uint64(runtime.GOMAXPROCS(0))
 	if allocs := mallocs / uint64(b.N); b.N > 1 && !raceEnabled && allocs > ceiling {
+		b.Fatalf("%d allocs/op, want <= %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkGenerateFleet generates the routes, ground-truth traces and
+// sources of 100 vehicles on city 1 with the benchmark's 15 km routes
+// and city dynamics, on one worker; one op is the whole fleet,
+// registry included. The run fails itself above its allocation
+// ceiling: about 105 allocations per vehicle (registration, route,
+// profile tables, trace growth, source), none per integration step or
+// per intersection.
+func BenchmarkGenerateFleet(b *testing.B) {
+	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := FleetSpec{
+		N: 100, Seed: 1, RouteLen: 15000, Workers: 1, IDFormat: "car-%04d",
+		Params: tracegen.CityCarParams(),
+		Source: core.SourceConfig{US: 100, UP: 5, Sightings: 4},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateFleet(cor.Graph, locserv.New(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.N), "ns/vehicle")
+	// About 10,490 allocs/op; a weights slice per intersection made it
+	// 15,605.
+	const ceiling = 10_600
+	if allocs := (after.Mallocs - before.Mallocs) / uint64(b.N); b.N > 1 && !raceEnabled && allocs > ceiling {
 		b.Fatalf("%d allocs/op, want <= %d", allocs, ceiling)
 	}
 }

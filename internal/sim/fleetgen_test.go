@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"mapdr/internal/core"
@@ -80,5 +83,49 @@ func TestGenerateFleetRollsBackOnError(t *testing.T) {
 		Source: core.SourceConfig{US: 100, UP: 5, Sightings: 4},
 	}); err != nil {
 		t.Fatalf("retry after rollback: %v", err)
+	}
+}
+
+// fleetDigest hashes every sample of every trace, in vehicle order, as
+// the raw bits of T, X, Y, V and Heading.
+func fleetDigest(objs []FleetObject) (samples int, sum uint64) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	for _, o := range objs {
+		for _, s := range o.Truth.Samples {
+			put(s.T)
+			put(s.Pos.X)
+			put(s.Pos.Y)
+			put(s.V)
+			put(s.Heading)
+		}
+		samples += o.Truth.Len()
+	}
+	return samples, h.Sum64()
+}
+
+// TestGenerateFleetGolden pins the traces of a 100-vehicle fleet on
+// city 1 (the benchmark's map, route length and dynamics) bit for bit:
+// a generator optimisation must leave every sample unchanged.
+func TestGenerateFleetGolden(t *testing.T) {
+	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, err := GenerateFleet(cor.Graph, locserv.New(), FleetSpec{
+		N: 100, Seed: 1, RouteLen: 15000, Workers: 2, IDFormat: "car-%04d",
+		Params: tracegen.CityCarParams(),
+		Source: core.SourceConfig{US: 100, UP: 5, Sightings: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSamples, wantSum = 135273, 0x734c5b26bae83269
+	if n, sum := fleetDigest(objs); n != wantSamples || sum != wantSum {
+		t.Errorf("fleet digest = %d samples, %#x; want %d, %#x", n, sum, wantSamples, uint64(wantSum))
 	}
 }

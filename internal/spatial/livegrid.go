@@ -115,7 +115,6 @@ type LiveGrid[M Member] struct {
 	// is recomputed exactly when the grid is rebucketed.
 	minCell, maxCell Cell
 	haveCells        bool
-	rebuckets        int64
 	// moves and refolds tally cell-boundary crossings and exact fold
 	// re-derivations since the last TakeCounts.
 	moves, refolds int64
@@ -144,9 +143,6 @@ func (g *LiveGrid[M]) Len() int { return g.n }
 // order. It is the grid's own storage: callers must not retain or
 // mutate it.
 func (g *LiveGrid[M]) Cells() []LiveCell[M] { return g.cells }
-
-// Rebuckets returns how many times the grid has been rebucketed.
-func (g *LiveGrid[M]) Rebuckets() int64 { return g.rebuckets }
 
 // TakeCounts returns how many updates crossed a cell boundary and how
 // many folds were re-derived exactly since the previous call.
@@ -356,5 +352,4 @@ func (g *LiveGrid[M]) Rebucket(cellSize float64) {
 			g.place(r.M, r.M.GridSlot(), g.CellOf(r.Pos), r.Report)
 		}
 	}
-	g.rebuckets++
 }

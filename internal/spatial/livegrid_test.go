@@ -250,9 +250,6 @@ func TestLiveGridRebucket(t *testing.T) {
 	if g.CellSize() != 25 {
 		t.Errorf("CellSize = %v after Rebucket", g.CellSize())
 	}
-	if g.Rebuckets() != 1 {
-		t.Errorf("Rebuckets = %d", g.Rebuckets())
-	}
 	checkLiveGridInvariants(t, g, ref)
 	// Extent is exact again after the rebucket.
 	_, maxC, _ = g.CellExtent()

@@ -8,6 +8,16 @@
 // Route for through-corridors) and longitudinal dynamics (DriveRoute):
 // acceleration limits, curve speed limits from geometry lookahead,
 // traffic-signal stops and random stop-and-go congestion events.
+//
+// DriveRoute derives everything that depends only on the route and the
+// params once per call, in its route profile: the speed limit of every
+// link by route offset, the signalised junctions, and the curve speed
+// sqrt(LatAccel/|curvature|) of every curved vertex. The integration
+// step then reads the profile through forward cursors, which is exact
+// because the route offset never decreases (speed is clamped at zero).
+// The emitted samples are bit-identical to the per-step searches the
+// profile replaced; FuzzDriveRoute holds the two to that, and
+// TestGenerateFleetGolden in internal/sim pins a fleet's traces.
 package tracegen
 
 import (
@@ -98,22 +108,52 @@ type DriveResult struct {
 	Route *roadmap.Route // the route driven (for the known-route baseline)
 }
 
-// DriveRoute simulates driving along route with the given dynamics and
-// returns the ground-truth trace. Speed and heading in the samples are the
-// true instantaneous values.
-func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*DriveResult, error) {
+// validate rejects params the integrator cannot run: a NaN or infinite
+// field would otherwise end the drive early with a truncated trace.
+func (p Params) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Dt", p.Dt}, {"SamplePer", p.SamplePer}, {"Accel", p.Accel},
+		{"Decel", p.Decel}, {"LatAccel", p.LatAccel}, {"SpeedFactor", p.SpeedFactor},
+		{"Lookahead", p.Lookahead}, {"StopRate", p.StopRate}, {"StopMin", p.StopMin},
+		{"StopMax", p.StopMax}, {"SpeedJitter", p.SpeedJitter},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tracegen: %s = %v, must be finite", f.name, f.v)
+		}
+	}
 	if p.Dt <= 0 || p.SamplePer <= 0 {
-		return nil, fmt.Errorf("tracegen: Dt and SamplePer must be positive")
+		return fmt.Errorf("tracegen: Dt and SamplePer must be positive")
 	}
 	if p.SamplePer < p.Dt {
-		return nil, fmt.Errorf("tracegen: SamplePer must be >= Dt")
+		return fmt.Errorf("tracegen: SamplePer must be >= Dt")
+	}
+	return nil
+}
+
+// DriveRoute simulates driving along route with the given dynamics and
+// returns the ground-truth trace. Speed and heading in the samples are the
+// true instantaneous values. Every Params field must be finite.
+//
+// The route profile (speed limits, signals and curve speeds by route
+// offset) and the jitter coefficients are computed once per call. The
+// offset s never decreases, so each per-step lookup resumes where the
+// previous one stopped, and samples are placed with Route.PointAtHint.
+// The output is bit-identical to searching everything afresh at every
+// step (FuzzDriveRoute checks it against that reference).
+func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*DriveResult, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
+	rp := buildRouteProfile(g, route, p)
 
-	// Precompute route geometry: concatenated polyline with cumulative
-	// lengths for curvature lookahead, per-offset speed limits and signal
-	// positions.
-	rp := buildRouteProfile(g, route)
+	// Ornstein-Uhlenbeck coefficients of the speed jitter for one step
+	// (45 s correlation time).
+	jitA := math.Exp(-p.Dt / 45)
+	jitB := math.Sqrt(1 - jitA*jitA)
 
 	tr := &trace.Trace{}
 	var (
@@ -122,6 +162,7 @@ func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*
 		stopUntil float64 = -1
 		jitter    float64 // OU state for target speed jitter
 		nextPoll  float64 // next sample emission time
+		link      int     // route element of the last sample
 	)
 	total := route.Length()
 	for s < total-0.5 {
@@ -130,13 +171,12 @@ func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*
 
 		// Speed jitter: slowly varying multiplicative factor.
 		if p.SpeedJitter > 0 {
-			a := math.Exp(-p.Dt / 45)
-			jitter = a*jitter + math.Sqrt(1-a*a)*rng.NormFloat64()
-			target *= math.Max(0.3, 1+p.SpeedJitter*jitter)
+			jitter = jitA*jitter + jitB*rng.NormFloat64()
+			target *= max(0.3, 1+p.SpeedJitter*jitter)
 		}
 
 		// Curve limit ahead: brake early enough.
-		if limit := rp.curveLimitAhead(s, v, p); limit < target {
+		if limit := rp.curveLimitAhead(s, p); limit < target {
 			target = limit
 		}
 
@@ -171,19 +211,26 @@ func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*
 
 		// --- integrate -------------------------------------------------
 		if v < target {
-			v = math.Min(target, v+p.Accel*p.Dt)
+			v = min(target, v+p.Accel*p.Dt)
 		} else {
-			v = math.Max(target, v-p.Decel*p.Dt)
+			v = max(target, v-p.Decel*p.Dt)
 		}
 		if v < 0 {
 			v = 0
+		}
+		if math.IsNaN(v) {
+			// Finite params can still multiply out to 0 × Inf (a zero
+			// SpeedFactor under an overflowing jitter); stop rather than
+			// emit a NaN sample and end the trace early.
+			return nil, fmt.Errorf("tracegen: speed became NaN at t=%v s: params out of range", t)
 		}
 		s += v * p.Dt
 		t += p.Dt
 
 		// --- emit samples ----------------------------------------------
 		if t >= nextPoll {
-			pos, heading := route.PointAt(math.Min(s, total))
+			pos, heading, at := route.PointAtHint(min(s, total), link)
+			link = at
 			tr.Samples = append(tr.Samples, trace.Sample{T: t, Pos: pos, V: v, Heading: heading})
 			nextPoll += p.SamplePer
 		}
@@ -194,17 +241,22 @@ func DriveRoute(g *roadmap.Graph, route *roadmap.Route, p Params, seed int64) (*
 	return &DriveResult{Trace: tr, Route: route}, nil
 }
 
-// routeProfile caches geometry-derived data along a route.
+// routeProfile is what DriveRoute derives from the route and the params
+// before it integrates, each table in increasing route offset, with a
+// forward cursor per table: the first entry a lookup at the current
+// offset can return. The cursors only advance, which is exact because
+// the offsets DriveRoute looks up never decrease.
 type routeProfile struct {
-	pl      geo.Polyline
-	cum     []float64
 	limits  []segmentLimit // per-link speed limits keyed by route offset
 	signals []signalPos
+	curves  []curvePoint
+
+	limitAt, signalAt, curveAt int
 }
 
 type segmentLimit struct {
-	from, to float64
-	speed    float64
+	to    float64 // route offset where the link ends
+	speed float64
 }
 
 type signalPos struct {
@@ -212,9 +264,19 @@ type signalPos struct {
 	node   roadmap.NodeID
 }
 
-func buildRouteProfile(g *roadmap.Graph, route *roadmap.Route) *routeProfile {
+// curvePoint is a vertex of the route polyline with curvature of at
+// least 1e-6 /m; straighter vertices never limit the speed.
+type curvePoint struct {
+	offset float64 // route offset of the vertex
+	vCurve float64 // sqrt(LatAccel / |curvature|)
+}
+
+func buildRouteProfile(g *roadmap.Graph, route *roadmap.Route, p Params) *routeProfile {
 	rp := &routeProfile{}
-	var walked float64
+	var (
+		pl     geo.Polyline // the route's concatenated link shapes
+		walked float64
+	)
 	for i := 0; i < route.Len(); i++ {
 		d := route.At(i)
 		l := g.Link(d.Link)
@@ -223,11 +285,11 @@ func buildRouteProfile(g *roadmap.Graph, route *roadmap.Route) *routeProfile {
 			shape = shape.Reversed()
 		}
 		start := 0
-		if len(rp.pl) > 0 {
+		if len(pl) > 0 {
 			start = 1 // skip duplicated junction vertex
 		}
-		rp.pl = append(rp.pl, shape[start:]...)
-		rp.limits = append(rp.limits, segmentLimit{from: walked, to: walked + l.Length(), speed: l.Speed()})
+		pl = append(pl, shape[start:]...)
+		rp.limits = append(rp.limits, segmentLimit{to: walked + l.Length(), speed: l.Speed()})
 		walked += l.Length()
 		// Signal at the node this link leads to (except the final node:
 		// the mover stops there anyway).
@@ -238,49 +300,42 @@ func buildRouteProfile(g *roadmap.Graph, route *roadmap.Route) *routeProfile {
 			}
 		}
 	}
-	rp.cum = rp.pl.CumLengths()
+	cum := pl.CumLengths()
+	// The end vertices have no curvature.
+	for i := 1; i < len(pl)-1; i++ {
+		c := math.Abs(geo.CurvatureAt(pl, i))
+		if c < 1e-6 {
+			continue
+		}
+		rp.curves = append(rp.curves, curvePoint{offset: cum[i], vCurve: math.Sqrt(p.LatAccel / c)})
+	}
 	return rp
 }
 
+// speedLimitAt returns the speed limit of the link at route offset s (of
+// the last link past the end).
 func (rp *routeProfile) speedLimitAt(s float64) float64 {
-	// Linear scan with memoryless binary search; limits lists are short
-	// relative to simulation steps, so binary search each call.
-	lo, hi := 0, len(rp.limits)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rp.limits[mid].to <= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	for rp.limitAt < len(rp.limits)-1 && rp.limits[rp.limitAt].to <= s {
+		rp.limitAt++
 	}
-	return rp.limits[lo].speed
+	return rp.limits[rp.limitAt].speed
 }
 
 // curveLimitAhead returns the speed allowed by the sharpest curve within
 // the braking-relevant lookahead, accounting for the distance needed to
 // slow down.
-func (rp *routeProfile) curveLimitAhead(s, v float64, p Params) float64 {
-	limit := math.Inf(1)
-	// Find the first vertex index at or beyond s.
-	lo, hi := 0, len(rp.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rp.cum[mid] < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (rp *routeProfile) curveLimitAhead(s float64, p Params) float64 {
+	for rp.curveAt < len(rp.curves) && rp.curves[rp.curveAt].offset < s {
+		rp.curveAt++
 	}
-	for i := lo; i < len(rp.pl)-1 && rp.cum[i] <= s+p.Lookahead; i++ {
-		c := math.Abs(geo.CurvatureAt(rp.pl, i))
-		if c < 1e-6 {
-			continue
+	limit := math.Inf(1)
+	for _, cp := range rp.curves[rp.curveAt:] {
+		if cp.offset > s+p.Lookahead {
+			break
 		}
-		vCurve := math.Sqrt(p.LatAccel / c)
-		d := rp.cum[i] - s
+		d := cp.offset - s
 		// Speed allowed now so that braking at Decel reaches vCurve in d.
-		vAllowed := math.Sqrt(vCurve*vCurve + 2*p.Decel*math.Max(0, d))
+		vAllowed := math.Sqrt(cp.vCurve*cp.vCurve + 2*p.Decel*max(0, d))
 		if vAllowed < limit {
 			limit = vAllowed
 		}
@@ -291,12 +346,12 @@ func (rp *routeProfile) curveLimitAhead(s, v float64, p Params) float64 {
 // nextSignal returns the first signalised node at route offset > s within
 // the lookahead.
 func (rp *routeProfile) nextSignal(s, lookahead float64) (float64, roadmap.NodeID, bool) {
-	for _, sig := range rp.signals {
-		if sig.offset > s && sig.offset <= s+lookahead {
+	for rp.signalAt < len(rp.signals) && rp.signals[rp.signalAt].offset <= s {
+		rp.signalAt++
+	}
+	if rp.signalAt < len(rp.signals) {
+		if sig := rp.signals[rp.signalAt]; sig.offset <= s+lookahead {
 			return sig.offset, sig.node, true
-		}
-		if sig.offset > s+lookahead {
-			break
 		}
 	}
 	return 0, 0, false

@@ -2,6 +2,8 @@ package tracegen
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mapdr/internal/geo"
@@ -179,6 +181,50 @@ func TestDriveInvalidParams(t *testing.T) {
 	p.Dt = 0.5
 	if _, err := DriveRoute(g, r, p, 1); err == nil {
 		t.Error("expected error for SamplePer < Dt")
+	}
+	// A non-finite field is refused by name, never driven into a
+	// truncated trace (NaN Dt used to give 0 samples, NaN Accel 1).
+	for i := 0; i < reflect.TypeOf(Params{}).NumField(); i++ {
+		name := reflect.TypeOf(Params{}).Field(i).Name
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := CarParams()
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(bad)
+			res, err := DriveRoute(g, r, p, 1)
+			if err == nil {
+				t.Errorf("%s = %v: no error, %d samples", name, bad, res.Trace.Len())
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: error %q does not name the field", name, bad, err)
+			}
+		}
+	}
+	// Finite params whose product is not a number (a zero SpeedFactor
+	// times a jitter factor that overflows once the jitter state passes
+	// 1) are refused too, not cut short.
+	p = CarParams()
+	p.SpeedFactor, p.SpeedJitter = 0, math.MaxFloat64
+	if res, err := DriveRoute(g, r, p, 1); err == nil {
+		t.Errorf("NaN speed: no error, %d samples", res.Trace.Len())
+	}
+}
+
+func TestWanderInvalidLength(t *testing.T) {
+	cor, err := mapgen.CityGrid(mapgen.CityConfig{
+		Seed: 1, Rows: 6, Cols: 6, Spacing: 200, Jitter: 10, SignalProb: 0.3, AvenueEach: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NaN used to return a one-link route, +Inf to walk 1,000,000 links.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if r, err := Wander(cor.Graph, 1, 0, bad, DefaultWanderPolicy()); err == nil {
+			t.Errorf("minLength %v: no error, a %d-link route", bad, r.Len())
+		}
+	}
+	// A length out of reach on a dead-end road ends at the link cap
+	// instead of bouncing between the two ends without bound.
+	g, _ := straightRoad(t)
+	if r, err := Wander(g, 1, 0, 1e12, DefaultWanderPolicy()); err == nil {
+		t.Errorf("minLength 1e12 on a 5 km road: no error, a %d-link route", r.Len())
 	}
 }
 

@@ -30,8 +30,12 @@ func DefaultWanderPolicy() WanderPolicy {
 // Wander generates a random but locally plausible route starting at start
 // until at least minLength metres of links are accumulated. The walk
 // prefers going straight and staying on the same road class, mimicking a
-// driver with a destination beyond the map.
+// driver with a destination beyond the map. minLength must be finite; a
+// walk that needs more than 1,000,000 links fails.
 func Wander(g *roadmap.Graph, seed int64, start roadmap.NodeID, minLength float64, pol WanderPolicy) (*roadmap.Route, error) {
+	if math.IsNaN(minLength) || math.IsInf(minLength, 0) {
+		return nil, fmt.Errorf("tracegen: wander length %v, must be finite", minLength)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	outs := g.OutgoingAppend(nil, start, roadmap.NoDir)
 	if len(outs) == 0 {
@@ -41,8 +45,16 @@ func Wander(g *roadmap.Graph, seed int64, start roadmap.NodeID, minLength float6
 	dirs := []roadmap.Dir{cur}
 	var total float64 = g.Link(cur.Link).Length()
 
-	var alts []roadmap.Dir
+	var (
+		alts    []roadmap.Dir
+		weights []float64 // pickWeighted's buffer, reused
+	)
 	for total < minLength {
+		// The cap holds on dead ends too: bouncing along a cul-de-sac
+		// adds links forever when minLength is out of reach.
+		if len(dirs) > 1_000_000 {
+			return nil, fmt.Errorf("tracegen: wander did not reach %v m", minLength)
+		}
 		node := g.Link(cur.Link).EndNode(cur.Forward)
 		arrivalHeading := g.Link(cur.Link).ExitHeading(cur.Forward)
 		alts = g.OutgoingAppend(alts[:0], node, cur)
@@ -57,19 +69,19 @@ func Wander(g *roadmap.Graph, seed int64, start roadmap.NodeID, minLength float6
 			total += g.Link(cur.Link).Length()
 			continue
 		}
-		cur = pickWeighted(g, rng, cur, arrivalHeading, alts, pol)
+		if cap(weights) < len(alts) {
+			weights = make([]float64, len(alts))
+		}
+		cur = pickWeighted(g, rng, cur, arrivalHeading, alts, weights[:len(alts)], pol)
 		dirs = append(dirs, cur)
 		total += g.Link(cur.Link).Length()
-		if len(dirs) > 1_000_000 {
-			return nil, fmt.Errorf("tracegen: wander did not reach %v m", minLength)
-		}
 	}
 	return roadmap.NewRoute(g, dirs)
 }
 
 // pickWeighted selects the next directed link with straight/class bias.
-func pickWeighted(g *roadmap.Graph, rng *rand.Rand, in roadmap.Dir, arrivalHeading float64, alts []roadmap.Dir, pol WanderPolicy) roadmap.Dir {
-	weights := make([]float64, len(alts))
+// weights is a buffer of len(alts) it overwrites.
+func pickWeighted(g *roadmap.Graph, rng *rand.Rand, in roadmap.Dir, arrivalHeading float64, alts []roadmap.Dir, weights []float64, pol WanderPolicy) roadmap.Dir {
 	var sum float64
 	smallest, smallestIdx := math.Inf(1), 0
 	for i, alt := range alts {
